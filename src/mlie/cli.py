@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .fileio import (
     read_algebra,
     read_extension,
     write_algebra,
+    write_extension,
 )
 from .liealg import LieAlgebra
 from .pseudolin import DEFAULT_TOL, Gram, classify_subspace
@@ -96,12 +97,16 @@ def _print_report(report: CurvatureReport) -> None:
     print(_fmt(report.ricci_form))
 
 
+def _print_json(doc: Dict[str, Any]) -> None:
+    json.dump(doc, sys.stdout, indent=2)
+    print()
+
+
 def _emit_algebra(
     out: Optional[str], algebra: LieAlgebra, metric: Optional[Gram], comment: Optional[str]
 ) -> None:
     if out is None:
-        json.dump(algebra_to_dict(algebra, metric, comment), sys.stdout, indent=2)
-        print()
+        _print_json(algebra_to_dict(algebra, metric, comment))
     else:
         write_algebra(out, algebra, metric, comment)
 
@@ -186,18 +191,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if dec is None:
         print("no isotropic central vector: the center is definite, nothing to decompose")
         return EXIT_NOT_APPLICABLE
-    doc = extension_to_dict(
-        dec.data,
-        basis_change=dec.basis_change,
-        comment="basis_change columns are (e, f_1.., ebar) in input coordinates",
-    )
+    comment = "basis_change columns are (e, f_1.., ebar) in input coordinates"
     if args.output is None:
-        json.dump(doc, sys.stdout, indent=2)
-        print()
+        _print_json(extension_to_dict(dec.data, dec.basis_change, comment))
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_extension(args.output, dec.data, dec.basis_change, comment)
     return EXIT_OK
 
 

@@ -56,6 +56,71 @@ class CurvatureReport:
     signature: Signature
 
 
+# -- the stacked kernel ---------------------------------------------------
+#
+# Pure array functions on one structure tensor c of shape (n,n,n) and a stack
+# of grams g of shape (m,n,n); MetricLieAlgebra calls them with a stack of one,
+# the search with a whole batch.  The contractions are spelled as reshapes and
+# matmuls: at these sizes planning an einsum path costs more than doing it.
+
+
+def levi_civita_tensors(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """lc[m,i,j,:] = e_i·e_j under g[m], solving the Koszul identity
+    2 G (e_i·e_j) = T[i,j,:] with T[i,j,l] = ⟨[e_i,e_j],e_l⟩ + ⟨[e_l,e_i],e_j⟩
+    + ⟨[e_l,e_j],e_i⟩."""
+    m, n = len(g), c.shape[0]
+    cg = c @ g[:, None]  # cg[m,i,j,l] = ⟨[e_i,e_j], e_l⟩
+    t = cg + cg.transpose(0, 2, 3, 1) + cg.transpose(0, 3, 2, 1)
+    lc = 0.5 * np.linalg.solve(g, t.reshape(m, n * n, n).transpose(0, 2, 1))
+    return lc.transpose(0, 2, 1).reshape(m, n, n, n)
+
+
+def structure_endo_tensors(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """s[m,i] = S_i under g[m]: S_i = −G⁻¹M_i with M_i[j,k] = c[j,k,i]."""
+    n = c.shape[0]
+    rhs = np.broadcast_to(c.transpose(0, 2, 1).reshape(n, n * n), (len(g), n, n * n))
+    return -np.linalg.solve(g, rhs).reshape(-1, n, n, n).transpose(0, 2, 1, 3)
+
+
+def j1_j2_operators(s: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """𝒥₁ = −Σ_{i,j} ⟨e_i,e_j⟩ S_i∘S_j and 𝒥₂ = −(tr(S_i∘S_j))_{i,j}·G, from
+    the stack s of structure_endo_tensors."""
+    m, n = g.shape[:2]
+    flat = s.reshape(m, n, n * n)
+    gs = (g.transpose(0, 2, 1) @ flat).reshape(m, n, n, n)  # gs[j] = Σ_i ⟨e_i,e_j⟩ S_i
+    j1 = -(gs.transpose(0, 2, 1, 3).reshape(m, n, n * n) @ s.reshape(m, n * n, n))
+    # tr(S_i∘S_j) = Σ_{a,b} S_i[a,b] S_j[b,a]
+    t = flat @ s.transpose(0, 1, 3, 2).reshape(m, n, n * n).transpose(0, 2, 1)
+    return j1, -t @ g
+
+
+def q_operators(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Q = −½𝒥₁ + ¼𝒥₂, the Ricci operator of a nilpotent algebra."""
+    j1, j2 = j1_j2_operators(s, g)
+    return -0.5 * j1 + 0.25 * j2
+
+
+def ricci_forms(lc: np.ndarray) -> np.ndarray:
+    """ric(e_a,e_b) = −tr(R_a∘R_b) + tr(R_{e_a·e_b}), symmetrized, from the
+    stack lc of levi_civita_tensors; R_a[k,j] = lc[j,a,k]."""
+    m, n = lc.shape[:2]
+    r = lc.transpose(0, 2, 1, 3).reshape(m, n, n * n)  # r[a,(j,k)] = R_a[k,j]
+    r_t = lc.transpose(0, 2, 3, 1).reshape(m, n, n * n)  # r_t[b,(j,k)] = R_b[j,k]
+    r_traces = np.trace(lc, axis1=1, axis2=3)  # tr R_a = Σ_k lc[k,a,k]
+    term2 = (lc.reshape(m, n * n, n) @ r_traces[:, :, None]).reshape(m, n, n)
+    ric = term2 - r @ r_t.transpose(0, 2, 1)
+    return (ric + ric.transpose(0, 2, 1)) / 2.0
+
+
+def ricci_operators(c: np.ndarray, g: np.ndarray, nilpotent: bool) -> np.ndarray:
+    """Ricci operators for a stack of grams: Q from the S_i when the algebra
+    is nilpotent, G⁻¹·ric from the Levi-Civita product otherwise.  No
+    degeneracy checks: the caller vouches for every gram."""
+    if nilpotent:
+        return q_operators(structure_endo_tensors(c, g), g)
+    return np.linalg.solve(g, ricci_forms(levi_civita_tensors(c, g)))
+
+
 @dataclass(frozen=True, eq=False)
 class MetricLieAlgebra:
     """A Lie algebra together with a nondegenerate ⟨,⟩, caches built eagerly.
@@ -81,28 +146,12 @@ class MetricLieAlgebra:
     # -- cached tensors ---------------------------------------------------
 
     def _build_caches(self) -> None:
-        n = self.n
         g = self.gram.mat
         c = self.algebra.c
         cache = self._cache
-
         cache["gram_inv"] = np.linalg.inv(g)
-
-        # Koszul right-hand side: T[i,j,l] = ⟨[e_i,e_j],e_l⟩ + ⟨[e_l,e_i],e_j⟩
-        #                                   + ⟨[e_l,e_j],e_i⟩
-        cg = c @ g  # cg[i,j,l] = ⟨[e_i,e_j], e_l⟩
-        t = cg + cg.transpose(1, 2, 0) + cg.transpose(2, 1, 0)
-        # lc[i,j,:] = e_i · e_j, solving 2 G (e_i·e_j) = T[i,j,:]
-        lc = 0.5 * np.linalg.solve(g, t.reshape(n * n, n).T).T.reshape(n, n, n)
-        cache["levi_civita"] = lc
-
-        # structure endomorphisms: S_i = -G^{-1} M_i with M_i[j,k] = c[j,k,i]
-        m = c.transpose(2, 0, 1)
-        s = -np.linalg.solve(g, m.transpose(1, 0, 2).reshape(n, n * n)).reshape(
-            n, n, n
-        ).transpose(1, 0, 2)
-        cache["structure_endos"] = s
-
+        cache["levi_civita"] = levi_civita_tensors(c, g[None])[0]
+        cache["structure_endos"] = structure_endo_tensors(c, g[None])[0]
         for key in ("gram_inv", "levi_civita", "structure_endos"):
             cache[key].flags.writeable = False
 
@@ -170,13 +219,7 @@ class MetricLieAlgebra:
 
     def ricci_via_definition(self) -> np.ndarray:
         """ric(e_i,e_j) = −tr(R_i R_j) + tr(R_{e_i·e_j}); symmetric matrix."""
-        lc = self._cache["levi_civita"]
-        r_all = lc.transpose(1, 2, 0)  # r_all[a] = matrix of R_{e_a}
-        term1 = np.einsum("akj,bjk->ab", r_all, r_all)
-        r_traces = np.einsum("akk->a", r_all)
-        term2 = np.einsum("abm,m->ab", lc, r_traces)
-        ric = -term1 + term2
-        return (ric + ric.T) / 2.0
+        return ricci_forms(self._cache["levi_civita"][None])[0]
 
     def structure_endos(self) -> np.ndarray:
         """Stack S[i] of the structure endomorphisms."""
@@ -194,19 +237,18 @@ class MetricLieAlgebra:
 
     def j1_j2(self) -> Tuple[np.ndarray, np.ndarray]:
         """The self-adjoint operators 𝒥₁ and 𝒥₂ built from the S_i."""
-        s = self._cache["structure_endos"]
-        g = self.gram.mat
-        j1 = -np.einsum("ij,iab,jbc->ac", g, s, s)
-        t = np.einsum("iab,jba->ij", s, s)  # tr(S_i S_j)
-        j2 = -t @ g
-        return j1, j2
+        j1, j2 = j1_j2_operators(self._cache["structure_endos"][None], self.gram.mat[None])
+        return j1[0], j2[0]
+
+    def _q(self) -> np.ndarray:
+        """Q from the cached S_i; the Ricci operator only if nilpotent."""
+        return q_operators(self._cache["structure_endos"][None], self.gram.mat[None])[0]
 
     def ricci_nilpotent(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Ricci operator −½𝒥₁ + ¼𝒥₂; only valid on nilpotent algebras."""
         if not self.algebra.is_nilpotent(tol):
             raise NotNilpotent("the 𝒥-form of the Ricci operator needs a nilpotent algebra")
-        j1, j2 = self.j1_j2()
-        return -0.5 * j1 + 0.25 * j2
+        return self._q()
 
     def ricci_general(self) -> np.ndarray:
         """Ricci form from the adjoint/J/mean-vector expression; any algebra."""
@@ -241,9 +283,7 @@ class MetricLieAlgebra:
         vanish when E is a derivation.
         """
         e = np.asarray(getattr(e, "matrix", e), dtype=float)
-        j1, j2 = self.j1_j2()
-        q = -0.5 * j1 + 0.25 * j2
-        lhs = float(np.trace(q @ e))
+        lhs = float(np.trace(self._q() @ e))
 
         b, eps = orthonormal_basis(self.gram)
         # bracket tensor in the orthonormal basis: [b_a, b_b] in b-coordinates
@@ -262,9 +302,13 @@ class MetricLieAlgebra:
     def ricci_operator(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Ric = G^{-1}·ric, via the 𝒥-route when nilpotent (cross-checked
         against the definitional route), the definitional route otherwise."""
-        ric_def = self.gram_inv @ self.ricci_via_definition()
+        return self._ricci_operator(self.ricci_via_definition(), tol)
+
+    def _ricci_operator(self, ric_form: np.ndarray, tol: float) -> np.ndarray:
+        """ricci_operator, given the definitional Ricci form."""
+        ric_def = self.gram_inv @ ric_form
         if self.algebra.is_nilpotent(tol):
-            ric_nil = self.ricci_nilpotent(tol)
+            ric_nil = self._q()
             scale = max(1.0, float(np.abs(ric_nil).max(initial=0.0)))
             if np.abs(ric_nil - ric_def).max(initial=0.0) > 1e-6 * scale:
                 raise RuntimeError("internal Ricci routes disagree beyond cross-check bound")
@@ -278,7 +322,7 @@ class MetricLieAlgebra:
         squared Levi-Civita magnitude.
         """
         ric_form = self.ricci_via_definition()
-        ric_op = self.ricci_operator()
+        ric_op = self._ricci_operator(ric_form, DEFAULT_TOL)
         lam = float(np.trace(ric_op)) / self.n
         scale = max(1.0, float(np.abs(ric_op).max(initial=0.0)))
         residual = float(np.abs(ric_op - lam * np.eye(self.n)).max(initial=0.0))

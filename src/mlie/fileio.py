@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from .doubleext import Decomposition, ExtensionData
+from .doubleext import ExtensionData
 from .errors import InvalidInput
 from .liealg import LieAlgebra
 from .pseudolin import DEFAULT_TOL, Gram
@@ -225,7 +225,3 @@ def write_extension(
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(extension_to_dict(data, basis_change, comment), fh, indent=2)
         fh.write("\n")
-
-
-def decomposition_to_dict(dec: Decomposition, comment: Optional[str] = None) -> Dict[str, Any]:
-    return extension_to_dict(dec.data, dec.basis_change, comment)

@@ -126,10 +126,6 @@ class Subspace:
         object.__setattr__(self, "basis", b)
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((0, ambient_dim)))
-
-    @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.eye(ambient_dim))
 

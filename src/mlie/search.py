@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .curvature import ricci_operators
 from .errors import DegenerateGram, InvalidInput
 from .liealg import LieAlgebra
 from .pseudolin import DEFAULT_TOL, Gram
@@ -21,29 +22,6 @@ TARGETS = ("einstein", "ricci-flat")
 
 _SV_FLOOR = 1e-6
 _FD_REL_STEP = 1e-5
-
-
-def _ricci_operator_raw(c: np.ndarray, g: np.ndarray, nilpotent: bool) -> np.ndarray:
-    """Ricci operator on raw arrays; 𝒥-route for nilpotent algebras,
-    definitional route otherwise.  No degeneracy checks: hot path."""
-    n = g.shape[0]
-    if nilpotent:
-        m = c.transpose(2, 0, 1)
-        s = -np.linalg.solve(g, m.transpose(1, 0, 2).reshape(n, n * n)).reshape(
-            n, n, n
-        ).transpose(1, 0, 2)
-        j1 = -np.einsum("ij,iab,jbc->ac", g, s, s)
-        t = np.einsum("iab,jba->ij", s, s)
-        j2 = -t @ g
-        return -0.5 * j1 + 0.25 * j2
-    cg = c @ g
-    t = cg + cg.transpose(1, 2, 0) + cg.transpose(2, 1, 0)
-    lc = 0.5 * np.linalg.solve(g, t.reshape(n * n, n).T).T.reshape(n, n, n)
-    r_all = lc.transpose(1, 2, 0)
-    term1 = np.einsum("akj,bjk->ab", r_all, r_all)
-    r_traces = np.einsum("akk->a", r_all)
-    ric = -term1 + np.einsum("abm,m->ab", lc, r_traces)
-    return np.linalg.solve(g, (ric + ric.T) / 2.0)
 
 
 def einstein_residual(
@@ -59,9 +37,8 @@ def einstein_residual(
         raise InvalidInput("gram size does not match algebra dimension")
     if not gram.is_nondegenerate(tol):
         raise DegenerateGram("gram matrix is degenerate at tolerance")
-    ric = _ricci_operator_raw(algebra.c, gram.mat, algebra.is_nilpotent(tol))
-    lam = np.trace(ric) / algebra.n if target == "einstein" else 0.0
-    return float(np.linalg.norm(ric - lam * np.eye(algebra.n)))
+    nilpotent = algebra.is_nilpotent(tol)
+    return float(_batched_residual(algebra.c, gram.mat[None], nilpotent, target == "einstein")[0])
 
 
 @dataclass(frozen=True)
@@ -101,29 +78,10 @@ def _floor_singular_values(a: np.ndarray) -> np.ndarray:
     return (u * np.maximum(s, _SV_FLOOR)) @ vt
 
 
-def _batched_residual(
-    c: np.ndarray,
-    a_batch: np.ndarray,
-    eta: np.ndarray,
-    nilpotent: bool,
-    einstein: bool,
-) -> np.ndarray:
-    """Residuals for a stack of factors, one vectorized pass for the 𝒥-route."""
+def _batched_residual(c: np.ndarray, g: np.ndarray, nilpotent: bool, einstein: bool) -> np.ndarray:
+    """Residuals for a stack of grams, in one pass through the curvature kernel."""
     n = c.shape[0]
-    g = np.einsum("mji,jk,mkl->mil", a_batch, eta, a_batch, optimize=True)
-    if nilpotent:
-        mcat = c.transpose(2, 0, 1).transpose(1, 0, 2).reshape(n, n * n)
-        s = -np.linalg.solve(g, np.broadcast_to(mcat, (len(g), n, n * n))).reshape(
-            -1, n, n, n
-        ).transpose(0, 2, 1, 3)
-        j1 = -np.einsum("mij,miab,mjbc->mac", g, s, s, optimize=True)
-        t = np.einsum("miab,mjba->mij", s, s, optimize=True)
-        j2 = -np.einsum("mij,mjk->mik", t, g)
-        ric = -0.5 * j1 + 0.25 * j2
-    else:
-        ric = np.stack(
-            [_ricci_operator_raw(c, gi, nilpotent=False) for gi in g], axis=0
-        )
+    ric = ricci_operators(c, g, nilpotent)
     if einstein:
         lam = np.einsum("mii->m", ric) / n
         ric = ric - lam[:, None, None] * np.eye(n)
@@ -140,8 +98,12 @@ def run_search(spec: SearchSpec) -> SearchResult:
     minus, plus = spec.signature
     eta = np.diag(np.concatenate([-np.ones(minus), np.ones(plus)]))
 
+    def residuals(a_batch: np.ndarray) -> np.ndarray:
+        g = a_batch.transpose(0, 2, 1) @ eta @ a_batch
+        return _batched_residual(c, g, nilpotent, einstein)
+
     def objective(a: np.ndarray) -> float:
-        return float(_batched_residual(c, a[None], eta, nilpotent, einstein)[0])
+        return float(residuals(a[None])[0])
 
     idx = np.arange(n * n)
     best: Optional[Tuple[float, np.ndarray, int, int]] = None
@@ -160,9 +122,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
             batch = np.broadcast_to(flat, (2 * n * n, n * n)).copy()
             batch[idx, idx] += h
             batch[n * n + idx, idx] -= h
-            vals = _batched_residual(
-                c, batch.reshape(-1, n, n), eta, nilpotent, einstein
-            )
+            vals = residuals(batch.reshape(-1, n, n))
             grad = ((vals[: n * n] - vals[n * n :]) / (2.0 * h)).reshape(n, n)
             # descend along -grad, halving the step until the residual drops
             accepted = False

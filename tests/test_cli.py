@@ -85,6 +85,10 @@ def test_decompose_roundtrip_via_files(tmp_path, capsys):
     doc = json.loads(dec.read_text())
     assert doc["v_dim"] == 1
     assert "basis_change" in doc
+    code, out, _ = run_cli(capsys, "decompose", str(src))
+    assert code == 0
+    assert json.loads(out) == doc
+    assert out == dec.read_text()
 
     code, _, _ = run_cli(capsys, "double-extend", str(dec), "-o", str(ext))
     assert code == 0

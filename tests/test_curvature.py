@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mlie.catalog import ALGEBRA_NAMES, make_algebra, make_metric
-from mlie.curvature import MetricLieAlgebra, Verdict
+from mlie.curvature import MetricLieAlgebra, Verdict, ricci_operators
+from mlie.doubleext import extend, random_admissible
 from mlie.errors import DegenerateGram, NotNilpotent
 from mlie.liealg import LieAlgebra
 from mlie.pseudolin import Gram
@@ -14,15 +15,18 @@ def euclidean_heisenberg():
     )
 
 
-def random_metric(name, rng):
-    algebra = make_algebra(name)
-    n = algebra.n
+def random_gram(n, rng):
     while True:
         a = np.eye(n) + 0.3 * rng.normal(size=(n, n))
         if np.linalg.svd(a, compute_uv=False)[-1] >= 1e-3:
             break
     eta = rng.choice([-1.0, 1.0], size=n)
-    return MetricLieAlgebra(algebra, Gram(a.T @ np.diag(eta) @ a))
+    return Gram(a.T @ np.diag(eta) @ a)
+
+
+def random_metric(name, rng):
+    algebra = make_algebra(name)
+    return MetricLieAlgebra(algebra, random_gram(algebra.n, rng))
 
 
 def test_degenerate_gram_rejected():
@@ -99,6 +103,18 @@ def test_route_equivalence_random():
             nil = m.ricci_nilpotent()
             op_scale = max(1.0, np.abs(op).max())
             assert np.abs(op - nil).max() < 1e-8 * op_scale
+
+
+def test_ricci_operators_stack_matches_per_gram():
+    rng = np.random.default_rng(43)
+    non_nilpotent = extend(random_admissible(rng, f_dim=2, blocks=1, nilpotent=False)).algebra
+    for algebra in (make_algebra("L5_2"), non_nilpotent):
+        metrics = [MetricLieAlgebra(algebra, random_gram(algebra.n, rng)) for _ in range(3)]
+        grams = np.array([m.gram.mat for m in metrics])
+        stack = ricci_operators(algebra.c, grams, algebra.is_nilpotent())
+        for got, m in zip(stack, metrics):
+            want = m.ricci_operator()
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_trace_identity_heisenberg_identity_map():

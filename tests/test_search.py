@@ -3,6 +3,7 @@ import pytest
 
 from mlie.catalog import make_algebra
 from mlie.curvature import MetricLieAlgebra
+from mlie.doubleext import extend, random_admissible
 from mlie.errors import DegenerateGram, InvalidInput
 from mlie.liealg import LieAlgebra
 from mlie.pseudolin import Gram
@@ -19,6 +20,24 @@ def test_einstein_residual_heisenberg_oracle():
     assert r == pytest.approx(np.sqrt(6.0) / 3.0)
     r0 = einstein_residual(heisenberg(), Gram.euclidean(3), target="ricci-flat")
     assert r0 == pytest.approx(np.linalg.norm(np.diag([-0.5, -0.5, 0.5])))
+
+
+def test_einstein_residual_non_nilpotent_matches_ricci_operator():
+    rng = np.random.default_rng(2)
+    data = random_admissible(rng, f_dim=2, blocks=1, nilpotent=False)
+    assert data.mu != 0.0
+    algebra = extend(data).algebra
+    assert not algebra.is_nilpotent()
+    n = algebra.n
+    a = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+    gram = Gram(a.T @ np.diag([-1.0] + [1.0] * (n - 1)) @ a)
+    ric = MetricLieAlgebra(algebra, gram).ricci_operator()
+    lam = np.trace(ric) / n
+    r = einstein_residual(algebra, gram, target="einstein")
+    assert r == pytest.approx(np.linalg.norm(ric - lam * np.eye(n)), rel=1e-9)
+    r0 = einstein_residual(algebra, gram, target="ricci-flat")
+    assert r0 == pytest.approx(np.linalg.norm(ric), rel=1e-9)
+    assert r0 > r > 1e-3  # neither Einstein nor Ricci-flat: the check has teeth
 
 
 def test_einstein_residual_rejects_degenerate():
