@@ -76,6 +76,12 @@ def _tols(args: argparse.Namespace) -> Tuple[float, float]:
     return tol, tol
 
 
+def _read_lie(path: str, tol: float) -> Tuple[LieAlgebra, Optional[Gram]]:
+    """Algebra and metric of an algebra file; NotLie when Jacobi fails."""
+    algebra, metric, _ = read_algebra(path)
+    return algebra.require_jacobi(tol), metric
+
+
 def _require_metric(metric: Optional[Gram], path: str) -> Gram:
     if metric is None:
         raise InvalidInput(f"{path}: this command needs a 'metric' field in the file")
@@ -118,7 +124,7 @@ def _emit_algebra(
 
 def cmd_ricci(args: argparse.Namespace) -> int:
     lin_tol, verdict_tol = _tols(args)
-    algebra, metric, _ = read_algebra(args.file)
+    algebra, metric = _read_lie(args.file, lin_tol)
     m = MetricLieAlgebra(algebra, _require_metric(metric, args.file), tol=lin_tol)
     _print_report(m.einstein_classify(verdict_tol))
     return EXIT_OK
@@ -185,7 +191,7 @@ def cmd_double_extend(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     lin_tol, verdict_tol = _tols(args)
-    algebra, metric, _ = read_algebra(args.file)
+    algebra, metric = _read_lie(args.file, lin_tol)
     m = MetricLieAlgebra(algebra, _require_metric(metric, args.file), tol=lin_tol)
     dec = decompose(m, tol=lin_tol, verdict_tol=verdict_tol)
     if dec is None:
@@ -219,7 +225,7 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 
 def cmd_derivations(args: argparse.Namespace) -> int:
     lin_tol, _ = _tols(args)
-    algebra, _, _ = read_algebra(args.file)
+    algebra, _ = _read_lie(args.file, lin_tol)
     basis = algebra.derivation_space(lin_tol)
     print(f"derivation space dimension: {len(basis)}")
     for name, diag in DERIVATION_TABLE.items():
@@ -239,7 +245,7 @@ def cmd_derivations(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     lin_tol, _ = _tols(args)
-    algebra, _, _ = read_algebra(args.file)
+    algebra, _ = _read_lie(args.file, lin_tol)
     try:
         minus, plus = (int(x) for x in args.signature.split(","))
     except ValueError:
@@ -277,7 +283,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     lin_tol, _ = _tols(args)
-    algebra, metric, _ = read_algebra(args.file)
+    algebra, metric = _read_lie(args.file, lin_tol)
     gram = _require_metric(metric, args.file)
     m = MetricLieAlgebra(algebra, gram, tol=lin_tol)
     sig = m.signature(lin_tol)

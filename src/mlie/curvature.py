@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateGram, InvalidInput, NotNilpotent
 from .liealg import LieAlgebra
-from .pseudolin import DEFAULT_TOL, Gram, Signature, orthonormal_basis, signature
+from .pseudolin import DEFAULT_TOL, Gram, Signature, signature
 
 #: Default relative tolerance for Einstein/flatness verdicts.
 VERDICT_TOL = 1e-8
@@ -167,8 +167,8 @@ class MetricLieAlgebra:
         return signature(self.gram, tol)
 
     def adjoint(self, m) -> np.ndarray:
-        """⟨,⟩-adjoint: M* = G^{-1} Mᵀ G."""
-        return self.gram_inv @ np.asarray(m, dtype=float).T @ self.gram.mat
+        """⟨,⟩-adjoint: M* = G^{-1} Mᵀ G, of a matrix or a stack of them."""
+        return self.gram_inv @ np.swapaxes(np.asarray(m, dtype=float), -1, -2) @ self.gram.mat
 
     # -- Levi-Civita ------------------------------------------------------
 
@@ -226,13 +226,13 @@ class MetricLieAlgebra:
         return self._cache["structure_endos"]
 
     def j_map(self, u) -> np.ndarray:
-        """J_u = Σ_i ⟨u, e_i⟩ S_i."""
-        w = self.gram.mat @ np.asarray(u, dtype=float)
-        return np.einsum("i,iab->ab", w, self._cache["structure_endos"])
+        """J_u = Σ_i ⟨u, e_i⟩ S_i; the stack of them for a stack of u[..., :]."""
+        w = np.asarray(u, dtype=float) @ self.gram.mat
+        return np.tensordot(w, self._cache["structure_endos"], axes=1)
 
     def mean_vector(self) -> np.ndarray:
         """H with ⟨H, u⟩ = tr(ad_u) for all u."""
-        traces = np.array([np.trace(self.algebra.ad(e)) for e in np.eye(self.n)])
+        traces = np.trace(self.algebra.c, axis1=1, axis2=2)  # tr ad_{e_i} = Σ_k c[i,k,k]
         return np.linalg.solve(self.gram.mat, traces)
 
     def j1_j2(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -252,11 +252,11 @@ class MetricLieAlgebra:
 
     def ricci_general(self) -> np.ndarray:
         """Ricci form from the adjoint/J/mean-vector expression; any algebra."""
-        n = self.n
         g = self.gram.mat
-        ads = np.array([self.algebra.ad(e) for e in np.eye(n)])
-        ad_star = np.array([self.adjoint(a) for a in ads])
-        js = np.array([self.j_map(e) for e in np.eye(n)])
+        basis = np.eye(self.n)
+        ads = self.algebra.ad(basis)
+        ad_star = self.adjoint(ads)
+        js = self.j_map(basis)
         ad_h = self.algebra.ad(self.mean_vector())
 
         t_adad = np.einsum("iab,jba->ij", ads, ads)
@@ -269,7 +269,7 @@ class MetricLieAlgebra:
 
     def killing_form(self) -> np.ndarray:
         """B(e_i,e_j) = tr(ad_i ∘ ad_j)."""
-        ads = np.array([self.algebra.ad(e) for e in np.eye(self.n)])
+        ads = self.algebra.ad(np.eye(self.n))
         return np.einsum("iab,jba->ij", ads, ads)
 
     # -- trace identity ---------------------------------------------------
@@ -277,24 +277,20 @@ class MetricLieAlgebra:
     def trace_q_times(self, e) -> Tuple[float, float]:
         """Both sides of the trace identity for Q = −½𝒥₁ + ¼𝒥₂.
 
-        Returns (tr(Q∘E), ¼ Σ_{i,j} ε_i ε_j ⟨E[b_i,b_j] − [Eb_i,b_j] −
-        [b_i,Eb_j], [b_i,b_j]⟩) over an internally built pseudo-orthonormal
-        basis (b_i) with ⟨b_i,b_i⟩ = ε_i.  The two agree for any E, and both
-        vanish when E is a derivation.
+        Returns (tr(Q∘E), ¼ Σ_{i,j,a,b} G^{ia} G^{jb} ⟨E[e_i,e_j] − [Ee_i,e_j]
+        − [e_i,Ee_j], [e_a,e_b]⟩) with (G^{ij}) = G⁻¹; in a pseudo-orthonormal
+        basis (b_i), ⟨b_i,b_i⟩ = ε_i, the sum is ¼ Σ_{i,j} ε_i ε_j ⟨E[b_i,b_j] −
+        [Eb_i,b_j] − [b_i,Eb_j], [b_i,b_j]⟩.  The two sides agree for any E, and
+        both vanish when E is a derivation.
         """
         e = np.asarray(getattr(e, "matrix", e), dtype=float)
         lhs = float(np.trace(self._q() @ e))
 
-        b, eps = orthonormal_basis(self.gram)
-        # bracket tensor in the orthonormal basis: [b_a, b_b] in b-coordinates
-        binv = np.linalg.inv(b)
-        cb = np.einsum("ia,jb,ijk,lk->abl", b, b, self.algebra.c, binv, optimize=True)
-        eb = binv @ e @ b  # E in b-coordinates
-        t1 = np.einsum("lk,abk->abl", eb, cb)  # E[b_a, b_b]
-        t2 = np.einsum("ka,kbl->abl", eb, cb)  # [E b_a, b_b]
-        t3 = np.einsum("kb,akl->abl", eb, cb)  # [b_a, E b_b]
-        inner = np.einsum("abl,l,abl->ab", t1 - t2 - t3, eps, cb)
-        rhs = 0.25 * float(np.einsum("a,b,ab->", eps, eps, inner))
+        # c_sharp[i,j,:] = Σ_{a,b} G^{ia} G^{jb} G[e_a,e_b], so that
+        # rhs = ¼ Σ_{i,j} d[i,j,:]·c_sharp[i,j,:] with d the derivation defect of E
+        cg, g_inv = self.algebra.c @ self.gram.mat, self.gram_inv
+        c_sharp = g_inv @ (g_inv @ cg.reshape(self.n, -1)).reshape(cg.shape)
+        rhs = 0.25 * float(np.sum(self.algebra.derivation_defect_map(e) * c_sharp))
         return lhs, rhs
 
     # -- verdicts ---------------------------------------------------------

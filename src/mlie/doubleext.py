@@ -215,18 +215,11 @@ def decompose(
     chol = np.linalg.cholesky(r)
     f = np.linalg.solve(chol, raw)  # rows f_i with ⟨f_i, f_j⟩ = δ_ij
 
-    v = n - 2
-    kmat = np.zeros((v, v))
-    dmat = np.zeros((v, v))
-    bvec = np.zeros(v)
-    for i in range(v):
-        bvec[i] = float(m.algebra.bracket(ebar, f[i]) @ g @ ebar)
-        for j in range(v):
-            dmat[j, i] = float(m.algebra.bracket(ebar, f[i]) @ g @ f[j])
-            if j > i:
-                kmat[j, i] = float(m.algebra.bracket(f[i], f[j]) @ g @ ebar)
-                kmat[i, j] = -kmat[j, i]
-    data = ExtensionData(v, kmat, dmat, mu=0.0, b=bvec)
+    brk = f @ m.algebra.ad(ebar).T @ g  # row i: ⟨[ē, f_i], ·⟩
+    pair = m.algebra.c @ (g @ ebar)  # pair[a,b] = ⟨[e_a, e_b], ē⟩
+    kmat = f @ pair.T @ f.T  # K[j,i] = ⟨[f_i, f_j], ē⟩
+    dmat = f @ brk.T  # D[j,i] = ⟨[ē, f_i], f_j⟩
+    data = ExtensionData(n - 2, kmat, dmat, mu=0.0, b=brk @ ebar)
     basis_change = np.column_stack([e, *f, ebar])
     return Decomposition(data, basis_change)
 
@@ -238,8 +231,8 @@ def model_residual(
     and the model extension of dec.data; small for a correct decomposition."""
     model = extend(dec.data, tol)
     p = dec.basis_change
-    pinv = np.linalg.inv(p)
-    c_new = np.einsum("ia,jb,ijk,lk->abl", p, p, m.algebra.c, pinv, optimize=True)
+    c_out = m.algebra.c @ np.linalg.inv(p).T  # c_new[a,b,:] = P⁻¹[Pe_a, Pe_b]
+    c_new = p.T @ (p.T @ c_out.reshape(len(p), -1)).reshape(c_out.shape)
     g_new = p.T @ m.gram.mat @ p
     db = float(np.abs(c_new - model.algebra.c).max(initial=0.0))
     dg = float(np.abs(g_new - model.gram.mat).max(initial=0.0))

@@ -80,9 +80,9 @@ class LieAlgebra:
         return np.einsum("ijk,i,j->k", self.c, u, v)
 
     def ad(self, u) -> np.ndarray:
-        """Matrix of ad_u = [u, ·]."""
+        """Matrix of ad_u = [u, ·]; the stack of them for a stack of u[..., :]."""
         u = np.asarray(u, dtype=float)
-        return np.einsum("ijk,i->kj", self.c, u)
+        return np.einsum("...i,ijk->...kj", u, self.c)
 
     def jacobi_defect(self) -> float:
         """Sup-norm of [[u,v],w] + [[v,w],u] + [[w,u],v] over basis triples."""
@@ -101,7 +101,7 @@ class LieAlgebra:
 
     def center(self, tol: float = DEFAULT_TOL) -> Subspace:
         """{u : [e_i, u] = 0 for all i}, via one stacked nullspace."""
-        stacked = np.concatenate([self.ad(e) for e in np.eye(self.n)], axis=0)
+        stacked = self.c.transpose(0, 2, 1).reshape(-1, self.n)  # rows of every ad_{e_i}
         return Subspace(self.n, nullspace(stacked, tol), tol)
 
     def derived_ideal(self, tol: float = DEFAULT_TOL) -> Subspace:
@@ -117,8 +117,8 @@ class LieAlgebra:
             prev = series[-1]
             if prev.dim == 0:
                 break
-            imgs = [self.bracket(e, w) for e in np.eye(self.n) for w in prev.basis]
-            nxt = Subspace(self.n, column_space(np.array(imgs).T, tol), tol)
+            imgs = (prev.basis @ self.c).reshape(-1, self.n)  # rows [e_i, w]
+            nxt = Subspace(self.n, column_space(imgs.T, tol), tol)
             if nxt.dim == prev.dim:
                 break
             series.append(nxt)
@@ -137,27 +137,25 @@ class LieAlgebra:
         solved by SVD, which fixes the basis deterministically.
         """
         n = self.n
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        rows = np.zeros((len(pairs) * n, n * n))
-        for p, (i, j) in enumerate(pairs):
-            for k in range(n):
-                r = p * n + k
-                # E [e_i, e_j] term: Σ_l E[k,l] c[i,j,l]
-                rows[r, k * n : (k + 1) * n] += self.c[i, j, :]
-                # -[E e_i, e_j] term: -Σ_l E[l,i] c[l,j,k]
-                rows[r, i::n] -= self.c[:, j, k]
-                # -[e_i, E e_j] term: -Σ_l E[l,j] c[i,l,k]
-                rows[r, j::n] -= self.c[i, :, k]
-        basis = nullspace(rows, tol)
+        iu, ju = np.triu_indices(n, k=1)
+        units = np.eye(n * n).reshape(n * n, n, n)
+        # row (pair, k), column (a, b): entry k of the defect of E = e_a e_bᵀ
+        cols = self.derivation_defect_map(units)[:, iu, ju, :]
+        basis = nullspace(cols.reshape(n * n, -1).T, tol)
         return [Derivation(vec.reshape(n, n)) for vec in basis]
+
+    def derivation_defect_map(self, e) -> np.ndarray:
+        """d[..., i, j, :] = E[e_i,e_j] − [Ee_i,e_j] − [e_i,Ee_j] for a matrix
+        or a stack of matrices E[..., :, :]; linear in E, zero iff E is a
+        derivation."""
+        et = np.swapaxes(np.asarray(getattr(e, "matrix", e), dtype=float), -1, -2)
+        c, t = self.c, et[..., None, :, :]
+        e_left = (et @ c.reshape(self.n, -1)).reshape(et.shape[:-2] + c.shape)  # [Ee_i, e_j]
+        return c @ t - e_left - t @ c
 
     def derivation_defect(self, e) -> float:
         """Sup-norm of E[e_i,e_j] - [Ee_i,e_j] - [e_i,Ee_j] over basis pairs."""
-        m = np.asarray(getattr(e, "matrix", e), dtype=float)
-        lhs = np.einsum("kl,ijl->ijk", m, self.c)
-        t1 = np.einsum("li,ljk->ijk", m, self.c)
-        t2 = np.einsum("lj,ilk->ijk", m, self.c)
-        return float(np.abs(lhs - t1 - t2).max(initial=0.0))
+        return float(np.abs(self.derivation_defect_map(e)).max(initial=0.0))
 
     def find_nonzero_trace_derivation(
         self, tol: float = DEFAULT_TOL

@@ -47,6 +47,30 @@ def test_table_derivations_all_valid():
         assert der.trace != 0.0, name
 
 
+DERIVATION_DIMS = {
+    "L3_2": 6, "L4_2": 10, "L4_3": 7, "L5_2": 16, "L5_3": 11, "L5_4": 15, "L5_5": 10,
+    "L5_6": 8, "L5_7": 9, "L5_8": 13, "L5_9": 10, "EX6": 11, "EX7": 16, "EX8": 12,
+}
+
+
+def test_derivation_space_dimensions():
+    assert set(DERIVATION_DIMS) == set(ALGEBRA_NAMES)
+    for name, dim in DERIVATION_DIMS.items():
+        alg = make_algebra(name)
+        basis = alg.derivation_space()
+        assert len(basis) == dim, name
+        scale = max(1.0, float(np.abs(alg.c).max()))
+        for der in basis:
+            assert alg.derivation_defect(der) <= 1e-12 * scale, name
+
+
+def test_only_ex8_example_has_traceless_derivations():
+    # a derivation E has tr(QE) = 0, so λ tr E = 0: EX8 (λ = 1/2) has none with tr E ≠ 0
+    assert make_algebra("EX8").find_nonzero_trace_derivation() is None
+    assert make_algebra("EX6").find_nonzero_trace_derivation() is not None
+    assert make_algebra("EX7").find_nonzero_trace_derivation() is not None
+
+
 def test_make_metric_requires_variant_for_small_dims():
     with pytest.raises(UnknownName):
         make_metric("L3_2")

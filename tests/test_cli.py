@@ -107,15 +107,16 @@ def test_decompose_definite_center_exit_3(tmp_path, capsys):
 
 def test_double_extend_rejects_non_lie_data(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    json.dump(
-        {
-            "v_dim": 2,
-            "K": [[0.0, 1.0], [-1.0, 0.0]],
-            "D": [[1.0, 0.0], [0.0, 2.0]],
-            "mu": 0.0,
-            "b": [0.0, 0.0],
-        },
-        path.open("w"),
+    path.write_text(
+        json.dumps(
+            {
+                "v_dim": 2,
+                "K": [[0.0, 1.0], [-1.0, 0.0]],
+                "D": [[1.0, 0.0], [0.0, 2.0]],
+                "mu": 0.0,
+                "b": [0.0, 0.0],
+            }
+        )
     )
     code, _, err = run_cli(capsys, "double-extend", str(path))
     assert code == 3
@@ -133,11 +134,23 @@ def test_classify_ex8(tmp_path, capsys):
 
 def test_classify_abelian_center_is_everything(tmp_path, capsys):
     path = tmp_path / "ab.json"
-    json.dump({"dim": 3, "brackets": [], "metric": np.eye(3).tolist()}, path.open("w"))
+    path.write_text(json.dumps({"dim": 3, "brackets": [], "metric": np.eye(3).tolist()}))
     code, out, _ = run_cli(capsys, "classify", str(path), "--subspace", "center")
     assert code == 0
     assert "center: dim 3" in out
     assert "derived" not in out
+
+
+@pytest.mark.parametrize("command", ["ricci", "decompose", "derivations", "search", "classify"])
+def test_non_lie_table_exit_3(tmp_path, capsys, command):
+    # [e1,e2]=e3, [e1,e3]=e1 fails Jacobi with defect 1
+    path = tmp_path / "bad.json"
+    brackets = [{"i": 1, "j": 2, "coeffs": {"3": 1.0}}, {"i": 1, "j": 3, "coeffs": {"1": 1.0}}]
+    doc = {"dim": 3, "brackets": brackets, "metric": np.diag([-1.0, 1.0, 1.0]).tolist()}
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 3
+    assert "Jacobi" in err
 
 
 def test_derivations_catalog_match(tmp_path, capsys):

@@ -135,6 +135,23 @@ def test_trace_identity_random_and_derivation():
     assert abs(lhs) < 1e-9 and abs(rhs) < 1e-9
 
 
+def test_trace_identity_is_basis_free():
+    # pull c, G and E through P: c' = P⁻¹[Pe_a, Pe_b], G' = PᵀGP, E' = P⁻¹EP
+    rng = np.random.default_rng(37)
+    for m in (random_metric("L5_6", rng), extend(random_admissible(rng, f_dim=2, blocks=1))):
+        n = m.n
+        e = rng.normal(size=(n, n))
+        p = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+        pinv = np.linalg.inv(p)
+        c = np.einsum("ia,jb,ijk,lk->abl", p, p, m.algebra.c, pinv)
+        moved = MetricLieAlgebra(LieAlgebra(n, c), Gram(p.T @ m.gram.mat @ p))
+        want = m.trace_q_times(e)
+        got = moved.trace_q_times(pinv @ e @ p)
+        scale = max(1.0, *map(abs, want))
+        assert got == pytest.approx(want, abs=1e-10 * scale)
+        assert want[0] == pytest.approx(want[1], abs=1e-10 * scale)
+
+
 def test_trace_j1_equals_trace_j2():
     rng = np.random.default_rng(31)
     for name in ("L4_2", "L5_9", "EX6"):

@@ -102,3 +102,35 @@ def test_ad_is_derivation():
     for _ in range(10):
         u = rng.normal(size=5)
         assert alg.derivation_defect(alg.ad(u)) < 1e-12
+
+
+def test_ad_of_a_stack_is_the_stack_of_ad():
+    rng = np.random.default_rng(5)
+    alg = make_algebra("EX7")
+    us = rng.normal(size=(2, 3, alg.n))
+    stacked = alg.ad(us)
+    assert stacked.shape == (2, 3, alg.n, alg.n)
+    for u, ad_u in zip(us.reshape(-1, alg.n), stacked.reshape(-1, alg.n, alg.n)):
+        assert np.allclose(ad_u, alg.ad(u), rtol=0.0, atol=1e-14)
+    for i, ad_i in enumerate(alg.ad(np.eye(alg.n))):
+        assert np.array_equal(ad_i, alg.c[i].T)
+
+
+def test_derivation_defect_map_of_a_stack_is_the_stack_of_maps():
+    rng = np.random.default_rng(6)
+    alg = make_algebra("L5_8")
+    n = alg.n
+    es = rng.normal(size=(4, n, n))
+    stacked = alg.derivation_defect_map(es)
+    assert stacked.shape == (4, n, n, n)
+    for e, d in zip(es, stacked):
+        assert np.allclose(d, alg.derivation_defect_map(e), rtol=0.0, atol=1e-14)
+        # d[i,j] = E[e_i,e_j] − [Ee_i,e_j] − [e_i,Ee_j], pair by pair
+        for i in range(n):
+            for j in range(n):
+                want = (
+                    e @ alg.bracket(np.eye(n)[i], np.eye(n)[j])
+                    - alg.bracket(e[:, i], np.eye(n)[j])
+                    - alg.bracket(np.eye(n)[i], e[:, j])
+                )
+                assert np.allclose(d[i, j], want, rtol=0.0, atol=1e-13)
