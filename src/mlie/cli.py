@@ -42,7 +42,7 @@ from .fileio import (
     read_algebra,
     read_extension,
     write_algebra,
-    write_extension,
+    write_json,
 )
 from .liealg import LieAlgebra
 from .pseudolin import DEFAULT_TOL, Gram, classify_subspace
@@ -103,18 +103,13 @@ def _print_report(report: CurvatureReport) -> None:
     print(_fmt(report.ricci_form))
 
 
-def _print_json(doc: Dict[str, Any]) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    print()
-
-
-def _emit_algebra(
-    out: Optional[str], algebra: LieAlgebra, metric: Optional[Gram], comment: Optional[str]
-) -> None:
+def _emit(out: Optional[str], doc: Dict[str, Any]) -> None:
+    """Print doc as indented JSON, or write it in the same layout to the file out."""
     if out is None:
-        _print_json(algebra_to_dict(algebra, metric, comment))
+        json.dump(doc, sys.stdout, indent=2)
+        print()
     else:
-        write_algebra(out, algebra, metric, comment)
+        write_json(out, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +171,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     if params:
         parts.append(", ".join(f"{k}={v:g}" for k, v in sorted(params.items())))
     comment = "catalog " + " ".join(parts) + "; irrational coefficients are binary64 roundings"
-    _emit_algebra(args.output, m.algebra, m.gram, comment)
+    _emit(args.output, algebra_to_dict(m.algebra, m.gram, comment))
     return EXIT_OK
 
 
@@ -185,7 +180,7 @@ def cmd_double_extend(args: argparse.Namespace) -> int:
     data, _, _ = read_extension(args.file)
     m = extend(data, tol=lin_tol)
     comment = f"double extension of a {data.v_dim}-dimensional Euclidean core (mu={data.mu:g})"
-    _emit_algebra(args.output, m.algebra, m.gram, comment)
+    _emit(args.output, algebra_to_dict(m.algebra, m.gram, comment))
     return EXIT_OK
 
 
@@ -198,10 +193,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         print("no isotropic central vector: the center is definite, nothing to decompose")
         return EXIT_NOT_APPLICABLE
     comment = "basis_change columns are (e, f_1.., ebar) in input coordinates"
-    if args.output is None:
-        _print_json(extension_to_dict(dec.data, dec.basis_change, comment))
-    else:
-        write_extension(args.output, dec.data, dec.basis_change, comment)
+    _emit(args.output, extension_to_dict(dec.data, dec.basis_change, comment))
     return EXIT_OK
 
 

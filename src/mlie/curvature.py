@@ -182,10 +182,6 @@ class MetricLieAlgebra:
         """Matrix of L_u : v ↦ u·v."""
         return np.einsum("ijk,i->kj", self._cache["levi_civita"], np.asarray(u, dtype=float))
 
-    def right_mult(self, u) -> np.ndarray:
-        """Matrix of R_u : v ↦ v·u."""
-        return np.einsum("jik,i->kj", self._cache["levi_civita"], np.asarray(u, dtype=float))
-
     def left_mult_skewness_defect(self, u) -> float:
         """Sup-norm of G L_u + L_uᵀ G; zero for the metric product."""
         l = self.left_mult(u)
@@ -274,23 +270,26 @@ class MetricLieAlgebra:
 
     # -- trace identity ---------------------------------------------------
 
-    def trace_q_times(self, e) -> Tuple[float, float]:
-        """Both sides of the trace identity for Q = −½𝒥₁ + ¼𝒥₂.
+    def trace_q_times(self, e) -> Tuple[np.ndarray, np.ndarray]:
+        """Both sides of the trace identity for Q = −½𝒥₁ + ¼𝒥₂, for a matrix
+        or a stack of matrices E[..., :, :].
 
         Returns (tr(Q∘E), ¼ Σ_{i,j,a,b} G^{ia} G^{jb} ⟨E[e_i,e_j] − [Ee_i,e_j]
-        − [e_i,Ee_j], [e_a,e_b]⟩) with (G^{ij}) = G⁻¹; in a pseudo-orthonormal
-        basis (b_i), ⟨b_i,b_i⟩ = ε_i, the sum is ¼ Σ_{i,j} ε_i ε_j ⟨E[b_i,b_j] −
-        [Eb_i,b_j] − [b_i,Eb_j], [b_i,b_j]⟩.  The two sides agree for any E, and
-        both vanish when E is a derivation.
+        − [e_i,Ee_j], [e_a,e_b]⟩), each of shape E.shape[:-2] (numpy scalars for
+        one matrix), with (G^{ij}) = G⁻¹; in a pseudo-orthonormal basis (b_i),
+        ⟨b_i,b_i⟩ = ε_i, the sum is ¼ Σ_{i,j} ε_i ε_j ⟨E[b_i,b_j] − [Eb_i,b_j] −
+        [b_i,Eb_j], [b_i,b_j]⟩.  Both sides are linear in E and agree for any E,
+        and both vanish when E is a derivation.
         """
         e = np.asarray(getattr(e, "matrix", e), dtype=float)
-        lhs = float(np.trace(self._q() @ e))
+        lhs = np.trace(self._q() @ e, axis1=-2, axis2=-1)
 
         # c_sharp[i,j,:] = Σ_{a,b} G^{ia} G^{jb} G[e_a,e_b], so that
         # rhs = ¼ Σ_{i,j} d[i,j,:]·c_sharp[i,j,:] with d the derivation defect of E
         cg, g_inv = self.algebra.c @ self.gram.mat, self.gram_inv
         c_sharp = g_inv @ (g_inv @ cg.reshape(self.n, -1)).reshape(cg.shape)
-        rhs = 0.25 * float(np.sum(self.algebra.derivation_defect_map(e) * c_sharp))
+        d = self.algebra.derivation_defect_map(e)
+        rhs = 0.25 * np.sum(d * c_sharp, axis=(-3, -2, -1))
         return lhs, rhs
 
     # -- verdicts ---------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .curvature import MetricLieAlgebra, Verdict
+from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict
 from .errors import (
     ConstraintViolation,
     InvalidInput,
@@ -140,13 +140,11 @@ def extend(data: ExtensionData, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:
     # i<j pair (e, ē) with the opposite sign.
     c[0, n - 1, 0] = -data.mu
     # [ē, f_j] = D f_j + ⟨b, f_j⟩ e, stored on the pair (f_j, ē)
-    for j in range(v):
-        c[1 + j, n - 1, 1 : 1 + v] = -data.D[:, j]
-        c[1 + j, n - 1, 0] = -data.b[j]
+    c[1 : 1 + v, n - 1, 1 : 1 + v] = -data.D.T
+    c[1 : 1 + v, n - 1, 0] = -data.b
     # [f_i, f_j] = ⟨K f_i, f_j⟩ e = K[j,i] e
-    for i in range(v):
-        for j in range(i + 1, v):
-            c[1 + i, 1 + j, 0] = data.K[j, i]
+    iu, ju = np.triu_indices(v, 1)
+    c[1 + iu, 1 + ju, 0] = data.K[ju, iu]
     algebra = LieAlgebra(n, c)
 
     g = np.zeros((n, n))
@@ -177,7 +175,7 @@ class Decomposition(NamedTuple):
 
 
 def decompose(
-    m: MetricLieAlgebra, tol: float = DEFAULT_TOL, verdict_tol: Optional[float] = None
+    m: MetricLieAlgebra, tol: float = DEFAULT_TOL, verdict_tol: float = VERDICT_TOL
 ) -> Optional[Decomposition]:
     """Express a Ricci-flat nilpotent Lorentzian algebra as a double extension.
 
@@ -193,7 +191,7 @@ def decompose(
         raise NotApplicable(f"metric is not Lorentzian: signature {tuple(sig)}")
     if not m.algebra.is_nilpotent(tol):
         raise NotApplicable("algebra is not nilpotent")
-    report = m.einstein_classify() if verdict_tol is None else m.einstein_classify(verdict_tol)
+    report = m.einstein_classify(verdict_tol)
     if report.verdict not in (Verdict.RICCI_FLAT, Verdict.FLAT):
         raise NotApplicable(f"metric is not Ricci-flat: verdict {report.verdict.value}")
 
@@ -316,22 +314,12 @@ def guediri_2step(
     i_ebar = 1 + p
     i_ei = 2 + p  # e_i block starts here
     tensor = np.zeros((n, n, n))
-
-    def put(i, j, vec):
-        if i < j:
-            tensor[i, j, :] += vec
-        else:
-            tensor[j, i, :] -= vec
-
-    for i in range(q):
-        vec = np.zeros(n)
-        vec[i_e] = alpha[i]
-        vec[i_z : i_z + p] = cmat[i]
-        put(i_ebar, i_ei + i, vec)
-        for j in range(i + 1, q):
-            vec = np.zeros(n)
-            vec[i_e] = amat[i, j]
-            put(i_ei + i, i_ei + j, vec)
+    # [ē, e_i] = α_i e + Σ_k c_ik z_k, stored on the pair (ē, e_i)
+    tensor[i_ebar, i_ei : i_ei + q, i_e] = alpha
+    tensor[i_ebar, i_ei : i_ei + q, i_z : i_z + p] = cmat
+    # [e_i, e_j] = a_ij e
+    iu, ju = np.triu_indices(q, 1)
+    tensor[i_ei + iu, i_ei + ju, i_e] = amat[iu, ju]
     algebra = LieAlgebra(n, tensor)
 
     g = np.eye(n)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +41,21 @@ def _finite_number(x: Any, where: str) -> float:
     v = float(x)
     _require(math.isfinite(v), f"{where}: value must be finite")
     return v
+
+
+def _matrix(doc: Dict[str, Any], name: str, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols matrix doc[name] of finite numbers."""
+    raw = doc.get(name)
+    _require(
+        isinstance(raw, list) and len(raw) == rows and all(
+            isinstance(row, list) and len(row) == cols for row in raw
+        ),
+        f"'{name}' must be a {rows}x{cols} matrix",
+    )
+    return np.array(
+        [[_finite_number(x, f"{name}[{r}][{s}]") for s, x in enumerate(row)]
+         for r, row in enumerate(raw)]
+    )
 
 
 def algebra_to_dict(
@@ -96,17 +111,7 @@ def dict_to_algebra(doc: Any) -> Tuple[LieAlgebra, Optional[Gram], Optional[str]
 
     metric = None
     if "metric" in doc:
-        raw = doc["metric"]
-        _require(
-            isinstance(raw, list) and len(raw) == dim and all(
-                isinstance(row, list) and len(row) == dim for row in raw
-            ),
-            f"'metric' must be a {dim}x{dim} matrix",
-        )
-        mat = np.array(
-            [[_finite_number(v, f"metric[{r}][{s}]") for s, v in enumerate(row)]
-             for r, row in enumerate(raw)]
-        )
+        mat = _matrix(doc, "metric", dim, dim)
         asym = float(np.abs(mat - mat.T).max(initial=0.0))
         scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
         _require(asym <= DEFAULT_TOL * scale, f"'metric' is not symmetric (defect {asym:.3e})")
@@ -146,21 +151,8 @@ def dict_to_extension(doc: Any) -> Tuple[ExtensionData, Optional[np.ndarray], Op
     v = doc["v_dim"]
     _require(isinstance(v, int) and v >= 0, "'v_dim' must be a nonnegative integer")
 
-    def matrix(name: str, rows: int, cols: int) -> np.ndarray:
-        raw = doc.get(name)
-        _require(
-            isinstance(raw, list) and len(raw) == rows and all(
-                isinstance(row, list) and len(row) == cols for row in raw
-            ),
-            f"'{name}' must be a {rows}x{cols} matrix",
-        )
-        return np.array(
-            [[_finite_number(x, f"{name}[{r}][{s}]") for s, x in enumerate(row)]
-             for r, row in enumerate(raw)]
-        )
-
-    k = matrix("K", v, v)
-    d = matrix("D", v, v)
+    k = _matrix(doc, "K", v, v)
+    d = _matrix(doc, "D", v, v)
     skew_defect = float(np.abs(k + k.T).max(initial=0.0))
     scale = max(1.0, float(np.abs(k).max(initial=0.0)))
     if skew_defect > DEFAULT_TOL * scale:
@@ -172,28 +164,37 @@ def dict_to_extension(doc: Any) -> Tuple[ExtensionData, Optional[np.ndarray], Op
 
     basis_change = None
     if "basis_change" in doc:
-        basis_change = matrix("basis_change", v + 2, v + 2)
+        basis_change = _matrix(doc, "basis_change", v + 2, v + 2)
     comment = doc.get("comment")
     if comment is not None:
         _require(isinstance(comment, str), "'comment' must be a string")
     return ExtensionData(v, k, d, mu=mu, b=b), basis_change, comment
 
 
-def _load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as err:
-            raise InvalidInput(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
-
-
-def read_algebra(path: str) -> Tuple[LieAlgebra, Optional[Gram], Optional[str]]:
+def _read(path: str, parse: Callable[[Any], Any]) -> Any:
+    """parse applied to the JSON document at path; InvalidInput names the path."""
     try:
-        return dict_to_algebra(_load_json(path))
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise InvalidInput(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
+        return parse(doc)
     except InvalidInput as err:
         if str(err).startswith(path):
             raise
         raise InvalidInput(f"{path}: {err}") from None
+
+
+def write_json(path: str, doc: Dict[str, Any]) -> None:
+    """doc as indented JSON and a newline, the layout every writer here uses."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def read_algebra(path: str) -> Tuple[LieAlgebra, Optional[Gram], Optional[str]]:
+    return _read(path, dict_to_algebra)
 
 
 def write_algebra(
@@ -202,18 +203,11 @@ def write_algebra(
     metric: Optional[Gram] = None,
     comment: Optional[str] = None,
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_dict(algebra, metric, comment), fh, indent=2)
-        fh.write("\n")
+    write_json(path, algebra_to_dict(algebra, metric, comment))
 
 
 def read_extension(path: str) -> Tuple[ExtensionData, Optional[np.ndarray], Optional[str]]:
-    try:
-        return dict_to_extension(_load_json(path))
-    except InvalidInput as err:
-        if str(err).startswith(path):
-            raise
-        raise InvalidInput(f"{path}: {err}") from None
+    return _read(path, dict_to_extension)
 
 
 def write_extension(
@@ -222,6 +216,4 @@ def write_extension(
     basis_change: Optional[np.ndarray] = None,
     comment: Optional[str] = None,
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(extension_to_dict(data, basis_change, comment), fh, indent=2)
-        fh.write("\n")
+    write_json(path, extension_to_dict(data, basis_change, comment))

@@ -10,7 +10,8 @@ and prints the check's summary row for the test log.
 
 import pytest
 
-from mlie.verify import CHECK_NAMES, format_row, run_checks
+from mlie.curvature import VERDICT_TOL, MetricLieAlgebra
+from mlie.verify import CHECK_NAMES, check_trace_formula, format_row, run_checks
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES, ids=CHECK_NAMES)
@@ -22,3 +23,18 @@ def test_acceptance(name):
         f"{result.name}: expected {result.expected}, observed {result.observed}"
         f" (residual {result.residual:.3e}){'; ' + detail if detail else ''}"
     )
+
+
+def test_trace_formula_check_fails_on_a_perturbed_q(monkeypatch):
+    # tr(QE) on the unit E = e_1 e_0ᵀ reads Q[0,1]; a 1e-6 error there must fail
+    exact_q = MetricLieAlgebra._q
+
+    def perturbed_q(self):
+        q = exact_q(self).copy()
+        q[0, 1] += 1e-6
+        return q
+
+    monkeypatch.setattr(MetricLieAlgebra, "_q", perturbed_q)
+    result = check_trace_formula(VERDICT_TOL)
+    assert not result.passed
+    assert "unit E[1,0]" in result.failures[0]

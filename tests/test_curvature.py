@@ -152,6 +152,19 @@ def test_trace_identity_is_basis_free():
         assert want[0] == pytest.approx(want[1], abs=1e-10 * scale)
 
 
+def test_trace_q_times_of_a_stack_is_the_stack_of_calls():
+    rng = np.random.default_rng(41)
+    for m in (random_metric("L5_6", rng), extend(random_admissible(rng, f_dim=2, blocks=1))):
+        n = m.n
+        stack = rng.normal(size=(2, 3, n, n))
+        lhs, rhs = m.trace_q_times(stack)
+        assert lhs.shape == rhs.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            want = m.trace_q_times(stack[idx])
+            scale = max(1.0, *map(abs, want))
+            assert (lhs[idx], rhs[idx]) == pytest.approx(want, abs=1e-12 * scale)
+
+
 def test_trace_j1_equals_trace_j2():
     rng = np.random.default_rng(31)
     for name in ("L4_2", "L5_9", "EX6"):
