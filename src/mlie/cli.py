@@ -46,7 +46,7 @@ from .fileio import (
 )
 from .liealg import LieAlgebra
 from .pseudolin import DEFAULT_TOL, Gram, classify_subspace
-from .search import SearchSpec, run_search
+from .search import STOP_REASONS, SearchSpec, run_search
 from .verify import CHECK_NAMES, format_row, run_checks
 
 EXIT_OK = 0
@@ -257,6 +257,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     print(f"residual:      {result.residual:.6e}")
     print(f"iterations:    {result.iterations}")
     print(f"restart index: {result.restart_index}")
+    print(f"stop reason:   {result.stop_reasons[result.restart_index]}")
+    counts = ", ".join(f"{reason} {result.stop_reasons.count(reason)}" for reason in STOP_REASONS)
+    print(f"stop reasons:  {counts}")
     if result.best_gram is not None:
         print("gram matrix:")
         print(_fmt(result.best_gram.mat))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -86,12 +86,17 @@ def j1_j2_operators(s: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     """𝒥₁ = −Σ_{i,j} ⟨e_i,e_j⟩ S_i∘S_j and 𝒥₂ = −(tr(S_i∘S_j))_{i,j}·G, from
     the stack s of structure_endo_tensors."""
     m, n = g.shape[:2]
-    flat = s.reshape(m, n, n * n)
-    gs = (g.transpose(0, 2, 1) @ flat).reshape(m, n, n, n)  # gs[j] = Σ_i ⟨e_i,e_j⟩ S_i
+    gs = (g.transpose(0, 2, 1) @ s.reshape(m, n, n * n)).reshape(m, n, n, n)  # gs[j] = Σ_i ⟨e_i,e_j⟩ S_i
     j1 = -(gs.transpose(0, 2, 1, 3).reshape(m, n, n * n) @ s.reshape(m, n * n, n))
-    # tr(S_i∘S_j) = Σ_{a,b} S_i[a,b] S_j[b,a]
-    t = flat @ s.transpose(0, 1, 3, 2).reshape(m, n, n * n).transpose(0, 2, 1)
-    return j1, -t @ g
+    return j1, -_pair_traces(s, s) @ g
+
+
+def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """t[m,i,j] = tr(X_i∘Y_j) = Σ_{a,b} X_i[a,b] Y_j[b,a] for stacks x[m,i] and
+    y[m,j] of n×n matrices."""
+    m, k, n = x.shape[:3]
+    y_t = y.transpose(0, 1, 3, 2).reshape(m, -1, n * n)
+    return x.reshape(m, k, n * n) @ y_t.transpose(0, 2, 1)
 
 
 def q_operators(s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -116,9 +121,101 @@ def ricci_operators(c: np.ndarray, g: np.ndarray, nilpotent: bool) -> np.ndarray
     """Ricci operators for a stack of grams: Q from the S_i when the algebra
     is nilpotent, G⁻¹·ric from the Levi-Civita product otherwise.  No
     degeneracy checks: the caller vouches for every gram."""
+    return ricci_operators_vjp(c, g, nilpotent)[0]
+
+
+# -- its reverse-mode derivative ------------------------------------------
+#
+# Each step of the kernel above has a pullback below that maps the cotangent
+# of its output to the cotangents of its inputs, from the forward values.  The
+# gram is differentiated as a general matrix, entry by entry.
+
+
+def ricci_operators_vjp(
+    c: np.ndarray, g: np.ndarray, nilpotent: bool
+) -> Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """(ricci_operators(c, g, nilpotent), pullback), where pullback(ric_bar)
+    is the gradient ḡ[m] of Σ ⟨ric_bar[m], Ric[m]⟩_F with respect to g[m]."""
+    g_t = g.transpose(0, 2, 1)
     if nilpotent:
-        return q_operators(structure_endo_tensors(c, g), g)
-    return np.linalg.solve(g, ricci_forms(levi_civita_tensors(c, g)))
+        s = structure_endo_tensors(c, g)
+
+        def pullback(ric_bar: np.ndarray) -> np.ndarray:
+            # Q = −½𝒥₁ + ¼𝒥₂
+            s_bar, g_bar = _j1_j2_vjp(s, g, -0.5 * ric_bar, 0.25 * ric_bar)
+            return g_bar + _structure_endo_vjp(s, g_t, s_bar)
+
+        return q_operators(s, g), pullback
+
+    lc = levi_civita_tensors(c, g)
+    ric = np.linalg.solve(g, ricci_forms(lc))
+
+    def pullback(ric_bar: np.ndarray) -> np.ndarray:
+        form_bar = np.linalg.solve(g_t, ric_bar)  # Ric = G⁻¹·ric
+        lc_bar = _ricci_forms_vjp(lc, form_bar)
+        return _levi_civita_vjp(c, g_t, lc, lc_bar) - form_bar @ ric.transpose(0, 2, 1)
+
+    return ric, pullback
+
+
+def _structure_endo_vjp(s: np.ndarray, g_t: np.ndarray, s_bar: np.ndarray) -> np.ndarray:
+    """ḡ of structure_endo_tensors: dS_i = −G⁻¹ dG S_i, so ḡ = −G⁻ᵀ Σ_i S̄_i S_iᵀ;
+    g_t is the stack of Gᵀ."""
+    m, n = g_t.shape[:2]
+    s_rows = s.transpose(0, 2, 1, 3).reshape(m, n, n * n)  # [a,(i,b)] = S_i[a,b]
+    sum_ss = s_bar.transpose(0, 2, 1, 3).reshape(m, n, n * n) @ s_rows.transpose(0, 2, 1)
+    return -np.linalg.solve(g_t, sum_ss)
+
+
+def _j1_j2_vjp(
+    s: np.ndarray, g: np.ndarray, j1_bar: np.ndarray, j2_bar: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(s̄, ḡ) of j1_j2_operators, given the cotangents of 𝒥₁ and 𝒥₂."""
+    m, n = g.shape[:2]
+    g_t = g.transpose(0, 2, 1)
+    flat = s.reshape(m, n, n * n)
+    # 𝒥₁ = −Σ_{i,j} G_ij S_i∘S_j: S_i enters on the left with Σ_j G_ij S_j,
+    # S_j on the right with Σ_i G_ij S_i, and G_ij through −tr(𝒥̄₁ᵀ S_i S_j)
+    left = (g @ flat).reshape(m, n, n, n).transpose(0, 1, 3, 2)
+    right = (g_t @ flat).reshape(m, n, n, n).transpose(0, 1, 3, 2)
+    j1_bar = j1_bar[:, None]
+    s_bar = -(j1_bar @ left) - right @ j1_bar
+    g_bar = -_pair_traces(j1_bar.transpose(0, 1, 3, 2) @ s, s)
+    # 𝒥₂ = −T G with T_ij = tr(S_i∘S_j), so T̄ = −𝒥̄₂ Gᵀ and S̄_i += Σ_j (T̄ + T̄ᵀ)_ij S_jᵀ
+    t_bar = -j2_bar @ g_t
+    g_bar -= _pair_traces(s, s).transpose(0, 2, 1) @ j2_bar
+    s_t = s.transpose(0, 1, 3, 2).reshape(m, n, n * n)
+    s_bar += ((t_bar + t_bar.transpose(0, 2, 1)) @ s_t).reshape(m, n, n, n)
+    return s_bar, g_bar
+
+
+def _ricci_forms_vjp(lc: np.ndarray, form_bar: np.ndarray) -> np.ndarray:
+    """lc̄ of ricci_forms, given the cotangent of the symmetrized form."""
+    m, n = lc.shape[:2]
+    bar = (form_bar + form_bar.transpose(0, 2, 1)) / 2.0
+    r = lc.transpose(0, 2, 1, 3).reshape(m, n, n * n)
+    r_t = lc.transpose(0, 2, 3, 1).reshape(m, n, n * n)
+    r_traces = np.trace(lc, axis1=1, axis2=3)
+    # term2[a,b] = Σ_k lc[a,b,k] tr R_k
+    lc_bar = (bar.reshape(m, n * n, 1) * r_traces[:, None, :]).reshape(m, n, n, n)
+    traces_bar = (bar.reshape(m, 1, n * n) @ lc.reshape(m, n * n, n))[:, 0]
+    lc_bar += np.eye(n)[:, None, :] * traces_bar[:, None, :, None]  # tr R_a = Σ_k lc[k,a,k]
+    # −r r_tᵀ, with r[a,(j,k)] = lc[j,a,k] and r_t[b,(j,k)] = lc[k,b,j]
+    lc_bar -= (bar @ r_t).reshape(m, n, n, n).transpose(0, 2, 1, 3)
+    lc_bar -= (bar.transpose(0, 2, 1) @ r).reshape(m, n, n, n).transpose(0, 3, 1, 2)
+    return lc_bar
+
+
+def _levi_civita_vjp(c: np.ndarray, g_t: np.ndarray, lc: np.ndarray, lc_bar: np.ndarray) -> np.ndarray:
+    """ḡ of levi_civita_tensors, given lc̄; g_t is the stack of Gᵀ."""
+    m, n = g_t.shape[:2]
+    # lc = ½G⁻¹T column by column: T̄ = ½G⁻ᵀ lc̄ and ḡ = −G⁻ᵀ lc̄ lcᵀ
+    z = np.linalg.solve(g_t, lc_bar.reshape(m, n * n, n).transpose(0, 2, 1))
+    g_bar = -z @ lc.reshape(m, n * n, n)
+    t_bar = 0.5 * z.transpose(0, 2, 1).reshape(m, n, n, n)
+    # T is cg plus two transposes of it, and cg[i,j,l] = Σ_k c[i,j,k] G[k,l]
+    cg_bar = t_bar + t_bar.transpose(0, 3, 1, 2) + t_bar.transpose(0, 3, 2, 1)
+    return g_bar + c.reshape(n * n, n).T @ cg_bar.reshape(m, n * n, n)
 
 
 @dataclass(frozen=True, eq=False)

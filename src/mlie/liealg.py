@@ -52,6 +52,7 @@ class LieAlgebra:
         clean.flags.writeable = False
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "c", clean)
+        object.__setattr__(self, "_nilpotent", {})  # is_nilpotent, by tol
 
     @classmethod
     def from_brackets(
@@ -125,7 +126,11 @@ class LieAlgebra:
         return series
 
     def is_nilpotent(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.lower_central_series(tol)[-1].dim == 0
+        """Whether the lower central series reaches 0; computed once per tol."""
+        memo = self._nilpotent
+        if tol not in memo:
+            memo[tol] = self.lower_central_series(tol)[-1].dim == 0
+        return memo[tol]
 
     # -- derivations ------------------------------------------------------
 

@@ -4,7 +4,17 @@ fixed algebra, by gradient descent on a factor of the gram matrix.
 The gram is parameterized as G = Aᵀ η A with η the diagonal of the requested
 signature, so every candidate has the right signature by construction; the
 smallest singular value of A is floored at 1e-6 to keep G invertible.  The
-whole procedure is deterministic for a fixed spec, including the seed.
+residual f = ‖Ric − λ̂·Id‖_F is differentiated exactly, in reverse mode:
+∂f/∂A = ηA(Ḡ + Ḡᵀ) with Ḡ the pullback through ricci_operators_vjp of
+(Ric − λ̂·Id)/f.
+
+All restarts advance together as one stack of factors A[r]: each iteration
+makes one stacked forward+backward pass over the restarts still running, and
+each round of the line search one stacked forward pass over the restarts
+still searching.  Every operation acts on each restart alone, so a restart's
+trajectory does not depend on which others share the stack, and each one
+stops for its own reason (STOP_REASONS).  The whole procedure is
+deterministic for a fixed spec, including the seed.
 """
 from __future__ import annotations
 
@@ -13,15 +23,20 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .curvature import ricci_operators
+from .curvature import ricci_operators, ricci_operators_vjp
 from .errors import DegenerateGram, InvalidInput
 from .liealg import LieAlgebra
 from .pseudolin import DEFAULT_TOL, Gram
 
 TARGETS = ("einstein", "ricci-flat")
 
+#: why a restart stopped: residual at most spec.tol; no step down to 1e-14
+#: lowered the residual; the residual failed to halve over 100 iterations;
+#: spec.max_iters used up
+STOP_REASONS = ("converged", "step-collapse", "creep", "budget")
+
 _SV_FLOOR = 1e-6
-_FD_REL_STEP = 1e-5
+_MIN_STEP = 1e-14
 
 
 def einstein_residual(
@@ -55,6 +70,8 @@ class SearchSpec:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise InvalidInput(f"target must be one of {TARGETS}")
+        if self.restarts < 1:
+            raise InvalidInput("restarts must be at least 1")
         minus, plus = self.signature
         if minus + plus != self.algebra.n or min(minus, plus) < 0:
             raise InvalidInput(
@@ -69,23 +86,56 @@ class SearchResult:
     residual: float
     iterations: int
     restart_index: int
+    #: one of STOP_REASONS per restart, in restart order
+    stop_reasons: Tuple[str, ...]
 
 
 def _floor_singular_values(a: np.ndarray) -> np.ndarray:
-    u, s, vt = np.linalg.svd(a)
-    if s[-1] >= _SV_FLOOR:
+    """The stack a with, in each matrix whose smallest singular value is below
+    _SV_FLOOR, every singular value raised to at least _SV_FLOOR."""
+    low = ~(np.linalg.svd(a, compute_uv=False)[:, -1] >= _SV_FLOOR)
+    if not low.any():
         return a
-    return (u * np.maximum(s, _SV_FLOOR)) @ vt
+    u, s, vt = np.linalg.svd(a[low])
+    a = a.copy()
+    a[low] = (u * np.maximum(s, _SV_FLOOR)[:, None, :]) @ vt
+    return a
+
+
+def _deviations(ric: np.ndarray, einstein: bool) -> np.ndarray:
+    """Ric − λ̂·Id for a stack of Ricci operators."""
+    if einstein:
+        n = ric.shape[-1]
+        lam = np.einsum("mii->m", ric) / n
+        ric = ric - lam[:, None, None] * np.eye(n)
+    return ric
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("mij,mij->m", d, d))
 
 
 def _batched_residual(c: np.ndarray, g: np.ndarray, nilpotent: bool, einstein: bool) -> np.ndarray:
     """Residuals for a stack of grams, in one pass through the curvature kernel."""
-    n = c.shape[0]
-    ric = ricci_operators(c, g, nilpotent)
-    if einstein:
-        lam = np.einsum("mii->m", ric) / n
-        ric = ric - lam[:, None, None] * np.eye(n)
-    return np.sqrt(np.einsum("mij,mij->m", ric, ric))
+    return _norms(_deviations(ricci_operators(c, g, nilpotent), einstein))
+
+
+def _grams(a: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """G[r] = A[r]ᵀ η A[r] for a stack of factors."""
+    return a.transpose(0, 2, 1) @ eta @ a
+
+
+def _residuals_and_gradients(
+    c: np.ndarray, a: np.ndarray, eta: np.ndarray, nilpotent: bool, einstein: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Residuals f[r] of the grams A[r]ᵀηA[r] and their gradients ∂f/∂A[r];
+    every residual must be nonzero."""
+    ric, pullback = ricci_operators_vjp(c, _grams(a, eta), nilpotent)
+    d = _deviations(ric, einstein)
+    f = _norms(d)
+    # ∂f/∂Ric = d/f: the trace projection of the Einstein target leaves d as is
+    g_bar = pullback(d / f[:, None, None])
+    return f, eta @ a @ (g_bar + g_bar.transpose(0, 2, 1))
 
 
 def run_search(spec: SearchSpec) -> SearchResult:
@@ -99,60 +149,61 @@ def run_search(spec: SearchSpec) -> SearchResult:
     eta = np.diag(np.concatenate([-np.ones(minus), np.ones(plus)]))
 
     def residuals(a_batch: np.ndarray) -> np.ndarray:
-        g = a_batch.transpose(0, 2, 1) @ eta @ a_batch
-        return _batched_residual(c, g, nilpotent, einstein)
+        return _batched_residual(c, _grams(a_batch, eta), nilpotent, einstein)
 
-    def objective(a: np.ndarray) -> float:
-        return float(residuals(a[None])[0])
+    count = spec.restarts
+    starts = [np.random.default_rng([spec.seed, r]).standard_normal((n, n)) for r in range(count)]
+    a = _floor_singular_values(np.eye(n) + 0.1 * np.array(starts))
+    f = residuals(a)
+    step = np.full(count, spec.step0)
+    iters = np.zeros(count, dtype=int)
+    f_checkpoint = np.full(count, np.inf)
+    reasons = np.empty(count, dtype=object)
+    direction = np.zeros_like(a)
 
-    idx = np.arange(n * n)
-    best: Optional[Tuple[float, np.ndarray, int, int]] = None
-    for r in range(spec.restarts):
-        rng = np.random.default_rng([spec.seed, r])
-        a = _floor_singular_values(np.eye(n) + 0.1 * rng.standard_normal((n, n)))
-        f = objective(a)
-        step = spec.step0
-        iters = 0
-        f_checkpoint = np.inf
-        while iters < spec.max_iters and f > spec.tol:
-            iters += 1
-            h = _FD_REL_STEP * max(1.0, float(np.abs(a).max()))
-            # central differences on every entry, evaluated in one batch
-            flat = a.reshape(-1)
-            batch = np.broadcast_to(flat, (2 * n * n, n * n)).copy()
-            batch[idx, idx] += h
-            batch[n * n + idx, idx] -= h
-            vals = residuals(batch.reshape(-1, n, n))
-            grad = ((vals[: n * n] - vals[n * n :]) / (2.0 * h)).reshape(n, n)
-            # descend along -grad, halving the step until the residual drops
-            accepted = False
-            while step >= 1e-14:
-                trial = _floor_singular_values(a - step * grad)
-                f_trial = objective(trial)
-                if f_trial < f:
-                    a, f = trial, f_trial
-                    step *= 2.0
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break  # step collapsed: a local stall
-            # drop restarts that creep: unless the residual at least halves
-            # every 100 iterations, the tolerance is out of reach in budget
-            if iters % 100 == 0:
-                if f > 0.5 * f_checkpoint:
-                    break
-                f_checkpoint = f
-        if best is None or f < best[0]:
-            best = (f, a, iters, r)
+    running = np.arange(count)
+    while True:
+        converged = f[running] <= spec.tol
+        out_of_budget = ~converged & (iters[running] >= spec.max_iters)
+        reasons[running[converged]] = "converged"
+        reasons[running[out_of_budget]] = "budget"
+        running = running[~converged & ~out_of_budget]
+        if not running.size:
+            break
+        iters[running] += 1
+        _, direction[running] = _residuals_and_gradients(c, a[running], eta, nilpotent, einstein)
+        # descend along −grad, halving each restart's step until its residual drops
+        accepted = np.zeros(count, dtype=bool)
+        searching = running[step[running] >= _MIN_STEP]
+        while searching.size:
+            trial = _floor_singular_values(a[searching] - step[searching, None, None] * direction[searching])
+            f_trial = residuals(trial)
+            better = f_trial < f[searching]
+            won = searching[better]
+            a[won], f[won] = trial[better], f_trial[better]
+            step[won] *= 2.0
+            accepted[won] = True
+            lost = searching[~better]
+            step[lost] *= 0.5
+            searching = lost[step[lost] >= _MIN_STEP]
+        reasons[running[~accepted[running]]] = "step-collapse"  # a local stall
+        running = running[accepted[running]]
+        # drop restarts that creep: unless the residual at least halves every
+        # 100 iterations, the tolerance is out of reach in budget
+        due = (iters[running] % 100 == 0) & (f[running] > spec.tol)
+        creeping = due & (f[running] > 0.5 * f_checkpoint[running])
+        reasons[running[creeping]] = "creep"
+        f_checkpoint[running[due]] = f[running[due]]
+        running = running[~creeping]
 
-    f, a, iters, r = best
-    converged = f <= spec.tol
-    gram = Gram(a.T @ eta @ a) if converged else None
+    r = min(range(count), key=f.__getitem__)
+    converged = bool(f[r] <= spec.tol)
+    gram = Gram(a[r].T @ eta @ a[r]) if converged else None
     return SearchResult(
         converged=converged,
         best_gram=gram,
-        residual=f,
-        iterations=iters,
+        residual=float(f[r]),
+        iterations=int(iters[r]),
         restart_index=r,
+        stop_reasons=tuple(reasons),
     )

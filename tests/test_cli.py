@@ -191,6 +191,7 @@ def test_search_converges_and_writes(tmp_path, capsys):
     )
     assert code == 0
     assert "converged:     True" in out
+    assert "stop reason:   converged" in out
     doc = json.loads(found.read_text())
     assert "metric" in doc
 
@@ -220,7 +221,7 @@ def test_missing_file_exit_2(tmp_path, capsys):
 
 
 def test_tol_flag_loosens_verdict(tmp_path, capsys):
-    # the searched gram has residual ~2.7e-7: NotEinstein at the default
+    # the searched gram has residual ~2e-8: NotEinstein at the default
     # verdict tolerance, flat/Ricci-flat when --tol is loosened to 1e-5
     src = tmp_path / "l32.json"
     found = tmp_path / "found.json"

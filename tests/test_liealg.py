@@ -67,6 +67,23 @@ def test_lower_central_series_dims():
     assert [s.dim for s in make_algebra("L5_6").lower_central_series()] == [5, 3, 2, 1, 0]
 
 
+def test_is_nilpotent_computes_the_series_once_per_tol(monkeypatch):
+    calls = []
+    series = LieAlgebra.lower_central_series
+
+    def counting(self, tol):
+        calls.append(tol)
+        return series(self, tol)
+
+    monkeypatch.setattr(LieAlgebra, "lower_central_series", counting)
+    nilpotent = make_algebra("L5_2")
+    solvable = LieAlgebra.from_brackets(2, {(0, 1): {1: 1.0}})
+    assert [nilpotent.is_nilpotent(1e-9) for _ in range(3)] == [True] * 3
+    assert [solvable.is_nilpotent(1e-9) for _ in range(3)] == [False] * 3
+    assert calls == [1e-9, 1e-9]
+    assert nilpotent.is_nilpotent(1e-7) and calls == [1e-9, 1e-9, 1e-7]
+
+
 def test_not_nilpotent_solvable_example():
     # [e1,e2] = e2 is solvable but not nilpotent
     alg = LieAlgebra.from_brackets(2, {(0, 1): {1: 1.0}})

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,13 @@ from mlie.doubleext import extend, random_admissible
 from mlie.errors import DegenerateGram, InvalidInput
 from mlie.liealg import LieAlgebra
 from mlie.pseudolin import Gram
-from mlie.search import SearchSpec, einstein_residual, run_search
+from mlie.search import (
+    STOP_REASONS,
+    SearchSpec,
+    _residuals_and_gradients,
+    einstein_residual,
+    run_search,
+)
 
 
 def heisenberg():
@@ -52,6 +60,8 @@ def test_spec_validation():
         SearchSpec(heisenberg(), signature=(1, 1))  # does not sum to 3
     with pytest.raises(InvalidInput):
         SearchSpec(heisenberg(), signature=(-1, 4))
+    with pytest.raises(InvalidInput):
+        SearchSpec(heisenberg(), restarts=0)
 
 
 def test_l32_lorentzian_search_converges():
@@ -103,3 +113,56 @@ def test_abelian_search_immediately_flat():
     result = run_search(spec)
     assert result.converged
     assert result.residual == 0.0
+
+
+def _lorentzian_eta(n):
+    return np.diag([-1.0] + [1.0] * (n - 1))
+
+
+@pytest.mark.parametrize("case", ["L3_2", "L5_2", "EX8", "non-nilpotent"])
+@pytest.mark.parametrize("target", ["einstein", "ricci-flat"])
+def test_residual_gradient_matches_central_differences(case, target):
+    if case == "non-nilpotent":  # the Levi-Civita route
+        data = random_admissible(np.random.default_rng(2), f_dim=2, blocks=1, nilpotent=False)
+        assert data.mu != 0.0
+        algebra = extend(data).algebra
+    else:
+        algebra = make_algebra(case)
+    n = algebra.n
+    eta = _lorentzian_eta(n)
+    a = np.eye(n) + 0.3 * np.random.default_rng(17).normal(size=(n, n))
+    f, grad = _residuals_and_gradients(
+        algebra.c, a[None], eta, algebra.is_nilpotent(), target == "einstein"
+    )
+    assert f[0] == pytest.approx(einstein_residual(algebra, a.T @ eta @ a, target), rel=1e-12)
+    h = 1e-6
+    fd = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            up, down = a.copy(), a.copy()
+            up[i, j] += h
+            down[i, j] -= h
+            fd[i, j] = (
+                einstein_residual(algebra, up.T @ eta @ up, target)
+                - einstein_residual(algebra, down.T @ eta @ down, target)
+            ) / (2.0 * h)
+    assert np.abs(grad[0] - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("name, signature", [("L3_2", (1, 2)), ("L4_2", (1, 3))])
+@pytest.mark.parametrize("seed", range(5))
+def test_restarts_do_not_depend_on_their_stack_mates(name, signature, seed):
+    # the restarts advance as one stack; cutting the stack after the winner
+    # must leave the winner's trajectory, and every earlier one, bit for bit
+    spec = SearchSpec(make_algebra(name), signature=signature, seed=seed, restarts=8)
+    full = run_search(spec)
+    assert len(full.stop_reasons) == 8 and set(full.stop_reasons) <= set(STOP_REASONS)
+    r = full.restart_index
+    short = run_search(replace(spec, restarts=r + 1))
+    assert short.restart_index == r
+    assert short.residual == full.residual
+    assert short.iterations == full.iterations
+    assert full.stop_reasons[: r + 1] == short.stop_reasons
+    assert (short.best_gram is None) == (full.best_gram is None)
+    if full.best_gram is not None:
+        assert short.best_gram.mat.tobytes() == full.best_gram.mat.tobytes()
