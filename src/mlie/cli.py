@@ -249,30 +249,36 @@ def cmd_search(args: argparse.Namespace) -> int:
         seed=args.seed,
         restarts=args.restarts,
         max_iters=args.max_iters,
-        step0=args.step0,
         tol=args.search_tol,
     )
     result = run_search(spec)
-    print(f"converged:     {result.converged}")
-    print(f"residual:      {result.residual:.6e}")
-    print(f"iterations:    {result.iterations}")
-    print(f"restart index: {result.restart_index}")
-    print(f"stop reason:   {result.stop_reasons[result.restart_index]}")
+    if result.best_gram is not None and args.output is not None:
+        write_algebra(
+            args.output,
+            algebra,
+            result.best_gram,
+            comment=(
+                f"search target={args.target} signature=({minus},{plus}) "
+                f"seed={args.seed} residual={result.residual:.6e}"
+            ),
+        )
     counts = ", ".join(f"{reason} {result.stop_reasons.count(reason)}" for reason in STOP_REASONS)
-    print(f"stop reasons:  {counts}")
-    if result.best_gram is not None:
-        print("gram matrix:")
-        print(_fmt(result.best_gram.mat))
-        if args.output is not None:
-            write_algebra(
-                args.output,
-                algebra,
-                result.best_gram,
-                comment=(
-                    f"search target={args.target} signature=({minus},{plus}) "
-                    f"seed={args.seed} residual={result.residual:.6e}"
-                ),
-            )
+    try:
+        print(f"converged:     {result.converged}")
+        print(f"residual:      {result.residual:.6e}")
+        print(f"iterations:    {result.iterations}")
+        print(f"restart index: {result.restart_index}")
+        print(f"stop reason:   {result.stop_reasons[result.restart_index]}")
+        print(f"stop reasons:  {counts}")
+        if result.best_gram is not None:
+            print("gram matrix:")
+            print(_fmt(result.best_gram.mat))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader, such as `head`, quit early
+        # point stdout at devnull, so that the interpreter's last flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK if result.converged else EXIT_VERIFY_FAILED
 
 
@@ -366,16 +372,23 @@ def _build_parser() -> argparse.ArgumentParser:
     add_tol(p)
     p.set_defaults(func=cmd_derivations)
 
-    p = sub.add_parser("search", help="random-restart descent for Einstein/Ricci-flat grams")
+    p = sub.add_parser(
+        "search",
+        help="random-restart Levenberg–Marquardt search, in the bracket picture, "
+        "for Einstein/Ricci-flat grams",
+    )
     p.add_argument("file", help="algebra JSON file (metric field ignored)")
     p.add_argument("--target", choices=("ricci-flat", "einstein"), default="ricci-flat")
     p.add_argument("--signature", default="1,2", metavar="MINUS,PLUS")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--step0", type=float, default=0.05)
     p.add_argument(
-        "--search-tol", type=float, default=1e-6, help="convergence threshold on the residual"
+        "--search-tol",
+        type=float,
+        default=1e-6,
+        help="convergence threshold on the found gram's residual ‖Ric − λ̂·Id‖_F; the gram must "
+        "also classify as the target at the default verdict tolerance 1e-8",
     )
     p.add_argument("-o", "--output", help="write algebra+found metric here when converged")
     add_tol(p)

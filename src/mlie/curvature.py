@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -58,17 +58,20 @@ class CurvatureReport:
 
 # -- the stacked kernel ---------------------------------------------------
 #
-# Pure array functions on one structure tensor c of shape (n,n,n) and a stack
-# of grams g of shape (m,n,n); MetricLieAlgebra calls them with a stack of one,
-# the search with a whole batch.  The contractions are spelled as reshapes and
-# matmuls: at these sizes planning an einsum path costs more than doing it.
+# Pure array functions on a stack of grams g of shape (m,n,n) and either one
+# structure tensor c of shape (n,n,n) or a stack of them, one per gram, of
+# shape (m,n,n,n).  MetricLieAlgebra calls them with a stack of one, the search
+# with a whole batch of brackets in one fixed frame.  The contractions are
+# spelled as reshapes and matmuls: at these sizes planning an einsum path
+# costs more than doing it.  With g fixed, the Koszul solve and the S_i are
+# linear in c, and the Ricci operators are quadratic in it.
 
 
 def levi_civita_tensors(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """lc[m,i,j,:] = e_i·e_j under g[m], solving the Koszul identity
     2 G (e_i·e_j) = T[i,j,:] with T[i,j,l] = ⟨[e_i,e_j],e_l⟩ + ⟨[e_l,e_i],e_j⟩
     + ⟨[e_l,e_j],e_i⟩."""
-    m, n = len(g), c.shape[0]
+    m, n = g.shape[:2]
     cg = c @ g[:, None]  # cg[m,i,j,l] = ⟨[e_i,e_j], e_l⟩
     t = cg + cg.transpose(0, 2, 3, 1) + cg.transpose(0, 3, 2, 1)
     lc = 0.5 * np.linalg.solve(g, t.reshape(m, n * n, n).transpose(0, 2, 1))
@@ -77,8 +80,8 @@ def levi_civita_tensors(c: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def structure_endo_tensors(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """s[m,i] = S_i under g[m]: S_i = −G⁻¹M_i with M_i[j,k] = c[j,k,i]."""
-    n = c.shape[0]
-    rhs = np.broadcast_to(c.transpose(0, 2, 1).reshape(n, n * n), (len(g), n, n * n))
+    m, n = g.shape[:2]
+    rhs = np.broadcast_to(np.swapaxes(c, -1, -2).reshape(c.shape[:-3] + (n, n * n)), (m, n, n * n))
     return -np.linalg.solve(g, rhs).reshape(-1, n, n, n).transpose(0, 2, 1, 3)
 
 
@@ -88,15 +91,9 @@ def j1_j2_operators(s: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     m, n = g.shape[:2]
     gs = (g.transpose(0, 2, 1) @ s.reshape(m, n, n * n)).reshape(m, n, n, n)  # gs[j] = Σ_i ⟨e_i,e_j⟩ S_i
     j1 = -(gs.transpose(0, 2, 1, 3).reshape(m, n, n * n) @ s.reshape(m, n * n, n))
-    return j1, -_pair_traces(s, s) @ g
-
-
-def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """t[m,i,j] = tr(X_i∘Y_j) = Σ_{a,b} X_i[a,b] Y_j[b,a] for stacks x[m,i] and
-    y[m,j] of n×n matrices."""
-    m, k, n = x.shape[:3]
-    y_t = y.transpose(0, 1, 3, 2).reshape(m, -1, n * n)
-    return x.reshape(m, k, n * n) @ y_t.transpose(0, 2, 1)
+    s_t = s.transpose(0, 1, 3, 2).reshape(m, n, n * n)  # s_t[j,(b,a)] = S_j[a,b]
+    traces = s.reshape(m, n, n * n) @ s_t.transpose(0, 2, 1)  # tr(S_i∘S_j)
+    return j1, -traces @ g
 
 
 def q_operators(s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -121,101 +118,9 @@ def ricci_operators(c: np.ndarray, g: np.ndarray, nilpotent: bool) -> np.ndarray
     """Ricci operators for a stack of grams: Q from the S_i when the algebra
     is nilpotent, G⁻¹·ric from the Levi-Civita product otherwise.  No
     degeneracy checks: the caller vouches for every gram."""
-    return ricci_operators_vjp(c, g, nilpotent)[0]
-
-
-# -- its reverse-mode derivative ------------------------------------------
-#
-# Each step of the kernel above has a pullback below that maps the cotangent
-# of its output to the cotangents of its inputs, from the forward values.  The
-# gram is differentiated as a general matrix, entry by entry.
-
-
-def ricci_operators_vjp(
-    c: np.ndarray, g: np.ndarray, nilpotent: bool
-) -> Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """(ricci_operators(c, g, nilpotent), pullback), where pullback(ric_bar)
-    is the gradient ḡ[m] of Σ ⟨ric_bar[m], Ric[m]⟩_F with respect to g[m]."""
-    g_t = g.transpose(0, 2, 1)
     if nilpotent:
-        s = structure_endo_tensors(c, g)
-
-        def pullback(ric_bar: np.ndarray) -> np.ndarray:
-            # Q = −½𝒥₁ + ¼𝒥₂
-            s_bar, g_bar = _j1_j2_vjp(s, g, -0.5 * ric_bar, 0.25 * ric_bar)
-            return g_bar + _structure_endo_vjp(s, g_t, s_bar)
-
-        return q_operators(s, g), pullback
-
-    lc = levi_civita_tensors(c, g)
-    ric = np.linalg.solve(g, ricci_forms(lc))
-
-    def pullback(ric_bar: np.ndarray) -> np.ndarray:
-        form_bar = np.linalg.solve(g_t, ric_bar)  # Ric = G⁻¹·ric
-        lc_bar = _ricci_forms_vjp(lc, form_bar)
-        return _levi_civita_vjp(c, g_t, lc, lc_bar) - form_bar @ ric.transpose(0, 2, 1)
-
-    return ric, pullback
-
-
-def _structure_endo_vjp(s: np.ndarray, g_t: np.ndarray, s_bar: np.ndarray) -> np.ndarray:
-    """ḡ of structure_endo_tensors: dS_i = −G⁻¹ dG S_i, so ḡ = −G⁻ᵀ Σ_i S̄_i S_iᵀ;
-    g_t is the stack of Gᵀ."""
-    m, n = g_t.shape[:2]
-    s_rows = s.transpose(0, 2, 1, 3).reshape(m, n, n * n)  # [a,(i,b)] = S_i[a,b]
-    sum_ss = s_bar.transpose(0, 2, 1, 3).reshape(m, n, n * n) @ s_rows.transpose(0, 2, 1)
-    return -np.linalg.solve(g_t, sum_ss)
-
-
-def _j1_j2_vjp(
-    s: np.ndarray, g: np.ndarray, j1_bar: np.ndarray, j2_bar: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(s̄, ḡ) of j1_j2_operators, given the cotangents of 𝒥₁ and 𝒥₂."""
-    m, n = g.shape[:2]
-    g_t = g.transpose(0, 2, 1)
-    flat = s.reshape(m, n, n * n)
-    # 𝒥₁ = −Σ_{i,j} G_ij S_i∘S_j: S_i enters on the left with Σ_j G_ij S_j,
-    # S_j on the right with Σ_i G_ij S_i, and G_ij through −tr(𝒥̄₁ᵀ S_i S_j)
-    left = (g @ flat).reshape(m, n, n, n).transpose(0, 1, 3, 2)
-    right = (g_t @ flat).reshape(m, n, n, n).transpose(0, 1, 3, 2)
-    j1_bar = j1_bar[:, None]
-    s_bar = -(j1_bar @ left) - right @ j1_bar
-    g_bar = -_pair_traces(j1_bar.transpose(0, 1, 3, 2) @ s, s)
-    # 𝒥₂ = −T G with T_ij = tr(S_i∘S_j), so T̄ = −𝒥̄₂ Gᵀ and S̄_i += Σ_j (T̄ + T̄ᵀ)_ij S_jᵀ
-    t_bar = -j2_bar @ g_t
-    g_bar -= _pair_traces(s, s).transpose(0, 2, 1) @ j2_bar
-    s_t = s.transpose(0, 1, 3, 2).reshape(m, n, n * n)
-    s_bar += ((t_bar + t_bar.transpose(0, 2, 1)) @ s_t).reshape(m, n, n, n)
-    return s_bar, g_bar
-
-
-def _ricci_forms_vjp(lc: np.ndarray, form_bar: np.ndarray) -> np.ndarray:
-    """lc̄ of ricci_forms, given the cotangent of the symmetrized form."""
-    m, n = lc.shape[:2]
-    bar = (form_bar + form_bar.transpose(0, 2, 1)) / 2.0
-    r = lc.transpose(0, 2, 1, 3).reshape(m, n, n * n)
-    r_t = lc.transpose(0, 2, 3, 1).reshape(m, n, n * n)
-    r_traces = np.trace(lc, axis1=1, axis2=3)
-    # term2[a,b] = Σ_k lc[a,b,k] tr R_k
-    lc_bar = (bar.reshape(m, n * n, 1) * r_traces[:, None, :]).reshape(m, n, n, n)
-    traces_bar = (bar.reshape(m, 1, n * n) @ lc.reshape(m, n * n, n))[:, 0]
-    lc_bar += np.eye(n)[:, None, :] * traces_bar[:, None, :, None]  # tr R_a = Σ_k lc[k,a,k]
-    # −r r_tᵀ, with r[a,(j,k)] = lc[j,a,k] and r_t[b,(j,k)] = lc[k,b,j]
-    lc_bar -= (bar @ r_t).reshape(m, n, n, n).transpose(0, 2, 1, 3)
-    lc_bar -= (bar.transpose(0, 2, 1) @ r).reshape(m, n, n, n).transpose(0, 3, 1, 2)
-    return lc_bar
-
-
-def _levi_civita_vjp(c: np.ndarray, g_t: np.ndarray, lc: np.ndarray, lc_bar: np.ndarray) -> np.ndarray:
-    """ḡ of levi_civita_tensors, given lc̄; g_t is the stack of Gᵀ."""
-    m, n = g_t.shape[:2]
-    # lc = ½G⁻¹T column by column: T̄ = ½G⁻ᵀ lc̄ and ḡ = −G⁻ᵀ lc̄ lcᵀ
-    z = np.linalg.solve(g_t, lc_bar.reshape(m, n * n, n).transpose(0, 2, 1))
-    g_bar = -z @ lc.reshape(m, n * n, n)
-    t_bar = 0.5 * z.transpose(0, 2, 1).reshape(m, n, n, n)
-    # T is cg plus two transposes of it, and cg[i,j,l] = Σ_k c[i,j,k] G[k,l]
-    cg_bar = t_bar + t_bar.transpose(0, 3, 1, 2) + t_bar.transpose(0, 3, 2, 1)
-    return g_bar + c.reshape(n * n, n).T @ cg_bar.reshape(m, n * n, n)
+        return q_operators(structure_endo_tensors(c, g), g)
+    return np.linalg.solve(g, ricci_forms(levi_civita_tensors(c, g)))
 
 
 @dataclass(frozen=True, eq=False)

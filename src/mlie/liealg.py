@@ -153,10 +153,7 @@ class LieAlgebra:
         """d[..., i, j, :] = E[e_i,e_j] − [Ee_i,e_j] − [e_i,Ee_j] for a matrix
         or a stack of matrices E[..., :, :]; linear in E, zero iff E is a
         derivation."""
-        et = np.swapaxes(np.asarray(getattr(e, "matrix", e), dtype=float), -1, -2)
-        c, t = self.c, et[..., None, :, :]
-        e_left = (et @ c.reshape(self.n, -1)).reshape(et.shape[:-2] + c.shape)  # [Ee_i, e_j]
-        return c @ t - e_left - t @ c
+        return derivation_defects(self.c, np.asarray(getattr(e, "matrix", e), dtype=float))
 
     def derivation_defect(self, e) -> float:
         """Sup-norm of E[e_i,e_j] - [Ee_i,e_j] - [e_i,Ee_j] over basis pairs."""
@@ -179,3 +176,15 @@ class LieAlgebra:
         if traces[best] <= tol * max(1.0, traces[best]):
             return None
         return basis[best]
+
+
+def derivation_defects(c: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """d[..., i, j, :] = E[e_i,e_j] − [Ee_i,e_j] − [e_i,Ee_j] for structure
+    tensors c[..., :, :, :] and matrices E[..., :, :], their leading axes
+    broadcast together.  Bilinear in (c, E); d is also the velocity of the
+    bracket c under the change of basis I + tE at t = 0."""
+    n = c.shape[-1]
+    et = np.swapaxes(e, -1, -2)
+    t = et[..., None, :, :]
+    e_left = et @ c.reshape(c.shape[:-3] + (n, n * n))  # [Ee_i, e_j]
+    return c @ t - e_left.reshape(e_left.shape[:-1] + (n, n)) - t @ c

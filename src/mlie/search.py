@@ -1,42 +1,57 @@
 """Numerical search for Einstein / Ricci-flat left-invariant metrics on a
-fixed algebra, by gradient descent on a factor of the gram matrix.
+fixed algebra: Levenberg–Marquardt in the bracket picture.
 
-The gram is parameterized as G = Aᵀ η A with η the diagonal of the requested
-signature, so every candidate has the right signature by construction; the
-smallest singular value of A is floored at 1e-6 to keep G invertible.  The
-residual f = ‖Ric − λ̂·Id‖_F is differentiated exactly, in reverse mode:
-∂f/∂A = ηA(Ḡ + Ḡᵀ) with Ḡ the pullback through ricci_operators_vjp of
-(Ric − λ̂·Id)/f.
+A gram G = AᵀηA, with η the diagonal of the requested signature, makes the
+frame e·A⁻¹ pseudo-orthonormal; there the bracket is μ = A·c, μ(x,y) =
+A c(A⁻¹x, A⁻¹y), and Ric_G = A⁻¹ Ric_η(μ) A.  The search keeps η fixed and
+moves μ along its orbit, A ← (I+X)A with |det A| held at 1, towards a zero of
+r(μ) = (Ric_η(μ) − λ̂·Id)/‖μ‖², which does not change when the metric or the
+bracket is scaled (Lauret, Math. Ann. 2001).  Ric_η(μ) is quadratic in μ, so
+its derivative along the orbit tangent ν = E·μ is exact by polarization,
+dRic[ν] = (Ric_η(μ+ν) − Ric_η(μ−ν))/2.
 
-All restarts advance together as one stack of factors A[r]: each iteration
-makes one stacked forward+backward pass over the restarts still running, and
-each round of the line search one stacked forward pass over the restarts
-still searching.  Every operation acts on each restart alone, so a restart's
-trajectory does not depend on which others share the stack, and each one
-stops for its own reason (STOP_REASONS).  The whole procedure is
-deterministic for a fixed spec, including the seed.
+All restarts advance together as one stack of factors A[r]: per iteration one
+stacked Jacobian call over the restarts still running, and per damping round
+one stacked forward call over those still searching, whose values the
+accepted ones keep.  Every operation acts on each restart alone, so a
+restart's trajectory does not depend on its stack mates; each one stops for
+its own reason (STOP_REASONS), and the whole search is deterministic for a
+fixed spec.  A restart converges only when its gram's einstein_residual is at
+most spec.tol and einstein_classify at VERDICT_TOL gives the target's verdict.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .curvature import ricci_operators, ricci_operators_vjp
+from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict, ricci_operators
 from .errors import DegenerateGram, InvalidInput
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, derivation_defects
 from .pseudolin import DEFAULT_TOL, Gram
 
 TARGETS = ("einstein", "ricci-flat")
 
-#: why a restart stopped: residual at most spec.tol; no step down to 1e-14
-#: lowered the residual; the residual failed to halve over 100 iterations;
-#: spec.max_iters used up
-STOP_REASONS = ("converged", "step-collapse", "creep", "budget")
+#: the verdicts that meet each target
+_TARGET_VERDICTS = {
+    "einstein": (Verdict.EINSTEIN, Verdict.RICCI_FLAT, Verdict.FLAT),
+    "ricci-flat": (Verdict.RICCI_FLAT, Verdict.FLAT),
+}
 
-_SV_FLOOR = 1e-6
-_MIN_STEP = 1e-14
+#: why a restart stopped: its gram met the target; the damping passed
+#: _MAX_DAMPING with no step lowering the residual; cond(A) passed _MAX_COND,
+#: or the classifier found the gram degenerate or its Ricci routes apart; the
+#: residual failed to halve over 100 iterations; spec.max_iters used up
+STOP_REASONS = ("converged", "step-collapse", "degenerating", "creep", "budget")
+
+_MAX_COND = 1e3
+#: bounds of the damping, absolute because r and J are free of scale
+_MIN_DAMPING = 1e-12
+_MAX_DAMPING = 1e12
+#: Frobenius norm of the longest step X, which keeps I + X invertible
+_MAX_STEP = 0.5
 
 
 def einstein_residual(
@@ -52,8 +67,8 @@ def einstein_residual(
         raise InvalidInput("gram size does not match algebra dimension")
     if not gram.is_nondegenerate(tol):
         raise DegenerateGram("gram matrix is degenerate at tolerance")
-    nilpotent = algebra.is_nilpotent(tol)
-    return float(_batched_residual(algebra.c, gram.mat[None], nilpotent, target == "einstein")[0])
+    ric = ricci_operators(algebra.c, gram.mat[None], algebra.is_nilpotent(tol))
+    return float(_norms(_deviations(ric, target == "einstein"))[0])
 
 
 @dataclass(frozen=True)
@@ -64,7 +79,6 @@ class SearchSpec:
     seed: int = 0
     restarts: int = 8
     max_iters: int = 5000
-    step0: float = 0.05
     tol: float = 1e-6
 
     def __post_init__(self):
@@ -83,23 +97,12 @@ class SearchSpec:
 class SearchResult:
     converged: bool
     best_gram: Optional[Gram]
+    #: ‖Ric − λ̂·Id‖_F at the winner's gram
     residual: float
     iterations: int
     restart_index: int
     #: one of STOP_REASONS per restart, in restart order
     stop_reasons: Tuple[str, ...]
-
-
-def _floor_singular_values(a: np.ndarray) -> np.ndarray:
-    """The stack a with, in each matrix whose smallest singular value is below
-    _SV_FLOOR, every singular value raised to at least _SV_FLOOR."""
-    low = ~(np.linalg.svd(a, compute_uv=False)[:, -1] >= _SV_FLOOR)
-    if not low.any():
-        return a
-    u, s, vt = np.linalg.svd(a[low])
-    a = a.copy()
-    a[low] = (u * np.maximum(s, _SV_FLOOR)[:, None, :]) @ vt
-    return a
 
 
 def _deviations(ric: np.ndarray, einstein: bool) -> np.ndarray:
@@ -111,99 +114,163 @@ def _deviations(ric: np.ndarray, einstein: bool) -> np.ndarray:
     return ric
 
 
-def _norms(d: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("mij,mij->m", d, d))
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of the items of a stack."""
+    flat = x.reshape(len(x), math.prod(x.shape[1:]))
+    return np.einsum("mi,mi->m", flat, flat)
 
 
-def _batched_residual(c: np.ndarray, g: np.ndarray, nilpotent: bool, einstein: bool) -> np.ndarray:
-    """Residuals for a stack of grams, in one pass through the curvature kernel."""
-    return _norms(_deviations(ricci_operators(c, g, nilpotent), einstein))
+def _norms(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_sq_norms(x))
 
 
-def _grams(a: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """G[r] = A[r]ᵀ η A[r] for a stack of factors."""
-    return a.transpose(0, 2, 1) @ eta @ a
+def _unit_det(a: np.ndarray) -> np.ndarray:
+    """The stack a, each factor scaled to |det A| = 1."""
+    return a / (np.abs(np.linalg.det(a)) ** (1.0 / a.shape[-1]))[:, None, None]
 
 
-def _residuals_and_gradients(
-    c: np.ndarray, a: np.ndarray, eta: np.ndarray, nilpotent: bool, einstein: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Residuals f[r] of the grams A[r]ᵀηA[r] and their gradients ∂f/∂A[r];
-    every residual must be nonzero."""
-    ric, pullback = ricci_operators_vjp(c, _grams(a, eta), nilpotent)
-    d = _deviations(ric, einstein)
-    f = _norms(d)
-    # ∂f/∂Ric = d/f: the trace projection of the Einstein target leaves d as is
-    g_bar = pullback(d / f[:, None, None])
-    return f, eta @ a @ (g_bar + g_bar.transpose(0, 2, 1))
+def _brackets(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """μ[r] = A[r]·c: μ[i,j,k] = Σ B[p,i] B[q,j] c[p,q,l] A[k,l], B = A⁻¹."""
+    m, n = a.shape[:2]
+    b_t = np.linalg.inv(a).transpose(0, 2, 1)
+    ca = c @ a.transpose(0, 2, 1)[:, None]  # [p,q,k] = Σ_l c[p,q,l] A[k,l]
+    half = (b_t @ ca.reshape(m, n, n * n)).reshape(m, n, n, n)  # [i,q,k]
+    return b_t[:, None] @ half
+
+
+def _scale_free(mu: np.ndarray, dev: np.ndarray) -> np.ndarray:
+    """r = (Ric − λ̂·Id)/‖μ‖², and 0 for μ = 0, where Ric = 0 too."""
+    sq = _sq_norms(mu)[:, None, None]
+    return np.divide(dev, sq, out=np.zeros_like(dev), where=sq > 0)
+
+
+def _forward(
+    a: np.ndarray, c: np.ndarray, eta: np.ndarray, nilpotent: bool, einstein: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(μ, Ric_η(μ) − λ̂·Id, r) for a stack of factors A of grams AᵀηA on c."""
+    mu = _brackets(a, c)
+    ric = ricci_operators(mu, np.broadcast_to(eta, (len(a),) + eta.shape), nilpotent)
+    dev = _deviations(ric, einstein)
+    return mu, dev, _scale_free(mu, dev)
+
+
+def _absolute(a: np.ndarray, dev: np.ndarray) -> np.ndarray:
+    """‖Ric_G − λ̂·Id‖_F = ‖A⁻¹(Ric_η(μ) − λ̂·Id)A‖_F for the grams G = AᵀηA,
+    from the deviations dev in the frame η."""
+    return _norms(np.linalg.solve(a, dev @ a))
+
+
+def _jacobians(
+    mu: np.ndarray, dev: np.ndarray, eta: np.ndarray, nilpotent: bool, einstein: bool
+) -> np.ndarray:
+    """J[m] of shape (n², n²), for brackets μ[m] ≠ 0 in the frame η with
+    deviations dev[m]: column a·n + b is the derivative of r at μ[m] along
+    the orbit tangent ν = E·μ of the unit matrix E = e_a e_bᵀ."""
+    m, n = mu.shape[:2]
+    nu = derivation_defects(mu[:, None], np.eye(n * n).reshape(n * n, n, n))
+    sides = np.concatenate([mu[:, None] + nu, mu[:, None] - nu]).reshape(-1, n, n, n)
+    ric = ricci_operators(sides, np.broadcast_to(eta, (len(sides), n, n)), nilpotent)
+    plus, minus = _deviations(ric, einstein).reshape(2, m, n * n, n, n)
+    sq = _sq_norms(mu)[:, None, None, None]
+    d_sq = 2.0 * (nu.reshape(m, n * n, -1) @ mu.reshape(m, -1, 1))[..., None]  # d‖μ‖²[ν]
+    d_r = (plus - minus) / (2.0 * sq) - dev[:, None] * d_sq / sq**2
+    return d_r.reshape(m, n * n, n * n).transpose(0, 2, 1)
 
 
 def run_search(spec: SearchSpec) -> SearchResult:
-    """Multi-restart descent on the residual; restarts are merged by smallest
-    residual, ties broken by lowest restart index."""
-    n = spec.algebra.n
-    c = spec.algebra.c
-    nilpotent = spec.algebra.is_nilpotent()
+    """Multi-restart Levenberg–Marquardt on the scale-free residual.  The
+    winner is the converged restart of smallest residual, or, when none
+    converged, the restart of smallest residual; ties go to the lowest
+    restart index."""
+    algebra = spec.algebra
+    n = algebra.n
+    nilpotent = algebra.is_nilpotent()
     einstein = spec.target == "einstein"
     minus, plus = spec.signature
     eta = np.diag(np.concatenate([-np.ones(minus), np.ones(plus)]))
 
-    def residuals(a_batch: np.ndarray) -> np.ndarray:
-        return _batched_residual(c, _grams(a_batch, eta), nilpotent, einstein)
-
     count = spec.restarts
     starts = [np.random.default_rng([spec.seed, r]).standard_normal((n, n)) for r in range(count)]
-    a = _floor_singular_values(np.eye(n) + 0.1 * np.array(starts))
-    f = residuals(a)
-    step = np.full(count, spec.step0)
+    a = _unit_det(np.eye(n) + 0.1 * np.array(starts))
+    mu, dev, r = _forward(a, algebra.c, eta, nilpotent, einstein)
+    f = _norms(r)
+    residual = np.zeros(count)
+    damping = np.full(count, 1e-3)
     iters = np.zeros(count, dtype=int)
     f_checkpoint = np.full(count, np.inf)
-    reasons = np.empty(count, dtype=object)
-    direction = np.zeros_like(a)
+    reasons = np.full(count, "", dtype=object)
+
+    def settle(i: int) -> Tuple[str, float]:
+        """(stop reason, residual) of restart i, whose residual is within
+        spec.tol: the reason is "converged" when its gram meets the target,
+        and "" to go on."""
+        gram = Gram(a[i].T @ eta @ a[i])
+        try:
+            value = einstein_residual(algebra, gram, spec.target)
+            if value > spec.tol:
+                return "", value
+            verdict = MetricLieAlgebra(algebra, gram).einstein_classify(VERDICT_TOL).verdict
+        except (DegenerateGram, RuntimeError):  # RuntimeError: the Ricci cross-check
+            return "degenerating", residual[i]
+        return ("converged" if verdict in _TARGET_VERDICTS[spec.target] else ""), value
 
     running = np.arange(count)
     while True:
-        converged = f[running] <= spec.tol
-        out_of_budget = ~converged & (iters[running] >= spec.max_iters)
-        reasons[running[converged]] = "converged"
-        reasons[running[out_of_budget]] = "budget"
-        running = running[~converged & ~out_of_budget]
+        residual[running] = _absolute(a[running], dev[running])
+        for i in running[residual[running] <= spec.tol]:
+            reasons[i], residual[i] = settle(i)
+        running = running[reasons[running] == ""]
+        reasons[running[np.linalg.cond(a[running]) > _MAX_COND]] = "degenerating"
+        running = running[reasons[running] == ""]
+        reasons[running[iters[running] >= spec.max_iters]] = "budget"
+        running = running[reasons[running] == ""]
         if not running.size:
             break
         iters[running] += 1
-        _, direction[running] = _residuals_and_gradients(c, a[running], eta, nilpotent, einstein)
-        # descend along −grad, halving each restart's step until its residual drops
+        jac = _jacobians(mu[running], dev[running], eta, nilpotent, einstein)
+        jac_t = jac.transpose(0, 2, 1)
+        normal, gradient = jac_t @ jac, jac_t @ r[running].reshape(len(running), -1, 1)
+        # the damped step min ‖r + J x‖² + damping·‖x‖², damping ×10 until ‖r‖ drops
         accepted = np.zeros(count, dtype=bool)
-        searching = running[step[running] >= _MIN_STEP]
+        searching = np.arange(len(running))
         while searching.size:
-            trial = _floor_singular_values(a[searching] - step[searching, None, None] * direction[searching])
-            f_trial = residuals(trial)
-            better = f_trial < f[searching]
-            won = searching[better]
-            a[won], f[won] = trial[better], f_trial[better]
-            step[won] *= 2.0
+            idx = running[searching]
+            lhs = normal[searching] + damping[idx, None, None] * np.eye(n * n)
+            x = -np.linalg.solve(lhs, gradient[searching])[..., 0]
+            x *= (_MAX_STEP / np.maximum(_norms(x), _MAX_STEP))[:, None]
+            trial = _unit_det((np.eye(n) + x.reshape(-1, n, n)) @ a[idx])
+            mu_trial, dev_trial, r_trial = _forward(trial, algebra.c, eta, nilpotent, einstein)
+            f_trial = _norms(r_trial)
+            better = f_trial < f[idx]
+            won = idx[better]
+            a[won], mu[won], dev[won], r[won], f[won] = (
+                trial[better], mu_trial[better], dev_trial[better], r_trial[better], f_trial[better]
+            )
+            damping[won] = np.maximum(damping[won] / 10.0, _MIN_DAMPING)
             accepted[won] = True
             lost = searching[~better]
-            step[lost] *= 0.5
-            searching = lost[step[lost] >= _MIN_STEP]
+            damping[running[lost]] *= 10.0
+            searching = lost[damping[running[lost]] <= _MAX_DAMPING]
         reasons[running[~accepted[running]]] = "step-collapse"  # a local stall
         running = running[accepted[running]]
         # drop restarts that creep: unless the residual at least halves every
-        # 100 iterations, the tolerance is out of reach in budget
-        due = (iters[running] % 100 == 0) & (f[running] > spec.tol)
+        # 100 iterations, the target is out of reach in budget
+        due = iters[running] % 100 == 0
         creeping = due & (f[running] > 0.5 * f_checkpoint[running])
         reasons[running[creeping]] = "creep"
         f_checkpoint[running[due]] = f[running[due]]
         running = running[~creeping]
 
-    r = min(range(count), key=f.__getitem__)
-    converged = bool(f[r] <= spec.tol)
-    gram = Gram(a[r].T @ eta @ a[r]) if converged else None
+    converged = reasons == "converged"
+    stopped = ~converged
+    residual[stopped] = _absolute(a[stopped], dev[stopped])
+    pool = np.flatnonzero(converged) if converged.any() else np.arange(count)
+    best = int(pool[np.argmin(residual[pool])])
     return SearchResult(
-        converged=converged,
-        best_gram=gram,
-        residual=float(f[r]),
-        iterations=int(iters[r]),
-        restart_index=r,
+        converged=bool(converged[best]),
+        best_gram=Gram(a[best].T @ eta @ a[best]) if converged[best] else None,
+        residual=float(residual[best]),
+        iterations=int(iters[best]),
+        restart_index=best,
         stop_reasons=tuple(reasons),
     )

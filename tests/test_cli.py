@@ -1,4 +1,7 @@
+import io
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -196,6 +199,32 @@ def test_search_converges_and_writes(tmp_path, capsys):
     assert "metric" in doc
 
 
+def test_search_writes_output_before_a_closed_stdout(tmp_path, capsys, monkeypatch):
+    # `mlie search … -o f.json | head -1`: the reader quits, the search does not
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return write_fd
+
+    src = tmp_path / "l32.json"
+    found = tmp_path / "found.json"
+    run_cli(capsys, "catalog", "L3_2", "m32", "alpha=1", "-o", str(src))
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        code = main(["search", str(src), "--signature", "1,2", "-o", str(found)])
+    finally:
+        monkeypatch.undo()
+        os.close(write_fd)
+    assert code == 0
+    assert "metric" in json.loads(found.read_text())
+    assert capsys.readouterr().err == ""
+
+
 def test_search_nonconvergence_exit_1(tmp_path, capsys):
     src = tmp_path / "l43.json"
     run_cli(capsys, "catalog", "L4_3", "m43", "a=0", "b=0", "eps=1", "-o", str(src))
@@ -221,12 +250,13 @@ def test_missing_file_exit_2(tmp_path, capsys):
 
 
 def test_tol_flag_loosens_verdict(tmp_path, capsys):
-    # the searched gram has residual ~2e-8: NotEinstein at the default
-    # verdict tolerance, flat/Ricci-flat when --tol is loosened to 1e-5
-    src = tmp_path / "l32.json"
+    # the flat m32 gram with entry [2,2] raised by 1e-7: NotEinstein at the
+    # default verdict tolerance, flat/Ricci-flat when --tol is loosened to 1e-5
     found = tmp_path / "found.json"
-    run_cli(capsys, "catalog", "L3_2", "m32", "alpha=1", "-o", str(src))
-    run_cli(capsys, "search", str(src), "--signature", "1,2", "-o", str(found))
+    run_cli(capsys, "catalog", "L3_2", "m32", "alpha=1", "-o", str(found))
+    doc = json.loads(found.read_text())
+    doc["metric"][2][2] += 1e-7
+    found.write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "ricci", str(found))
     assert code == 0
     assert "NotEinstein" in out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlie.catalog import make_algebra
-from mlie.curvature import MetricLieAlgebra
+from mlie.curvature import MetricLieAlgebra, Verdict
 from mlie.doubleext import extend, random_admissible
 from mlie.errors import DegenerateGram, InvalidInput
 from mlie.liealg import LieAlgebra
@@ -12,7 +12,9 @@ from mlie.pseudolin import Gram
 from mlie.search import (
     STOP_REASONS,
     SearchSpec,
-    _residuals_and_gradients,
+    _absolute,
+    _forward,
+    _jacobians,
     einstein_residual,
     run_search,
 )
@@ -122,31 +124,39 @@ def _lorentzian_eta(n):
 @pytest.mark.parametrize("case", ["L3_2", "L5_2", "EX8", "non-nilpotent"])
 @pytest.mark.parametrize("target", ["einstein", "ricci-flat"])
 def test_residual_gradient_matches_central_differences(case, target):
+    # the derivative of the scale-free residual is its Jacobian along the
+    # orbit tangents E·μ, exact by polarization of the quadratic Ric_η(μ)
     if case == "non-nilpotent":  # the Levi-Civita route
         data = random_admissible(np.random.default_rng(2), f_dim=2, blocks=1, nilpotent=False)
         assert data.mu != 0.0
         algebra = extend(data).algebra
     else:
         algebra = make_algebra(case)
-    n = algebra.n
+    n, nilpotent, einstein = algebra.n, algebra.is_nilpotent(), target == "einstein"
     eta = _lorentzian_eta(n)
+
+    def forward(a_batch, c):
+        return _forward(a_batch, c, eta, nilpotent, einstein)
+
     a = np.eye(n) + 0.3 * np.random.default_rng(17).normal(size=(n, n))
-    f, grad = _residuals_and_gradients(
-        algebra.c, a[None], eta, algebra.is_nilpotent(), target == "einstein"
-    )
-    assert f[0] == pytest.approx(einstein_residual(algebra, a.T @ eta @ a, target), rel=1e-12)
+    mu, dev, r = forward(a[None], algebra.c)
+    # the frame η of μ = A·c carries the metric AᵀηA of c: Ric_G = A⁻¹ Ric_η A
+    absolute = _absolute(a[None], dev)[0]
+    assert absolute == pytest.approx(einstein_residual(algebra, a.T @ eta @ a, target), rel=1e-9)
+    # r is unchanged when the metric or the bracket is scaled
+    for t, s in [(10.0, 1.0), (1.0, 1e-3), (0.2, 7.0)]:
+        r_scaled = forward(t * a[None], s * algebra.c)[2]
+        assert np.abs(r_scaled - r).max() <= 1e-12 * np.abs(r).max()
+
+    jac = _jacobians(mu, dev, eta, nilpotent, einstein)[0]
+    # central differences along the curve (I + hE)A, whose tangent at h = 0 is E·μ
     h = 1e-6
-    fd = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            up, down = a.copy(), a.copy()
-            up[i, j] += h
-            down[i, j] -= h
-            fd[i, j] = (
-                einstein_residual(algebra, up.T @ eta @ up, target)
-                - einstein_residual(algebra, down.T @ eta @ down, target)
-            ) / (2.0 * h)
-    assert np.abs(grad[0] - fd).max() <= 1e-6 * np.abs(fd).max()
+    units = np.eye(n * n).reshape(n * n, n, n)
+    up = forward((np.eye(n) + h * units) @ a, algebra.c)[2]
+    down = forward((np.eye(n) - h * units) @ a, algebra.c)[2]
+    fd = ((up - down) / (2.0 * h)).reshape(n * n, n * n).T
+    assert np.abs(fd).max() > 1e-2  # the residual moves along the orbit
+    assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 @pytest.mark.parametrize("name, signature", [("L3_2", (1, 2)), ("L4_2", (1, 3))])
@@ -166,3 +176,28 @@ def test_restarts_do_not_depend_on_their_stack_mates(name, signature, seed):
     assert (short.best_gram is None) == (full.best_gram is None)
     if full.best_gram is not None:
         assert short.best_gram.mat.tobytes() == full.best_gram.mat.tobytes()
+
+
+@pytest.mark.parametrize("name, signature", [("L4_2", (1, 3)), ("L4_3", (1, 3)), ("L5_2", (1, 4))])
+@pytest.mark.parametrize("seed", [101, 102, 107])
+def test_listed_ricci_flat_metrics_are_reached(name, signature, seed):
+    algebra = make_algebra(name)
+    spec = SearchSpec(algebra, signature=signature, seed=seed)
+    result = run_search(spec)
+    assert result.converged
+    assert einstein_residual(algebra, result.best_gram, "ricci-flat") <= spec.tol
+    verdict = MetricLieAlgebra(algebra, result.best_gram).einstein_classify().verdict
+    assert verdict in (Verdict.FLAT, Verdict.RICCI_FLAT)
+
+
+@pytest.mark.parametrize(
+    "algebra, target, signature",
+    [(heisenberg(), "einstein", (0, 3)), (make_algebra("L4_3"), "ricci-flat", (0, 4))],
+    ids=["euclidean-heisenberg-einstein", "euclidean-L4_3-ricci-flat"],
+)
+@pytest.mark.parametrize("seed", [101, 102, 107])
+def test_unreachable_targets_stop_before_the_budget(algebra, target, signature, seed):
+    result = run_search(SearchSpec(algebra, target=target, signature=signature, seed=seed))
+    assert not result.converged
+    assert "converged" not in result.stop_reasons
+    assert "budget" not in result.stop_reasons
