@@ -8,7 +8,15 @@ moves μ along its orbit, A ← (I+X)A with |det A| held at 1, towards a zero of
 r(μ) = (Ric_η(μ) − λ̂·Id)/‖μ‖², which does not change when the metric or the
 bracket is scaled (Lauret, Math. Ann. 2001).  Ric_η(μ) is quadratic in μ, so
 its derivative along the orbit tangent ν = E·μ is exact by polarization,
-dRic[ν] = (Ric_η(μ+ν) − Ric_η(μ−ν))/2.
+dRic[ν] = (Ric_η(μ+ν) − Ric_η(μ−ν))/2.  Every E in Der(μ) = A·Der(c)·A⁻¹
+leaves μ fixed (ν = 0), so the Jacobian is built only on a Frobenius-
+orthonormal basis of the complement of Der(μ) in gl(n); the damped step is
+the same as on all of gl(n), and one iteration evaluates 2(n² − dim Der(c))
+sides per restart instead of 2n²:
+
+    algebra                 L3_2  L4_2  L4_3  L5_2  EX8
+    sides on all of gl(n)     18    32    32    50  128
+    sides on the complement    6    12    18    18  104
 
 All restarts advance together as one stack of factors A[r]: per iteration one
 stacked Jacobian call over the restarts still running, and per damping round
@@ -160,21 +168,61 @@ def _absolute(a: np.ndarray, dev: np.ndarray) -> np.ndarray:
     return _norms(np.linalg.solve(a, dev @ a))
 
 
+def _derivation_basis(c: np.ndarray) -> np.ndarray:
+    """Basis (d, n, n) of Der(c), taken from c/max|c|: Der(s·c) = Der(c), so d
+    does not change when the bracket is scaled."""
+    n = c.shape[-1]
+    peak = np.abs(c).max(initial=0.0)
+    derivations = LieAlgebra(n, c / peak if peak else c).derivation_space()
+    return np.array([d.matrix for d in derivations]).reshape(-1, n, n)
+
+
+def _orbit_directions(a: np.ndarray, derivations: np.ndarray) -> np.ndarray:
+    """Q[m] of shape (n² − d, n, n): a Frobenius-orthonormal basis of the
+    complement of Der(μ[m]) = A[m]·Der(c)·A[m]⁻¹ in gl(n), for the brackets
+    μ = A·c and a basis (d, n, n) of Der(c), from one stacked complete QR."""
+    m, n = a.shape[:2]
+    d = len(derivations)
+    moved = (a[:, None] @ derivations @ np.linalg.inv(a)[:, None]).reshape(m, d, n * n)
+    q = np.linalg.qr(moved.transpose(0, 2, 1), mode="complete")[0]
+    return q[:, :, d:].transpose(0, 2, 1).reshape(m, n * n - d, n, n)
+
+
 def _jacobians(
-    mu: np.ndarray, dev: np.ndarray, eta: np.ndarray, nilpotent: bool, einstein: bool
+    mu: np.ndarray,
+    dev: np.ndarray,
+    eta: np.ndarray,
+    nilpotent: bool,
+    einstein: bool,
+    directions: np.ndarray,
 ) -> np.ndarray:
-    """J[m] of shape (n², n²), for brackets μ[m] ≠ 0 in the frame η with
-    deviations dev[m]: column a·n + b is the derivative of r at μ[m] along
-    the orbit tangent ν = E·μ of the unit matrix E = e_a e_bᵀ."""
+    """J[m] of shape (n², k), for brackets μ[m] ≠ 0 in the frame η with
+    deviations dev[m] and matrices E = directions[m] (or one stack of them
+    for every m) of shape (k, n, n): column j is the derivative of r at μ[m]
+    along the orbit tangent ν = E_j·μ.  One stacked ricci_operators call
+    evaluates all 2k sides μ ± ν of every m."""
     m, n = mu.shape[:2]
-    nu = derivation_defects(mu[:, None], np.eye(n * n).reshape(n * n, n, n))
+    nu = derivation_defects(mu[:, None], directions)
+    k = nu.shape[1]
     sides = np.concatenate([mu[:, None] + nu, mu[:, None] - nu]).reshape(-1, n, n, n)
     ric = ricci_operators(sides, np.broadcast_to(eta, (len(sides), n, n)), nilpotent)
-    plus, minus = _deviations(ric, einstein).reshape(2, m, n * n, n, n)
+    plus, minus = _deviations(ric, einstein).reshape(2, m, k, n, n)
     sq = _sq_norms(mu)[:, None, None, None]
-    d_sq = 2.0 * (nu.reshape(m, n * n, -1) @ mu.reshape(m, -1, 1))[..., None]  # d‖μ‖²[ν]
+    d_sq = 2.0 * (nu.reshape(m, k, -1) @ mu.reshape(m, -1, 1))[..., None]  # d‖μ‖²[ν]
     d_r = (plus - minus) / (2.0 * sq) - dev[:, None] * d_sq / sq**2
-    return d_r.reshape(m, n * n, n * n).transpose(0, 2, 1)
+    return d_r.reshape(m, k, n * n).transpose(0, 2, 1)
+
+
+def _damped_steps(
+    normal: np.ndarray, gradient: np.ndarray, damping: np.ndarray, directions: np.ndarray
+) -> np.ndarray:
+    """X[m] = Σ_j y_j E_j, (n, n), for the minimizer y of ‖r + J y‖² +
+    damping·‖y‖², from normal = JᵀJ, gradient = Jᵀr and the directions E of
+    J's columns; ‖X‖_F is capped at _MAX_STEP."""
+    lhs = normal + damping[:, None, None] * np.eye(normal.shape[-1])
+    y = -np.linalg.solve(lhs, gradient)
+    x = np.einsum("mj,mjab->mab", y[..., 0], directions)
+    return x * (_MAX_STEP / np.maximum(_norms(x), _MAX_STEP))[:, None, None]
 
 
 def run_search(spec: SearchSpec) -> SearchResult:
@@ -188,6 +236,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
     einstein = spec.target == "einstein"
     minus, plus = spec.signature
     eta = np.diag(np.concatenate([-np.ones(minus), np.ones(plus)]))
+    derivations = _derivation_basis(algebra.c)
 
     count = spec.restarts
     starts = [np.random.default_rng([spec.seed, r]).standard_normal((n, n)) for r in range(count)]
@@ -227,18 +276,19 @@ def run_search(spec: SearchSpec) -> SearchResult:
         if not running.size:
             break
         iters[running] += 1
-        jac = _jacobians(mu[running], dev[running], eta, nilpotent, einstein)
+        directions = _orbit_directions(a[running], derivations)
+        jac = _jacobians(mu[running], dev[running], eta, nilpotent, einstein, directions)
         jac_t = jac.transpose(0, 2, 1)
         normal, gradient = jac_t @ jac, jac_t @ r[running].reshape(len(running), -1, 1)
-        # the damped step min ‖r + J x‖² + damping·‖x‖², damping ×10 until ‖r‖ drops
+        # the damped step X = Σ y_j E_j, damping ×10 until ‖r‖ drops
         accepted = np.zeros(count, dtype=bool)
         searching = np.arange(len(running))
         while searching.size:
             idx = running[searching]
-            lhs = normal[searching] + damping[idx, None, None] * np.eye(n * n)
-            x = -np.linalg.solve(lhs, gradient[searching])[..., 0]
-            x *= (_MAX_STEP / np.maximum(_norms(x), _MAX_STEP))[:, None]
-            trial = _unit_det((np.eye(n) + x.reshape(-1, n, n)) @ a[idx])
+            x = _damped_steps(
+                normal[searching], gradient[searching], damping[idx], directions[searching]
+            )
+            trial = _unit_det((np.eye(n) + x) @ a[idx])
             mu_trial, dev_trial, r_trial = _forward(trial, algebra.c, eta, nilpotent, einstein)
             f_trial = _norms(r_trial)
             better = f_trial < f[idx]

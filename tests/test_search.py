@@ -13,8 +13,11 @@ from mlie.search import (
     STOP_REASONS,
     SearchSpec,
     _absolute,
+    _damped_steps,
+    _derivation_basis,
     _forward,
     _jacobians,
+    _orbit_directions,
     einstein_residual,
     run_search,
 )
@@ -121,17 +124,20 @@ def _lorentzian_eta(n):
     return np.diag([-1.0] + [1.0] * (n - 1))
 
 
+def _case_algebra(case):
+    if case == "non-nilpotent":  # the Levi-Civita route
+        data = random_admissible(np.random.default_rng(2), f_dim=2, blocks=1, nilpotent=False)
+        assert data.mu != 0.0
+        return extend(data).algebra
+    return make_algebra(case)
+
+
 @pytest.mark.parametrize("case", ["L3_2", "L5_2", "EX8", "non-nilpotent"])
 @pytest.mark.parametrize("target", ["einstein", "ricci-flat"])
 def test_residual_gradient_matches_central_differences(case, target):
     # the derivative of the scale-free residual is its Jacobian along the
     # orbit tangents E·μ, exact by polarization of the quadratic Ric_η(μ)
-    if case == "non-nilpotent":  # the Levi-Civita route
-        data = random_admissible(np.random.default_rng(2), f_dim=2, blocks=1, nilpotent=False)
-        assert data.mu != 0.0
-        algebra = extend(data).algebra
-    else:
-        algebra = make_algebra(case)
+    algebra = _case_algebra(case)
     n, nilpotent, einstein = algebra.n, algebra.is_nilpotent(), target == "einstein"
     eta = _lorentzian_eta(n)
 
@@ -148,15 +154,74 @@ def test_residual_gradient_matches_central_differences(case, target):
         r_scaled = forward(t * a[None], s * algebra.c)[2]
         assert np.abs(r_scaled - r).max() <= 1e-12 * np.abs(r).max()
 
-    jac = _jacobians(mu, dev, eta, nilpotent, einstein)[0]
+    units = np.eye(n * n).reshape(n * n, n, n)
+    jac = _jacobians(mu, dev, eta, nilpotent, einstein, units)[0]
     # central differences along the curve (I + hE)A, whose tangent at h = 0 is E·μ
     h = 1e-6
-    units = np.eye(n * n).reshape(n * n, n, n)
     up = forward((np.eye(n) + h * units) @ a, algebra.c)[2]
     down = forward((np.eye(n) - h * units) @ a, algebra.c)[2]
     fd = ((up - down) / (2.0 * h)).reshape(n * n, n * n).T
     assert np.abs(fd).max() > 1e-2  # the residual moves along the orbit
     assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("case", ["L4_3", "L5_2", "EX8", "non-nilpotent"])
+@pytest.mark.parametrize("target", ["einstein", "ricci-flat"])
+def test_step_on_the_derivation_complement_equals_the_full_step(case, target):
+    # Der(μ) = A·Der(c)·A⁻¹ leaves μ = A·c fixed, so its Jacobian columns are
+    # zero, and the damped step on an orthonormal basis of its complement is
+    # the damped step on all of gl(n)
+    algebra = _case_algebra(case)
+    n, nilpotent, einstein = algebra.n, algebra.is_nilpotent(), target == "einstein"
+    eta = _lorentzian_eta(n)
+    a = np.eye(n) + 0.3 * np.random.default_rng(17).normal(size=(n, n))
+    mu, dev, r = _forward(a[None], algebra.c, eta, nilpotent, einstein)
+    units = np.eye(n * n).reshape(n * n, n, n)
+    full = _jacobians(mu, dev, eta, nilpotent, einstein, units)
+    derivations = _derivation_basis(algebra.c)
+    assert len(derivations) == len(algebra.derivation_space())
+    on_der = _jacobians(mu, dev, eta, nilpotent, einstein, a @ derivations @ np.linalg.inv(a))
+    assert np.abs(on_der).max() <= 1e-12 * np.abs(full).max()
+
+    directions = _orbit_directions(a[None], derivations)
+    assert directions.shape == (1, n * n - len(derivations), n, n)
+    part = _jacobians(mu, dev, eta, nilpotent, einstein, directions)
+    assert part.shape == (1, n * n, n * n - len(derivations))
+
+    def step(jac, e, damping):
+        jac_t = jac.transpose(0, 2, 1)
+        return _damped_steps(jac_t @ jac, jac_t @ r.reshape(1, -1, 1), np.array([damping]), e)
+
+    for damping in (1e-12, 1e-3, 1.0):
+        want, got = step(full, units[None], damping), step(part, directions, damping)
+        # the model's change J·X of r agrees at every damping
+        j_want, j_got = full[0] @ want.reshape(-1), full[0] @ got.reshape(-1)
+        assert np.abs(j_got - j_want).max() <= 1e-9 * np.abs(j_want).max()
+        if damping >= 1e-3:
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        # at damping 1e-12, J's null directions beyond Der(μ) (σ ≈ 1e-17)
+        # carry rounding amplified by 1/damping: X itself is then fixed to
+        # about 1e-5 only, on any basis of gl(n), the unit matrices included
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1.0, 1e8])
+def test_orbit_directions_do_not_depend_on_the_bracket_scale(scale):
+    algebra = make_algebra("L4_3")
+    a = np.eye(4) + 0.3 * np.random.default_rng(17).normal(size=(1, 4, 4))
+    directions = _orbit_directions(a, _derivation_basis(scale * algebra.c))
+    assert directions.shape == (1, 16 - len(algebra.derivation_space()), 4, 4)
+
+
+def test_abelian_algebra_has_no_orbit_directions():
+    # every matrix is a derivation of the zero bracket: d = n², no column
+    # is left, the damped step is 0, and the search still returns
+    directions = _orbit_directions(np.eye(3)[None], _derivation_basis(np.zeros((3, 3, 3))))
+    assert directions.shape == (1, 0, 3, 3)
+    x = _damped_steps(np.zeros((1, 0, 0)), np.zeros((1, 0, 1)), np.array([1e-3]), directions)
+    assert np.array_equal(x, np.zeros((1, 3, 3)))
+    for target in ("einstein", "ricci-flat"):
+        result = run_search(SearchSpec(LieAlgebra.abelian(3), target=target, restarts=2))
+        assert result.converged and result.residual == 0.0
 
 
 @pytest.mark.parametrize("name, signature", [("L3_2", (1, 2)), ("L4_2", (1, 3))])
