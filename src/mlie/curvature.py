@@ -123,6 +123,17 @@ def ricci_operators(c: np.ndarray, g: np.ndarray, nilpotent: bool) -> np.ndarray
     return np.linalg.solve(g, ricci_forms(levi_civita_tensors(c, g)))
 
 
+def _checked_gram(gram, n: int, tol: float) -> Gram:
+    """gram as a Gram, refused unless it is n x n and nondegenerate at tol."""
+    if not isinstance(gram, Gram):
+        gram = Gram(gram)
+    if gram.n != n:
+        raise InvalidInput("gram size does not match algebra dimension")
+    if not gram.is_nondegenerate(tol):
+        raise DegenerateGram("metric gram matrix is degenerate at tolerance")
+    return gram
+
+
 @dataclass(frozen=True, eq=False)
 class MetricLieAlgebra:
     """A Lie algebra together with a nondegenerate ⟨,⟩, caches built eagerly.
@@ -134,14 +145,8 @@ class MetricLieAlgebra:
     gram: Gram
 
     def __init__(self, algebra: LieAlgebra, gram: Gram, tol: float = DEFAULT_TOL) -> None:
-        if not isinstance(gram, Gram):
-            gram = Gram(gram)
-        if gram.n != algebra.n:
-            raise InvalidInput("gram size does not match algebra dimension")
-        if not gram.is_nondegenerate(tol):
-            raise DegenerateGram("metric gram matrix is degenerate at tolerance")
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram", _checked_gram(gram, algebra.n, tol))
         object.__setattr__(self, "_cache", {})
         self._build_caches()
 

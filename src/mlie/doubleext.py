@@ -41,6 +41,7 @@ from .pseudolin import (
     Gram,
     _as_float_array,
     find_isotropic_in,
+    numerical_rank,
     signature,
 )
 
@@ -133,6 +134,11 @@ def extend(data: ExtensionData, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:
     adm = check_admissible(data, tol)
     if not adm.is_lie:
         raise NotLie(f"K∘D + Dᵀ∘K = μK fails with residual {adm.lie_residual:.3e}")
+    return _model(data)
+
+
+def _model(data: ExtensionData) -> MetricLieAlgebra:
+    """extend's model algebra, for data that check_admissible found Lie."""
     v = data.v_dim
     n = v + 2
     c = np.zeros((n, n, n))
@@ -262,13 +268,9 @@ def kd_generate(
     scale_s = max(1.0, float(np.abs(s).max(initial=0.0)))
     if float(np.abs(s - s.T).max(initial=0.0)) > tol * scale_s:
         raise InvalidInput("S must be symmetric")
-    if fperp_dim > 0:
-        sv = np.linalg.svd(k0, compute_uv=False)
-        if sv[-1] <= tol * max(1.0, sv[0]):
-            raise SingularK0("K0 is singular at tolerance")
-        d3 = np.linalg.solve(k0, s)
-    else:
-        d3 = np.zeros((0, 0))
+    if numerical_rank(k0, tol) < fperp_dim:
+        raise SingularK0("K0 is singular at tolerance")
+    d3 = np.linalg.solve(k0, s)
 
     v = f_dim + fperp_dim
     k = np.zeros((v, v))
@@ -283,12 +285,13 @@ def kd_generate(
 def guediri_2step(
     p: int, q: int, alpha, c, a, abelian_dim: int = 0, tol: float = DEFAULT_TOL
 ) -> MetricLieAlgebra:
-    """Two-step nilpotent Ricci-flat Lorentzian algebras, basis
-    (e, z_1..z_p, ē, e_1..e_q) plus an orthogonal Euclidean abelian block.
+    """Two-step nilpotent Ricci-flat Lorentzian algebras, extended from
+    V = (z_1..z_p, e_1..e_q, abelian block): basis (e, z, e_i, abelian, ē).
 
     Brackets: [ē, e_i] = α_i e + Σ_k c_ik z_k and [e_i, e_j] = a_ij e, with
-    the skew matrix a subject to Σ_{i,j} a_ij² = 2 Σ_{i,k} c_ik²; e, ē are
-    isotropic with ⟨e, ē⟩ = 1 and everything else is orthonormal.
+    the skew matrix a subject to Σ_{i,j} a_ij² = 2 Σ_{i,k} c_ik² (the trace
+    condition of check_admissible); e, ē are isotropic with ⟨e, ē⟩ = 1 and
+    everything else is orthonormal.
     """
     p = int(p)
     q = int(q)
@@ -301,31 +304,20 @@ def guediri_2step(
     scale_a = max(1.0, float(np.abs(amat).max(initial=0.0)))
     if float(np.abs(amat + amat.T).max(initial=0.0)) > tol * scale_a:
         raise InvalidInput("a must be skew-symmetric")
-    lhs = float(np.sum(amat**2))
-    rhs = 2.0 * float(np.sum(cmat**2))
-    if abs(lhs - rhs) > tol * max(1.0, lhs, rhs):
-        raise ConstraintViolation(
-            f"Σ a_ij² = 2 Σ c_ik² fails: {lhs:.6g} vs {rhs:.6g}"
-        )
 
-    n = 2 + p + q + abelian_dim
-    i_e = 0
-    i_z = 1  # z block starts here
-    i_ebar = 1 + p
-    i_ei = 2 + p  # e_i block starts here
-    tensor = np.zeros((n, n, n))
-    # [ē, e_i] = α_i e + Σ_k c_ik z_k, stored on the pair (ē, e_i)
-    tensor[i_ebar, i_ei : i_ei + q, i_e] = alpha
-    tensor[i_ebar, i_ei : i_ei + q, i_z : i_z + p] = cmat
-    # [e_i, e_j] = a_ij e
-    iu, ju = np.triu_indices(q, 1)
-    tensor[i_ei + iu, i_ei + ju, i_e] = amat[iu, ju]
-    algebra = LieAlgebra(n, tensor)
-
-    g = np.eye(n)
-    g[i_e, i_e] = g[i_ebar, i_ebar] = 0.0
-    g[i_e, i_ebar] = g[i_ebar, i_e] = 1.0
-    return MetricLieAlgebra(algebra, Gram(g))
+    v = p + q + abelian_dim
+    e_block = slice(p, p + q)
+    k = np.zeros((v, v))
+    k[e_block, e_block] = -amat  # ⟨K e_i, e_j⟩ = a_ij, read from a's upper triangle
+    d = np.zeros((v, v))
+    d[:p, e_block] = cmat.T  # D e_i = Σ_k c_ik z_k
+    b = np.zeros(v)
+    b[e_block] = alpha
+    data = ExtensionData(v, k, d, b=b)
+    if not check_admissible(data, tol).is_einstein:  # is_einstein implies is_lie
+        lhs, rhs = float(np.sum(amat**2)), 2.0 * float(np.sum(cmat**2))
+        raise ConstraintViolation(f"Σ a_ij² = 2 Σ c_ik² fails: {lhs:.6g} vs {rhs:.6g}")
+    return _model(data)
 
 
 def random_admissible(

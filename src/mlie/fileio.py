@@ -43,6 +43,13 @@ def _finite_number(x: Any, where: str) -> float:
     return v
 
 
+def _integer(x: Any, where: str, least: int) -> int:
+    """x as an integer >= least; JSON true/false are refused, not read as 1/0."""
+    ok = isinstance(x, int) and not isinstance(x, bool) and x >= least
+    _require(ok, f"{where} must be an integer >= {least}")
+    return x
+
+
 def _matrix(doc: Dict[str, Any], name: str, rows: int, cols: int) -> np.ndarray:
     """The rows x cols matrix doc[name] of finite numbers."""
     raw = doc.get(name)
@@ -80,8 +87,7 @@ def algebra_to_dict(
 def dict_to_algebra(doc: Any) -> Tuple[LieAlgebra, Optional[Gram], Optional[str]]:
     _require(isinstance(doc, dict), "top level: expected a JSON object")
     _require("dim" in doc, "missing field 'dim'")
-    dim = doc["dim"]
-    _require(isinstance(dim, int) and dim > 0, "'dim' must be a positive integer")
+    dim = _integer(doc["dim"], "'dim'", 1)
     known = {"dim", "brackets", "metric", "comment"}
     for key in doc:
         _require(key in known, f"unknown field {key!r}")
@@ -93,8 +99,7 @@ def dict_to_algebra(doc: Any) -> Tuple[LieAlgebra, Optional[Gram], Optional[str]
         _require(isinstance(entry, dict), f"{where}: expected an object")
         for key in entry:
             _require(key in {"i", "j", "coeffs"}, f"{where}: unknown field {key!r}")
-        i, j = entry.get("i"), entry.get("j")
-        _require(isinstance(i, int) and isinstance(j, int), f"{where}: 'i' and 'j' must be integers")
+        i, j = (_integer(entry.get(key), f"{where}.{key}", 1) for key in ("i", "j"))
         _require(1 <= i < j <= dim, f"{where}: need 1 <= i < j <= dim, got i={i} j={j}")
         _require((i, j) not in seen, f"{where}: duplicate bracket pair ({i}, {j})")
         seen.add((i, j))
@@ -148,8 +153,7 @@ def dict_to_extension(doc: Any) -> Tuple[ExtensionData, Optional[np.ndarray], Op
     for key in doc:
         _require(key in known, f"unknown field {key!r}")
     _require("v_dim" in doc, "missing field 'v_dim'")
-    v = doc["v_dim"]
-    _require(isinstance(v, int) and v >= 0, "'v_dim' must be a nonnegative integer")
+    v = _integer(doc["v_dim"], "'v_dim'", 0)
 
     k = _matrix(doc, "K", v, v)
     d = _matrix(doc, "D", v, v)

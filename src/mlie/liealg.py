@@ -13,7 +13,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidInput, NotLie
-from .pseudolin import DEFAULT_TOL, Subspace, _as_float_array, nullspace, column_space
+from .pseudolin import DEFAULT_TOL, Subspace, _as_float_array, _cutoff, column_space, nullspace
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ class LieAlgebra:
             return None
         traces = [abs(d.trace) for d in basis]
         best = int(np.argmax(traces))
-        if traces[best] <= tol * max(1.0, traces[best]):
+        if traces[best] <= _cutoff(tol, traces[best]):
             return None
         return basis[best]
 

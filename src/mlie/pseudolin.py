@@ -18,6 +18,12 @@ from .errors import InvalidInput
 DEFAULT_TOL = 1e-9
 
 
+def _cutoff(tol: float, largest: float) -> float:
+    """tol * max(1, largest magnitude): every rank, degeneracy and inertia
+    decision counts singular values or eigenvalues at or below it as null."""
+    return tol * max(1.0, largest)
+
+
 def _as_float_array(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -94,10 +100,8 @@ class Gram:
         return float(np.asarray(u, dtype=float) @ self.mat @ np.asarray(v, dtype=float))
 
     def is_nondegenerate(self, tol: float = DEFAULT_TOL) -> bool:
-        s = np.linalg.svd(self.mat, compute_uv=False)
-        if s.size == 0:
-            return True
-        return bool(s[-1] > tol * max(1.0, s[0]))
+        s = np.linalg.svd(self.mat, compute_uv=False)  # numerical_rank == n, minus its input checks
+        return bool(s.size == 0 or s[-1] > _cutoff(tol, s[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,23 +140,20 @@ class Subspace:
     def contains(self, v, tol: float = DEFAULT_TOL) -> bool:
         """Whether v lies in the span of the basis rows, at tolerance."""
         v = _as_float_array(v, "vector")
+        cut = _cutoff(tol, float(np.abs(v).max(initial=0.0)))
         if self.dim == 0:
-            return bool(np.linalg.norm(v) <= tol * max(1.0, np.abs(v).max(initial=0.0)))
+            return bool(np.linalg.norm(v) <= cut)
         coeffs, *_ = np.linalg.lstsq(self.basis.T, v, rcond=None)
-        resid = self.basis.T @ coeffs - v
-        scale = max(1.0, float(np.abs(v).max()))
-        return bool(np.abs(resid).max() <= tol * scale)
+        return bool(np.abs(self.basis.T @ coeffs - v).max() <= cut)
 
 
 def numerical_rank(m, tol: float = DEFAULT_TOL) -> int:
-    """Rank of a matrix: number of singular values above tol * largest."""
+    """Rank of a matrix: number of singular values above tol * max(1, largest)."""
     m = _as_float_array(m, "matrix")
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * max(1.0, s[0])))
+    return int(np.count_nonzero(s > _cutoff(tol, s[0])))
 
 
 def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -161,8 +162,7 @@ def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     if m.shape[0] == 0:
         return np.eye(m.shape[1])
     u, s, vt = np.linalg.svd(m)
-    cutoff = tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
+    rank = int(np.count_nonzero(s > _cutoff(tol, s[0] if s.size else 0.0)))
     return vt[rank:]
 
 
@@ -172,8 +172,7 @@ def column_space(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     if m.size == 0:
         return np.zeros((0, m.shape[0]))
     u, s, vt = np.linalg.svd(m)
-    cutoff = tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
+    rank = int(np.count_nonzero(s > _cutoff(tol, s[0] if s.size else 0.0)))
     return u[:, :rank].T
 
 
@@ -184,8 +183,7 @@ def signature(g: Gram, tol: float = DEFAULT_TOL) -> Signature:
     exactly at the boundary also count as null.
     """
     w = np.linalg.eigvalsh(g.mat)
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    cut = tol * scale
+    cut = _cutoff(tol, float(np.abs(w).max(initial=0.0)))
     plus = int(np.count_nonzero(w > cut))
     minus = int(np.count_nonzero(w < -cut))
     return Signature(minus=minus, plus=plus, null=g.n - plus - minus)
@@ -240,8 +238,7 @@ def find_isotropic_in(g: Gram, f: Subspace, tol: float = DEFAULT_TOL) -> Optiona
         return None
     r = restricted_gram(g, f).mat
     w, vecs = np.linalg.eigh(r)
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    cut = tol * scale
+    cut = _cutoff(tol, float(np.abs(w).max(initial=0.0)))
     null_idx = np.nonzero(np.abs(w) <= cut)[0]
     if null_idx.size > 0:
         coeffs = vecs[:, null_idx[0]]
@@ -261,8 +258,8 @@ def orthonormal_basis(g: Gram, tol: float = DEFAULT_TOL):
     with eps_a = ±1, ordered minus-first (eigenvalue ascending).
     """
     w, vecs = np.linalg.eigh(g.mat)
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    if np.abs(w).min(initial=np.inf) <= tol * scale:
+    magnitudes = np.abs(w)
+    if magnitudes.min(initial=np.inf) <= _cutoff(tol, float(magnitudes.max(initial=0.0))):
         raise InvalidInput("gram matrix is degenerate at tolerance")
     b = vecs / np.sqrt(np.abs(w))
     return b, np.sign(w)

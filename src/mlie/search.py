@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict, ricci_operators
+from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict, _checked_gram, ricci_operators
 from .errors import DegenerateGram, InvalidInput
 from .liealg import LieAlgebra, derivation_defects
 from .pseudolin import DEFAULT_TOL, Gram
@@ -69,12 +69,7 @@ def einstein_residual(
     target and λ̂ = 0 for the Ricci-flat target."""
     if target not in TARGETS:
         raise InvalidInput(f"target must be one of {TARGETS}")
-    if not isinstance(gram, Gram):
-        gram = Gram(gram)
-    if gram.n != algebra.n:
-        raise InvalidInput("gram size does not match algebra dimension")
-    if not gram.is_nondegenerate(tol):
-        raise DegenerateGram("gram matrix is degenerate at tolerance")
+    gram = _checked_gram(gram, algebra.n, tol)
     ric = ricci_operators(algebra.c, gram.mat[None], algebra.is_nilpotent(tol))
     return float(_norms(_deviations(ric, target == "einstein"))[0])
 
@@ -94,6 +89,10 @@ class SearchSpec:
             raise InvalidInput(f"target must be one of {TARGETS}")
         if self.restarts < 1:
             raise InvalidInput("restarts must be at least 1")
+        if self.max_iters < 0:
+            raise InvalidInput("max_iters must be nonnegative")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidInput("tol must be a positive finite number")
         minus, plus = self.signature
         if minus + plus != self.algebra.n or min(minus, plus) < 0:
             raise InvalidInput(

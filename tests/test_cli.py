@@ -243,6 +243,25 @@ def test_search_bad_signature_exit_2(tmp_path, capsys):
     assert "signature" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, word", [("--search-tol", "-1", "tol"), ("--max-iters", "-5", "max_iters")]
+)
+def test_search_out_of_range_spec_exit_2(tmp_path, capsys, flag, value, word):
+    src = tmp_path / "l32.json"
+    run_cli(capsys, "catalog", "L3_2", "m32", "alpha=1", "-o", str(src))
+    code, out, err = run_cli(capsys, "search", str(src), flag, value)
+    assert code == 2
+    assert word in err and out == ""
+
+
+def test_bool_dim_exit_2(tmp_path, capsys):
+    src = tmp_path / "bool.json"
+    src.write_text('{"dim": true}')
+    code, _, err = run_cli(capsys, "ricci", str(src))
+    assert code == 2
+    assert "'dim'" in err
+
+
 def test_missing_file_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "ricci", str(tmp_path / "absent.json"))
     assert code == 2

@@ -168,6 +168,10 @@ def test_kd_generate_block_form():
     assert adm.is_lie
     # D3 = K0^{-1} S
     assert data.D[1:, 1:] == pytest.approx(np.linalg.solve(k0, s))
+    # with F-perp = 0, K = 0 and D = D1
+    empty = np.zeros((0, 0))
+    data = kd_generate(1, 0, d1, np.zeros((1, 0)), empty, empty)
+    assert np.array_equal(data.K, np.zeros((1, 1))) and np.array_equal(data.D, d1)
 
 
 def test_kd_generate_validation():
@@ -205,6 +209,24 @@ def test_guediri_two_step_structure():
     center = m.algebra.center()
     for row in derived.basis:
         assert center.contains(row, tol=1e-9)
+
+
+def test_guediri_family_round_trips_through_decompose():
+    # draws shaped like verify's guediri check: q in {2,3}, p in {1,2}, abelian 0-2
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        q, p, ab = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        a = rng.normal(size=(q, q))
+        a = a - a.T
+        c = rng.normal(size=(q, p))
+        c = c * np.sqrt(float(np.sum(a * a)) / (2.0 * float(np.sum(c * c))))
+        m = guediri_2step(p, q, rng.normal(size=q), c, a, abelian_dim=ab)
+        dec = decompose(m)
+        assert dec is not None
+        scale = max(1.0, float(np.abs(m.algebra.c).max()))
+        assert model_residual(m, dec) <= 1e-12 * scale
+        adm = check_admissible(dec.data)
+        assert adm.is_nilpotent and adm.is_einstein
 
 
 def test_guediri_constraint_violation():

@@ -71,6 +71,15 @@ def test_dict_to_algebra_validation_messages():
         dict_to_algebra({"dim": 2, "bracketts": []})
     with pytest.raises(InvalidInput, match="symmetric"):
         dict_to_algebra({"dim": 2, "metric": [[1.0, 2.0], [0.0, 1.0]]})
+    # JSON booleans are not integers, although Python's bool is an int
+    with pytest.raises(InvalidInput, match="'dim' must be an integer"):
+        dict_to_algebra({"dim": True})
+    with pytest.raises(InvalidInput, match=r"brackets\[0\]\.i must be an integer"):
+        dict_to_algebra({"dim": 3, "brackets": [{"i": True, "j": 2, "coeffs": {"3": 1.0}}]})
+    with pytest.raises(InvalidInput, match=r"brackets\[0\]\.j must be an integer"):
+        dict_to_algebra({"dim": 3, "brackets": [{"i": 1, "j": False, "coeffs": {}}]})
+    with pytest.raises(InvalidInput, match=r"brackets\[0\]\.j must be an integer"):
+        dict_to_algebra({"dim": 3, "brackets": [{"i": 1, "j": 2.0, "coeffs": {}}]})
 
 
 def test_parse_error_carries_location(tmp_path):
@@ -110,6 +119,10 @@ def test_extension_defaults_and_validation():
         dict_to_extension({"K": [], "D": []})
     with pytest.raises(InvalidInput, match="2x2"):
         dict_to_extension({"v_dim": 2, "K": [[0.0]], "D": [[0.0, 0.0], [0.0, 0.0]]})
+    with pytest.raises(InvalidInput, match="'v_dim' must be an integer"):
+        dict_to_extension({"v_dim": False, "K": [], "D": []})
+    with pytest.raises(InvalidInput, match="'v_dim' must be an integer"):
+        dict_to_extension({"v_dim": True, "K": [[0.0]], "D": [[0.0]]})
 
 
 def test_non_skew_k_warns_and_antisymmetrizes():

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from mlie.errors import InvalidInput
+from mlie.doubleext import kd_generate
+from mlie.errors import InvalidInput, SingularK0
+from mlie.liealg import LieAlgebra
 from mlie.pseudolin import (
     Gram,
     Signature,
     Subspace,
     SubspaceTag,
     classify_subspace,
+    column_space,
     find_isotropic_in,
     nullspace,
     numerical_rank,
@@ -50,6 +53,42 @@ def test_signature_boundary_counts_null():
     # eigenvalues straddling the tolerance cut: exactly-at-cut goes to null
     g = Gram.from_diagonal([1.0, 1e-12])
     assert signature(g) == Signature(minus=0, plus=1, null=1)
+
+    # the cutoff is tol * max(1, largest) = 1e-9 here; at the exact tie every
+    # rank, degeneracy and inertia decision says degenerate, just above it none does
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    no_d1, no_d2, no_s = np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 2))
+    tie = Gram.from_diagonal([1.0, 1e-9])
+    assert not tie.is_nondegenerate()
+    assert signature(tie) == Signature(minus=0, plus=1, null=1)
+    assert signature(Gram.from_diagonal([-1.0, -1e-9])) == Signature(minus=1, plus=0, null=1)
+    assert numerical_rank(tie.mat) == 1
+    assert nullspace(tie.mat).shape == (1, 2)
+    assert column_space(tie.mat).shape == (1, 2)
+    v = find_isotropic_in(tie, Subspace.full(2))
+    assert np.array_equal(np.abs(v), [0.0, 1.0])
+    with pytest.raises(InvalidInput):
+        orthonormal_basis(tie)
+    with pytest.raises(SingularK0):
+        kd_generate(0, 2, no_d1, no_d2, 1e-9 * rot, no_s)
+
+    above = Gram.from_diagonal([1.0, 1.0000001e-9])
+    assert above.is_nondegenerate()
+    assert signature(above) == Signature(minus=0, plus=2, null=0)
+    assert signature(Gram.from_diagonal([-1.0, -1.0000001e-9])) == Signature(2, 0, 0)
+    assert numerical_rank(above.mat) == 2
+    assert nullspace(above.mat).shape == (0, 2)
+    assert column_space(above.mat).shape == (2, 2)
+    assert find_isotropic_in(above, Subspace.full(2)) is None
+    _, eps = orthonormal_basis(above)
+    assert np.array_equal(eps, [1.0, 1.0])
+    assert kd_generate(0, 2, no_d1, no_d2, 1.0000001e-9 * rot, no_s).v_dim == 2
+
+    # the trace test of find_nonzero_trace_derivation: on R the derivation
+    # basis is (1), of trace 1, whose cutoff is tol * max(1, 1) = tol
+    line = LieAlgebra.abelian(1)
+    assert line.find_nonzero_trace_derivation(tol=1.0) is None
+    assert line.find_nonzero_trace_derivation(tol=0.9999999) is not None
 
 
 def test_numerical_rank_and_nullspace():

@@ -67,6 +67,12 @@ def test_spec_validation():
         SearchSpec(heisenberg(), signature=(-1, 4))
     with pytest.raises(InvalidInput):
         SearchSpec(heisenberg(), restarts=0)
+    with pytest.raises(InvalidInput, match="max_iters"):
+        SearchSpec(heisenberg(), max_iters=-5)
+    for tol in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidInput, match="tol"):
+            SearchSpec(heisenberg(), tol=tol)
+    assert SearchSpec(heisenberg(), max_iters=0, tol=1e-300).max_iters == 0
 
 
 def test_l32_lorentzian_search_converges():
