@@ -39,7 +39,7 @@ from .errors import (
     UnknownName,
 )
 from .fileio import read_algebra, read_extension, write_algebra, write_extension
-from .liealg import Derivation, LieAlgebra
+from .liealg import LieAlgebra
 from .pseudolin import (
     DEFAULT_TOL,
     Gram,
@@ -71,7 +71,6 @@ __all__ = [
     "DERIVATION_TABLE",
     "Decomposition",
     "DegenerateGram",
-    "Derivation",
     "ExtensionData",
     "Gram",
     "InvalidInput",

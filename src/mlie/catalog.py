@@ -18,7 +18,7 @@ import numpy as np
 
 from .curvature import MetricLieAlgebra
 from .errors import BadParams, UnknownName
-from .liealg import Derivation, LieAlgebra
+from .liealg import LieAlgebra
 from .pseudolin import Gram
 
 _SQ = math.sqrt
@@ -108,13 +108,16 @@ def make_algebra(name: str) -> LieAlgebra:
     return LieAlgebra.from_brackets(dim, zero_based)
 
 
-def table1_derivation(name: str) -> Derivation:
-    """The listed diagonal nonzero-trace derivation for a dim <= 5 algebra."""
+def table1_derivation(name: str) -> np.ndarray:
+    """The listed diagonal nonzero-trace derivation for a dim <= 5 algebra, as
+    a read-only matrix."""
     try:
         diag = DERIVATION_TABLE[name]
     except KeyError:
         raise UnknownName(f"no listed derivation for {name!r}") from None
-    return Derivation(np.diag(np.asarray(diag, dtype=float)))
+    der = np.diag(np.asarray(diag, dtype=float))
+    der.flags.writeable = False
+    return der
 
 
 # -- metric variants -----------------------------------------------------

@@ -9,14 +9,15 @@ derivations, search, classify.  Exit codes are a stable contract:
 * 3 — not applicable (construction preconditions unmet, no isotropic
   central vector)
 
-The ``--tol`` flag (fallback: the ``MLIE_TOL`` environment variable)
-overrides both default tolerances: 1e-8 for verdicts, 1e-9 for rank and
-degeneracy decisions.
+The ``--tol`` flag, a positive finite number, overrides both default
+tolerances: 1e-8 for verdicts, 1e-9 for rank and degeneracy decisions.
+``catalog`` decides nothing numerically and takes no ``--tol``.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
@@ -60,19 +61,12 @@ def _fmt(a: np.ndarray) -> str:
 
 
 def _tols(args: argparse.Namespace) -> Tuple[float, float]:
-    """(linear-algebra tol, verdict tol) after --tol / MLIE_TOL overrides."""
+    """(linear-algebra tol, verdict tol) after a --tol override."""
     tol = args.tol
     if tol is None:
-        env = os.environ.get("MLIE_TOL")
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError:
-                raise InvalidInput(f"MLIE_TOL is not a number: {env!r}") from None
-    if tol is None:
         return DEFAULT_TOL, VERDICT_TOL
-    if not tol > 0:
-        raise InvalidInput("--tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInput("--tol must be a positive finite number")
     return tol, tol
 
 
@@ -218,20 +212,19 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 def cmd_derivations(args: argparse.Namespace) -> int:
     lin_tol, _ = _tols(args)
     algebra, _ = _read_lie(args.file, lin_tol)
-    basis = algebra.derivation_space(lin_tol)
-    print(f"derivation space dimension: {len(basis)}")
+    print(f"derivation space dimension: {len(algebra.derivation_space(lin_tol))}")
     for name, diag in DERIVATION_TABLE.items():
         if algebra.n == len(diag) and np.array_equal(algebra.c, make_algebra(name).c):
             der = table1_derivation(name)
-            print(f"diagonal derivation of catalog entry {name} (trace {der.trace:g}):")
-            print(_fmt(der.matrix))
+            print(f"diagonal derivation of catalog entry {name} (trace {np.trace(der):g}):")
+            print(_fmt(der))
             return EXIT_OK
     found = algebra.find_nonzero_trace_derivation(lin_tol)
     if found is None:
         print("no nonzero-trace derivation found (derivation algebra is traceless)")
     else:
-        print(f"nonzero-trace derivation (trace {found.trace:.12g}):")
-        print(_fmt(found.matrix))
+        print(f"nonzero-trace derivation (trace {np.trace(found):.12g}):")
+        print(_fmt(found))
     return EXIT_OK
 
 
@@ -318,19 +311,17 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
+        "--tol",
+        type=float,
+        default=None,
+        help="override both default tolerances (verdict 1e-8, linear algebra 1e-9); "
+        "a positive finite number",
+    )
 
-    def add_tol(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help="override both default tolerances (verdict 1e-8, linear algebra 1e-9); "
-            "falls back to the MLIE_TOL environment variable",
-        )
-
-    p = sub.add_parser("ricci", help="curvature report for an algebra+metric file")
+    p = sub.add_parser("ricci", parents=[tol], help="curvature report for an algebra+metric file")
     p.add_argument("file")
-    add_tol(p)
     p.set_defaults(func=cmd_ricci)
 
     p = sub.add_parser("catalog", help="write a catalog algebra (with metric) as JSON")
@@ -339,24 +330,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*", help="variant parameters as NAME=VALUE")
     p.add_argument("--list", action="store_true", help="list all names, variants, constraints")
     p.add_argument("-o", "--output", help="output file (default: stdout)")
-    add_tol(p)
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("double-extend", help="extend Euclidean (K, D, mu, b) data")
+    p = sub.add_parser("double-extend", parents=[tol], help="extend Euclidean (K, D, mu, b) data")
     p.add_argument("file", help="extension-data JSON file")
     p.add_argument("-o", "--output", help="output algebra file (default: stdout)")
-    add_tol(p)
     p.set_defaults(func=cmd_double_extend)
 
     p = sub.add_parser(
-        "decompose", help="express a Ricci-flat nilpotent Lorentzian metric as a double extension"
+        "decompose",
+        parents=[tol],
+        help="express a Ricci-flat nilpotent Lorentzian metric as a double extension",
     )
     p.add_argument("file", help="algebra+metric JSON file")
     p.add_argument("-o", "--output", help="output extension-data file (default: stdout)")
-    add_tol(p)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("verify-paper", help="run the acceptance checks")
+    p = sub.add_parser("verify-paper", parents=[tol], help="run the acceptance checks")
     p.add_argument(
         "--only",
         action="append",
@@ -364,16 +354,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run only the named checks (repeatable, comma-separable); known: "
         + ", ".join(CHECK_NAMES),
     )
-    add_tol(p)
     p.set_defaults(func=cmd_verify_paper)
 
-    p = sub.add_parser("derivations", help="derivation space and a nonzero-trace derivation")
+    p = sub.add_parser(
+        "derivations", parents=[tol], help="derivation space and a nonzero-trace derivation"
+    )
     p.add_argument("file")
-    add_tol(p)
     p.set_defaults(func=cmd_derivations)
 
     p = sub.add_parser(
         "search",
+        parents=[tol],
         help="random-restart Levenberg–Marquardt search, in the bracket picture, "
         "for Einstein/Ricci-flat grams",
     )
@@ -391,13 +382,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "also classify as the target at the default verdict tolerance 1e-8",
     )
     p.add_argument("-o", "--output", help="write algebra+found metric here when converged")
-    add_tol(p)
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("classify", help="degeneracy class of the center / derived ideal")
+    p = sub.add_parser(
+        "classify", parents=[tol], help="degeneracy class of the center / derived ideal"
+    )
     p.add_argument("file", help="algebra+metric JSON file")
     p.add_argument("--subspace", choices=("center", "derived", "both"), default="both")
-    add_tol(p)
     p.set_defaults(func=cmd_classify)
 
     return parser

@@ -288,7 +288,7 @@ class MetricLieAlgebra:
         [b_i,Eb_j], [b_i,b_j]⟩.  Both sides are linear in E and agree for any E,
         and both vanish when E is a derivation.
         """
-        e = np.asarray(getattr(e, "matrix", e), dtype=float)
+        e = np.asarray(e, dtype=float)
         lhs = np.trace(self._q() @ e, axis1=-2, axis2=-1)
 
         # c_sharp[i,j,:] = Σ_{a,b} G^{ia} G^{jb} G[e_a,e_b], so that

@@ -23,7 +23,7 @@ Facts used throughout (K skew, D arbitrary, D* = Dᵀ on Euclidean V):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -134,11 +134,12 @@ def extend(data: ExtensionData, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:
     adm = check_admissible(data, tol)
     if not adm.is_lie:
         raise NotLie(f"K∘D + Dᵀ∘K = μK fails with residual {adm.lie_residual:.3e}")
-    return _model(data)
+    return MetricLieAlgebra(*_model(data))
 
 
-def _model(data: ExtensionData) -> MetricLieAlgebra:
-    """extend's model algebra, for data that check_admissible found Lie."""
+def _model(data: ExtensionData) -> Tuple[LieAlgebra, Gram]:
+    """Bracket and gram of extend's model, unchecked: Jacobi holds only for
+    data that check_admissible finds Lie."""
     v = data.v_dim
     n = v + 2
     c = np.zeros((n, n, n))
@@ -156,7 +157,7 @@ def _model(data: ExtensionData) -> MetricLieAlgebra:
     g = np.zeros((n, n))
     g[0, n - 1] = g[n - 1, 0] = 1.0
     g[1 : 1 + v, 1 : 1 + v] = np.eye(v)
-    return MetricLieAlgebra(algebra, Gram(g))
+    return algebra, Gram(g)
 
 
 def ricci_ebar(data: ExtensionData) -> float:
@@ -228,18 +229,17 @@ def decompose(
     return Decomposition(data, basis_change)
 
 
-def model_residual(
-    m: MetricLieAlgebra, dec: Decomposition, tol: float = DEFAULT_TOL
-) -> float:
+def model_residual(m: MetricLieAlgebra, dec: Decomposition) -> float:
     """Largest entrywise mismatch between m pulled through the basis change
-    and the model extension of dec.data; small for a correct decomposition."""
-    model = extend(dec.data, tol)
+    and the model extension of dec.data; small for a correct decomposition.
+    A measurement only: dec.data is not checked for the bracket condition."""
+    model_algebra, model_gram = _model(dec.data)
     p = dec.basis_change
     c_out = m.algebra.c @ np.linalg.inv(p).T  # c_new[a,b,:] = P⁻¹[Pe_a, Pe_b]
     c_new = p.T @ (p.T @ c_out.reshape(len(p), -1)).reshape(c_out.shape)
     g_new = p.T @ m.gram.mat @ p
-    db = float(np.abs(c_new - model.algebra.c).max(initial=0.0))
-    dg = float(np.abs(g_new - model.gram.mat).max(initial=0.0))
+    db = float(np.abs(c_new - model_algebra.c).max(initial=0.0))
+    dg = float(np.abs(g_new - model_gram.mat).max(initial=0.0))
     return max(db, dg)
 
 
@@ -317,7 +317,7 @@ def guediri_2step(
     if not check_admissible(data, tol).is_einstein:  # is_einstein implies is_lie
         lhs, rhs = float(np.sum(amat**2)), 2.0 * float(np.sum(cmat**2))
         raise ConstraintViolation(f"Σ a_ij² = 2 Σ c_ik² fails: {lhs:.6g} vs {rhs:.6g}")
-    return _model(data)
+    return MetricLieAlgebra(*_model(data))
 
 
 def random_admissible(

@@ -16,23 +16,6 @@ from .errors import InvalidInput, NotLie
 from .pseudolin import DEFAULT_TOL, Subspace, _as_float_array, _cutoff, column_space, nullspace
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """Endomorphism E with E[u,v] = [Eu,v] + [u,Ev] on all basis pairs."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _as_float_array(self.matrix, "derivation matrix")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
     """Anticommutative algebra on R^n; Jacobi is checked only on request."""
@@ -134,8 +117,8 @@ class LieAlgebra:
 
     # -- derivations ------------------------------------------------------
 
-    def derivation_space(self, tol: float = DEFAULT_TOL) -> List[Derivation]:
-        """Basis of the space of derivations.
+    def derivation_space(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Basis of the space of derivations, as a read-only (d, n, n) stack.
 
         The defining equations E[e_i,e_j] = [Ee_i,e_j] + [e_i,Ee_j] for i < j
         are assembled into one homogeneous system in the n² entries of E and
@@ -146,32 +129,31 @@ class LieAlgebra:
         units = np.eye(n * n).reshape(n * n, n, n)
         # row (pair, k), column (a, b): entry k of the defect of E = e_a e_bᵀ
         cols = self.derivation_defect_map(units)[:, iu, ju, :]
-        basis = nullspace(cols.reshape(n * n, -1).T, tol)
-        return [Derivation(vec.reshape(n, n)) for vec in basis]
+        basis = nullspace(cols.reshape(n * n, -1).T, tol).reshape(-1, n, n)
+        basis.flags.writeable = False
+        return basis
 
     def derivation_defect_map(self, e) -> np.ndarray:
         """d[..., i, j, :] = E[e_i,e_j] − [Ee_i,e_j] − [e_i,Ee_j] for a matrix
         or a stack of matrices E[..., :, :]; linear in E, zero iff E is a
         derivation."""
-        return derivation_defects(self.c, np.asarray(getattr(e, "matrix", e), dtype=float))
+        return derivation_defects(self.c, np.asarray(e, dtype=float))
 
     def derivation_defect(self, e) -> float:
         """Sup-norm of E[e_i,e_j] - [Ee_i,e_j] - [e_i,Ee_j] over basis pairs."""
         return float(np.abs(self.derivation_defect_map(e)).max(initial=0.0))
 
-    def find_nonzero_trace_derivation(
-        self, tol: float = DEFAULT_TOL
-    ) -> Optional[Derivation]:
-        """A derivation with |trace| above tolerance, or None.
+    def find_nonzero_trace_derivation(self, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
+        """A read-only derivation matrix with |trace| above tolerance, or None.
 
         Trace is a linear functional on the derivation space, so it is nonzero
         on the computed basis iff it is nonzero on the space; the basis element
         with the largest |trace| is returned.
         """
         basis = self.derivation_space(tol)
-        if not basis:
+        if not len(basis):
             return None
-        traces = [abs(d.trace) for d in basis]
+        traces = np.abs(np.trace(basis, axis1=1, axis2=2))
         best = int(np.argmax(traces))
         if traces[best] <= _cutoff(tol, traces[best]):
             return None

@@ -87,6 +87,8 @@ class SearchSpec:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise InvalidInput(f"target must be one of {TARGETS}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise InvalidInput("seed must be a nonnegative integer")
         if self.restarts < 1:
             raise InvalidInput("restarts must be at least 1")
         if self.max_iters < 0:
@@ -172,8 +174,7 @@ def _derivation_basis(c: np.ndarray) -> np.ndarray:
     does not change when the bracket is scaled."""
     n = c.shape[-1]
     peak = np.abs(c).max(initial=0.0)
-    derivations = LieAlgebra(n, c / peak if peak else c).derivation_space()
-    return np.array([d.matrix for d in derivations]).reshape(-1, n, n)
+    return LieAlgebra(n, c / peak if peak else c).derivation_space()
 
 
 def _orbit_directions(a: np.ndarray, derivations: np.ndarray) -> np.ndarray:

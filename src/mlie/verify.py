@@ -317,8 +317,9 @@ def check_trace_formula(tol: float) -> CheckResult:
     for name in ALGEBRA_NAMES:
         algebra = make_algebra(name)
         n = algebra.n
-        ders = np.array([d.matrix for d in algebra.derivation_space()]).reshape(-1, n, n)
-        stacks[name] = np.concatenate([np.eye(n * n).reshape(n * n, n, n), ders])
+        stacks[name] = np.concatenate(
+            [np.eye(n * n).reshape(n * n, n, n), algebra.derivation_space()]
+        )
     for name, m in _catalog_instances(rng):
         count += 1
         units = m.n * m.n
@@ -461,14 +462,14 @@ def check_derivations(tol: float) -> CheckResult:
     for name in DERIVATION_TABLE:
         der = table1_derivation(name)
         algebra = make_algebra(name)
-        defect = algebra.derivation_defect(der.matrix)
+        defect = algebra.derivation_defect(der)
         worst = max(worst, defect)
         if defect > 1e-12:
             failures.append(f"{name}: derivation defect {defect:.3e}")
-        if abs(der.trace) <= 1e-12:
+        if abs(np.trace(der)) <= 1e-12:
             failures.append(f"{name}: listed derivation is traceless")
         found = algebra.find_nonzero_trace_derivation()
-        if found is None or abs(found.trace) <= 1e-9:
+        if found is None or abs(np.trace(found)) <= 1e-9:
             failures.append(f"{name}: find_nonzero_trace_derivation failed")
     return _result(
         "derivations",

@@ -51,6 +51,11 @@ def test_catalog_bad_params_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "catalog", "L3_2", "m32", "alpha=abc")
     assert code == 2
+    # catalog decides nothing numerically, so it refuses --tol
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "L3_2", "m32", "alpha=2", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_ricci_ex8_einstein(tmp_path, capsys):
@@ -178,9 +183,10 @@ def test_verify_unknown_check_exit_2(capsys):
     assert "unknown checks" in err
 
 
-def test_verify_absurd_tolerance_fails(capsys, monkeypatch):
-    monkeypatch.setenv("MLIE_TOL", "1e-18")
-    code, out, _ = run_cli(capsys, "verify-paper", "--only", "route-equivalence")
+def test_verify_absurd_tolerance_fails(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify-paper", "--only", "route-equivalence", "--tol", "1e-18"
+    )
     assert code == 1
     assert "[FAIL]" in out
 
@@ -244,7 +250,14 @@ def test_search_bad_signature_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value, word", [("--search-tol", "-1", "tol"), ("--max-iters", "-5", "max_iters")]
+    "flag, value, word",
+    [
+        ("--search-tol", "-1", "tol"),
+        ("--max-iters", "-5", "max_iters"),
+        ("--seed", "-1", "seed"),
+        ("--tol", "inf", "positive finite"),
+        ("--tol", "nan", "positive finite"),
+    ],
 )
 def test_search_out_of_range_spec_exit_2(tmp_path, capsys, flag, value, word):
     src = tmp_path / "l32.json"

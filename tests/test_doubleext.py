@@ -135,6 +135,17 @@ def test_decompose_flat_l32():
     assert model_residual(m, dec) < 1e-12
 
 
+def test_model_residual_measures_non_lie_data():
+    # a measurement: data failing K∘D + Dᵀ∘K = μK gives a residual, not NotLie
+    m = extend(random_admissible(np.random.default_rng(3), f_dim=0, blocks=1))
+    dec = decompose(m)
+    bad = ExtensionData(2, ROT, np.diag([1.0, 2.0]))
+    with pytest.raises(NotLie):
+        extend(bad)
+    resid = model_residual(m, dec._replace(data=bad))
+    assert np.isfinite(resid) and resid >= 1.0
+
+
 def test_decompose_none_for_definite_center():
     assert decompose(make_metric("EX6")) is None
 

@@ -95,7 +95,7 @@ def test_derivation_space_heisenberg_dimension():
     basis = heisenberg().derivation_space()
     assert len(basis) == 6
     for der in basis:
-        assert heisenberg().derivation_defect(der.matrix) < 1e-9
+        assert heisenberg().derivation_defect(der) < 1e-9
 
 
 def test_derivation_defect_discriminates():
@@ -109,8 +109,10 @@ def test_derivation_defect_discriminates():
 def test_find_nonzero_trace_derivation():
     der = heisenberg().find_nonzero_trace_derivation()
     assert der is not None
-    assert abs(der.trace) > 1e-6
-    assert heisenberg().derivation_defect(der.matrix) < 1e-9
+    assert isinstance(der, np.ndarray) and der.shape == (3, 3)
+    assert not der.flags.writeable
+    assert abs(np.trace(der)) > 1e-6
+    assert heisenberg().derivation_defect(der) < 1e-9
 
 
 def test_ad_is_derivation():

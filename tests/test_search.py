@@ -69,6 +69,8 @@ def test_spec_validation():
         SearchSpec(heisenberg(), restarts=0)
     with pytest.raises(InvalidInput, match="max_iters"):
         SearchSpec(heisenberg(), max_iters=-5)
+    with pytest.raises(InvalidInput, match="seed must be a nonnegative integer"):
+        SearchSpec(heisenberg(), seed=-1)
     for tol in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(InvalidInput, match="tol"):
             SearchSpec(heisenberg(), tol=tol)
