@@ -76,10 +76,13 @@ def _read_lie(path: str, tol: float) -> Tuple[LieAlgebra, Optional[Gram]]:
     return algebra.require_jacobi(tol), metric
 
 
-def _require_metric(metric: Optional[Gram], path: str) -> Gram:
+def _read_metric(path: str, tol: float) -> MetricLieAlgebra:
+    """The metric algebra of an algebra file; NotLie when Jacobi fails,
+    InvalidInput when the file has no metric."""
+    algebra, metric = _read_lie(path, tol)
     if metric is None:
         raise InvalidInput(f"{path}: this command needs a 'metric' field in the file")
-    return metric
+    return MetricLieAlgebra(algebra, metric, tol=tol)
 
 
 def _print_report(report: CurvatureReport) -> None:
@@ -113,8 +116,7 @@ def _emit(out: Optional[str], doc: Dict[str, Any]) -> None:
 
 def cmd_ricci(args: argparse.Namespace) -> int:
     lin_tol, verdict_tol = _tols(args)
-    algebra, metric = _read_lie(args.file, lin_tol)
-    m = MetricLieAlgebra(algebra, _require_metric(metric, args.file), tol=lin_tol)
+    m = _read_metric(args.file, lin_tol)
     _print_report(m.einstein_classify(verdict_tol))
     return EXIT_OK
 
@@ -180,8 +182,7 @@ def cmd_double_extend(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     lin_tol, verdict_tol = _tols(args)
-    algebra, metric = _read_lie(args.file, lin_tol)
-    m = MetricLieAlgebra(algebra, _require_metric(metric, args.file), tol=lin_tol)
+    m = _read_metric(args.file, lin_tol)
     dec = decompose(m, tol=lin_tol, verdict_tol=verdict_tol)
     if dec is None:
         print("no isotropic central vector: the center is definite, nothing to decompose")
@@ -277,9 +278,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     lin_tol, _ = _tols(args)
-    algebra, metric = _read_lie(args.file, lin_tol)
-    gram = _require_metric(metric, args.file)
-    m = MetricLieAlgebra(algebra, gram, tol=lin_tol)
+    m = _read_metric(args.file, lin_tol)
+    algebra, gram = m.algebra, m.gram
     sig = m.signature(lin_tol)
     print(f"dimension: {algebra.n}")
     print(f"signature: (minus={sig.minus}, plus={sig.plus}, null={sig.null})")

@@ -136,39 +136,31 @@ def _checked_gram(gram, n: int, tol: float) -> Gram:
 
 @dataclass(frozen=True, eq=False)
 class MetricLieAlgebra:
-    """A Lie algebra together with a nondegenerate ⟨,⟩, caches built eagerly.
+    """A Lie algebra together with a nondegenerate ⟨,⟩.
 
-    All cached tensors are read-only, so instances are safe to share.
+    G⁻¹ (``gram_inv``), the Levi-Civita tensor and the S_i are built eagerly
+    as read-only arrays, so instances are safe to share.
     """
 
     algebra: LieAlgebra
     gram: Gram
 
     def __init__(self, algebra: LieAlgebra, gram: Gram, tol: float = DEFAULT_TOL) -> None:
+        gram = _checked_gram(gram, algebra.n, tol)
+        g = gram.mat
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "gram", _checked_gram(gram, algebra.n, tol))
-        object.__setattr__(self, "_cache", {})
-        self._build_caches()
-
-    # -- cached tensors ---------------------------------------------------
-
-    def _build_caches(self) -> None:
-        g = self.gram.mat
-        c = self.algebra.c
-        cache = self._cache
-        cache["gram_inv"] = np.linalg.inv(g)
-        cache["levi_civita"] = levi_civita_tensors(c, g[None])[0]
-        cache["structure_endos"] = structure_endo_tensors(c, g[None])[0]
-        for key in ("gram_inv", "levi_civita", "structure_endos"):
-            cache[key].flags.writeable = False
+        object.__setattr__(self, "gram", gram)
+        for name, value in (
+            ("gram_inv", np.linalg.inv(g)),
+            ("_levi_civita", levi_civita_tensors(algebra.c, g[None])[0]),
+            ("_structure_endos", structure_endo_tensors(algebra.c, g[None])[0]),
+        ):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return self.algebra.n
-
-    @property
-    def gram_inv(self) -> np.ndarray:
-        return self._cache["gram_inv"]
 
     def signature(self, tol: float = DEFAULT_TOL) -> Signature:
         return signature(self.gram, tol)
@@ -183,11 +175,11 @@ class MetricLieAlgebra:
         """The product u·v defined by the Koszul identity."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        return np.einsum("ijk,i,j->k", self._cache["levi_civita"], u, v)
+        return np.einsum("ijk,i,j->k", self._levi_civita, u, v)
 
     def left_mult(self, u) -> np.ndarray:
         """Matrix of L_u : v ↦ u·v."""
-        return np.einsum("ijk,i->kj", self._cache["levi_civita"], np.asarray(u, dtype=float))
+        return np.einsum("ijk,i->kj", self._levi_civita, np.asarray(u, dtype=float))
 
     def left_mult_skewness_defect(self, u) -> float:
         """Sup-norm of G L_u + L_uᵀ G; zero for the metric product."""
@@ -196,14 +188,14 @@ class MetricLieAlgebra:
 
     def torsion_defect(self) -> float:
         """Sup-norm of e_i·e_j − e_j·e_i − [e_i,e_j] over basis pairs."""
-        lc = self._cache["levi_civita"]
+        lc = self._levi_civita
         return float(np.abs(lc - lc.transpose(1, 0, 2) - self.algebra.c).max(initial=0.0))
 
     # -- curvature --------------------------------------------------------
 
     def curvature_tensor(self) -> np.ndarray:
         """K[i,j,k,:] = K(e_i,e_j)e_k = (L_[e_i,e_j] − [L_i, L_j]) e_k."""
-        lc = self._cache["levi_civita"]
+        lc = self._levi_civita
         c = self.algebra.c
         l_all = lc.transpose(0, 2, 1)  # l_all[i] = matrix of L_{e_i}
         term_bracket = np.einsum("ijm,mlk->ijkl", c, l_all)
@@ -214,7 +206,7 @@ class MetricLieAlgebra:
     def flatness_defect(self) -> Tuple[float, float]:
         """(sup-norm of the curvature tensor, its roundoff scale)."""
         k = self.curvature_tensor()
-        lc_max = float(np.abs(self._cache["levi_civita"]).max(initial=0.0))
+        lc_max = float(np.abs(self._levi_civita).max(initial=0.0))
         scale = max(1.0, lc_max) ** 2
         return float(np.abs(k).max(initial=0.0)), scale
 
@@ -222,16 +214,16 @@ class MetricLieAlgebra:
 
     def ricci_via_definition(self) -> np.ndarray:
         """ric(e_i,e_j) = −tr(R_i R_j) + tr(R_{e_i·e_j}); symmetric matrix."""
-        return ricci_forms(self._cache["levi_civita"][None])[0]
+        return ricci_forms(self._levi_civita[None])[0]
 
     def structure_endos(self) -> np.ndarray:
         """Stack S[i] of the structure endomorphisms."""
-        return self._cache["structure_endos"]
+        return self._structure_endos
 
     def j_map(self, u) -> np.ndarray:
         """J_u = Σ_i ⟨u, e_i⟩ S_i; the stack of them for a stack of u[..., :]."""
         w = np.asarray(u, dtype=float) @ self.gram.mat
-        return np.tensordot(w, self._cache["structure_endos"], axes=1)
+        return np.tensordot(w, self._structure_endos, axes=1)
 
     def mean_vector(self) -> np.ndarray:
         """H with ⟨H, u⟩ = tr(ad_u) for all u."""
@@ -240,12 +232,12 @@ class MetricLieAlgebra:
 
     def j1_j2(self) -> Tuple[np.ndarray, np.ndarray]:
         """The self-adjoint operators 𝒥₁ and 𝒥₂ built from the S_i."""
-        j1, j2 = j1_j2_operators(self._cache["structure_endos"][None], self.gram.mat[None])
+        j1, j2 = j1_j2_operators(self._structure_endos[None], self.gram.mat[None])
         return j1[0], j2[0]
 
     def _q(self) -> np.ndarray:
         """Q from the cached S_i; the Ricci operator only if nilpotent."""
-        return q_operators(self._cache["structure_endos"][None], self.gram.mat[None])[0]
+        return q_operators(self._structure_endos[None], self.gram.mat[None])[0]
 
     def ricci_nilpotent(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Ricci operator −½𝒥₁ + ¼𝒥₂; only valid on nilpotent algebras."""

@@ -92,6 +92,17 @@ class Admissibility(NamedTuple):
     trace_residual: float
 
 
+def _ebar_terms(k: np.ndarray, d: np.ndarray, mu: float) -> Tuple[float, float, float, float]:
+    """(4μ tr D, −2 tr D², −2 tr DDᵀ, −tr K²), whose sum is 4·ric(ē, ē): an
+    extension of Lie data is Einstein iff the sum vanishes."""
+    return (
+        4.0 * mu * float(np.trace(d)),
+        -2.0 * float(np.trace(d @ d)),
+        -2.0 * float(np.trace(d @ d.T)),
+        -float(np.trace(k @ k)),
+    )
+
+
 def check_admissible(data: ExtensionData, tol: float = DEFAULT_TOL) -> Admissibility:
     """Evaluate the bracket, nilpotency and trace conditions for the data."""
     k, d, mu = data.K, data.D, data.mu
@@ -107,20 +118,16 @@ def check_admissible(data: ExtensionData, tol: float = DEFAULT_TOL) -> Admissibi
     is_lie = lie_residual <= tol * lie_scale
 
     v = data.v_dim
-    d_power = np.linalg.matrix_power(d, v) if v > 0 else np.zeros((0, 0))
-    d_scale = max(1.0, float(np.abs(d).max(initial=0.0)) ** max(v, 1))
     is_nilp = (
         is_lie
         and abs(mu) <= tol
-        and float(np.abs(d_power).max(initial=0.0)) <= tol * d_scale
+        and float(np.abs(np.linalg.matrix_power(d, v)).max(initial=0.0))
+        <= tol * max(1.0, float(np.abs(d).max(initial=0.0)) ** max(v, 1))
     )
 
-    tr_k2 = float(np.trace(k @ k))
-    tr_d2 = float(np.trace(d @ d))
-    tr_ddt = float(np.trace(d @ d.T))
-    trace_residual = abs(4.0 * mu * np.trace(d) - tr_k2 - 2.0 * tr_d2 - 2.0 * tr_ddt)
-    tr_scale = max(1.0, abs(tr_k2), 2.0 * abs(tr_d2), 2.0 * tr_ddt, 4.0 * abs(mu * np.trace(d)))
-    is_einstein = is_lie and trace_residual <= tol * tr_scale
+    terms = _ebar_terms(k, d, mu)
+    trace_residual = abs(sum(terms))
+    is_einstein = is_lie and trace_residual <= tol * max(1.0, *map(abs, terms))
 
     return Admissibility(is_lie, is_nilp, is_einstein, lie_residual, trace_residual)
 
@@ -162,13 +169,7 @@ def _model(data: ExtensionData) -> Tuple[LieAlgebra, Gram]:
 
 def ricci_ebar(data: ExtensionData) -> float:
     """ric(ē, ē) of the extension; all other slots vanish."""
-    k, d, mu = data.K, data.D, data.mu
-    return float(
-        -0.5 * np.trace(d @ d)
-        - 0.5 * np.trace(d @ d.T)
-        - 0.25 * np.trace(k @ k)
-        + mu * np.trace(d)
-    )
+    return 0.25 * sum(_ebar_terms(data.K, data.D, data.mu))
 
 
 def killing_ebar(data: ExtensionData) -> float:
@@ -359,8 +360,8 @@ def random_admissible(
         d = d + 0.5 * mu * np.eye(v)
 
     # rescale K so 4μ tr(D) = tr(K²) + 2 tr(D²) + 2 tr(DDᵀ) exactly
-    target = 4.0 * mu * np.trace(d) - 2.0 * np.trace(d @ d) - 2.0 * np.trace(d @ d.T)
-    tr_k2 = np.trace(k @ k)  # = -2·blocks here
+    *head, neg_tr_k2 = _ebar_terms(k, d, mu)
+    target, tr_k2 = sum(head), -neg_tr_k2  # tr(K²) = -2·blocks here
     if tr_k2 != 0.0 and target / tr_k2 > 0:
         k = k * np.sqrt(target / tr_k2)
     elif target != 0.0:

@@ -4,6 +4,10 @@ A bracket is stored through its coefficients c[i,j,k] in a fixed basis,
 [e_i, e_j] = Σ_k c[i,j,k] e_k.  Only the entries with i < j are taken from
 the caller; the opposite triangle is filled with exact negations, so
 antisymmetry holds to bit equality.
+
+The center, the derived ideal, the lower central series and the derivations
+are the same for c and s·c, s ≠ 0, so their rank decisions are taken on
+c/max|c|: a bracket's scale does not change its structure.
 """
 from __future__ import annotations
 
@@ -33,9 +37,11 @@ class LieAlgebra:
         clean[iu, ju, :] = tensor[iu, ju, :]
         clean[ju, iu, :] = -tensor[iu, ju, :]
         clean.flags.writeable = False
+        peak = float(np.abs(clean).max(initial=0.0))
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "c", clean)
-        object.__setattr__(self, "_nilpotent", {})  # is_nilpotent, by tol
+        object.__setattr__(self, "_unit", clean / peak if peak else clean)  # c/max|c|
+        object.__setattr__(self, "_memo", {})  # facts computed once, by (method, tol)
 
     @classmethod
     def from_brackets(
@@ -75,9 +81,9 @@ class LieAlgebra:
         return float(np.abs(cyc).max(initial=0.0))
 
     def require_jacobi(self, tol: float = DEFAULT_TOL) -> "LieAlgebra":
-        scale = max(1.0, float(np.abs(self.c).max(initial=0.0)) ** 2)
+        """self, unless the Jacobi defect, quadratic in c, exceeds tol·max|c|²."""
         defect = self.jacobi_defect()
-        if defect > tol * scale:
+        if defect > tol * float(np.abs(self.c).max(initial=0.0)) ** 2:
             raise NotLie(f"Jacobi identity fails: defect {defect:.3e}")
         return self
 
@@ -85,13 +91,13 @@ class LieAlgebra:
 
     def center(self, tol: float = DEFAULT_TOL) -> Subspace:
         """{u : [e_i, u] = 0 for all i}, via one stacked nullspace."""
-        stacked = self.c.transpose(0, 2, 1).reshape(-1, self.n)  # rows of every ad_{e_i}
+        stacked = self._unit.transpose(0, 2, 1).reshape(-1, self.n)  # rows of every ad_{e_i}
         return Subspace(self.n, nullspace(stacked, tol), tol)
 
     def derived_ideal(self, tol: float = DEFAULT_TOL) -> Subspace:
         """[g, g]: span of all basis brackets."""
         iu, ju = np.triu_indices(self.n, k=1)
-        cols = self.c[iu, ju, :].T  # columns are bracket vectors
+        cols = self._unit[iu, ju, :].T  # columns are bracket vectors
         return Subspace(self.n, column_space(cols, tol), tol)
 
     def lower_central_series(self, tol: float = DEFAULT_TOL) -> List[Subspace]:
@@ -101,7 +107,7 @@ class LieAlgebra:
             prev = series[-1]
             if prev.dim == 0:
                 break
-            imgs = (prev.basis @ self.c).reshape(-1, self.n)  # rows [e_i, w]
+            imgs = (prev.basis @ self._unit).reshape(-1, self.n)  # rows [e_i, w]
             nxt = Subspace(self.n, column_space(imgs.T, tol), tol)
             if nxt.dim == prev.dim:
                 break
@@ -110,28 +116,32 @@ class LieAlgebra:
 
     def is_nilpotent(self, tol: float = DEFAULT_TOL) -> bool:
         """Whether the lower central series reaches 0; computed once per tol."""
-        memo = self._nilpotent
-        if tol not in memo:
-            memo[tol] = self.lower_central_series(tol)[-1].dim == 0
-        return memo[tol]
+        key = ("is_nilpotent", tol)
+        if key not in self._memo:
+            self._memo[key] = self.lower_central_series(tol)[-1].dim == 0
+        return self._memo[key]
 
     # -- derivations ------------------------------------------------------
 
     def derivation_space(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Basis of the space of derivations, as a read-only (d, n, n) stack.
+        """Basis of the space of derivations, as a read-only (d, n, n) stack;
+        computed once per tol.
 
         The defining equations E[e_i,e_j] = [Ee_i,e_j] + [e_i,Ee_j] for i < j
         are assembled into one homogeneous system in the n² entries of E and
         solved by SVD, which fixes the basis deterministically.
         """
-        n = self.n
-        iu, ju = np.triu_indices(n, k=1)
-        units = np.eye(n * n).reshape(n * n, n, n)
-        # row (pair, k), column (a, b): entry k of the defect of E = e_a e_bᵀ
-        cols = self.derivation_defect_map(units)[:, iu, ju, :]
-        basis = nullspace(cols.reshape(n * n, -1).T, tol).reshape(-1, n, n)
-        basis.flags.writeable = False
-        return basis
+        key = ("derivation_space", tol)
+        if key not in self._memo:
+            n = self.n
+            iu, ju = np.triu_indices(n, k=1)
+            units = np.eye(n * n).reshape(n * n, n, n)
+            # row (pair, k), column (a, b): entry k of the defect of E = e_a e_bᵀ
+            cols = derivation_defects(self._unit, units)[:, iu, ju, :]
+            basis = nullspace(cols.reshape(n * n, -1).T, tol).reshape(-1, n, n)
+            basis.flags.writeable = False
+            self._memo[key] = basis
+        return self._memo[key]
 
     def derivation_defect_map(self, e) -> np.ndarray:
         """d[..., i, j, :] = E[e_i,e_j] − [Ee_i,e_j] − [e_i,Ee_j] for a matrix

@@ -169,14 +169,6 @@ def _absolute(a: np.ndarray, dev: np.ndarray) -> np.ndarray:
     return _norms(np.linalg.solve(a, dev @ a))
 
 
-def _derivation_basis(c: np.ndarray) -> np.ndarray:
-    """Basis (d, n, n) of Der(c), taken from c/max|c|: Der(s·c) = Der(c), so d
-    does not change when the bracket is scaled."""
-    n = c.shape[-1]
-    peak = np.abs(c).max(initial=0.0)
-    return LieAlgebra(n, c / peak if peak else c).derivation_space()
-
-
 def _orbit_directions(a: np.ndarray, derivations: np.ndarray) -> np.ndarray:
     """Q[m] of shape (n² − d, n, n): a Frobenius-orthonormal basis of the
     complement of Der(μ[m]) = A[m]·Der(c)·A[m]⁻¹ in gl(n), for the brackets
@@ -236,7 +228,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
     einstein = spec.target == "einstein"
     minus, plus = spec.signature
     eta = np.diag(np.concatenate([-np.ones(minus), np.ones(plus)]))
-    derivations = _derivation_basis(algebra.c)
+    derivations = algebra.derivation_space()
 
     count = spec.restarts
     starts = [np.random.default_rng([spec.seed, r]).standard_normal((n, n)) for r in range(count)]

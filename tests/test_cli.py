@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import mlie.liealg
 from mlie.cli import main
 
 
@@ -168,6 +169,24 @@ def test_derivations_catalog_match(tmp_path, capsys):
     assert code == 0
     assert "derivation space dimension: 6" in out
     assert "trace 2" in out
+
+
+def test_derivations_solves_for_the_derivation_space_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = mlie.liealg.nullspace
+
+    def counting(m, tol):
+        calls.append(tol)
+        return solve(m, tol)
+
+    path = tmp_path / "ex8.json"
+    run_cli(capsys, "catalog", "EX8", "-o", str(path))
+    monkeypatch.setattr(mlie.liealg, "nullspace", counting)
+    code, out, _ = run_cli(capsys, "derivations", str(path))
+    assert code == 0
+    assert "derivation space dimension: 12" in out
+    assert "no nonzero-trace derivation found" in out
+    assert len(calls) == 1
 
 
 def test_verify_only_flatness(capsys):

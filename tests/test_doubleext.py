@@ -112,6 +112,26 @@ def test_extend_mu_nonzero_not_nilpotent():
     assert ricci_ebar(data) == pytest.approx(obs, abs=1e-9 * max(1.0, abs(obs)))
 
 
+def test_trace_residual_is_four_times_ricci_ebar():
+    rng = np.random.default_rng(6)
+    for nilpotent in (True, False) * 20:
+        data = random_admissible(rng, f_dim=int(rng.integers(0, 4)), nilpotent=nilpotent)
+        data = ExtensionData(data.v_dim, data.K, data.D + 1e-3 * rng.normal(), data.mu, data.b)
+        assert check_admissible(data).trace_residual == 4 * abs(ricci_ebar(data))
+
+
+def test_check_admissible_skips_the_nilpotency_power_when_decided(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("matrix_power called")
+
+    rng = np.random.default_rng(4)
+    mu_data = random_admissible(rng, nilpotent=False)
+    non_lie = ExtensionData(2, ROT, np.diag([1.0, 2.0]))
+    monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+    assert check_admissible(mu_data).is_lie and not check_admissible(mu_data).is_nilpotent
+    assert not check_admissible(non_lie).is_lie
+
+
 def test_decompose_roundtrip_seeded():
     rng = np.random.default_rng(7)
     for _ in range(20):

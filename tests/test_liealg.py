@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlie.catalog import make_algebra
+from mlie.catalog import ALGEBRA_NAMES, make_algebra
 from mlie.errors import InvalidInput, NotLie
 from mlie.liealg import LieAlgebra
 
@@ -37,6 +37,33 @@ def test_jacobi_defect_positive_and_require():
     assert bad.jacobi_defect() > 0.1
     with pytest.raises(NotLie):
         bad.require_jacobi()
+
+
+def test_require_jacobi_refuses_a_tiny_non_lie_table():
+    # [e1,e2] = e2, [e2,e3] = e1 has Jacobi defect 1; the refusal must not
+    # depend on the bracket's scale, whose square the defect carries
+    bad = LieAlgebra.from_brackets(3, {(0, 1): {1: 1.0}, (1, 2): {0: 1.0}})
+    assert bad.jacobi_defect() == 1.0
+    with pytest.raises(NotLie):
+        LieAlgebra(3, 1e-6 * bad.c).require_jacobi()
+
+
+def _structure(alg):
+    return (
+        len(alg.derivation_space()),
+        alg.center().dim,
+        alg.derived_ideal().dim,
+        [s.dim for s in alg.lower_central_series()],
+        alg.is_nilpotent(),
+    )
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_structure_does_not_change_under_bracket_scaling(name):
+    c = make_algebra(name).c
+    want = _structure(LieAlgebra(len(c), c))
+    for s in (1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e12):
+        assert _structure(LieAlgebra(len(c), s * c)) == want, s
 
 
 def test_from_brackets_validates_indices():

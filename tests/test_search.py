@@ -14,7 +14,6 @@ from mlie.search import (
     SearchSpec,
     _absolute,
     _damped_steps,
-    _derivation_basis,
     _forward,
     _jacobians,
     _orbit_directions,
@@ -186,8 +185,7 @@ def test_step_on_the_derivation_complement_equals_the_full_step(case, target):
     mu, dev, r = _forward(a[None], algebra.c, eta, nilpotent, einstein)
     units = np.eye(n * n).reshape(n * n, n, n)
     full = _jacobians(mu, dev, eta, nilpotent, einstein, units)
-    derivations = _derivation_basis(algebra.c)
-    assert len(derivations) == len(algebra.derivation_space())
+    derivations = algebra.derivation_space()
     on_der = _jacobians(mu, dev, eta, nilpotent, einstein, a @ derivations @ np.linalg.inv(a))
     assert np.abs(on_der).max() <= 1e-12 * np.abs(full).max()
 
@@ -216,14 +214,14 @@ def test_step_on_the_derivation_complement_equals_the_full_step(case, target):
 def test_orbit_directions_do_not_depend_on_the_bracket_scale(scale):
     algebra = make_algebra("L4_3")
     a = np.eye(4) + 0.3 * np.random.default_rng(17).normal(size=(1, 4, 4))
-    directions = _orbit_directions(a, _derivation_basis(scale * algebra.c))
+    directions = _orbit_directions(a, LieAlgebra(4, scale * algebra.c).derivation_space())
     assert directions.shape == (1, 16 - len(algebra.derivation_space()), 4, 4)
 
 
 def test_abelian_algebra_has_no_orbit_directions():
     # every matrix is a derivation of the zero bracket: d = n², no column
     # is left, the damped step is 0, and the search still returns
-    directions = _orbit_directions(np.eye(3)[None], _derivation_basis(np.zeros((3, 3, 3))))
+    directions = _orbit_directions(np.eye(3)[None], LieAlgebra.abelian(3).derivation_space())
     assert directions.shape == (1, 0, 3, 3)
     x = _damped_steps(np.zeros((1, 0, 0)), np.zeros((1, 0, 1)), np.array([1e-3]), directions)
     assert np.array_equal(x, np.zeros((1, 3, 3)))
