@@ -4,10 +4,13 @@ Subcommands: ricci, catalog, double-extend, decompose, verify-paper,
 derivations, search, classify.  Exit codes are a stable contract:
 
 * 0 — success
-* 1 — verification failure (failing checks, non-converged search)
+* 1 — verification failure (failing checks, non-converged search, the two
+  Ricci routes disagree)
 * 2 — invalid input (parse errors, bad parameters, degenerate metrics)
 * 3 — not applicable (construction preconditions unmet, no isotropic
   central vector)
+
+A closed stdout keeps the command's exit code and writes nothing to stderr.
 
 The ``--tol`` flag, a positive finite number, overrides both default
 tolerances: 1e-8 for verdicts, 1e-9 for rank and degeneracy decisions.
@@ -16,6 +19,8 @@ tolerances: 1e-8 for verdicts, 1e-9 for rank and degeneracy decisions.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -36,7 +41,7 @@ from .catalog import (
 )
 from .curvature import VERDICT_TOL, CurvatureReport, MetricLieAlgebra
 from .doubleext import decompose, extend
-from .errors import InvalidInput, NotApplicable, NotLie, NotNilpotent, UnknownName
+from .errors import InvalidInput, NotApplicable, NotLie, NotNilpotent, UnknownName, is_route_mismatch
 from .fileio import (
     algebra_to_dict,
     extension_to_dict,
@@ -257,22 +262,15 @@ def cmd_search(args: argparse.Namespace) -> int:
             ),
         )
     counts = ", ".join(f"{reason} {result.stop_reasons.count(reason)}" for reason in STOP_REASONS)
-    try:
-        print(f"converged:     {result.converged}")
-        print(f"residual:      {result.residual:.6e}")
-        print(f"iterations:    {result.iterations}")
-        print(f"restart index: {result.restart_index}")
-        print(f"stop reason:   {result.stop_reasons[result.restart_index]}")
-        print(f"stop reasons:  {counts}")
-        if result.best_gram is not None:
-            print("gram matrix:")
-            print(_fmt(result.best_gram.mat))
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader, such as `head`, quit early
-        # point stdout at devnull, so that the interpreter's last flush is quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    print(f"converged:     {result.converged}")
+    print(f"residual:      {result.residual:.6e}")
+    print(f"iterations:    {result.iterations}")
+    print(f"restart index: {result.restart_index}")
+    print(f"stop reason:   {result.stop_reasons[result.restart_index]}")
+    print(f"stop reasons:  {counts}")
+    if result.best_gram is not None:
+        print("gram matrix:")
+        print(_fmt(result.best_gram.mat))
     return EXIT_OK if result.converged else EXIT_VERIFY_FAILED
 
 
@@ -395,20 +393,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    out = io.StringIO()  # written last, so that a closed stdout cannot change the exit code
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            return args.func(args)
     except (NotApplicable, NotLie, NotNilpotent) as err:
         print(f"not applicable: {err}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
-    except (InvalidInput, UnknownName) as err:
+    except RuntimeError as err:  # the Ricci cross-check; any other one is a bug
+        if not is_route_mismatch(err):
+            raise
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    except (InvalidInput, UnknownName, OSError) as err:
         msg = str(err).strip("'\"") if isinstance(err, UnknownName) else err
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
+    finally:
+        try:
+            sys.stdout.write(out.getvalue())
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader quit early: keep the interpreter's last flush quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateGram, InvalidInput, NotNilpotent
+from .errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
 from .liealg import LieAlgebra
 from .pseudolin import DEFAULT_TOL, Gram, Signature, signature
 
@@ -177,20 +177,6 @@ class MetricLieAlgebra:
         v = np.asarray(v, dtype=float)
         return np.einsum("ijk,i,j->k", self._levi_civita, u, v)
 
-    def left_mult(self, u) -> np.ndarray:
-        """Matrix of L_u : v ↦ u·v."""
-        return np.einsum("ijk,i->kj", self._levi_civita, np.asarray(u, dtype=float))
-
-    def left_mult_skewness_defect(self, u) -> float:
-        """Sup-norm of G L_u + L_uᵀ G; zero for the metric product."""
-        l = self.left_mult(u)
-        return float(np.abs(self.gram.mat @ l + l.T @ self.gram.mat).max())
-
-    def torsion_defect(self) -> float:
-        """Sup-norm of e_i·e_j − e_j·e_i − [e_i,e_j] over basis pairs."""
-        lc = self._levi_civita
-        return float(np.abs(lc - lc.transpose(1, 0, 2) - self.algebra.c).max(initial=0.0))
-
     # -- curvature --------------------------------------------------------
 
     def curvature_tensor(self) -> np.ndarray:
@@ -262,11 +248,6 @@ class MetricLieAlgebra:
         ric = -0.5 * t_adad - 0.5 * t_adstar - 0.25 * t_jj - 0.5 * (bh + bh.T)
         return (ric + ric.T) / 2.0
 
-    def killing_form(self) -> np.ndarray:
-        """B(e_i,e_j) = tr(ad_i ∘ ad_j)."""
-        ads = self.algebra.ad(np.eye(self.n))
-        return np.einsum("iab,jba->ij", ads, ads)
-
     # -- trace identity ---------------------------------------------------
 
     def trace_q_times(self, e) -> Tuple[np.ndarray, np.ndarray]:
@@ -294,8 +275,8 @@ class MetricLieAlgebra:
     # -- verdicts ---------------------------------------------------------
 
     def ricci_operator(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Ric = G^{-1}·ric, via the 𝒥-route when nilpotent (cross-checked
-        against the definitional route), the definitional route otherwise."""
+        """Ric = G^{-1}·ric: the 𝒥-route when nilpotent, cross-checked against
+        the definitional route (ROUTE_MISMATCH), the definitional route otherwise."""
         return self._ricci_operator(self.ricci_via_definition(), tol)
 
     def _ricci_operator(self, ric_form: np.ndarray, tol: float) -> np.ndarray:
@@ -305,7 +286,7 @@ class MetricLieAlgebra:
             ric_nil = self._q()
             scale = max(1.0, float(np.abs(ric_nil).max(initial=0.0)))
             if np.abs(ric_nil - ric_def).max(initial=0.0) > 1e-6 * scale:
-                raise RuntimeError("internal Ricci routes disagree beyond cross-check bound")
+                raise RuntimeError(ROUTE_MISMATCH)
             return ric_nil
         return ric_def
 

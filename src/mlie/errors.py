@@ -35,3 +35,12 @@ class UnknownName(KeyError):
 
 class BadParams(InvalidInput):
     """Metric parameters outside the stated constraints."""
+
+
+#: The Ricci cross-check's failure is a bare RuntimeError with this message,
+#: the one known failure that perfbench/run.py counts by exactly that type.
+ROUTE_MISMATCH = "internal Ricci routes disagree beyond cross-check bound"
+
+
+def is_route_mismatch(err: BaseException) -> bool:
+    return type(err) is RuntimeError and str(err) == ROUTE_MISMATCH

@@ -24,8 +24,8 @@ one stacked forward call over those still searching, whose values the
 accepted ones keep.  Every operation acts on each restart alone, so a
 restart's trajectory does not depend on its stack mates; each one stops for
 its own reason (STOP_REASONS), and the whole search is deterministic for a
-fixed spec.  A restart converges only when its gram's einstein_residual is at
-most spec.tol and einstein_classify at VERDICT_TOL gives the target's verdict.
+fixed spec.  A restart converges only when one einstein_classify of its gram
+at VERDICT_TOL gives the target's verdict and ‖Ric − λ̂·Id‖_F ≤ spec.tol.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict, _checked_gram, ricci_operators
-from .errors import DegenerateGram, InvalidInput
+from .errors import DegenerateGram, InvalidInput, is_route_mismatch
 from .liealg import LieAlgebra, derivation_defects
 from .pseudolin import DEFAULT_TOL, Gram
 
@@ -242,18 +242,18 @@ def run_search(spec: SearchSpec) -> SearchResult:
     reasons = np.full(count, "", dtype=object)
 
     def settle(i: int) -> Tuple[str, float]:
-        """(stop reason, residual) of restart i, whose residual is within
-        spec.tol: the reason is "converged" when its gram meets the target,
-        and "" to go on."""
-        gram = Gram(a[i].T @ eta @ a[i])
+        """(stop reason, residual) of restart i, from one classification of
+        its gram: the reason is "converged" when the residual is within
+        spec.tol and the verdict meets the target, and "" to go on."""
         try:
-            value = einstein_residual(algebra, gram, spec.target)
-            if value > spec.tol:
-                return "", value
-            verdict = MetricLieAlgebra(algebra, gram).einstein_classify(VERDICT_TOL).verdict
-        except (DegenerateGram, RuntimeError):  # RuntimeError: the Ricci cross-check
+            report = MetricLieAlgebra(algebra, Gram(a[i].T @ eta @ a[i])).einstein_classify(VERDICT_TOL)
+        except (DegenerateGram, RuntimeError) as err:
+            if not (isinstance(err, DegenerateGram) or is_route_mismatch(err)):
+                raise  # NotLie, NotNilpotent, NotApplicable
             return "degenerating", residual[i]
-        return ("converged" if verdict in _TARGET_VERDICTS[spec.target] else ""), value
+        value = float(_norms(_deviations(report.ricci_operator[None], einstein))[0])
+        met = value <= spec.tol and report.verdict in _TARGET_VERDICTS[spec.target]
+        return ("converged" if met else ""), value
 
     running = np.arange(count)
     while True:

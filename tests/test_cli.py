@@ -1,19 +1,60 @@
+import inspect
 import io
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlie.cli
+import mlie.errors
 import mlie.liealg
 from mlie.cli import main
+from mlie.errors import (
+    InvalidInput,
+    NotApplicable,
+    NotLie,
+    NotNilpotent,
+    UnknownName,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def close_stdout(monkeypatch):
+    """A call that makes sys.stdout the write end of a pipe whose reader has
+    quit, as under `mlie … | head -1`: every write raises BrokenPipeError.
+    Call it in the test body, since capsys resets sys.stdout before the body."""
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return write_fd
+
+    yield lambda: monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.undo()
+    os.close(write_fd)
+
+
+@pytest.fixture
+def ex8_file(tmp_path, capsys):
+    path = tmp_path / "ex8.json"
+    run_cli(capsys, "catalog", "EX8", "-o", str(path))
+    return path
 
 
 def test_catalog_list_has_fourteen_names(capsys):
@@ -224,30 +265,98 @@ def test_search_converges_and_writes(tmp_path, capsys):
     assert "metric" in doc
 
 
-def test_search_writes_output_before_a_closed_stdout(tmp_path, capsys, monkeypatch):
+def test_search_writes_output_before_a_closed_stdout(tmp_path, capsys, close_stdout):
     # `mlie search … -o f.json | head -1`: the reader quits, the search does not
-    read_fd, write_fd = os.pipe()
-    os.close(read_fd)
-
-    class ClosedPipe(io.StringIO):
-        def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
-
-        def fileno(self):
-            return write_fd
-
     src = tmp_path / "l32.json"
     found = tmp_path / "found.json"
     run_cli(capsys, "catalog", "L3_2", "m32", "alpha=1", "-o", str(src))
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    try:
-        code = main(["search", str(src), "--signature", "1,2", "-o", str(found)])
-    finally:
-        monkeypatch.undo()
-        os.close(write_fd)
+    close_stdout()
+    code = main(["search", str(src), "--signature", "1,2", "-o", str(found)])
     assert code == 0
     assert "metric" in json.loads(found.read_text())
     assert capsys.readouterr().err == ""
+
+
+def test_search_on_a_closed_stdout_keeps_its_exit_1(tmp_path, capsys, close_stdout):
+    src = tmp_path / "l43.json"
+    run_cli(capsys, "catalog", "L4_3", "m43", "a=0", "b=0", "eps=1", "-o", str(src))
+    close_stdout()
+    assert main(["search", str(src), "--signature", "0,4", "--restarts", "2"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_on_a_closed_stdout_keeps_its_exit_1(capsys, close_stdout):
+    close_stdout()
+    assert main(["verify-paper", "--tol", "1e-18"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_ricci_into_a_pipe_closed_by_its_reader(ex8_file):
+    # `mlie ricci ex8.json | true` in a real process: the interpreter's own
+    # last flush of stdout must stay quiet too
+    src = str(Path(mlie.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mlie.cli", "ricci", str(ex8_file)],
+            stdout=write_fd,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_fd)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+
+
+def test_ricci_route_mismatch_exit_1(capsys):
+    # L5_8 with an ill-conditioned gram (cond 6.5e5, signature (2,3)), on
+    # which the two Ricci routes differ beyond the cross-check bound
+    code, out, err = run_cli(capsys, "ricci", str(DATA / "l58_route_mismatch.json"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal Ricci routes disagree beyond cross-check bound\n"
+
+
+#: the documented exit code of each base of the package's errors
+DOCUMENTED_EXITS = (
+    ((InvalidInput, UnknownName), 2),
+    ((NotLie, NotNilpotent, NotApplicable), 3),
+)
+ERROR_CLASSES = sorted(
+    (cls for _, cls in inspect.getmembers(mlie.errors, inspect.isclass)
+     if cls.__module__ == mlie.errors.__name__),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_maps_to_its_documented_exit_code(error, ex8_file, capsys, monkeypatch):
+    codes = [code for bases, code in DOCUMENTED_EXITS if issubclass(error, bases)]
+    assert len(codes) == 1, f"{error.__name__} has no documented exit code"
+
+    def raising(path, tol):
+        raise error("boom")
+
+    monkeypatch.setattr(mlie.cli, "_read_metric", raising)
+    code, out, err = run_cli(capsys, "ricci", str(ex8_file))
+    assert code == codes[0]
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.rstrip("\n").endswith("boom")
+    assert "Traceback" not in err
+
+
+def test_other_runtime_errors_are_not_taken_for_the_route_mismatch(ex8_file, monkeypatch):
+    # exit 1 belongs to the Ricci cross-check's own RuntimeError only
+    def raising(path, tol):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(mlie.cli, "_read_metric", raising)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["ricci", str(ex8_file)])
 
 
 def test_search_nonconvergence_exit_1(tmp_path, capsys):

@@ -1,10 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mlie.catalog import ALGEBRA_NAMES, make_algebra, make_metric
 from mlie.curvature import MetricLieAlgebra, Verdict, ricci_operators
-from mlie.doubleext import extend, random_admissible
-from mlie.errors import DegenerateGram, NotNilpotent
+from mlie.doubleext import extend, killing_ebar, random_admissible
+from mlie.errors import DegenerateGram, NotNilpotent, is_route_mismatch
+from mlie.fileio import read_algebra
 from mlie.liealg import LieAlgebra
 from mlie.pseudolin import Gram
 
@@ -49,10 +52,14 @@ def test_left_mult_skew_and_torsion_free():
     rng = np.random.default_rng(17)
     for name in ("L4_3", "L5_6", "EX7"):
         m = random_metric(name, rng)
-        assert m.torsion_defect() < 1e-10
+        e, g = np.eye(m.n), m.gram.mat
+        products = np.array([[m.levi_civita(x, y) for y in e] for x in e])  # [i,j] = e_i·e_j
+        torsion = products - products.transpose(1, 0, 2) - m.algebra.c
+        assert np.abs(torsion).max() < 1e-10
         for _ in range(5):
             u = rng.normal(size=m.n)
-            assert m.left_mult_skewness_defect(u) < 1e-10
+            l_u = np.column_stack([m.levi_civita(u, x) for x in e])  # matrix of L_u
+            assert np.abs(g @ l_u + l_u.T @ g).max() < 1e-10
 
 
 def test_ricci_heisenberg_diagonal():
@@ -88,6 +95,15 @@ def test_ricci_nilpotent_requires_nilpotent():
     m = MetricLieAlgebra(solvable, Gram.euclidean(2))
     with pytest.raises(NotNilpotent):
         m.ricci_nilpotent()
+
+
+def test_route_mismatch_on_an_ill_conditioned_gram():
+    # L5_8 with a gram of cond 6.5e5: the 𝒥-route and G⁻¹·ric differ by
+    # 1.2e-6 of max|Ric|, beyond the 1e-6 cross-check bound
+    algebra, gram, _ = read_algebra(str(Path(__file__).parent / "data" / "l58_route_mismatch.json"))
+    with pytest.raises(RuntimeError, match="internal Ricci routes disagree") as err:
+        MetricLieAlgebra(algebra, gram).einstein_classify()
+    assert is_route_mismatch(err.value)
 
 
 def test_route_equivalence_random():
@@ -222,6 +238,18 @@ def test_mean_vector_zero_for_nilpotent():
     assert np.linalg.norm(m.mean_vector()) < 1e-12
 
 
-def test_killing_form_heisenberg_zero():
-    m = euclidean_heisenberg()
-    assert np.abs(m.killing_form()).max() < 1e-14
+def test_killing_form_of_a_double_extension_is_killing_ebar():
+    # B(u,v) = tr(ad_u∘ad_v) on the extension's basis (e, f_1.., ē): zero
+    # except at (ē, ē), where it is killing_ebar
+    rng = np.random.default_rng(23)
+    for nilpotent in (True, False):
+        for _ in range(5):
+            f_dim, blocks = (int(k) for k in rng.integers(1, 3, size=2))
+            data = random_admissible(rng, f_dim=f_dim, blocks=blocks, nilpotent=nilpotent)
+            assert (data.mu == 0.0) == nilpotent
+            algebra = extend(data).algebra
+            ads = algebra.ad(np.eye(algebra.n))
+            killing = np.einsum("iab,jba->ij", ads, ads)
+            expected = np.zeros_like(killing)
+            expected[-1, -1] = killing_ebar(data)
+            assert np.abs(killing - expected).max() <= 1e-12 * max(1.0, abs(expected[-1, -1]))

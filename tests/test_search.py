@@ -6,7 +6,7 @@ import pytest
 from mlie.catalog import make_algebra
 from mlie.curvature import MetricLieAlgebra, Verdict
 from mlie.doubleext import extend, random_admissible
-from mlie.errors import DegenerateGram, InvalidInput
+from mlie.errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
 from mlie.liealg import LieAlgebra
 from mlie.pseudolin import Gram
 from mlie.search import (
@@ -272,3 +272,39 @@ def test_unreachable_targets_stop_before_the_budget(algebra, target, signature, 
     assert not result.converged
     assert "converged" not in result.stop_reasons
     assert "budget" not in result.stop_reasons
+
+
+def test_settle_stops_a_restart_whose_ricci_routes_disagree(monkeypatch):
+    # every L3_2 restart reaches the classifier, which here always fails its
+    # cross-check: each one stops as degenerating, none converges
+    calls = []
+
+    def mismatch(self, tol):
+        calls.append(tol)
+        raise RuntimeError(ROUTE_MISMATCH)
+
+    monkeypatch.setattr(MetricLieAlgebra, "einstein_classify", mismatch)
+    result = run_search(SearchSpec(make_algebra("L3_2"), signature=(1, 2), seed=0))
+    assert len(calls) == 8
+    assert result.stop_reasons == ("degenerating",) * 8
+    assert not result.converged and result.best_gram is None
+
+
+@pytest.mark.parametrize("error", [NotNilpotent("not a cross-check failure"), RuntimeError("boom")])
+def test_settle_lets_other_errors_through(error, monkeypatch):
+    def raising(self, tol):
+        raise error
+
+    monkeypatch.setattr(MetricLieAlgebra, "einstein_classify", raising)
+    with pytest.raises(type(error)):
+        run_search(SearchSpec(make_algebra("L3_2"), signature=(1, 2), seed=0))
+
+
+@pytest.mark.parametrize("name, signature", [("L3_2", (1, 2)), ("L4_2", (1, 3)), ("L5_2", (1, 4))])
+@pytest.mark.parametrize("seed", range(5))
+def test_residual_of_a_converged_search_is_its_einstein_residual(name, signature, seed):
+    # settle takes the residual from its one classification's Ricci operator
+    algebra = make_algebra(name)
+    result = run_search(SearchSpec(algebra, signature=signature, seed=seed))
+    assert result.converged
+    assert result.residual == einstein_residual(algebra, result.best_gram, "ricci-flat")
