@@ -17,7 +17,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .curvature import MetricLieAlgebra
-from .errors import BadParams, UnknownName
+from .errors import BadParams, DegenerateGram, UnknownName
 from .liealg import LieAlgebra
 from .pseudolin import Gram
 
@@ -378,7 +378,7 @@ def make_metric(
     for k, v in vals.items():
         if not math.isfinite(v):
             raise BadParams(f"parameter {k} must be finite")
-    gram = mv.build(vals)
-    if not gram.is_nondegenerate():
-        raise BadParams(f"parameters make the {variant} gram degenerate")
-    return MetricLieAlgebra(algebra, gram)
+    try:
+        return MetricLieAlgebra(algebra, mv.build(vals))
+    except DegenerateGram:
+        raise BadParams(f"parameters make the {variant} gram degenerate") from None

@@ -13,7 +13,9 @@ derivations, search, classify.  Exit codes are a stable contract:
 A closed stdout keeps the command's exit code and writes nothing to stderr.
 
 The ``--tol`` flag, a positive finite number, overrides both default
-tolerances: 1e-8 for verdicts, 1e-9 for rank and degeneracy decisions.
+tolerances: 1e-8 for verdicts, 1e-9 for every rank, degeneracy and inertia
+decision of a metric algebra.  ``search --tol`` reaches only the input's Jacobi
+check; the search decides ranks at 1e-9 and convergence at 1e-8.
 ``catalog`` decides nothing numerically and takes no ``--tol``.
 """
 from __future__ import annotations
@@ -188,7 +190,7 @@ def cmd_double_extend(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     lin_tol, verdict_tol = _tols(args)
     m = _read_metric(args.file, lin_tol)
-    dec = decompose(m, tol=lin_tol, verdict_tol=verdict_tol)
+    dec = decompose(m, verdict_tol)
     if dec is None:
         print("no isotropic central vector: the center is definite, nothing to decompose")
         return EXIT_NOT_APPLICABLE
@@ -278,7 +280,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     lin_tol, _ = _tols(args)
     m = _read_metric(args.file, lin_tol)
     algebra, gram = m.algebra, m.gram
-    sig = m.signature(lin_tol)
+    sig = m.signature()
     print(f"dimension: {algebra.n}")
     print(f"signature: (minus={sig.minus}, plus={sig.plus}, null={sig.null})")
     print(f"nilpotent: {algebra.is_nilpotent(lin_tol)}")

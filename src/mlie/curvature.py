@@ -123,20 +123,22 @@ def ricci_operators(c: np.ndarray, g: np.ndarray, nilpotent: bool) -> np.ndarray
     return np.linalg.solve(g, ricci_forms(levi_civita_tensors(c, g)))
 
 
-def _checked_gram(gram, n: int, tol: float) -> Gram:
-    """gram as a Gram, refused unless it is n x n and nondegenerate at tol."""
+def _checked_gram(gram, n: int, tol: float) -> Tuple[Gram, Signature]:
+    """gram as a Gram and its signature at tol; refused unless n x n and nondegenerate."""
     if not isinstance(gram, Gram):
         gram = Gram(gram)
     if gram.n != n:
         raise InvalidInput("gram size does not match algebra dimension")
-    if not gram.is_nondegenerate(tol):
+    sig = signature(gram, tol)
+    if sig.null:
         raise DegenerateGram("metric gram matrix is degenerate at tolerance")
-    return gram
+    return gram, sig
 
 
 @dataclass(frozen=True, eq=False)
 class MetricLieAlgebra:
-    """A Lie algebra together with a nondegenerate ⟨,⟩.
+    """A Lie algebra together with a nondegenerate ⟨,⟩, whose signature and
+    nilpotency (which picks the Ricci route) are decided once, at ``tol``.
 
     G⁻¹ (``gram_inv``), the Levi-Civita tensor and the S_i are built eagerly
     as read-only arrays, so instances are safe to share.
@@ -144,12 +146,15 @@ class MetricLieAlgebra:
 
     algebra: LieAlgebra
     gram: Gram
+    tol: float
 
     def __init__(self, algebra: LieAlgebra, gram: Gram, tol: float = DEFAULT_TOL) -> None:
-        gram = _checked_gram(gram, algebra.n, tol)
+        gram, sig = _checked_gram(gram, algebra.n, tol)
         g = gram.mat
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "_signature", sig)
         for name, value in (
             ("gram_inv", np.linalg.inv(g)),
             ("_levi_civita", levi_civita_tensors(algebra.c, g[None])[0]),
@@ -162,8 +167,8 @@ class MetricLieAlgebra:
     def n(self) -> int:
         return self.algebra.n
 
-    def signature(self, tol: float = DEFAULT_TOL) -> Signature:
-        return signature(self.gram, tol)
+    def signature(self) -> Signature:
+        return self._signature
 
     def adjoint(self, m) -> np.ndarray:
         """⟨,⟩-adjoint: M* = G^{-1} Mᵀ G, of a matrix or a stack of them."""
@@ -225,9 +230,9 @@ class MetricLieAlgebra:
         """Q from the cached S_i; the Ricci operator only if nilpotent."""
         return q_operators(self._structure_endos[None], self.gram.mat[None])[0]
 
-    def ricci_nilpotent(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def ricci_nilpotent(self) -> np.ndarray:
         """Ricci operator −½𝒥₁ + ¼𝒥₂; only valid on nilpotent algebras."""
-        if not self.algebra.is_nilpotent(tol):
+        if not self.algebra.is_nilpotent(self.tol):
             raise NotNilpotent("the 𝒥-form of the Ricci operator needs a nilpotent algebra")
         return self._q()
 
@@ -274,15 +279,15 @@ class MetricLieAlgebra:
 
     # -- verdicts ---------------------------------------------------------
 
-    def ricci_operator(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def ricci_operator(self) -> np.ndarray:
         """Ric = G^{-1}·ric: the 𝒥-route when nilpotent, cross-checked against
         the definitional route (ROUTE_MISMATCH), the definitional route otherwise."""
-        return self._ricci_operator(self.ricci_via_definition(), tol)
+        return self._ricci_operator(self.ricci_via_definition())
 
-    def _ricci_operator(self, ric_form: np.ndarray, tol: float) -> np.ndarray:
+    def _ricci_operator(self, ric_form: np.ndarray) -> np.ndarray:
         """ricci_operator, given the definitional Ricci form."""
         ric_def = self.gram_inv @ ric_form
-        if self.algebra.is_nilpotent(tol):
+        if self.algebra.is_nilpotent(self.tol):
             ric_nil = self._q()
             scale = max(1.0, float(np.abs(ric_nil).max(initial=0.0)))
             if np.abs(ric_nil - ric_def).max(initial=0.0) > 1e-6 * scale:
@@ -297,7 +302,7 @@ class MetricLieAlgebra:
         squared Levi-Civita magnitude.
         """
         ric_form = self.ricci_via_definition()
-        ric_op = self._ricci_operator(ric_form, DEFAULT_TOL)
+        ric_op = self._ricci_operator(ric_form)
         lam = float(np.trace(ric_op)) / self.n
         scale = max(1.0, float(np.abs(ric_op).max(initial=0.0)))
         residual = float(np.abs(ric_op - lam * np.eye(self.n)).max(initial=0.0))
@@ -326,5 +331,5 @@ class MetricLieAlgebra:
             einstein_lambda=lam_out,
             einstein_residual=residual,
             flat=flat,
-            signature=self.signature(),
+            signature=self._signature,
         )

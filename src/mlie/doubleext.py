@@ -35,15 +35,8 @@ from .errors import (
     NotLie,
     SingularK0,
 )
-from .liealg import LieAlgebra
-from .pseudolin import (
-    DEFAULT_TOL,
-    Gram,
-    _as_float_array,
-    find_isotropic_in,
-    numerical_rank,
-    signature,
-)
+from .liealg import LieAlgebra, act_on_brackets
+from .pseudolin import DEFAULT_TOL, Gram, _as_float_array, find_isotropic_in, numerical_rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +134,7 @@ def extend(data: ExtensionData, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:
     adm = check_admissible(data, tol)
     if not adm.is_lie:
         raise NotLie(f"K∘D + Dᵀ∘K = μK fails with residual {adm.lie_residual:.3e}")
-    return MetricLieAlgebra(*_model(data))
+    return MetricLieAlgebra(*_model(data), tol)
 
 
 def _model(data: ExtensionData) -> Tuple[LieAlgebra, Gram]:
@@ -182,19 +175,18 @@ class Decomposition(NamedTuple):
     basis_change: np.ndarray  # columns are (e, f_1.., ē) in input coordinates
 
 
-def decompose(
-    m: MetricLieAlgebra, tol: float = DEFAULT_TOL, verdict_tol: float = VERDICT_TOL
-) -> Optional[Decomposition]:
+def decompose(m: MetricLieAlgebra, verdict_tol: float = VERDICT_TOL) -> Optional[Decomposition]:
     """Express a Ricci-flat nilpotent Lorentzian algebra as a double extension.
 
     Requires the input to be nilpotent, Lorentzian and at least Ricci-flat
-    (NotApplicable otherwise).  Returns None when the center is definite, the
-    one case with no isotropic central vector.  Otherwise returns extension
-    data with μ = 0 together with the basis change, whose columns give
-    (e, f_1..f_v, ē) in the input coordinates.
+    (NotApplicable otherwise); every rank and inertia decision is taken at
+    m.tol, the verdict at verdict_tol.  Returns None when the center is
+    definite, the one case with no isotropic central vector.  Otherwise
+    returns extension data with μ = 0 together with the basis change, whose
+    columns give (e, f_1..f_v, ē) in the input coordinates.
     """
-    n = m.n
-    sig = signature(m.gram, tol)
+    n, tol = m.n, m.tol
+    sig = m.signature()
     if (sig.minus, sig.null) != (1, 0):
         raise NotApplicable(f"metric is not Lorentzian: signature {tuple(sig)}")
     if not m.algebra.is_nilpotent(tol):
@@ -236,8 +228,7 @@ def model_residual(m: MetricLieAlgebra, dec: Decomposition) -> float:
     A measurement only: dec.data is not checked for the bracket condition."""
     model_algebra, model_gram = _model(dec.data)
     p = dec.basis_change
-    c_out = m.algebra.c @ np.linalg.inv(p).T  # c_new[a,b,:] = P⁻¹[Pe_a, Pe_b]
-    c_new = p.T @ (p.T @ c_out.reshape(len(p), -1)).reshape(c_out.shape)
+    c_new = act_on_brackets(np.linalg.inv(p)[None], m.algebra.c)[0]  # P⁻¹[Pe_a, Pe_b]
     g_new = p.T @ m.gram.mat @ p
     db = float(np.abs(c_new - model_algebra.c).max(initial=0.0))
     dg = float(np.abs(g_new - model_gram.mat).max(initial=0.0))
@@ -318,7 +309,7 @@ def guediri_2step(
     if not check_admissible(data, tol).is_einstein:  # is_einstein implies is_lie
         lhs, rhs = float(np.sum(amat**2)), 2.0 * float(np.sum(cmat**2))
         raise ConstraintViolation(f"Σ a_ij² = 2 Σ c_ik² fails: {lhs:.6g} vs {rhs:.6g}")
-    return MetricLieAlgebra(*_model(data))
+    return MetricLieAlgebra(*_model(data), tol)
 
 
 def random_admissible(

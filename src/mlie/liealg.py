@@ -180,3 +180,13 @@ def derivation_defects(c: np.ndarray, e: np.ndarray) -> np.ndarray:
     t = et[..., None, :, :]
     e_left = et @ c.reshape(c.shape[:-3] + (n, n * n))  # [Ee_i, e_j]
     return c @ t - e_left.reshape(e_left.shape[:-1] + (n, n)) - t @ c
+
+
+def act_on_brackets(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """μ[r] = A[r]·c for a stack of factors A (m, n, n): μ(x, y) = A c(A⁻¹x, A⁻¹y),
+    so μ[i,j,k] = Σ B[p,i] B[q,j] c[p,q,l] A[k,l] with B = A⁻¹."""
+    m, n = a.shape[:2]
+    b_t = np.linalg.inv(a).transpose(0, 2, 1)
+    ca = c @ a.transpose(0, 2, 1)[:, None]  # [p,q,k] = Σ_l c[p,q,l] A[k,l]
+    half = (b_t @ ca.reshape(m, n, n * n)).reshape(m, n, n, n)  # [i,q,k]
+    return b_t[:, None] @ half

@@ -100,8 +100,7 @@ class Gram:
         return float(np.asarray(u, dtype=float) @ self.mat @ np.asarray(v, dtype=float))
 
     def is_nondegenerate(self, tol: float = DEFAULT_TOL) -> bool:
-        s = np.linalg.svd(self.mat, compute_uv=False)  # numerical_rank == n, minus its input checks
-        return bool(s.size == 0 or s[-1] > _cutoff(tol, s[0]))
+        return signature(self, tol).null == 0
 
 
 @dataclass(frozen=True, eq=False)

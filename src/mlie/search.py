@@ -37,7 +37,7 @@ import numpy as np
 
 from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict, _checked_gram, ricci_operators
 from .errors import DegenerateGram, InvalidInput, is_route_mismatch
-from .liealg import LieAlgebra, derivation_defects
+from .liealg import LieAlgebra, act_on_brackets, derivation_defects
 from .pseudolin import DEFAULT_TOL, Gram
 
 TARGETS = ("einstein", "ricci-flat")
@@ -69,7 +69,7 @@ def einstein_residual(
     target and λ̂ = 0 for the Ricci-flat target."""
     if target not in TARGETS:
         raise InvalidInput(f"target must be one of {TARGETS}")
-    gram = _checked_gram(gram, algebra.n, tol)
+    gram, _ = _checked_gram(gram, algebra.n, tol)
     ric = ricci_operators(algebra.c, gram.mat[None], algebra.is_nilpotent(tol))
     return float(_norms(_deviations(ric, target == "einstein"))[0])
 
@@ -138,15 +138,6 @@ def _unit_det(a: np.ndarray) -> np.ndarray:
     return a / (np.abs(np.linalg.det(a)) ** (1.0 / a.shape[-1]))[:, None, None]
 
 
-def _brackets(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """μ[r] = A[r]·c: μ[i,j,k] = Σ B[p,i] B[q,j] c[p,q,l] A[k,l], B = A⁻¹."""
-    m, n = a.shape[:2]
-    b_t = np.linalg.inv(a).transpose(0, 2, 1)
-    ca = c @ a.transpose(0, 2, 1)[:, None]  # [p,q,k] = Σ_l c[p,q,l] A[k,l]
-    half = (b_t @ ca.reshape(m, n, n * n)).reshape(m, n, n, n)  # [i,q,k]
-    return b_t[:, None] @ half
-
-
 def _scale_free(mu: np.ndarray, dev: np.ndarray) -> np.ndarray:
     """r = (Ric − λ̂·Id)/‖μ‖², and 0 for μ = 0, where Ric = 0 too."""
     sq = _sq_norms(mu)[:, None, None]
@@ -157,7 +148,7 @@ def _forward(
     a: np.ndarray, c: np.ndarray, eta: np.ndarray, nilpotent: bool, einstein: bool
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(μ, Ric_η(μ) − λ̂·Id, r) for a stack of factors A of grams AᵀηA on c."""
-    mu = _brackets(a, c)
+    mu = act_on_brackets(a, c)
     ric = ricci_operators(mu, np.broadcast_to(eta, (len(a),) + eta.shape), nilpotent)
     dev = _deviations(ric, einstein)
     return mu, dev, _scale_free(mu, dev)

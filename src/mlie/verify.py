@@ -138,11 +138,11 @@ def check_classified_ricci_flat(tol: float) -> CheckResult:
         ric = m.ricci_operator()
         resid = float(np.abs(ric).max(initial=0.0))
         worst = max(worst, resid)
-        if resid > tol * max(1.0, resid):
+        if resid > tol:
             failures.append(f"{mv.name} {params}: ‖Ric‖∞ = {resid:.3e}")
     return _result(
         "classified-ricci-flat",
-        f"10 variants, seeded draws: Lorentzian (1,n−1) and ‖Ric‖∞ ≤ {tol:g}·scale",
+        f"10 variants, seeded draws: Lorentzian (1,n−1) and ‖Ric‖∞ ≤ {tol:g}",
         f"{count} metrics all Lorentzian and Ricci-flat",
         worst,
         failures,

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 import mlie.cli
 import mlie.errors
 import mlie.liealg
+import mlie.pseudolin
 from mlie.cli import main
 from mlie.errors import (
     InvalidInput,
@@ -189,6 +191,59 @@ def test_classify_abelian_center_is_everything(tmp_path, capsys):
     assert code == 0
     assert "center: dim 3" in out
     assert "derived" not in out
+
+
+def test_ricci_and_classify_print_one_signature_at_tol(tmp_path, capsys):
+    # the eigenvalue 1e-10 is null at the default cutoff 1e-9 and positive at 1e-12
+    path = tmp_path / "l32.json"
+    doc = {
+        "dim": 3,
+        "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1.0}}],
+        "metric": np.diag([-1.0, 1.0, 1e-10]).tolist(),
+    }
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "ricci", str(path), "--tol", "1e-12")
+    assert code == 0
+    assert "signature:         (minus=1, plus=2, null=0)" in out
+    code, out, _ = run_cli(capsys, "classify", str(path), "--tol", "1e-12")
+    assert code == 0
+    assert "signature: (minus=1, plus=2, null=0)" in out
+
+
+@pytest.mark.parametrize("command", ["ricci", "decompose", "classify"])
+def test_tol_reaches_every_nilpotency_and_inertia_decision(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "m42.json"
+    run_cli(capsys, "catalog", "L4_2", "m42", "alpha=1", "a=0.3", "-o", str(path))
+    seen = {"is_nilpotent": [], "signature": []}
+
+    def spy(name, fn):
+        params = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def recording(*args, **kwargs):
+            bound = params.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen[name].append(bound.arguments["tol"])
+            return fn(*args, **kwargs)
+
+        return recording
+
+    algebra_cls = mlie.liealg.LieAlgebra
+    monkeypatch.setattr(algebra_cls, "is_nilpotent", spy("is_nilpotent", algebra_cls.is_nilpotent))
+    # patched wherever a module holds it, since modules look names up in their own globals
+    signature = mlie.pseudolin.signature
+    recording = spy("signature", signature)
+    for name, module in list(sys.modules.items()):
+        if name == "mlie" or name.startswith("mlie."):
+            for key, value in list(vars(module).items()):
+                if value is signature:
+                    monkeypatch.setattr(module, key, recording)
+
+    code, _, _ = run_cli(capsys, command, str(path), "--tol", "1e-6")
+    assert code == 0
+    for name, tols in seen.items():
+        assert tols, f"{name} was never called"
+        assert set(tols) == {1e-6}, name
 
 
 @pytest.mark.parametrize("command", ["ricci", "decompose", "derivations", "search", "classify"])

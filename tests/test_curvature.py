@@ -9,7 +9,7 @@ from mlie.doubleext import extend, killing_ebar, random_admissible
 from mlie.errors import DegenerateGram, NotNilpotent, is_route_mismatch
 from mlie.fileio import read_algebra
 from mlie.liealg import LieAlgebra
-from mlie.pseudolin import Gram
+from mlie.pseudolin import Gram, Signature
 
 
 def euclidean_heisenberg():
@@ -35,6 +35,23 @@ def random_metric(name, rng):
 def test_degenerate_gram_rejected():
     with pytest.raises(DegenerateGram):
         MetricLieAlgebra(LieAlgebra.abelian(2), Gram.from_diagonal([1.0, 0.0]))
+    # the cutoff is tol * max(1, largest) = 1e-9: at the exact tie the gram is
+    # degenerate, just above it it is not (as in test_signature_boundary_counts_null)
+    with pytest.raises(DegenerateGram):
+        MetricLieAlgebra(LieAlgebra.abelian(2), Gram.from_diagonal([1.0, 1e-9]))
+    m = MetricLieAlgebra(LieAlgebra.abelian(2), Gram.from_diagonal([1.0, 1.0000001e-9]))
+    assert m.signature() == Signature(minus=0, plus=2, null=0)
+
+
+def test_metric_algebra_decides_its_signature_once_at_its_tol():
+    # the eigenvalue 1e-10 is null at the default cutoff 1e-9 and positive at 1e-12
+    gram = Gram.from_diagonal([-1.0, 1.0, 1e-10])
+    with pytest.raises(DegenerateGram):
+        MetricLieAlgebra(make_algebra("L3_2"), gram)
+    m = MetricLieAlgebra(make_algebra("L3_2"), gram, tol=1e-12)
+    assert m.tol == 1e-12
+    assert m.signature() == Signature(minus=1, plus=2, null=0)
+    assert m.einstein_classify().signature == m.signature()
 
 
 def test_levi_civita_heisenberg_table():

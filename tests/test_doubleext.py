@@ -72,6 +72,18 @@ def test_extend_zero_data_is_abelian_flat():
     assert (sig.minus, sig.plus, sig.null) == (1, 4, 0)
 
 
+def test_extend_and_guediri_build_at_their_tol():
+    t = 1e-6
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    c = np.array([[1.0], [0.0]])  # Σa² = 2 = 2Σc²
+    for m in (
+        extend(ExtensionData(2, ROT, np.zeros((2, 2))), tol=t),
+        guediri_2step(1, 2, np.array([0.3, -0.7]), c, a, tol=t),
+    ):
+        assert m.tol == t
+        assert m.einstein_classify().signature == m.signature()
+
+
 def test_extend_einstein_family_is_ricci_flat():
     # K a scaled rotation paired with a nilpotent D balancing the trace term
     for a in (0.5, 1.0, 2.0):
