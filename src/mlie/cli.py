@@ -13,9 +13,9 @@ derivations, search, classify.  Exit codes are a stable contract:
 A closed stdout keeps the command's exit code and writes nothing to stderr.
 
 The ``--tol`` flag, a positive finite number, overrides both default
-tolerances: 1e-8 for verdicts, 1e-9 for every rank, degeneracy and inertia
-decision of a metric algebra.  ``search --tol`` reaches only the input's Jacobi
-check; the search decides ranks at 1e-9 and convergence at 1e-8.
+tolerances: 1e-8 for verdicts, 1e-9 for the algebra read from the file, which
+takes Jacobi and every rank, degeneracy and inertia decision, its metric's too,
+at it; so ``search --tol`` reaches all of these, and convergence stays at 1e-8.
 ``catalog`` decides nothing numerically and takes no ``--tol``.
 """
 from __future__ import annotations
@@ -78,9 +78,9 @@ def _tols(args: argparse.Namespace) -> Tuple[float, float]:
 
 
 def _read_lie(path: str, tol: float) -> Tuple[LieAlgebra, Optional[Gram]]:
-    """Algebra and metric of an algebra file; NotLie when Jacobi fails."""
+    """Algebra, built at tol, and metric of an algebra file; NotLie when Jacobi fails."""
     algebra, metric, _ = read_algebra(path)
-    return algebra.require_jacobi(tol), metric
+    return LieAlgebra(algebra.n, algebra.c, tol).require_jacobi(), metric
 
 
 def _read_metric(path: str, tol: float) -> MetricLieAlgebra:
@@ -89,7 +89,7 @@ def _read_metric(path: str, tol: float) -> MetricLieAlgebra:
     algebra, metric = _read_lie(path, tol)
     if metric is None:
         raise InvalidInput(f"{path}: this command needs a 'metric' field in the file")
-    return MetricLieAlgebra(algebra, metric, tol=tol)
+    return MetricLieAlgebra(algebra, metric)
 
 
 def _print_report(report: CurvatureReport) -> None:
@@ -220,14 +220,14 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 def cmd_derivations(args: argparse.Namespace) -> int:
     lin_tol, _ = _tols(args)
     algebra, _ = _read_lie(args.file, lin_tol)
-    print(f"derivation space dimension: {len(algebra.derivation_space(lin_tol))}")
+    print(f"derivation space dimension: {len(algebra.derivation_space())}")
     for name, diag in DERIVATION_TABLE.items():
         if algebra.n == len(diag) and np.array_equal(algebra.c, make_algebra(name).c):
             der = table1_derivation(name)
             print(f"diagonal derivation of catalog entry {name} (trace {np.trace(der):g}):")
             print(_fmt(der))
             return EXIT_OK
-    found = algebra.find_nonzero_trace_derivation(lin_tol)
+    found = algebra.find_nonzero_trace_derivation()
     if found is None:
         print("no nonzero-trace derivation found (derivation algebra is traceless)")
     else:
@@ -283,14 +283,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     sig = m.signature()
     print(f"dimension: {algebra.n}")
     print(f"signature: (minus={sig.minus}, plus={sig.plus}, null={sig.null})")
-    print(f"nilpotent: {algebra.is_nilpotent(lin_tol)}")
+    print(f"nilpotent: {algebra.is_nilpotent()}")
     wanted = args.subspace
     if wanted in ("center", "both"):
-        center = algebra.center(lin_tol)
+        center = algebra.center()
         cls = classify_subspace(gram, center, lin_tol)
         print(f"center: dim {center.dim} — {cls}")
     if wanted in ("derived", "both"):
-        derived = algebra.derived_ideal(lin_tol)
+        derived = algebra.derived_ideal()
         cls = classify_subspace(gram, derived, lin_tol)
         print(f"derived ideal: dim {derived.dim} — {cls}")
     return EXIT_OK
@@ -316,8 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=None,
-        help="override both default tolerances (verdict 1e-8, linear algebra 1e-9); "
-        "a positive finite number",
+        help="override both default tolerances (verdict 1e-8; 1e-9 for the algebra and its "
+        "metric's rank, degeneracy and inertia decisions); a positive finite number",
     )
 
     p = sub.add_parser("ricci", parents=[tol], help="curvature report for an algebra+metric file")

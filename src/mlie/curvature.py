@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
 from .liealg import LieAlgebra
-from .pseudolin import DEFAULT_TOL, Gram, Signature, signature
+from .pseudolin import Gram, Signature, signature
 
 #: Default relative tolerance for Einstein/flatness verdicts.
 VERDICT_TOL = 1e-8
@@ -123,13 +123,13 @@ def ricci_operators(c: np.ndarray, g: np.ndarray, nilpotent: bool) -> np.ndarray
     return np.linalg.solve(g, ricci_forms(levi_civita_tensors(c, g)))
 
 
-def _checked_gram(gram, n: int, tol: float) -> Tuple[Gram, Signature]:
-    """gram as a Gram and its signature at tol; refused unless n x n and nondegenerate."""
+def _checked_gram(gram, algebra: LieAlgebra) -> Tuple[Gram, Signature]:
+    """gram as a Gram and its signature at algebra.tol; refused unless n x n and nondegenerate."""
     if not isinstance(gram, Gram):
         gram = Gram(gram)
-    if gram.n != n:
+    if gram.n != algebra.n:
         raise InvalidInput("gram size does not match algebra dimension")
-    sig = signature(gram, tol)
+    sig = signature(gram, algebra.tol)
     if sig.null:
         raise DegenerateGram("metric gram matrix is degenerate at tolerance")
     return gram, sig
@@ -138,7 +138,8 @@ def _checked_gram(gram, n: int, tol: float) -> Tuple[Gram, Signature]:
 @dataclass(frozen=True, eq=False)
 class MetricLieAlgebra:
     """A Lie algebra together with a nondegenerate ⟨,⟩, whose signature and
-    nilpotency (which picks the Ricci route) are decided once, at ``tol``.
+    nilpotency (which picks the Ricci route) are decided once, at the
+    algebra's ``tol``.
 
     G⁻¹ (``gram_inv``), the Levi-Civita tensor and the S_i are built eagerly
     as read-only arrays, so instances are safe to share.
@@ -146,14 +147,12 @@ class MetricLieAlgebra:
 
     algebra: LieAlgebra
     gram: Gram
-    tol: float
 
-    def __init__(self, algebra: LieAlgebra, gram: Gram, tol: float = DEFAULT_TOL) -> None:
-        gram, sig = _checked_gram(gram, algebra.n, tol)
+    def __init__(self, algebra: LieAlgebra, gram: Gram) -> None:
+        gram, sig = _checked_gram(gram, algebra)
         g = gram.mat
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "_signature", sig)
         for name, value in (
             ("gram_inv", np.linalg.inv(g)),
@@ -232,7 +231,7 @@ class MetricLieAlgebra:
 
     def ricci_nilpotent(self) -> np.ndarray:
         """Ricci operator −½𝒥₁ + ¼𝒥₂; only valid on nilpotent algebras."""
-        if not self.algebra.is_nilpotent(self.tol):
+        if not self.algebra.is_nilpotent():
             raise NotNilpotent("the 𝒥-form of the Ricci operator needs a nilpotent algebra")
         return self._q()
 
@@ -287,7 +286,7 @@ class MetricLieAlgebra:
     def _ricci_operator(self, ric_form: np.ndarray) -> np.ndarray:
         """ricci_operator, given the definitional Ricci form."""
         ric_def = self.gram_inv @ ric_form
-        if self.algebra.is_nilpotent(self.tol):
+        if self.algebra.is_nilpotent():
             ric_nil = self._q()
             scale = max(1.0, float(np.abs(ric_nil).max(initial=0.0)))
             if np.abs(ric_nil - ric_def).max(initial=0.0) > 1e-6 * scale:

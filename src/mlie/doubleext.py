@@ -134,12 +134,12 @@ def extend(data: ExtensionData, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:
     adm = check_admissible(data, tol)
     if not adm.is_lie:
         raise NotLie(f"K∘D + Dᵀ∘K = μK fails with residual {adm.lie_residual:.3e}")
-    return MetricLieAlgebra(*_model(data), tol)
+    return MetricLieAlgebra(*_model(data, tol))
 
 
-def _model(data: ExtensionData) -> Tuple[LieAlgebra, Gram]:
-    """Bracket and gram of extend's model, unchecked: Jacobi holds only for
-    data that check_admissible finds Lie."""
+def _model(data: ExtensionData, tol: float) -> Tuple[LieAlgebra, Gram]:
+    """Bracket, built at tol, and gram of extend's model, unchecked: Jacobi
+    holds only for data that check_admissible finds Lie."""
     v = data.v_dim
     n = v + 2
     c = np.zeros((n, n, n))
@@ -152,7 +152,7 @@ def _model(data: ExtensionData) -> Tuple[LieAlgebra, Gram]:
     # [f_i, f_j] = ⟨K f_i, f_j⟩ e = K[j,i] e
     iu, ju = np.triu_indices(v, 1)
     c[1 + iu, 1 + ju, 0] = data.K[ju, iu]
-    algebra = LieAlgebra(n, c)
+    algebra = LieAlgebra(n, c, tol)
 
     g = np.zeros((n, n))
     g[0, n - 1] = g[n - 1, 0] = 1.0
@@ -180,23 +180,23 @@ def decompose(m: MetricLieAlgebra, verdict_tol: float = VERDICT_TOL) -> Optional
 
     Requires the input to be nilpotent, Lorentzian and at least Ricci-flat
     (NotApplicable otherwise); every rank and inertia decision is taken at
-    m.tol, the verdict at verdict_tol.  Returns None when the center is
+    m.algebra.tol, the verdict at verdict_tol.  Returns None when the center is
     definite, the one case with no isotropic central vector.  Otherwise
     returns extension data with μ = 0 together with the basis change, whose
     columns give (e, f_1..f_v, ē) in the input coordinates.
     """
-    n, tol = m.n, m.tol
+    n = m.n
     sig = m.signature()
     if (sig.minus, sig.null) != (1, 0):
         raise NotApplicable(f"metric is not Lorentzian: signature {tuple(sig)}")
-    if not m.algebra.is_nilpotent(tol):
+    if not m.algebra.is_nilpotent():
         raise NotApplicable("algebra is not nilpotent")
     report = m.einstein_classify(verdict_tol)
     if report.verdict not in (Verdict.RICCI_FLAT, Verdict.FLAT):
         raise NotApplicable(f"metric is not Ricci-flat: verdict {report.verdict.value}")
 
-    center = m.algebra.center(tol)
-    e = find_isotropic_in(m.gram, center, tol)
+    center = m.algebra.center()
+    e = find_isotropic_in(m.gram, center, m.algebra.tol)
     if e is None:
         return None
 
@@ -226,7 +226,7 @@ def model_residual(m: MetricLieAlgebra, dec: Decomposition) -> float:
     """Largest entrywise mismatch between m pulled through the basis change
     and the model extension of dec.data; small for a correct decomposition.
     A measurement only: dec.data is not checked for the bracket condition."""
-    model_algebra, model_gram = _model(dec.data)
+    model_algebra, model_gram = _model(dec.data, m.algebra.tol)
     p = dec.basis_change
     c_new = act_on_brackets(np.linalg.inv(p)[None], m.algebra.c)[0]  # P⁻¹[Pe_a, Pe_b]
     g_new = p.T @ m.gram.mat @ p
@@ -309,7 +309,7 @@ def guediri_2step(
     if not check_admissible(data, tol).is_einstein:  # is_einstein implies is_lie
         lhs, rhs = float(np.sum(amat**2)), 2.0 * float(np.sum(cmat**2))
         raise ConstraintViolation(f"Σ a_ij² = 2 Σ c_ik² fails: {lhs:.6g} vs {rhs:.6g}")
-    return MetricLieAlgebra(*_model(data), tol)
+    return MetricLieAlgebra(*_model(data, tol))
 
 
 def random_admissible(

@@ -22,12 +22,15 @@ from .pseudolin import DEFAULT_TOL, Subspace, _as_float_array, _cutoff, column_s
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """Anticommutative algebra on R^n; Jacobi is checked only on request."""
+    """Anticommutative algebra on R^n; Jacobi is checked only on request.
+    Every decision is taken at ``tol``, a positive finite number."""
 
     n: int
     c: np.ndarray = field()
+    tol: float
 
-    def __init__(self, n: int, c) -> None:
+    def __init__(self, n: int, c, tol: float = DEFAULT_TOL) -> None:
+        _cutoff(tol, 0.0)  # refuses a tol that is not a positive finite number
         tensor = _as_float_array(c, "structure constants")
         if tensor.shape != (n, n, n):
             raise InvalidInput(f"structure tensor must have shape {(n, n, n)}")
@@ -40,8 +43,9 @@ class LieAlgebra:
         peak = float(np.abs(clean).max(initial=0.0))
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "c", clean)
+        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "_unit", clean / peak if peak else clean)  # c/max|c|
-        object.__setattr__(self, "_memo", {})  # facts computed once, by (method, tol)
+        object.__setattr__(self, "_memo", {})  # facts computed once, by method
 
     @classmethod
     def from_brackets(
@@ -80,27 +84,27 @@ class LieAlgebra:
         cyc = d + d.transpose(1, 2, 0, 3) + d.transpose(2, 0, 1, 3)
         return float(np.abs(cyc).max(initial=0.0))
 
-    def require_jacobi(self, tol: float = DEFAULT_TOL) -> "LieAlgebra":
+    def require_jacobi(self) -> "LieAlgebra":
         """self, unless the Jacobi defect, quadratic in c, exceeds tol·max|c|²."""
         defect = self.jacobi_defect()
-        if defect > tol * float(np.abs(self.c).max(initial=0.0)) ** 2:
+        if defect > self.tol * float(np.abs(self.c).max(initial=0.0)) ** 2:
             raise NotLie(f"Jacobi identity fails: defect {defect:.3e}")
         return self
 
     # -- structure --------------------------------------------------------
 
-    def center(self, tol: float = DEFAULT_TOL) -> Subspace:
+    def center(self) -> Subspace:
         """{u : [e_i, u] = 0 for all i}, via one stacked nullspace."""
         stacked = self._unit.transpose(0, 2, 1).reshape(-1, self.n)  # rows of every ad_{e_i}
-        return Subspace(self.n, nullspace(stacked, tol), tol)
+        return Subspace(self.n, nullspace(stacked, self.tol), self.tol)
 
-    def derived_ideal(self, tol: float = DEFAULT_TOL) -> Subspace:
+    def derived_ideal(self) -> Subspace:
         """[g, g]: span of all basis brackets."""
         iu, ju = np.triu_indices(self.n, k=1)
         cols = self._unit[iu, ju, :].T  # columns are bracket vectors
-        return Subspace(self.n, column_space(cols, tol), tol)
+        return Subspace(self.n, column_space(cols, self.tol), self.tol)
 
-    def lower_central_series(self, tol: float = DEFAULT_TOL) -> List[Subspace]:
+    def lower_central_series(self) -> List[Subspace]:
         """g ⊇ [g,g] ⊇ [g,[g,g]] ⊇ ..., until the dimension stabilizes."""
         series = [Subspace.full(self.n)]
         while True:
@@ -108,40 +112,38 @@ class LieAlgebra:
             if prev.dim == 0:
                 break
             imgs = (prev.basis @ self._unit).reshape(-1, self.n)  # rows [e_i, w]
-            nxt = Subspace(self.n, column_space(imgs.T, tol), tol)
+            nxt = Subspace(self.n, column_space(imgs.T, self.tol), self.tol)
             if nxt.dim == prev.dim:
                 break
             series.append(nxt)
         return series
 
-    def is_nilpotent(self, tol: float = DEFAULT_TOL) -> bool:
-        """Whether the lower central series reaches 0; computed once per tol."""
-        key = ("is_nilpotent", tol)
-        if key not in self._memo:
-            self._memo[key] = self.lower_central_series(tol)[-1].dim == 0
-        return self._memo[key]
+    def is_nilpotent(self) -> bool:
+        """Whether the lower central series reaches 0; computed once."""
+        if "is_nilpotent" not in self._memo:
+            self._memo["is_nilpotent"] = self.lower_central_series()[-1].dim == 0
+        return self._memo["is_nilpotent"]
 
     # -- derivations ------------------------------------------------------
 
-    def derivation_space(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def derivation_space(self) -> np.ndarray:
         """Basis of the space of derivations, as a read-only (d, n, n) stack;
-        computed once per tol.
+        computed once.
 
         The defining equations E[e_i,e_j] = [Ee_i,e_j] + [e_i,Ee_j] for i < j
         are assembled into one homogeneous system in the n² entries of E and
         solved by SVD, which fixes the basis deterministically.
         """
-        key = ("derivation_space", tol)
-        if key not in self._memo:
+        if "derivation_space" not in self._memo:
             n = self.n
             iu, ju = np.triu_indices(n, k=1)
             units = np.eye(n * n).reshape(n * n, n, n)
             # row (pair, k), column (a, b): entry k of the defect of E = e_a e_bᵀ
             cols = derivation_defects(self._unit, units)[:, iu, ju, :]
-            basis = nullspace(cols.reshape(n * n, -1).T, tol).reshape(-1, n, n)
+            basis = nullspace(cols.reshape(n * n, -1).T, self.tol).reshape(-1, n, n)
             basis.flags.writeable = False
-            self._memo[key] = basis
-        return self._memo[key]
+            self._memo["derivation_space"] = basis
+        return self._memo["derivation_space"]
 
     def derivation_defect_map(self, e) -> np.ndarray:
         """d[..., i, j, :] = E[e_i,e_j] − [Ee_i,e_j] − [e_i,Ee_j] for a matrix
@@ -153,19 +155,19 @@ class LieAlgebra:
         """Sup-norm of E[e_i,e_j] - [Ee_i,e_j] - [e_i,Ee_j] over basis pairs."""
         return float(np.abs(self.derivation_defect_map(e)).max(initial=0.0))
 
-    def find_nonzero_trace_derivation(self, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
+    def find_nonzero_trace_derivation(self) -> Optional[np.ndarray]:
         """A read-only derivation matrix with |trace| above tolerance, or None.
 
         Trace is a linear functional on the derivation space, so it is nonzero
         on the computed basis iff it is nonzero on the space; the basis element
         with the largest |trace| is returned.
         """
-        basis = self.derivation_space(tol)
+        basis = self.derivation_space()
         if not len(basis):
             return None
         traces = np.abs(np.trace(basis, axis1=1, axis2=2))
         best = int(np.argmax(traces))
-        if traces[best] <= _cutoff(tol, traces[best]):
+        if traces[best] <= _cutoff(self.tol, traces[best]):
             return None
         return basis[best]
 

@@ -20,7 +20,10 @@ DEFAULT_TOL = 1e-9
 
 def _cutoff(tol: float, largest: float) -> float:
     """tol * max(1, largest magnitude): every rank, degeneracy and inertia
-    decision counts singular values or eigenvalues at or below it as null."""
+    decision counts singular values or eigenvalues at or below it as null.
+    InvalidInput unless tol is a positive finite number."""
+    if not 0.0 < tol < np.inf:  # False for NaN too
+        raise InvalidInput("tol must be a positive finite number")
     return tol * max(1.0, largest)
 
 
@@ -98,9 +101,6 @@ class Gram:
     def inner(self, u, v) -> float:
         """⟨u, v⟩ in working-basis coordinates."""
         return float(np.asarray(u, dtype=float) @ self.mat @ np.asarray(v, dtype=float))
-
-    def is_nondegenerate(self, tol: float = DEFAULT_TOL) -> bool:
-        return signature(self, tol).null == 0
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,7 @@ import numpy as np
 from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict, _checked_gram, ricci_operators
 from .errors import DegenerateGram, InvalidInput, is_route_mismatch
 from .liealg import LieAlgebra, act_on_brackets, derivation_defects
-from .pseudolin import DEFAULT_TOL, Gram
+from .pseudolin import Gram
 
 TARGETS = ("einstein", "ricci-flat")
 
@@ -62,15 +62,13 @@ _MAX_DAMPING = 1e12
 _MAX_STEP = 0.5
 
 
-def einstein_residual(
-    algebra: LieAlgebra, gram, target: str = "einstein", tol: float = DEFAULT_TOL
-) -> float:
+def einstein_residual(algebra: LieAlgebra, gram, target: str = "einstein") -> float:
     """Frobenius norm of Ric − λ̂·Id, with λ̂ = tr(Ric)/n for the Einstein
     target and λ̂ = 0 for the Ricci-flat target."""
     if target not in TARGETS:
         raise InvalidInput(f"target must be one of {TARGETS}")
-    gram, _ = _checked_gram(gram, algebra.n, tol)
-    ric = ricci_operators(algebra.c, gram.mat[None], algebra.is_nilpotent(tol))
+    gram, _ = _checked_gram(gram, algebra)
+    ric = ricci_operators(algebra.c, gram.mat[None], algebra.is_nilpotent())
     return float(_norms(_deviations(ric, target == "einstein"))[0])
 
 

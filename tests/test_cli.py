@@ -210,29 +210,62 @@ def test_ricci_and_classify_print_one_signature_at_tol(tmp_path, capsys):
     assert "signature: (minus=1, plus=2, null=0)" in out
 
 
-@pytest.mark.parametrize("command", ["ricci", "decompose", "classify"])
+STRUCTURE_METHODS = (
+    "require_jacobi",
+    "center",
+    "derived_ideal",
+    "lower_central_series",
+    "is_nilpotent",
+    "derivation_space",
+    "find_nonzero_trace_derivation",
+)
+
+
+#: decisions each command must be seen taking
+TOL_DECISIONS = {
+    "ricci": {"require_jacobi", "is_nilpotent", "signature"},
+    "double-extend": {"signature"},
+    "decompose": {"require_jacobi", "is_nilpotent", "center", "signature"},
+    "classify": {"require_jacobi", "is_nilpotent", "center", "derived_ideal", "signature"},
+    "derivations": {"require_jacobi", "derivation_space"},
+    "search": {"require_jacobi", "is_nilpotent", "derivation_space", "signature"},
+}
+
+
+@pytest.mark.parametrize("command", list(TOL_DECISIONS))
 def test_tol_reaches_every_nilpotency_and_inertia_decision(tmp_path, capsys, monkeypatch, command):
     path = tmp_path / "m42.json"
     run_cli(capsys, "catalog", "L4_2", "m42", "alpha=1", "a=0.3", "-o", str(path))
-    seen = {"is_nilpotent": [], "signature": []}
+    if command == "double-extend":
+        run_cli(capsys, "decompose", str(path), "-o", str(tmp_path / "ext.json"))
+        path = tmp_path / "ext.json"
+    elif command == "search":
+        path = tmp_path / "m32.json"
+        run_cli(capsys, "catalog", "L3_2", "m32", "alpha=1", "-o", str(path))
+    seen = []
 
-    def spy(name, fn):
-        params = inspect.signature(fn)
-
+    def spy_method(fn):
         @functools.wraps(fn)
-        def recording(*args, **kwargs):
-            bound = params.bind(*args, **kwargs)
-            bound.apply_defaults()
-            seen[name].append(bound.arguments["tol"])
-            return fn(*args, **kwargs)
+        def recording(self, *args, **kwargs):
+            seen.append((fn.__name__, self.tol))
+            return fn(self, *args, **kwargs)
 
         return recording
 
     algebra_cls = mlie.liealg.LieAlgebra
-    monkeypatch.setattr(algebra_cls, "is_nilpotent", spy("is_nilpotent", algebra_cls.is_nilpotent))
+    for name in STRUCTURE_METHODS:
+        monkeypatch.setattr(algebra_cls, name, spy_method(getattr(algebra_cls, name)))
     # patched wherever a module holds it, since modules look names up in their own globals
     signature = mlie.pseudolin.signature
-    recording = spy("signature", signature)
+    params = inspect.signature(signature)
+
+    @functools.wraps(signature)
+    def recording(*args, **kwargs):
+        bound = params.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(("signature", bound.arguments["tol"]))
+        return signature(*args, **kwargs)
+
     for name, module in list(sys.modules.items()):
         if name == "mlie" or name.startswith("mlie."):
             for key, value in list(vars(module).items()):
@@ -241,9 +274,8 @@ def test_tol_reaches_every_nilpotency_and_inertia_decision(tmp_path, capsys, mon
 
     code, _, _ = run_cli(capsys, command, str(path), "--tol", "1e-6")
     assert code == 0
-    for name, tols in seen.items():
-        assert tols, f"{name} was never called"
-        assert set(tols) == {1e-6}, name
+    assert TOL_DECISIONS[command] <= {name for name, _ in seen}, seen
+    assert {tol for _, tol in seen} == {1e-6}, seen
 
 
 @pytest.mark.parametrize("command", ["ricci", "decompose", "derivations", "search", "classify"])

@@ -48,8 +48,8 @@ def test_metric_algebra_decides_its_signature_once_at_its_tol():
     gram = Gram.from_diagonal([-1.0, 1.0, 1e-10])
     with pytest.raises(DegenerateGram):
         MetricLieAlgebra(make_algebra("L3_2"), gram)
-    m = MetricLieAlgebra(make_algebra("L3_2"), gram, tol=1e-12)
-    assert m.tol == 1e-12
+    m = MetricLieAlgebra(LieAlgebra(3, make_algebra("L3_2").c, 1e-12), gram)
+    assert m.algebra.tol == 1e-12
     assert m.signature() == Signature(minus=1, plus=2, null=0)
     assert m.einstein_classify().signature == m.signature()
 

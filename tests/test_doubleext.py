@@ -80,7 +80,7 @@ def test_extend_and_guediri_build_at_their_tol():
         extend(ExtensionData(2, ROT, np.zeros((2, 2))), tol=t),
         guediri_2step(1, 2, np.array([0.3, -0.7]), c, a, tol=t),
     ):
-        assert m.tol == t
+        assert m.algebra.tol == t
         assert m.einstein_classify().signature == m.signature()
 
 

@@ -1,9 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from mlie.catalog import ALGEBRA_NAMES, make_algebra
+from mlie.curvature import MetricLieAlgebra
 from mlie.errors import InvalidInput, NotLie
 from mlie.liealg import LieAlgebra
+from mlie.pseudolin import Gram, signature
+from mlie.search import einstein_residual
 
 
 def heisenberg():
@@ -95,20 +100,49 @@ def test_lower_central_series_dims():
 
 
 def test_is_nilpotent_computes_the_series_once_per_tol(monkeypatch):
+    # an algebra decides at its one tol, so the series is computed once per
+    # algebra object; one rebuilt at 1e-7 computes its own
     calls = []
     series = LieAlgebra.lower_central_series
 
-    def counting(self, tol):
-        calls.append(tol)
-        return series(self, tol)
+    def counting(self):
+        calls.append(self.tol)
+        return series(self)
 
     monkeypatch.setattr(LieAlgebra, "lower_central_series", counting)
     nilpotent = make_algebra("L5_2")
     solvable = LieAlgebra.from_brackets(2, {(0, 1): {1: 1.0}})
-    assert [nilpotent.is_nilpotent(1e-9) for _ in range(3)] == [True] * 3
-    assert [solvable.is_nilpotent(1e-9) for _ in range(3)] == [False] * 3
+    assert [nilpotent.is_nilpotent() for _ in range(3)] == [True] * 3
+    assert [solvable.is_nilpotent() for _ in range(3)] == [False] * 3
     assert calls == [1e-9, 1e-9]
-    assert nilpotent.is_nilpotent(1e-7) and calls == [1e-9, 1e-9, 1e-7]
+    rebuilt = LieAlgebra(nilpotent.n, nilpotent.c, 1e-7)
+    assert rebuilt.is_nilpotent() and calls == [1e-9, 1e-9, 1e-7]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_a_tol_that_is_not_positive_and_finite_is_refused(tol):
+    with pytest.raises(InvalidInput, match="positive finite"):
+        LieAlgebra(3, make_algebra("L3_2").c, tol)
+    with pytest.raises(InvalidInput, match="positive finite"):
+        signature(Gram.from_diagonal([-1.0, 1.0, 0.5]), tol)
+
+
+def test_the_algebra_is_the_one_tolerance_knob():
+    # every structure and metric decision reads the tol its algebra was built with
+    methods = [
+        LieAlgebra.require_jacobi,
+        LieAlgebra.center,
+        LieAlgebra.derived_ideal,
+        LieAlgebra.lower_central_series,
+        LieAlgebra.is_nilpotent,
+        LieAlgebra.derivation_space,
+        LieAlgebra.find_nonzero_trace_derivation,
+        MetricLieAlgebra.__init__,
+        einstein_residual,
+    ]
+    for fn in methods:
+        assert "tol" not in inspect.signature(fn).parameters, fn.__qualname__
+    assert "tol" in inspect.signature(LieAlgebra.__init__).parameters
 
 
 def test_not_nilpotent_solvable_example():

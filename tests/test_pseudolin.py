@@ -59,7 +59,7 @@ def test_signature_boundary_counts_null():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     no_d1, no_d2, no_s = np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 2))
     tie = Gram.from_diagonal([1.0, 1e-9])
-    assert not tie.is_nondegenerate()
+    assert signature(tie).null != 0
     assert signature(tie) == Signature(minus=0, plus=1, null=1)
     assert signature(Gram.from_diagonal([-1.0, -1e-9])) == Signature(minus=1, plus=0, null=1)
     assert numerical_rank(tie.mat) == 1
@@ -73,7 +73,7 @@ def test_signature_boundary_counts_null():
         kd_generate(0, 2, no_d1, no_d2, 1e-9 * rot, no_s)
 
     above = Gram.from_diagonal([1.0, 1.0000001e-9])
-    assert above.is_nondegenerate()
+    assert signature(above).null == 0
     assert signature(above) == Signature(minus=0, plus=2, null=0)
     assert signature(Gram.from_diagonal([-1.0, -1.0000001e-9])) == Signature(2, 0, 0)
     assert numerical_rank(above.mat) == 2
@@ -87,8 +87,8 @@ def test_signature_boundary_counts_null():
     # the trace test of find_nonzero_trace_derivation: on R the derivation
     # basis is (1), of trace 1, whose cutoff is tol * max(1, 1) = tol
     line = LieAlgebra.abelian(1)
-    assert line.find_nonzero_trace_derivation(tol=1.0) is None
-    assert line.find_nonzero_trace_derivation(tol=0.9999999) is not None
+    assert LieAlgebra(1, line.c, 1.0).find_nonzero_trace_derivation() is None
+    assert LieAlgebra(1, line.c, 0.9999999).find_nonzero_trace_derivation() is not None
 
 
 def test_numerical_rank_and_nullspace():
