@@ -49,7 +49,6 @@ from .pseudolin import (
     SubspaceTag,
     classify_subspace,
     find_isotropic_in,
-    orthogonal_complement,
     orthonormal_basis,
     restricted_gram,
     signature,
@@ -102,7 +101,6 @@ __all__ = [
     "make_algebra",
     "make_metric",
     "model_residual",
-    "orthogonal_complement",
     "orthonormal_basis",
     "random_admissible",
     "read_algebra",

@@ -14,8 +14,9 @@ A closed stdout keeps the command's exit code and writes nothing to stderr.
 
 The ``--tol`` flag, a positive finite number, overrides both default
 tolerances: 1e-8 for verdicts, 1e-9 for the algebra read from the file, which
-takes Jacobi and every rank, degeneracy and inertia decision, its metric's too,
-at it; so ``search --tol`` reaches all of these, and convergence stays at 1e-8.
+is read at it (its metric's symmetry too) and takes Jacobi and every rank,
+degeneracy and inertia decision, its metric's and its subspaces' too, at it;
+so ``search --tol`` reaches all of these, and convergence stays at 1e-8.
 ``catalog`` decides nothing numerically and takes no ``--tol``.
 """
 from __future__ import annotations
@@ -79,8 +80,8 @@ def _tols(args: argparse.Namespace) -> Tuple[float, float]:
 
 def _read_lie(path: str, tol: float) -> Tuple[LieAlgebra, Optional[Gram]]:
     """Algebra, built at tol, and metric of an algebra file; NotLie when Jacobi fails."""
-    algebra, metric, _ = read_algebra(path)
-    return LieAlgebra(algebra.n, algebra.c, tol).require_jacobi(), metric
+    algebra, metric, _ = read_algebra(path, tol)
+    return algebra.require_jacobi(), metric
 
 
 def _read_metric(path: str, tol: float) -> MetricLieAlgebra:
@@ -287,11 +288,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     wanted = args.subspace
     if wanted in ("center", "both"):
         center = algebra.center()
-        cls = classify_subspace(gram, center, lin_tol)
+        cls = classify_subspace(gram, center)
         print(f"center: dim {center.dim} — {cls}")
     if wanted in ("derived", "both"):
         derived = algebra.derived_ideal()
-        cls = classify_subspace(gram, derived, lin_tol)
+        cls = classify_subspace(gram, derived)
         print(f"derived ideal: dim {derived.dim} — {cls}")
     return EXIT_OK
 

@@ -173,14 +173,6 @@ class MetricLieAlgebra:
         """⟨,⟩-adjoint: M* = G^{-1} Mᵀ G, of a matrix or a stack of them."""
         return self.gram_inv @ np.swapaxes(np.asarray(m, dtype=float), -1, -2) @ self.gram.mat
 
-    # -- Levi-Civita ------------------------------------------------------
-
-    def levi_civita(self, u, v) -> np.ndarray:
-        """The product u·v defined by the Koszul identity."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return np.einsum("ijk,i,j->k", self._levi_civita, u, v)
-
     # -- curvature --------------------------------------------------------
 
     def curvature_tensor(self) -> np.ndarray:
@@ -205,10 +197,6 @@ class MetricLieAlgebra:
     def ricci_via_definition(self) -> np.ndarray:
         """ric(e_i,e_j) = −tr(R_i R_j) + tr(R_{e_i·e_j}); symmetric matrix."""
         return ricci_forms(self._levi_civita[None])[0]
-
-    def structure_endos(self) -> np.ndarray:
-        """Stack S[i] of the structure endomorphisms."""
-        return self._structure_endos
 
     def j_map(self, u) -> np.ndarray:
         """J_u = Σ_i ⟨u, e_i⟩ S_i; the stack of them for a stack of u[..., :]."""

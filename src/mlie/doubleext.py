@@ -96,7 +96,7 @@ def _ebar_terms(k: np.ndarray, d: np.ndarray, mu: float) -> Tuple[float, float, 
     )
 
 
-def check_admissible(data: ExtensionData, tol: float = DEFAULT_TOL) -> Admissibility:
+def check_admissible(data: ExtensionData, tol: float) -> Admissibility:
     """Evaluate the bracket, nilpotency and trace conditions for the data."""
     k, d, mu = data.K, data.D, data.mu
     kd = k @ d
@@ -196,7 +196,7 @@ def decompose(m: MetricLieAlgebra, verdict_tol: float = VERDICT_TOL) -> Optional
         raise NotApplicable(f"metric is not Ricci-flat: verdict {report.verdict.value}")
 
     center = m.algebra.center()
-    e = find_isotropic_in(m.gram, center, m.algebra.tol)
+    e = find_isotropic_in(m.gram, center)
     if e is None:
         return None
 
@@ -236,7 +236,7 @@ def model_residual(m: MetricLieAlgebra, dec: Decomposition) -> float:
 
 
 def kd_generate(
-    f_dim: int, fperp_dim: int, D1, D2, K0, S, tol: float = DEFAULT_TOL
+    f_dim: int, fperp_dim: int, D1, D2, K0, S, tol: float
 ) -> ExtensionData:
     """Solutions of K∘D + Dᵀ∘K = 0 in block form.
 

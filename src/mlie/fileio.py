@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .doubleext import ExtensionData
 from .errors import InvalidInput
 from .liealg import LieAlgebra
-from .pseudolin import DEFAULT_TOL, Gram
+from .pseudolin import DEFAULT_TOL, Gram, _cutoff
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -84,7 +85,9 @@ def algebra_to_dict(
     return doc
 
 
-def dict_to_algebra(doc: Any) -> Tuple[LieAlgebra, Optional[Gram], Optional[str]]:
+def dict_to_algebra(doc: Any, tol: float) -> Tuple[LieAlgebra, Optional[Gram], Optional[str]]:
+    """The algebra of doc, built at tol, its metric, refused unless symmetric
+    at tol, and its comment."""
     _require(isinstance(doc, dict), "top level: expected a JSON object")
     _require("dim" in doc, "missing field 'dim'")
     dim = _integer(doc["dim"], "'dim'", 1)
@@ -112,14 +115,14 @@ def dict_to_algebra(doc: Any) -> Tuple[LieAlgebra, Optional[Gram], Optional[str]
                 raise InvalidInput(f"{where}: coefficient key {kstr!r} is not an index") from None
             _require(1 <= k <= dim, f"{where}: coefficient index {k} out of range")
             c[i - 1, j - 1, k - 1] = _finite_number(val, f"{where}.coeffs[{kstr}]")
-    algebra = LieAlgebra(dim, c)
+    algebra = LieAlgebra(dim, c, tol)
 
     metric = None
     if "metric" in doc:
         mat = _matrix(doc, "metric", dim, dim)
         asym = float(np.abs(mat - mat.T).max(initial=0.0))
-        scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-        _require(asym <= DEFAULT_TOL * scale, f"'metric' is not symmetric (defect {asym:.3e})")
+        cut = _cutoff(tol, float(np.abs(mat).max(initial=0.0)))
+        _require(asym <= cut, f"'metric' is not symmetric (defect {asym:.3e})")
         metric = Gram(mat)
 
     comment = doc.get("comment")
@@ -157,6 +160,7 @@ def dict_to_extension(doc: Any) -> Tuple[ExtensionData, Optional[np.ndarray], Op
 
     k = _matrix(doc, "K", v, v)
     d = _matrix(doc, "D", v, v)
+    # a warning only, at the fixed default: ExtensionData antisymmetrizes K anyway
     skew_defect = float(np.abs(k + k.T).max(initial=0.0))
     scale = max(1.0, float(np.abs(k).max(initial=0.0)))
     if skew_defect > DEFAULT_TOL * scale:
@@ -197,8 +201,8 @@ def write_json(path: str, doc: Dict[str, Any]) -> None:
         fh.write("\n")
 
 
-def read_algebra(path: str) -> Tuple[LieAlgebra, Optional[Gram], Optional[str]]:
-    return _read(path, dict_to_algebra)
+def read_algebra(path: str, tol: float) -> Tuple[LieAlgebra, Optional[Gram], Optional[str]]:
+    return _read(path, partial(dict_to_algebra, tol=tol))
 
 
 def write_algebra(

@@ -106,7 +106,7 @@ class LieAlgebra:
 
     def lower_central_series(self) -> List[Subspace]:
         """g ⊇ [g,g] ⊇ [g,[g,g]] ⊇ ..., until the dimension stabilizes."""
-        series = [Subspace.full(self.n)]
+        series = [Subspace.full(self.n, self.tol)]
         while True:
             prev = series[-1]
             if prev.dim == 0:

@@ -83,29 +83,16 @@ class Gram:
     def from_diagonal(cls, diag) -> "Gram":
         return cls(np.diag(np.asarray(diag, dtype=float)))
 
-    @classmethod
-    def euclidean(cls, n: int) -> "Gram":
-        return cls(np.eye(n))
-
-    @classmethod
-    def minkowski(cls, n: int) -> "Gram":
-        """diag(-1, 1, ..., 1) on n dimensions."""
-        d = np.ones(n)
-        d[0] = -1.0
-        return cls(np.diag(d))
-
     @property
     def n(self) -> int:
         return self.mat.shape[0]
 
-    def inner(self, u, v) -> float:
-        """⟨u, v⟩ in working-basis coordinates."""
-        return float(np.asarray(u, dtype=float) @ self.mat @ np.asarray(v, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """Linear subspace of R^n spanned by the rows of ``basis``.
+    """Linear subspace of R^n spanned by the rows of ``basis``, decided at
+    ``tol``: membership and the class of a form restricted to it are decided
+    at the same tol.
 
     The rows must be linearly independent (numerical rank equals the row
     count); factory helpers in this package return Euclidean-orthonormal rows
@@ -114,65 +101,70 @@ class Subspace:
 
     ambient_dim: int
     basis: np.ndarray = field()
+    tol: float
 
-    def __init__(self, ambient_dim: int, basis, tol: float = DEFAULT_TOL) -> None:
+    def __init__(self, ambient_dim: int, basis, tol: float) -> None:
+        _cutoff(tol, 0.0)  # refuses a tol that is not a positive finite number
         b = _as_float_array(basis, "subspace basis")
         if b.ndim != 2 or b.shape[1] != ambient_dim:
             raise InvalidInput(
                 f"basis must have shape (k, {ambient_dim}), got {b.shape}"
             )
-        if b.shape[0] > 0 and numerical_rank(b, tol) != b.shape[0]:
+        if numerical_rank(b, tol) != b.shape[0]:
             raise InvalidInput("subspace basis rows are linearly dependent at tolerance")
         b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "tol", tol)
 
     @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim))
+    def full(cls, ambient_dim: int, tol: float) -> "Subspace":
+        return cls(ambient_dim, np.eye(ambient_dim), tol)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def contains(self, v, tol: float = DEFAULT_TOL) -> bool:
-        """Whether v lies in the span of the basis rows, at tolerance."""
+    def contains(self, v) -> bool:
+        """Whether v lies in the span of the basis rows, at the subspace's tol."""
         v = _as_float_array(v, "vector")
-        cut = _cutoff(tol, float(np.abs(v).max(initial=0.0)))
+        cut = _cutoff(self.tol, float(np.abs(v).max(initial=0.0)))
         if self.dim == 0:
             return bool(np.linalg.norm(v) <= cut)
         coeffs, *_ = np.linalg.lstsq(self.basis.T, v, rcond=None)
         return bool(np.abs(self.basis.T @ coeffs - v).max() <= cut)
 
 
-def numerical_rank(m, tol: float = DEFAULT_TOL) -> int:
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Number of singular values s (descending) above tol * max(1, largest)."""
+    return int(np.count_nonzero(s > _cutoff(tol, s[0] if s.size else 0.0)))
+
+
+def numerical_rank(m, tol: float) -> int:
     """Rank of a matrix: number of singular values above tol * max(1, largest)."""
     m = _as_float_array(m, "matrix")
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > _cutoff(tol, s[0])))
+    return _rank(np.linalg.svd(m, compute_uv=False), tol)
 
 
-def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def nullspace(m, tol: float) -> np.ndarray:
     """Euclidean-orthonormal basis (rows) of the kernel of m."""
     m = _as_float_array(m, "matrix")
     if m.shape[0] == 0:
         return np.eye(m.shape[1])
     u, s, vt = np.linalg.svd(m)
-    rank = int(np.count_nonzero(s > _cutoff(tol, s[0] if s.size else 0.0)))
-    return vt[rank:]
+    return vt[_rank(s, tol):]
 
 
-def column_space(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def column_space(m, tol: float) -> np.ndarray:
     """Euclidean-orthonormal basis (rows) of the column span of m."""
     m = _as_float_array(m, "matrix")
     if m.size == 0:
         return np.zeros((0, m.shape[0]))
     u, s, vt = np.linalg.svd(m)
-    rank = int(np.count_nonzero(s > _cutoff(tol, s[0] if s.size else 0.0)))
-    return u[:, :rank].T
+    return u[:, :_rank(s, tol)].T
 
 
 def signature(g: Gram, tol: float = DEFAULT_TOL) -> Signature:
@@ -195,14 +187,14 @@ def restricted_gram(g: Gram, f: Subspace) -> Gram:
     return Gram(f.basis @ g.mat @ f.basis.T)
 
 
-def classify_subspace(g: Gram, f: Subspace, tol: float = DEFAULT_TOL) -> SubspaceClass:
-    """Degeneracy class of g restricted to f.
+def classify_subspace(g: Gram, f: Subspace) -> SubspaceClass:
+    """Degeneracy class of g restricted to f, decided at f.tol.
 
     Nondegenerate restrictions are tagged Euclidean (definite) or Lorentzian
     (index one); restrictions of index two or more do not occur inside a
     Lorentzian ambient space and are rejected.
     """
-    sig = signature(restricted_gram(g, f), tol)
+    sig = signature(restricted_gram(g, f), f.tol)
     if sig.null > 0:
         return SubspaceClass(SubspaceTag.DEGENERATE, null_dim=sig.null)
     if sig.minus == 0:
@@ -215,17 +207,8 @@ def classify_subspace(g: Gram, f: Subspace, tol: float = DEFAULT_TOL) -> Subspac
     )
 
 
-def orthogonal_complement(g: Gram, f: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
-    """F-perp with respect to g: all u with ⟨b, u⟩ = 0 for every basis row b."""
-    if f.ambient_dim != g.n:
-        raise InvalidInput("subspace ambient dimension does not match gram size")
-    if f.dim == 0:
-        return Subspace.full(g.n)
-    return Subspace(g.n, nullspace(f.basis @ g.mat, tol), tol)
-
-
-def find_isotropic_in(g: Gram, f: Subspace, tol: float = DEFAULT_TOL) -> Optional[np.ndarray]:
-    """A unit (Euclidean norm) vector v in f with ⟨v, v⟩ = 0 at tolerance.
+def find_isotropic_in(g: Gram, f: Subspace) -> Optional[np.ndarray]:
+    """A unit (Euclidean norm) vector v in f with ⟨v, v⟩ = 0 at f.tol.
 
     Returns None when the restriction of g to f is definite, which is exactly
     the case with no isotropic directions.  The choice is deterministic: it is
@@ -237,7 +220,7 @@ def find_isotropic_in(g: Gram, f: Subspace, tol: float = DEFAULT_TOL) -> Optiona
         return None
     r = restricted_gram(g, f).mat
     w, vecs = np.linalg.eigh(r)
-    cut = _cutoff(tol, float(np.abs(w).max(initial=0.0)))
+    cut = _cutoff(f.tol, float(np.abs(w).max(initial=0.0)))
     null_idx = np.nonzero(np.abs(w) <= cut)[0]
     if null_idx.size > 0:
         coeffs = vecs[:, null_idx[0]]
@@ -250,7 +233,7 @@ def find_isotropic_in(g: Gram, f: Subspace, tol: float = DEFAULT_TOL) -> Optiona
     return v / np.linalg.norm(v)
 
 
-def orthonormal_basis(g: Gram, tol: float = DEFAULT_TOL):
+def orthonormal_basis(g: Gram, tol: float):
     """Pseudo-orthonormal basis for a nondegenerate g.
 
     Returns (B, eps) where the columns of B satisfy ⟨b_a, b_b⟩ = eps_a δ_ab

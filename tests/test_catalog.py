@@ -147,7 +147,7 @@ def test_ex8_center_inside_derived():
     assert classify_subspace(m.gram, center).tag is SubspaceTag.EUCLIDEAN
     assert classify_subspace(m.gram, derived).tag is SubspaceTag.LORENTZIAN
     for row in center.basis:
-        assert derived.contains(row, tol=1e-9)
+        assert derived.contains(row)  # derived.tol is the algebra's 1e-9
 
 
 def test_metric_bit_exact_reproducibility():

@@ -210,6 +210,23 @@ def test_ricci_and_classify_print_one_signature_at_tol(tmp_path, capsys):
     assert "signature: (minus=1, plus=2, null=0)" in out
 
 
+def test_tol_reaches_the_metric_reader(tmp_path, capsys):
+    # the metric's asymmetry 1e-6 is refused at the default 1e-9 and accepted at 1e-3
+    path = tmp_path / "l32.json"
+    doc = {
+        "dim": 3,
+        "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1.0}}],
+        "metric": [[-1.0, 1e-6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    }
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "ricci", str(path))
+    assert code == 2
+    assert "'metric' is not symmetric" in err
+    code, out, _ = run_cli(capsys, "ricci", str(path), "--tol", "1e-3")
+    assert code == 0
+    assert "signature:         (minus=1, plus=2, null=0)" in out
+
+
 STRUCTURE_METHODS = (
     "require_jacobi",
     "center",

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from mlie.catalog import ALGEBRA_NAMES, make_algebra, make_metric
-from mlie.curvature import MetricLieAlgebra, Verdict, ricci_operators
+from mlie.curvature import (
+    MetricLieAlgebra,
+    Verdict,
+    levi_civita_tensors,
+    ricci_operators,
+    structure_endo_tensors,
+)
 from mlie.doubleext import extend, killing_ebar, random_admissible
 from mlie.errors import DegenerateGram, NotNilpotent, is_route_mismatch
 from mlie.fileio import read_algebra
 from mlie.liealg import LieAlgebra
-from mlie.pseudolin import Gram, Signature
+from mlie.pseudolin import DEFAULT_TOL, Gram, Signature
 
 
 def euclidean_heisenberg():
     return MetricLieAlgebra(
-        LieAlgebra.from_brackets(3, {(0, 1): {2: 1.0}}), Gram.euclidean(3)
+        LieAlgebra.from_brackets(3, {(0, 1): {2: 1.0}}), Gram(np.eye(3))
     )
 
 
@@ -54,28 +60,32 @@ def test_metric_algebra_decides_its_signature_once_at_its_tol():
     assert m.einstein_classify().signature == m.signature()
 
 
+def levi_civita(m):
+    """lc[i, j] = e_i·e_j of m, from the stacked Koszul kernel."""
+    return levi_civita_tensors(m.algebra.c, m.gram.mat[None])[0]
+
+
 def test_levi_civita_heisenberg_table():
-    m = euclidean_heisenberg()
-    e = np.eye(3)
-    assert m.levi_civita(e[0], e[1]) == pytest.approx([0.0, 0.0, 0.5])
-    assert m.levi_civita(e[1], e[0]) == pytest.approx([0.0, 0.0, -0.5])
-    assert m.levi_civita(e[0], e[2]) == pytest.approx([0.0, -0.5, 0.0])
-    assert m.levi_civita(e[2], e[0]) == pytest.approx([0.0, -0.5, 0.0])
-    assert m.levi_civita(e[1], e[2]) == pytest.approx([0.5, 0.0, 0.0])
-    assert m.levi_civita(e[0], e[0]) == pytest.approx([0.0, 0.0, 0.0])
+    lc = levi_civita(euclidean_heisenberg())
+    assert lc[0, 1] == pytest.approx([0.0, 0.0, 0.5])
+    assert lc[1, 0] == pytest.approx([0.0, 0.0, -0.5])
+    assert lc[0, 2] == pytest.approx([0.0, -0.5, 0.0])
+    assert lc[2, 0] == pytest.approx([0.0, -0.5, 0.0])
+    assert lc[1, 2] == pytest.approx([0.5, 0.0, 0.0])
+    assert lc[0, 0] == pytest.approx([0.0, 0.0, 0.0])
 
 
 def test_left_mult_skew_and_torsion_free():
     rng = np.random.default_rng(17)
     for name in ("L4_3", "L5_6", "EX7"):
         m = random_metric(name, rng)
-        e, g = np.eye(m.n), m.gram.mat
-        products = np.array([[m.levi_civita(x, y) for y in e] for x in e])  # [i,j] = e_i·e_j
+        g = m.gram.mat
+        products = levi_civita(m)  # [i,j] = e_i·e_j
         torsion = products - products.transpose(1, 0, 2) - m.algebra.c
         assert np.abs(torsion).max() < 1e-10
         for _ in range(5):
             u = rng.normal(size=m.n)
-            l_u = np.column_stack([m.levi_civita(u, x) for x in e])  # matrix of L_u
+            l_u = np.tensordot(u, products, axes=1).T  # matrix of L_u: column j is u·e_j
             assert np.abs(g @ l_u + l_u.T @ g).max() < 1e-10
 
 
@@ -87,7 +97,7 @@ def test_ricci_heisenberg_diagonal():
 
 def test_structure_endos_heisenberg():
     m = euclidean_heisenberg()
-    s = m.structure_endos()
+    s = structure_endo_tensors(m.algebra.c, m.gram.mat[None])[0]
     assert s[0] == pytest.approx(np.zeros((3, 3)))
     assert s[1] == pytest.approx(np.zeros((3, 3)))
     assert s[2] @ np.array([1.0, 0.0, 0.0]) == pytest.approx([0.0, 1.0, 0.0])
@@ -96,7 +106,8 @@ def test_structure_endos_heisenberg():
 
 def test_j_map_picks_out_endo():
     m = euclidean_heisenberg()
-    assert m.j_map([0.0, 0.0, 1.0]) == pytest.approx(m.structure_endos()[2])
+    s = structure_endo_tensors(m.algebra.c, m.gram.mat[None])[0]
+    assert m.j_map([0.0, 0.0, 1.0]) == pytest.approx(s[2])
 
 
 def test_j1_j2_heisenberg():
@@ -109,7 +120,7 @@ def test_j1_j2_heisenberg():
 
 def test_ricci_nilpotent_requires_nilpotent():
     solvable = LieAlgebra.from_brackets(2, {(0, 1): {1: 1.0}})
-    m = MetricLieAlgebra(solvable, Gram.euclidean(2))
+    m = MetricLieAlgebra(solvable, Gram(np.eye(2)))
     with pytest.raises(NotNilpotent):
         m.ricci_nilpotent()
 
@@ -117,7 +128,9 @@ def test_ricci_nilpotent_requires_nilpotent():
 def test_route_mismatch_on_an_ill_conditioned_gram():
     # L5_8 with a gram of cond 6.5e5: the 𝒥-route and G⁻¹·ric differ by
     # 1.2e-6 of max|Ric|, beyond the 1e-6 cross-check bound
-    algebra, gram, _ = read_algebra(str(Path(__file__).parent / "data" / "l58_route_mismatch.json"))
+    algebra, gram, _ = read_algebra(
+        str(Path(__file__).parent / "data" / "l58_route_mismatch.json"), DEFAULT_TOL
+    )
     with pytest.raises(RuntimeError, match="internal Ricci routes disagree") as err:
         MetricLieAlgebra(algebra, gram).einstein_classify()
     assert is_route_mismatch(err.value)
@@ -214,7 +227,7 @@ def test_verdict_heisenberg_not_einstein():
 
 
 def test_verdict_abelian_flat():
-    m = MetricLieAlgebra(LieAlgebra.abelian(3), Gram.minkowski(3))
+    m = MetricLieAlgebra(LieAlgebra.abelian(3), Gram.from_diagonal([-1.0, 1.0, 1.0]))
     report = m.einstein_classify()
     assert report.verdict is Verdict.FLAT
     assert report.flat

@@ -16,7 +16,7 @@ from mlie.doubleext import (
     ricci_ebar,
 )
 from mlie.errors import ConstraintViolation, InvalidInput, NotApplicable, NotLie, SingularK0
-from mlie.pseudolin import SubspaceTag, classify_subspace
+from mlie.pseudolin import DEFAULT_TOL, SubspaceTag, classify_subspace
 
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -37,7 +37,7 @@ def test_extension_data_shape_validation():
 
 def test_rotation_block_is_admissible():
     data = ExtensionData(2, ROT, np.zeros((2, 2)))
-    adm = check_admissible(data)
+    adm = check_admissible(data, DEFAULT_TOL)
     assert adm.is_lie
     assert adm.is_nilpotent
     assert not adm.is_einstein  # tr(K²) = −2 ≠ 0 with D = 0
@@ -90,7 +90,7 @@ def test_extend_einstein_family_is_ricci_flat():
         k = a * ROT
         d = np.array([[0.0, a], [0.0, 0.0]])
         data = ExtensionData(2, k, d)
-        adm = check_admissible(data)
+        adm = check_admissible(data, DEFAULT_TOL)
         assert adm.is_lie and adm.is_nilpotent and adm.is_einstein
         m = extend(data)
         assert m.algebra.is_nilpotent()
@@ -110,8 +110,8 @@ def test_extend_bracket_table():
     assert m.algebra.bracket(e[3], e[2]) == pytest.approx([-0.5, 1.0, 0.0, 0.0])
     assert m.algebra.bracket(e[1], e[2]) == pytest.approx([1.0, 0.0, 0.0, 0.0])
     assert m.algebra.bracket(e[0], e[3]) == pytest.approx([0.0, 0.0, 0.0, 0.0])
-    assert m.gram.inner(e[0], e[3]) == 1.0
-    assert m.gram.inner(e[0], e[0]) == 0.0
+    assert e[0] @ m.gram.mat @ e[3] == 1.0
+    assert e[0] @ m.gram.mat @ e[0] == 0.0
 
 
 def test_extend_mu_nonzero_not_nilpotent():
@@ -129,7 +129,7 @@ def test_trace_residual_is_four_times_ricci_ebar():
     for nilpotent in (True, False) * 20:
         data = random_admissible(rng, f_dim=int(rng.integers(0, 4)), nilpotent=nilpotent)
         data = ExtensionData(data.v_dim, data.K, data.D + 1e-3 * rng.normal(), data.mu, data.b)
-        assert check_admissible(data).trace_residual == 4 * abs(ricci_ebar(data))
+        assert check_admissible(data, DEFAULT_TOL).trace_residual == 4 * abs(ricci_ebar(data))
 
 
 def test_check_admissible_skips_the_nilpotency_power_when_decided(monkeypatch):
@@ -140,8 +140,9 @@ def test_check_admissible_skips_the_nilpotency_power_when_decided(monkeypatch):
     mu_data = random_admissible(rng, nilpotent=False)
     non_lie = ExtensionData(2, ROT, np.diag([1.0, 2.0]))
     monkeypatch.setattr(np.linalg, "matrix_power", refuse)
-    assert check_admissible(mu_data).is_lie and not check_admissible(mu_data).is_nilpotent
-    assert not check_admissible(non_lie).is_lie
+    adm = check_admissible(mu_data, DEFAULT_TOL)
+    assert adm.is_lie and not adm.is_nilpotent
+    assert not check_admissible(non_lie, DEFAULT_TOL).is_lie
 
 
 def test_decompose_roundtrip_seeded():
@@ -187,7 +188,7 @@ def test_decompose_rejects_non_ricci_flat():
     from mlie.pseudolin import Gram
 
     hei = MetricLieAlgebra(
-        LieAlgebra.from_brackets(3, {(0, 1): {2: 1.0}}), Gram.minkowski(3)
+        LieAlgebra.from_brackets(3, {(0, 1): {2: 1.0}}), Gram.from_diagonal([-1.0, 1.0, 1.0])
     )
     with pytest.raises(NotApplicable):
         decompose(hei)
@@ -205,30 +206,31 @@ def test_kd_generate_block_form():
     s = np.diag([1.0, -1.0])
     d1 = np.array([[0.0]])
     d2 = np.array([[1.0, 2.0]])
-    data = kd_generate(1, 2, d1, d2, k0, s)
+    data = kd_generate(1, 2, d1, d2, k0, s, DEFAULT_TOL)
     assert data.v_dim == 3
-    adm = check_admissible(data)
+    adm = check_admissible(data, DEFAULT_TOL)
     assert adm.is_lie
     # D3 = K0^{-1} S
     assert data.D[1:, 1:] == pytest.approx(np.linalg.solve(k0, s))
     # with F-perp = 0, K = 0 and D = D1
     empty = np.zeros((0, 0))
-    data = kd_generate(1, 0, d1, np.zeros((1, 0)), empty, empty)
+    data = kd_generate(1, 0, d1, np.zeros((1, 0)), empty, empty, DEFAULT_TOL)
     assert np.array_equal(data.K, np.zeros((1, 1))) and np.array_equal(data.D, d1)
 
 
 def test_kd_generate_validation():
+    d1, d2 = np.zeros((1, 1)), np.zeros((1, 2))
     with pytest.raises(SingularK0):
-        kd_generate(1, 2, np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((2, 2)), np.eye(2))
+        kd_generate(1, 2, d1, d2, np.zeros((2, 2)), np.eye(2), DEFAULT_TOL)
     with pytest.raises(InvalidInput):
-        kd_generate(1, 2, np.zeros((1, 1)), np.zeros((1, 2)), np.eye(2), np.eye(2))
+        kd_generate(1, 2, d1, d2, np.eye(2), np.eye(2), DEFAULT_TOL)
 
 
 def test_random_admissible_nilpotent_properties():
     rng = np.random.default_rng(13)
     for _ in range(10):
         data = random_admissible(rng, f_dim=2, blocks=2)
-        adm = check_admissible(data)
+        adm = check_admissible(data, DEFAULT_TOL)
         assert adm.is_lie and adm.is_nilpotent and adm.is_einstein
 
 
@@ -251,7 +253,7 @@ def test_guediri_two_step_structure():
     derived = m.algebra.derived_ideal()
     center = m.algebra.center()
     for row in derived.basis:
-        assert center.contains(row, tol=1e-9)
+        assert center.contains(row)  # center.tol is the algebra's 1e-9
 
 
 def test_guediri_family_round_trips_through_decompose():
@@ -268,7 +270,7 @@ def test_guediri_family_round_trips_through_decompose():
         assert dec is not None
         scale = max(1.0, float(np.abs(m.algebra.c).max()))
         assert model_residual(m, dec) <= 1e-12 * scale
-        adm = check_admissible(dec.data)
+        adm = check_admissible(dec.data, DEFAULT_TOL)
         assert adm.is_nilpotent and adm.is_einstein
 
 

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,14 +17,14 @@ from mlie.fileio import (
     write_extension,
 )
 from mlie.liealg import LieAlgebra
-from mlie.pseudolin import Gram
+from mlie.pseudolin import DEFAULT_TOL, Gram
 
 
 def test_algebra_roundtrip_bit_exact(tmp_path):
     m = make_metric("EX8")  # coefficients include binary64 roundings of radicals
     path = tmp_path / "ex8.json"
     write_algebra(str(path), m.algebra, m.gram, comment="roundtrip")
-    algebra, gram, comment = read_algebra(str(path))
+    algebra, gram, comment = read_algebra(str(path), DEFAULT_TOL)
     assert np.array_equal(algebra.c, m.algebra.c)
     assert np.array_equal(gram.mat, m.gram.mat)
     assert comment == "roundtrip"
@@ -33,7 +34,7 @@ def test_algebra_roundtrip_without_metric(tmp_path):
     alg = LieAlgebra.from_brackets(3, {(0, 1): {2: 0.1 + 0.2}})
     path = tmp_path / "a.json"
     write_algebra(str(path), alg)
-    back, gram, comment = read_algebra(str(path))
+    back, gram, comment = read_algebra(str(path), DEFAULT_TOL)
     assert np.array_equal(back.c, alg.c)
     assert gram is None and comment is None
 
@@ -42,7 +43,7 @@ def test_double_read_is_stable(tmp_path):
     m = make_metric("L5_9", "m59", {"a": 0.3, "b": -0.2, "x": 1.1, "y": 0.4, "eps": -1.0})
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
     write_algebra(str(p1), m.algebra, m.gram)
-    a1, g1, _ = read_algebra(str(p1))
+    a1, g1, _ = read_algebra(str(p1), DEFAULT_TOL)
     write_algebra(str(p2), a1, g1)
     assert p1.read_text() == p2.read_text()
 
@@ -55,38 +56,48 @@ def test_brackets_use_one_based_upper_indices():
 
 
 def test_dict_to_algebra_validation_messages():
+    parse = partial(dict_to_algebra, tol=DEFAULT_TOL)
     with pytest.raises(InvalidInput, match="dim"):
-        dict_to_algebra({"brackets": []})
+        parse({"brackets": []})
     with pytest.raises(InvalidInput, match="1 <= i < j"):
-        dict_to_algebra({"dim": 3, "brackets": [{"i": 2, "j": 1, "coeffs": {}}]})
+        parse({"dim": 3, "brackets": [{"i": 2, "j": 1, "coeffs": {}}]})
     with pytest.raises(InvalidInput, match="out of range"):
-        dict_to_algebra({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"4": 1.0}}]})
+        parse({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"4": 1.0}}]})
     with pytest.raises(InvalidInput, match="duplicate"):
-        dict_to_algebra(
+        parse(
             {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {}}, {"i": 1, "j": 2, "coeffs": {}}]}
         )
     with pytest.raises(InvalidInput, match="finite"):
-        dict_to_algebra({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"1": float("inf")}}]})
+        parse({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"1": float("inf")}}]})
     with pytest.raises(InvalidInput, match="unknown field"):
-        dict_to_algebra({"dim": 2, "bracketts": []})
+        parse({"dim": 2, "bracketts": []})
     with pytest.raises(InvalidInput, match="symmetric"):
-        dict_to_algebra({"dim": 2, "metric": [[1.0, 2.0], [0.0, 1.0]]})
+        parse({"dim": 2, "metric": [[1.0, 2.0], [0.0, 1.0]]})
     # JSON booleans are not integers, although Python's bool is an int
     with pytest.raises(InvalidInput, match="'dim' must be an integer"):
-        dict_to_algebra({"dim": True})
+        parse({"dim": True})
     with pytest.raises(InvalidInput, match=r"brackets\[0\]\.i must be an integer"):
-        dict_to_algebra({"dim": 3, "brackets": [{"i": True, "j": 2, "coeffs": {"3": 1.0}}]})
+        parse({"dim": 3, "brackets": [{"i": True, "j": 2, "coeffs": {"3": 1.0}}]})
     with pytest.raises(InvalidInput, match=r"brackets\[0\]\.j must be an integer"):
-        dict_to_algebra({"dim": 3, "brackets": [{"i": 1, "j": False, "coeffs": {}}]})
+        parse({"dim": 3, "brackets": [{"i": 1, "j": False, "coeffs": {}}]})
     with pytest.raises(InvalidInput, match=r"brackets\[0\]\.j must be an integer"):
-        dict_to_algebra({"dim": 3, "brackets": [{"i": 1, "j": 2.0, "coeffs": {}}]})
+        parse({"dim": 3, "brackets": [{"i": 1, "j": 2.0, "coeffs": {}}]})
+
+
+def test_reader_builds_the_algebra_and_checks_the_metric_at_tol():
+    doc = {"dim": 2, "metric": [[1.0, 1e-6], [0.0, 1.0]]}
+    with pytest.raises(InvalidInput, match="symmetric"):
+        dict_to_algebra(doc, DEFAULT_TOL)
+    algebra, gram, _ = dict_to_algebra(doc, 1e-3)
+    assert algebra.tol == 1e-3
+    assert gram.mat[0, 1] == gram.mat[1, 0] == 5e-7
 
 
 def test_parse_error_carries_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"dim": 2,\n  "brackets": [}\n')
     with pytest.raises(InvalidInput, match=r"broken\.json:2"):
-        read_algebra(str(path))
+        read_algebra(str(path), DEFAULT_TOL)
 
 
 def test_extension_roundtrip(tmp_path):

@@ -1,13 +1,16 @@
+import importlib
 import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 
+import mlie
 from mlie.catalog import ALGEBRA_NAMES, make_algebra
 from mlie.curvature import MetricLieAlgebra
 from mlie.errors import InvalidInput, NotLie
 from mlie.liealg import LieAlgebra
-from mlie.pseudolin import Gram, signature
+from mlie.pseudolin import Gram, Subspace, classify_subspace, find_isotropic_in, signature
 from mlie.search import einstein_residual
 
 
@@ -127,8 +130,39 @@ def test_a_tol_that_is_not_positive_and_finite_is_refused(tol):
         signature(Gram.from_diagonal([-1.0, 1.0, 0.5]), tol)
 
 
+#: the only public callables of mlie whose tolerance has a default: the
+#: algebra's own, the builders of an algebra, perfbench's signature call and
+#: the verdict tolerances; SearchSpec.tol is a convergence threshold
+DEFAULTED_TOLS = {
+    "LieAlgebra.__init__",
+    "extend",
+    "guediri_2step",
+    "signature",
+    "MetricLieAlgebra.einstein_classify",
+    "decompose",
+    "run_checks",
+}
+
+
+def _public_callables():
+    for info in pkgutil.iter_modules(mlie.__path__):
+        module = importlib.import_module(f"mlie.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield obj
+            elif inspect.isclass(obj):
+                for key, member in vars(obj).items():
+                    if inspect.isfunction(member) and (key == "__init__" or not key.startswith("_")):
+                        yield member
+                    elif isinstance(member, classmethod):
+                        yield member.__func__
+
+
 def test_the_algebra_is_the_one_tolerance_knob():
-    # every structure and metric decision reads the tol its algebra was built with
+    # every structure and metric decision reads the tol its algebra was built with,
+    # and every subspace decision the tol its subspace was built with
     methods = [
         LieAlgebra.require_jacobi,
         LieAlgebra.center,
@@ -139,10 +173,22 @@ def test_the_algebra_is_the_one_tolerance_knob():
         LieAlgebra.find_nonzero_trace_derivation,
         MetricLieAlgebra.__init__,
         einstein_residual,
+        Subspace.contains,
+        classify_subspace,
+        find_isotropic_in,
     ]
     for fn in methods:
         assert "tol" not in inspect.signature(fn).parameters, fn.__qualname__
     assert "tol" in inspect.signature(LieAlgebra.__init__).parameters
+    assert "tol" in inspect.signature(Subspace.__init__).parameters
+
+    defaulted = set()
+    for fn in _public_callables():
+        for param in inspect.signature(fn).parameters.values():
+            tol_like = param.name == "tol" or param.name.endswith("_tol")
+            if tol_like and param.default is not inspect.Parameter.empty:
+                defaulted.add(fn.__qualname__)
+    assert defaulted - {"SearchSpec.__init__"} == DEFAULTED_TOLS
 
 
 def test_not_nilpotent_solvable_example():

@@ -1,24 +1,31 @@
 import numpy as np
 import pytest
 
+from mlie.catalog import make_algebra
 from mlie.doubleext import kd_generate
 from mlie.errors import InvalidInput, SingularK0
 from mlie.liealg import LieAlgebra
 from mlie.pseudolin import (
+    DEFAULT_TOL,
     Gram,
     Signature,
     Subspace,
+    SubspaceClass,
     SubspaceTag,
     classify_subspace,
     column_space,
     find_isotropic_in,
     nullspace,
     numerical_rank,
-    orthogonal_complement,
     orthonormal_basis,
     restricted_gram,
     signature,
 )
+
+
+def minkowski(n):
+    """diag(-1, 1, ..., 1) on n dimensions."""
+    return Gram.from_diagonal([-1.0] + [1.0] * (n - 1))
 
 
 def test_gram_symmetrized_bit_exact():
@@ -28,11 +35,12 @@ def test_gram_symmetrized_bit_exact():
 
 
 def test_gram_factories():
-    assert np.array_equal(Gram.euclidean(3).mat, np.eye(3))
-    mink = Gram.minkowski(4)
+    assert np.array_equal(Gram(np.eye(3)).mat, np.eye(3))
+    mink = minkowski(4)
     assert mink.mat[0, 0] == -1.0
-    assert np.array_equal(np.diag(mink.mat), [-1.0, 1.0, 1.0, 1.0])
-    assert Gram.from_diagonal([2.0, -3.0]).inner([1, 0], [1, 0]) == 2.0
+    assert np.array_equal(mink.mat, np.diag([-1.0, 1.0, 1.0, 1.0]))
+    u = np.array([1.0, 0.0])
+    assert u @ Gram.from_diagonal([2.0, -3.0]).mat @ u == 2.0
 
 
 def test_gram_rejects_nonsquare():
@@ -41,7 +49,7 @@ def test_gram_rejects_nonsquare():
 
 
 def test_signature_minkowski():
-    assert signature(Gram.minkowski(4)) == Signature(minus=1, plus=3, null=0)
+    assert signature(minkowski(4)) == Signature(minus=1, plus=3, null=0)
 
 
 def test_signature_with_null_direction():
@@ -62,27 +70,29 @@ def test_signature_boundary_counts_null():
     assert signature(tie).null != 0
     assert signature(tie) == Signature(minus=0, plus=1, null=1)
     assert signature(Gram.from_diagonal([-1.0, -1e-9])) == Signature(minus=1, plus=0, null=1)
-    assert numerical_rank(tie.mat) == 1
-    assert nullspace(tie.mat).shape == (1, 2)
-    assert column_space(tie.mat).shape == (1, 2)
-    v = find_isotropic_in(tie, Subspace.full(2))
+    assert numerical_rank(tie.mat, DEFAULT_TOL) == 1
+    assert nullspace(tie.mat, DEFAULT_TOL).shape == (1, 2)
+    assert column_space(tie.mat, DEFAULT_TOL).shape == (1, 2)
+    v = find_isotropic_in(tie, Subspace.full(2, DEFAULT_TOL))
     assert np.array_equal(np.abs(v), [0.0, 1.0])
     with pytest.raises(InvalidInput):
-        orthonormal_basis(tie)
+        orthonormal_basis(tie, DEFAULT_TOL)
     with pytest.raises(SingularK0):
-        kd_generate(0, 2, no_d1, no_d2, 1e-9 * rot, no_s)
+        kd_generate(0, 2, no_d1, no_d2, 1e-9 * rot, no_s, DEFAULT_TOL)
 
     above = Gram.from_diagonal([1.0, 1.0000001e-9])
     assert signature(above).null == 0
     assert signature(above) == Signature(minus=0, plus=2, null=0)
     assert signature(Gram.from_diagonal([-1.0, -1.0000001e-9])) == Signature(2, 0, 0)
-    assert numerical_rank(above.mat) == 2
-    assert nullspace(above.mat).shape == (0, 2)
-    assert column_space(above.mat).shape == (2, 2)
-    assert find_isotropic_in(above, Subspace.full(2)) is None
-    _, eps = orthonormal_basis(above)
+    assert numerical_rank(above.mat, DEFAULT_TOL) == 2
+    assert nullspace(above.mat, DEFAULT_TOL).shape == (0, 2)
+    assert column_space(above.mat, DEFAULT_TOL).shape == (2, 2)
+    assert find_isotropic_in(above, Subspace.full(2, DEFAULT_TOL)) is None
+    _, eps = orthonormal_basis(above, DEFAULT_TOL)
     assert np.array_equal(eps, [1.0, 1.0])
-    assert kd_generate(0, 2, no_d1, no_d2, 1.0000001e-9 * rot, no_s).v_dim == 2
+    assert kd_generate(
+        0, 2, no_d1, no_d2, 1.0000001e-9 * rot, no_s, DEFAULT_TOL
+    ).v_dim == 2
 
     # the trace test of find_nonzero_trace_derivation: on R the derivation
     # basis is (1), of trace 1, whose cutoff is tol * max(1, 1) = tol
@@ -93,28 +103,31 @@ def test_signature_boundary_counts_null():
 
 def test_numerical_rank_and_nullspace():
     m = np.array([[1.0, 2.0], [2.0, 4.0]])
-    assert numerical_rank(m) == 1
-    ns = nullspace(m)
+    assert numerical_rank(m, DEFAULT_TOL) == 1
+    ns = nullspace(m, DEFAULT_TOL)
     assert ns.shape == (1, 2)
     assert np.allclose(m @ ns[0], 0.0)
 
 
 def test_subspace_validation():
     with pytest.raises(InvalidInput):
-        Subspace(2, np.array([[1.0, 0.0], [2.0, 0.0]]))  # dependent rows
-    s = Subspace(3, np.array([[1.0, 0.0, 0.0]]))
+        Subspace(2, np.array([[1.0, 0.0], [2.0, 0.0]]), DEFAULT_TOL)  # dependent rows
+    s = Subspace(3, np.array([[1.0, 0.0, 0.0]]), DEFAULT_TOL)
     assert s.dim == 1
     assert s.contains([2.0, 0.0, 0.0])
     assert not s.contains([0.0, 1.0, 0.0])
+    for bad in (0.0, -1e-9, float("nan"), float("inf")):
+        with pytest.raises(InvalidInput, match="positive finite"):
+            Subspace(3, np.zeros((0, 3)), bad)
 
 
 def test_classify_trichotomy():
-    g = Gram.minkowski(3)
-    spacelike = Subspace(3, np.array([[0.0, 1.0, 0.0]]))
+    g = minkowski(3)
+    spacelike = Subspace(3, np.array([[0.0, 1.0, 0.0]]), DEFAULT_TOL)
     assert classify_subspace(g, spacelike).tag is SubspaceTag.EUCLIDEAN
-    timelike_plane = Subspace(3, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    timelike_plane = Subspace(3, np.eye(3)[:2], DEFAULT_TOL)
     assert classify_subspace(g, timelike_plane).tag is SubspaceTag.LORENTZIAN
-    lightlike = Subspace(3, np.array([[1.0, 1.0, 0.0]]))
+    lightlike = Subspace(3, np.array([[1.0, 1.0, 0.0]]), DEFAULT_TOL)
     cls = classify_subspace(g, lightlike)
     assert cls.tag is SubspaceTag.DEGENERATE
     assert cls.null_dim == 1
@@ -122,66 +135,79 @@ def test_classify_trichotomy():
 
 def test_classify_rejects_higher_index():
     g = Gram.from_diagonal([-1.0, -1.0, 1.0])
-    f = Subspace(3, np.eye(3)[:2])
+    f = Subspace(3, np.eye(3)[:2], DEFAULT_TOL)
     with pytest.raises(InvalidInput):
         classify_subspace(g, f)
 
 
+def test_a_subspace_is_classified_at_the_tol_it_was_decided_at():
+    # the center of L3_2 is the e3 axis; g's 1e-8 there is null at 1e-6, not at 1e-9
+    center = LieAlgebra(3, make_algebra("L3_2").c, 1e-6).center()
+    assert center.tol == 1e-6
+    g = Gram.from_diagonal([-1.0, 1.0, 1e-8])
+    assert classify_subspace(g, center) == SubspaceClass(SubspaceTag.DEGENERATE, null_dim=1)
+    v = find_isotropic_in(g, center)
+    assert v is not None
+    assert np.array_equal(np.abs(v), [0.0, 0.0, 1.0])
+
+
 def test_restricted_gram():
-    g = Gram.minkowski(3)
-    f = Subspace(3, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    g = minkowski(3)
+    f = Subspace(3, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), DEFAULT_TOL)
     r = restricted_gram(g, f)
     assert r.mat == pytest.approx(np.array([[0.0, 0.0], [0.0, 1.0]]))
 
 
 def test_orthogonal_complement():
-    g = Gram.minkowski(3)
-    f = Subspace(3, np.array([[1.0, 1.0, 0.0]]))
-    comp = orthogonal_complement(g, f)
+    g = minkowski(3)
+    f = Subspace(3, np.array([[1.0, 1.0, 0.0]]), DEFAULT_TOL)
+    comp = Subspace(3, nullspace(f.basis @ g.mat, DEFAULT_TOL), DEFAULT_TOL)  # ⟨f, u⟩ = 0
     assert comp.dim == 2
     # the isotropic line lies in its own complement
     assert comp.contains([1.0, 1.0, 0.0])
 
 
 def test_find_isotropic_none_in_definite():
-    g = Gram.minkowski(3)
-    f = Subspace(3, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    g = minkowski(3)
+    f = Subspace(3, np.eye(3)[1:], DEFAULT_TOL)
     assert find_isotropic_in(g, f) is None
 
 
 def test_find_isotropic_in_degenerate_and_lorentzian():
-    g = Gram.minkowski(3)
-    lightlike = Subspace(3, np.array([[1.0, 1.0, 0.0]]))
+    g = minkowski(3)
+    lightlike = Subspace(3, np.array([[1.0, 1.0, 0.0]]), DEFAULT_TOL)
     v = find_isotropic_in(g, lightlike)
     assert v is not None
-    assert g.inner(v, v) == pytest.approx(0.0, abs=1e-12)
+    assert v @ g.mat @ v == pytest.approx(0.0, abs=1e-12)
     assert np.linalg.norm(v) == pytest.approx(1.0)
 
-    plane = Subspace(3, np.eye(3)[:2])
+    plane = Subspace(3, np.eye(3)[:2], DEFAULT_TOL)
     w = find_isotropic_in(g, plane)
     assert w is not None
-    assert g.inner(w, w) == pytest.approx(0.0, abs=1e-12)
+    assert w @ g.mat @ w == pytest.approx(0.0, abs=1e-12)
     assert plane.contains(w)
 
 
 def test_find_isotropic_random_lorentzian_planes():
     rng = np.random.default_rng(5)
-    g = Gram.minkowski(4)
+    g = minkowski(4)
     for _ in range(25):
         while True:
             rows = rng.normal(size=(2, 4))
-            f = Subspace(4, rows, tol=1e-6) if numerical_rank(rows) == 2 else None
+            f = Subspace(4, rows, 1e-6) if numerical_rank(rows, DEFAULT_TOL) == 2 else None
             if f is not None and classify_subspace(g, f).tag is SubspaceTag.LORENTZIAN:
                 break
         v = find_isotropic_in(g, f)
         assert v is not None
-        assert abs(g.inner(v, v)) < 1e-10
-        assert f.contains(v, tol=1e-8)
+        assert abs(v @ g.mat @ v) < 1e-10
+        # v lies in f to 1e-8, tighter than f's own 1e-6 (v is a unit vector)
+        coeffs, *_ = np.linalg.lstsq(f.basis.T, v, rcond=None)
+        assert np.abs(f.basis.T @ coeffs - v).max() <= 1e-8
 
 
 def test_orthonormal_basis_minkowski():
-    g = Gram.minkowski(3)
-    b, eps = orthonormal_basis(g)
+    g = minkowski(3)
+    b, eps = orthonormal_basis(g, DEFAULT_TOL)
     prod = b.T @ g.mat @ b
     assert prod == pytest.approx(np.diag(eps), abs=1e-12)
     assert sorted(eps) == [-1.0, 1.0, 1.0]
@@ -194,10 +220,10 @@ def test_orthonormal_basis_random_nondegenerate():
         a = np.eye(n) + 0.3 * rng.normal(size=(n, n))
         eta = rng.choice([-1.0, 1.0], size=n)
         g = Gram(a.T @ np.diag(eta) @ a)
-        b, eps = orthonormal_basis(g)
+        b, eps = orthonormal_basis(g, DEFAULT_TOL)
         assert b.T @ g.mat @ b == pytest.approx(np.diag(eps), abs=1e-9)
 
 
 def test_orthonormal_basis_rejects_degenerate():
     with pytest.raises(InvalidInput):
-        orthonormal_basis(Gram.from_diagonal([1.0, 0.0]))
+        orthonormal_basis(Gram.from_diagonal([1.0, 0.0]), DEFAULT_TOL)

@@ -28,9 +28,9 @@ def heisenberg():
 
 def test_einstein_residual_heisenberg_oracle():
     # Ric = diag(−½,−½,½); einstein target subtracts (trace/3)·Id = −1/6·Id
-    r = einstein_residual(heisenberg(), Gram.euclidean(3), target="einstein")
+    r = einstein_residual(heisenberg(), Gram(np.eye(3)), target="einstein")
     assert r == pytest.approx(np.sqrt(6.0) / 3.0)
-    r0 = einstein_residual(heisenberg(), Gram.euclidean(3), target="ricci-flat")
+    r0 = einstein_residual(heisenberg(), Gram(np.eye(3)), target="ricci-flat")
     assert r0 == pytest.approx(np.linalg.norm(np.diag([-0.5, -0.5, 0.5])))
 
 
