@@ -95,17 +95,27 @@ DERIVATION_TABLE: Dict[str, Tuple[float, ...]] = {
 ALGEBRA_NAMES = tuple(BRACKET_TABLES)
 
 
-def make_algebra(name: str) -> LieAlgebra:
-    """The catalog algebra for one of the known names."""
-    try:
-        dim, table = BRACKET_TABLES[name]
-    except KeyError:
-        raise UnknownName(f"unknown catalog algebra {name!r}") from None
+def _build_algebra(name: str) -> LieAlgebra:
+    dim, table = BRACKET_TABLES[name]
     zero_based = {
         (i - 1, j - 1): {k - 1: v for k, v in coeffs.items()}
         for (i, j), coeffs in table.items()
     }
     return LieAlgebra.from_brackets(dim, zero_based)
+
+
+#: one frozen algebra per name, shared by every caller and every metric built
+#: on it, so what it computes about itself is computed once
+_ALGEBRAS: Dict[str, LieAlgebra] = {name: _build_algebra(name) for name in BRACKET_TABLES}
+
+
+def make_algebra(name: str) -> LieAlgebra:
+    """The catalog algebra for one of the known names: the same shared,
+    frozen instance on every call."""
+    try:
+        return _ALGEBRAS[name]
+    except KeyError:
+        raise UnknownName(f"unknown catalog algebra {name!r}") from None
 
 
 def table1_derivation(name: str) -> np.ndarray:

@@ -12,7 +12,7 @@ derivations, search, classify.  Exit codes are a stable contract:
 
 A closed stdout keeps the command's exit code and writes nothing to stderr.
 
-The ``--tol`` flag, a positive finite number, overrides both default
+The ``--tol`` flag, a number in (0, 1), overrides both default
 tolerances: 1e-8 for verdicts, 1e-9 for the algebra read from the file, which
 is read at it (its metric's symmetry too) and takes Jacobi and every rank,
 degeneracy and inertia decision, its metric's and its subspaces' too, at it;
@@ -25,7 +25,6 @@ import argparse
 import contextlib
 import io
 import json
-import math
 import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
@@ -69,12 +68,14 @@ def _fmt(a: np.ndarray) -> str:
 
 
 def _tols(args: argparse.Namespace) -> Tuple[float, float]:
-    """(linear-algebra tol, verdict tol) after a --tol override."""
+    """(linear-algebra tol, verdict tol) after a --tol override.  A tol of 1
+    or more is refused: its cutoff tol·max(1, largest) reaches every singular
+    value of an orthonormal basis, so every decision would come out degenerate."""
     tol = args.tol
     if tol is None:
         return DEFAULT_TOL, VERDICT_TOL
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidInput("--tol must be a positive finite number")
+    if not 0.0 < tol < 1.0:  # False for NaN too
+        raise InvalidInput("--tol must be a positive finite number below 1, in (0, 1)")
     return tol, tol
 
 
@@ -318,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="override both default tolerances (verdict 1e-8; 1e-9 for the algebra and its "
-        "metric's rank, degeneracy and inertia decisions); a positive finite number",
+        "metric's rank, degeneracy and inertia decisions); a number in (0, 1)",
     )
 
     p = sub.add_parser("ricci", parents=[tol], help="curvature report for an algebra+metric file")

@@ -177,13 +177,14 @@ class MetricLieAlgebra:
 
     def curvature_tensor(self) -> np.ndarray:
         """K[i,j,k,:] = K(e_i,e_j)e_k = (L_[e_i,e_j] − [L_i, L_j]) e_k."""
-        lc = self._levi_civita
-        c = self.algebra.c
-        l_all = lc.transpose(0, 2, 1)  # l_all[i] = matrix of L_{e_i}
-        term_bracket = np.einsum("ijm,mlk->ijkl", c, l_all)
-        ll = np.einsum("iab,jbc->ijac", l_all, l_all)
-        commutator = ll - ll.transpose(1, 0, 2, 3)
-        return term_bracket - commutator.transpose(0, 1, 3, 2)
+        lc = self._levi_civita  # lc[i, k, :] = L_{e_i} e_k
+        n = self.n
+        # K[i,j,k,:] = Σ_m c[i,j,m] lc[m,k,:] + (lc[i] @ lc[j] − lc[j] @ lc[i])[k,:],
+        # each term one matmul over reshaped stacks
+        term_bracket = self.algebra.c.reshape(n * n, n) @ lc.reshape(n, n * n)
+        products = lc.reshape(n * n, n) @ lc.transpose(1, 0, 2).reshape(n, n * n)
+        products = products.reshape(n, n, n, n).transpose(0, 2, 1, 3)  # [i,j] = lc[i] @ lc[j]
+        return term_bracket.reshape(n, n, n, n) + products - products.transpose(1, 0, 2, 3)
 
     def flatness_defect(self) -> Tuple[float, float]:
         """(sup-norm of the curvature tensor, its roundoff scale)."""

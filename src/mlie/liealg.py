@@ -7,17 +7,36 @@ antisymmetry holds to bit equality.
 
 The center, the derived ideal, the lower central series and the derivations
 are the same for c and s·c, s ≠ 0, so their rank decisions are taken on
-c/max|c|: a bracket's scale does not change its structure.
+c/max|c|: a bracket's scale does not change its structure.  They, and
+nilpotency, are computed once per algebra object and kept in its memo.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from .errors import InvalidInput, NotLie
-from .pseudolin import DEFAULT_TOL, Subspace, _as_float_array, _cutoff, column_space, nullspace
+from .pseudolin import DEFAULT_TOL, Subspace, _as_float_array, _cutoff, nullspace
+
+_T = TypeVar("_T")
+
+
+def _computed_once(method: Callable[["LieAlgebra"], _T]) -> Callable[["LieAlgebra"], _T]:
+    """A structure fact of the frozen algebra, kept in its memo by method name.
+    Every caller gets the same object, so a fact must be immutable: a tuple,
+    a Subspace or a read-only array."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def once(self: "LieAlgebra") -> _T:
+        if name not in self._memo:
+            self._memo[name] = method(self)
+        return self._memo[name]
+
+    return once
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,57 +112,54 @@ class LieAlgebra:
 
     # -- structure --------------------------------------------------------
 
+    @_computed_once
     def center(self) -> Subspace:
         """{u : [e_i, u] = 0 for all i}, via one stacked nullspace."""
         stacked = self._unit.transpose(0, 2, 1).reshape(-1, self.n)  # rows of every ad_{e_i}
-        return Subspace(self.n, nullspace(stacked, self.tol), self.tol)
+        return Subspace.kernel(stacked, self.tol)
 
+    @_computed_once
     def derived_ideal(self) -> Subspace:
         """[g, g]: span of all basis brackets."""
         iu, ju = np.triu_indices(self.n, k=1)
-        cols = self._unit[iu, ju, :].T  # columns are bracket vectors
-        return Subspace(self.n, column_space(cols, self.tol), self.tol)
+        return Subspace.column_span(self._unit[iu, ju, :].T, self.tol)  # columns are brackets
 
-    def lower_central_series(self) -> List[Subspace]:
+    @_computed_once
+    def lower_central_series(self) -> Tuple[Subspace, ...]:
         """g ⊇ [g,g] ⊇ [g,[g,g]] ⊇ ..., until the dimension stabilizes."""
         series = [Subspace.full(self.n, self.tol)]
-        while True:
+        while series[-1].dim:
             prev = series[-1]
-            if prev.dim == 0:
-                break
             imgs = (prev.basis @ self._unit).reshape(-1, self.n)  # rows [e_i, w]
-            nxt = Subspace(self.n, column_space(imgs.T, self.tol), self.tol)
+            nxt = Subspace.column_span(imgs.T, self.tol)
             if nxt.dim == prev.dim:
                 break
             series.append(nxt)
-        return series
+        return tuple(series)
 
+    @_computed_once
     def is_nilpotent(self) -> bool:
-        """Whether the lower central series reaches 0; computed once."""
-        if "is_nilpotent" not in self._memo:
-            self._memo["is_nilpotent"] = self.lower_central_series()[-1].dim == 0
-        return self._memo["is_nilpotent"]
+        """Whether the lower central series reaches 0."""
+        return self.lower_central_series()[-1].dim == 0
 
     # -- derivations ------------------------------------------------------
 
+    @_computed_once
     def derivation_space(self) -> np.ndarray:
-        """Basis of the space of derivations, as a read-only (d, n, n) stack;
-        computed once.
+        """Basis of the space of derivations, as a read-only (d, n, n) stack.
 
         The defining equations E[e_i,e_j] = [Ee_i,e_j] + [e_i,Ee_j] for i < j
         are assembled into one homogeneous system in the n² entries of E and
         solved by SVD, which fixes the basis deterministically.
         """
-        if "derivation_space" not in self._memo:
-            n = self.n
-            iu, ju = np.triu_indices(n, k=1)
-            units = np.eye(n * n).reshape(n * n, n, n)
-            # row (pair, k), column (a, b): entry k of the defect of E = e_a e_bᵀ
-            cols = derivation_defects(self._unit, units)[:, iu, ju, :]
-            basis = nullspace(cols.reshape(n * n, -1).T, self.tol).reshape(-1, n, n)
-            basis.flags.writeable = False
-            self._memo["derivation_space"] = basis
-        return self._memo["derivation_space"]
+        n = self.n
+        iu, ju = np.triu_indices(n, k=1)
+        units = np.eye(n * n).reshape(n * n, n, n)
+        # row (pair, k), column (a, b): entry k of the defect of E = e_a e_bᵀ
+        cols = derivation_defects(self._unit, units)[:, iu, ju, :]
+        basis = nullspace(cols.reshape(n * n, -1).T, self.tol).reshape(-1, n, n)
+        basis.flags.writeable = False
+        return basis
 
     def derivation_defect_map(self, e) -> np.ndarray:
         """d[..., i, j, :] = E[e_i,e_j] − [Ee_i,e_j] − [e_i,Ee_j] for a matrix

@@ -94,9 +94,11 @@ class Subspace:
     ``tol``: membership and the class of a form restricted to it are decided
     at the same tol.
 
-    The rows must be linearly independent (numerical rank equals the row
-    count); factory helpers in this package return Euclidean-orthonormal rows
-    coming out of an SVD.
+    The constructor takes rows from the caller and checks that they are
+    linearly independent (numerical rank equals the row count).  ``kernel``,
+    ``column_span`` and ``full`` build a subspace from the one SVD, or the
+    identity, that decides it; their rows are Euclidean-orthonormal, so they
+    are not checked a second time.
     """
 
     ambient_dim: int
@@ -104,7 +106,6 @@ class Subspace:
     tol: float
 
     def __init__(self, ambient_dim: int, basis, tol: float) -> None:
-        _cutoff(tol, 0.0)  # refuses a tol that is not a positive finite number
         b = _as_float_array(basis, "subspace basis")
         if b.ndim != 2 or b.shape[1] != ambient_dim:
             raise InvalidInput(
@@ -112,15 +113,40 @@ class Subspace:
             )
         if numerical_rank(b, tol) != b.shape[0]:
             raise InvalidInput("subspace basis rows are linearly dependent at tolerance")
-        b = b.copy()
-        b.flags.writeable = False
+        self._keep(ambient_dim, b, tol)
+
+    def _keep(self, ambient_dim: int, rows: np.ndarray, tol: float) -> None:
+        _cutoff(tol, 0.0)  # refuses a tol that is not a positive finite number
+        rows = rows.copy()
+        rows.flags.writeable = False
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
-        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "tol", tol)
 
     @classmethod
+    def _orthonormal(cls, ambient_dim: int, rows: np.ndarray, tol: float) -> "Subspace":
+        f = cls.__new__(cls)
+        f._keep(ambient_dim, rows, tol)
+        return f
+
+    @classmethod
     def full(cls, ambient_dim: int, tol: float) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim), tol)
+        return cls._orthonormal(ambient_dim, np.eye(ambient_dim), tol)
+
+    @classmethod
+    def kernel(cls, m, tol: float) -> "Subspace":
+        """The kernel of m, decided by one SVD at tol."""
+        rows = nullspace(m, tol)
+        return cls._orthonormal(rows.shape[1], rows, tol)
+
+    @classmethod
+    def column_span(cls, m, tol: float) -> "Subspace":
+        """The span of the columns of m, decided by one SVD at tol."""
+        m = _as_float_array(m, "matrix")
+        if m.size == 0:
+            return cls._orthonormal(m.shape[0], np.zeros((0, m.shape[0])), tol)
+        u, s, _ = np.linalg.svd(m)
+        return cls._orthonormal(m.shape[0], u[:, :_rank(s, tol)].T, tol)
 
     @property
     def dim(self) -> int:
@@ -156,15 +182,6 @@ def nullspace(m, tol: float) -> np.ndarray:
         return np.eye(m.shape[1])
     u, s, vt = np.linalg.svd(m)
     return vt[_rank(s, tol):]
-
-
-def column_space(m, tol: float) -> np.ndarray:
-    """Euclidean-orthonormal basis (rows) of the column span of m."""
-    m = _as_float_array(m, "matrix")
-    if m.size == 0:
-        return np.zeros((0, m.shape[0]))
-    u, s, vt = np.linalg.svd(m)
-    return u[:, :_rank(s, tol)].T
 
 
 def signature(g: Gram, tol: float = DEFAULT_TOL) -> Signature:

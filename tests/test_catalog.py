@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mlie.catalog import (
 )
 from mlie.curvature import Verdict
 from mlie.errors import BadParams, UnknownName
+from mlie.liealg import LieAlgebra
 from mlie.pseudolin import SubspaceTag, classify_subspace
 
 
@@ -37,6 +40,34 @@ def test_dimensions():
 def test_unknown_name_raises():
     with pytest.raises(UnknownName):
         make_algebra("L9_99")
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_a_catalog_algebra_is_shared_and_hands_out_only_fixed_facts(name):
+    alg = make_algebra(name)
+    assert make_algebra(name) is alg
+    series = alg.lower_central_series()
+    subspaces = [alg.center(), alg.derived_ideal(), *series]
+    arrays = [alg.c, alg.derivation_space(), *(f.basis for f in subspaces)]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        alg.c = np.zeros_like(alg.c)
+    for f in subspaces:
+        with pytest.raises(FrozenInstanceError):
+            f.basis = np.zeros_like(f.basis)
+    with pytest.raises(TypeError):
+        series[0] = series[-1]
+    assert alg.lower_central_series() == series
+    # what every earlier caller saw is what a fresh algebra computes
+    fresh = LieAlgebra(alg.n, alg.c)
+    assert np.array_equal(alg.derivation_space(), fresh.derivation_space())
+    own = [fresh.center(), fresh.derived_ideal(), *fresh.lower_central_series()]
+    assert [f.basis.shape for f in subspaces] == [f.basis.shape for f in own]
+    for shared, mine in zip(subspaces, own):
+        assert np.array_equal(shared.basis, mine.basis)
 
 
 def test_table_derivations_all_valid():

@@ -295,6 +295,17 @@ def test_tol_reaches_every_nilpotency_and_inertia_decision(tmp_path, capsys, mon
     assert {tol for _, tol in seen} == {1e-6}, seen
 
 
+@pytest.mark.parametrize("value", ["1", "2"])
+@pytest.mark.parametrize("command", ["ricci", "classify", "search"])
+def test_a_tol_of_one_or_more_is_refused_by_its_range(tmp_path, capsys, command, value):
+    # at tol >= 1 every decision would degenerate, so the flag itself is refused
+    path = tmp_path / "m32.json"
+    run_cli(capsys, "catalog", "L3_2", "m32", "alpha=1", "-o", str(path))
+    code, out, err = run_cli(capsys, command, str(path), "--tol", value)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: --tol must be a positive finite number below 1, in (0, 1)"]
+
+
 @pytest.mark.parametrize("command", ["ricci", "decompose", "derivations", "search", "classify"])
 def test_non_lie_table_exit_3(tmp_path, capsys, command):
     # [e1,e2]=e3, [e1,e3]=e1 fails Jacobi with defect 1

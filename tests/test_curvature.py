@@ -261,6 +261,27 @@ def test_curvature_tensor_symmetries():
     assert np.abs(kl - kl.transpose(2, 3, 0, 1)).max() < 1e-10
 
 
+def _curvature_tensor_by_einsum(m):
+    """K = L_[e_i,e_j] − [L_i, L_j], contracted index by index."""
+    l_all = m._levi_civita.transpose(0, 2, 1)  # l_all[i] = matrix of L_{e_i}
+    term_bracket = np.einsum("ijm,mlk->ijkl", m.algebra.c, l_all)
+    ll = np.einsum("iab,jbc->ijac", l_all, l_all)
+    commutator = ll - ll.transpose(1, 0, 2, 3)
+    return term_bracket - commutator.transpose(0, 1, 3, 2)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_curvature_tensor_matches_the_einsum_form(name):
+    # the matmul form sums in another order, so it agrees to roundoff of the
+    # flatness scale max(1, max|L|)², not bit for bit
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        m = random_metric(name, rng)
+        _, scale = m.flatness_defect()
+        diff = np.abs(m.curvature_tensor() - _curvature_tensor_by_einsum(m)).max()
+        assert diff <= 1e-14 * scale
+
+
 def test_mean_vector_zero_for_nilpotent():
     rng = np.random.default_rng(41)
     m = random_metric("L5_2", rng)

@@ -8,9 +8,17 @@ import pytest
 import mlie
 from mlie.catalog import ALGEBRA_NAMES, make_algebra
 from mlie.curvature import MetricLieAlgebra
+from mlie.doubleext import extend, random_admissible
 from mlie.errors import InvalidInput, NotLie
-from mlie.liealg import LieAlgebra
-from mlie.pseudolin import Gram, Subspace, classify_subspace, find_isotropic_in, signature
+from mlie.liealg import LieAlgebra, derivation_defects
+from mlie.pseudolin import (
+    Gram,
+    Subspace,
+    classify_subspace,
+    find_isotropic_in,
+    nullspace,
+    signature,
+)
 from mlie.search import einstein_residual
 
 
@@ -113,13 +121,88 @@ def test_is_nilpotent_computes_the_series_once_per_tol(monkeypatch):
         return series(self)
 
     monkeypatch.setattr(LieAlgebra, "lower_central_series", counting)
-    nilpotent = make_algebra("L5_2")
+    # built fresh: the shared catalog instance may already hold its series
+    nilpotent = LieAlgebra(5, make_algebra("L5_2").c)
     solvable = LieAlgebra.from_brackets(2, {(0, 1): {1: 1.0}})
     assert [nilpotent.is_nilpotent() for _ in range(3)] == [True] * 3
     assert [solvable.is_nilpotent() for _ in range(3)] == [False] * 3
     assert calls == [1e-9, 1e-9]
     rebuilt = LieAlgebra(nilpotent.n, nilpotent.c, 1e-7)
     assert rebuilt.is_nilpotent() and calls == [1e-9, 1e-9, 1e-7]
+
+
+def test_each_structure_subspace_is_decided_by_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    alg = LieAlgebra(5, make_algebra("L5_6").c)  # fresh: nothing computed yet
+    alg.center()
+    assert len(calls) == 1
+    alg.derived_ideal()
+    assert len(calls) == 2
+    series = alg.lower_central_series()
+    assert [f.dim for f in series] == [5, 3, 2, 1, 0]
+    assert len(calls) == 2 + 4  # one per step after g itself
+    for fact in (alg.center, alg.derived_ideal, alg.lower_central_series, alg.is_nilpotent):
+        fact()  # computed already: no further SVD
+    assert len(calls) == 6
+
+
+def _bases_built_and_rechecked(alg):
+    """The structure bases as SVD rows passed through the public, checking
+    Subspace constructor: what the library returned before it trusted the
+    rows of its own SVDs."""
+    n, tol = alg.n, alg.tol
+    peak = np.abs(alg.c).max(initial=0.0)
+    unit = alg.c / peak if peak else alg.c
+
+    def span(cols):
+        u, s, _ = np.linalg.svd(cols)
+        rank = np.count_nonzero(s > tol * max(1.0, s[0]))
+        return Subspace(n, u[:, :rank].T, tol).basis
+
+    iu, ju = np.triu_indices(n, k=1)
+    series = [np.eye(n)]
+    while len(series[-1]):
+        nxt = span((series[-1] @ unit).reshape(-1, n).T)
+        if len(nxt) == len(series[-1]):
+            break
+        series.append(nxt)
+    units = np.eye(n * n).reshape(n * n, n, n)
+    system = derivation_defects(unit, units)[:, iu, ju, :].reshape(n * n, -1).T
+    return [
+        Subspace(n, nullspace(unit.transpose(0, 2, 1).reshape(-1, n), tol), tol).basis,
+        span(unit[iu, ju, :].T),
+        *series,
+        nullspace(system, tol).reshape(-1, n, n),
+    ]
+
+
+def _algebras_with_known_bases():
+    yield from (make_algebra(name) for name in ALGEBRA_NAMES)
+    rng = np.random.default_rng(2027)
+    for i in range(20):
+        f_dim, blocks = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        yield extend(random_admissible(rng, f_dim, blocks, nilpotent=bool(i % 2))).algebra
+
+
+def test_structure_bases_are_those_of_the_rechecked_svd_rows():
+    for alg in _algebras_with_known_bases():
+        got = [
+            alg.center().basis,
+            alg.derived_ideal().basis,
+            *(f.basis for f in alg.lower_central_series()),
+            alg.derivation_space(),
+        ]
+        want = _bases_built_and_rechecked(alg)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

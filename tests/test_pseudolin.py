@@ -13,7 +13,6 @@ from mlie.pseudolin import (
     SubspaceClass,
     SubspaceTag,
     classify_subspace,
-    column_space,
     find_isotropic_in,
     nullspace,
     numerical_rank,
@@ -72,7 +71,7 @@ def test_signature_boundary_counts_null():
     assert signature(Gram.from_diagonal([-1.0, -1e-9])) == Signature(minus=1, plus=0, null=1)
     assert numerical_rank(tie.mat, DEFAULT_TOL) == 1
     assert nullspace(tie.mat, DEFAULT_TOL).shape == (1, 2)
-    assert column_space(tie.mat, DEFAULT_TOL).shape == (1, 2)
+    assert Subspace.column_span(tie.mat, DEFAULT_TOL).basis.shape == (1, 2)
     v = find_isotropic_in(tie, Subspace.full(2, DEFAULT_TOL))
     assert np.array_equal(np.abs(v), [0.0, 1.0])
     with pytest.raises(InvalidInput):
@@ -86,7 +85,7 @@ def test_signature_boundary_counts_null():
     assert signature(Gram.from_diagonal([-1.0, -1.0000001e-9])) == Signature(2, 0, 0)
     assert numerical_rank(above.mat, DEFAULT_TOL) == 2
     assert nullspace(above.mat, DEFAULT_TOL).shape == (0, 2)
-    assert column_space(above.mat, DEFAULT_TOL).shape == (2, 2)
+    assert Subspace.column_span(above.mat, DEFAULT_TOL).basis.shape == (2, 2)
     assert find_isotropic_in(above, Subspace.full(2, DEFAULT_TOL)) is None
     _, eps = orthonormal_basis(above, DEFAULT_TOL)
     assert np.array_equal(eps, [1.0, 1.0])
