@@ -28,8 +28,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
-from .liealg import LieAlgebra
-from .pseudolin import Gram, Signature, signature
+from .liealg import LieAlgebra, derivation_defects
+from .pseudolin import Gram, Signature, _cutoff, signature
 
 #: Default relative tolerance for Einstein/flatness verdicts.
 VERDICT_TOL = 1e-8
@@ -261,7 +261,7 @@ class MetricLieAlgebra:
         # rhs = ¼ Σ_{i,j} d[i,j,:]·c_sharp[i,j,:] with d the derivation defect of E
         cg, g_inv = self.algebra.c @ self.gram.mat, self.gram_inv
         c_sharp = g_inv @ (g_inv @ cg.reshape(self.n, -1)).reshape(cg.shape)
-        d = self.algebra.derivation_defect_map(e)
+        d = derivation_defects(self.algebra.c, e)
         rhs = 0.25 * np.sum(d * c_sharp, axis=(-3, -2, -1))
         return lhs, rhs
 
@@ -277,8 +277,7 @@ class MetricLieAlgebra:
         ric_def = self.gram_inv @ ric_form
         if self.algebra.is_nilpotent():
             ric_nil = self._q()
-            scale = max(1.0, float(np.abs(ric_nil).max(initial=0.0)))
-            if np.abs(ric_nil - ric_def).max(initial=0.0) > 1e-6 * scale:
+            if np.abs(ric_nil - ric_def).max(initial=0.0) > _cutoff(1e-6, ric_nil):
                 raise RuntimeError(ROUTE_MISMATCH)
             return ric_nil
         return ric_def
@@ -286,26 +285,26 @@ class MetricLieAlgebra:
     def einstein_classify(self, tol: float = VERDICT_TOL) -> CurvatureReport:
         """Classify as Flat / RicciFlat / Einstein(λ≠0) / NotEinstein.
 
-        Residuals are measured against max(1, ‖Ric‖∞); flatness against the
-        squared Levi-Civita magnitude.
+        The residual and λ are measured against _cutoff(tol, Ric), that is
+        tol·max(1, ‖Ric‖∞); flatness against the squared Levi-Civita magnitude.
         """
         ric_form = self.ricci_via_definition()
         ric_op = self._ricci_operator(ric_form)
         lam = float(np.trace(ric_op)) / self.n
-        scale = max(1.0, float(np.abs(ric_op).max(initial=0.0)))
+        cut = _cutoff(tol, ric_op)
         residual = float(np.abs(ric_op - lam * np.eye(self.n)).max(initial=0.0))
         scalar = float(np.trace(self.gram_inv @ ric_form))
 
         k_defect, k_scale = self.flatness_defect()
-        flat = k_defect <= tol * k_scale
+        flat = k_defect <= _cutoff(tol, k_scale)
 
-        if residual > tol * scale:
+        if residual > cut:
             verdict = Verdict.NOT_EINSTEIN
             lam_out = None
         elif flat:
             verdict = Verdict.FLAT
             lam_out = lam
-        elif abs(lam) <= tol * scale:
+        elif abs(lam) <= cut:
             verdict = Verdict.RICCI_FLAT
             lam_out = lam
         else:

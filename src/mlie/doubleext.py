@@ -36,7 +36,7 @@ from .errors import (
     SingularK0,
 )
 from .liealg import LieAlgebra, act_on_brackets
-from .pseudolin import DEFAULT_TOL, Gram, _as_float_array, find_isotropic_in, numerical_rank
+from .pseudolin import DEFAULT_TOL, Gram, _as_float_array, _cutoff, find_isotropic_in, numerical_rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,28 +99,21 @@ def _ebar_terms(k: np.ndarray, d: np.ndarray, mu: float) -> Tuple[float, float, 
 def check_admissible(data: ExtensionData, tol: float) -> Admissibility:
     """Evaluate the bracket, nilpotency and trace conditions for the data."""
     k, d, mu = data.K, data.D, data.mu
-    kd = k @ d
-    dk = d.T @ k
-    lie_residual = float(np.abs(kd + dk - mu * k).max(initial=0.0))
-    lie_scale = max(
-        1.0,
-        float(np.abs(kd).max(initial=0.0)),
-        float(np.abs(dk).max(initial=0.0)),
-        abs(mu) * float(np.abs(k).max(initial=0.0)),
-    )
-    is_lie = lie_residual <= tol * lie_scale
+    kd, dk, muk = k @ d, d.T @ k, mu * k
+    lie_residual = float(np.abs(kd + dk - muk).max(initial=0.0))
+    is_lie = lie_residual <= _cutoff(tol, kd, dk, muk)
 
     v = data.v_dim
     is_nilp = (
         is_lie
-        and abs(mu) <= tol
+        and abs(mu) <= _cutoff(tol)
         and float(np.abs(np.linalg.matrix_power(d, v)).max(initial=0.0))
-        <= tol * max(1.0, float(np.abs(d).max(initial=0.0)) ** max(v, 1))
+        <= _cutoff(tol, float(np.abs(d).max(initial=0.0)) ** max(v, 1))
     )
 
     terms = _ebar_terms(k, d, mu)
     trace_residual = abs(sum(terms))
-    is_einstein = is_lie and trace_residual <= tol * max(1.0, *map(abs, terms))
+    is_einstein = is_lie and trace_residual <= _cutoff(tol, terms)
 
     return Admissibility(is_lie, is_nilp, is_einstein, lie_residual, trace_residual)
 
@@ -185,6 +178,7 @@ def decompose(m: MetricLieAlgebra, verdict_tol: float = VERDICT_TOL) -> Optional
     returns extension data with μ = 0 together with the basis change, whose
     columns give (e, f_1..f_v, ē) in the input coordinates.
     """
+    _cutoff(verdict_tol)  # refuses a bad verdict_tol before the other decisions
     n = m.n
     sig = m.signature()
     if (sig.minus, sig.null) != (1, 0):
@@ -254,11 +248,9 @@ def kd_generate(
         raise InvalidInput("D1 must be f x f and D2 must be f x fperp")
     if k0.shape != (fperp_dim, fperp_dim) or s.shape != (fperp_dim, fperp_dim):
         raise InvalidInput("K0 and S must be fperp x fperp")
-    scale_k0 = max(1.0, float(np.abs(k0).max(initial=0.0)))
-    if float(np.abs(k0 + k0.T).max(initial=0.0)) > tol * scale_k0:
+    if float(np.abs(k0 + k0.T).max(initial=0.0)) > _cutoff(tol, k0):
         raise InvalidInput("K0 must be skew-symmetric")
-    scale_s = max(1.0, float(np.abs(s).max(initial=0.0)))
-    if float(np.abs(s - s.T).max(initial=0.0)) > tol * scale_s:
+    if float(np.abs(s - s.T).max(initial=0.0)) > _cutoff(tol, s):
         raise InvalidInput("S must be symmetric")
     if numerical_rank(k0, tol) < fperp_dim:
         raise SingularK0("K0 is singular at tolerance")
@@ -293,8 +285,7 @@ def guediri_2step(
     alpha = _as_float_array(alpha, "alpha").reshape(q)
     cmat = _as_float_array(c, "c").reshape(q, p)
     amat = _as_float_array(a, "a").reshape(q, q)
-    scale_a = max(1.0, float(np.abs(amat).max(initial=0.0)))
-    if float(np.abs(amat + amat.T).max(initial=0.0)) > tol * scale_a:
+    if float(np.abs(amat + amat.T).max(initial=0.0)) > _cutoff(tol, amat):
         raise InvalidInput("a must be skew-symmetric")
 
     v = p + q + abelian_dim

@@ -121,8 +121,7 @@ def dict_to_algebra(doc: Any, tol: float) -> Tuple[LieAlgebra, Optional[Gram], O
     if "metric" in doc:
         mat = _matrix(doc, "metric", dim, dim)
         asym = float(np.abs(mat - mat.T).max(initial=0.0))
-        cut = _cutoff(tol, float(np.abs(mat).max(initial=0.0)))
-        _require(asym <= cut, f"'metric' is not symmetric (defect {asym:.3e})")
+        _require(asym <= _cutoff(tol, mat), f"'metric' is not symmetric (defect {asym:.3e})")
         metric = Gram(mat)
 
     comment = doc.get("comment")
@@ -162,8 +161,7 @@ def dict_to_extension(doc: Any) -> Tuple[ExtensionData, Optional[np.ndarray], Op
     d = _matrix(doc, "D", v, v)
     # a warning only, at the fixed default: ExtensionData antisymmetrizes K anyway
     skew_defect = float(np.abs(k + k.T).max(initial=0.0))
-    scale = max(1.0, float(np.abs(k).max(initial=0.0)))
-    if skew_defect > DEFAULT_TOL * scale:
+    if skew_defect > _cutoff(DEFAULT_TOL, k):
         warnings.warn(f"'K' had skew-symmetry defect {skew_defect:.3e}; antisymmetrized")
     mu = _finite_number(doc.get("mu", 0.0), "mu")
     braw = doc.get("b", [0.0] * v)
@@ -202,6 +200,7 @@ def write_json(path: str, doc: Dict[str, Any]) -> None:
 
 
 def read_algebra(path: str, tol: float) -> Tuple[LieAlgebra, Optional[Gram], Optional[str]]:
+    _cutoff(tol)  # refused before the file is read, so the error does not name the file
     return _read(path, partial(dict_to_algebra, tol=tol))
 
 

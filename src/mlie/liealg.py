@@ -49,7 +49,7 @@ class LieAlgebra:
     tol: float
 
     def __init__(self, n: int, c, tol: float = DEFAULT_TOL) -> None:
-        _cutoff(tol, 0.0)  # refuses a tol that is not a positive finite number
+        _cutoff(tol)  # refuses a tol that is not a positive finite number
         tensor = _as_float_array(c, "structure constants")
         if tensor.shape != (n, n, n):
             raise InvalidInput(f"structure tensor must have shape {(n, n, n)}")
@@ -161,15 +161,10 @@ class LieAlgebra:
         basis.flags.writeable = False
         return basis
 
-    def derivation_defect_map(self, e) -> np.ndarray:
-        """d[..., i, j, :] = E[e_i,e_j] − [Ee_i,e_j] − [e_i,Ee_j] for a matrix
-        or a stack of matrices E[..., :, :]; linear in E, zero iff E is a
-        derivation."""
-        return derivation_defects(self.c, np.asarray(e, dtype=float))
-
     def derivation_defect(self, e) -> float:
         """Sup-norm of E[e_i,e_j] - [Ee_i,e_j] - [e_i,Ee_j] over basis pairs."""
-        return float(np.abs(self.derivation_defect_map(e)).max(initial=0.0))
+        d = derivation_defects(self.c, np.asarray(e, dtype=float))
+        return float(np.abs(d).max(initial=0.0))
 
     def find_nonzero_trace_derivation(self) -> Optional[np.ndarray]:
         """A read-only derivation matrix with |trace| above tolerance, or None.
@@ -183,7 +178,7 @@ class LieAlgebra:
             return None
         traces = np.abs(np.trace(basis, axis1=1, axis2=2))
         best = int(np.argmax(traces))
-        if traces[best] <= _cutoff(self.tol, traces[best]):
+        if traces[best] <= _cutoff(self.tol, traces):
             return None
         return basis[best]
 

@@ -1,8 +1,8 @@
 """Pseudo-Euclidean linear algebra: signatures, subspaces, isotropic vectors.
 
-All tolerance tests are relative to a problem scale max(1, largest magnitude
-involved); eigenvalues whose magnitude lands at or below the threshold count
-as null.
+Tolerance tests compare against ``_cutoff``: a tol times the problem scale
+max(1, largest magnitude involved); eigenvalues whose magnitude lands at or
+below the cutoff count as null.
 """
 from __future__ import annotations
 
@@ -18,13 +18,24 @@ from .errors import InvalidInput
 DEFAULT_TOL = 1e-9
 
 
-def _cutoff(tol: float, largest: float) -> float:
-    """tol * max(1, largest magnitude): every rank, degeneracy and inertia
-    decision counts singular values or eigenvalues at or below it as null.
-    InvalidInput unless tol is a positive finite number."""
+def _cutoff(tol: float, *arrays) -> float:
+    """tol * max(1, largest |entry| of the arrays, a number counting as one
+    entry): the one place a tolerance is validated (InvalidInput unless it is
+    a positive finite number, so ``_cutoff(tol)`` validates alone) and turned
+    into the cutoff every rank, degeneracy, inertia, verdict, admissibility
+    and parameter decision compares against.  Left outside on purpose: the
+    bound of ``LieAlgebra.require_jacobi``, tol·max|c|² with no floor so that
+    a scaled bracket keeps its Jacobi verdict; the roundoff scale that
+    ``MetricLieAlgebra.flatness_defect`` returns for ``verify``; ``verify``'s
+    check bounds, the checks' stated claims; ``SearchSpec.tol``, absolute on
+    a residual; and the (0, 1) range of ``--tol`` in ``cli._tols``.
+    """
     if not 0.0 < tol < np.inf:  # False for NaN too
         raise InvalidInput("tol must be a positive finite number")
-    return tol * max(1.0, largest)
+    largest = 1.0
+    for a in arrays:
+        largest = max(largest, float(np.abs(a).max(initial=0.0)))
+    return tol * largest
 
 
 def _as_float_array(a, name: str) -> np.ndarray:
@@ -116,7 +127,7 @@ class Subspace:
         self._keep(ambient_dim, b, tol)
 
     def _keep(self, ambient_dim: int, rows: np.ndarray, tol: float) -> None:
-        _cutoff(tol, 0.0)  # refuses a tol that is not a positive finite number
+        _cutoff(tol)  # refuses a tol that is not a positive finite number
         rows = rows.copy()
         rows.flags.writeable = False
         object.__setattr__(self, "ambient_dim", int(ambient_dim))
@@ -155,7 +166,7 @@ class Subspace:
     def contains(self, v) -> bool:
         """Whether v lies in the span of the basis rows, at the subspace's tol."""
         v = _as_float_array(v, "vector")
-        cut = _cutoff(self.tol, float(np.abs(v).max(initial=0.0)))
+        cut = _cutoff(self.tol, v)
         if self.dim == 0:
             return bool(np.linalg.norm(v) <= cut)
         coeffs, *_ = np.linalg.lstsq(self.basis.T, v, rcond=None)
@@ -163,35 +174,29 @@ class Subspace:
 
 
 def _rank(s: np.ndarray, tol: float) -> int:
-    """Number of singular values s (descending) above tol * max(1, largest)."""
-    return int(np.count_nonzero(s > _cutoff(tol, s[0] if s.size else 0.0)))
+    """Number of singular values s (descending) above _cutoff(tol, s)."""
+    return int(np.count_nonzero(s > _cutoff(tol, s)))
 
 
 def numerical_rank(m, tol: float) -> int:
-    """Rank of a matrix: number of singular values above tol * max(1, largest)."""
-    m = _as_float_array(m, "matrix")
-    if m.size == 0:
-        return 0
-    return _rank(np.linalg.svd(m, compute_uv=False), tol)
+    """Rank of a matrix: number of singular values above _cutoff(tol, s)."""
+    return _rank(np.linalg.svd(_as_float_array(m, "matrix"), compute_uv=False), tol)
 
 
 def nullspace(m, tol: float) -> np.ndarray:
-    """Euclidean-orthonormal basis (rows) of the kernel of m."""
-    m = _as_float_array(m, "matrix")
-    if m.shape[0] == 0:
-        return np.eye(m.shape[1])
-    u, s, vt = np.linalg.svd(m)
+    """Euclidean-orthonormal basis (rows) of the kernel of m; I if m has no rows."""
+    u, s, vt = np.linalg.svd(_as_float_array(m, "matrix"))
     return vt[_rank(s, tol):]
 
 
 def signature(g: Gram, tol: float = DEFAULT_TOL) -> Signature:
     """Inertia (minus, plus, null) of g via a symmetric eigendecomposition.
 
-    Eigenvalues within tol * max(1, |λ|_max) of zero count as null; ties
-    exactly at the boundary also count as null.
+    Eigenvalues within _cutoff(tol, w) = tol * max(1, |λ|_max) of zero count
+    as null; ties exactly at the boundary also count as null.
     """
     w = np.linalg.eigvalsh(g.mat)
-    cut = _cutoff(tol, float(np.abs(w).max(initial=0.0)))
+    cut = _cutoff(tol, w)
     plus = int(np.count_nonzero(w > cut))
     minus = int(np.count_nonzero(w < -cut))
     return Signature(minus=minus, plus=plus, null=g.n - plus - minus)
@@ -237,7 +242,7 @@ def find_isotropic_in(g: Gram, f: Subspace) -> Optional[np.ndarray]:
         return None
     r = restricted_gram(g, f).mat
     w, vecs = np.linalg.eigh(r)
-    cut = _cutoff(f.tol, float(np.abs(w).max(initial=0.0)))
+    cut = _cutoff(f.tol, w)
     null_idx = np.nonzero(np.abs(w) <= cut)[0]
     if null_idx.size > 0:
         coeffs = vecs[:, null_idx[0]]
@@ -257,8 +262,7 @@ def orthonormal_basis(g: Gram, tol: float):
     with eps_a = ±1, ordered minus-first (eigenvalue ascending).
     """
     w, vecs = np.linalg.eigh(g.mat)
-    magnitudes = np.abs(w)
-    if magnitudes.min(initial=np.inf) <= _cutoff(tol, float(magnitudes.max(initial=0.0))):
+    if np.abs(w).min(initial=np.inf) <= _cutoff(tol, w):
         raise InvalidInput("gram matrix is degenerate at tolerance")
     b = vecs / np.sqrt(np.abs(w))
     return b, np.sign(w)

@@ -38,7 +38,7 @@ import numpy as np
 from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict, _checked_gram, ricci_operators
 from .errors import DegenerateGram, InvalidInput, is_route_mismatch
 from .liealg import LieAlgebra, act_on_brackets, derivation_defects
-from .pseudolin import Gram
+from .pseudolin import Gram, _cutoff
 
 TARGETS = ("einstein", "ricci-flat")
 
@@ -91,8 +91,7 @@ class SearchSpec:
             raise InvalidInput("restarts must be at least 1")
         if self.max_iters < 0:
             raise InvalidInput("max_iters must be nonnegative")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise InvalidInput("tol must be a positive finite number")
+        _cutoff(self.tol)  # refuses a tol that is not a positive finite number
         minus, plus = self.signature
         if minus + plus != self.algebra.n or min(minus, plus) < 0:
             raise InvalidInput(

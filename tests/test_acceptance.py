@@ -38,3 +38,19 @@ def test_trace_formula_check_fails_on_a_perturbed_q(monkeypatch):
     result = check_trace_formula(VERDICT_TOL)
     assert not result.passed
     assert "unit E[1,0]" in result.failures[0]
+
+
+def test_run_checks_takes_every_verdict_at_its_tol(monkeypatch):
+    # examples, double-extension (through decompose too) and guediri classify
+    # at the tol run_checks is given, not at the default verdict tolerance
+    seen = set()
+    classify = MetricLieAlgebra.einstein_classify
+
+    def spy(self, tol=VERDICT_TOL):
+        seen.add(tol)
+        return classify(self, tol)
+
+    monkeypatch.setattr(MetricLieAlgebra, "einstein_classify", spy)
+    results = run_checks(["examples", "double-extension", "guediri"], tol=1e-7)
+    assert seen == {1e-7}
+    assert all(r.passed for r in results)

@@ -22,6 +22,7 @@ from mlie.errors import (
     NotNilpotent,
     UnknownName,
 )
+from mlie.verify import CHECK_NAMES
 
 DATA = Path(__file__).parent / "data"
 
@@ -353,9 +354,9 @@ def test_verify_only_flatness(capsys):
 
 
 def test_verify_unknown_check_exit_2(capsys):
-    code, _, err = run_cli(capsys, "verify-paper", "--only", "nonsense")
-    assert code == 2
-    assert "unknown checks" in err
+    code, out, err = run_cli(capsys, "verify-paper", "--only", "nonsense")
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown checks: nonsense; known: {', '.join(CHECK_NAMES)}\n"
 
 
 def test_verify_absurd_tolerance_fails(capsys):

@@ -61,6 +61,12 @@ def test_extend_rejects_non_lie_data():
         extend(data)
 
 
+def test_extend_refuses_a_nan_tol_instead_of_calling_the_data_not_lie():
+    data = ExtensionData(2, ROT, np.zeros((2, 2)))  # Lie data: K∘D + Dᵀ∘K = 0
+    with pytest.raises(InvalidInput, match="^tol must be a positive finite number$"):
+        extend(data, float("nan"))
+
+
 def test_extend_zero_data_is_abelian_flat():
     data = ExtensionData(3, np.zeros((3, 3)), np.zeros((3, 3)))
     m = extend(data)

@@ -1,11 +1,13 @@
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mlie
+from mlie import doubleext, fileio, pseudolin, search, verify
 from mlie.catalog import ALGEBRA_NAMES, make_algebra
 from mlie.curvature import MetricLieAlgebra
 from mlie.doubleext import extend, random_admissible
@@ -274,6 +276,69 @@ def test_the_algebra_is_the_one_tolerance_knob():
     assert defaulted - {"SearchSpec.__init__"} == DEFAULTED_TOLS
 
 
+def _tol_entry_points():
+    """qualified name -> a call of it on a minimal valid input, at a given tol,
+    for every public callable of mlie that takes a tol; each verify check is
+    called itself, as registered in CHECKS, and run_checks through one check."""
+    eye, rot = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
+    data = doubleext.ExtensionData(2, np.zeros((2, 2)), np.zeros((2, 2)))
+    data_file = str(Path(__file__).parent / "data" / "l58_route_mismatch.json")
+    entries = {
+        "LieAlgebra.__init__": lambda tol: LieAlgebra(1, np.zeros((1, 1, 1)), tol),
+        "MetricLieAlgebra.einstein_classify": lambda tol: MetricLieAlgebra(
+            heisenberg(), Gram(np.eye(3))
+        ).einstein_classify(tol),
+        "check_admissible": lambda tol: doubleext.check_admissible(data, tol),
+        "extend": lambda tol: doubleext.extend(data, tol),
+        "decompose": lambda tol: doubleext.decompose(doubleext.extend(data), tol),
+        "kd_generate": lambda tol: doubleext.kd_generate(
+            1, 2, [[0.0]], [[0.0, 0.0]], rot, np.zeros((2, 2)), tol
+        ),
+        "guediri_2step": lambda tol: doubleext.guediri_2step(
+            1, 2, [0.0, 0.0], [[1.0], [0.0]], -rot, tol=tol
+        ),
+        "dict_to_algebra": lambda tol: fileio.dict_to_algebra({"dim": 1}, tol),
+        "read_algebra": lambda tol: fileio.read_algebra(data_file, tol),
+        "Subspace.__init__": lambda tol: Subspace(2, [[1.0, 0.0]], tol),
+        "Subspace.full": lambda tol: Subspace.full(2, tol),
+        "Subspace.kernel": lambda tol: Subspace.kernel(eye, tol),
+        "Subspace.column_span": lambda tol: Subspace.column_span(eye, tol),
+        "numerical_rank": lambda tol: pseudolin.numerical_rank(np.zeros((0, 2)), tol),
+        "nullspace": lambda tol: pseudolin.nullspace(np.zeros((0, 2)), tol),
+        "signature": lambda tol: signature(Gram(eye), tol),
+        "orthonormal_basis": lambda tol: pseudolin.orthonormal_basis(Gram(eye), tol),
+        "SearchSpec.__init__": lambda tol: search.SearchSpec(make_algebra("L3_2"), tol=tol),
+        "run_checks": lambda tol: verify.run_checks(["derivations"], tol),
+    }
+    for check in verify.CHECKS.values():
+        entries[check.__qualname__] = check
+    return entries
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_every_tol_is_refused_where_it_enters(tol):
+    entries = _tol_entry_points()
+    taking = set()
+    for fn in _public_callables():
+        name = fn.__qualname__
+        if name.rpartition(".")[2].startswith("_") and not name.endswith("__init__"):
+            continue
+        params = inspect.signature(fn).parameters
+        if any(p == "tol" or p.endswith("_tol") for p in params):
+            taking.add(name)
+    assert taking - set(entries) == set(), "tol-taking callables with no entry"
+    for name in sorted(taking):
+        with pytest.raises(InvalidInput, match=r"^tol must be a positive finite number$"):
+            entries[name](tol)
+
+
+def test_every_tol_entry_runs_at_a_valid_tol():
+    # every check runs at a valid tol in test_acceptance
+    for name, call in _tol_entry_points().items():
+        if not name.startswith("check_"):
+            call(1e-9)
+
+
 def test_not_nilpotent_solvable_example():
     # [e1,e2] = e2 is solvable but not nilpotent
     alg = LieAlgebra.from_brackets(2, {(0, 1): {1: 1.0}})
@@ -325,15 +390,15 @@ def test_ad_of_a_stack_is_the_stack_of_ad():
         assert np.array_equal(ad_i, alg.c[i].T)
 
 
-def test_derivation_defect_map_of_a_stack_is_the_stack_of_maps():
+def test_derivation_defects_of_a_stack_is_the_stack_of_defects():
     rng = np.random.default_rng(6)
     alg = make_algebra("L5_8")
     n = alg.n
     es = rng.normal(size=(4, n, n))
-    stacked = alg.derivation_defect_map(es)
+    stacked = derivation_defects(alg.c, es)
     assert stacked.shape == (4, n, n, n)
     for e, d in zip(es, stacked):
-        assert np.allclose(d, alg.derivation_defect_map(e), rtol=0.0, atol=1e-14)
+        assert np.allclose(d, derivation_defects(alg.c, e), rtol=0.0, atol=1e-14)
         # d[i,j] = E[e_i,e_j] − [Ee_i,e_j] − [e_i,Ee_j], pair by pair
         for i in range(n):
             for j in range(n):
