@@ -41,7 +41,8 @@ from .pseudolin import DEFAULT_TOL, Gram, _as_float_array, _cutoff, find_isotrop
 
 @dataclass(frozen=True, eq=False)
 class ExtensionData:
-    """(K, D, μ, b) on a Euclidean core of dimension v_dim.
+    """(K, D, μ, b) on a Euclidean core R^v: K and D are (v, v), b is (v,)
+    (zero by default), and v_dim = v is read from K.
 
     K is stored with its strict lower triangle set to the exact negation of
     the upper one, so skewness holds bitwise.
@@ -53,12 +54,12 @@ class ExtensionData:
     mu: float = 0.0
     b: np.ndarray = field(default=None)
 
-    def __init__(self, v_dim: int, K, D, mu: float = 0.0, b=None) -> None:
-        v = int(v_dim)
+    def __init__(self, K, D, mu: float = 0.0, b=None) -> None:
         k = _as_float_array(K, "K")
         d = _as_float_array(D, "D")
-        if k.shape != (v, v) or d.shape != (v, v):
-            raise InvalidInput(f"K and D must have shape {(v, v)}")
+        v = k.shape[0] if k.ndim else 0
+        if k.shape != (v, v) or d.shape != k.shape:
+            raise InvalidInput(f"K must be square and D must have K's shape: {k.shape}, {d.shape}")
         if not np.isfinite(mu):
             raise InvalidInput("mu must be finite")
         bb = np.zeros(v) if b is None else _as_float_array(b, "b")
@@ -145,7 +146,7 @@ def _model(data: ExtensionData, tol: float) -> Tuple[LieAlgebra, Gram]:
     # [f_i, f_j] = ⟨K f_i, f_j⟩ e = K[j,i] e
     iu, ju = np.triu_indices(v, 1)
     c[1 + iu, 1 + ju, 0] = data.K[ju, iu]
-    algebra = LieAlgebra(n, c, tol)
+    algebra = LieAlgebra(c, tol)
 
     g = np.zeros((n, n))
     g[0, n - 1] = g[n - 1, 0] = 1.0
@@ -211,7 +212,7 @@ def decompose(m: MetricLieAlgebra, verdict_tol: float = VERDICT_TOL) -> Optional
     pair = m.algebra.c @ (g @ ebar)  # pair[a,b] = ⟨[e_a, e_b], ē⟩
     kmat = f @ pair.T @ f.T  # K[j,i] = ⟨[f_i, f_j], ē⟩
     dmat = f @ brk.T  # D[j,i] = ⟨[ē, f_i], f_j⟩
-    data = ExtensionData(n - 2, kmat, dmat, mu=0.0, b=brk @ ebar)
+    data = ExtensionData(kmat, dmat, mu=0.0, b=brk @ ebar)
     basis_change = np.column_stack([e, *f, ebar])
     return Decomposition(data, basis_change)
 
@@ -229,24 +230,37 @@ def model_residual(m: MetricLieAlgebra, dec: Decomposition) -> float:
     return max(db, dg)
 
 
-def kd_generate(
-    f_dim: int, fperp_dim: int, D1, D2, K0, S, tol: float
-) -> ExtensionData:
+def _blocks(k0, d1, d2, d3) -> Tuple[np.ndarray, np.ndarray]:
+    """K = 0 ⊕ K0 and D = [[D1, D2], [0, D3]] on V = F ⊕ F-perp, F of
+    dimension len(D1) and F-perp of dimension len(K0)."""
+    f_dim = len(d1)
+    v = f_dim + len(k0)
+    k = np.zeros((v, v))
+    k[f_dim:, f_dim:] = k0
+    d = np.zeros((v, v))
+    d[:f_dim, :f_dim] = d1
+    d[:f_dim, f_dim:] = d2
+    d[f_dim:, f_dim:] = d3
+    return k, d
+
+
+def kd_generate(D1, D2, K0, S, tol: float) -> ExtensionData:
     """Solutions of K∘D + Dᵀ∘K = 0 in block form.
 
-    With F = ker K of dimension f_dim and F-perp of dimension fperp_dim, all
-    solutions have K = 0 ⊕ K0 with K0 skew invertible, and
-    D = [[D1, D2], [0, K0⁻¹S]] with S symmetric.
+    With F = ker K, of dimension f read from the f x f matrix D1, and F-perp,
+    of dimension f' read from the f' x f' matrix K0, all solutions have
+    K = 0 ⊕ K0 with K0 skew invertible, and D = [[D1, D2], [0, K0⁻¹S]] with
+    D2 an f x f' matrix and S a symmetric f' x f' matrix.
     """
-    f_dim = int(f_dim)
-    fperp_dim = int(fperp_dim)
     d1 = _as_float_array(D1, "D1")
     d2 = _as_float_array(D2, "D2")
     k0 = _as_float_array(K0, "K0")
     s = _as_float_array(S, "S")
+    f_dim = d1.shape[0] if d1.ndim else 0
+    fperp_dim = k0.shape[0] if k0.ndim else 0
     if d1.shape != (f_dim, f_dim) or d2.shape != (f_dim, fperp_dim):
         raise InvalidInput("D1 must be f x f and D2 must be f x fperp")
-    if k0.shape != (fperp_dim, fperp_dim) or s.shape != (fperp_dim, fperp_dim):
+    if k0.shape != (fperp_dim, fperp_dim) or s.shape != k0.shape:
         raise InvalidInput("K0 and S must be fperp x fperp")
     if float(np.abs(k0 + k0.T).max(initial=0.0)) > _cutoff(tol, k0):
         raise InvalidInput("K0 must be skew-symmetric")
@@ -254,37 +268,30 @@ def kd_generate(
         raise InvalidInput("S must be symmetric")
     if numerical_rank(k0, tol) < fperp_dim:
         raise SingularK0("K0 is singular at tolerance")
-    d3 = np.linalg.solve(k0, s)
-
-    v = f_dim + fperp_dim
-    k = np.zeros((v, v))
-    k[f_dim:, f_dim:] = k0
-    d = np.zeros((v, v))
-    d[:f_dim, :f_dim] = d1
-    d[:f_dim, f_dim:] = d2
-    d[f_dim:, f_dim:] = d3
-    return ExtensionData(v, k, d, mu=0.0)
+    return ExtensionData(*_blocks(k0, d1, d2, np.linalg.solve(k0, s)))
 
 
-def guediri_2step(
-    p: int, q: int, alpha, c, a, abelian_dim: int = 0, tol: float = DEFAULT_TOL
-) -> MetricLieAlgebra:
+def guediri_2step(alpha, c, a, abelian_dim: int = 0, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:
     """Two-step nilpotent Ricci-flat Lorentzian algebras, extended from
-    V = (z_1..z_p, e_1..e_q, abelian block): basis (e, z, e_i, abelian, ē).
+    V = (z_1..z_p, e_1..e_q, abelian block): basis (e, z, e_i, abelian, ē),
+    with (q, p) read from the shape of c.
 
     Brackets: [ē, e_i] = α_i e + Σ_k c_ik z_k and [e_i, e_j] = a_ij e, with
-    the skew matrix a subject to Σ_{i,j} a_ij² = 2 Σ_{i,k} c_ik² (the trace
-    condition of check_admissible); e, ē are isotropic with ⟨e, ē⟩ = 1 and
-    everything else is orthonormal.
+    alpha of shape (q,), the skew (q, q) matrix a subject to
+    Σ_{i,j} a_ij² = 2 Σ_{i,k} c_ik² (the trace condition of check_admissible);
+    e, ē are isotropic with ⟨e, ē⟩ = 1 and everything else is orthonormal.
     """
-    p = int(p)
-    q = int(q)
+    alpha = _as_float_array(alpha, "alpha")
+    cmat = _as_float_array(c, "c")
+    amat = _as_float_array(a, "a")
+    if cmat.ndim != 2:
+        raise InvalidInput(f"c must be a (q, p) matrix, got shape {cmat.shape}")
+    q, p = cmat.shape
+    if alpha.shape != (q,) or amat.shape != (q, q):
+        raise InvalidInput(f"alpha must have shape ({q},) and a shape ({q}, {q})")
     abelian_dim = int(abelian_dim)
-    if min(p, q, abelian_dim) < 0:
-        raise InvalidInput("dimensions must be nonnegative")
-    alpha = _as_float_array(alpha, "alpha").reshape(q)
-    cmat = _as_float_array(c, "c").reshape(q, p)
-    amat = _as_float_array(a, "a").reshape(q, q)
+    if abelian_dim < 0:
+        raise InvalidInput("abelian_dim must be nonnegative")
     if float(np.abs(amat + amat.T).max(initial=0.0)) > _cutoff(tol, amat):
         raise InvalidInput("a must be skew-symmetric")
 
@@ -296,11 +303,11 @@ def guediri_2step(
     d[:p, e_block] = cmat.T  # D e_i = Σ_k c_ik z_k
     b = np.zeros(v)
     b[e_block] = alpha
-    data = ExtensionData(v, k, d, b=b)
+    data = ExtensionData(k, d, b=b)
     if not check_admissible(data, tol).is_einstein:  # is_einstein implies is_lie
         lhs, rhs = float(np.sum(amat**2)), 2.0 * float(np.sum(cmat**2))
         raise ConstraintViolation(f"Σ a_ij² = 2 Σ c_ik² fails: {lhs:.6g} vs {rhs:.6g}")
-    return MetricLieAlgebra(*_model(data, tol))
+    return extend(data, tol)
 
 
 def random_admissible(
@@ -309,14 +316,19 @@ def random_admissible(
     blocks: int = 1,
     nilpotent: bool = True,
 ) -> ExtensionData:
-    """Random data passing check_admissible, for fuzzing.
+    """Random Lie data for fuzzing, on F ⊕ F-perp of dimension f_dim + 2·blocks.
 
     The F-perp part is a direct sum of 2x2 rotation-like blocks, paired with
     a strictly triangular block on D so that D is nilpotent when requested;
     K is then rescaled so the trace condition holds exactly (with μ = 0 the
-    condition reads tr(K²) + 2tr(D²) + 2tr(DDᵀ) = 0).  With nilpotent=False
-    a μ(D − μ/2·Id)-style shift produces lie-admissible data with μ ≠ 0.
+    condition reads tr(K²) + 2tr(D²) + 2tr(DDᵀ) = 0).  A nilpotent draw with
+    no block and f_dim >= 2 has no K to rescale, so it is refused
+    (InvalidInput).  With nilpotent=False a shift D + μ/2·Id produces Lie data
+    with μ ≠ 0, which meet the trace condition only when the shift allows a
+    rescaled K, and otherwise keep K = 0 and fail it.
     """
+    if nilpotent and blocks == 0 and f_dim >= 2:
+        raise InvalidInput("a nilpotent draw with f_dim >= 2 needs blocks >= 1")
     fperp = 2 * blocks
     d1 = np.triu(rng.normal(size=(f_dim, f_dim)), k=1)
     d2 = rng.normal(size=(f_dim, fperp))
@@ -327,13 +339,8 @@ def random_admissible(
         k0[i, i + 1] = -1.0
         k0[i + 1, i] = 1.0
         d3[i, i + 1] = rng.normal()
-    v = f_dim + fperp
-    k = np.zeros((v, v))
-    k[f_dim:, f_dim:] = k0
-    d = np.zeros((v, v))
-    d[:f_dim, :f_dim] = d1
-    d[:f_dim, f_dim:] = d2
-    d[f_dim:, f_dim:] = d3
+    k, d = _blocks(k0, d1, d2, d3)
+    v = len(k)
     b = rng.normal(size=v)
 
     mu = 0.0
@@ -349,4 +356,4 @@ def random_admissible(
     elif target != 0.0:
         # cannot balance with this K; drop the trace condition by zeroing K
         k = np.zeros_like(k)
-    return ExtensionData(v, k, d, mu=mu, b=b)
+    return ExtensionData(k, d, mu=mu, b=b)

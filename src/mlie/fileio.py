@@ -63,7 +63,7 @@ def _matrix(doc: Dict[str, Any], name: str, rows: int, cols: int) -> np.ndarray:
     return np.array(
         [[_finite_number(x, f"{name}[{r}][{s}]") for s, x in enumerate(row)]
          for r, row in enumerate(raw)]
-    )
+    ).reshape(rows, cols)  # (0, 0), not (0,), for an empty matrix
 
 
 def algebra_to_dict(
@@ -115,7 +115,7 @@ def dict_to_algebra(doc: Any, tol: float) -> Tuple[LieAlgebra, Optional[Gram], O
                 raise InvalidInput(f"{where}: coefficient key {kstr!r} is not an index") from None
             _require(1 <= k <= dim, f"{where}: coefficient index {k} out of range")
             c[i - 1, j - 1, k - 1] = _finite_number(val, f"{where}.coeffs[{kstr}]")
-    algebra = LieAlgebra(dim, c, tol)
+    algebra = LieAlgebra(c, tol)
 
     metric = None
     if "metric" in doc:
@@ -174,7 +174,7 @@ def dict_to_extension(doc: Any) -> Tuple[ExtensionData, Optional[np.ndarray], Op
     comment = doc.get("comment")
     if comment is not None:
         _require(isinstance(comment, str), "'comment' must be a string")
-    return ExtensionData(v, k, d, mu=mu, b=b), basis_change, comment
+    return ExtensionData(k, d, mu=mu, b=b), basis_change, comment
 
 
 def _read(path: str, parse: Callable[[Any], Any]) -> Any:

@@ -41,18 +41,20 @@ def _computed_once(method: Callable[["LieAlgebra"], _T]) -> Callable[["LieAlgebr
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """Anticommutative algebra on R^n; Jacobi is checked only on request.
-    Every decision is taken at ``tol``, a positive finite number."""
+    """Anticommutative algebra on R^n, n read from the (n, n, n) tensor c;
+    Jacobi is checked only on request.  Every decision is taken at ``tol``, a
+    positive finite number."""
 
     n: int
     c: np.ndarray = field()
     tol: float
 
-    def __init__(self, n: int, c, tol: float = DEFAULT_TOL) -> None:
+    def __init__(self, c, tol: float = DEFAULT_TOL) -> None:
         _cutoff(tol)  # refuses a tol that is not a positive finite number
         tensor = _as_float_array(c, "structure constants")
+        n = tensor.shape[0] if tensor.ndim else 0
         if tensor.shape != (n, n, n):
-            raise InvalidInput(f"structure tensor must have shape {(n, n, n)}")
+            raise InvalidInput(f"structure tensor must be an (n, n, n) array, got {tensor.shape}")
         # keep the strict upper triangle, reflect with exact sign flips
         clean = np.zeros((n, n, n))
         iu, ju = np.triu_indices(n, k=1)
@@ -60,7 +62,7 @@ class LieAlgebra:
         clean[ju, iu, :] = -tensor[iu, ju, :]
         clean.flags.writeable = False
         peak = float(np.abs(clean).max(initial=0.0))
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", clean)
         object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "_unit", clean / peak if peak else clean)  # c/max|c|
@@ -79,11 +81,11 @@ class LieAlgebra:
                 if not (0 <= k < n):
                     raise InvalidInput(f"bracket target index {k} out of range")
                 c[i, j, k] = float(val)
-        return cls(n, c)
+        return cls(c)
 
     @classmethod
     def abelian(cls, n: int) -> "LieAlgebra":
-        return cls(n, np.zeros((n, n, n)))
+        return cls(np.zeros((n, n, n)))
 
     # -- basic operations -------------------------------------------------
 

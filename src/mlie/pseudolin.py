@@ -101,9 +101,9 @@ class Gram:
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """Linear subspace of R^n spanned by the rows of ``basis``, decided at
-    ``tol``: membership and the class of a form restricted to it are decided
-    at the same tol.
+    """Linear subspace of R^n spanned by the rows of ``basis``, a (k, n)
+    array, decided at ``tol``: membership and the class of a form restricted
+    to it are decided at the same tol.
 
     The constructor takes rows from the caller and checks that they are
     linearly independent (numerical rank equals the row count).  ``kernel``,
@@ -112,56 +112,52 @@ class Subspace:
     are not checked a second time.
     """
 
-    ambient_dim: int
     basis: np.ndarray = field()
     tol: float
 
-    def __init__(self, ambient_dim: int, basis, tol: float) -> None:
+    def __init__(self, basis, tol: float) -> None:
         b = _as_float_array(basis, "subspace basis")
-        if b.ndim != 2 or b.shape[1] != ambient_dim:
-            raise InvalidInput(
-                f"basis must have shape (k, {ambient_dim}), got {b.shape}"
-            )
+        if b.ndim != 2:
+            raise InvalidInput(f"basis must be a (k, n) array of rows, got shape {b.shape}")
         if numerical_rank(b, tol) != b.shape[0]:
             raise InvalidInput("subspace basis rows are linearly dependent at tolerance")
-        self._keep(ambient_dim, b, tol)
+        self._keep(b, tol)
 
-    def _keep(self, ambient_dim: int, rows: np.ndarray, tol: float) -> None:
+    def _keep(self, rows: np.ndarray, tol: float) -> None:
         _cutoff(tol)  # refuses a tol that is not a positive finite number
         rows = rows.copy()
         rows.flags.writeable = False
-        object.__setattr__(self, "ambient_dim", int(ambient_dim))
         object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "tol", tol)
 
     @classmethod
-    def _orthonormal(cls, ambient_dim: int, rows: np.ndarray, tol: float) -> "Subspace":
+    def _orthonormal(cls, rows: np.ndarray, tol: float) -> "Subspace":
         f = cls.__new__(cls)
-        f._keep(ambient_dim, rows, tol)
+        f._keep(rows, tol)
         return f
 
     @classmethod
-    def full(cls, ambient_dim: int, tol: float) -> "Subspace":
-        return cls._orthonormal(ambient_dim, np.eye(ambient_dim), tol)
+    def full(cls, n: int, tol: float) -> "Subspace":
+        return cls._orthonormal(np.eye(n), tol)
 
     @classmethod
     def kernel(cls, m, tol: float) -> "Subspace":
         """The kernel of m, decided by one SVD at tol."""
-        rows = nullspace(m, tol)
-        return cls._orthonormal(rows.shape[1], rows, tol)
+        return cls._orthonormal(nullspace(m, tol), tol)
 
     @classmethod
     def column_span(cls, m, tol: float) -> "Subspace":
         """The span of the columns of m, decided by one SVD at tol."""
-        m = _as_float_array(m, "matrix")
-        if m.size == 0:
-            return cls._orthonormal(m.shape[0], np.zeros((0, m.shape[0])), tol)
-        u, s, _ = np.linalg.svd(m)
-        return cls._orthonormal(m.shape[0], u[:, :_rank(s, tol)].T, tol)
+        u, s, _ = np.linalg.svd(_as_float_array(m, "matrix"))
+        return cls._orthonormal(u[:, :_rank(s, tol)].T, tol)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[1]
 
     def contains(self, v) -> bool:
         """Whether v lies in the span of the basis rows, at the subspace's tol."""

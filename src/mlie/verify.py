@@ -58,17 +58,6 @@ class CheckResult:
     failures: List[str] = field(default_factory=list)
 
 
-def _result(
-    name: str, expected: str, observed: str, residual: float, failures: List[str]
-) -> CheckResult:
-    if failures:
-        shown = "; ".join(failures[:3])
-        if len(failures) > 3:
-            shown += f"; … {len(failures) - 3} more"
-        observed = f"{observed} — FAILURES: {shown}"
-    return CheckResult(name, expected, observed, residual, not failures, failures)
-
-
 def _rng(check_index: int) -> np.random.Generator:
     return np.random.default_rng([_BASE_SEED, check_index])
 
@@ -127,20 +116,31 @@ def _catalog_instances(rng: np.random.Generator, grams: int = 20):
 CHECKS: Dict[str, Callable[[float], CheckResult]] = {}
 
 
+#: what a check returns: (expected, observed, residual, failures)
+_Claim = Tuple[str, str, float, List[str]]
+
+
 def _check(name: str):
-    """Register the decorated check as CHECKS[name], in verify-paper's order."""
-    def register(check: Callable[[float], CheckResult]) -> Callable[[float], CheckResult]:
+    """Register the decorated check as CHECKS[name], in verify-paper's order;
+    the registered function turns the check's claim into the row named name."""
+    def register(check: Callable[[float], _Claim]) -> Callable[[float], CheckResult]:
         @functools.wraps(check)
         def run(tol: float) -> CheckResult:
             _cutoff(tol)  # refused first: some checks never compare against their tol
-            return check(tol)
+            expected, observed, residual, failures = check(tol)
+            if failures:
+                shown = "; ".join(failures[:3])
+                if len(failures) > 3:
+                    shown += f"; … {len(failures) - 3} more"
+                observed = f"{observed} — FAILURES: {shown}"
+            return CheckResult(name, expected, observed, residual, not failures, failures)
         CHECKS[name] = run
         return run
     return register
 
 
 @_check("classified-ricci-flat")
-def check_classified_ricci_flat(tol: float) -> CheckResult:
+def check_classified_ricci_flat(tol: float) -> _Claim:
     rng = _rng(1)
     failures: List[str] = []
     worst = 0.0
@@ -157,8 +157,7 @@ def check_classified_ricci_flat(tol: float) -> CheckResult:
         worst = max(worst, resid)
         if resid > tol:
             failures.append(f"{mv.name} {params}: ‖Ric‖∞ = {resid:.3e}")
-    return _result(
-        "classified-ricci-flat",
+    return (
         f"10 variants, seeded draws: Lorentzian (1,n−1) and ‖Ric‖∞ ≤ {tol:g}",
         f"{count} metrics all Lorentzian and Ricci-flat",
         worst,
@@ -167,7 +166,7 @@ def check_classified_ricci_flat(tol: float) -> CheckResult:
 
 
 @_check("flatness")
-def check_flatness(tol: float) -> CheckResult:
+def check_flatness(tol: float) -> _Claim:
     rng = _rng(2)
     failures: List[str] = []
     worst_flat = 0.0
@@ -186,8 +185,7 @@ def check_flatness(tol: float) -> CheckResult:
             worst_flat = max(worst_flat, defect / scale)
             if defect > tol * scale:
                 failures.append(f"{mv.name} {params}: curvature defect {defect:.3e}")
-    return _result(
-        "flatness",
+    return (
         "m32/m42/m52 and m43[ε=−1] flat; m43[ε=+1] visibly curved",
         f"{count} instances match (smallest ε=+1 curvature witness {witness:.2e})",
         worst_flat,
@@ -196,7 +194,7 @@ def check_flatness(tol: float) -> CheckResult:
 
 
 @_check("degenerate-center")
-def check_degenerate_center(tol: float) -> CheckResult:
+def check_degenerate_center(tol: float) -> _Claim:
     rng = _rng(3)
     failures: List[str] = []
     count = 0
@@ -205,8 +203,7 @@ def check_degenerate_center(tol: float) -> CheckResult:
         cls = classify_subspace(m.gram, m.algebra.center())
         if cls.tag is not SubspaceTag.DEGENERATE:
             failures.append(f"{mv.name} {params}: center {cls.tag.value}")
-    return _result(
-        "degenerate-center",
+    return (
         "every classified dim ≤ 5 metric has a Degenerate center",
         f"{count - len(failures)}/{count} centers Degenerate",
         0.0,
@@ -215,7 +212,7 @@ def check_degenerate_center(tol: float) -> CheckResult:
 
 
 @_check("examples")
-def check_examples(tol: float) -> CheckResult:
+def check_examples(tol: float) -> _Claim:
     strict = tol / 10.0
     failures: List[str] = []
     worst = 0.0
@@ -263,8 +260,7 @@ def check_examples(tol: float) -> CheckResult:
     obs.append(
         f"EX8 Einstein λ̂={lam:.12g} ({c_cls.tag.value} center ⊆ {d_cls.tag.value} derived)"
     )
-    return _result(
-        "examples",
+    return (
         f"EX6/EX7 Ricci-flat with nondegenerate center; EX8 Einstein, λ̂ = {EX8_LAMBDA}",
         "; ".join(obs),
         worst,
@@ -273,7 +269,7 @@ def check_examples(tol: float) -> CheckResult:
 
 
 @_check("route-equivalence")
-def check_route_equivalence(tol: float) -> CheckResult:
+def check_route_equivalence(tol: float) -> _Claim:
     rng = _rng(5)
     failures: List[str] = []
     worst = 0.0
@@ -295,8 +291,7 @@ def check_route_equivalence(tol: float) -> CheckResult:
             worst = max(worst, d_op / op_scale)
             if d_op > tol * op_scale:
                 failures.append(f"{name}: definition vs 𝒥-route {d_op:.3e}")
-    return _result(
-        "route-equivalence",
+    return (
         f"definition ≡ general (≡ 𝒥-route when nilpotent) within {tol:g}·scale",
         f"{count} (algebra, gram) instances agree on all routes",
         worst,
@@ -305,7 +300,7 @@ def check_route_equivalence(tol: float) -> CheckResult:
 
 
 @_check("trace-j1-j2")
-def check_trace_j1_j2(tol: float) -> CheckResult:
+def check_trace_j1_j2(tol: float) -> _Claim:
     rng = _rng(5)  # same instance set as route-equivalence
     failures: List[str] = []
     worst = 0.0
@@ -319,8 +314,7 @@ def check_trace_j1_j2(tol: float) -> CheckResult:
         worst = max(worst, diff / scale)
         if diff > tol * scale:
             failures.append(f"{name}: tr𝒥₁={t1:.6g} tr𝒥₂={t2:.6g}")
-    return _result(
-        "trace-j1-j2",
+    return (
         f"tr 𝒥₁ = tr 𝒥₂ within {tol:g}·scale",
         f"{count} instances agree",
         worst,
@@ -329,7 +323,7 @@ def check_trace_j1_j2(tol: float) -> CheckResult:
 
 
 @_check("trace-formula")
-def check_trace_formula(tol: float) -> CheckResult:
+def check_trace_formula(tol: float) -> _Claim:
     rng = _rng(5)  # same instance set as route-equivalence
     failures: List[str] = []
     worst = 0.0
@@ -356,8 +350,7 @@ def check_trace_formula(tol: float) -> CheckResult:
                 failures.append(f"{name}: unit E[{k // m.n},{k % m.n}]: |lhs−rhs| = {gap[k]:.3e}")
             else:
                 failures.append(f"{name}: derivation {k - units} gives tr(QE) = {lhs[k]:.3e}")
-    return _result(
-        "trace-formula",
+    return (
         f"tr(QE) = bracket double sum within {tol:g}·scale on every unit E; "
         "both ≈ 0 on every derivation",
         f"n² unit E and the full derivation basis on each of {count} instances agree",
@@ -367,7 +360,7 @@ def check_trace_formula(tol: float) -> CheckResult:
 
 
 @_check("double-extension")
-def check_double_extension(tol: float) -> CheckResult:
+def check_double_extension(tol: float) -> _Claim:
     rng = _rng(8)
     failures: List[str] = []
     worst = 0.0
@@ -422,8 +415,7 @@ def check_double_extension(tol: float) -> CheckResult:
         worst = max(worst, diff / scale)
         if diff > tol * scale:
             failures.append(f"μ≠0 trial {trial}: ricci_ebar {pred:.6g} vs {obs:.6g}")
-    return _result(
-        "double-extension",
+    return (
         "100 nilpotent data: extend nilpotent/Lorentzian/Ricci-flat and decompose "
         f"round-trips; 100 μ≠0 data: ricci_ebar matches, all within {tol:g}·scale",
         "200 extensions behave as constructed",
@@ -433,7 +425,7 @@ def check_double_extension(tol: float) -> CheckResult:
 
 
 @_check("guediri")
-def check_guediri(tol: float) -> CheckResult:
+def check_guediri(tol: float) -> _Claim:
     rng = _rng(9)
     failures: List[str] = []
     worst = 0.0
@@ -449,11 +441,11 @@ def check_guediri(tol: float) -> CheckResult:
         c = rng.normal(size=(q, p))
         c = c * np.sqrt(float(np.sum(a * a)) / (2.0 * float(np.sum(c * c))))
         alpha = rng.normal(size=q)
-        return p, q, alpha, c, a, int(rng.integers(0, 3))
+        return alpha, c, a, int(rng.integers(0, 3))
 
     for trial in range(50):
-        p, q, alpha, c, a, ab = draw()
-        m = guediri_2step(p, q, alpha, c, a, abelian_dim=ab)
+        alpha, c, a, ab = draw()
+        m = guediri_2step(alpha, c, a, abelian_dim=ab)
         report = m.einstein_classify(tol)
         ric = float(np.abs(report.ricci_operator).max(initial=0.0))
         worst = max(worst, ric)
@@ -464,15 +456,14 @@ def check_guediri(tol: float) -> CheckResult:
             failures.append(f"trial {trial}: center {cls.tag.value}")
     rejected = 0
     for trial in range(10):
-        p, q, alpha, c, a, ab = draw()
+        alpha, c, a, ab = draw()
         try:
-            guediri_2step(p, q, alpha, 1.3 * c, a, abelian_dim=ab)
+            guediri_2step(alpha, 1.3 * c, a, abelian_dim=ab)
         except ConstraintViolation:
             rejected += 1
     if rejected != 10:
         failures.append(f"only {rejected}/10 violating parameter sets rejected")
-    return _result(
-        "guediri",
+    return (
         "50 constrained parameter sets Ricci-flat with degenerate center; "
         "10 violating sets rejected",
         f"50 built, {rejected}/10 rejected",
@@ -482,7 +473,7 @@ def check_guediri(tol: float) -> CheckResult:
 
 
 @_check("derivations")
-def check_derivations(tol: float) -> CheckResult:
+def check_derivations(tol: float) -> _Claim:
     failures: List[str] = []
     worst = 0.0
     for name in DERIVATION_TABLE:
@@ -497,8 +488,7 @@ def check_derivations(tol: float) -> CheckResult:
         found = algebra.find_nonzero_trace_derivation()
         if found is None or abs(np.trace(found)) <= 1e-9:
             failures.append(f"{name}: find_nonzero_trace_derivation failed")
-    return _result(
-        "derivations",
+    return (
         "tabulated diagonal derivations exact (defect ≤ 1e-12) with nonzero trace; "
         "the search finds one on every algebra",
         f"{len(DERIVATION_TABLE)} table rows verified",
@@ -508,7 +498,7 @@ def check_derivations(tol: float) -> CheckResult:
 
 
 @_check("lemma-fuzz")
-def check_lemma_fuzz(tol: float) -> CheckResult:
+def check_lemma_fuzz(tol: float) -> _Claim:
     strict = tol / 10.0
     rng = _rng(11)
     failures: List[str] = []
@@ -579,8 +569,7 @@ def check_lemma_fuzz(tol: float) -> CheckResult:
             worst = max(worst, abs(cross) / s1)
             if abs(cross) > strict * s1:
                 failures.append(f"{tag}: tr(A₀A) = {cross:.3e} ≠ 0")
-    return _result(
-        "lemma-fuzz",
+    return (
         "isotropy inequality ⟨Ae,Ae⟩ ≥ 0 with equality ⇔ Ae ∥ e; tr A² ≤ 0 "
         "when Ae = 0, with tr(A₀B) = 0 in the degenerate case",
         f"{count} trials in Lorentzian dims 3–8 hold",
@@ -590,7 +579,7 @@ def check_lemma_fuzz(tol: float) -> CheckResult:
 
 
 @_check("search-regression")
-def check_search_regression(tol: float) -> CheckResult:
+def check_search_regression(tol: float) -> _Claim:
     failures: List[str] = []
     spec = SearchSpec(
         make_algebra("L3_2"), target="ricci-flat", signature=(1, 2), seed=0, restarts=8
@@ -613,8 +602,7 @@ def check_search_regression(tol: float) -> CheckResult:
     )
     if not same:
         failures.append("two runs of the same spec differ")
-    return _result(
-        "search-regression",
+    return (
         "L3_2 (1,2) Ricci-flat search converges below 1e-6 and reruns bit-identically",
         f"converged={r1.converged} iterations={r1.iterations} "
         f"restart={r1.restart_index} bit-identical={same}",

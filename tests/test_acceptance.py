@@ -18,6 +18,7 @@ from mlie.verify import CHECK_NAMES, check_trace_formula, format_row, run_checks
 def test_acceptance(name):
     (result,) = run_checks([name])
     print(format_row(result))
+    assert result.name == name
     detail = "; ".join(result.failures[:5]) if result.failures else ""
     assert result.passed, (
         f"{result.name}: expected {result.expected}, observed {result.observed}"

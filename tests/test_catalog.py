@@ -62,7 +62,7 @@ def test_a_catalog_algebra_is_shared_and_hands_out_only_fixed_facts(name):
         series[0] = series[-1]
     assert alg.lower_central_series() == series
     # what every earlier caller saw is what a fresh algebra computes
-    fresh = LieAlgebra(alg.n, alg.c)
+    fresh = LieAlgebra(alg.c)
     assert np.array_equal(alg.derivation_space(), fresh.derivation_space())
     own = [fresh.center(), fresh.derived_ideal(), *fresh.lower_central_series()]
     assert [f.basis.shape for f in subspaces] == [f.basis.shape for f in own]

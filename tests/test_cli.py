@@ -150,6 +150,18 @@ def test_decompose_roundtrip_via_files(tmp_path, capsys):
     assert "Flat" in out
 
 
+def test_decompose_then_double_extend_with_an_empty_core(tmp_path, capsys):
+    # abelian R² with ⟨e_1, e_2⟩ = 1: e_1 is isotropic and central, so V = 0
+    src, dec = tmp_path / "plane.json", tmp_path / "dec.json"
+    src.write_text(json.dumps({"dim": 2, "brackets": [], "metric": [[0.0, 1.0], [1.0, 0.0]]}))
+    code, _, _ = run_cli(capsys, "decompose", str(src), "-o", str(dec))
+    assert code == 0
+    assert json.loads(dec.read_text())["v_dim"] == 0
+    code, out, err = run_cli(capsys, "double-extend", str(dec))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dim"] == 2
+
+
 def test_decompose_definite_center_exit_3(tmp_path, capsys):
     path = tmp_path / "ex6.json"
     run_cli(capsys, "catalog", "EX6", "-o", str(path))

@@ -54,7 +54,7 @@ def test_metric_algebra_decides_its_signature_once_at_its_tol():
     gram = Gram.from_diagonal([-1.0, 1.0, 1e-10])
     with pytest.raises(DegenerateGram):
         MetricLieAlgebra(make_algebra("L3_2"), gram)
-    m = MetricLieAlgebra(LieAlgebra(3, make_algebra("L3_2").c, 1e-12), gram)
+    m = MetricLieAlgebra(LieAlgebra(make_algebra("L3_2").c, 1e-12), gram)
     assert m.algebra.tol == 1e-12
     assert m.signature() == Signature(minus=1, plus=2, null=0)
     assert m.einstein_classify().signature == m.signature()
@@ -190,7 +190,7 @@ def test_trace_identity_is_basis_free():
         p = np.eye(n) + 0.3 * rng.normal(size=(n, n))
         pinv = np.linalg.inv(p)
         c = np.einsum("ia,jb,ijk,lk->abl", p, p, m.algebra.c, pinv)
-        moved = MetricLieAlgebra(LieAlgebra(n, c), Gram(p.T @ m.gram.mat @ p))
+        moved = MetricLieAlgebra(LieAlgebra(c), Gram(p.T @ m.gram.mat @ p))
         want = m.trace_q_times(e)
         got = moved.trace_q_times(pinv @ e @ p)
         scale = max(1.0, *map(abs, want))

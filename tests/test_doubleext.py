@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mlie import doubleext
 from mlie.catalog import make_metric
 from mlie.curvature import MetricLieAlgebra, Verdict
 from mlie.doubleext import (
@@ -23,20 +24,20 @@ ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def test_extension_data_antisymmetrizes_k():
-    data = ExtensionData(2, np.array([[0.0, 1.0], [0.5, 0.0]]), np.zeros((2, 2)))
+    data = ExtensionData(np.array([[0.0, 1.0], [0.5, 0.0]]), np.zeros((2, 2)))
     assert np.array_equal(data.K, -data.K.T)
     assert data.K[0, 1] == 1.0  # upper triangle wins
 
 
 def test_extension_data_shape_validation():
     with pytest.raises(InvalidInput):
-        ExtensionData(2, np.zeros((2, 3)), np.zeros((2, 2)))
+        ExtensionData(np.zeros((2, 3)), np.zeros((2, 2)))
     with pytest.raises(InvalidInput):
-        ExtensionData(2, np.zeros((2, 2)), np.zeros((2, 2)), b=np.zeros(3))
+        ExtensionData(np.zeros((2, 2)), np.zeros((2, 2)), b=np.zeros(3))
 
 
 def test_rotation_block_is_admissible():
-    data = ExtensionData(2, ROT, np.zeros((2, 2)))
+    data = ExtensionData(ROT, np.zeros((2, 2)))
     adm = check_admissible(data, DEFAULT_TOL)
     assert adm.is_lie
     assert adm.is_nilpotent
@@ -45,30 +46,30 @@ def test_rotation_block_is_admissible():
 
 def test_ricci_ebar_oracle_half():
     # D = 0, K the 2x2 rotation: ric(ē,ē) = −¼ tr(K²) = ½
-    data = ExtensionData(2, ROT, np.zeros((2, 2)))
+    data = ExtensionData(ROT, np.zeros((2, 2)))
     assert ricci_ebar(data) == pytest.approx(0.5)
 
 
 def test_killing_ebar_formula():
     d = np.diag([2.0, -1.0])
-    data = ExtensionData(2, ROT, d, mu=3.0)
+    data = ExtensionData(ROT, d, mu=3.0)
     assert killing_ebar(data) == pytest.approx(9.0 + 5.0)  # μ² + tr(D²)
 
 
 def test_extend_rejects_non_lie_data():
-    data = ExtensionData(2, ROT, np.diag([1.0, 2.0]))  # KD + DᵀK ≠ μK
+    data = ExtensionData(ROT, np.diag([1.0, 2.0]))  # KD + DᵀK ≠ μK
     with pytest.raises(NotLie):
         extend(data)
 
 
 def test_extend_refuses_a_nan_tol_instead_of_calling_the_data_not_lie():
-    data = ExtensionData(2, ROT, np.zeros((2, 2)))  # Lie data: K∘D + Dᵀ∘K = 0
+    data = ExtensionData(ROT, np.zeros((2, 2)))  # Lie data: K∘D + Dᵀ∘K = 0
     with pytest.raises(InvalidInput, match="^tol must be a positive finite number$"):
         extend(data, float("nan"))
 
 
 def test_extend_zero_data_is_abelian_flat():
-    data = ExtensionData(3, np.zeros((3, 3)), np.zeros((3, 3)))
+    data = ExtensionData(np.zeros((3, 3)), np.zeros((3, 3)))
     m = extend(data)
     assert m.n == 5
     assert np.abs(m.algebra.c).max() == 0.0
@@ -83,8 +84,8 @@ def test_extend_and_guediri_build_at_their_tol():
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
     c = np.array([[1.0], [0.0]])  # Σa² = 2 = 2Σc²
     for m in (
-        extend(ExtensionData(2, ROT, np.zeros((2, 2))), tol=t),
-        guediri_2step(1, 2, np.array([0.3, -0.7]), c, a, tol=t),
+        extend(ExtensionData(ROT, np.zeros((2, 2))), tol=t),
+        guediri_2step(np.array([0.3, -0.7]), c, a, tol=t),
     ):
         assert m.algebra.tol == t
         assert m.einstein_classify().signature == m.signature()
@@ -95,7 +96,7 @@ def test_extend_einstein_family_is_ricci_flat():
     for a in (0.5, 1.0, 2.0):
         k = a * ROT
         d = np.array([[0.0, a], [0.0, 0.0]])
-        data = ExtensionData(2, k, d)
+        data = ExtensionData(k, d)
         adm = check_admissible(data, DEFAULT_TOL)
         assert adm.is_lie and adm.is_nilpotent and adm.is_einstein
         m = extend(data)
@@ -110,7 +111,7 @@ def test_extend_bracket_table():
     k = ROT
     d = np.array([[0.0, 1.0], [0.0, 0.0]])
     b = np.array([0.25, -0.5])
-    m = extend(ExtensionData(2, k, d, b=b))
+    m = extend(ExtensionData(k, d, b=b))
     e = np.eye(4)  # basis (e, f1, f2, ē)
     assert m.algebra.bracket(e[3], e[1]) == pytest.approx([0.25, 0.0, 0.0, 0.0])
     assert m.algebra.bracket(e[3], e[2]) == pytest.approx([-0.5, 1.0, 0.0, 0.0])
@@ -134,7 +135,7 @@ def test_trace_residual_is_four_times_ricci_ebar():
     rng = np.random.default_rng(6)
     for nilpotent in (True, False) * 20:
         data = random_admissible(rng, f_dim=int(rng.integers(0, 4)), nilpotent=nilpotent)
-        data = ExtensionData(data.v_dim, data.K, data.D + 1e-3 * rng.normal(), data.mu, data.b)
+        data = ExtensionData(data.K, data.D + 1e-3 * rng.normal(), data.mu, data.b)
         assert check_admissible(data, DEFAULT_TOL).trace_residual == 4 * abs(ricci_ebar(data))
 
 
@@ -144,7 +145,7 @@ def test_check_admissible_skips_the_nilpotency_power_when_decided(monkeypatch):
 
     rng = np.random.default_rng(4)
     mu_data = random_admissible(rng, nilpotent=False)
-    non_lie = ExtensionData(2, ROT, np.diag([1.0, 2.0]))
+    non_lie = ExtensionData(ROT, np.diag([1.0, 2.0]))
     monkeypatch.setattr(np.linalg, "matrix_power", refuse)
     adm = check_admissible(mu_data, DEFAULT_TOL)
     assert adm.is_lie and not adm.is_nilpotent
@@ -178,7 +179,7 @@ def test_model_residual_measures_non_lie_data():
     # a measurement: data failing K∘D + Dᵀ∘K = μK gives a residual, not NotLie
     m = extend(random_admissible(np.random.default_rng(3), f_dim=0, blocks=1))
     dec = decompose(m)
-    bad = ExtensionData(2, ROT, np.diag([1.0, 2.0]))
+    bad = ExtensionData(ROT, np.diag([1.0, 2.0]))
     with pytest.raises(NotLie):
         extend(bad)
     resid = model_residual(m, dec._replace(data=bad))
@@ -212,7 +213,7 @@ def test_kd_generate_block_form():
     s = np.diag([1.0, -1.0])
     d1 = np.array([[0.0]])
     d2 = np.array([[1.0, 2.0]])
-    data = kd_generate(1, 2, d1, d2, k0, s, DEFAULT_TOL)
+    data = kd_generate(d1, d2, k0, s, DEFAULT_TOL)
     assert data.v_dim == 3
     adm = check_admissible(data, DEFAULT_TOL)
     assert adm.is_lie
@@ -220,16 +221,16 @@ def test_kd_generate_block_form():
     assert data.D[1:, 1:] == pytest.approx(np.linalg.solve(k0, s))
     # with F-perp = 0, K = 0 and D = D1
     empty = np.zeros((0, 0))
-    data = kd_generate(1, 0, d1, np.zeros((1, 0)), empty, empty, DEFAULT_TOL)
+    data = kd_generate(d1, np.zeros((1, 0)), empty, empty, DEFAULT_TOL)
     assert np.array_equal(data.K, np.zeros((1, 1))) and np.array_equal(data.D, d1)
 
 
 def test_kd_generate_validation():
     d1, d2 = np.zeros((1, 1)), np.zeros((1, 2))
     with pytest.raises(SingularK0):
-        kd_generate(1, 2, d1, d2, np.zeros((2, 2)), np.eye(2), DEFAULT_TOL)
+        kd_generate(d1, d2, np.zeros((2, 2)), np.eye(2), DEFAULT_TOL)
     with pytest.raises(InvalidInput):
-        kd_generate(1, 2, d1, d2, np.eye(2), np.eye(2), DEFAULT_TOL)
+        kd_generate(d1, d2, np.eye(2), np.eye(2), DEFAULT_TOL)
 
 
 def test_random_admissible_nilpotent_properties():
@@ -240,10 +241,35 @@ def test_random_admissible_nilpotent_properties():
         assert adm.is_lie and adm.is_nilpotent and adm.is_einstein
 
 
+def test_random_admissible_refuses_a_nilpotent_draw_it_cannot_balance():
+    # with no rotation block there is no K to rescale against tr(DDᵀ) > 0
+    for f_dim in (2, 3):
+        with pytest.raises(InvalidInput, match="blocks >= 1"):
+            random_admissible(np.random.default_rng(0), f_dim=f_dim, blocks=0)
+    for f_dim in (0, 1):  # D = 0: the trace condition holds with K = 0
+        data = random_admissible(np.random.default_rng(0), f_dim=f_dim, blocks=0)
+        assert check_admissible(data, DEFAULT_TOL).is_einstein
+
+
+def test_guediri_builds_through_extend(monkeypatch):
+    calls = []
+    build = doubleext.extend
+
+    def spy(data, tol=DEFAULT_TOL):
+        calls.append(data)
+        return build(data, tol)
+
+    monkeypatch.setattr(doubleext, "extend", spy)
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    m = guediri_2step(np.zeros(2), np.array([[1.0], [0.0]]), a)
+    assert len(calls) == 1
+    assert m.n == 5 and calls[0].v_dim == 3
+
+
 def test_guediri_ricci_flat_and_degenerate_center():
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
     c = np.array([[1.0], [0.0]])  # Σa² = 2 = 2Σc²
-    m = guediri_2step(1, 2, np.array([0.3, -0.7]), c, a, abelian_dim=1)
+    m = guediri_2step(np.array([0.3, -0.7]), c, a, abelian_dim=1)
     assert m.n == 6
     assert m.algebra.is_nilpotent()
     report = m.einstein_classify()
@@ -255,7 +281,7 @@ def test_guediri_ricci_flat_and_degenerate_center():
 def test_guediri_two_step_structure():
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
     c = np.array([[1.0], [0.0]])
-    m = guediri_2step(1, 2, np.zeros(2), c, a)
+    m = guediri_2step(np.zeros(2), c, a)
     derived = m.algebra.derived_ideal()
     center = m.algebra.center()
     for row in derived.basis:
@@ -271,7 +297,7 @@ def test_guediri_family_round_trips_through_decompose():
         a = a - a.T
         c = rng.normal(size=(q, p))
         c = c * np.sqrt(float(np.sum(a * a)) / (2.0 * float(np.sum(c * c))))
-        m = guediri_2step(p, q, rng.normal(size=q), c, a, abelian_dim=ab)
+        m = guediri_2step(rng.normal(size=q), c, a, abelian_dim=ab)
         dec = decompose(m)
         assert dec is not None
         scale = max(1.0, float(np.abs(m.algebra.c).max()))
@@ -283,6 +309,6 @@ def test_guediri_family_round_trips_through_decompose():
 def test_guediri_constraint_violation():
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
     c = np.sqrt(0.5) * np.array([[1.0], [1.0]])  # Σa²=2 but 2Σc²=2 ⟹ ok; scale breaks it
-    guediri_2step(1, 2, np.zeros(2), c, a)
+    guediri_2step(np.zeros(2), c, a)
     with pytest.raises(ConstraintViolation):
-        guediri_2step(1, 2, np.zeros(2), np.sqrt(2.0) * c, a)
+        guediri_2step(np.zeros(2), np.sqrt(2.0) * c, a)

@@ -102,7 +102,6 @@ def test_parse_error_carries_location(tmp_path):
 
 def test_extension_roundtrip(tmp_path):
     data = ExtensionData(
-        2,
         np.sqrt(2.0) * np.array([[0.0, -1.0], [1.0, 0.0]]),
         np.array([[0.0, 0.7], [0.0, 0.0]]),
         mu=0.25,

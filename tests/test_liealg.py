@@ -63,7 +63,7 @@ def test_require_jacobi_refuses_a_tiny_non_lie_table():
     bad = LieAlgebra.from_brackets(3, {(0, 1): {1: 1.0}, (1, 2): {0: 1.0}})
     assert bad.jacobi_defect() == 1.0
     with pytest.raises(NotLie):
-        LieAlgebra(3, 1e-6 * bad.c).require_jacobi()
+        LieAlgebra(1e-6 * bad.c).require_jacobi()
 
 
 def _structure(alg):
@@ -79,9 +79,9 @@ def _structure(alg):
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
 def test_structure_does_not_change_under_bracket_scaling(name):
     c = make_algebra(name).c
-    want = _structure(LieAlgebra(len(c), c))
+    want = _structure(LieAlgebra(c))
     for s in (1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e12):
-        assert _structure(LieAlgebra(len(c), s * c)) == want, s
+        assert _structure(LieAlgebra(s * c)) == want, s
 
 
 def test_from_brackets_validates_indices():
@@ -105,6 +105,8 @@ def test_abelian_center_is_everything():
     assert alg.center().dim == 4
     assert alg.derived_ideal().dim == 0
     assert alg.is_nilpotent()
+    # on R there are no basis pairs: the span of the columns of a (1, 0) matrix
+    assert LieAlgebra.abelian(1).derived_ideal().basis.shape == (0, 1)
 
 
 def test_lower_central_series_dims():
@@ -124,12 +126,12 @@ def test_is_nilpotent_computes_the_series_once_per_tol(monkeypatch):
 
     monkeypatch.setattr(LieAlgebra, "lower_central_series", counting)
     # built fresh: the shared catalog instance may already hold its series
-    nilpotent = LieAlgebra(5, make_algebra("L5_2").c)
+    nilpotent = LieAlgebra(make_algebra("L5_2").c)
     solvable = LieAlgebra.from_brackets(2, {(0, 1): {1: 1.0}})
     assert [nilpotent.is_nilpotent() for _ in range(3)] == [True] * 3
     assert [solvable.is_nilpotent() for _ in range(3)] == [False] * 3
     assert calls == [1e-9, 1e-9]
-    rebuilt = LieAlgebra(nilpotent.n, nilpotent.c, 1e-7)
+    rebuilt = LieAlgebra(nilpotent.c, 1e-7)
     assert rebuilt.is_nilpotent() and calls == [1e-9, 1e-9, 1e-7]
 
 
@@ -142,7 +144,7 @@ def test_each_structure_subspace_is_decided_by_one_svd(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    alg = LieAlgebra(5, make_algebra("L5_6").c)  # fresh: nothing computed yet
+    alg = LieAlgebra(make_algebra("L5_6").c)  # fresh: nothing computed yet
     alg.center()
     assert len(calls) == 1
     alg.derived_ideal()
@@ -166,7 +168,7 @@ def _bases_built_and_rechecked(alg):
     def span(cols):
         u, s, _ = np.linalg.svd(cols)
         rank = np.count_nonzero(s > tol * max(1.0, s[0]))
-        return Subspace(n, u[:, :rank].T, tol).basis
+        return Subspace(u[:, :rank].T, tol).basis
 
     iu, ju = np.triu_indices(n, k=1)
     series = [np.eye(n)]
@@ -178,7 +180,7 @@ def _bases_built_and_rechecked(alg):
     units = np.eye(n * n).reshape(n * n, n, n)
     system = derivation_defects(unit, units)[:, iu, ju, :].reshape(n * n, -1).T
     return [
-        Subspace(n, nullspace(unit.transpose(0, 2, 1).reshape(-1, n), tol), tol).basis,
+        Subspace(nullspace(unit.transpose(0, 2, 1).reshape(-1, n), tol), tol).basis,
         span(unit[iu, ju, :].T),
         *series,
         nullspace(system, tol).reshape(-1, n, n),
@@ -210,7 +212,7 @@ def test_structure_bases_are_those_of_the_rechecked_svd_rows():
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_a_tol_that_is_not_positive_and_finite_is_refused(tol):
     with pytest.raises(InvalidInput, match="positive finite"):
-        LieAlgebra(3, make_algebra("L3_2").c, tol)
+        LieAlgebra(make_algebra("L3_2").c, tol)
     with pytest.raises(InvalidInput, match="positive finite"):
         signature(Gram.from_diagonal([-1.0, 1.0, 0.5]), tol)
 
@@ -276,15 +278,56 @@ def test_the_algebra_is_the_one_tolerance_knob():
     assert defaulted - {"SearchSpec.__init__"} == DEFAULTED_TOLS
 
 
+def test_every_constructor_reads_its_sizes_from_its_arrays():
+    # a size is a parameter only where no array carries it
+    sizes = {"n", "ambient_dim", "v_dim", "f_dim", "fperp_dim", "p", "q"}
+    for fn in (
+        LieAlgebra.__init__,
+        Subspace.__init__,
+        doubleext.ExtensionData.__init__,
+        doubleext.kd_generate,
+        doubleext.guediri_2step,
+    ):
+        assert sizes.isdisjoint(inspect.signature(fn).parameters), fn.__qualname__
+    taking = {
+        fn.__qualname__
+        for fn in _public_callables()
+        if not sizes.isdisjoint(inspect.signature(fn).parameters)
+    }
+    kept = {"LieAlgebra.from_brackets", "LieAlgebra.abelian", "Subspace.full", "random_admissible"}
+    assert taking == kept
+    assert "abelian_dim" in inspect.signature(doubleext.guediri_2step).parameters
+
+
+def test_every_constructor_refuses_arrays_whose_shapes_disagree():
+    rot, tol = np.array([[0.0, 1.0], [-1.0, 0.0]]), 1e-9
+    refused = {
+        r"\(n, n, n\) array, got \(2, 2, 3\)": lambda: LieAlgebra(np.zeros((2, 2, 3))),
+        r"\(n, n, n\) array, got \(\)": lambda: LieAlgebra(0.0),
+        r"\(k, n\) array of rows": lambda: Subspace([1.0, 0.0], tol),
+        "D must have K's shape": lambda: doubleext.ExtensionData(np.zeros((2, 2)), np.zeros((3, 3))),
+        "D2 must be f x fperp": lambda: doubleext.kd_generate([[0.0]], [[0.0]], rot, rot, tol),
+        "S must be fperp x fperp": lambda: doubleext.kd_generate(
+            [[0.0]], [[0.0, 0.0]], rot, np.zeros((3, 3)), tol
+        ),
+        r"c must be a \(q, p\) matrix": lambda: doubleext.guediri_2step([0.0, 0.0], [1.0, 0.0], rot),
+        r"alpha must have shape \(2,\)": lambda: doubleext.guediri_2step([0.0], [[1.0], [0.0]], rot),
+        r"a shape \(2, 2\)": lambda: doubleext.guediri_2step([0.0, 0.0], [[1.0], [0.0]], np.eye(3)),
+    }
+    for message, build in refused.items():
+        with pytest.raises(InvalidInput, match=message):
+            build()
+
+
 def _tol_entry_points():
     """qualified name -> a call of it on a minimal valid input, at a given tol,
     for every public callable of mlie that takes a tol; each verify check is
     called itself, as registered in CHECKS, and run_checks through one check."""
     eye, rot = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
-    data = doubleext.ExtensionData(2, np.zeros((2, 2)), np.zeros((2, 2)))
+    data = doubleext.ExtensionData(np.zeros((2, 2)), np.zeros((2, 2)))
     data_file = str(Path(__file__).parent / "data" / "l58_route_mismatch.json")
     entries = {
-        "LieAlgebra.__init__": lambda tol: LieAlgebra(1, np.zeros((1, 1, 1)), tol),
+        "LieAlgebra.__init__": lambda tol: LieAlgebra(np.zeros((1, 1, 1)), tol),
         "MetricLieAlgebra.einstein_classify": lambda tol: MetricLieAlgebra(
             heisenberg(), Gram(np.eye(3))
         ).einstein_classify(tol),
@@ -292,14 +335,14 @@ def _tol_entry_points():
         "extend": lambda tol: doubleext.extend(data, tol),
         "decompose": lambda tol: doubleext.decompose(doubleext.extend(data), tol),
         "kd_generate": lambda tol: doubleext.kd_generate(
-            1, 2, [[0.0]], [[0.0, 0.0]], rot, np.zeros((2, 2)), tol
+            [[0.0]], [[0.0, 0.0]], rot, np.zeros((2, 2)), tol
         ),
         "guediri_2step": lambda tol: doubleext.guediri_2step(
-            1, 2, [0.0, 0.0], [[1.0], [0.0]], -rot, tol=tol
+            [0.0, 0.0], [[1.0], [0.0]], -rot, tol=tol
         ),
         "dict_to_algebra": lambda tol: fileio.dict_to_algebra({"dim": 1}, tol),
         "read_algebra": lambda tol: fileio.read_algebra(data_file, tol),
-        "Subspace.__init__": lambda tol: Subspace(2, [[1.0, 0.0]], tol),
+        "Subspace.__init__": lambda tol: Subspace([[1.0, 0.0]], tol),
         "Subspace.full": lambda tol: Subspace.full(2, tol),
         "Subspace.kernel": lambda tol: Subspace.kernel(eye, tol),
         "Subspace.column_span": lambda tol: Subspace.column_span(eye, tol),

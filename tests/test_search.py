@@ -214,7 +214,7 @@ def test_step_on_the_derivation_complement_equals_the_full_step(case, target):
 def test_orbit_directions_do_not_depend_on_the_bracket_scale(scale):
     algebra = make_algebra("L4_3")
     a = np.eye(4) + 0.3 * np.random.default_rng(17).normal(size=(1, 4, 4))
-    directions = _orbit_directions(a, LieAlgebra(4, scale * algebra.c).derivation_space())
+    directions = _orbit_directions(a, LieAlgebra(scale * algebra.c).derivation_space())
     assert directions.shape == (1, 16 - len(algebra.derivation_space()), 4, 4)
 
 
