@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
 from .liealg import LieAlgebra, derivation_defects
-from .pseudolin import Gram, Signature, _cutoff, signature
+from .pseudolin import Gram, Signature, _cutoff, signatures
 
 #: Default relative tolerance for Einstein/flatness verdicts.
 VERDICT_TOL = 1e-8
@@ -61,7 +61,8 @@ class CurvatureReport:
 # Pure array functions on a stack of grams g of shape (m,n,n) and either one
 # structure tensor c of shape (n,n,n) or a stack of them, one per gram, of
 # shape (m,n,n,n).  MetricLieAlgebra calls them with a stack of one, the search
-# with a whole batch of brackets in one fixed frame.  The contractions are
+# with a whole batch of brackets in one fixed frame, and verify's catalog checks
+# with one stack of grams per algebra.  The contractions are
 # spelled as reshapes and matmuls: at these sizes planning an einsum path
 # costs more than doing it.  With g fixed, the Koszul solve and the S_i are
 # linear in c, and the Ricci operators are quadratic in it.
@@ -80,9 +81,18 @@ def levi_civita_tensors(c: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def structure_endo_tensors(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """s[m,i] = S_i under g[m]: S_i = −G⁻¹M_i with M_i[j,k] = c[j,k,i]."""
-    m, n = g.shape[:2]
-    rhs = np.broadcast_to(np.swapaxes(c, -1, -2).reshape(c.shape[:-3] + (n, n * n)), (m, n, n * n))
+    n = g.shape[-1]
+    rhs = np.swapaxes(c, -1, -2).reshape(c.shape[:-3] + (n, n * n))  # one c is solved against every g
     return -np.linalg.solve(g, rhs).reshape(-1, n, n, n).transpose(0, 2, 1, 3)
+
+
+def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """t[..., i, j] = tr(x[..., i] ∘ y[..., j]) for stacks of n x n matrices
+    x[..., i, :, :] and y[..., j, :, :], their leading axes broadcast together."""
+    n = x.shape[-1]
+    x_flat = x.reshape(x.shape[:-2] + (n * n,))  # x_flat[i,(a,b)] = x_i[a,b]
+    y_t = y.swapaxes(-1, -2).reshape(y.shape[:-2] + (n * n,))  # y_t[j,(a,b)] = y_j[b,a]
+    return x_flat @ y_t.swapaxes(-1, -2)
 
 
 def j1_j2_operators(s: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -91,9 +101,7 @@ def j1_j2_operators(s: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     m, n = g.shape[:2]
     gs = (g.transpose(0, 2, 1) @ s.reshape(m, n, n * n)).reshape(m, n, n, n)  # gs[j] = Σ_i ⟨e_i,e_j⟩ S_i
     j1 = -(gs.transpose(0, 2, 1, 3).reshape(m, n, n * n) @ s.reshape(m, n * n, n))
-    s_t = s.transpose(0, 1, 3, 2).reshape(m, n, n * n)  # s_t[j,(b,a)] = S_j[a,b]
-    traces = s.reshape(m, n, n * n) @ s_t.transpose(0, 2, 1)  # tr(S_i∘S_j)
-    return j1, -traces @ g
+    return j1, -_pair_traces(s, s) @ g
 
 
 def q_operators(s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -114,6 +122,54 @@ def ricci_forms(lc: np.ndarray) -> np.ndarray:
     return (ric + ric.transpose(0, 2, 1)) / 2.0
 
 
+def ricci_general_forms(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """ric(u,v) = −½tr(ad_u∘ad_v) − ½tr(ad_u∘ad_v^*) − ¼tr(J_u∘J_v)
+    − ½⟨ad_H u, v⟩ − ½⟨ad_H v, u⟩ on the basis, symmetrized; any algebra.
+    ad_{e_i} = c[i]ᵀ, its adjoint G⁻¹·c[i]·G, J_{e_i} = Σ_k G[i,k] S_k and H =
+    G⁻¹τ with τ_i = tr ad_{e_i}."""
+    m, n = g.shape[:2]
+    ads = np.swapaxes(c, -1, -2)  # ads[..., i, k, j] = c[..., i, j, k]
+    ad_stars = np.linalg.inv(g)[:, None] @ c @ g[:, None]
+    js = (g @ structure_endo_tensors(c, g).reshape(m, n, n * n)).reshape(m, n, n, n)
+    h = np.linalg.solve(g, np.trace(c, axis1=-2, axis2=-1).reshape(-1, n, 1))  # H = G⁻¹τ
+    ad_h = (np.swapaxes(h, -1, -2) @ ads.reshape(ads.shape[:-3] + (n, n * n))).reshape(m, n, n)
+    bh = np.swapaxes(ad_h, -1, -2) @ g  # bh[i,j] = ⟨ad_H e_i, e_j⟩
+    ric = (
+        -0.5 * _pair_traces(ads, ads)
+        - 0.5 * _pair_traces(ads, ad_stars)
+        - 0.25 * _pair_traces(js, js)
+        - 0.5 * (bh + np.swapaxes(bh, -1, -2))
+    )
+    return (ric + np.swapaxes(ric, -1, -2)) / 2.0
+
+
+def trace_q_sides(c: np.ndarray, g: np.ndarray, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Both sides of the trace identity for Q = −½𝒥₁ + ¼𝒥₂, for every gram
+    g[m] and every matrix E[..., :, :], each of shape (m,) + E.shape[:-2].
+
+    They are tr(Q∘E) and ¼ Σ_{i,j,a,b} G^{ia} G^{jb} ⟨E[e_i,e_j] − [Ee_i,e_j]
+    − [e_i,Ee_j], [e_a,e_b]⟩, with (G^{ij}) = G⁻¹; in a pseudo-orthonormal
+    basis (b_i), ⟨b_i,b_i⟩ = ε_i, the sum is ¼ Σ_{i,j} ε_i ε_j ⟨E[b_i,b_j] −
+    [Eb_i,b_j] − [b_i,Eb_j], [b_i,b_j]⟩.  Both sides are linear in E and agree
+    for any E, and both vanish when E is a derivation.  One structure tensor
+    c of shape (n,n,n) only: the derivation defects of E do not depend on g.
+    """
+    m, n = g.shape[:2]
+    q = q_operators(structure_endo_tensors(c, g), g)
+    lhs = np.trace(q.reshape((m,) + (1,) * (e.ndim - 2) + (n, n)) @ e, axis1=-2, axis2=-1)
+
+    # c_sharp[i,j,:] = Σ_{a,b} G^{ia} G^{jb} G[e_a,e_b], so that
+    # rhs = ¼ Σ_{i,j} d[i,j,:]·c_sharp[i,j,:] with d the derivation defect of E,
+    # summed one gram at a time: the product d·c_sharp of all grams at once
+    # would take (m,) + E.shape[:-2] + (n,n,n) floats
+    g_inv = np.linalg.inv(g)
+    cg = (c @ g[:, None]).reshape(m, n, n * n)
+    c_sharp = g_inv[:, None] @ (g_inv @ cg).reshape(m, n, n, n)
+    d = derivation_defects(c, e)
+    rhs = 0.25 * np.array([np.sum(d * cs, axis=(-3, -2, -1)) for cs in c_sharp])
+    return lhs, rhs
+
+
 def ricci_operators(c: np.ndarray, g: np.ndarray, nilpotent: bool) -> np.ndarray:
     """Ricci operators for a stack of grams: Q from the S_i when the algebra
     is nilpotent, G⁻¹·ric from the Levi-Civita product otherwise.  No
@@ -123,16 +179,16 @@ def ricci_operators(c: np.ndarray, g: np.ndarray, nilpotent: bool) -> np.ndarray
     return np.linalg.solve(g, ricci_forms(levi_civita_tensors(c, g)))
 
 
-def _checked_gram(gram, algebra: LieAlgebra) -> Tuple[Gram, Signature]:
-    """gram as a Gram and its signature at algebra.tol; refused unless n x n and nondegenerate."""
-    if not isinstance(gram, Gram):
-        gram = Gram(gram)
-    if gram.n != algebra.n:
+def _checked_gram(grams: np.ndarray, algebra: LieAlgebra) -> Signature:
+    """The inertia of a stack of symmetric grams (k, n, n), such as
+    Gram.mat[None], as signatures gives it, decided by one eigvalsh at
+    algebra.tol; refused unless every gram is n x n and nondegenerate."""
+    if grams.shape[1:] != (algebra.n, algebra.n):
         raise InvalidInput("gram size does not match algebra dimension")
-    sig = signature(gram, algebra.tol)
-    if sig.null:
+    inertia = signatures(grams, algebra.tol)
+    if inertia.null.any():
         raise DegenerateGram("metric gram matrix is degenerate at tolerance")
-    return gram, sig
+    return inertia
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,11 +205,13 @@ class MetricLieAlgebra:
     gram: Gram
 
     def __init__(self, algebra: LieAlgebra, gram: Gram) -> None:
-        gram, sig = _checked_gram(gram, algebra)
+        if not isinstance(gram, Gram):
+            gram = Gram(gram)
         g = gram.mat
+        minus, plus, null = _checked_gram(g[None], algebra)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_signature", sig)
+        object.__setattr__(self, "_signature", Signature(int(minus[0]), int(plus[0]), int(null[0])))
         for name, value in (
             ("gram_inv", np.linalg.inv(g)),
             ("_levi_civita", levi_civita_tensors(algebra.c, g[None])[0]),
@@ -168,10 +226,6 @@ class MetricLieAlgebra:
 
     def signature(self) -> Signature:
         return self._signature
-
-    def adjoint(self, m) -> np.ndarray:
-        """⟨,⟩-adjoint: M* = G^{-1} Mᵀ G, of a matrix or a stack of them."""
-        return self.gram_inv @ np.swapaxes(np.asarray(m, dtype=float), -1, -2) @ self.gram.mat
 
     # -- curvature --------------------------------------------------------
 
@@ -199,16 +253,6 @@ class MetricLieAlgebra:
         """ric(e_i,e_j) = −tr(R_i R_j) + tr(R_{e_i·e_j}); symmetric matrix."""
         return ricci_forms(self._levi_civita[None])[0]
 
-    def j_map(self, u) -> np.ndarray:
-        """J_u = Σ_i ⟨u, e_i⟩ S_i; the stack of them for a stack of u[..., :]."""
-        w = np.asarray(u, dtype=float) @ self.gram.mat
-        return np.tensordot(w, self._structure_endos, axes=1)
-
-    def mean_vector(self) -> np.ndarray:
-        """H with ⟨H, u⟩ = tr(ad_u) for all u."""
-        traces = np.trace(self.algebra.c, axis1=1, axis2=2)  # tr ad_{e_i} = Σ_k c[i,k,k]
-        return np.linalg.solve(self.gram.mat, traces)
-
     def j1_j2(self) -> Tuple[np.ndarray, np.ndarray]:
         """The self-adjoint operators 𝒥₁ and 𝒥₂ built from the S_i."""
         j1, j2 = j1_j2_operators(self._structure_endos[None], self.gram.mat[None])
@@ -226,44 +270,16 @@ class MetricLieAlgebra:
 
     def ricci_general(self) -> np.ndarray:
         """Ricci form from the adjoint/J/mean-vector expression; any algebra."""
-        g = self.gram.mat
-        basis = np.eye(self.n)
-        ads = self.algebra.ad(basis)
-        ad_star = self.adjoint(ads)
-        js = self.j_map(basis)
-        ad_h = self.algebra.ad(self.mean_vector())
-
-        t_adad = np.einsum("iab,jba->ij", ads, ads)
-        t_adstar = np.einsum("iab,jba->ij", ads, ad_star)
-        t_jj = np.einsum("iab,jba->ij", js, js)
-        # ⟨ad_H e_i, e_j⟩ = Σ_k (ad_H)[k,i] G[k,j] = (ad_Hᵀ G)[i,j]
-        bh = ad_h.T @ g
-        ric = -0.5 * t_adad - 0.5 * t_adstar - 0.25 * t_jj - 0.5 * (bh + bh.T)
-        return (ric + ric.T) / 2.0
+        return ricci_general_forms(self.algebra.c, self.gram.mat[None])[0]
 
     # -- trace identity ---------------------------------------------------
 
     def trace_q_times(self, e) -> Tuple[np.ndarray, np.ndarray]:
-        """Both sides of the trace identity for Q = −½𝒥₁ + ¼𝒥₂, for a matrix
-        or a stack of matrices E[..., :, :].
-
-        Returns (tr(Q∘E), ¼ Σ_{i,j,a,b} G^{ia} G^{jb} ⟨E[e_i,e_j] − [Ee_i,e_j]
-        − [e_i,Ee_j], [e_a,e_b]⟩), each of shape E.shape[:-2] (numpy scalars for
-        one matrix), with (G^{ij}) = G⁻¹; in a pseudo-orthonormal basis (b_i),
-        ⟨b_i,b_i⟩ = ε_i, the sum is ¼ Σ_{i,j} ε_i ε_j ⟨E[b_i,b_j] − [Eb_i,b_j] −
-        [b_i,Eb_j], [b_i,b_j]⟩.  Both sides are linear in E and agree for any E,
-        and both vanish when E is a derivation.
-        """
-        e = np.asarray(e, dtype=float)
-        lhs = np.trace(self._q() @ e, axis1=-2, axis2=-1)
-
-        # c_sharp[i,j,:] = Σ_{a,b} G^{ia} G^{jb} G[e_a,e_b], so that
-        # rhs = ¼ Σ_{i,j} d[i,j,:]·c_sharp[i,j,:] with d the derivation defect of E
-        cg, g_inv = self.algebra.c @ self.gram.mat, self.gram_inv
-        c_sharp = g_inv @ (g_inv @ cg.reshape(self.n, -1)).reshape(cg.shape)
-        d = derivation_defects(self.algebra.c, e)
-        rhs = 0.25 * np.sum(d * c_sharp, axis=(-3, -2, -1))
-        return lhs, rhs
+        """Both sides of the trace identity (see trace_q_sides) for a matrix
+        or a stack of matrices E[..., :, :], each of shape E.shape[:-2] (numpy
+        scalars for one matrix)."""
+        lhs, rhs = trace_q_sides(self.algebra.c, self.gram.mat[None], np.asarray(e, dtype=float))
+        return lhs[0], rhs[0]
 
     # -- verdicts ---------------------------------------------------------
 

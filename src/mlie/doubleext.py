@@ -35,8 +35,16 @@ from .errors import (
     NotLie,
     SingularK0,
 )
-from .liealg import LieAlgebra, act_on_brackets
-from .pseudolin import DEFAULT_TOL, Gram, _as_float_array, _cutoff, find_isotropic_in, numerical_rank
+from .liealg import LieAlgebra, _upper_pairs, act_on_brackets
+from .pseudolin import (
+    DEFAULT_TOL,
+    Gram,
+    _as_float_array,
+    _cutoff,
+    _nonnegative,
+    find_isotropic_in,
+    numerical_rank,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +152,7 @@ def _model(data: ExtensionData, tol: float) -> Tuple[LieAlgebra, Gram]:
     c[1 : 1 + v, n - 1, 1 : 1 + v] = -data.D.T
     c[1 : 1 + v, n - 1, 0] = -data.b
     # [f_i, f_j] = ⟨K f_i, f_j⟩ e = K[j,i] e
-    iu, ju = np.triu_indices(v, 1)
+    iu, ju = _upper_pairs(v)
     c[1 + iu, 1 + ju, 0] = data.K[ju, iu]
     algebra = LieAlgebra(c, tol)
 
@@ -289,9 +297,7 @@ def guediri_2step(alpha, c, a, abelian_dim: int = 0, tol: float = DEFAULT_TOL) -
     q, p = cmat.shape
     if alpha.shape != (q,) or amat.shape != (q, q):
         raise InvalidInput(f"alpha must have shape ({q},) and a shape ({q}, {q})")
-    abelian_dim = int(abelian_dim)
-    if abelian_dim < 0:
-        raise InvalidInput("abelian_dim must be nonnegative")
+    abelian_dim = _nonnegative(int(abelian_dim), "abelian_dim")
     if float(np.abs(amat + amat.T).max(initial=0.0)) > _cutoff(tol, amat):
         raise InvalidInput("a must be skew-symmetric")
 
@@ -327,6 +333,8 @@ def random_admissible(
     with μ ≠ 0, which meet the trace condition only when the shift allows a
     rescaled K, and otherwise keep K = 0 and fail it.
     """
+    _nonnegative(f_dim, "f_dim")
+    _nonnegative(blocks, "blocks")
     if nilpotent and blocks == 0 and f_dim >= 2:
         raise InvalidInput("a nilpotent draw with f_dim >= 2 needs blocks >= 1")
     fperp = 2 * blocks

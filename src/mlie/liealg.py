@@ -19,9 +19,18 @@ from typing import Callable, Mapping, Optional, Tuple, TypeVar
 import numpy as np
 
 from .errors import InvalidInput, NotLie
-from .pseudolin import DEFAULT_TOL, Subspace, _as_float_array, _cutoff, nullspace
+from .pseudolin import DEFAULT_TOL, Subspace, _as_float_array, _cutoff, _nonnegative, nullspace
 
 _T = TypeVar("_T")
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The index pair (i, j) of the pairs i < j < n, np.triu_indices(n, 1),
+    made once per n and read-only."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
 def _computed_once(method: Callable[["LieAlgebra"], _T]) -> Callable[["LieAlgebra"], _T]:
@@ -57,7 +66,7 @@ class LieAlgebra:
             raise InvalidInput(f"structure tensor must be an (n, n, n) array, got {tensor.shape}")
         # keep the strict upper triangle, reflect with exact sign flips
         clean = np.zeros((n, n, n))
-        iu, ju = np.triu_indices(n, k=1)
+        iu, ju = _upper_pairs(n)
         clean[iu, ju, :] = tensor[iu, ju, :]
         clean[ju, iu, :] = -tensor[iu, ju, :]
         clean.flags.writeable = False
@@ -73,7 +82,7 @@ class LieAlgebra:
         cls, n: int, brackets: Mapping[Tuple[int, int], Mapping[int, float]]
     ) -> "LieAlgebra":
         """Build from {(i, j): {k: coeff}} with 0-based indices and i < j."""
-        c = np.zeros((n, n, n))
+        c = np.zeros((_nonnegative(n, "n"),) * 3)
         for (i, j), coeffs in brackets.items():
             if not (0 <= i < j < n):
                 raise InvalidInput(f"bracket indices ({i}, {j}) must satisfy 0 <= i < j < {n}")
@@ -85,7 +94,7 @@ class LieAlgebra:
 
     @classmethod
     def abelian(cls, n: int) -> "LieAlgebra":
-        return cls(np.zeros((n, n, n)))
+        return cls(np.zeros((_nonnegative(n, "n"),) * 3))
 
     # -- basic operations -------------------------------------------------
 
@@ -123,7 +132,7 @@ class LieAlgebra:
     @_computed_once
     def derived_ideal(self) -> Subspace:
         """[g, g]: span of all basis brackets."""
-        iu, ju = np.triu_indices(self.n, k=1)
+        iu, ju = _upper_pairs(self.n)
         return Subspace.column_span(self._unit[iu, ju, :].T, self.tol)  # columns are brackets
 
     @_computed_once
@@ -155,7 +164,7 @@ class LieAlgebra:
         solved by SVD, which fixes the basis deterministically.
         """
         n = self.n
-        iu, ju = np.triu_indices(n, k=1)
+        iu, ju = _upper_pairs(n)
         units = np.eye(n * n).reshape(n * n, n, n)
         # row (pair, k), column (a, b): entry k of the defect of E = e_a e_bᵀ
         cols = derivation_defects(self._unit, units)[:, iu, ju, :]

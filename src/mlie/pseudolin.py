@@ -23,7 +23,8 @@ def _cutoff(tol: float, *arrays) -> float:
     entry): the one place a tolerance is validated (InvalidInput unless it is
     a positive finite number, so ``_cutoff(tol)`` validates alone) and turned
     into the cutoff every rank, degeneracy, inertia, verdict, admissibility
-    and parameter decision compares against.  Left outside on purpose: the
+    and parameter decision compares against (``signatures`` takes it matrix
+    by matrix, for the inertia of a stack).  Left outside on purpose: the
     bound of ``LieAlgebra.require_jacobi``, tol·max|c|² with no floor so that
     a scaled bracket keeps its Jacobi verdict; the roundoff scale that
     ``MetricLieAlgebra.flatness_defect`` returns for ``verify``; ``verify``'s
@@ -36,6 +37,13 @@ def _cutoff(tol: float, *arrays) -> float:
     for a in arrays:
         largest = max(largest, float(np.abs(a).max(initial=0.0)))
     return tol * largest
+
+
+def _nonnegative(n: int, name: str) -> int:
+    """n, a size, unless it is negative (InvalidInput)."""
+    if n < 0:
+        raise InvalidInput(f"{name} must be nonnegative, got {n}")
+    return n
 
 
 def _as_float_array(a, name: str) -> np.ndarray:
@@ -138,7 +146,7 @@ class Subspace:
 
     @classmethod
     def full(cls, n: int, tol: float) -> "Subspace":
-        return cls._orthonormal(np.eye(n), tol)
+        return cls._orthonormal(np.eye(_nonnegative(n, "n")), tol)
 
     @classmethod
     def kernel(cls, m, tol: float) -> "Subspace":
@@ -186,16 +194,25 @@ def nullspace(m, tol: float) -> np.ndarray:
 
 
 def signature(g: Gram, tol: float = DEFAULT_TOL) -> Signature:
-    """Inertia (minus, plus, null) of g via a symmetric eigendecomposition.
+    """Inertia (minus, plus, null) of g: the one-matrix case of signatures."""
+    minus, plus, null = signatures(g.mat[None], tol)
+    return Signature(int(minus[0]), int(plus[0]), int(null[0]))
 
-    Eigenvalues within _cutoff(tol, w) = tol * max(1, |λ|_max) of zero count
-    as null; ties exactly at the boundary also count as null.
+
+def signatures(mats: np.ndarray, tol: float) -> Signature:
+    """Inertia of every symmetric matrix of a (k, n, n) stack, from one
+    stacked eigvalsh: a Signature of three (k,) integer arrays.
+
+    Eigenvalues within _cutoff(tol, w) = tol * max(1, |λ|_max) of zero, w the
+    eigenvalues of the one matrix, count as null; ties exactly at the
+    boundary also count as null.
     """
-    w = np.linalg.eigvalsh(g.mat)
-    cut = _cutoff(tol, w)
-    plus = int(np.count_nonzero(w > cut))
-    minus = int(np.count_nonzero(w < -cut))
-    return Signature(minus=minus, plus=plus, null=g.n - plus - minus)
+    _cutoff(tol)
+    w = np.linalg.eigvalsh(mats)
+    cut = tol * np.abs(w).max(axis=-1, initial=1.0)[:, None]  # _cutoff(tol, w[k]), row by row
+    minus = np.add.reduce(w < -cut, axis=-1)
+    plus = np.add.reduce(w > cut, axis=-1)
+    return Signature(minus=minus, plus=plus, null=w.shape[-1] - minus - plus)
 
 
 def restricted_gram(g: Gram, f: Subspace) -> Gram:

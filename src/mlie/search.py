@@ -67,8 +67,9 @@ def einstein_residual(algebra: LieAlgebra, gram, target: str = "einstein") -> fl
     target and λ̂ = 0 for the Ricci-flat target."""
     if target not in TARGETS:
         raise InvalidInput(f"target must be one of {TARGETS}")
-    gram, _ = _checked_gram(gram, algebra)
-    ric = ricci_operators(algebra.c, gram.mat[None], algebra.is_nilpotent())
+    g = (gram if isinstance(gram, Gram) else Gram(gram)).mat[None]
+    _checked_gram(g, algebra)
+    ric = ricci_operators(algebra.c, g, algebra.is_nilpotent())
     return float(_norms(_deviations(ric, target == "einstein"))[0])
 
 

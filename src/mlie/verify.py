@@ -26,7 +26,18 @@ from .catalog import (
     make_metric,
     table1_derivation,
 )
-from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict
+from .curvature import (
+    VERDICT_TOL,
+    Verdict,
+    _checked_gram,
+    j1_j2_operators,
+    levi_civita_tensors,
+    q_operators,
+    ricci_forms,
+    ricci_general_forms,
+    structure_endo_tensors,
+    trace_q_sides,
+)
 from .doubleext import (
     decompose,
     extend,
@@ -36,7 +47,7 @@ from .doubleext import (
     ricci_ebar,
 )
 from .errors import ConstraintViolation, UnknownName
-from .pseudolin import Gram, SubspaceTag, _cutoff, classify_subspace
+from .pseudolin import SubspaceTag, _cutoff, classify_subspace
 from .search import SearchSpec, run_search
 
 #: Einstein constant of the eight-dimensional example metric, frozen after the
@@ -62,14 +73,15 @@ def _rng(check_index: int) -> np.random.Generator:
     return np.random.default_rng([_BASE_SEED, check_index])
 
 
-def _random_gram(rng: np.random.Generator, n: int) -> Gram:
-    """Random nondegenerate symmetric form A^T η A with η = diag(±1)."""
+def _random_gram(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random nondegenerate form A^T η A with η = diag(±1), symmetric only up
+    to roundoff: a stack of them is symmetrized at once, as Gram does."""
     while True:
         a = np.eye(n) + 0.3 * rng.normal(size=(n, n))
         if np.linalg.svd(a, compute_uv=False)[-1] >= 1e-3:
             break
     eta = rng.choice([-1.0, 1.0], size=n)
-    return Gram(a.T @ np.diag(eta) @ a)
+    return (a.T * eta) @ a  # a.T @ diag(eta) @ a, bit for bit: the products by ±1 are exact
 
 
 def _sample_params(mv: MetricVariant, rng: np.random.Generator) -> List[Dict[str, float]]:
@@ -100,12 +112,21 @@ def _variant_instances(rng: np.random.Generator, draws: int = 5):
                 yield mv, params, make_metric(mv.algebra, mv.name, params)
 
 
-def _catalog_instances(rng: np.random.Generator, grams: int = 20):
-    """(name, metric algebra) for every catalog algebra with random grams."""
+def _catalog_stacks(rng: np.random.Generator, grams: int = 20):
+    """(name, algebra, G) for every catalog algebra, G a (grams, n, n) stack of
+    random grams whose inertia is decided, and nondegeneracy checked, at once."""
     for name in ALGEBRA_NAMES:
         algebra = make_algebra(name)
-        for _ in range(grams):
-            yield name, MetricLieAlgebra(algebra, _random_gram(rng, algebra.n))
+        g = np.array([_random_gram(rng, algebra.n) for _ in range(grams)])
+        g = (g + g.transpose(0, 2, 1)) / 2.0
+        _checked_gram(g, algebra)
+        yield name, algebra, g
+
+
+def _sup_gaps(ref: np.ndarray, other: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per matrix of two (k, n, n) stacks: (max|ref − other|, max(1, max|ref|))."""
+    gap = np.abs(ref - other).max(axis=(1, 2), initial=0.0)
+    return gap, np.maximum(np.abs(ref).max(axis=(1, 2), initial=0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +295,24 @@ def check_route_equivalence(tol: float) -> _Claim:
     failures: List[str] = []
     worst = 0.0
     count = 0
-    for name, m in _catalog_instances(rng):
-        count += 1
-        r_def = m.ricci_via_definition()
-        r_gen = m.ricci_general()
-        scale = max(1.0, float(np.abs(r_def).max(initial=0.0)))
-        d_form = float(np.abs(r_def - r_gen).max(initial=0.0))
-        worst = max(worst, d_form / scale)
-        if d_form > tol * scale:
-            failures.append(f"{name}: definition vs general {d_form:.3e}")
-        if m.algebra.is_nilpotent():
-            op_def = m.gram_inv @ r_def
-            op_nil = m.ricci_nilpotent()
-            op_scale = max(1.0, float(np.abs(op_def).max(initial=0.0)))
-            d_op = float(np.abs(op_def - op_nil).max(initial=0.0))
-            worst = max(worst, d_op / op_scale)
-            if d_op > tol * op_scale:
-                failures.append(f"{name}: definition vs 𝒥-route {d_op:.3e}")
+    for name, algebra, g in _catalog_stacks(rng):
+        count += len(g)
+        r_def = ricci_forms(levi_civita_tensors(algebra.c, g))
+        d_form, scale = _sup_gaps(r_def, ricci_general_forms(algebra.c, g))
+        worst = max(worst, float((d_form / scale).max()))
+        bad_form = d_form > tol * scale
+        bad_op = np.zeros(len(g), dtype=bool)
+        if algebra.is_nilpotent():
+            op_def = np.linalg.inv(g) @ r_def
+            op_nil = q_operators(structure_endo_tensors(algebra.c, g), g)
+            d_op, op_scale = _sup_gaps(op_def, op_nil)
+            worst = max(worst, float((d_op / op_scale).max()))
+            bad_op = d_op > tol * op_scale
+        for k in np.flatnonzero(bad_form | bad_op):
+            if bad_form[k]:
+                failures.append(f"{name}: definition vs general {d_form[k]:.3e}")
+            if bad_op[k]:
+                failures.append(f"{name}: definition vs 𝒥-route {d_op[k]:.3e}")
     return (
         f"definition ≡ general (≡ 𝒥-route when nilpotent) within {tol:g}·scale",
         f"{count} (algebra, gram) instances agree on all routes",
@@ -305,15 +327,15 @@ def check_trace_j1_j2(tol: float) -> _Claim:
     failures: List[str] = []
     worst = 0.0
     count = 0
-    for name, m in _catalog_instances(rng):
-        count += 1
-        j1, j2 = m.j1_j2()
-        t1, t2 = float(np.trace(j1)), float(np.trace(j2))
-        scale = max(1.0, abs(t1))
-        diff = abs(t1 - t2)
-        worst = max(worst, diff / scale)
-        if diff > tol * scale:
-            failures.append(f"{name}: tr𝒥₁={t1:.6g} tr𝒥₂={t2:.6g}")
+    for name, algebra, g in _catalog_stacks(rng):
+        count += len(g)
+        j1, j2 = j1_j2_operators(structure_endo_tensors(algebra.c, g), g)
+        t1, t2 = np.trace(j1, axis1=1, axis2=2), np.trace(j2, axis1=1, axis2=2)
+        scale = np.maximum(np.abs(t1), 1.0)
+        diff = np.abs(t1 - t2)
+        worst = max(worst, float((diff / scale).max()))
+        for k in np.flatnonzero(diff > tol * scale):
+            failures.append(f"{name}: tr𝒥₁={t1[k]:.6g} tr𝒥₂={t2[k]:.6g}")
     return (
         f"tr 𝒥₁ = tr 𝒥₂ within {tol:g}·scale",
         f"{count} instances agree",
@@ -330,26 +352,21 @@ def check_trace_formula(tol: float) -> _Claim:
     count = 0
     # Both sides are linear in E, so agreement on the n² unit matrices (a basis
     # of gl(n)) is agreement for every E; the derivation basis follows them.
-    stacks = {}
-    for name in ALGEBRA_NAMES:
-        algebra = make_algebra(name)
+    for name, algebra, g in _catalog_stacks(rng):
+        count += len(g)
         n = algebra.n
-        stacks[name] = np.concatenate(
-            [np.eye(n * n).reshape(n * n, n, n), algebra.derivation_space()]
-        )
-    for name, m in _catalog_instances(rng):
-        count += 1
-        units = m.n * m.n
-        lhs, rhs = m.trace_q_times(stacks[name])
+        units = n * n
+        e = np.concatenate([np.eye(units).reshape(units, n, n), algebra.derivation_space()])
+        lhs, rhs = trace_q_sides(algebra.c, g, e)
         big = np.maximum(np.abs(lhs), np.abs(rhs))
         scale = np.maximum(1.0, big)
-        gap = np.concatenate([np.abs(lhs - rhs)[:units], big[units:]])
+        gap = np.concatenate([np.abs(lhs - rhs)[:, :units], big[:, units:]], axis=1)
         worst = max(worst, float((gap / scale).max()))
-        for k in np.flatnonzero(gap > tol * scale):
+        for r, k in zip(*np.nonzero(gap > tol * scale)):
             if k < units:
-                failures.append(f"{name}: unit E[{k // m.n},{k % m.n}]: |lhs−rhs| = {gap[k]:.3e}")
+                failures.append(f"{name}: unit E[{k // n},{k % n}]: |lhs−rhs| = {gap[r, k]:.3e}")
             else:
-                failures.append(f"{name}: derivation {k - units} gives tr(QE) = {lhs[k]:.3e}")
+                failures.append(f"{name}: derivation {k - units} gives tr(QE) = {lhs[r, k]:.3e}")
     return (
         f"tr(QE) = bracket double sum within {tol:g}·scale on every unit E; "
         "both ≈ 0 on every derivation",
@@ -497,20 +514,13 @@ def check_derivations(tol: float) -> _Claim:
     )
 
 
-@_check("lemma-fuzz")
-def check_lemma_fuzz(tol: float) -> _Claim:
-    strict = tol / 10.0
-    rng = _rng(11)
-    failures: List[str] = []
-    worst = 0.0
-    count = 0
-    for trial in range(1000):
-        count += 1
+def _lemma_draws(rng: np.random.Generator, trials: int):
+    """The lemma-fuzz trials, drawn in order and grouped by (n, mode): per
+    group the trial numbers and stacks of W (skew, shaped by the mode), P
+    (each passing its own SVD rejection test) and, in mode 2, λ."""
+    groups: Dict[Tuple[int, int], Tuple[List[int], list, list, list]] = {}
+    for trial in range(trials):
         n = int(rng.integers(3, 9))
-        gm = np.eye(n)
-        gm[0, 0] = gm[1, 1] = 0.0
-        gm[0, 1] = gm[1, 0] = 1.0  # basis (e, ē, f_1..f_{n-2})
-
         mode = trial % 3
         w = rng.normal(size=(n, n))
         w = w - w.T
@@ -523,58 +533,83 @@ def check_lemma_fuzz(tol: float) -> _Claim:
         elif mode == 2:  # force Ae = 0
             w[:, 0] = 0.0
             w[0, :] = 0.0
-        a = np.linalg.solve(gm, w)  # ⟨Ax,y⟩ = −⟨x,Ay⟩ by construction
-
         while True:
             p = np.eye(n) + 0.3 * rng.normal(size=(n, n))
             if np.linalg.svd(p, compute_uv=False)[-1] >= 1e-2:
                 break
-        g = p.T @ gm @ p
-        ap = np.linalg.solve(p, a @ p)
-        ep = np.linalg.solve(p, np.eye(n)[:, 0])
+        group = groups.setdefault((n, mode), ([], [], [], []))
+        group[0].append(trial)
+        group[1].append(w)
+        group[2].append(p)
+        if mode == 2:
+            group[3].append(rng.normal(size=n - 2))
+    for (n, mode), (numbers, ws, ps, lams) in groups.items():
+        yield n, mode, numbers, np.array(ws), np.array(ps), np.array(lams)
 
+
+@_check("lemma-fuzz")
+def check_lemma_fuzz(tol: float) -> _Claim:
+    strict = tol / 10.0
+    rng = _rng(11)
+    failures: List[Tuple[int, str]] = []  # (trial, message), sorted by trial at the end
+    worst = 0.0
+    count = 0
+    for n, mode, trials, w, p, lam in _lemma_draws(rng, 1000):
+        count += len(trials)
+        gm = np.eye(n)
+        gm[0, 0] = gm[1, 1] = 0.0
+        gm[0, 1] = gm[1, 0] = 1.0  # basis (e, ē, f_1..f_{n-2})
+        a = np.linalg.solve(gm, w)  # ⟨Ax,y⟩ = −⟨x,Ay⟩ by construction
+        g = p.transpose(0, 2, 1) @ gm @ p
+        ap = np.linalg.solve(p, a @ p)
+        ep = np.linalg.solve(p, np.eye(n)[:, :1])  # columns
         v = ap @ ep
-        val = float(v @ g @ v)
-        scale = max(1.0, float(np.abs(g).max()) * float(v @ v))
-        tag = f"trial {trial} (n={n}, mode={mode})"
+        val = (v.transpose(0, 2, 1) @ g @ v)[:, 0, 0]
+        vv = (v.transpose(0, 2, 1) @ v)[:, 0, 0]
+        scale = np.maximum(np.abs(g).max(axis=(1, 2)) * vv, 1.0)
+        tags = [f"trial {t} (n={n}, mode={mode})" for t in trials]
+
+        def fail(bad, message) -> None:
+            failures.extend((trials[k], f"{tags[k]}: {message(k)}") for k in np.flatnonzero(bad))
+
         if mode == 0:
-            worst = max(worst, max(0.0, -val) / scale)
-            if val < -strict * scale:
-                failures.append(f"{tag}: ⟨Ae,Ae⟩ = {val:.3e} < 0")
+            worst = max(worst, float((np.maximum(-val, 0.0) / scale).max()))
+            fail(val < -strict * scale, lambda k: f"⟨Ae,Ae⟩ = {val[k]:.3e} < 0")
         elif mode == 1:
-            worst = max(worst, abs(val) / scale)
-            if abs(val) > strict * scale:
-                failures.append(f"{tag}: ⟨Ae,Ae⟩ = {val:.3e} ≠ 0 for Ae ∥ e")
-            coef = float(v @ ep) / float(ep @ ep)
-            resid = float(np.linalg.norm(v - coef * ep))
-            if resid > strict * max(1.0, float(np.linalg.norm(v))):
-                failures.append(f"{tag}: Ae not collinear with e (residual {resid:.3e})")
+            worst = max(worst, float((np.abs(val) / scale).max()))
+            fail(np.abs(val) > strict * scale, lambda k: f"⟨Ae,Ae⟩ = {val[k]:.3e} ≠ 0 for Ae ∥ e")
+            coef = (ep.transpose(0, 2, 1) @ v) / (ep.transpose(0, 2, 1) @ ep)
+            resid = np.linalg.norm((v - coef * ep)[:, :, 0], axis=1)
+            fail(
+                resid > strict * np.maximum(np.sqrt(vv), 1.0),
+                lambda k: f"Ae not collinear with e (residual {resid[k]:.3e})",
+            )
         else:
-            tr2 = float(np.trace(ap @ ap))
-            worst = max(worst, max(0.0, tr2) / max(1.0, float(np.sum(ap * ap))))
-            if tr2 > strict * max(1.0, float(np.sum(ap * ap))):
-                failures.append(f"{tag}: tr A² = {tr2:.3e} > 0 with Ae = 0")
+            tr2 = np.trace(ap @ ap, axis1=1, axis2=2)
+            s2 = np.maximum(np.sum(ap * ap, axis=(1, 2)), 1.0)
+            worst = max(worst, float((np.maximum(tr2, 0.0) / s2).max()))
+            fail(tr2 > strict * s2, lambda k: f"tr A² = {tr2[k]:.3e} > 0 with Ae = 0")
             # degenerate companion: A0 f_j = λ_j e, A0 ē = −Σ λ_j f_j, A0 e = 0
-            lam = rng.normal(size=n - 2)
-            w0 = np.zeros((n, n))
-            w0[1, 2:] = lam
-            w0[2:, 1] = -lam
-            a0 = np.linalg.solve(gm, w0)
-            a0p = np.linalg.solve(p, a0 @ p)
-            s0 = max(1.0, float(np.sum(a0p * a0p)))
-            if abs(float(np.trace(a0p @ a0p))) > strict * s0:
-                failures.append(f"{tag}: degenerate map has tr A₀² ≠ 0")
-            cross = float(np.trace(a0p @ ap))
-            s1 = max(1.0, float(np.linalg.norm(a0p) * np.linalg.norm(ap)))
-            worst = max(worst, abs(cross) / s1)
-            if abs(cross) > strict * s1:
-                failures.append(f"{tag}: tr(A₀A) = {cross:.3e} ≠ 0")
+            w0 = np.zeros_like(w)
+            w0[:, 1, 2:] = lam
+            w0[:, 2:, 1] = -lam
+            a0p = np.linalg.solve(p, np.linalg.solve(gm, w0) @ p)
+            s0 = np.maximum(np.sum(a0p * a0p, axis=(1, 2)), 1.0)
+            tr0 = np.trace(a0p @ a0p, axis1=1, axis2=2)
+            fail(np.abs(tr0) > strict * s0, lambda k: "degenerate map has tr A₀² ≠ 0")
+            cross = np.trace(a0p @ ap, axis1=1, axis2=2)
+            s1 = np.maximum(
+                np.linalg.norm(a0p, axis=(1, 2)) * np.linalg.norm(ap, axis=(1, 2)), 1.0
+            )
+            worst = max(worst, float((np.abs(cross) / s1).max()))
+            fail(np.abs(cross) > strict * s1, lambda k: f"tr(A₀A) = {cross[k]:.3e} ≠ 0")
+    failures.sort(key=lambda f: f[0])  # stable: a trial's messages keep their order
     return (
         "isotropy inequality ⟨Ae,Ae⟩ ≥ 0 with equality ⇔ Ae ∥ e; tr A² ≤ 0 "
         "when Ae = 0, with tr(A₀B) = 0 in the degenerate case",
         f"{count} trials in Lorentzian dims 3–8 hold",
         worst,
-        failures,
+        [message for _, message in failures],
     )
 
 

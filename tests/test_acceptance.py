@@ -10,6 +10,8 @@ and prints the check's summary row for the test log.
 
 import pytest
 
+from mlie import curvature, verify
+from mlie.catalog import ALGEBRA_NAMES
 from mlie.curvature import VERDICT_TOL, MetricLieAlgebra
 from mlie.verify import CHECK_NAMES, check_trace_formula, format_row, run_checks
 
@@ -28,17 +30,49 @@ def test_acceptance(name):
 
 def test_trace_formula_check_fails_on_a_perturbed_q(monkeypatch):
     # tr(QE) on the unit E = e_1 e_0ᵀ reads Q[0,1]; a 1e-6 error there must fail
-    exact_q = MetricLieAlgebra._q
+    exact_q = curvature.q_operators
 
-    def perturbed_q(self):
-        q = exact_q(self).copy()
-        q[0, 1] += 1e-6
+    def perturbed_q(s, g):
+        q = exact_q(s, g).copy()
+        q[:, 0, 1] += 1e-6
         return q
 
-    monkeypatch.setattr(MetricLieAlgebra, "_q", perturbed_q)
+    monkeypatch.setattr(curvature, "q_operators", perturbed_q)
     result = check_trace_formula(VERDICT_TOL)
     assert not result.passed
     assert "unit E[1,0]" in result.failures[0]
+
+
+def test_the_catalog_checks_make_one_stacked_kernel_call_per_algebra(monkeypatch):
+    # route-equivalence, trace-j1-j2 and trace-formula each hand the kernel one
+    # stack of 20 grams per catalog algebra and build no MetricLieAlgebra
+    kernels = {
+        "route-equivalence": "ricci_general_forms",
+        "trace-j1-j2": "j1_j2_operators",
+        "trace-formula": "trace_q_sides",
+    }
+    stacks = {name: [] for name in kernels.values()}
+    builds = []
+
+    def spy(name):
+        kernel = getattr(verify, name)
+
+        def recording(*args):
+            stacks[name].append(args[1].shape[0])  # the gram stack follows c, or the S_i
+            return kernel(*args)
+
+        return recording
+
+    for name in kernels.values():
+        monkeypatch.setattr(verify, name, spy(name))
+    build = MetricLieAlgebra.__init__
+    monkeypatch.setattr(
+        MetricLieAlgebra, "__init__", lambda self, *args: builds.append(args) or build(self, *args)
+    )
+    results = run_checks(list(kernels))
+    assert all(r.passed for r in results)
+    assert builds == []
+    assert stacks == {name: [20] * len(ALGEBRA_NAMES) for name in kernels.values()}
 
 
 def test_run_checks_takes_every_verdict_at_its_tol(monkeypatch):

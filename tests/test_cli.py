@@ -253,12 +253,12 @@ STRUCTURE_METHODS = (
 
 #: decisions each command must be seen taking
 TOL_DECISIONS = {
-    "ricci": {"require_jacobi", "is_nilpotent", "signature"},
-    "double-extend": {"signature"},
-    "decompose": {"require_jacobi", "is_nilpotent", "center", "signature"},
-    "classify": {"require_jacobi", "is_nilpotent", "center", "derived_ideal", "signature"},
+    "ricci": {"require_jacobi", "is_nilpotent", "signatures"},
+    "double-extend": {"signatures"},
+    "decompose": {"require_jacobi", "is_nilpotent", "center", "signatures"},
+    "classify": {"require_jacobi", "is_nilpotent", "center", "derived_ideal", "signatures"},
     "derivations": {"require_jacobi", "derivation_space"},
-    "search": {"require_jacobi", "is_nilpotent", "derivation_space", "signature"},
+    "search": {"require_jacobi", "is_nilpotent", "derivation_space", "signatures"},
 }
 
 
@@ -285,21 +285,22 @@ def test_tol_reaches_every_nilpotency_and_inertia_decision(tmp_path, capsys, mon
     algebra_cls = mlie.liealg.LieAlgebra
     for name in STRUCTURE_METHODS:
         monkeypatch.setattr(algebra_cls, name, spy_method(getattr(algebra_cls, name)))
+    # every inertia decision, signature's too, is taken by signatures, which is
     # patched wherever a module holds it, since modules look names up in their own globals
-    signature = mlie.pseudolin.signature
-    params = inspect.signature(signature)
+    signatures = mlie.pseudolin.signatures
+    params = inspect.signature(signatures)
 
-    @functools.wraps(signature)
+    @functools.wraps(signatures)
     def recording(*args, **kwargs):
         bound = params.bind(*args, **kwargs)
         bound.apply_defaults()
-        seen.append(("signature", bound.arguments["tol"]))
-        return signature(*args, **kwargs)
+        seen.append(("signatures", bound.arguments["tol"]))
+        return signatures(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "mlie" or name.startswith("mlie."):
             for key, value in list(vars(module).items()):
-                if value is signature:
+                if value is signatures:
                     monkeypatch.setattr(module, key, recording)
 
     code, _, _ = run_cli(capsys, command, str(path), "--tol", "1e-6")

@@ -7,9 +7,12 @@ from mlie.catalog import ALGEBRA_NAMES, make_algebra, make_metric
 from mlie.curvature import (
     MetricLieAlgebra,
     Verdict,
+    _checked_gram,
     levi_civita_tensors,
+    ricci_general_forms,
     ricci_operators,
     structure_endo_tensors,
+    trace_q_sides,
 )
 from mlie.doubleext import extend, killing_ebar, random_admissible
 from mlie.errors import DegenerateGram, NotNilpotent, is_route_mismatch
@@ -104,12 +107,6 @@ def test_structure_endos_heisenberg():
     assert s[2] @ np.array([0.0, 1.0, 0.0]) == pytest.approx([-1.0, 0.0, 0.0])
 
 
-def test_j_map_picks_out_endo():
-    m = euclidean_heisenberg()
-    s = structure_endo_tensors(m.algebra.c, m.gram.mat[None])[0]
-    assert m.j_map([0.0, 0.0, 1.0]) == pytest.approx(s[2])
-
-
 def test_j1_j2_heisenberg():
     m = euclidean_heisenberg()
     j1, j2 = m.j1_j2()
@@ -161,6 +158,45 @@ def test_ricci_operators_stack_matches_per_gram():
         for got, m in zip(stack, metrics):
             want = m.ricci_operator()
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_stacked_kernels_match_the_per_gram_methods():
+    rng = np.random.default_rng(47)
+    general = extend(random_admissible(rng, f_dim=2, blocks=1, nilpotent=False)).algebra
+    for algebra in (make_algebra("L5_2"), make_algebra("EX8"), general):
+        n = algebra.n
+        metrics = [MetricLieAlgebra(algebra, random_gram(n, rng)) for _ in range(3)]
+        grams = np.array([m.gram.mat for m in metrics])
+        e = rng.normal(size=(4, n, n))
+        forms = ricci_general_forms(algebra.c, grams)
+        lhs, rhs = trace_q_sides(algebra.c, grams, e)
+        assert forms.shape == (3, n, n) and lhs.shape == rhs.shape == (3, 4)
+        for k, m in enumerate(metrics):
+            want = m.ricci_general()
+            assert np.abs(forms[k] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            want_lhs, want_rhs = m.trace_q_times(e)
+            scale = max(1.0, np.abs(want_lhs).max(), np.abs(want_rhs).max())
+            assert np.abs(lhs[k] - want_lhs).max() <= 1e-12 * scale
+            assert np.abs(rhs[k] - want_rhs).max() <= 1e-12 * scale
+            # μ ≠ 0: tr ad_ē ≠ 0, so the mean-vector term of the general form counts
+            r_def = m.ricci_via_definition()
+            assert np.abs(want - r_def).max() <= 1e-10 * max(1.0, np.abs(r_def).max())
+    assert np.abs(np.trace(general.ad(np.eye(general.n)), axis1=1, axis2=2)).max() > 0.1
+
+
+def test_a_gram_stack_with_one_degenerate_member_is_refused():
+    algebra = make_algebra("L3_2")
+    grams = np.array([np.diag([-1.0, 1.0, 2.0]), np.diag([1.0, 1.0, 1.0]), np.diag([-1.0, -3.0, 1.0])])
+    assert [tuple(int(x) for x in row) for row in zip(*_checked_gram(grams, algebra))] == [
+        (1, 2, 0),
+        (0, 3, 0),
+        (2, 1, 0),
+    ]
+    grams[1, 2, 2] = 1e-10  # null at the algebra's cutoff 1e-9
+    with pytest.raises(DegenerateGram):
+        _checked_gram(grams, algebra)
+    with pytest.raises(DegenerateGram):
+        MetricLieAlgebra(algebra, Gram(grams[1]))
 
 
 def test_trace_identity_heisenberg_identity_map():
@@ -280,13 +316,6 @@ def test_curvature_tensor_matches_the_einsum_form(name):
         _, scale = m.flatness_defect()
         diff = np.abs(m.curvature_tensor() - _curvature_tensor_by_einsum(m)).max()
         assert diff <= 1e-14 * scale
-
-
-def test_mean_vector_zero_for_nilpotent():
-    rng = np.random.default_rng(41)
-    m = random_metric("L5_2", rng)
-    # all ad maps are nilpotent hence traceless: H = 0
-    assert np.linalg.norm(m.mean_vector()) < 1e-12
 
 
 def test_killing_form_of_a_double_extension_is_killing_ebar():

@@ -319,6 +319,20 @@ def test_every_constructor_refuses_arrays_whose_shapes_disagree():
             build()
 
 
+def test_a_negative_size_is_refused_where_it_enters():
+    rng = np.random.default_rng(0)
+    refused = [
+        ("n must be nonnegative, got -1", lambda: LieAlgebra.abelian(-1)),
+        ("n must be nonnegative, got -2", lambda: LieAlgebra.from_brackets(-2, {})),
+        ("n must be nonnegative, got -1", lambda: Subspace.full(-1, 1e-9)),
+        ("f_dim must be nonnegative, got -1", lambda: random_admissible(rng, f_dim=-1)),
+        ("blocks must be nonnegative, got -1", lambda: random_admissible(rng, blocks=-1)),
+    ]
+    for message, build in refused:
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            build()
+
+
 def _tol_entry_points():
     """qualified name -> a call of it on a minimal valid input, at a given tol,
     for every public callable of mlie that takes a tol; each verify check is
@@ -349,6 +363,7 @@ def _tol_entry_points():
         "numerical_rank": lambda tol: pseudolin.numerical_rank(np.zeros((0, 2)), tol),
         "nullspace": lambda tol: pseudolin.nullspace(np.zeros((0, 2)), tol),
         "signature": lambda tol: signature(Gram(eye), tol),
+        "signatures": lambda tol: pseudolin.signatures(eye[None], tol),
         "orthonormal_basis": lambda tol: pseudolin.orthonormal_basis(Gram(eye), tol),
         "SearchSpec.__init__": lambda tol: search.SearchSpec(make_algebra("L3_2"), tol=tol),
         "run_checks": lambda tol: verify.run_checks(["derivations"], tol),
