@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -300,7 +301,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built at the first main call and kept for the process:
+    parse_args reads it and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="mlie",
         description=(

@@ -198,7 +198,8 @@ class MetricLieAlgebra:
     algebra's ``tol``.
 
     G⁻¹ (``gram_inv``), the Levi-Civita tensor and the S_i are built eagerly
-    as read-only arrays, so instances are safe to share.
+    as read-only arrays, so instances are safe to share; the report of
+    ``einstein_classify`` is computed once per tol and kept.
     """
 
     algebra: LieAlgebra
@@ -212,6 +213,7 @@ class MetricLieAlgebra:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_signature", Signature(int(minus[0]), int(plus[0]), int(null[0])))
+        object.__setattr__(self, "_reports", {})  # einstein_classify's reports, by tol
         for name, value in (
             ("gram_inv", np.linalg.inv(g)),
             ("_levi_civita", levi_civita_tensors(algebra.c, g[None])[0]),
@@ -303,9 +305,20 @@ class MetricLieAlgebra:
 
         The residual and λ are measured against _cutoff(tol, Ric), that is
         tol·max(1, ‖Ric‖∞); flatness against the squared Levi-Civita magnitude.
+        The report, whose arrays are read-only, is computed once per tol: a
+        call at an equal tol returns the same object.  A call that raises (a
+        bad tol, the Ricci cross-check) keeps nothing and raises again.
         """
+        report = self._reports.get(tol)
+        if report is None:
+            report = self._reports[tol] = self._classify(tol)
+        return report
+
+    def _classify(self, tol: float) -> CurvatureReport:
+        """einstein_classify, computed."""
         ric_form = self.ricci_via_definition()
         ric_op = self._ricci_operator(ric_form)
+        ric_form.flags.writeable = ric_op.flags.writeable = False
         lam = float(np.trace(ric_op)) / self.n
         cut = _cutoff(tol, ric_op)
         residual = float(np.abs(ric_op - lam * np.eye(self.n)).max(initial=0.0))

@@ -297,7 +297,7 @@ def guediri_2step(alpha, c, a, abelian_dim: int = 0, tol: float = DEFAULT_TOL) -
     q, p = cmat.shape
     if alpha.shape != (q,) or amat.shape != (q, q):
         raise InvalidInput(f"alpha must have shape ({q},) and a shape ({q}, {q})")
-    abelian_dim = _nonnegative(int(abelian_dim), "abelian_dim")
+    abelian_dim = _nonnegative(abelian_dim, "abelian_dim")
     if float(np.abs(amat + amat.T).max(initial=0.0)) > _cutoff(tol, amat):
         raise InvalidInput("a must be skew-symmetric")
 

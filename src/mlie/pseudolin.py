@@ -6,6 +6,7 @@ below the cutoff count as null.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -40,10 +41,17 @@ def _cutoff(tol: float, *arrays) -> float:
 
 
 def _nonnegative(n: int, name: str) -> int:
-    """n, a size, unless it is negative (InvalidInput)."""
-    if n < 0:
-        raise InvalidInput(f"{name} must be nonnegative, got {n}")
-    return n
+    """n, a size, as an int; InvalidInput unless it is a nonnegative integer
+    (a bool is refused, not read as 1/0, as the file readers refuse it)."""
+    try:
+        size = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        size = None
+    if size is None:
+        raise InvalidInput(f"{name} must be an integer, got {n!r}")
+    if size < 0:
+        raise InvalidInput(f"{name} must be nonnegative, got {size}")
+    return size
 
 
 def _as_float_array(a, name: str) -> np.ndarray:
@@ -155,8 +163,9 @@ class Subspace:
 
     @classmethod
     def column_span(cls, m, tol: float) -> "Subspace":
-        """The span of the columns of m, decided by one SVD at tol."""
-        u, s, _ = np.linalg.svd(_as_float_array(m, "matrix"))
+        """The span of the columns of m, decided by one SVD at tol (economy
+        size: only the leading columns of u are kept)."""
+        u, s, _ = np.linalg.svd(_as_float_array(m, "matrix"), full_matrices=False)
         return cls._orthonormal(u[:, :_rank(s, tol)].T, tol)
 
     @property
@@ -188,8 +197,14 @@ def numerical_rank(m, tol: float) -> int:
 
 
 def nullspace(m, tol: float) -> np.ndarray:
-    """Euclidean-orthonormal basis (rows) of the kernel of m; I if m has no rows."""
-    u, s, vt = np.linalg.svd(_as_float_array(m, "matrix"))
+    """Euclidean-orthonormal basis (rows) of the kernel of m; I if m has no rows.
+
+    The full vt is computed only for a wide m, whose kernel rows an economy
+    SVD would leave out; for a tall m the economy SVD has every row of vt and
+    skips the (rows x rows) u.
+    """
+    a = _as_float_array(m, "matrix")
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     return vt[_rank(s, tol):]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import inspect
 import io
@@ -366,6 +367,35 @@ def test_verify_only_flatness(capsys):
     assert "1/1 checks passed" in out
 
 
+def test_several_main_calls_build_the_parser_once(ex8_file, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    mlie.cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    try:
+        for argv in (["ricci", str(ex8_file)], ["catalog", "--list"], ["ricci", str(ex8_file)]):
+            assert run_cli(capsys, *argv)[0] == 0
+    finally:
+        mlie.cli._build_parser.cache_clear()  # drop the parser built under the spy
+    assert built.count("mlie") == 1
+
+
+def test_successive_main_calls_leak_no_state(capsys):
+    # the parser is kept across calls, the parsed arguments are not: an
+    # appended --only starts empty in every call
+    for name in ("examples", "derivations"):
+        code, out, _ = run_cli(capsys, "verify-paper", "--only", name)
+        rows = out.splitlines()
+        assert code == 0
+        assert len(rows) == 2 and rows[0].startswith(f"[PASS] {name} ")
+        assert rows[1] == "1/1 checks passed"
+
+
 def test_verify_unknown_check_exit_2(capsys):
     code, out, err = run_cli(capsys, "verify-paper", "--only", "nonsense")
     assert (code, out) == (2, "")
@@ -444,10 +474,11 @@ def test_ricci_into_a_pipe_closed_by_its_reader(ex8_file):
 def test_ricci_route_mismatch_exit_1(capsys):
     # L5_8 with an ill-conditioned gram (cond 6.5e5, signature (2,3)), on
     # which the two Ricci routes differ beyond the cross-check bound
-    code, out, err = run_cli(capsys, "ricci", str(DATA / "l58_route_mismatch.json"))
-    assert code == 1
-    assert out == ""
-    assert err == "error: internal Ricci routes disagree beyond cross-check bound\n"
+    for _ in range(2):  # a second call in the same process fails the same way
+        code, out, err = run_cli(capsys, "ricci", str(DATA / "l58_route_mismatch.json"))
+        assert code == 1
+        assert out == ""
+        assert err == "error: internal Ricci routes disagree beyond cross-check bound\n"
 
 
 #: the documented exit code of each base of the package's errors

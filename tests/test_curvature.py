@@ -14,8 +14,8 @@ from mlie.curvature import (
     structure_endo_tensors,
     trace_q_sides,
 )
-from mlie.doubleext import extend, killing_ebar, random_admissible
-from mlie.errors import DegenerateGram, NotNilpotent, is_route_mismatch
+from mlie.doubleext import decompose, extend, killing_ebar, random_admissible
+from mlie.errors import DegenerateGram, InvalidInput, NotNilpotent, is_route_mismatch
 from mlie.fileio import read_algebra
 from mlie.liealg import LieAlgebra
 from mlie.pseudolin import DEFAULT_TOL, Gram, Signature
@@ -128,9 +128,45 @@ def test_route_mismatch_on_an_ill_conditioned_gram():
     algebra, gram, _ = read_algebra(
         str(Path(__file__).parent / "data" / "l58_route_mismatch.json"), DEFAULT_TOL
     )
-    with pytest.raises(RuntimeError, match="internal Ricci routes disagree") as err:
-        MetricLieAlgebra(algebra, gram).einstein_classify()
-    assert is_route_mismatch(err.value)
+    m = MetricLieAlgebra(algebra, gram)
+    for _ in range(2):  # a raise is never kept as a report: the second call raises too
+        with pytest.raises(RuntimeError, match="internal Ricci routes disagree") as err:
+            m.einstein_classify()
+        assert is_route_mismatch(err.value)
+
+
+def test_einstein_classify_keeps_one_report_per_tol():
+    m = make_metric("EX8")
+    report = m.einstein_classify(1e-8)
+    assert m.einstein_classify(float("1e-8")) is report  # an equal tol, another float
+    assert m.einstein_classify() is report  # the default tol is 1e-8
+    other = m.einstein_classify(1e-6)
+    assert other is not report and m.einstein_classify(1e-6) is other
+    assert np.array_equal(other.ricci_operator, report.ricci_operator)
+    for shared in (report.ricci_operator, report.ricci_form):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 1.0
+    # a bad tol is still refused after a kept report, and keeps nothing
+    for bad in (float("nan"), 0.0, -1e-8, float("inf")):
+        for _ in range(2):
+            with pytest.raises(InvalidInput, match="positive finite"):
+                m.einstein_classify(bad)
+
+
+def test_extend_classify_decompose_computes_the_verdict_once(monkeypatch):
+    computed = []
+    classify = MetricLieAlgebra._classify
+
+    def spy(self, tol):
+        computed.append(tol)
+        return classify(self, tol)
+
+    monkeypatch.setattr(MetricLieAlgebra, "_classify", spy)
+    m = extend(random_admissible(np.random.default_rng(4), f_dim=2, blocks=1))
+    report = m.einstein_classify()
+    dec = decompose(m)
+    assert dec is not None and report.verdict in (Verdict.RICCI_FLAT, Verdict.FLAT)
+    assert computed == [1e-8]
 
 
 def test_route_equivalence_random():

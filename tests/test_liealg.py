@@ -327,6 +327,19 @@ def test_a_negative_size_is_refused_where_it_enters():
         ("n must be nonnegative, got -1", lambda: Subspace.full(-1, 1e-9)),
         ("f_dim must be nonnegative, got -1", lambda: random_admissible(rng, f_dim=-1)),
         ("blocks must be nonnegative, got -1", lambda: random_admissible(rng, blocks=-1)),
+        # a size that is not an integer, a bool included, is refused, not
+        # truncated or read as 1/0
+        ("n must be an integer, got 2.5", lambda: LieAlgebra.abelian(2.5)),
+        ("n must be an integer, got True", lambda: LieAlgebra.abelian(True)),
+        ("n must be an integer, got 2.5", lambda: LieAlgebra.from_brackets(2.5, {})),
+        ("n must be an integer, got 2.5", lambda: Subspace.full(2.5, 1e-9)),
+        ("f_dim must be an integer, got 1.5", lambda: random_admissible(rng, f_dim=1.5)),
+        (
+            "abelian_dim must be an integer, got 1.7",
+            lambda: doubleext.guediri_2step(
+                np.zeros(2), [[1.0], [0.0]], [[0.0, 1.0], [-1.0, 0.0]], abelian_dim=1.7
+            ),
+        ),
     ]
     for message, build in refused:
         with pytest.raises(InvalidInput, match=f"^{message}$"):

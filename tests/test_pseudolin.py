@@ -106,6 +106,20 @@ def test_numerical_rank_and_nullspace():
     ns = nullspace(m, DEFAULT_TOL)
     assert ns.shape == (1, 2)
     assert np.allclose(m @ ns[0], 0.0)
+    # the kernel is taken from the SVD factor it needs (the full vt only for a
+    # wide matrix): it spans the kernel a full-matrices SVD gives, with
+    # orthonormal rows, on a wide, a tall, a (0, n) and an (n, 0) matrix
+    rng = np.random.default_rng(3)
+    wide = rng.normal(size=(2, 5))
+    tall = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 3))  # rank 2
+    for a in (wide, tall, np.zeros((0, 4)), np.zeros((4, 0))):
+        ns = nullspace(a, DEFAULT_TOL)
+        _, s, vt = np.linalg.svd(a, full_matrices=True)
+        want = vt[numerical_rank(a, DEFAULT_TOL):]
+        assert ns.shape == want.shape
+        assert np.allclose(ns @ ns.T, np.eye(len(ns)))
+        assert np.allclose(ns.T @ ns, want.T @ want)  # the same orthogonal projector
+    assert np.array_equal(nullspace(np.zeros((0, 4)), DEFAULT_TOL), np.eye(4))
     # a matrix with no columns spans {0} of its row count's space
     assert Subspace.column_span(np.zeros((3, 0)), DEFAULT_TOL).basis.shape == (0, 3)
     assert Subspace.column_span(np.zeros((0, 3)), DEFAULT_TOL).basis.shape == (0, 0)
