@@ -356,12 +356,15 @@ def make_metric(
     For the dim <= 5 algebras a metric variant compatible with the algebra
     and a full parameter assignment are required; parameters are validated
     against the stated constraints (BadParams on violation).  For EX6, EX7
-    and EX8 no variant is accepted and the orthonormal metric is returned.
+    and EX8 no variant and no parameter is accepted and the orthonormal
+    metric is returned.
     """
     algebra = make_algebra(name)
     if name in EXAMPLE_TIMELIKE_INDEX:
         if variant is not None:
             raise UnknownName(f"{name} has a fixed orthonormal metric, no variants")
+        if params:
+            raise BadParams(f"{name} takes no parameters: " + ", ".join(params))
         d = np.ones(algebra.n)
         d[EXAMPLE_TIMELIKE_INDEX[name] - 1] = -1.0
         return MetricLieAlgebra(algebra, Gram.from_diagonal(d))

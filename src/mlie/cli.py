@@ -171,9 +171,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         variant = None
     params = _parse_params(tokens)
     m = make_metric(args.name, variant, params)
-    parts = [args.name]
-    if args.variant:
-        parts.append(args.variant)
+    parts = [args.name] + ([variant] if variant else [])
     if params:
         parts.append(", ".join(f"{k}={v:g}" for k, v in sorted(params.items())))
     comment = "catalog " + " ".join(parts) + "; irrational coefficients are binary64 roundings"

@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
-from .liealg import LieAlgebra, derivation_defects
+from .liealg import LieAlgebra, _computed_once, derivation_defects
 from .pseudolin import Gram, Signature, _cutoff, signatures
 
 #: Default relative tolerance for Einstein/flatness verdicts.
@@ -197,9 +197,10 @@ class MetricLieAlgebra:
     nilpotency (which picks the Ricci route) are decided once, at the
     algebra's ``tol``.
 
-    G⁻¹ (``gram_inv``), the Levi-Civita tensor and the S_i are built eagerly
-    as read-only arrays, so instances are safe to share; the report of
-    ``einstein_classify`` is computed once per tol and kept.
+    Building one only checks the gram.  The Levi-Civita tensor, the S_i, the
+    Ricci facts and the flatness defect are computed on first use and kept
+    read-only, as the algebra keeps its facts, so instances are safe to share;
+    the report of ``einstein_classify`` is computed once per tol and kept.
     """
 
     algebra: LieAlgebra
@@ -208,19 +209,12 @@ class MetricLieAlgebra:
     def __init__(self, algebra: LieAlgebra, gram: Gram) -> None:
         if not isinstance(gram, Gram):
             gram = Gram(gram)
-        g = gram.mat
-        minus, plus, null = _checked_gram(g[None], algebra)
+        minus, plus, null = _checked_gram(gram.mat[None], algebra)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_signature", Signature(int(minus[0]), int(plus[0]), int(null[0])))
+        object.__setattr__(self, "_memo", {})  # facts computed once, by method
         object.__setattr__(self, "_reports", {})  # einstein_classify's reports, by tol
-        for name, value in (
-            ("gram_inv", np.linalg.inv(g)),
-            ("_levi_civita", levi_civita_tensors(algebra.c, g[None])[0]),
-            ("_structure_endos", structure_endo_tensors(algebra.c, g[None])[0]),
-        ):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -229,11 +223,19 @@ class MetricLieAlgebra:
     def signature(self) -> Signature:
         return self._signature
 
+    @_computed_once
+    def _levi_civita(self) -> np.ndarray:
+        return levi_civita_tensors(self.algebra.c, self.gram.mat[None])[0]
+
+    @_computed_once
+    def _structure_endos(self) -> np.ndarray:
+        return structure_endo_tensors(self.algebra.c, self.gram.mat[None])[0]
+
     # -- curvature --------------------------------------------------------
 
     def curvature_tensor(self) -> np.ndarray:
         """K[i,j,k,:] = K(e_i,e_j)e_k = (L_[e_i,e_j] − [L_i, L_j]) e_k."""
-        lc = self._levi_civita  # lc[i, k, :] = L_{e_i} e_k
+        lc = self._levi_civita()  # lc[i, k, :] = L_{e_i} e_k
         n = self.n
         # K[i,j,k,:] = Σ_m c[i,j,m] lc[m,k,:] + (lc[i] @ lc[j] − lc[j] @ lc[i])[k,:],
         # each term one matmul over reshaped stacks
@@ -242,33 +244,30 @@ class MetricLieAlgebra:
         products = products.reshape(n, n, n, n).transpose(0, 2, 1, 3)  # [i,j] = lc[i] @ lc[j]
         return term_bracket.reshape(n, n, n, n) + products - products.transpose(1, 0, 2, 3)
 
+    @_computed_once
     def flatness_defect(self) -> Tuple[float, float]:
         """(sup-norm of the curvature tensor, its roundoff scale)."""
-        k = self.curvature_tensor()
-        lc_max = float(np.abs(self._levi_civita).max(initial=0.0))
-        scale = max(1.0, lc_max) ** 2
-        return float(np.abs(k).max(initial=0.0)), scale
+        scale = max(1.0, float(np.abs(self._levi_civita()).max(initial=0.0))) ** 2
+        return float(np.abs(self.curvature_tensor()).max(initial=0.0)), scale
 
     # -- Ricci, three routes ----------------------------------------------
 
+    @_computed_once
     def ricci_via_definition(self) -> np.ndarray:
         """ric(e_i,e_j) = −tr(R_i R_j) + tr(R_{e_i·e_j}); symmetric matrix."""
-        return ricci_forms(self._levi_civita[None])[0]
+        return ricci_forms(self._levi_civita()[None])[0]
 
     def j1_j2(self) -> Tuple[np.ndarray, np.ndarray]:
         """The self-adjoint operators 𝒥₁ and 𝒥₂ built from the S_i."""
-        j1, j2 = j1_j2_operators(self._structure_endos[None], self.gram.mat[None])
+        j1, j2 = j1_j2_operators(self._structure_endos()[None], self.gram.mat[None])
         return j1[0], j2[0]
 
-    def _q(self) -> np.ndarray:
-        """Q from the cached S_i; the Ricci operator only if nilpotent."""
-        return q_operators(self._structure_endos[None], self.gram.mat[None])[0]
-
+    @_computed_once
     def ricci_nilpotent(self) -> np.ndarray:
         """Ricci operator −½𝒥₁ + ¼𝒥₂; only valid on nilpotent algebras."""
         if not self.algebra.is_nilpotent():
             raise NotNilpotent("the 𝒥-form of the Ricci operator needs a nilpotent algebra")
-        return self._q()
+        return q_operators(self._structure_endos()[None], self.gram.mat[None])[0]
 
     def ricci_general(self) -> np.ndarray:
         """Ricci form from the adjoint/J/mean-vector expression; any algebra."""
@@ -285,29 +284,32 @@ class MetricLieAlgebra:
 
     # -- verdicts ---------------------------------------------------------
 
+    @_computed_once
+    def _ricci_definitional(self) -> np.ndarray:
+        """G⁻¹·ric, the Ricci operator of the definitional route."""
+        return np.linalg.inv(self.gram.mat) @ self.ricci_via_definition()
+
+    @_computed_once
     def ricci_operator(self) -> np.ndarray:
         """Ric = G^{-1}·ric: the 𝒥-route when nilpotent, cross-checked against
         the definitional route (ROUTE_MISMATCH), the definitional route otherwise."""
-        return self._ricci_operator(self.ricci_via_definition())
-
-    def _ricci_operator(self, ric_form: np.ndarray) -> np.ndarray:
-        """ricci_operator, given the definitional Ricci form."""
-        ric_def = self.gram_inv @ ric_form
-        if self.algebra.is_nilpotent():
-            ric_nil = self._q()
-            if np.abs(ric_nil - ric_def).max(initial=0.0) > _cutoff(1e-6, ric_nil):
-                raise RuntimeError(ROUTE_MISMATCH)
-            return ric_nil
-        return ric_def
+        ric_def = self._ricci_definitional()
+        if not self.algebra.is_nilpotent():
+            return ric_def
+        ric_nil = self.ricci_nilpotent()
+        if np.abs(ric_nil - ric_def).max(initial=0.0) > _cutoff(1e-6, ric_nil):
+            raise RuntimeError(ROUTE_MISMATCH)
+        return ric_nil
 
     def einstein_classify(self, tol: float = VERDICT_TOL) -> CurvatureReport:
         """Classify as Flat / RicciFlat / Einstein(λ≠0) / NotEinstein.
 
         The residual and λ are measured against _cutoff(tol, Ric), that is
         tol·max(1, ‖Ric‖∞); flatness against the squared Levi-Civita magnitude.
-        The report, whose arrays are read-only, is computed once per tol: a
-        call at an equal tol returns the same object.  A call that raises (a
-        bad tol, the Ricci cross-check) keeps nothing and raises again.
+        The report, whose arrays are the metric's read-only Ricci facts, is
+        computed once per tol: a call at an equal tol returns the same object.
+        A call that raises (a bad tol, the Ricci cross-check) keeps nothing
+        and raises again.
         """
         report = self._reports.get(tol)
         if report is None:
@@ -315,36 +317,30 @@ class MetricLieAlgebra:
         return report
 
     def _classify(self, tol: float) -> CurvatureReport:
-        """einstein_classify, computed."""
-        ric_form = self.ricci_via_definition()
-        ric_op = self._ricci_operator(ric_form)
-        ric_form.flags.writeable = ric_op.flags.writeable = False
+        """einstein_classify, computed from the kept facts."""
+        ric_op = self.ricci_operator()
         lam = float(np.trace(ric_op)) / self.n
         cut = _cutoff(tol, ric_op)
         residual = float(np.abs(ric_op - lam * np.eye(self.n)).max(initial=0.0))
-        scalar = float(np.trace(self.gram_inv @ ric_form))
+        scalar = float(np.trace(self._ricci_definitional()))
 
         k_defect, k_scale = self.flatness_defect()
         flat = k_defect <= _cutoff(tol, k_scale)
 
         if residual > cut:
             verdict = Verdict.NOT_EINSTEIN
-            lam_out = None
         elif flat:
             verdict = Verdict.FLAT
-            lam_out = lam
         elif abs(lam) <= cut:
             verdict = Verdict.RICCI_FLAT
-            lam_out = lam
         else:
             verdict = Verdict.EINSTEIN
-            lam_out = lam
         return CurvatureReport(
             verdict=verdict,
             ricci_operator=ric_op,
-            ricci_form=ric_form,
+            ricci_form=self.ricci_via_definition(),
             scalar_curvature=scalar,
-            einstein_lambda=lam_out,
+            einstein_lambda=None if verdict is Verdict.NOT_EINSTEIN else lam,
             einstein_residual=residual,
             flat=flat,
             signature=self._signature,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Tuple, TypeVar
+from typing import Any, Callable, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -33,16 +33,20 @@ def _upper_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-def _computed_once(method: Callable[["LieAlgebra"], _T]) -> Callable[["LieAlgebra"], _T]:
-    """A structure fact of the frozen algebra, kept in its memo by method name.
-    Every caller gets the same object, so a fact must be immutable: a tuple,
-    a Subspace or a read-only array."""
+def _computed_once(method: Callable[[Any], _T]) -> Callable[[Any], _T]:
+    """A fact of a frozen object, kept in its ``_memo`` dict by method name.
+    Every caller gets the same object, so a fact must be immutable: a number,
+    a tuple, a Subspace, or an array, which is made read-only here.  A call
+    that raises keeps nothing."""
     name = method.__name__
 
     @functools.wraps(method)
-    def once(self: "LieAlgebra") -> _T:
+    def once(self) -> _T:
         if name not in self._memo:
-            self._memo[name] = method(self)
+            fact = method(self)
+            if isinstance(fact, np.ndarray):
+                fact.flags.writeable = False
+            self._memo[name] = fact
         return self._memo[name]
 
     return once
@@ -168,9 +172,7 @@ class LieAlgebra:
         units = np.eye(n * n).reshape(n * n, n, n)
         # row (pair, k), column (a, b): entry k of the defect of E = e_a e_bᵀ
         cols = derivation_defects(self._unit, units)[:, iu, ju, :]
-        basis = nullspace(cols.reshape(n * n, -1).T, self.tol).reshape(-1, n, n)
-        basis.flags.writeable = False
-        return basis
+        return nullspace(cols.reshape(n * n, -1).T, self.tol).reshape(-1, n, n)
 
     def derivation_defect(self, e) -> float:
         """Sup-norm of E[e_i,e_j] - [Ee_i,e_j] - [e_i,Ee_j] over basis pairs."""

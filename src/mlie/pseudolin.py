@@ -54,10 +54,12 @@ def _nonnegative(n: int, name: str) -> int:
     return size
 
 
-def _as_float_array(a, name: str) -> np.ndarray:
+def _as_float_array(a, name: str, ndim: Optional[int] = None) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{name} contains non-finite entries")
+    if ndim is not None and arr.ndim != ndim:
+        raise InvalidInput(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
     return arr
 
 
@@ -165,7 +167,7 @@ class Subspace:
     def column_span(cls, m, tol: float) -> "Subspace":
         """The span of the columns of m, decided by one SVD at tol (economy
         size: only the leading columns of u are kept)."""
-        u, s, _ = np.linalg.svd(_as_float_array(m, "matrix"), full_matrices=False)
+        u, s, _ = np.linalg.svd(_as_float_array(m, "matrix", 2), full_matrices=False)
         return cls._orthonormal(u[:, :_rank(s, tol)].T, tol)
 
     @property
@@ -193,7 +195,7 @@ def _rank(s: np.ndarray, tol: float) -> int:
 
 def numerical_rank(m, tol: float) -> int:
     """Rank of a matrix: number of singular values above _cutoff(tol, s)."""
-    return _rank(np.linalg.svd(_as_float_array(m, "matrix"), compute_uv=False), tol)
+    return _rank(np.linalg.svd(_as_float_array(m, "matrix", 2), compute_uv=False), tol)
 
 
 def nullspace(m, tol: float) -> np.ndarray:
@@ -203,7 +205,7 @@ def nullspace(m, tol: float) -> np.ndarray:
     SVD would leave out; for a tall m the economy SVD has every row of vt and
     skips the (rows x rows) u.
     """
-    a = _as_float_array(m, "matrix")
+    a = _as_float_array(m, "matrix", 2)
     _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     return vt[_rank(s, tol):]
 

@@ -38,7 +38,7 @@ import numpy as np
 from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict, _checked_gram, ricci_operators
 from .errors import DegenerateGram, InvalidInput, is_route_mismatch
 from .liealg import LieAlgebra, act_on_brackets, derivation_defects
-from .pseudolin import Gram, _cutoff
+from .pseudolin import Gram, _cutoff, _nonnegative
 
 TARGETS = ("einstein", "ricci-flat")
 
@@ -86,15 +86,13 @@ class SearchSpec:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise InvalidInput(f"target must be one of {TARGETS}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise InvalidInput("seed must be a nonnegative integer")
-        if self.restarts < 1:
+        _nonnegative(self.seed, "seed")
+        if _nonnegative(self.restarts, "restarts") < 1:
             raise InvalidInput("restarts must be at least 1")
-        if self.max_iters < 0:
-            raise InvalidInput("max_iters must be nonnegative")
+        _nonnegative(self.max_iters, "max_iters")
         _cutoff(self.tol)  # refuses a tol that is not a positive finite number
-        minus, plus = self.signature
-        if minus + plus != self.algebra.n or min(minus, plus) < 0:
+        sig = self.signature if isinstance(self.signature, (tuple, list)) else ()
+        if len(sig) != 2 or sum(_nonnegative(k, "signature entry") for k in sig) != self.algebra.n:
             raise InvalidInput(
                 f"signature {self.signature} does not fit dimension {self.algebra.n}"
             )

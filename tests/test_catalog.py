@@ -125,6 +125,8 @@ def test_make_metric_param_validation():
         make_metric("L4_2", "m42", {"alpha": 1.0, "a": 1.0})  # |a| < 1 required
     with pytest.raises(BadParams):
         make_metric("L4_3", "m43", {"a": 0.0, "b": 0.0, "eps": 0.5})  # eps must be ±1
+    with pytest.raises(BadParams, match="EX8 takes no parameters: x"):
+        make_metric("EX8", None, {"x": 1.0})  # the examples' metrics are fixed
 
 
 def test_all_variants_build_lorentzian_ricci_flat():

@@ -87,6 +87,9 @@ def test_catalog_stdout_default(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["dim"] == 6
+    # the comment names the algebra, the variant and the parameters once each
+    code, out, _ = run_cli(capsys, "catalog", "L3_2", "m32", "alpha=1")
+    assert json.loads(out)["comment"].startswith("catalog L3_2 m32 alpha=1;")
 
 
 def test_catalog_bad_params_exit_2(capsys):
@@ -97,6 +100,8 @@ def test_catalog_bad_params_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "catalog", "L3_2", "m32", "alpha=abc")
     assert code == 2
+    code, _, err = run_cli(capsys, "catalog", "EX8", "x=1")  # EX8's metric has no parameters
+    assert code == 2 and "no parameters" in err
     # catalog decides nothing numerically, so it refuses --tol
     with pytest.raises(SystemExit) as exc:
         main(["catalog", "L3_2", "m32", "alpha=2", "--tol", "1e-3"])

@@ -1,8 +1,10 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlie.curvature
 from mlie.catalog import ALGEBRA_NAMES, make_algebra, make_metric
 from mlie.curvature import (
     MetricLieAlgebra,
@@ -18,7 +20,7 @@ from mlie.doubleext import decompose, extend, killing_ebar, random_admissible
 from mlie.errors import DegenerateGram, InvalidInput, NotNilpotent, is_route_mismatch
 from mlie.fileio import read_algebra
 from mlie.liealg import LieAlgebra
-from mlie.pseudolin import DEFAULT_TOL, Gram, Signature
+from mlie.pseudolin import DEFAULT_TOL, Gram, Signature, classify_subspace
 
 
 def euclidean_heisenberg():
@@ -118,8 +120,9 @@ def test_j1_j2_heisenberg():
 def test_ricci_nilpotent_requires_nilpotent():
     solvable = LieAlgebra.from_brackets(2, {(0, 1): {1: 1.0}})
     m = MetricLieAlgebra(solvable, Gram(np.eye(2)))
-    with pytest.raises(NotNilpotent):
-        m.ricci_nilpotent()
+    for _ in range(2):
+        with pytest.raises(NotNilpotent):
+            m.ricci_nilpotent()
 
 
 def test_route_mismatch_on_an_ill_conditioned_gram():
@@ -129,10 +132,11 @@ def test_route_mismatch_on_an_ill_conditioned_gram():
         str(Path(__file__).parent / "data" / "l58_route_mismatch.json"), DEFAULT_TOL
     )
     m = MetricLieAlgebra(algebra, gram)
-    for _ in range(2):  # a raise is never kept as a report: the second call raises too
-        with pytest.raises(RuntimeError, match="internal Ricci routes disagree") as err:
-            m.einstein_classify()
-        assert is_route_mismatch(err.value)
+    for _ in range(2):  # a raise is never kept: the second call raises too
+        for call in (m.einstein_classify, m.ricci_operator):
+            with pytest.raises(RuntimeError, match="internal Ricci routes disagree") as err:
+                call()
+            assert is_route_mismatch(err.value)
 
 
 def test_einstein_classify_keeps_one_report_per_tol():
@@ -169,6 +173,57 @@ def test_extend_classify_decompose_computes_the_verdict_once(monkeypatch):
     assert computed == [1e-8]
 
 
+KERNELS = ("levi_civita_tensors", "structure_endo_tensors", "ricci_forms", "q_operators")
+
+
+def spy_kernels(monkeypatch):
+    """Count the calls a metric makes into the stacked kernel."""
+    calls = Counter()
+    for name in KERNELS:
+        kernel = getattr(mlie.curvature, name)
+
+        def spy(*args, _name=name, _kernel=kernel):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(mlie.curvature, name, spy)
+    return calls
+
+
+def test_building_a_metric_solves_no_koszul_system(monkeypatch):
+    calls = spy_kernels(monkeypatch)
+    m = MetricLieAlgebra(make_algebra("L5_6"), random_gram(5, np.random.default_rng(3)))
+    m.signature()
+    classify_subspace(m.gram, m.algebra.center())
+    assert not calls
+
+
+def test_a_metric_computes_each_curvature_fact_once(monkeypatch):
+    calls = spy_kernels(monkeypatch)
+    m = MetricLieAlgebra(make_algebra("L5_6"), random_gram(5, np.random.default_rng(5)))
+    report = m.einstein_classify(1e-8)
+    assert m.einstein_classify(1e-6) is not report
+    assert m.ricci_operator() is report.ricci_operator
+    assert m.ricci_via_definition() is report.ricci_form
+    assert m.ricci_nilpotent() is report.ricci_operator  # nilpotent: the 𝒥-route is returned
+    m.flatness_defect()
+    assert calls == Counter(KERNELS)  # each kernel once
+    with pytest.raises(ValueError, match="read-only"):
+        m.ricci_operator()[0, 0] = 1.0
+
+
+def test_a_non_nilpotent_metric_never_builds_the_structure_endos(monkeypatch):
+    calls = spy_kernels(monkeypatch)
+    rng = np.random.default_rng(8)
+    m = extend(random_admissible(rng, f_dim=2, blocks=1, nilpotent=False))
+    assert not m.algebra.is_nilpotent()
+    m.einstein_classify()
+    m.ricci_operator()
+    m.flatness_defect()
+    assert calls["structure_endo_tensors"] == calls["q_operators"] == 0
+    assert calls["levi_civita_tensors"] == 1
+
+
 def test_route_equivalence_random():
     rng = np.random.default_rng(23)
     for name in ALGEBRA_NAMES:
@@ -178,7 +233,7 @@ def test_route_equivalence_random():
             r_gen = m.ricci_general()
             scale = max(1.0, np.abs(r_def).max())
             assert np.abs(r_def - r_gen).max() < 1e-8 * scale
-            op = m.gram_inv @ r_def
+            op = np.linalg.inv(m.gram.mat) @ r_def
             nil = m.ricci_nilpotent()
             op_scale = max(1.0, np.abs(op).max())
             assert np.abs(op - nil).max() < 1e-8 * op_scale
@@ -335,7 +390,7 @@ def test_curvature_tensor_symmetries():
 
 def _curvature_tensor_by_einsum(m):
     """K = L_[e_i,e_j] − [L_i, L_j], contracted index by index."""
-    l_all = m._levi_civita.transpose(0, 2, 1)  # l_all[i] = matrix of L_{e_i}
+    l_all = levi_civita(m).transpose(0, 2, 1)  # l_all[i] = matrix of L_{e_i}
     term_bracket = np.einsum("ijm,mlk->ijkl", m.algebra.c, l_all)
     ll = np.einsum("iab,jbc->ijac", l_all, l_all)
     commutator = ll - ll.transpose(1, 0, 2, 3)

@@ -123,6 +123,11 @@ def test_numerical_rank_and_nullspace():
     # a matrix with no columns spans {0} of its row count's space
     assert Subspace.column_span(np.zeros((3, 0)), DEFAULT_TOL).basis.shape == (0, 3)
     assert Subspace.column_span(np.zeros((0, 3)), DEFAULT_TOL).basis.shape == (0, 0)
+    # an array that is not a matrix is refused by every rank helper
+    for bad in (np.zeros((2, 3, 4)), np.zeros(3), 1.0):
+        for helper in (numerical_rank, nullspace, Subspace.column_span, Subspace.kernel):
+            with pytest.raises(InvalidInput, match="2-D"):
+                helper(bad, DEFAULT_TOL)
 
 
 def test_subspace_validation():

@@ -68,8 +68,21 @@ def test_spec_validation():
         SearchSpec(heisenberg(), restarts=0)
     with pytest.raises(InvalidInput, match="max_iters"):
         SearchSpec(heisenberg(), max_iters=-5)
-    with pytest.raises(InvalidInput, match="seed must be a nonnegative integer"):
+    with pytest.raises(InvalidInput, match="seed must be nonnegative"):
         SearchSpec(heisenberg(), seed=-1)
+    # every size is a nonnegative integer: no bool, float or NaN, and a
+    # signature is a (minus, plus) pair of them
+    for field, bad in (
+        ("seed", True),
+        ("max_iters", 1.5),
+        ("max_iters", float("nan")),
+        ("restarts", 2.5),
+        ("signature", (0.5, 2.5)),
+        ("signature", (1, 2, 0)),
+        ("signature", 3),
+    ):
+        with pytest.raises(InvalidInput):
+            SearchSpec(heisenberg(), **{field: bad})
     for tol in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(InvalidInput, match="tol"):
             SearchSpec(heisenberg(), tol=tol)
