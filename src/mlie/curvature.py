@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
 from .liealg import LieAlgebra, _computed_once, derivation_defects
-from .pseudolin import Gram, Signature, _cutoff, signatures
+from .pseudolin import Gram, Signature, _as_float_array, _cutoff, signatures
 
 #: Default relative tolerance for Einstein/flatness verdicts.
 VERDICT_TOL = 1e-8
@@ -58,32 +58,58 @@ class CurvatureReport:
 
 # -- the stacked kernel ---------------------------------------------------
 #
-# Pure array functions on a stack of grams g of shape (m,n,n) and either one
-# structure tensor c of shape (n,n,n) or a stack of them, one per gram, of
-# shape (m,n,n,n).  MetricLieAlgebra calls them with a stack of one, the search
-# with a whole batch of brackets in one fixed frame, and verify's catalog checks
-# with one stack of grams per algebra.  The contractions are
-# spelled as reshapes and matmuls: at these sizes planning an einsum path
-# costs more than doing it.  With g fixed, the Koszul solve and the S_i are
-# linear in c, and the Ricci operators are quadratic in it.
+# Pure array functions on one structure tensor c of shape (n,n,n) or a stack
+# of them of shape (m,n,n,n), and a metric g that is either a stack of grams
+# of shape (m,n,n), one per c, or the signs ε of shape (n,) of a pseudo-
+# orthonormal frame, where G = G⁻¹ = η = diag(ε).  MetricLieAlgebra calls them
+# with a stack of one gram, verify's catalog checks with one stack of grams
+# per algebra, and einstein_residual with one gram; the search, which moves
+# the bracket μ and keeps its frame η, passes ε with a whole batch of
+# brackets.  Every product with the metric goes through _raise_index (G⁻¹·x, a
+# solve against a gram, a sign flip for ε) and _lower_index (x·G or Gᵀ·x, a
+# matmul, a sign flip for ε), and the sign flips give the bits of the solve
+# and the matmul, so the search frame needs no linear solve.  ricci_forms
+# takes no metric; ricci_general_forms and trace_q_sides take grams only.  The
+# contractions are spelled as reshapes and matmuls: at these sizes planning an
+# einsum path costs more than doing it.  With g fixed, the Koszul solve and
+# the S_i are linear in c, and the Ricci operators are quadratic in it.
+
+
+def _raise_index(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """G⁻¹·x for the grams g (m,n,n), broadcast against x (..., n, k); for the
+    signs ε, the rows of x times ε, in C order as the solve returns them (the
+    bits of the Ricci form built from them depend on that layout)."""
+    if g.ndim == 1:
+        return np.multiply(g[:, None], x, order="C")
+    return np.linalg.solve(g, x)
+
+
+def _lower_index(x: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Σ_i G[i,j]·x[..., i, ...], the index on axis -1 (x·G) or -2 (Gᵀ·x) of
+    x lowered by the grams g (m,n,n), broadcast against x; for the signs ε, x
+    times ε along that axis."""
+    if g.ndim == 1:
+        return np.multiply(x, g if axis == -1 else g[:, None], order="C")
+    return x @ g if axis == -1 else g.swapaxes(-1, -2) @ x
 
 
 def levi_civita_tensors(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """lc[m,i,j,:] = e_i·e_j under g[m], solving the Koszul identity
     2 G (e_i·e_j) = T[i,j,:] with T[i,j,l] = ⟨[e_i,e_j],e_l⟩ + ⟨[e_l,e_i],e_j⟩
     + ⟨[e_l,e_j],e_i⟩."""
-    m, n = g.shape[:2]
-    cg = c @ g[:, None]  # cg[m,i,j,l] = ⟨[e_i,e_j], e_l⟩
+    n = c.shape[-1]
+    # cg[m,i,j,l] = ⟨[e_i,e_j], e_l⟩, one c lowered by every g
+    cg = _lower_index(c.reshape(c.shape[:-3] + (n * n, n)), g).reshape(-1, n, n, n)
     t = cg + cg.transpose(0, 2, 3, 1) + cg.transpose(0, 3, 2, 1)
-    lc = 0.5 * np.linalg.solve(g, t.reshape(m, n * n, n).transpose(0, 2, 1))
-    return lc.transpose(0, 2, 1).reshape(m, n, n, n)
+    lc = 0.5 * _raise_index(g, t.reshape(-1, n * n, n).transpose(0, 2, 1))
+    return lc.transpose(0, 2, 1).reshape(-1, n, n, n)
 
 
 def structure_endo_tensors(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """s[m,i] = S_i under g[m]: S_i = −G⁻¹M_i with M_i[j,k] = c[j,k,i]."""
-    n = g.shape[-1]
+    n = c.shape[-1]
     rhs = np.swapaxes(c, -1, -2).reshape(c.shape[:-3] + (n, n * n))  # one c is solved against every g
-    return -np.linalg.solve(g, rhs).reshape(-1, n, n, n).transpose(0, 2, 1, 3)
+    return -_raise_index(g, rhs).reshape(-1, n, n, n).transpose(0, 2, 1, 3)
 
 
 def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -98,10 +124,11 @@ def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def j1_j2_operators(s: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """𝒥₁ = −Σ_{i,j} ⟨e_i,e_j⟩ S_i∘S_j and 𝒥₂ = −(tr(S_i∘S_j))_{i,j}·G, from
     the stack s of structure_endo_tensors."""
-    m, n = g.shape[:2]
-    gs = (g.transpose(0, 2, 1) @ s.reshape(m, n, n * n)).reshape(m, n, n, n)  # gs[j] = Σ_i ⟨e_i,e_j⟩ S_i
+    m, n = s.shape[:2]
+    # gs[j] = Σ_i ⟨e_i,e_j⟩ S_i
+    gs = _lower_index(s.reshape(m, n, n * n), g, axis=-2).reshape(m, n, n, n)
     j1 = -(gs.transpose(0, 2, 1, 3).reshape(m, n, n * n) @ s.reshape(m, n * n, n))
-    return j1, -_pair_traces(s, s) @ g
+    return j1, _lower_index(-_pair_traces(s, s), g)
 
 
 def q_operators(s: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -171,12 +198,13 @@ def trace_q_sides(c: np.ndarray, g: np.ndarray, e: np.ndarray) -> Tuple[np.ndarr
 
 
 def ricci_operators(c: np.ndarray, g: np.ndarray, nilpotent: bool) -> np.ndarray:
-    """Ricci operators for a stack of grams: Q from the S_i when the algebra
-    is nilpotent, G⁻¹·ric from the Levi-Civita product otherwise.  No
-    degeneracy checks: the caller vouches for every gram."""
+    """Ricci operators for a stack of grams, or for a stack of brackets in the
+    frame of the signs ε: Q from the S_i when the algebra is nilpotent, G⁻¹·ric
+    from the Levi-Civita product otherwise.  No degeneracy checks: the caller
+    vouches for every gram."""
     if nilpotent:
         return q_operators(structure_endo_tensors(c, g), g)
-    return np.linalg.solve(g, ricci_forms(levi_civita_tensors(c, g)))
+    return _raise_index(g, ricci_forms(levi_civita_tensors(c, g)))
 
 
 def _checked_gram(grams: np.ndarray, algebra: LieAlgebra) -> Signature:
@@ -279,7 +307,8 @@ class MetricLieAlgebra:
         """Both sides of the trace identity (see trace_q_sides) for a matrix
         or a stack of matrices E[..., :, :], each of shape E.shape[:-2] (numpy
         scalars for one matrix)."""
-        lhs, rhs = trace_q_sides(self.algebra.c, self.gram.mat[None], np.asarray(e, dtype=float))
+        e = _as_float_array(e, "E", square=self.n)
+        lhs, rhs = trace_q_sides(self.algebra.c, self.gram.mat[None], e)
         return lhs[0], rhs[0]
 
     # -- verdicts ---------------------------------------------------------

@@ -176,7 +176,7 @@ class LieAlgebra:
 
     def derivation_defect(self, e) -> float:
         """Sup-norm of E[e_i,e_j] - [Ee_i,e_j] - [e_i,Ee_j] over basis pairs."""
-        d = derivation_defects(self.c, np.asarray(e, dtype=float))
+        d = derivation_defects(self.c, _as_float_array(e, "E", square=self.n))
         return float(np.abs(d).max(initial=0.0))
 
     def find_nonzero_trace_derivation(self) -> Optional[np.ndarray]:

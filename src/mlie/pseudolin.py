@@ -32,7 +32,8 @@ def _cutoff(tol: float, *arrays) -> float:
     check bounds, the checks' stated claims; ``SearchSpec.tol``, absolute on
     a residual; and the (0, 1) range of ``--tol`` in ``cli._tols``.
     """
-    if not 0.0 < tol < np.inf:  # False for NaN too
+    # a bool is refused, not read as 1.0, and NaN fails the comparison
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 < tol < np.inf:
         raise InvalidInput("tol must be a positive finite number")
     largest = 1.0
     for a in arrays:
@@ -54,12 +55,22 @@ def _nonnegative(n: int, name: str) -> int:
     return size
 
 
-def _as_float_array(a, name: str, ndim: Optional[int] = None) -> np.ndarray:
+def _as_float_array(
+    a, name: str, ndim: Optional[int] = None, square: Optional[int] = None
+) -> np.ndarray:
+    """a as a float array; InvalidInput unless its entries are finite, it has
+    ndim axes when ndim is given, and it is a matrix of shape (square, square)
+    or a stack of them when square is given."""
     arr = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{name} contains non-finite entries")
     if ndim is not None and arr.ndim != ndim:
         raise InvalidInput(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
+    if square is not None and arr.shape[-2:] != (square, square):
+        raise InvalidInput(
+            f"{name} must be a matrix of shape ({square}, {square}) or a stack of them,"
+            f" got shape {arr.shape}"
+        )
     return arr
 
 

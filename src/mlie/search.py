@@ -26,6 +26,11 @@ restart's trajectory does not depend on its stack mates; each one stops for
 its own reason (STOP_REASONS), and the whole search is deterministic for a
 fixed spec.  A restart converges only when one einstein_classify of its gram
 at VERDICT_TOL gives the target's verdict and ‖Ric − λ̂·Id‖_F ≤ spec.tol.
+
+The forward and Jacobian calls hand the kernel the frame as its signs ε,
+η = diag(ε), so every solve and product against η is a sign flip with the
+bits of the solve; only the classification of a restart's gram AᵀηA, and
+einstein_residual, pass a gram to curvature and solve against it.
 """
 from __future__ import annotations
 
@@ -141,11 +146,12 @@ def _scale_free(mu: np.ndarray, dev: np.ndarray) -> np.ndarray:
 
 
 def _forward(
-    a: np.ndarray, c: np.ndarray, eta: np.ndarray, nilpotent: bool, einstein: bool
+    a: np.ndarray, c: np.ndarray, eps: np.ndarray, nilpotent: bool, einstein: bool
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(μ, Ric_η(μ) − λ̂·Id, r) for a stack of factors A of grams AᵀηA on c."""
+    """(μ, Ric_η(μ) − λ̂·Id, r) for a stack of factors A of grams AᵀηA on c,
+    with η = diag(eps)."""
     mu = act_on_brackets(a, c)
-    ric = ricci_operators(mu, np.broadcast_to(eta, (len(a),) + eta.shape), nilpotent)
+    ric = ricci_operators(mu, eps, nilpotent)
     dev = _deviations(ric, einstein)
     return mu, dev, _scale_free(mu, dev)
 
@@ -170,21 +176,21 @@ def _orbit_directions(a: np.ndarray, derivations: np.ndarray) -> np.ndarray:
 def _jacobians(
     mu: np.ndarray,
     dev: np.ndarray,
-    eta: np.ndarray,
+    eps: np.ndarray,
     nilpotent: bool,
     einstein: bool,
     directions: np.ndarray,
 ) -> np.ndarray:
-    """J[m] of shape (n², k), for brackets μ[m] ≠ 0 in the frame η with
-    deviations dev[m] and matrices E = directions[m] (or one stack of them
-    for every m) of shape (k, n, n): column j is the derivative of r at μ[m]
+    """J[m] of shape (n², k), for brackets μ[m] ≠ 0 in the frame η = diag(eps)
+    with deviations dev[m] and matrices E = directions[m] (or one stack of
+    them for every m) of shape (k, n, n): column j is the derivative of r at μ[m]
     along the orbit tangent ν = E_j·μ.  One stacked ricci_operators call
     evaluates all 2k sides μ ± ν of every m."""
     m, n = mu.shape[:2]
     nu = derivation_defects(mu[:, None], directions)
     k = nu.shape[1]
     sides = np.concatenate([mu[:, None] + nu, mu[:, None] - nu]).reshape(-1, n, n, n)
-    ric = ricci_operators(sides, np.broadcast_to(eta, (len(sides), n, n)), nilpotent)
+    ric = ricci_operators(sides, eps, nilpotent)
     plus, minus = _deviations(ric, einstein).reshape(2, m, k, n, n)
     sq = _sq_norms(mu)[:, None, None, None]
     d_sq = 2.0 * (nu.reshape(m, k, -1) @ mu.reshape(m, -1, 1))[..., None]  # d‖μ‖²[ν]
@@ -214,13 +220,14 @@ def run_search(spec: SearchSpec) -> SearchResult:
     nilpotent = algebra.is_nilpotent()
     einstein = spec.target == "einstein"
     minus, plus = spec.signature
-    eta = np.diag(np.concatenate([-np.ones(minus), np.ones(plus)]))
+    eps = np.concatenate([-np.ones(minus), np.ones(plus)])
+    eta = np.diag(eps)
     derivations = algebra.derivation_space()
 
     count = spec.restarts
     starts = [np.random.default_rng([spec.seed, r]).standard_normal((n, n)) for r in range(count)]
     a = _unit_det(np.eye(n) + 0.1 * np.array(starts))
-    mu, dev, r = _forward(a, algebra.c, eta, nilpotent, einstein)
+    mu, dev, r = _forward(a, algebra.c, eps, nilpotent, einstein)
     f = _norms(r)
     residual = np.zeros(count)
     damping = np.full(count, 1e-3)
@@ -256,7 +263,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
             break
         iters[running] += 1
         directions = _orbit_directions(a[running], derivations)
-        jac = _jacobians(mu[running], dev[running], eta, nilpotent, einstein, directions)
+        jac = _jacobians(mu[running], dev[running], eps, nilpotent, einstein, directions)
         jac_t = jac.transpose(0, 2, 1)
         normal, gradient = jac_t @ jac, jac_t @ r[running].reshape(len(running), -1, 1)
         # the damped step X = Σ y_j E_j, damping ×10 until ‖r‖ drops
@@ -268,7 +275,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
                 normal[searching], gradient[searching], damping[idx], directions[searching]
             )
             trial = _unit_det((np.eye(n) + x) @ a[idx])
-            mu_trial, dev_trial, r_trial = _forward(trial, algebra.c, eta, nilpotent, einstein)
+            mu_trial, dev_trial, r_trial = _forward(trial, algebra.c, eps, nilpotent, einstein)
             f_trial = _norms(r_trial)
             better = f_trial < f[idx]
             won = idx[better]

@@ -11,6 +11,7 @@ from mlie.curvature import (
     Verdict,
     _checked_gram,
     levi_civita_tensors,
+    q_operators,
     ricci_general_forms,
     ricci_operators,
     structure_endo_tensors,
@@ -19,7 +20,7 @@ from mlie.curvature import (
 from mlie.doubleext import decompose, extend, killing_ebar, random_admissible
 from mlie.errors import DegenerateGram, InvalidInput, NotNilpotent, is_route_mismatch
 from mlie.fileio import read_algebra
-from mlie.liealg import LieAlgebra
+from mlie.liealg import LieAlgebra, act_on_brackets
 from mlie.pseudolin import DEFAULT_TOL, Gram, Signature, classify_subspace
 
 
@@ -251,6 +252,41 @@ def test_ricci_operators_stack_matches_per_gram():
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+def _signed_frames():
+    """(structure tensor or stack of brackets μ = A·c, signs ε) for nilpotent
+    catalog algebras and μ ≠ 0 extensions, in signatures (k, n − k)."""
+    rng = np.random.default_rng(53)
+    algebras = [make_algebra(name) for name in ("L4_3", "L5_2", "EX8")]
+    for seed in range(3):
+        data = random_admissible(np.random.default_rng(seed), f_dim=2, blocks=1, nilpotent=False)
+        assert data.mu != 0.0
+        algebras.append(extend(data).algebra)
+    for algebra in algebras:
+        n = algebra.n
+        mu = act_on_brackets(np.eye(n) + 0.3 * rng.normal(size=(40, n, n)), algebra.c)
+        for k in sorted({0, 1, n // 2, n - 1}):
+            eps = np.array([-1.0] * k + [1.0] * (n - k))
+            yield algebra.c, eps
+            yield mu, eps
+
+
+def test_the_kernel_in_a_signed_frame_has_the_bits_of_the_gram_kernel():
+    # with the signs ε of a pseudo-orthonormal frame, every solve and product
+    # against η = diag(ε) is a sign flip; the kernel returns the bits it
+    # returns on the gram stack η, on both routes, and so builds lc in the
+    # layout of the solve, which the Ricci form's matmuls see
+    for c, eps in _signed_frames():
+        eta = np.diag(eps)
+        grams = np.broadcast_to(eta, (len(c) if c.ndim == 4 else 1,) + eta.shape)
+        for kernel in (structure_endo_tensors, levi_civita_tensors):
+            assert np.array_equal(kernel(c, eps), kernel(c, grams))
+        s = structure_endo_tensors(c, grams)
+        assert np.array_equal(q_operators(s, eps), q_operators(s, grams))
+        for nilpotent in (True, False):
+            want = ricci_operators(c, grams, nilpotent)
+            assert np.array_equal(ricci_operators(c, eps, nilpotent), want)
+
+
 def test_stacked_kernels_match_the_per_gram_methods():
     rng = np.random.default_rng(47)
     general = extend(random_admissible(rng, f_dim=2, blocks=1, nilpotent=False)).algebra
@@ -323,6 +359,13 @@ def test_trace_identity_is_basis_free():
         scale = max(1.0, *map(abs, want))
         assert got == pytest.approx(want, abs=1e-10 * scale)
         assert want[0] == pytest.approx(want[1], abs=1e-10 * scale)
+
+
+@pytest.mark.parametrize("e", [np.ones(8), 1.0, np.eye(3), np.ones((2, 7, 8))])
+def test_trace_q_times_refuses_what_is_not_a_matrix_of_the_algebra(e):
+    refusal = r"^E must be a matrix of shape \(8, 8\) or a stack of them, got shape"
+    with pytest.raises(InvalidInput, match=refusal):
+        make_metric("EX8").trace_q_times(e)
 
 
 def test_trace_q_times_of_a_stack_is_the_stack_of_calls():

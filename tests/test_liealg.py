@@ -386,7 +386,7 @@ def _tol_entry_points():
     return entries
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf"), True, np.True_])
 def test_every_tol_is_refused_where_it_enters(tol):
     entries = _tol_entry_points()
     taking = set()
@@ -422,6 +422,13 @@ def test_derivation_space_heisenberg_dimension():
     assert len(basis) == 6
     for der in basis:
         assert heisenberg().derivation_defect(der) < 1e-9
+
+
+@pytest.mark.parametrize("e", [np.ones(3), 1.0, np.eye(2), np.ones((2, 4, 4))])
+def test_derivation_defect_refuses_what_is_not_a_matrix_of_the_algebra(e):
+    refusal = r"^E must be a matrix of shape \(3, 3\) or a stack of them, got shape"
+    with pytest.raises(InvalidInput, match=refusal):
+        make_algebra("L3_2").derivation_defect(e)
 
 
 def test_derivation_defect_discriminates():

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -140,8 +142,8 @@ def test_abelian_search_immediately_flat():
     assert result.residual == 0.0
 
 
-def _lorentzian_eta(n):
-    return np.diag([-1.0] + [1.0] * (n - 1))
+def _lorentzian_signs(n):
+    return np.array([-1.0] + [1.0] * (n - 1))
 
 
 def _case_algebra(case):
@@ -159,23 +161,24 @@ def test_residual_gradient_matches_central_differences(case, target):
     # orbit tangents E·μ, exact by polarization of the quadratic Ric_η(μ)
     algebra = _case_algebra(case)
     n, nilpotent, einstein = algebra.n, algebra.is_nilpotent(), target == "einstein"
-    eta = _lorentzian_eta(n)
+    eps = _lorentzian_signs(n)
 
     def forward(a_batch, c):
-        return _forward(a_batch, c, eta, nilpotent, einstein)
+        return _forward(a_batch, c, eps, nilpotent, einstein)
 
     a = np.eye(n) + 0.3 * np.random.default_rng(17).normal(size=(n, n))
     mu, dev, r = forward(a[None], algebra.c)
     # the frame η of μ = A·c carries the metric AᵀηA of c: Ric_G = A⁻¹ Ric_η A
     absolute = _absolute(a[None], dev)[0]
-    assert absolute == pytest.approx(einstein_residual(algebra, a.T @ eta @ a, target), rel=1e-9)
+    gram = a.T @ np.diag(eps) @ a
+    assert absolute == pytest.approx(einstein_residual(algebra, gram, target), rel=1e-9)
     # r is unchanged when the metric or the bracket is scaled
     for t, s in [(10.0, 1.0), (1.0, 1e-3), (0.2, 7.0)]:
         r_scaled = forward(t * a[None], s * algebra.c)[2]
         assert np.abs(r_scaled - r).max() <= 1e-12 * np.abs(r).max()
 
     units = np.eye(n * n).reshape(n * n, n, n)
-    jac = _jacobians(mu, dev, eta, nilpotent, einstein, units)[0]
+    jac = _jacobians(mu, dev, eps, nilpotent, einstein, units)[0]
     # central differences along the curve (I + hE)A, whose tangent at h = 0 is E·μ
     h = 1e-6
     up = forward((np.eye(n) + h * units) @ a, algebra.c)[2]
@@ -193,18 +196,18 @@ def test_step_on_the_derivation_complement_equals_the_full_step(case, target):
     # the damped step on all of gl(n)
     algebra = _case_algebra(case)
     n, nilpotent, einstein = algebra.n, algebra.is_nilpotent(), target == "einstein"
-    eta = _lorentzian_eta(n)
+    eps = _lorentzian_signs(n)
     a = np.eye(n) + 0.3 * np.random.default_rng(17).normal(size=(n, n))
-    mu, dev, r = _forward(a[None], algebra.c, eta, nilpotent, einstein)
+    mu, dev, r = _forward(a[None], algebra.c, eps, nilpotent, einstein)
     units = np.eye(n * n).reshape(n * n, n, n)
-    full = _jacobians(mu, dev, eta, nilpotent, einstein, units)
+    full = _jacobians(mu, dev, eps, nilpotent, einstein, units)
     derivations = algebra.derivation_space()
-    on_der = _jacobians(mu, dev, eta, nilpotent, einstein, a @ derivations @ np.linalg.inv(a))
+    on_der = _jacobians(mu, dev, eps, nilpotent, einstein, a @ derivations @ np.linalg.inv(a))
     assert np.abs(on_der).max() <= 1e-12 * np.abs(full).max()
 
     directions = _orbit_directions(a[None], derivations)
     assert directions.shape == (1, n * n - len(derivations), n, n)
-    part = _jacobians(mu, dev, eta, nilpotent, einstein, directions)
+    part = _jacobians(mu, dev, eps, nilpotent, einstein, directions)
     assert part.shape == (1, n * n, n * n - len(derivations))
 
     def step(jac, e, damping):
@@ -321,3 +324,33 @@ def test_residual_of_a_converged_search_is_its_einstein_residual(name, signature
     result = run_search(SearchSpec(algebra, signature=signature, seed=seed))
     assert result.converged
     assert result.residual == einstein_residual(algebra, result.best_gram, "ricci-flat")
+
+
+def _curvature_solves_by_search_caller(monkeypatch):
+    """Count the np.linalg.solve and np.linalg.inv calls made from
+    mlie.curvature, by the name of the mlie.search function that led to them."""
+    calls = Counter()
+    for name in ("solve", "inv"):
+
+        def spy(*args, _real=getattr(np.linalg, name), **kwargs):
+            frame = sys._getframe(1)
+            if frame.f_globals.get("__name__") == "mlie.curvature":
+                while frame.f_globals.get("__name__") != "mlie.search":
+                    frame = frame.f_back
+                calls[frame.f_code.co_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("case, seed, restarts", [("L4_3", 0, 8), ("non-nilpotent", 1, 2)])
+def test_the_search_solves_nothing_against_its_frame(case, seed, restarts, monkeypatch):
+    # in the frame η = diag(ε) every solve of the kernel is a sign flip: only
+    # settle, which classifies a converged gram AᵀηA, solves in mlie.curvature
+    calls = _curvature_solves_by_search_caller(monkeypatch)
+    algebra = _case_algebra(case)
+    assert algebra.is_nilpotent() == (case != "non-nilpotent")
+    spec = SearchSpec(algebra, signature=(1, algebra.n - 1), seed=seed, restarts=restarts)
+    assert run_search(spec).converged
+    assert set(calls) == {"settle"}
