@@ -60,19 +60,17 @@ class CurvatureReport:
 #
 # Pure array functions on one structure tensor c of shape (n,n,n) or a stack
 # of them of shape (m,n,n,n), and a metric g that is either a stack of grams
-# of shape (m,n,n), one per c, or the signs ε of shape (n,) of a pseudo-
-# orthonormal frame, where G = G⁻¹ = η = diag(ε).  MetricLieAlgebra calls them
-# with a stack of one gram, verify's catalog checks with one stack of grams
-# per algebra, and einstein_residual with one gram; the search, which moves
-# the bracket μ and keeps its frame η, passes ε with a whole batch of
-# brackets.  Every product with the metric goes through _raise_index (G⁻¹·x, a
-# solve against a gram, a sign flip for ε) and _lower_index (x·G or Gᵀ·x, a
-# matmul, a sign flip for ε), and the sign flips give the bits of the solve
-# and the matmul, so the search frame needs no linear solve.  ricci_forms
-# takes no metric; ricci_general_forms and trace_q_sides take grams only.  The
-# contractions are spelled as reshapes and matmuls: at these sizes planning an
-# einsum path costs more than doing it.  With g fixed, the Koszul solve and
-# the S_i are linear in c, and the Ricci operators are quadratic in it.
+# of shape (m,n,n), one per c (MetricLieAlgebra, verify, einstein_residual),
+# or the signs ε of shape (n,) of a pseudo-orthonormal frame, where G = G⁻¹ =
+# η = diag(ε) (the search, which moves the bracket μ and keeps its frame).
+# Every product with the metric goes through _raise_index (G⁻¹·x, a solve
+# against a gram, a sign flip for ε) and _lower_index (x·G or Gᵀ·x, a matmul,
+# a sign flip for ε), whose sign flips give the bits of the solve and the
+# matmul; ricci_operators alone assembles a Ricci route, the 𝒥-route or
+# G⁻¹·ric.  ricci_forms takes no metric; ricci_general_forms and trace_q_sides
+# take grams only.  Contractions are reshapes and matmuls: at these sizes
+# planning an einsum path costs more than doing it.  With g fixed, the Koszul
+# solve and the S_i are linear in c, and the Ricci operators are quadratic.
 
 
 def _raise_index(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -156,11 +154,12 @@ def ricci_general_forms(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     G⁻¹τ with τ_i = tr ad_{e_i}."""
     m, n = g.shape[:2]
     ads = np.swapaxes(c, -1, -2)  # ads[..., i, k, j] = c[..., i, j, k]
-    ad_stars = np.linalg.inv(g)[:, None] @ c @ g[:, None]
-    js = (g @ structure_endo_tensors(c, g).reshape(m, n, n * n)).reshape(m, n, n, n)
-    h = np.linalg.solve(g, np.trace(c, axis1=-2, axis2=-1).reshape(-1, n, 1))  # H = G⁻¹τ
+    ad_stars = _raise_index(g[:, None], _lower_index(c, g[:, None]))
+    s = structure_endo_tensors(c, g).reshape(m, n, n * n)
+    js = _lower_index(s, g, axis=-2).reshape(m, n, n, n)
+    h = _raise_index(g, np.trace(c, axis1=-2, axis2=-1).reshape(-1, n, 1))  # H = G⁻¹τ
     ad_h = (np.swapaxes(h, -1, -2) @ ads.reshape(ads.shape[:-3] + (n, n * n))).reshape(m, n, n)
-    bh = np.swapaxes(ad_h, -1, -2) @ g  # bh[i,j] = ⟨ad_H e_i, e_j⟩
+    bh = _lower_index(np.swapaxes(ad_h, -1, -2), g)  # bh[i,j] = ⟨ad_H e_i, e_j⟩
     ric = (
         -0.5 * _pair_traces(ads, ads)
         - 0.5 * _pair_traces(ads, ad_stars)
@@ -182,19 +181,17 @@ def trace_q_sides(c: np.ndarray, g: np.ndarray, e: np.ndarray) -> Tuple[np.ndarr
     c of shape (n,n,n) only: the derivation defects of E do not depend on g.
     """
     m, n = g.shape[:2]
-    q = q_operators(structure_endo_tensors(c, g), g)
+    q = ricci_operators(c, g, True)
     lhs = np.trace(q.reshape((m,) + (1,) * (e.ndim - 2) + (n, n)) @ e, axis1=-2, axis2=-1)
 
-    # c_sharp[i,j,:] = Σ_{a,b} G^{ia} G^{jb} G[e_a,e_b], so that
-    # rhs = ¼ Σ_{i,j} d[i,j,:]·c_sharp[i,j,:] with d the derivation defect of E,
-    # summed one gram at a time: the product d·c_sharp of all grams at once
-    # would take (m,) + E.shape[:-2] + (n,n,n) floats
-    g_inv = np.linalg.inv(g)
-    cg = (c @ g[:, None]).reshape(m, n, n * n)
-    c_sharp = g_inv[:, None] @ (g_inv @ cg).reshape(m, n, n, n)
-    d = derivation_defects(c, e)
-    rhs = 0.25 * np.array([np.sum(d * cs, axis=(-3, -2, -1)) for cs in c_sharp])
-    return lhs, rhs
+    # rhs = ¼ Σ_{i,j} d[i,j,:]·c_sharp[i,j,:] with d the derivation defect of E
+    # and c_sharp[i,j,:] = Σ_{a,b} G^{ia} G^{jb} G[e_a,e_b]: one (m, n³) @ (n³, K)
+    # matmul over the K matrices E, never the (m, K, n, n, n) product d·c_sharp
+    cg = _lower_index(c.reshape(n * n, n), g).reshape(m, n, n * n)
+    c_sharp = _raise_index(g[:, None], _raise_index(g, cg).reshape(m, n, n, n))
+    d = derivation_defects(c, e).reshape(-1, n**3)
+    rhs = 0.25 * (c_sharp.reshape(m, n**3) @ d.T)
+    return lhs, rhs.reshape(lhs.shape)
 
 
 def ricci_operators(c: np.ndarray, g: np.ndarray, nilpotent: bool) -> np.ndarray:
@@ -225,10 +222,10 @@ class MetricLieAlgebra:
     nilpotency (which picks the Ricci route) are decided once, at the
     algebra's ``tol``.
 
-    Building one only checks the gram.  The Levi-Civita tensor, the S_i, the
-    Ricci facts and the flatness defect are computed on first use and kept
-    read-only, as the algebra keeps its facts, so instances are safe to share;
-    the report of ``einstein_classify`` is computed once per tol and kept.
+    Building one only checks the gram.  The Levi-Civita tensor, the Ricci
+    facts and the flatness defect (not the S_i) are computed on first use and
+    kept read-only, as the algebra keeps its facts, so instances are safe to
+    share; the report of ``einstein_classify`` is computed once per tol and kept.
     """
 
     algebra: LieAlgebra
@@ -254,10 +251,6 @@ class MetricLieAlgebra:
     @_computed_once
     def _levi_civita(self) -> np.ndarray:
         return levi_civita_tensors(self.algebra.c, self.gram.mat[None])[0]
-
-    @_computed_once
-    def _structure_endos(self) -> np.ndarray:
-        return structure_endo_tensors(self.algebra.c, self.gram.mat[None])[0]
 
     # -- curvature --------------------------------------------------------
 
@@ -287,7 +280,8 @@ class MetricLieAlgebra:
 
     def j1_j2(self) -> Tuple[np.ndarray, np.ndarray]:
         """The self-adjoint operators 𝒥₁ and 𝒥₂ built from the S_i."""
-        j1, j2 = j1_j2_operators(self._structure_endos()[None], self.gram.mat[None])
+        g = self.gram.mat[None]
+        j1, j2 = j1_j2_operators(structure_endo_tensors(self.algebra.c, g), g)
         return j1[0], j2[0]
 
     @_computed_once
@@ -295,7 +289,7 @@ class MetricLieAlgebra:
         """Ricci operator −½𝒥₁ + ¼𝒥₂; only valid on nilpotent algebras."""
         if not self.algebra.is_nilpotent():
             raise NotNilpotent("the 𝒥-form of the Ricci operator needs a nilpotent algebra")
-        return q_operators(self._structure_endos()[None], self.gram.mat[None])[0]
+        return ricci_operators(self.algebra.c, self.gram.mat[None], True)[0]
 
     def ricci_general(self) -> np.ndarray:
         """Ricci form from the adjoint/J/mean-vector expression; any algebra."""
@@ -316,7 +310,7 @@ class MetricLieAlgebra:
     @_computed_once
     def _ricci_definitional(self) -> np.ndarray:
         """G⁻¹·ric, the Ricci operator of the definitional route."""
-        return np.linalg.inv(self.gram.mat) @ self.ricci_via_definition()
+        return _raise_index(self.gram.mat[None], self.ricci_via_definition()[None])[0]
 
     @_computed_once
     def ricci_operator(self) -> np.ndarray:
@@ -340,6 +334,7 @@ class MetricLieAlgebra:
         A call that raises (a bad tol, the Ricci cross-check) keeps nothing
         and raises again.
         """
+        _cutoff(tol)  # validates tol before it keys the reports (an unhashable one included)
         report = self._reports.get(tol)
         if report is None:
             report = self._reports[tol] = self._classify(tol)

@@ -32,8 +32,9 @@ def _cutoff(tol: float, *arrays) -> float:
     check bounds, the checks' stated claims; ``SearchSpec.tol``, absolute on
     a residual; and the (0, 1) range of ``--tol`` in ``cli._tols``.
     """
-    # a bool is refused, not read as 1.0, and NaN fails the comparison
-    if isinstance(tol, (bool, np.bool_)) or not 0.0 < tol < np.inf:
+    # refused: a bool (not read as 1.0) and what is not a real number; NaN fails the test
+    real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+    if not real or not 0.0 < tol < np.inf:
         raise InvalidInput("tol must be a positive finite number")
     largest = 1.0
     for a in arrays:
@@ -58,10 +59,13 @@ def _nonnegative(n: int, name: str) -> int:
 def _as_float_array(
     a, name: str, ndim: Optional[int] = None, square: Optional[int] = None
 ) -> np.ndarray:
-    """a as a float array; InvalidInput unless its entries are finite, it has
-    ndim axes when ndim is given, and it is a matrix of shape (square, square)
-    or a stack of them when square is given."""
-    arr = np.asarray(a, dtype=float)
+    """a as a float array; InvalidInput unless it is real (not bool or complex)
+    and finite, has ndim axes when ndim is given, and is a matrix of shape
+    (square, square) or a stack of them when square is given."""
+    arr = np.asarray(a)
+    if arr.dtype.kind in "bc":
+        raise InvalidInput(f"{name} must have real entries, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{name} contains non-finite entries")
     if ndim is not None and arr.ndim != ndim:

@@ -30,11 +30,12 @@ from .curvature import (
     VERDICT_TOL,
     Verdict,
     _checked_gram,
+    _raise_index,
     j1_j2_operators,
     levi_civita_tensors,
-    q_operators,
     ricci_forms,
     ricci_general_forms,
+    ricci_operators,
     structure_endo_tensors,
     trace_q_sides,
 )
@@ -303,9 +304,7 @@ def check_route_equivalence(tol: float) -> _Claim:
         bad_form = d_form > tol * scale
         bad_op = np.zeros(len(g), dtype=bool)
         if algebra.is_nilpotent():
-            op_def = np.linalg.inv(g) @ r_def
-            op_nil = q_operators(structure_endo_tensors(algebra.c, g), g)
-            d_op, op_scale = _sup_gaps(op_def, op_nil)
+            d_op, op_scale = _sup_gaps(_raise_index(g, r_def), ricci_operators(algebra.c, g, True))
             worst = max(worst, float((d_op / op_scale).max()))
             bad_op = d_op > tol * op_scale
         for k in np.flatnonzero(bad_form | bad_op):

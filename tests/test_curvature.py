@@ -1,3 +1,4 @@
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import mlie.curvature
+import mlie.verify
 from mlie.catalog import ALGEBRA_NAMES, make_algebra, make_metric
 from mlie.curvature import (
     MetricLieAlgebra,
@@ -250,6 +252,23 @@ def test_ricci_operators_stack_matches_per_gram():
         for got, m in zip(stack, metrics):
             want = m.ricci_operator()
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_the_metric_enters_the_kernel_in_one_place():
+    # G⁻¹ is applied only inside _raise_index, and the 𝒥-route is assembled
+    # only in ricci_operators, so moving a metric to its frame changes those
+    kernel = Path(mlie.curvature.__file__)
+    raise_index = inspect.getsource(mlie.curvature._raise_index)
+    for name in ("np.linalg.inv", "np.linalg.solve"):
+        assert kernel.read_text().count(name) == raise_index.count(name), name
+    assert "np.linalg" not in inspect.getsource(mlie.verify.check_route_equivalence)
+    assembled = [
+        path.name
+        for path in sorted(kernel.parent.glob("*.py"))
+        for _ in range(path.read_text().count("q_operators(structure_endo_tensors("))
+    ]
+    assert assembled == ["curvature.py"]
+    assert "q_operators(structure_endo_tensors(" in inspect.getsource(mlie.curvature.ricci_operators)
 
 
 def _signed_frames():

@@ -386,7 +386,9 @@ def _tol_entry_points():
     return entries
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf"), True, np.True_])
+@pytest.mark.parametrize(
+    "tol", [0.0, -1e-9, float("nan"), float("inf"), True, np.True_, "1e-9", None, 1e-9j, [1e-9]]
+)
 def test_every_tol_is_refused_where_it_enters(tol):
     entries = _tol_entry_points()
     taking = set()

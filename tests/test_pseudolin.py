@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlie.catalog import make_algebra
+from mlie.catalog import make_algebra, make_metric
 from mlie.doubleext import kd_generate
 from mlie.errors import InvalidInput, SingularK0
 from mlie.liealg import LieAlgebra
@@ -45,6 +45,23 @@ def test_gram_factories():
 def test_gram_rejects_nonsquare():
     with pytest.raises(InvalidInput):
         Gram(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("gram matrix", lambda: Gram(np.eye(2) * (1 + 1j))),
+        ("gram matrix", lambda: Gram(np.eye(2, dtype=bool))),
+        ("structure constants", lambda: LieAlgebra(make_algebra("L3_2").c * (1 + 1j))),
+        ("E", lambda: make_metric("EX8").trace_q_times(1j * np.eye(8))),
+        ("subspace basis", lambda: Subspace([[True, False]], DEFAULT_TOL)),
+    ],
+    ids=["complex-gram", "bool-gram", "complex-tensor", "complex-E", "bool-basis"],
+)
+def test_complex_and_bool_entries_are_refused_not_cast(name, build):
+    # a cast would drop an imaginary part, or read a bool as 1.0/0.0
+    with pytest.raises(InvalidInput, match=f"^{name} must have real entries, got dtype"):
+        build()
 
 
 def test_signature_minkowski():

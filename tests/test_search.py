@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mlie.catalog import make_algebra
-from mlie.curvature import MetricLieAlgebra, Verdict
+from mlie.curvature import MetricLieAlgebra, Verdict, ricci_operators
 from mlie.doubleext import extend, random_admissible
 from mlie.errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
 from mlie.liealg import LieAlgebra
@@ -46,6 +46,8 @@ def test_einstein_residual_non_nilpotent_matches_ricci_operator():
     a = np.eye(n) + 0.3 * rng.normal(size=(n, n))
     gram = Gram(a.T @ np.diag([-1.0] + [1.0] * (n - 1)) @ a)
     ric = MetricLieAlgebra(algebra, gram).ricci_operator()
+    # the report and the search read one operator, bit for bit
+    assert np.array_equal(ric, ricci_operators(algebra.c, gram.mat[None], False)[0])
     lam = np.trace(ric) / n
     r = einstein_residual(algebra, gram, target="einstein")
     assert r == pytest.approx(np.linalg.norm(ric - lam * np.eye(n)), rel=1e-9)
