@@ -27,9 +27,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
-from .liealg import LieAlgebra, _computed_once, derivation_defects
-from .pseudolin import Gram, Signature, _as_float_array, _cutoff, signatures
+from .errors import ROUTE_MISMATCH, InvalidInput, NotNilpotent
+from .liealg import LieAlgebra, _act, _computed_once
+from .pseudolin import Gram, Signature, _as_float_array, _cutoff, orthonormal_basis
 
 #: Default relative tolerance for Einstein/flatness verdicts.
 VERDICT_TOL = 1e-8
@@ -58,56 +58,45 @@ class CurvatureReport:
 
 # -- the stacked kernel ---------------------------------------------------
 #
-# Pure array functions on one structure tensor c of shape (n,n,n) or a stack
-# of them of shape (m,n,n,n), and a metric g that is either a stack of grams
-# of shape (m,n,n), one per c (MetricLieAlgebra, verify, einstein_residual),
-# or the signs ε of shape (n,) of a pseudo-orthonormal frame, where G = G⁻¹ =
-# η = diag(ε) (the search, which moves the bracket μ and keeps its frame).
-# Every product with the metric goes through _raise_index (G⁻¹·x, a solve
-# against a gram, a sign flip for ε) and _lower_index (x·G or Gᵀ·x, a matmul,
-# a sign flip for ε), whose sign flips give the bits of the solve and the
-# matmul; ricci_operators alone assembles a Ricci route, the 𝒥-route or
-# G⁻¹·ric.  ricci_forms takes no metric; ricci_general_forms and trace_q_sides
-# take grams only.  Contractions are reshapes and matmuls: at these sizes
-# planning an einsum path costs more than doing it.  With g fixed, the Koszul
-# solve and the S_i are linear in c, and the Ricci operators are quadratic.
+# Pure array functions on a stack of brackets μ (m,n,n,n), each written in a
+# pseudo-orthonormal frame ⟨b_i,b_j⟩ = ε_i δ_ij whose signs ε (..., n) have one
+# row per bracket or one for the stack.  There G = G⁻¹ = η = diag(ε): every
+# product with the metric is a sign flip in C order (the Ricci form's bits
+# depend on that layout), _raise_index or _lower_index, and nothing is solved.
+# ricci_operators alone assembles a Ricci route.  Contractions are reshapes and
+# matmuls: at these sizes planning an einsum path costs more than doing it.
+# With ε fixed, the Koszul product and the S_i are linear in μ, and the Ricci
+# operators are quadratic.
 
 
-def _raise_index(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """G⁻¹·x for the grams g (m,n,n), broadcast against x (..., n, k); for the
-    signs ε, the rows of x times ε, in C order as the solve returns them (the
-    bits of the Ricci form built from them depend on that layout)."""
-    if g.ndim == 1:
-        return np.multiply(g[:, None], x, order="C")
-    return np.linalg.solve(g, x)
+def _raise_index(eps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """η·x: the rows of x (..., n, k) times the signs ε (..., n)."""
+    return np.multiply(eps[..., :, None], x, order="C")
 
 
-def _lower_index(x: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Σ_i G[i,j]·x[..., i, ...], the index on axis -1 (x·G) or -2 (Gᵀ·x) of
-    x lowered by the grams g (m,n,n), broadcast against x; for the signs ε, x
-    times ε along that axis."""
-    if g.ndim == 1:
-        return np.multiply(x, g if axis == -1 else g[:, None], order="C")
-    return x @ g if axis == -1 else g.swapaxes(-1, -2) @ x
+def _lower_index(x: np.ndarray, eps: np.ndarray, axis: int = -1) -> np.ndarray:
+    """x·η (axis -1) or η·x (axis -2): x (..., n, k) or (..., k, n) times the
+    signs ε (..., n) along that axis."""
+    return np.multiply(x, eps[..., None, :] if axis == -1 else eps[..., :, None], order="C")
 
 
-def levi_civita_tensors(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """lc[m,i,j,:] = e_i·e_j under g[m], solving the Koszul identity
-    2 G (e_i·e_j) = T[i,j,:] with T[i,j,l] = ⟨[e_i,e_j],e_l⟩ + ⟨[e_l,e_i],e_j⟩
-    + ⟨[e_l,e_j],e_i⟩."""
-    n = c.shape[-1]
-    # cg[m,i,j,l] = ⟨[e_i,e_j], e_l⟩, one c lowered by every g
-    cg = _lower_index(c.reshape(c.shape[:-3] + (n * n, n)), g).reshape(-1, n, n, n)
+def levi_civita_tensors(mu: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """lc[m,i,j,:] = b_i·b_j for the bracket μ[m] in the frame of the signs ε,
+    from the Koszul identity 2 η (b_i·b_j) = T[i,j,:] with T[i,j,l] =
+    ⟨[b_i,b_j],b_l⟩ + ⟨[b_l,b_i],b_j⟩ + ⟨[b_l,b_j],b_i⟩."""
+    m, n = mu.shape[:2]
+    cg = _lower_index(mu.reshape(m, n * n, n), eps).reshape(m, n, n, n)  # ⟨[b_i,b_j], b_l⟩
     t = cg + cg.transpose(0, 2, 3, 1) + cg.transpose(0, 3, 2, 1)
-    lc = 0.5 * _raise_index(g, t.reshape(-1, n * n, n).transpose(0, 2, 1))
-    return lc.transpose(0, 2, 1).reshape(-1, n, n, n)
+    lc = 0.5 * _raise_index(eps, t.reshape(m, n * n, n).transpose(0, 2, 1))
+    return lc.transpose(0, 2, 1).reshape(m, n, n, n)
 
 
-def structure_endo_tensors(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """s[m,i] = S_i under g[m]: S_i = −G⁻¹M_i with M_i[j,k] = c[j,k,i]."""
-    n = c.shape[-1]
-    rhs = np.swapaxes(c, -1, -2).reshape(c.shape[:-3] + (n, n * n))  # one c is solved against every g
-    return -_raise_index(g, rhs).reshape(-1, n, n, n).transpose(0, 2, 1, 3)
+def structure_endo_tensors(mu: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """s[m,i] = S_i for the bracket μ[m] in the frame of the signs ε:
+    S_i = −η·M_i with M_i[j,k] = μ[j,k,i]."""
+    m, n = mu.shape[:2]
+    rhs = np.swapaxes(mu, -1, -2).reshape(m, n, n * n)
+    return -_raise_index(eps, rhs).reshape(m, n, n, n).transpose(0, 2, 1, 3)
 
 
 def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -119,19 +108,18 @@ def _pair_traces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x_flat @ y_t.swapaxes(-1, -2)
 
 
-def j1_j2_operators(s: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """𝒥₁ = −Σ_{i,j} ⟨e_i,e_j⟩ S_i∘S_j and 𝒥₂ = −(tr(S_i∘S_j))_{i,j}·G, from
-    the stack s of structure_endo_tensors."""
+def j1_j2_operators(s: np.ndarray, eps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """𝒥₁ = −Σ_i ε_i S_i∘S_i and 𝒥₂ = −(tr(S_i∘S_j))_{i,j}·η, from the stack s
+    of structure_endo_tensors in the frame of the signs ε."""
     m, n = s.shape[:2]
-    # gs[j] = Σ_i ⟨e_i,e_j⟩ S_i
-    gs = _lower_index(s.reshape(m, n, n * n), g, axis=-2).reshape(m, n, n, n)
+    gs = _lower_index(s.reshape(m, n, n * n), eps, axis=-2).reshape(m, n, n, n)  # gs[j] = ε_j S_j
     j1 = -(gs.transpose(0, 2, 1, 3).reshape(m, n, n * n) @ s.reshape(m, n * n, n))
-    return j1, _lower_index(-_pair_traces(s, s), g)
+    return j1, _lower_index(-_pair_traces(s, s), eps)
 
 
-def q_operators(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+def q_operators(s: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Q = −½𝒥₁ + ¼𝒥₂, the Ricci operator of a nilpotent algebra."""
-    j1, j2 = j1_j2_operators(s, g)
+    j1, j2 = j1_j2_operators(s, eps)
     return -0.5 * j1 + 0.25 * j2
 
 
@@ -147,19 +135,19 @@ def ricci_forms(lc: np.ndarray) -> np.ndarray:
     return (ric + ric.transpose(0, 2, 1)) / 2.0
 
 
-def ricci_general_forms(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+def ricci_general_forms(mu: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """ric(u,v) = −½tr(ad_u∘ad_v) − ½tr(ad_u∘ad_v^*) − ¼tr(J_u∘J_v)
-    − ½⟨ad_H u, v⟩ − ½⟨ad_H v, u⟩ on the basis, symmetrized; any algebra.
-    ad_{e_i} = c[i]ᵀ, its adjoint G⁻¹·c[i]·G, J_{e_i} = Σ_k G[i,k] S_k and H =
-    G⁻¹τ with τ_i = tr ad_{e_i}."""
-    m, n = g.shape[:2]
-    ads = np.swapaxes(c, -1, -2)  # ads[..., i, k, j] = c[..., i, j, k]
-    ad_stars = _raise_index(g[:, None], _lower_index(c, g[:, None]))
-    s = structure_endo_tensors(c, g).reshape(m, n, n * n)
-    js = _lower_index(s, g, axis=-2).reshape(m, n, n, n)
-    h = _raise_index(g, np.trace(c, axis1=-2, axis2=-1).reshape(-1, n, 1))  # H = G⁻¹τ
-    ad_h = (np.swapaxes(h, -1, -2) @ ads.reshape(ads.shape[:-3] + (n, n * n))).reshape(m, n, n)
-    bh = _lower_index(np.swapaxes(ad_h, -1, -2), g)  # bh[i,j] = ⟨ad_H e_i, e_j⟩
+    − ½⟨ad_H u, v⟩ − ½⟨ad_H v, u⟩ on the frame, symmetrized; any algebra.
+    ad_{b_i} = μ[i]ᵀ, its adjoint η·μ[i]·η, J_{b_i} = ε_i S_i and H = η·τ with
+    τ_i = tr ad_{b_i}."""
+    m, n = mu.shape[:2]
+    ads = np.swapaxes(mu, -1, -2)  # ads[m, i, k, j] = μ[m, i, j, k]
+    ad_stars = _raise_index(eps[..., None, :], _lower_index(mu, eps[..., None, :]))
+    s = structure_endo_tensors(mu, eps).reshape(m, n, n * n)
+    js = _lower_index(s, eps, axis=-2).reshape(m, n, n, n)
+    h = _raise_index(eps, np.trace(mu, axis1=-2, axis2=-1).reshape(m, n, 1))  # H = η·τ
+    ad_h = (np.swapaxes(h, -1, -2) @ ads.reshape(m, n, n * n)).reshape(m, n, n)
+    bh = _lower_index(np.swapaxes(ad_h, -1, -2), eps)  # bh[i,j] = ⟨ad_H b_i, b_j⟩
     ric = (
         -0.5 * _pair_traces(ads, ads)
         - 0.5 * _pair_traces(ads, ad_stars)
@@ -169,75 +157,66 @@ def ricci_general_forms(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (ric + np.swapaxes(ric, -1, -2)) / 2.0
 
 
-def trace_q_sides(c: np.ndarray, g: np.ndarray, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Both sides of the trace identity for Q = −½𝒥₁ + ¼𝒥₂, for every gram
-    g[m] and every matrix E[..., :, :], each of shape (m,) + E.shape[:-2].
+def trace_q_sides(mu: np.ndarray, eps: np.ndarray, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Both sides of the trace identity for Q = −½𝒥₁ + ¼𝒥₂, for every bracket
+    μ[m] in the frame of the signs ε and the matrices E[m, ..., :, :] in that
+    frame, each of shape E.shape[:-2]: tr(Q∘E) and ¼ Σ_{i,j} ε_i ε_j
+    ⟨E[b_i,b_j] − [Eb_i,b_j] − [b_i,Eb_j], [b_i,b_j]⟩ (in any basis, G^{ia}
+    G^{jb} in place of ε_i ε_j).  Both sides are linear in E and agree for any
+    E, and both vanish when E is a derivation."""
+    m, n = mu.shape[:2]
+    q = ricci_operators(mu, eps, True)
 
-    They are tr(Q∘E) and ¼ Σ_{i,j,a,b} G^{ia} G^{jb} ⟨E[e_i,e_j] − [Ee_i,e_j]
-    − [e_i,Ee_j], [e_a,e_b]⟩, with (G^{ij}) = G⁻¹; in a pseudo-orthonormal
-    basis (b_i), ⟨b_i,b_i⟩ = ε_i, the sum is ¼ Σ_{i,j} ε_i ε_j ⟨E[b_i,b_j] −
-    [Eb_i,b_j] − [b_i,Eb_j], [b_i,b_j]⟩.  Both sides are linear in E and agree
-    for any E, and both vanish when E is a derivation.  One structure tensor
-    c of shape (n,n,n) only: the derivation defects of E do not depend on g.
-    """
-    m, n = g.shape[:2]
-    q = ricci_operators(c, g, True)
-    lhs = np.trace(q.reshape((m,) + (1,) * (e.ndim - 2) + (n, n)) @ e, axis1=-2, axis2=-1)
-
-    # rhs = ¼ Σ_{i,j} d[i,j,:]·c_sharp[i,j,:] with d the derivation defect of E
-    # and c_sharp[i,j,:] = Σ_{a,b} G^{ia} G^{jb} G[e_a,e_b]: one (m, n³) @ (n³, K)
-    # matmul over the K matrices E, never the (m, K, n, n, n) product d·c_sharp
-    cg = _lower_index(c.reshape(n * n, n), g).reshape(m, n, n * n)
-    c_sharp = _raise_index(g[:, None], _raise_index(g, cg).reshape(m, n, n, n))
-    d = derivation_defects(c, e).reshape(-1, n**3)
-    rhs = 0.25 * (c_sharp.reshape(m, n**3) @ d.T)
-    return lhs, rhs.reshape(lhs.shape)
+    # the bracket side is ¼⟨R, E⟩, R[k,l] = Σ_{ij} c♯[i,j,k] μ[i,j,l] − 2 Σ_{jp}
+    # μ[k,j,p] c♯[l,j,p] with c♯[i,j,p] = ε_i ε_j ε_p μ[i,j,p] (the three terms of
+    # the derivation defect, two equal as μ is skew): never a stack of defects
+    cg = _lower_index(mu.reshape(m, n * n, n), eps).reshape(m, n, n * n)
+    c_sharp = _raise_index(eps[..., None, :], _raise_index(eps, cg).reshape(m, n, n, n))
+    r = c_sharp.reshape(m, n * n, n).swapaxes(-1, -2) @ mu.reshape(m, n * n, n)
+    r -= 2.0 * mu.reshape(m, n, n * n) @ c_sharp.reshape(m, n, n * n).swapaxes(-1, -2)
+    flat_e = e.reshape(m, -1, n * n)
+    lhs = flat_e @ q.swapaxes(-1, -2).reshape(m, n * n, 1)  # tr(Q∘E) = ⟨Qᵀ, E⟩
+    rhs = flat_e @ (0.25 * r).reshape(m, n * n, 1)
+    return lhs.reshape(e.shape[:-2]), rhs.reshape(e.shape[:-2])
 
 
-def ricci_operators(c: np.ndarray, g: np.ndarray, nilpotent: bool) -> np.ndarray:
-    """Ricci operators for a stack of grams, or for a stack of brackets in the
-    frame of the signs ε: Q from the S_i when the algebra is nilpotent, G⁻¹·ric
-    from the Levi-Civita product otherwise.  No degeneracy checks: the caller
-    vouches for every gram."""
+def ricci_operators(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndarray:
+    """Ricci operators for a stack of brackets in the frame of the signs ε: Q
+    from the S_i when the algebra is nilpotent, η·ric from the Levi-Civita
+    product otherwise."""
     if nilpotent:
-        return q_operators(structure_endo_tensors(c, g), g)
-    return _raise_index(g, ricci_forms(levi_civita_tensors(c, g)))
-
-
-def _checked_gram(grams: np.ndarray, algebra: LieAlgebra) -> Signature:
-    """The inertia of a stack of symmetric grams (k, n, n), such as
-    Gram.mat[None], as signatures gives it, decided by one eigvalsh at
-    algebra.tol; refused unless every gram is n x n and nondegenerate."""
-    if grams.shape[1:] != (algebra.n, algebra.n):
-        raise InvalidInput("gram size does not match algebra dimension")
-    inertia = signatures(grams, algebra.tol)
-    if inertia.null.any():
-        raise DegenerateGram("metric gram matrix is degenerate at tolerance")
-    return inertia
+        return q_operators(structure_endo_tensors(mu, eps), eps)
+    return _raise_index(eps, ricci_forms(levi_civita_tensors(mu, eps)))
 
 
 @dataclass(frozen=True, eq=False)
 class MetricLieAlgebra:
-    """A Lie algebra together with a nondegenerate ⟨,⟩, whose signature and
-    nilpotency (which picks the Ricci route) are decided once, at the
-    algebra's ``tol``.
+    """A Lie algebra together with a nondegenerate ⟨,⟩, whose signature,
+    pseudo-orthonormal frame G = AᵀηA and nilpotency (which picks the Ricci
+    route) are decided once, at the algebra's ``tol``.
 
-    Building one only checks the gram.  The Levi-Civita tensor, the Ricci
-    facts and the flatness defect (not the S_i) are computed on first use and
-    kept read-only, as the algebra keeps its facts, so instances are safe to
-    share; the report of ``einstein_classify`` is computed once per tol and kept.
+    Building one only takes the frame.  Each curvature fact (not the S_i) is
+    computed on first use at the bracket μ = A·c of the frame, mapped back to
+    the input basis once (an operator X by B·X·A, a form by Aᵀ·X·A, the
+    Levi-Civita tensor by B = A⁻¹) and kept read-only, as the algebra keeps
+    its facts, so instances are safe to share; the report of
+    ``einstein_classify`` is computed once per tol and kept.
     """
 
     algebra: LieAlgebra
     gram: Gram
 
     def __init__(self, algebra: LieAlgebra, gram: Gram) -> None:
-        if not isinstance(gram, Gram):
-            gram = Gram(gram)
-        minus, plus, null = _checked_gram(gram.mat[None], algebra)
+        gram = gram if isinstance(gram, Gram) else Gram(gram)
+        if gram.n != algebra.n:
+            raise InvalidInput("gram size does not match algebra dimension")
+        b, eps = orthonormal_basis(gram, algebra.tol)  # DegenerateGram on a null direction
+        minus = int(np.count_nonzero(eps < 0))  # ε is minus-first
+        a = (eps[:, None] * b.T) @ gram.mat  # B⁻¹ = η·Bᵀ·G, as BᵀGB = η
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_signature", Signature(int(minus[0]), int(plus[0]), int(null[0])))
+        object.__setattr__(self, "_signature", Signature(minus, algebra.n - minus, 0))
+        object.__setattr__(self, "_frame", (eps[None], a[None], b[None]))  # ε, A, B: a stack of one
         object.__setattr__(self, "_memo", {})  # facts computed once, by method
         object.__setattr__(self, "_reports", {})  # einstein_classify's reports, by tol
 
@@ -248,9 +227,30 @@ class MetricLieAlgebra:
     def signature(self) -> Signature:
         return self._signature
 
+    # -- the frame --------------------------------------------------------
+
+    def _moved_back(self, x: np.ndarray, form: bool = False) -> np.ndarray:
+        """X (1, n, n) of the frame in the input basis: B·X·A, or Aᵀ·X·A for a
+        form, symmetrized as ricci_forms symmetrizes."""
+        _, a, b = self._frame
+        y = ((a.swapaxes(-1, -2) if form else b) @ x @ a)[0]
+        return (y + y.T) / 2.0 if form else y
+
+    @_computed_once
+    def _brackets(self) -> np.ndarray:
+        """μ = A·c, the bracket in the frame (a stack of one)."""
+        _, a, b = self._frame
+        return _act(a, b, self.algebra.c)
+
+    @_computed_once
+    def _levi_civita_frame(self) -> np.ndarray:
+        return levi_civita_tensors(self._brackets(), self._frame[0])
+
     @_computed_once
     def _levi_civita(self) -> np.ndarray:
-        return levi_civita_tensors(self.algebra.c, self.gram.mat[None])[0]
+        """lc[i, k] = e_i·e_k, the frame's product transported by B."""
+        _, a, b = self._frame
+        return _act(b, a, self._levi_civita_frame()[0])[0]
 
     # -- curvature --------------------------------------------------------
 
@@ -276,53 +276,57 @@ class MetricLieAlgebra:
     @_computed_once
     def ricci_via_definition(self) -> np.ndarray:
         """ric(e_i,e_j) = −tr(R_i R_j) + tr(R_{e_i·e_j}); symmetric matrix."""
-        return ricci_forms(self._levi_civita()[None])[0]
+        return self._moved_back(_raise_index(self._frame[0], self._ricci_definitional()), True)  # η·η = I
 
     def j1_j2(self) -> Tuple[np.ndarray, np.ndarray]:
         """The self-adjoint operators 𝒥₁ and 𝒥₂ built from the S_i."""
-        g = self.gram.mat[None]
-        j1, j2 = j1_j2_operators(structure_endo_tensors(self.algebra.c, g), g)
-        return j1[0], j2[0]
+        eps = self._frame[0]
+        j1, j2 = j1_j2_operators(structure_endo_tensors(self._brackets(), eps), eps)
+        return self._moved_back(j1), self._moved_back(j2)
+
+    @_computed_once
+    def _ricci_nilpotent_frame(self) -> np.ndarray:
+        return ricci_operators(self._brackets(), self._frame[0], True)
 
     @_computed_once
     def ricci_nilpotent(self) -> np.ndarray:
         """Ricci operator −½𝒥₁ + ¼𝒥₂; only valid on nilpotent algebras."""
         if not self.algebra.is_nilpotent():
             raise NotNilpotent("the 𝒥-form of the Ricci operator needs a nilpotent algebra")
-        return ricci_operators(self.algebra.c, self.gram.mat[None], True)[0]
+        return self._moved_back(self._ricci_nilpotent_frame())
 
     def ricci_general(self) -> np.ndarray:
         """Ricci form from the adjoint/J/mean-vector expression; any algebra."""
-        return ricci_general_forms(self.algebra.c, self.gram.mat[None])[0]
+        return self._moved_back(ricci_general_forms(self._brackets(), self._frame[0]), True)
 
     # -- trace identity ---------------------------------------------------
 
     def trace_q_times(self, e) -> Tuple[np.ndarray, np.ndarray]:
-        """Both sides of the trace identity (see trace_q_sides) for a matrix
-        or a stack of matrices E[..., :, :], each of shape E.shape[:-2] (numpy
-        scalars for one matrix)."""
+        """Both sides of the trace identity (see trace_q_sides) for a matrix or a
+        stack E[..., :, :], each of shape E.shape[:-2] (numpy scalars for one)."""
         e = _as_float_array(e, "E", square=self.n)
-        lhs, rhs = trace_q_sides(self.algebra.c, self.gram.mat[None], e)
+        eps, a, b = self._frame
+        lhs, rhs = trace_q_sides(self._brackets(), eps, (a[0] @ e @ b[0])[None])  # E in the frame
         return lhs[0], rhs[0]
 
     # -- verdicts ---------------------------------------------------------
 
     @_computed_once
     def _ricci_definitional(self) -> np.ndarray:
-        """G⁻¹·ric, the Ricci operator of the definitional route."""
-        return _raise_index(self.gram.mat[None], self.ricci_via_definition()[None])[0]
+        """η·ric_η, the Ricci operator of the definitional route in the frame."""
+        return _raise_index(self._frame[0], ricci_forms(self._levi_civita_frame()))
 
     @_computed_once
     def ricci_operator(self) -> np.ndarray:
-        """Ric = G^{-1}·ric: the 𝒥-route when nilpotent, cross-checked against
-        the definitional route (ROUTE_MISMATCH), the definitional route otherwise."""
+        """Ric = G^{-1}·ric: the 𝒥-route when nilpotent, cross-checked in the frame
+        against the definitional route (ROUTE_MISMATCH), else the definitional."""
         ric_def = self._ricci_definitional()
         if not self.algebra.is_nilpotent():
-            return ric_def
-        ric_nil = self.ricci_nilpotent()
+            return self._moved_back(ric_def)
+        ric_nil = self._ricci_nilpotent_frame()
         if np.abs(ric_nil - ric_def).max(initial=0.0) > _cutoff(1e-6, ric_nil):
             raise RuntimeError(ROUTE_MISMATCH)
-        return ric_nil
+        return self.ricci_nilpotent()
 
     def einstein_classify(self, tol: float = VERDICT_TOL) -> CurvatureReport:
         """Classify as Flat / RicciFlat / Einstein(λ≠0) / NotEinstein.
@@ -346,7 +350,7 @@ class MetricLieAlgebra:
         lam = float(np.trace(ric_op)) / self.n
         cut = _cutoff(tol, ric_op)
         residual = float(np.abs(ric_op - lam * np.eye(self.n)).max(initial=0.0))
-        scalar = float(np.trace(self._ricci_definitional()))
+        scalar = float(np.trace(self._ricci_definitional()[0]))
 
         k_defect, k_scale = self.flatness_defect()
         flat = k_defect <= _cutoff(tol, k_scale)

@@ -229,8 +229,8 @@ def model_residual(m: MetricLieAlgebra, dec: Decomposition) -> float:
     """Largest entrywise mismatch between m pulled through the basis change
     and the model extension of dec.data; small for a correct decomposition.
     A measurement only: dec.data is not checked for the bracket condition."""
+    p = _as_float_array(dec.basis_change, "basis change", ndim=2, square=m.n)
     model_algebra, model_gram = _model(dec.data, m.algebra.tol)
-    p = dec.basis_change
     c_new = act_on_brackets(np.linalg.inv(p)[None], m.algebra.c)[0]  # P⁻¹[Pe_a, Pe_b]
     g_new = p.T @ m.gram.mat @ p
     db = float(np.abs(c_new - model_algebra.c).max(initial=0.0))

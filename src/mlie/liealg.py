@@ -102,15 +102,20 @@ class LieAlgebra:
 
     # -- basic operations -------------------------------------------------
 
+    def _vectors(self, u, name: str) -> np.ndarray:
+        """u as real, finite vectors of R^n[..., :] (InvalidInput otherwise)."""
+        u = _as_float_array(u, name)
+        if u.shape[-1:] != (self.n,):
+            raise InvalidInput(f"{name} must have a last axis of length {self.n}, got shape {u.shape}")
+        return u
+
     def bracket(self, u, v) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return np.einsum("ijk,i,j->k", self.c, u, v)
+        """[u, v]; the stack of them for stacks of u[..., :] and v[..., :]."""
+        return np.einsum("ijk,...i,...j->...k", self.c, self._vectors(u, "u"), self._vectors(v, "v"))
 
     def ad(self, u) -> np.ndarray:
         """Matrix of ad_u = [u, ·]; the stack of them for a stack of u[..., :]."""
-        u = np.asarray(u, dtype=float)
-        return np.einsum("...i,ijk->...kj", u, self.c)
+        return np.einsum("...i,ijk->...kj", self._vectors(u, "u"), self.c)
 
     def jacobi_defect(self) -> float:
         """Sup-norm of [[u,v],w] + [[v,w],u] + [[w,u],v] over basis triples."""
@@ -211,8 +216,13 @@ def derivation_defects(c: np.ndarray, e: np.ndarray) -> np.ndarray:
 def act_on_brackets(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """μ[r] = A[r]·c for a stack of factors A (m, n, n): μ(x, y) = A c(A⁻¹x, A⁻¹y),
     so μ[i,j,k] = Σ B[p,i] B[q,j] c[p,q,l] A[k,l] with B = A⁻¹."""
+    return _act(a, np.linalg.inv(a), c)
+
+
+def _act(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """act_on_brackets(a, c) for factors a whose inverses b are known."""
     m, n = a.shape[:2]
-    b_t = np.linalg.inv(a).transpose(0, 2, 1)
+    b_t = b.transpose(0, 2, 1)
     ca = c @ a.transpose(0, 2, 1)[:, None]  # [p,q,k] = Σ_l c[p,q,l] A[k,l]
     half = (b_t @ ca.reshape(m, n, n * n)).reshape(m, n, n, n)  # [i,q,k]
     return b_t[:, None] @ half

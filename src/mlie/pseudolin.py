@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import DegenerateGram, InvalidInput
 
 #: Default relative tolerance for rank / signature / degeneracy decisions.
 DEFAULT_TOL = 1e-9
@@ -24,8 +24,7 @@ def _cutoff(tol: float, *arrays) -> float:
     entry): the one place a tolerance is validated (InvalidInput unless it is
     a positive finite number, so ``_cutoff(tol)`` validates alone) and turned
     into the cutoff every rank, degeneracy, inertia, verdict, admissibility
-    and parameter decision compares against (``signatures`` takes it matrix
-    by matrix, for the inertia of a stack).  Left outside on purpose: the
+    and parameter decision compares against.  Left outside on purpose: the
     bound of ``LieAlgebra.require_jacobi``, tol·max|c|² with no floor so that
     a scaled bracket keeps its Jacobi verdict; the roundoff scale that
     ``MetricLieAlgebra.flatness_defect`` returns for ``verify``; ``verify``'s
@@ -194,8 +193,11 @@ class Subspace:
         return self.basis.shape[1]
 
     def contains(self, v) -> bool:
-        """Whether v lies in the span of the basis rows, at the subspace's tol."""
-        v = _as_float_array(v, "vector")
+        """Whether the vector v of R^ambient_dim lies in the span of the basis
+        rows, at the subspace's tol."""
+        v = _as_float_array(v, "vector", ndim=1)
+        if len(v) != self.ambient_dim:
+            raise InvalidInput(f"vector must have length {self.ambient_dim}, got {len(v)}")
         cut = _cutoff(self.tol, v)
         if self.dim == 0:
             return bool(np.linalg.norm(v) <= cut)
@@ -226,25 +228,12 @@ def nullspace(m, tol: float) -> np.ndarray:
 
 
 def signature(g: Gram, tol: float = DEFAULT_TOL) -> Signature:
-    """Inertia (minus, plus, null) of g: the one-matrix case of signatures."""
-    minus, plus, null = signatures(g.mat[None], tol)
-    return Signature(int(minus[0]), int(plus[0]), int(null[0]))
-
-
-def signatures(mats: np.ndarray, tol: float) -> Signature:
-    """Inertia of every symmetric matrix of a (k, n, n) stack, from one
-    stacked eigvalsh: a Signature of three (k,) integer arrays.
-
-    Eigenvalues within _cutoff(tol, w) = tol * max(1, |λ|_max) of zero, w the
-    eigenvalues of the one matrix, count as null; ties exactly at the
-    boundary also count as null.
-    """
-    _cutoff(tol)
-    w = np.linalg.eigvalsh(mats)
-    cut = tol * np.abs(w).max(axis=-1, initial=1.0)[:, None]  # _cutoff(tol, w[k]), row by row
-    minus = np.add.reduce(w < -cut, axis=-1)
-    plus = np.add.reduce(w > cut, axis=-1)
-    return Signature(minus=minus, plus=plus, null=w.shape[-1] - minus - plus)
+    """Inertia (minus, plus, null) of g, from one eigvalsh: eigenvalues at or
+    within _cutoff(tol, w) = tol * max(1, |λ|_max) of zero count as null."""
+    w = np.linalg.eigvalsh(g.mat)
+    cut = _cutoff(tol, w)
+    minus, plus = int(np.count_nonzero(w < -cut)), int(np.count_nonzero(w > cut))
+    return Signature(minus=minus, plus=plus, null=g.n - minus - plus)
 
 
 def restricted_gram(g: Gram, f: Subspace) -> Gram:
@@ -301,13 +290,13 @@ def find_isotropic_in(g: Gram, f: Subspace) -> Optional[np.ndarray]:
 
 
 def orthonormal_basis(g: Gram, tol: float):
-    """Pseudo-orthonormal basis for a nondegenerate g.
+    """Pseudo-orthonormal basis for a nondegenerate g, decided at tol.
 
     Returns (B, eps) where the columns of B satisfy ⟨b_a, b_b⟩ = eps_a δ_ab
-    with eps_a = ±1, ordered minus-first (eigenvalue ascending).
-    """
+    with eps_a = ±1, ordered minus-first (eigenvalue ascending); an eigenvalue
+    that signature would count as null raises DegenerateGram."""
     w, vecs = np.linalg.eigh(g.mat)
     if np.abs(w).min(initial=np.inf) <= _cutoff(tol, w):
-        raise InvalidInput("gram matrix is degenerate at tolerance")
+        raise DegenerateGram("metric gram matrix is degenerate at tolerance")
     b = vecs / np.sqrt(np.abs(w))
     return b, np.sign(w)

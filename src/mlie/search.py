@@ -28,9 +28,8 @@ fixed spec.  A restart converges only when one einstein_classify of its gram
 at VERDICT_TOL gives the target's verdict and ‖Ric − λ̂·Id‖_F ≤ spec.tol.
 
 The forward and Jacobian calls hand the kernel the frame as its signs ε,
-η = diag(ε), so every solve and product against η is a sign flip with the
-bits of the solve; only the classification of a restart's gram AᵀηA, and
-einstein_residual, pass a gram to curvature and solve against it.
+η = diag(ε), so every product with η is a sign flip; settle and
+einstein_residual build a MetricLieAlgebra, which takes its gram's own frame.
 """
 from __future__ import annotations
 
@@ -40,7 +39,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict, _checked_gram, ricci_operators
+from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict, ricci_operators
 from .errors import DegenerateGram, InvalidInput, is_route_mismatch
 from .liealg import LieAlgebra, act_on_brackets, derivation_defects
 from .pseudolin import Gram, _cutoff, _nonnegative
@@ -72,10 +71,8 @@ def einstein_residual(algebra: LieAlgebra, gram, target: str = "einstein") -> fl
     target and λ̂ = 0 for the Ricci-flat target."""
     if target not in TARGETS:
         raise InvalidInput(f"target must be one of {TARGETS}")
-    g = (gram if isinstance(gram, Gram) else Gram(gram)).mat[None]
-    _checked_gram(g, algebra)
-    ric = ricci_operators(algebra.c, g, algebra.is_nilpotent())
-    return float(_norms(_deviations(ric, target == "einstein"))[0])
+    ric = MetricLieAlgebra(algebra, gram).ricci_operator()
+    return float(_norms(_deviations(ric[None], target == "einstein"))[0])
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .catalog import (
 from .curvature import (
     VERDICT_TOL,
     Verdict,
-    _checked_gram,
     _raise_index,
     j1_j2_operators,
     levi_civita_tensors,
@@ -48,6 +47,7 @@ from .doubleext import (
     ricci_ebar,
 )
 from .errors import ConstraintViolation, UnknownName
+from .liealg import act_on_brackets
 from .pseudolin import SubspaceTag, _cutoff, classify_subspace
 from .search import SearchSpec, run_search
 
@@ -74,15 +74,13 @@ def _rng(check_index: int) -> np.random.Generator:
     return np.random.default_rng([_BASE_SEED, check_index])
 
 
-def _random_gram(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random nondegenerate form A^T η A with η = diag(±1), symmetric only up
-    to roundoff: a stack of them is symmetrized at once, as Gram does."""
+def _random_frame(rng: np.random.Generator, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(A, ε): the frame of a random nondegenerate form AᵀηA, η = diag(ε)."""
     while True:
         a = np.eye(n) + 0.3 * rng.normal(size=(n, n))
         if np.linalg.svd(a, compute_uv=False)[-1] >= 1e-3:
             break
-    eta = rng.choice([-1.0, 1.0], size=n)
-    return (a.T * eta) @ a  # a.T @ diag(eta) @ a, bit for bit: the products by ±1 are exact
+    return a, rng.choice([-1.0, 1.0], size=n)
 
 
 def _sample_params(mv: MetricVariant, rng: np.random.Generator) -> List[Dict[str, float]]:
@@ -113,15 +111,13 @@ def _variant_instances(rng: np.random.Generator, draws: int = 5):
                 yield mv, params, make_metric(mv.algebra, mv.name, params)
 
 
-def _catalog_stacks(rng: np.random.Generator, grams: int = 20):
-    """(name, algebra, G) for every catalog algebra, G a (grams, n, n) stack of
-    random grams whose inertia is decided, and nondegeneracy checked, at once."""
+def _catalog_frames(rng: np.random.Generator, grams: int = 20):
+    """(name, algebra, A, μ, ε) for every catalog algebra: the frames (A, ε) of
+    random forms AᵀηA as stacks, and μ = A·c, the bracket in each frame."""
     for name in ALGEBRA_NAMES:
         algebra = make_algebra(name)
-        g = np.array([_random_gram(rng, algebra.n) for _ in range(grams)])
-        g = (g + g.transpose(0, 2, 1)) / 2.0
-        _checked_gram(g, algebra)
-        yield name, algebra, g
+        a, eps = map(np.array, zip(*[_random_frame(rng, algebra.n) for _ in range(grams)]))
+        yield name, algebra, a, act_on_brackets(a, algebra.c), eps
 
 
 def _sup_gaps(ref: np.ndarray, other: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -296,15 +292,15 @@ def check_route_equivalence(tol: float) -> _Claim:
     failures: List[str] = []
     worst = 0.0
     count = 0
-    for name, algebra, g in _catalog_stacks(rng):
-        count += len(g)
-        r_def = ricci_forms(levi_civita_tensors(algebra.c, g))
-        d_form, scale = _sup_gaps(r_def, ricci_general_forms(algebra.c, g))
+    for name, algebra, _, mu, eps in _catalog_frames(rng):
+        count += len(mu)
+        r_def = ricci_forms(levi_civita_tensors(mu, eps))
+        d_form, scale = _sup_gaps(r_def, ricci_general_forms(mu, eps))
         worst = max(worst, float((d_form / scale).max()))
         bad_form = d_form > tol * scale
-        bad_op = np.zeros(len(g), dtype=bool)
+        bad_op = np.zeros(len(mu), dtype=bool)
         if algebra.is_nilpotent():
-            d_op, op_scale = _sup_gaps(_raise_index(g, r_def), ricci_operators(algebra.c, g, True))
+            d_op, op_scale = _sup_gaps(_raise_index(eps, r_def), ricci_operators(mu, eps, True))
             worst = max(worst, float((d_op / op_scale).max()))
             bad_op = d_op > tol * op_scale
         for k in np.flatnonzero(bad_form | bad_op):
@@ -326,9 +322,9 @@ def check_trace_j1_j2(tol: float) -> _Claim:
     failures: List[str] = []
     worst = 0.0
     count = 0
-    for name, algebra, g in _catalog_stacks(rng):
-        count += len(g)
-        j1, j2 = j1_j2_operators(structure_endo_tensors(algebra.c, g), g)
+    for name, algebra, _, mu, eps in _catalog_frames(rng):
+        count += len(mu)
+        j1, j2 = j1_j2_operators(structure_endo_tensors(mu, eps), eps)
         t1, t2 = np.trace(j1, axis1=1, axis2=2), np.trace(j2, axis1=1, axis2=2)
         scale = np.maximum(np.abs(t1), 1.0)
         diff = np.abs(t1 - t2)
@@ -349,14 +345,17 @@ def check_trace_formula(tol: float) -> _Claim:
     failures: List[str] = []
     worst = 0.0
     count = 0
-    # Both sides are linear in E, so agreement on the n² unit matrices (a basis
-    # of gl(n)) is agreement for every E; the derivation basis follows them.
-    for name, algebra, g in _catalog_stacks(rng):
-        count += len(g)
+    # Both sides are linear in E, so agreement on the n² unit matrices of the
+    # frame (a basis of gl(n)) is agreement for every E; the derivation basis,
+    # moved to each frame as A·D·A⁻¹, follows them.
+    for name, algebra, a, mu, eps in _catalog_frames(rng):
+        count += len(mu)
         n = algebra.n
         units = n * n
-        e = np.concatenate([np.eye(units).reshape(units, n, n), algebra.derivation_space()])
-        lhs, rhs = trace_q_sides(algebra.c, g, e)
+        unit_e = np.broadcast_to(np.eye(units).reshape(units, n, n), (len(a), units, n, n))
+        moved = a[:, None] @ algebra.derivation_space() @ np.linalg.inv(a)[:, None]
+        e = np.concatenate([unit_e, moved], axis=1)
+        lhs, rhs = trace_q_sides(mu, eps, e)
         big = np.maximum(np.abs(lhs), np.abs(rhs))
         scale = np.maximum(1.0, big)
         gap = np.concatenate([np.abs(lhs - rhs)[:, :units], big[:, units:]], axis=1)

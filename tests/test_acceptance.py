@@ -45,7 +45,7 @@ def test_trace_formula_check_fails_on_a_perturbed_q(monkeypatch):
 
 def test_the_catalog_checks_make_one_stacked_kernel_call_per_algebra(monkeypatch):
     # route-equivalence, trace-j1-j2 and trace-formula each hand the kernel one
-    # stack of 20 grams per catalog algebra and build no MetricLieAlgebra
+    # stack of 20 frames per catalog algebra and build no MetricLieAlgebra
     kernels = {
         "route-equivalence": "ricci_general_forms",
         "trace-j1-j2": "j1_j2_operators",
@@ -58,7 +58,7 @@ def test_the_catalog_checks_make_one_stacked_kernel_call_per_algebra(monkeypatch
         kernel = getattr(verify, name)
 
         def recording(*args):
-            stacks[name].append(args[1].shape[0])  # the gram stack follows c, or the S_i
+            stacks[name].append(args[1].shape[0])  # the signs ε follow μ, or the S_i
             return kernel(*args)
 
         return recording

@@ -259,12 +259,12 @@ STRUCTURE_METHODS = (
 
 #: decisions each command must be seen taking
 TOL_DECISIONS = {
-    "ricci": {"require_jacobi", "is_nilpotent", "signatures"},
-    "double-extend": {"signatures"},
-    "decompose": {"require_jacobi", "is_nilpotent", "center", "signatures"},
-    "classify": {"require_jacobi", "is_nilpotent", "center", "derived_ideal", "signatures"},
+    "ricci": {"require_jacobi", "is_nilpotent", "orthonormal_basis"},
+    "double-extend": {"orthonormal_basis"},
+    "decompose": {"require_jacobi", "is_nilpotent", "center", "orthonormal_basis"},
+    "classify": {"require_jacobi", "is_nilpotent", "center", "derived_ideal", "orthonormal_basis", "signature"},
     "derivations": {"require_jacobi", "derivation_space"},
-    "search": {"require_jacobi", "is_nilpotent", "derivation_space", "signatures"},
+    "search": {"require_jacobi", "is_nilpotent", "derivation_space", "orthonormal_basis"},
 }
 
 
@@ -291,23 +291,24 @@ def test_tol_reaches_every_nilpotency_and_inertia_decision(tmp_path, capsys, mon
     algebra_cls = mlie.liealg.LieAlgebra
     for name in STRUCTURE_METHODS:
         monkeypatch.setattr(algebra_cls, name, spy_method(getattr(algebra_cls, name)))
-    # every inertia decision, signature's too, is taken by signatures, which is
-    # patched wherever a module holds it, since modules look names up in their own globals
-    signatures = mlie.pseudolin.signatures
-    params = inspect.signature(signatures)
+    # every inertia decision is taken by orthonormal_basis (a metric's build)
+    # or signature (a subspace's class), each patched wherever a module holds
+    # it, since modules look names up in their own globals
+    for decide in (mlie.pseudolin.orthonormal_basis, mlie.pseudolin.signature):
+        params = inspect.signature(decide)
 
-    @functools.wraps(signatures)
-    def recording(*args, **kwargs):
-        bound = params.bind(*args, **kwargs)
-        bound.apply_defaults()
-        seen.append(("signatures", bound.arguments["tol"]))
-        return signatures(*args, **kwargs)
+        @functools.wraps(decide)
+        def recording(*args, _decide=decide, _params=params, **kwargs):
+            bound = _params.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((_decide.__name__, bound.arguments["tol"]))
+            return _decide(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "mlie" or name.startswith("mlie."):
-            for key, value in list(vars(module).items()):
-                if value is signatures:
-                    monkeypatch.setattr(module, key, recording)
+        for name, module in list(sys.modules.items()):
+            if name == "mlie" or name.startswith("mlie."):
+                for key, value in list(vars(module).items()):
+                    if value is decide:
+                        monkeypatch.setattr(module, key, recording)
 
     code, _, _ = run_cli(capsys, command, str(path), "--tol", "1e-6")
     assert code == 0
@@ -476,11 +477,19 @@ def test_ricci_into_a_pipe_closed_by_its_reader(ex8_file):
     assert proc.stderr == b""
 
 
-def test_ricci_route_mismatch_exit_1(capsys):
+def test_ricci_route_mismatch_exit_1(capsys, monkeypatch):
     # L5_8 with an ill-conditioned gram (cond 6.5e5, signature (2,3)), on
-    # which the two Ricci routes differ beyond the cross-check bound
+    # which the two Ricci routes once differed beyond the cross-check bound;
+    # in the metric's frame they agree, and the verdict is NotEinstein
+    path = str(DATA / "l58_route_mismatch.json")
+    code, out, err = run_cli(capsys, "ricci", path)
+    assert code == 0 and err == ""
+    assert "NotEinstein" in out
+    # routes forced apart: exit 1 with the one error line
+    exact_q = mlie.curvature.q_operators
+    monkeypatch.setattr(mlie.curvature, "q_operators", lambda s, eps: exact_q(s, eps) + 1.0)
     for _ in range(2):  # a second call in the same process fails the same way
-        code, out, err = run_cli(capsys, "ricci", str(DATA / "l58_route_mismatch.json"))
+        code, out, err = run_cli(capsys, "ricci", path)
         assert code == 1
         assert out == ""
         assert err == "error: internal Ricci routes disagree beyond cross-check bound\n"

@@ -11,9 +11,6 @@ from mlie.catalog import ALGEBRA_NAMES, make_algebra, make_metric
 from mlie.curvature import (
     MetricLieAlgebra,
     Verdict,
-    _checked_gram,
-    levi_civita_tensors,
-    q_operators,
     ricci_general_forms,
     ricci_operators,
     structure_endo_tensors,
@@ -32,13 +29,18 @@ def euclidean_heisenberg():
     )
 
 
-def random_gram(n, rng):
+def random_frame(n, rng):
+    """(A, ε) of a random nondegenerate gram AᵀηA, η = diag(ε)."""
     while True:
         a = np.eye(n) + 0.3 * rng.normal(size=(n, n))
         if np.linalg.svd(a, compute_uv=False)[-1] >= 1e-3:
             break
-    eta = rng.choice([-1.0, 1.0], size=n)
-    return Gram(a.T @ np.diag(eta) @ a)
+    return a, rng.choice([-1.0, 1.0], size=n)
+
+
+def random_gram(n, rng):
+    a, eps = random_frame(n, rng)
+    return Gram(a.T @ np.diag(eps) @ a)
 
 
 def random_metric(name, rng):
@@ -69,8 +71,8 @@ def test_metric_algebra_decides_its_signature_once_at_its_tol():
 
 
 def levi_civita(m):
-    """lc[i, j] = e_i·e_j of m, from the stacked Koszul kernel."""
-    return levi_civita_tensors(m.algebra.c, m.gram.mat[None])[0]
+    """lc[i, j] = e_i·e_j of m, from the stacked Koszul kernel in m's frame."""
+    return m._levi_civita()
 
 
 def test_levi_civita_heisenberg_table():
@@ -104,8 +106,8 @@ def test_ricci_heisenberg_diagonal():
 
 
 def test_structure_endos_heisenberg():
-    m = euclidean_heisenberg()
-    s = structure_endo_tensors(m.algebra.c, m.gram.mat[None])[0]
+    m = euclidean_heisenberg()  # its gram is I, so the frame is the basis itself
+    s = structure_endo_tensors(m.algebra.c[None], np.ones(3))[0]
     assert s[0] == pytest.approx(np.zeros((3, 3)))
     assert s[1] == pytest.approx(np.zeros((3, 3)))
     assert s[2] @ np.array([1.0, 0.0, 0.0]) == pytest.approx([0.0, 1.0, 0.0])
@@ -128,14 +130,19 @@ def test_ricci_nilpotent_requires_nilpotent():
             m.ricci_nilpotent()
 
 
-def test_route_mismatch_on_an_ill_conditioned_gram():
-    # L5_8 with a gram of cond 6.5e5: the 𝒥-route and G⁻¹·ric differ by
-    # 1.2e-6 of max|Ric|, beyond the 1e-6 cross-check bound
-    algebra, gram, _ = read_algebra(
-        str(Path(__file__).parent / "data" / "l58_route_mismatch.json"), DEFAULT_TOL
-    )
+def test_route_mismatch_on_an_ill_conditioned_gram(monkeypatch):
+    # L5_8 with a gram of cond 6.5e5: in the input basis the 𝒥-route and
+    # G⁻¹·ric differed by 1.2e-6 of max|Ric|, beyond the 1e-6 cross-check
+    # bound; in the metric's frame, where no route solves, they agree
+    path = str(Path(__file__).parent / "data" / "l58_route_mismatch.json")
+    algebra, gram, _ = read_algebra(path, DEFAULT_TOL)
+    assert MetricLieAlgebra(algebra, gram).einstein_classify().verdict is Verdict.NOT_EINSTEIN
+
+    # routes forced apart: the cross-check raises, and a raise is never kept
+    exact_q = mlie.curvature.q_operators
+    monkeypatch.setattr(mlie.curvature, "q_operators", lambda s, eps: exact_q(s, eps) + 1.0)
     m = MetricLieAlgebra(algebra, gram)
-    for _ in range(2):  # a raise is never kept: the second call raises too
+    for _ in range(2):  # the second call raises too
         for call in (m.einstein_classify, m.ricci_operator):
             with pytest.raises(RuntimeError, match="internal Ricci routes disagree") as err:
                 call()
@@ -242,25 +249,32 @@ def test_route_equivalence_random():
             assert np.abs(op - nil).max() < 1e-8 * op_scale
 
 
+def random_frames(algebra, rng, count):
+    """(A, ε, μ = A·c, metrics) for count random frames of the algebra: the
+    metric of each is the gram AᵀηA, in whose frame A the bracket is μ."""
+    a, eps = map(np.array, zip(*[random_frame(algebra.n, rng) for _ in range(count)]))
+    metrics = [MetricLieAlgebra(algebra, Gram(f.T @ np.diag(s) @ f)) for f, s in zip(a, eps)]
+    return a, eps, act_on_brackets(a, algebra.c), metrics
+
+
 def test_ricci_operators_stack_matches_per_gram():
+    # the stack, in frames other than the metrics' own, moved back by A⁻¹·Ric·A
     rng = np.random.default_rng(43)
     non_nilpotent = extend(random_admissible(rng, f_dim=2, blocks=1, nilpotent=False)).algebra
     for algebra in (make_algebra("L5_2"), non_nilpotent):
-        metrics = [MetricLieAlgebra(algebra, random_gram(algebra.n, rng)) for _ in range(3)]
-        grams = np.array([m.gram.mat for m in metrics])
-        stack = ricci_operators(algebra.c, grams, algebra.is_nilpotent())
+        a, eps, mu, metrics = random_frames(algebra, rng, 3)
+        stack = np.linalg.solve(a, ricci_operators(mu, eps, algebra.is_nilpotent()) @ a)
         for got, m in zip(stack, metrics):
             want = m.ricci_operator()
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_the_metric_enters_the_kernel_in_one_place():
-    # G⁻¹ is applied only inside _raise_index, and the 𝒥-route is assembled
-    # only in ricci_operators, so moving a metric to its frame changes those
+    # the kernel takes the signs of a frame, so nothing in mlie.curvature
+    # solves or inverts, and the 𝒥-route is assembled only in ricci_operators
     kernel = Path(mlie.curvature.__file__)
-    raise_index = inspect.getsource(mlie.curvature._raise_index)
     for name in ("np.linalg.inv", "np.linalg.solve"):
-        assert kernel.read_text().count(name) == raise_index.count(name), name
+        assert name not in kernel.read_text(), name
     assert "np.linalg" not in inspect.getsource(mlie.verify.check_route_equivalence)
     assembled = [
         path.name
@@ -271,51 +285,17 @@ def test_the_metric_enters_the_kernel_in_one_place():
     assert "q_operators(structure_endo_tensors(" in inspect.getsource(mlie.curvature.ricci_operators)
 
 
-def _signed_frames():
-    """(structure tensor or stack of brackets μ = A·c, signs ε) for nilpotent
-    catalog algebras and μ ≠ 0 extensions, in signatures (k, n − k)."""
-    rng = np.random.default_rng(53)
-    algebras = [make_algebra(name) for name in ("L4_3", "L5_2", "EX8")]
-    for seed in range(3):
-        data = random_admissible(np.random.default_rng(seed), f_dim=2, blocks=1, nilpotent=False)
-        assert data.mu != 0.0
-        algebras.append(extend(data).algebra)
-    for algebra in algebras:
-        n = algebra.n
-        mu = act_on_brackets(np.eye(n) + 0.3 * rng.normal(size=(40, n, n)), algebra.c)
-        for k in sorted({0, 1, n // 2, n - 1}):
-            eps = np.array([-1.0] * k + [1.0] * (n - k))
-            yield algebra.c, eps
-            yield mu, eps
-
-
-def test_the_kernel_in_a_signed_frame_has_the_bits_of_the_gram_kernel():
-    # with the signs ε of a pseudo-orthonormal frame, every solve and product
-    # against η = diag(ε) is a sign flip; the kernel returns the bits it
-    # returns on the gram stack η, on both routes, and so builds lc in the
-    # layout of the solve, which the Ricci form's matmuls see
-    for c, eps in _signed_frames():
-        eta = np.diag(eps)
-        grams = np.broadcast_to(eta, (len(c) if c.ndim == 4 else 1,) + eta.shape)
-        for kernel in (structure_endo_tensors, levi_civita_tensors):
-            assert np.array_equal(kernel(c, eps), kernel(c, grams))
-        s = structure_endo_tensors(c, grams)
-        assert np.array_equal(q_operators(s, eps), q_operators(s, grams))
-        for nilpotent in (True, False):
-            want = ricci_operators(c, grams, nilpotent)
-            assert np.array_equal(ricci_operators(c, eps, nilpotent), want)
-
-
 def test_stacked_kernels_match_the_per_gram_methods():
+    # a stack of frames (A, ε) against the metrics AᵀηA: forms move back by
+    # Aᵀ·ric·A, and E moves into each frame as A·E·A⁻¹
     rng = np.random.default_rng(47)
     general = extend(random_admissible(rng, f_dim=2, blocks=1, nilpotent=False)).algebra
     for algebra in (make_algebra("L5_2"), make_algebra("EX8"), general):
         n = algebra.n
-        metrics = [MetricLieAlgebra(algebra, random_gram(n, rng)) for _ in range(3)]
-        grams = np.array([m.gram.mat for m in metrics])
+        a, eps, mu, metrics = random_frames(algebra, rng, 3)
         e = rng.normal(size=(4, n, n))
-        forms = ricci_general_forms(algebra.c, grams)
-        lhs, rhs = trace_q_sides(algebra.c, grams, e)
+        forms = a.transpose(0, 2, 1) @ ricci_general_forms(mu, eps) @ a
+        lhs, rhs = trace_q_sides(mu, eps, a[:, None] @ e @ np.linalg.inv(a)[:, None])
         assert forms.shape == (3, n, n) and lhs.shape == rhs.shape == (3, 4)
         for k, m in enumerate(metrics):
             want = m.ricci_general()
@@ -330,19 +310,37 @@ def test_stacked_kernels_match_the_per_gram_methods():
     assert np.abs(np.trace(general.ad(np.eye(general.n)), axis1=1, axis2=2)).max() > 0.1
 
 
-def test_a_gram_stack_with_one_degenerate_member_is_refused():
-    algebra = make_algebra("L3_2")
-    grams = np.array([np.diag([-1.0, 1.0, 2.0]), np.diag([1.0, 1.0, 1.0]), np.diag([-1.0, -3.0, 1.0])])
-    assert [tuple(int(x) for x in row) for row in zip(*_checked_gram(grams, algebra))] == [
-        (1, 2, 0),
-        (0, 3, 0),
-        (2, 1, 0),
-    ]
-    grams[1, 2, 2] = 1e-10  # null at the algebra's cutoff 1e-9
-    with pytest.raises(DegenerateGram):
-        _checked_gram(grams, algebra)
-    with pytest.raises(DegenerateGram):
-        MetricLieAlgebra(algebra, Gram(grams[1]))
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_facts_move_with_a_change_of_basis(name):
+    # the bracket P·c with the gram P⁻ᵀGP⁻¹ is the same metric algebra in the
+    # basis P·e: Ric′ = P·Ric·P⁻¹, ric′ = P⁻ᵀ·ric·P⁻¹, and the same verdict
+    rng = np.random.default_rng(59)
+    m = random_metric(name, rng)
+    n = m.n
+    p = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+    p_inv = np.linalg.inv(p)
+    moved = MetricLieAlgebra(
+        LieAlgebra(act_on_brackets(p[None], m.algebra.c)[0]), Gram(p_inv.T @ m.gram.mat @ p_inv)
+    )
+    for got, want in (
+        (moved.ricci_operator(), p @ m.ricci_operator() @ p_inv),
+        (moved.ricci_via_definition(), p_inv.T @ m.ricci_via_definition() @ p_inv),
+    ):
+        assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+    assert moved.signature() == m.signature()
+    assert moved.einstein_classify().verdict is m.einstein_classify().verdict
+
+
+def test_a_metric_takes_its_frame_by_the_eigh_rule():
+    # G = AᵀηA, and ε = diag(η) lists the minus signs first
+    rng = np.random.default_rng(61)
+    for name in ALGEBRA_NAMES:
+        m = random_metric(name, rng)
+        eps, a, b = (x[0] for x in m._frame)
+        g = m.gram.mat
+        assert np.abs(a.T @ np.diag(eps) @ a - g).max() <= 1e-12 * np.abs(g).max()
+        minus = m.signature().minus
+        assert np.array_equal(eps, [-1.0] * minus + [1.0] * (m.n - minus))
 
 
 def test_trace_identity_heisenberg_identity_map():

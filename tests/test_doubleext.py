@@ -186,6 +186,17 @@ def test_model_residual_measures_non_lie_data():
     assert np.isfinite(resid) and resid >= 1.0
 
 
+def test_model_residual_refuses_a_basis_change_of_another_size():
+    m = extend(random_admissible(np.random.default_rng(3), f_dim=0, blocks=1))
+    dec = decompose(m)
+    n = m.n
+    for bad in (np.eye(3), np.eye(n + 1), np.ones(n), np.stack([np.eye(n)] * 2)):
+        with pytest.raises(InvalidInput, match="^basis change must be"):
+            model_residual(m, dec._replace(basis_change=bad))
+    with pytest.raises(InvalidInput, match="^basis change must be"):
+        model_residual(make_metric("EX8"), dec._replace(basis_change=np.eye(3)))
+
+
 def test_decompose_none_for_definite_center():
     assert decompose(make_metric("EX6")) is None
 

@@ -154,6 +154,10 @@ def test_subspace_validation():
     assert s.dim == 1
     assert s.contains([2.0, 0.0, 0.0])
     assert not s.contains([0.0, 1.0, 0.0])
+    # a vector of another space is refused, not handed to numpy's lstsq
+    for space in (s, make_algebra("L3_2").center(), Subspace.full(3, DEFAULT_TOL)):
+        with pytest.raises(InvalidInput, match="vector must have length 3, got 2"):
+            space.contains([1.0, 0.0])
     for bad in (0.0, -1e-9, float("nan"), float("inf")):
         with pytest.raises(InvalidInput, match="positive finite"):
             Subspace(np.zeros((0, 3)), bad)

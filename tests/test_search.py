@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mlie.catalog import make_algebra
-from mlie.curvature import MetricLieAlgebra, Verdict, ricci_operators
+from mlie.curvature import MetricLieAlgebra, Verdict
 from mlie.doubleext import extend, random_admissible
 from mlie.errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
 from mlie.liealg import LieAlgebra
@@ -45,9 +45,11 @@ def test_einstein_residual_non_nilpotent_matches_ricci_operator():
     n = algebra.n
     a = np.eye(n) + 0.3 * rng.normal(size=(n, n))
     gram = Gram(a.T @ np.diag([-1.0] + [1.0] * (n - 1)) @ a)
-    ric = MetricLieAlgebra(algebra, gram).ricci_operator()
-    # the report and the search read one operator, bit for bit
-    assert np.array_equal(ric, ricci_operators(algebra.c, gram.mat[None], False)[0])
+    m = MetricLieAlgebra(algebra, gram)
+    ric = m.ricci_operator()
+    # the definitional route, moved back from the metric's frame, is G⁻¹·ric
+    want = np.linalg.solve(gram.mat, m.ricci_via_definition())
+    assert np.abs(ric - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
     lam = np.trace(ric) / n
     r = einstein_residual(algebra, gram, target="einstein")
     assert r == pytest.approx(np.linalg.norm(ric - lam * np.eye(n)), rel=1e-9)
@@ -328,18 +330,19 @@ def test_residual_of_a_converged_search_is_its_einstein_residual(name, signature
     assert result.residual == einstein_residual(algebra, result.best_gram, "ricci-flat")
 
 
-def _curvature_solves_by_search_caller(monkeypatch):
-    """Count the np.linalg.solve and np.linalg.inv calls made from
-    mlie.curvature, by the name of the mlie.search function that led to them."""
+def _solves_by_search_caller(monkeypatch):
+    """Count the np.linalg.solve and np.linalg.inv calls made from mlie
+    modules, by (calling module, the mlie.search function that led to them)."""
     calls = Counter()
     for name in ("solve", "inv"):
 
         def spy(*args, _real=getattr(np.linalg, name), **kwargs):
             frame = sys._getframe(1)
-            if frame.f_globals.get("__name__") == "mlie.curvature":
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith("mlie."):
                 while frame.f_globals.get("__name__") != "mlie.search":
                     frame = frame.f_back
-                calls[frame.f_code.co_name] += 1
+                calls[module, frame.f_code.co_name] += 1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
@@ -348,11 +351,13 @@ def _curvature_solves_by_search_caller(monkeypatch):
 
 @pytest.mark.parametrize("case, seed, restarts", [("L4_3", 0, 8), ("non-nilpotent", 1, 2)])
 def test_the_search_solves_nothing_against_its_frame(case, seed, restarts, monkeypatch):
-    # in the frame η = diag(ε) every solve of the kernel is a sign flip: only
-    # settle, which classifies a converged gram AᵀηA, solves in mlie.curvature
-    calls = _curvature_solves_by_search_caller(monkeypatch)
+    # in the frame η = diag(ε) every solve of the kernel is a sign flip, and
+    # settle's classification of a converged gram AᵀηA works in that gram's
+    # own frame: nothing called from mlie.curvature solves or inverts
     algebra = _case_algebra(case)
     assert algebra.is_nilpotent() == (case != "non-nilpotent")
     spec = SearchSpec(algebra, signature=(1, algebra.n - 1), seed=seed, restarts=restarts)
+    calls = _solves_by_search_caller(monkeypatch)
     assert run_search(spec).converged
-    assert set(calls) == {"settle"}
+    assert ("mlie.liealg", "_forward") in calls  # the spy sees act_on_brackets' inverse
+    assert set(caller for module, caller in calls if module == "mlie.curvature") == set()
