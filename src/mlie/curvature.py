@@ -63,7 +63,9 @@ class CurvatureReport:
 # row per bracket or one for the stack.  There G = G⁻¹ = η = diag(ε): every
 # product with the metric is a sign flip in C order (the Ricci form's bits
 # depend on that layout), _raise_index or _lower_index, and nothing is solved.
-# ricci_operators alone assembles a Ricci route.  Contractions are reshapes and
+# ricci_operators alone assembles the 𝒥- and Levi-Civita routes; the bracket
+# form of the nilpotent Q, which the search and the bracket side of the trace
+# identity read, is q_bracket_operators.  Contractions are reshapes and
 # matmuls: at these sizes planning an einsum path costs more than doing it.
 # With ε fixed, the Koszul product and the S_i are linear in μ, and the Ricci
 # operators are quadratic.
@@ -123,6 +125,21 @@ def q_operators(s: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return -0.5 * j1 + 0.25 * j2
 
 
+def q_bracket_operators(mu: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Q = ¼Rᵀ, the Ricci operator of a nilpotent algebra from the bracket μ
+    alone, in the frame of the signs ε: R[k,l] = Σ_{ij} c♯[i,j,k] μ[i,j,l] −
+    2 Σ_{jp} μ[k,j,p] c♯[l,j,p] with c♯[i,j,p] = ε_i ε_j ε_p μ[i,j,p].  It is
+    the bracket side of the trace identity (trace_q_sides), ¼⟨R, E⟩ = tr(Q∘E)
+    for every E, and, with ε fixed, a quadratic form in μ."""
+    m, n = mu.shape[:2]
+    signs = eps[..., :, None, None] * eps[..., None, :, None] * eps[..., None, None, :]
+    c_sharp = mu * signs  # exact: each entry changes sign or not
+    # Rᵀ[l,k] = Σ_{ij} μ[i,j,l] c♯[i,j,k] − 2 Σ_{jp} c♯[l,j,p] μ[k,j,p]
+    rt = np.swapaxes(mu.reshape(m, n * n, n), -1, -2) @ c_sharp.reshape(m, n * n, n)
+    rt -= 2.0 * (c_sharp.reshape(m, n, n * n) @ np.swapaxes(mu.reshape(m, n, n * n), -1, -2))
+    return 0.25 * rt
+
+
 def ricci_forms(lc: np.ndarray) -> np.ndarray:
     """ric(e_a,e_b) = −tr(R_a∘R_b) + tr(R_{e_a·e_b}), symmetrized, from the
     stack lc of levi_civita_tensors; R_a[k,j] = lc[j,a,k]."""
@@ -163,20 +180,16 @@ def trace_q_sides(mu: np.ndarray, eps: np.ndarray, e: np.ndarray) -> Tuple[np.nd
     frame, each of shape E.shape[:-2]: tr(Q∘E) and ¼ Σ_{i,j} ε_i ε_j
     ⟨E[b_i,b_j] − [Eb_i,b_j] − [b_i,Eb_j], [b_i,b_j]⟩ (in any basis, G^{ia}
     G^{jb} in place of ε_i ε_j).  Both sides are linear in E and agree for any
-    E, and both vanish when E is a derivation."""
+    E, and both vanish when E is a derivation.  The left side takes Q from the
+    S_i (ricci_operators), the right side is ¼⟨R, E⟩ = ⟨Q_bᵀ, E⟩ with Q_b from
+    q_bracket_operators (the three terms of the derivation defect, two equal
+    as μ is skew): two independent formulas, and never a stack of defects."""
     m, n = mu.shape[:2]
-    q = ricci_operators(mu, eps, True)
-
-    # the bracket side is ¼⟨R, E⟩, R[k,l] = Σ_{ij} c♯[i,j,k] μ[i,j,l] − 2 Σ_{jp}
-    # μ[k,j,p] c♯[l,j,p] with c♯[i,j,p] = ε_i ε_j ε_p μ[i,j,p] (the three terms of
-    # the derivation defect, two equal as μ is skew): never a stack of defects
-    cg = _lower_index(mu.reshape(m, n * n, n), eps).reshape(m, n, n * n)
-    c_sharp = _raise_index(eps[..., None, :], _raise_index(eps, cg).reshape(m, n, n, n))
-    r = c_sharp.reshape(m, n * n, n).swapaxes(-1, -2) @ mu.reshape(m, n * n, n)
-    r -= 2.0 * mu.reshape(m, n, n * n) @ c_sharp.reshape(m, n, n * n).swapaxes(-1, -2)
     flat_e = e.reshape(m, -1, n * n)
-    lhs = flat_e @ q.swapaxes(-1, -2).reshape(m, n * n, 1)  # tr(Q∘E) = ⟨Qᵀ, E⟩
-    rhs = flat_e @ (0.25 * r).reshape(m, n * n, 1)
+    lhs, rhs = (
+        flat_e @ q.swapaxes(-1, -2).reshape(m, n * n, 1)  # tr(Q∘E) = ⟨Qᵀ, E⟩
+        for q in (ricci_operators(mu, eps, True), q_bracket_operators(mu, eps))
+    )
     return lhs.reshape(e.shape[:-2]), rhs.reshape(e.shape[:-2])
 
 
@@ -187,6 +200,15 @@ def ricci_operators(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndar
     if nilpotent:
         return q_operators(structure_endo_tensors(mu, eps), eps)
     return _raise_index(eps, ricci_forms(levi_civita_tensors(mu, eps)))
+
+
+def _einstein_defect(ric: np.ndarray, tol: float) -> Tuple[float, float, float]:
+    """(λ, max|Ric − λ·Id|, cutoff) for a Ricci operator Ric, with λ = tr(Ric)/n
+    and cutoff _cutoff(tol, Ric): the verdict's Einstein test passes when the
+    residual is within the cutoff."""
+    lam = float(np.trace(ric)) / len(ric)
+    residual = float(np.abs(ric - lam * np.eye(len(ric))).max(initial=0.0))
+    return lam, residual, _cutoff(tol, ric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,9 +369,7 @@ class MetricLieAlgebra:
     def _classify(self, tol: float) -> CurvatureReport:
         """einstein_classify, computed from the kept facts."""
         ric_op = self.ricci_operator()
-        lam = float(np.trace(ric_op)) / self.n
-        cut = _cutoff(tol, ric_op)
-        residual = float(np.abs(ric_op - lam * np.eye(self.n)).max(initial=0.0))
+        lam, residual, cut = _einstein_defect(ric_op, tol)
         scalar = float(np.trace(self._ricci_definitional()[0]))
 
         k_defect, k_scale = self.flatness_defect()

@@ -68,8 +68,7 @@ class ExtensionData:
         v = k.shape[0] if k.ndim else 0
         if k.shape != (v, v) or d.shape != k.shape:
             raise InvalidInput(f"K must be square and D must have K's shape: {k.shape}, {d.shape}")
-        if not np.isfinite(mu):
-            raise InvalidInput("mu must be finite")
+        mu = _as_float_array(mu, "mu", ndim=0)
         bb = np.zeros(v) if b is None else _as_float_array(b, "b")
         if bb.shape != (v,):
             raise InvalidInput(f"b must have shape ({v},)")

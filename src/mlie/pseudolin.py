@@ -58,13 +58,18 @@ def _nonnegative(n: int, name: str) -> int:
 def _as_float_array(
     a, name: str, ndim: Optional[int] = None, square: Optional[int] = None
 ) -> np.ndarray:
-    """a as a float array; InvalidInput unless it is real (not bool or complex)
-    and finite, has ndim axes when ndim is given, and is a matrix of shape
-    (square, square) or a stack of them when square is given."""
-    arr = np.asarray(a)
-    if arr.dtype.kind in "bc":
+    """a as a float array; InvalidInput unless it is an array of numbers (not
+    ragged, not text) that are real (not bool or complex) and finite, has ndim
+    axes when ndim is given, and is a matrix of shape (square, square) or a
+    stack of them when square is given."""
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind in "iufO":
+            arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError):  # a ragged nesting, or an entry that is no number
+        raise InvalidInput(f"{name} must be an array of numbers") from None
+    if arr.dtype.kind != "f":
         raise InvalidInput(f"{name} must have real entries, got dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{name} contains non-finite entries")
     if ndim is not None and arr.ndim != ndim:

@@ -6,13 +6,15 @@ frame e·A⁻¹ pseudo-orthonormal; there the bracket is μ = A·c, μ(x,y) =
 A c(A⁻¹x, A⁻¹y), and Ric_G = A⁻¹ Ric_η(μ) A.  The search keeps η fixed and
 moves μ along its orbit, A ← (I+X)A with |det A| held at 1, towards a zero of
 r(μ) = (Ric_η(μ) − λ̂·Id)/‖μ‖², which does not change when the metric or the
-bracket is scaled (Lauret, Math. Ann. 2001).  Ric_η(μ) is quadratic in μ, so
-its derivative along the orbit tangent ν = E·μ is exact by polarization,
-dRic[ν] = (Ric_η(μ+ν) − Ric_η(μ−ν))/2.  Every E in Der(μ) = A·Der(c)·A⁻¹
-leaves μ fixed (ν = 0), so the Jacobian is built only on a Frobenius-
-orthonormal basis of the complement of Der(μ) in gl(n); the damped step is
-the same as on all of gl(n), and one iteration evaluates 2(n² − dim Der(c))
-sides per restart instead of 2n²:
+bracket is scaled (Lauret, Math. Ann. 2001).  On a nilpotent algebra
+Ric_η(μ) is taken from its bracket form Q = ¼Rᵀ (curvature.q_bracket_operators,
+two matmuls on μ), otherwise from the Levi-Civita route.  Ric_η(μ) is
+quadratic in μ, so its derivative along the orbit tangent ν = E·μ is exact
+by polarization, dRic[ν] = (Ric_η(μ+ν) − Ric_η(μ−ν))/2.  Every E in Der(μ) =
+A·Der(c)·A⁻¹ leaves μ fixed (ν = 0), so the Jacobian is built only on a
+Frobenius-orthonormal basis of the complement of Der(μ) in gl(n); the damped
+step is the same as on all of gl(n), and one iteration evaluates
+2(n² − dim Der(c)) sides per restart instead of 2n²:
 
     algebra                 L3_2  L4_2  L4_3  L5_2  EX8
     sides on all of gl(n)     18    32    32    50  128
@@ -26,6 +28,9 @@ restart's trajectory does not depend on its stack mates; each one stops for
 its own reason (STOP_REASONS), and the whole search is deterministic for a
 fixed spec.  A restart converges only when one einstein_classify of its gram
 at VERDICT_TOL gives the target's verdict and ‖Ric − λ̂·Id‖_F ≤ spec.tol.
+Only candidates are classified: a restart within spec.tol whose own Ric_G =
+A⁻¹·Ric_η(μ)·A, from the solve that measured it, fails the verdict's
+Einstein test goes on with no classification.
 
 The forward and Jacobian calls hand the kernel the frame as its signs ε,
 η = diag(ε), so every product with η is a sign flip; settle and
@@ -39,7 +44,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict, ricci_operators
+from .curvature import (
+    VERDICT_TOL,
+    MetricLieAlgebra,
+    Verdict,
+    _einstein_defect,
+    q_bracket_operators,
+    ricci_operators,
+)
 from .errors import DegenerateGram, InvalidInput, is_route_mismatch
 from .liealg import LieAlgebra, act_on_brackets, derivation_defects
 from .pseudolin import Gram, _cutoff, _nonnegative
@@ -142,21 +154,32 @@ def _scale_free(mu: np.ndarray, dev: np.ndarray) -> np.ndarray:
     return np.divide(dev, sq, out=np.zeros_like(dev), where=sq > 0)
 
 
+def _ricci(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndarray:
+    """Ric_η(μ) for a stack of brackets μ in the frame η = diag(eps): the
+    bracket form when the algebra is nilpotent, else the Levi-Civita route."""
+    return q_bracket_operators(mu, eps) if nilpotent else ricci_operators(mu, eps, False)
+
+
 def _forward(
     a: np.ndarray, c: np.ndarray, eps: np.ndarray, nilpotent: bool, einstein: bool
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(μ, Ric_η(μ) − λ̂·Id, r) for a stack of factors A of grams AᵀηA on c,
     with η = diag(eps)."""
     mu = act_on_brackets(a, c)
-    ric = ricci_operators(mu, eps, nilpotent)
+    ric = _ricci(mu, eps, nilpotent)
     dev = _deviations(ric, einstein)
     return mu, dev, _scale_free(mu, dev)
+
+
+def _in_gram_basis(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A⁻¹·X·A: operators X of the frames η carried to the grams G = AᵀηA."""
+    return np.linalg.solve(a, x @ a)
 
 
 def _absolute(a: np.ndarray, dev: np.ndarray) -> np.ndarray:
     """‖Ric_G − λ̂·Id‖_F = ‖A⁻¹(Ric_η(μ) − λ̂·Id)A‖_F for the grams G = AᵀηA,
     from the deviations dev in the frame η."""
-    return _norms(np.linalg.solve(a, dev @ a))
+    return _norms(_in_gram_basis(a, dev))
 
 
 def _orbit_directions(a: np.ndarray, derivations: np.ndarray) -> np.ndarray:
@@ -181,13 +204,13 @@ def _jacobians(
     """J[m] of shape (n², k), for brackets μ[m] ≠ 0 in the frame η = diag(eps)
     with deviations dev[m] and matrices E = directions[m] (or one stack of
     them for every m) of shape (k, n, n): column j is the derivative of r at μ[m]
-    along the orbit tangent ν = E_j·μ.  One stacked ricci_operators call
-    evaluates all 2k sides μ ± ν of every m."""
+    along the orbit tangent ν = E_j·μ.  One stacked _ricci call evaluates all
+    2k sides μ ± ν of every m."""
     m, n = mu.shape[:2]
     nu = derivation_defects(mu[:, None], directions)
     k = nu.shape[1]
     sides = np.concatenate([mu[:, None] + nu, mu[:, None] - nu]).reshape(-1, n, n, n)
-    ric = ricci_operators(sides, eps, nilpotent)
+    ric = _ricci(sides, eps, nilpotent)
     plus, minus = _deviations(ric, einstein).reshape(2, m, k, n, n)
     sq = _sq_norms(mu)[:, None, None, None]
     d_sq = 2.0 * (nu.reshape(m, k, -1) @ mu.reshape(m, -1, 1))[..., None]  # d‖μ‖²[ν]
@@ -232,10 +255,18 @@ def run_search(spec: SearchSpec) -> SearchResult:
     f_checkpoint = np.full(count, np.inf)
     reasons = np.full(count, "", dtype=object)
 
-    def settle(i: int) -> Tuple[str, float]:
-        """(stop reason, residual) of restart i, from one classification of
-        its gram: the reason is "converged" when the residual is within
-        spec.tol and the verdict meets the target, and "" to go on."""
+    def settle(i: int, dev_g: np.ndarray) -> Tuple[str, float]:
+        """(stop reason, residual) of restart i, whose Ric_G − λ̂·Id = dev_g is
+        within spec.tol.  Only when Ric_G passes the verdict's Einstein test
+        is its gram classified, once: the reason is "converged" when the
+        classifier's residual is within spec.tol and its verdict meets the
+        target, and "" to go on."""
+        ric = dev_g
+        if einstein:  # the cutoff reads Ric_G, so λ̂ goes back in
+            ric = dev_g + np.trace(_ricci(mu[i][None], eps, nilpotent)[0]) / n * np.eye(n)
+        _, defect, cut = _einstein_defect(ric, VERDICT_TOL)
+        if defect > cut:
+            return "", residual[i]
         try:
             report = MetricLieAlgebra(algebra, Gram(a[i].T @ eta @ a[i])).einstein_classify(VERDICT_TOL)
         except (DegenerateGram, RuntimeError) as err:
@@ -248,9 +279,10 @@ def run_search(spec: SearchSpec) -> SearchResult:
 
     running = np.arange(count)
     while True:
-        residual[running] = _absolute(a[running], dev[running])
-        for i in running[residual[running] <= spec.tol]:
-            reasons[i], residual[i] = settle(i)
+        dev_g = _in_gram_basis(a[running], dev[running])
+        residual[running] = _norms(dev_g)
+        for k in np.flatnonzero(residual[running] <= spec.tol):
+            reasons[running[k]], residual[running[k]] = settle(running[k], dev_g[k])
         running = running[reasons[running] == ""]
         reasons[running[np.linalg.cond(a[running]) > _MAX_COND]] = "degenerating"
         running = running[reasons[running] == ""]

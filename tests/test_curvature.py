@@ -11,6 +11,7 @@ from mlie.catalog import ALGEBRA_NAMES, make_algebra, make_metric
 from mlie.curvature import (
     MetricLieAlgebra,
     Verdict,
+    q_bracket_operators,
     ricci_general_forms,
     ricci_operators,
     structure_endo_tensors,
@@ -267,6 +268,24 @@ def test_ricci_operators_stack_matches_per_gram():
         for got, m in zip(stack, metrics):
             want = m.ricci_operator()
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_bracket_form_matches_the_j_route(name):
+    # Q = ¼Rᵀ from the bracket alone is −½𝒥₁ + ¼𝒥₂ from the S_i, for a stack
+    # of frames of mixed signature, one row of signs per bracket
+    algebra = make_algebra(name)
+    n = algebra.n
+    rng = np.random.default_rng([53, n])
+    frames = [random_frame(n, rng)[0] for _ in range(4)]
+    signs = [[-1.0, 1.0, *rng.choice([-1.0, 1.0], size=n - 2)] for _ in frames]
+    eps = np.array([rng.permutation(row) for row in signs])
+    mu = act_on_brackets(np.array(frames), algebra.c)
+    want = ricci_operators(mu, eps, True)
+    got = q_bracket_operators(mu, eps)
+    assert got.shape == want.shape == (4, n, n)
+    assert np.abs(want).max() > 0.1
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_the_metric_enters_the_kernel_in_one_place():

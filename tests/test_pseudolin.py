@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mlie.catalog import make_algebra, make_metric
-from mlie.doubleext import kd_generate
+from mlie.curvature import MetricLieAlgebra
+from mlie.doubleext import ExtensionData, kd_generate
 from mlie.errors import InvalidInput, SingularK0
 from mlie.liealg import LieAlgebra
 from mlie.pseudolin import (
@@ -61,6 +62,49 @@ def test_gram_rejects_nonsquare():
 def test_complex_and_bool_entries_are_refused_not_cast(name, build):
     # a cast would drop an imaginary part, or read a bool as 1.0/0.0
     with pytest.raises(InvalidInput, match=f"^{name} must have real entries, got dtype"):
+        build()
+
+
+_RAGGED_TENSOR = [[[0.0, 1.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Gram([[1, 2], [3]]),
+        lambda: Gram("x"),
+        lambda: Gram([["1", "0"], ["0", "1"]]),
+        lambda: LieAlgebra(_RAGGED_TENSOR),
+        lambda: LieAlgebra("c"),
+        lambda: Subspace([[1.0, 0.0], [0.0]], DEFAULT_TOL),
+        lambda: MetricLieAlgebra(make_algebra("L3_2"), [[1.0, 0.0, 0.0], [0.0, 1.0]]),
+        lambda: ExtensionData([[0.0, 1.0], [-1.0]], np.zeros((2, 2))),
+        lambda: ExtensionData(np.zeros((2, 2)), "D"),
+        lambda: ExtensionData(np.zeros((2, 2)), np.zeros((2, 2)), mu=np.array([1.0, 2.0])),
+        lambda: ExtensionData(np.zeros((2, 2)), np.zeros((2, 2)), mu="a"),
+        lambda: ExtensionData(np.zeros((2, 2)), np.zeros((2, 2)), mu=True),
+        lambda: ExtensionData(np.zeros((2, 2)), np.zeros((2, 2)), b=[0.0, "b"]),
+    ],
+    ids=[
+        "ragged-gram",
+        "text-gram",
+        "numeric-text-gram",
+        "ragged-tensor",
+        "text-tensor",
+        "ragged-basis",
+        "ragged-metric-gram",
+        "ragged-K",
+        "text-D",
+        "array-mu",
+        "text-mu",
+        "bool-mu",
+        "text-b",
+    ],
+)
+def test_arrays_that_are_not_numbers_are_refused(build):
+    # a ragged nesting or text is refused as input, not let out as a numpy
+    # error, and a numeric string is not cast
+    with pytest.raises(InvalidInput):
         build()
 
 
