@@ -6,6 +6,7 @@ below the cutoff count as null.
 """
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -64,6 +65,8 @@ def _as_float_array(
     stack of them when square is given."""
     try:
         arr = np.asarray(a)
+        if arr.dtype.kind == "O" and not all(isinstance(x, numbers.Number) for x in arr.flat):
+            raise TypeError  # the cast would read None as NaN and parse a string
         if arr.dtype.kind in "iufO":
             arr = arr.astype(float, copy=False)
     except (TypeError, ValueError):  # a ragged nesting, or an entry that is no number

@@ -28,9 +28,12 @@ restart's trajectory does not depend on its stack mates; each one stops for
 its own reason (STOP_REASONS), and the whole search is deterministic for a
 fixed spec.  A restart converges only when one einstein_classify of its gram
 at VERDICT_TOL gives the target's verdict and ‖Ric − λ̂·Id‖_F ≤ spec.tol.
-Only candidates are classified: a restart within spec.tol whose own Ric_G =
-A⁻¹·Ric_η(μ)·A, from the solve that measured it, fails the verdict's
-Einstein test goes on with no classification.
+Each forward call inverts its factors once, and B = A⁻¹ makes the bracket
+μ = A·c, the derivations A·Der(c)·B and Ric_G = B·Ric_η(μ)·A, which leaves
+the frame as a metric's operators do (MetricLieAlgebra._moved_back), with no
+solve.  Only candidates are classified: a restart whose Ric_G is within
+spec.tol of λ̂·Id but fails the verdict's Einstein test goes on with no
+classification.
 
 The forward and Jacobian calls hand the kernel the frame as its signs ε,
 η = diag(ε), so every product with η is a sign flip; settle and
@@ -53,7 +56,7 @@ from .curvature import (
     ricci_operators,
 )
 from .errors import DegenerateGram, InvalidInput, is_route_mismatch
-from .liealg import LieAlgebra, act_on_brackets, derivation_defects
+from .liealg import LieAlgebra, _act, derivation_defects
 from .pseudolin import Gram, _cutoff, _nonnegative
 
 TARGETS = ("einstein", "ricci-flat")
@@ -84,7 +87,7 @@ def einstein_residual(algebra: LieAlgebra, gram, target: str = "einstein") -> fl
     if target not in TARGETS:
         raise InvalidInput(f"target must be one of {TARGETS}")
     ric = MetricLieAlgebra(algebra, gram).ricci_operator()
-    return float(_norms(_deviations(ric[None], target == "einstein"))[0])
+    return float(_residuals(ric[None], target == "einstein")[0])
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,11 @@ def _deviations(ric: np.ndarray, einstein: bool) -> np.ndarray:
     return ric
 
 
+def _residuals(ric: np.ndarray, einstein: bool) -> np.ndarray:
+    """‖Ric − λ̂·Id‖_F for a stack of Ricci operators."""
+    return _norms(_deviations(ric, einstein))
+
+
 def _sq_norms(x: np.ndarray) -> np.ndarray:
     """Squared Frobenius norms of the items of a stack."""
     flat = x.reshape(len(x), math.prod(x.shape[1:]))
@@ -162,47 +170,36 @@ def _ricci(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndarray:
 
 def _forward(
     a: np.ndarray, c: np.ndarray, eps: np.ndarray, nilpotent: bool, einstein: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(μ, Ric_η(μ) − λ̂·Id, r) for a stack of factors A of grams AᵀηA on c,
-    with η = diag(eps)."""
-    mu = act_on_brackets(a, c)
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(B, μ, Ric_η(μ), r) for a stack of factors A of grams AᵀηA on c, with
+    B = A⁻¹ and η = diag(eps)."""
+    b = np.linalg.inv(a)
+    mu = _act(a, b, c)
     ric = _ricci(mu, eps, nilpotent)
-    dev = _deviations(ric, einstein)
-    return mu, dev, _scale_free(mu, dev)
+    return b, mu, ric, _scale_free(mu, _deviations(ric, einstein))
 
 
-def _in_gram_basis(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A⁻¹·X·A: operators X of the frames η carried to the grams G = AᵀηA."""
-    return np.linalg.solve(a, x @ a)
-
-
-def _absolute(a: np.ndarray, dev: np.ndarray) -> np.ndarray:
-    """‖Ric_G − λ̂·Id‖_F = ‖A⁻¹(Ric_η(μ) − λ̂·Id)A‖_F for the grams G = AᵀηA,
-    from the deviations dev in the frame η."""
-    return _norms(_in_gram_basis(a, dev))
-
-
-def _orbit_directions(a: np.ndarray, derivations: np.ndarray) -> np.ndarray:
+def _orbit_directions(a: np.ndarray, b: np.ndarray, derivations: np.ndarray) -> np.ndarray:
     """Q[m] of shape (n² − d, n, n): a Frobenius-orthonormal basis of the
-    complement of Der(μ[m]) = A[m]·Der(c)·A[m]⁻¹ in gl(n), for the brackets
-    μ = A·c and a basis (d, n, n) of Der(c), from one stacked complete QR."""
+    complement of Der(μ[m]) = A[m]·Der(c)·B[m] in gl(n), B = A⁻¹, for μ = A·c
+    and a basis (d, n, n) of Der(c), from one stacked complete QR."""
     m, n = a.shape[:2]
     d = len(derivations)
-    moved = (a[:, None] @ derivations @ np.linalg.inv(a)[:, None]).reshape(m, d, n * n)
+    moved = (a[:, None] @ derivations @ b[:, None]).reshape(m, d, n * n)
     q = np.linalg.qr(moved.transpose(0, 2, 1), mode="complete")[0]
     return q[:, :, d:].transpose(0, 2, 1).reshape(m, n * n - d, n, n)
 
 
 def _jacobians(
     mu: np.ndarray,
-    dev: np.ndarray,
+    ric: np.ndarray,
     eps: np.ndarray,
     nilpotent: bool,
     einstein: bool,
     directions: np.ndarray,
 ) -> np.ndarray:
     """J[m] of shape (n², k), for brackets μ[m] ≠ 0 in the frame η = diag(eps)
-    with deviations dev[m] and matrices E = directions[m] (or one stack of
+    with Ricci operators ric[m] and matrices E = directions[m] (or one stack of
     them for every m) of shape (k, n, n): column j is the derivative of r at μ[m]
     along the orbit tangent ν = E_j·μ.  One stacked _ricci call evaluates all
     2k sides μ ± ν of every m."""
@@ -210,11 +207,10 @@ def _jacobians(
     nu = derivation_defects(mu[:, None], directions)
     k = nu.shape[1]
     sides = np.concatenate([mu[:, None] + nu, mu[:, None] - nu]).reshape(-1, n, n, n)
-    ric = _ricci(sides, eps, nilpotent)
-    plus, minus = _deviations(ric, einstein).reshape(2, m, k, n, n)
+    plus, minus = _deviations(_ricci(sides, eps, nilpotent), einstein).reshape(2, m, k, n, n)
     sq = _sq_norms(mu)[:, None, None, None]
     d_sq = 2.0 * (nu.reshape(m, k, -1) @ mu.reshape(m, -1, 1))[..., None]  # d‖μ‖²[ν]
-    d_r = (plus - minus) / (2.0 * sq) - dev[:, None] * d_sq / sq**2
+    d_r = (plus - minus) / (2.0 * sq) - _deviations(ric, einstein)[:, None] * d_sq / sq**2
     return d_r.reshape(m, k, n * n).transpose(0, 2, 1)
 
 
@@ -247,7 +243,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
     count = spec.restarts
     starts = [np.random.default_rng([spec.seed, r]).standard_normal((n, n)) for r in range(count)]
     a = _unit_det(np.eye(n) + 0.1 * np.array(starts))
-    mu, dev, r = _forward(a, algebra.c, eps, nilpotent, einstein)
+    b, mu, ric, r = _forward(a, algebra.c, eps, nilpotent, einstein)
     f = _norms(r)
     residual = np.zeros(count)
     damping = np.full(count, 1e-3)
@@ -255,16 +251,13 @@ def run_search(spec: SearchSpec) -> SearchResult:
     f_checkpoint = np.full(count, np.inf)
     reasons = np.full(count, "", dtype=object)
 
-    def settle(i: int, dev_g: np.ndarray) -> Tuple[str, float]:
-        """(stop reason, residual) of restart i, whose Ric_G − λ̂·Id = dev_g is
-        within spec.tol.  Only when Ric_G passes the verdict's Einstein test
-        is its gram classified, once: the reason is "converged" when the
-        classifier's residual is within spec.tol and its verdict meets the
-        target, and "" to go on."""
-        ric = dev_g
-        if einstein:  # the cutoff reads Ric_G, so λ̂ goes back in
-            ric = dev_g + np.trace(_ricci(mu[i][None], eps, nilpotent)[0]) / n * np.eye(n)
-        _, defect, cut = _einstein_defect(ric, VERDICT_TOL)
+    def settle(i: int, ric_g: np.ndarray) -> Tuple[str, float]:
+        """(stop reason, residual) of restart i, whose Ricci operator ric_g =
+        Ric_G is within spec.tol of λ̂·Id.  Only when Ric_G passes the
+        verdict's Einstein test is its gram classified, once: the reason is
+        "converged" when the classifier's residual is within spec.tol and its
+        verdict meets the target, and "" to go on."""
+        _, defect, cut = _einstein_defect(ric_g, VERDICT_TOL)
         if defect > cut:
             return "", residual[i]
         try:
@@ -273,16 +266,16 @@ def run_search(spec: SearchSpec) -> SearchResult:
             if not (isinstance(err, DegenerateGram) or is_route_mismatch(err)):
                 raise  # NotLie, NotNilpotent, NotApplicable
             return "degenerating", residual[i]
-        value = float(_norms(_deviations(report.ricci_operator[None], einstein))[0])
+        value = float(_residuals(report.ricci_operator[None], einstein)[0])
         met = value <= spec.tol and report.verdict in _TARGET_VERDICTS[spec.target]
         return ("converged" if met else ""), value
 
     running = np.arange(count)
     while True:
-        dev_g = _in_gram_basis(a[running], dev[running])
-        residual[running] = _norms(dev_g)
+        ric_g = b[running] @ ric[running] @ a[running]
+        residual[running] = _residuals(ric_g, einstein)
         for k in np.flatnonzero(residual[running] <= spec.tol):
-            reasons[running[k]], residual[running[k]] = settle(running[k], dev_g[k])
+            reasons[running[k]], residual[running[k]] = settle(running[k], ric_g[k])
         running = running[reasons[running] == ""]
         reasons[running[np.linalg.cond(a[running]) > _MAX_COND]] = "degenerating"
         running = running[reasons[running] == ""]
@@ -291,8 +284,8 @@ def run_search(spec: SearchSpec) -> SearchResult:
         if not running.size:
             break
         iters[running] += 1
-        directions = _orbit_directions(a[running], derivations)
-        jac = _jacobians(mu[running], dev[running], eps, nilpotent, einstein, directions)
+        directions = _orbit_directions(a[running], b[running], derivations)
+        jac = _jacobians(mu[running], ric[running], eps, nilpotent, einstein, directions)
         jac_t = jac.transpose(0, 2, 1)
         normal, gradient = jac_t @ jac, jac_t @ r[running].reshape(len(running), -1, 1)
         # the damped step X = Σ y_j E_j, damping ×10 until ‖r‖ drops
@@ -304,13 +297,12 @@ def run_search(spec: SearchSpec) -> SearchResult:
                 normal[searching], gradient[searching], damping[idx], directions[searching]
             )
             trial = _unit_det((np.eye(n) + x) @ a[idx])
-            mu_trial, dev_trial, r_trial = _forward(trial, algebra.c, eps, nilpotent, einstein)
-            f_trial = _norms(r_trial)
+            forward = _forward(trial, algebra.c, eps, nilpotent, einstein)
+            f_trial = _norms(forward[3])
             better = f_trial < f[idx]
             won = idx[better]
-            a[won], mu[won], dev[won], r[won], f[won] = (
-                trial[better], mu_trial[better], dev_trial[better], r_trial[better], f_trial[better]
-            )
+            for kept, value in zip((a, b, mu, ric, r, f), (trial, *forward, f_trial)):
+                kept[won] = value[better]
             damping[won] = np.maximum(damping[won] / 10.0, _MIN_DAMPING)
             accepted[won] = True
             lost = searching[~better]
@@ -328,7 +320,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
 
     converged = reasons == "converged"
     stopped = ~converged
-    residual[stopped] = _absolute(a[stopped], dev[stopped])
+    residual[stopped] = _residuals(b[stopped] @ ric[stopped] @ a[stopped], einstein)
     pool = np.flatnonzero(converged) if converged.any() else np.arange(count)
     best = int(pool[np.argmin(residual[pool])])
     return SearchResult(

@@ -46,7 +46,7 @@ from .doubleext import (
     random_admissible,
     ricci_ebar,
 )
-from .errors import ConstraintViolation, UnknownName
+from .errors import ConstraintViolation, InvalidInput, UnknownName
 from .liealg import act_on_brackets
 from .pseudolin import SubspaceTag, _cutoff, classify_subspace
 from .search import SearchSpec, run_search
@@ -655,9 +655,11 @@ def run_checks(
 
     Checks quoting a stricter bound use tol/10; the pinned regression
     constants (derivation defect 1e-12, search tolerance 1e-6) stay put.
-    UnknownName names any check that does not exist.
+    UnknownName names any check that does not exist, InvalidInput no check.
     """
     selected: Sequence[str] = list(names) if names is not None else list(CHECK_NAMES)
+    if not selected:
+        raise InvalidInput(f"no check selected; known: {', '.join(CHECK_NAMES)}")
     unknown = [s for s in selected if s not in CHECKS]
     if unknown:
         raise UnknownName(f"unknown checks: {', '.join(unknown)}; known: {', '.join(CHECK_NAMES)}")

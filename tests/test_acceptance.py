@@ -13,6 +13,7 @@ import pytest
 from mlie import curvature, verify
 from mlie.catalog import ALGEBRA_NAMES
 from mlie.curvature import VERDICT_TOL, MetricLieAlgebra
+from mlie.errors import InvalidInput
 from mlie.verify import CHECK_NAMES, check_trace_formula, format_row, run_checks
 
 
@@ -73,6 +74,12 @@ def test_the_catalog_checks_make_one_stacked_kernel_call_per_algebra(monkeypatch
     assert all(r.passed for r in results)
     assert builds == []
     assert stacks == {name: [20] * len(ALGEBRA_NAMES) for name in kernels.values()}
+
+
+@pytest.mark.parametrize("names", [[], (), iter([])])
+def test_run_checks_refuses_a_selection_of_no_check(names):
+    with pytest.raises(InvalidInput, match="no check selected"):
+        run_checks(names)
 
 
 def test_run_checks_takes_every_verdict_at_its_tol(monkeypatch):

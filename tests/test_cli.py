@@ -408,6 +408,14 @@ def test_verify_unknown_check_exit_2(capsys):
     assert err == f"error: unknown checks: nonsense; known: {', '.join(CHECK_NAMES)}\n"
 
 
+@pytest.mark.parametrize("only", [",", ""])
+def test_verify_with_no_check_selected_exit_2(only, capsys):
+    # a verification that runs no check verifies nothing: not "0/0 checks passed"
+    code, out, err = run_cli(capsys, "verify-paper", "--only", only)
+    assert (code, out) == (2, "")
+    assert err == f"error: no check selected; known: {', '.join(CHECK_NAMES)}\n"
+
+
 def test_verify_absurd_tolerance_fails(capsys):
     code, out, _ = run_cli(
         capsys, "verify-paper", "--only", "route-equivalence", "--tol", "1e-18"

@@ -84,6 +84,9 @@ _RAGGED_TENSOR = [[[0.0, 1.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         lambda: ExtensionData(np.zeros((2, 2)), np.zeros((2, 2)), mu="a"),
         lambda: ExtensionData(np.zeros((2, 2)), np.zeros((2, 2)), mu=True),
         lambda: ExtensionData(np.zeros((2, 2)), np.zeros((2, 2)), b=[0.0, "b"]),
+        lambda: Gram([[None, 1], [1, 0]]),
+        lambda: Gram(np.array([[None, 1], [1, 0]])),
+        lambda: Gram(np.array([["1", 0], [0, 1]], dtype=object)),
     ],
     ids=[
         "ragged-gram",
@@ -99,13 +102,17 @@ _RAGGED_TENSOR = [[[0.0, 1.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         "text-mu",
         "bool-mu",
         "text-b",
+        "none-gram",
+        "none-object-gram",
+        "numeric-text-object-gram",
     ],
 )
 def test_arrays_that_are_not_numbers_are_refused(build):
-    # a ragged nesting or text is refused as input, not let out as a numpy
-    # error, and a numeric string is not cast
-    with pytest.raises(InvalidInput):
+    # a ragged nesting, text or None is refused as input, not let out as a
+    # numpy error; a numeric string is not cast, and None is not read as NaN
+    with pytest.raises(InvalidInput) as err:
         build()
+    assert "non-finite" not in str(err.value)
 
 
 def test_signature_minkowski():

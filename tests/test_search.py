@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mlie import search
 from mlie.catalog import make_algebra
 from mlie.curvature import VERDICT_TOL, MetricLieAlgebra, Verdict
 from mlie.doubleext import extend, random_admissible
@@ -14,11 +15,11 @@ from mlie.pseudolin import Gram
 from mlie.search import (
     STOP_REASONS,
     SearchSpec,
-    _absolute,
     _damped_steps,
     _forward,
     _jacobians,
     _orbit_directions,
+    _residuals,
     einstein_residual,
     run_search,
 )
@@ -171,22 +172,22 @@ def test_residual_gradient_matches_central_differences(case, target):
         return _forward(a_batch, c, eps, nilpotent, einstein)
 
     a = np.eye(n) + 0.3 * np.random.default_rng(17).normal(size=(n, n))
-    mu, dev, r = forward(a[None], algebra.c)
+    b, mu, ric, r = forward(a[None], algebra.c)
     # the frame η of μ = A·c carries the metric AᵀηA of c: Ric_G = A⁻¹ Ric_η A
-    absolute = _absolute(a[None], dev)[0]
+    absolute = _residuals(b @ ric @ a, einstein)[0]
     gram = a.T @ np.diag(eps) @ a
     assert absolute == pytest.approx(einstein_residual(algebra, gram, target), rel=1e-9)
     # r is unchanged when the metric or the bracket is scaled
     for t, s in [(10.0, 1.0), (1.0, 1e-3), (0.2, 7.0)]:
-        r_scaled = forward(t * a[None], s * algebra.c)[2]
+        r_scaled = forward(t * a[None], s * algebra.c)[3]
         assert np.abs(r_scaled - r).max() <= 1e-12 * np.abs(r).max()
 
     units = np.eye(n * n).reshape(n * n, n, n)
-    jac = _jacobians(mu, dev, eps, nilpotent, einstein, units)[0]
+    jac = _jacobians(mu, ric, eps, nilpotent, einstein, units)[0]
     # central differences along the curve (I + hE)A, whose tangent at h = 0 is E·μ
     h = 1e-6
-    up = forward((np.eye(n) + h * units) @ a, algebra.c)[2]
-    down = forward((np.eye(n) - h * units) @ a, algebra.c)[2]
+    up = forward((np.eye(n) + h * units) @ a, algebra.c)[3]
+    down = forward((np.eye(n) - h * units) @ a, algebra.c)[3]
     fd = ((up - down) / (2.0 * h)).reshape(n * n, n * n).T
     assert np.abs(fd).max() > 1e-2  # the residual moves along the orbit
     assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
@@ -202,16 +203,16 @@ def test_step_on_the_derivation_complement_equals_the_full_step(case, target):
     n, nilpotent, einstein = algebra.n, algebra.is_nilpotent(), target == "einstein"
     eps = _lorentzian_signs(n)
     a = np.eye(n) + 0.3 * np.random.default_rng(17).normal(size=(n, n))
-    mu, dev, r = _forward(a[None], algebra.c, eps, nilpotent, einstein)
+    b, mu, ric, r = _forward(a[None], algebra.c, eps, nilpotent, einstein)
     units = np.eye(n * n).reshape(n * n, n, n)
-    full = _jacobians(mu, dev, eps, nilpotent, einstein, units)
+    full = _jacobians(mu, ric, eps, nilpotent, einstein, units)
     derivations = algebra.derivation_space()
-    on_der = _jacobians(mu, dev, eps, nilpotent, einstein, a @ derivations @ np.linalg.inv(a))
+    on_der = _jacobians(mu, ric, eps, nilpotent, einstein, a @ derivations @ b[0])
     assert np.abs(on_der).max() <= 1e-12 * np.abs(full).max()
 
-    directions = _orbit_directions(a[None], derivations)
+    directions = _orbit_directions(a[None], b, derivations)
     assert directions.shape == (1, n * n - len(derivations), n, n)
-    part = _jacobians(mu, dev, eps, nilpotent, einstein, directions)
+    part = _jacobians(mu, ric, eps, nilpotent, einstein, directions)
     assert part.shape == (1, n * n, n * n - len(derivations))
 
     def step(jac, e, damping):
@@ -234,14 +235,16 @@ def test_step_on_the_derivation_complement_equals_the_full_step(case, target):
 def test_orbit_directions_do_not_depend_on_the_bracket_scale(scale):
     algebra = make_algebra("L4_3")
     a = np.eye(4) + 0.3 * np.random.default_rng(17).normal(size=(1, 4, 4))
-    directions = _orbit_directions(a, LieAlgebra(scale * algebra.c).derivation_space())
+    derivations = LieAlgebra(scale * algebra.c).derivation_space()
+    directions = _orbit_directions(a, np.linalg.inv(a), derivations)
     assert directions.shape == (1, 16 - len(algebra.derivation_space()), 4, 4)
 
 
 def test_abelian_algebra_has_no_orbit_directions():
     # every matrix is a derivation of the zero bracket: d = n², no column
     # is left, the damped step is 0, and the search still returns
-    directions = _orbit_directions(np.eye(3)[None], LieAlgebra.abelian(3).derivation_space())
+    eye = np.eye(3)[None]
+    directions = _orbit_directions(eye, eye, LieAlgebra.abelian(3).derivation_space())
     assert directions.shape == (1, 0, 3, 3)
     x = _damped_steps(np.zeros((1, 0, 0)), np.zeros((1, 0, 1)), np.array([1e-3]), directions)
     assert np.array_equal(x, np.zeros((1, 3, 3)))
@@ -357,13 +360,22 @@ def test_settle_classifies_only_restarts_that_converge(name, signature, seed, mo
 @pytest.mark.parametrize("signature", [(0, 3), (1, 2)])
 def test_einstein_target_with_nonzero_lambda_is_classified_once_per_restart(signature, monkeypatch):
     # every metric on the algebra of real hyperbolic space, [e0, ei] = ei, is
-    # Einstein with λ ≠ 0: each restart passes settle's test with λ̂ added
-    # back and is classified once, at iteration 0
+    # Einstein with λ ≠ 0: each restart's Ric_G = B·Ric_η·A, measured at the
+    # loop top, passes settle's test and is classified once, at iteration 0;
+    # settle evaluates no Ricci operator of its own
     algebra = LieAlgebra.from_brackets(3, {(0, 1): {1: 1.0}, (0, 2): {2: 1.0}})
     calls = _classifications(monkeypatch)
+    ricci_callers = Counter()
+    ricci = search._ricci
+    monkeypatch.setattr(
+        search,
+        "_ricci",
+        lambda *args: ricci_callers.update([sys._getframe(1).f_code.co_name]) or ricci(*args),
+    )
     result = run_search(SearchSpec(algebra, target="einstein", signature=signature, seed=0))
     assert result.stop_reasons == ("converged",) * 8 and result.iterations == 0
     assert len(calls) == 8
+    assert set(ricci_callers) == {"_forward"}  # none from settle
     report = MetricLieAlgebra(algebra, result.best_gram).einstein_classify()
     assert report.verdict is Verdict.EINSTEIN and abs(report.einstein_lambda) > 1.0
 
@@ -391,9 +403,11 @@ def _solves_by_search_caller(monkeypatch):
     "case, seed, restarts", [("L4_3", 0, 8), ("L4_2", 0, 8), ("non-nilpotent", 1, 2)]
 )
 def test_the_search_solves_nothing_against_its_frame(case, seed, restarts, monkeypatch):
-    # in the frame η = diag(ε) every solve of the kernel is a sign flip, and
+    # in the frame η = diag(ε) every solve of the kernel is a sign flip,
     # settle's classification of a converged gram AᵀηA works in that gram's
-    # own frame: nothing called from mlie.curvature solves or inverts
+    # own frame, and the search moves Ric_η and Der(c) by the B = A⁻¹ its
+    # forward call made: the one inverse is the forward's, and the one solve
+    # is the damped step's
     algebra = _case_algebra(case)
     assert algebra.is_nilpotent() == (case != "non-nilpotent")
     spec = SearchSpec(algebra, signature=(1, algebra.n - 1), seed=seed, restarts=restarts)
@@ -403,5 +417,4 @@ def test_the_search_solves_nothing_against_its_frame(case, seed, restarts, monke
     # L4_3 seed 0 stops by creep; the listed-metric test pins its convergence
     if case != "L4_3":
         assert result.converged and classified  # settle's classification ran under the spy
-    assert ("mlie.liealg", "_forward") in calls  # the spy sees act_on_brackets' inverse
-    assert set(caller for module, caller in calls if module == "mlie.curvature") == set()
+    assert set(calls) == {("mlie.search", "_forward"), ("mlie.search", "_damped_steps")}
