@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ROUTE_MISMATCH, InvalidInput, NotNilpotent
-from .liealg import LieAlgebra, _act, _computed_once
+from .liealg import LieAlgebra, _computed_once, act_on_brackets
 from .pseudolin import Gram, Signature, _as_float_array, _cutoff, orthonormal_basis
 
 #: Default relative tolerance for Einstein/flatness verdicts.
@@ -222,7 +222,7 @@ class MetricLieAlgebra:
     the input basis once (an operator X by B·X·A, a form by Aᵀ·X·A, the
     Levi-Civita tensor by B = A⁻¹) and kept read-only, as the algebra keeps
     its facts, so instances are safe to share; the report of
-    ``einstein_classify`` is computed once per tol and kept.
+    ``einstein_classify`` is kept the same way, once per tol.
     """
 
     algebra: LieAlgebra
@@ -239,8 +239,7 @@ class MetricLieAlgebra:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_signature", Signature(minus, algebra.n - minus, 0))
         object.__setattr__(self, "_frame", (eps[None], a[None], b[None]))  # ε, A, B: a stack of one
-        object.__setattr__(self, "_memo", {})  # facts computed once, by method
-        object.__setattr__(self, "_reports", {})  # einstein_classify's reports, by tol
+        object.__setattr__(self, "_memo", {})  # facts computed once, by method and arguments
 
     @property
     def n(self) -> int:
@@ -262,7 +261,7 @@ class MetricLieAlgebra:
     def _brackets(self) -> np.ndarray:
         """μ = A·c, the bracket in the frame (a stack of one)."""
         _, a, b = self._frame
-        return _act(a, b, self.algebra.c)
+        return act_on_brackets(a, b, self.algebra.c)
 
     @_computed_once
     def _levi_civita_frame(self) -> np.ndarray:
@@ -272,7 +271,7 @@ class MetricLieAlgebra:
     def _levi_civita(self) -> np.ndarray:
         """lc[i, k] = e_i·e_k, the frame's product transported by B."""
         _, a, b = self._frame
-        return _act(b, a, self._levi_civita_frame()[0])[0]
+        return act_on_brackets(b, a, self._levi_civita_frame()[0])[0]
 
     # -- curvature --------------------------------------------------------
 
@@ -360,12 +359,10 @@ class MetricLieAlgebra:
         A call that raises (a bad tol, the Ricci cross-check) keeps nothing
         and raises again.
         """
-        _cutoff(tol)  # validates tol before it keys the reports (an unhashable one included)
-        report = self._reports.get(tol)
-        if report is None:
-            report = self._reports[tol] = self._classify(tol)
-        return report
+        _cutoff(tol)  # validates tol before it keys the memo (an unhashable one included)
+        return self._classify(tol)
 
+    @_computed_once
     def _classify(self, tol: float) -> CurvatureReport:
         """einstein_classify, computed from the kept facts."""
         ric_op = self.ricci_operator()

@@ -230,7 +230,7 @@ def model_residual(m: MetricLieAlgebra, dec: Decomposition) -> float:
     A measurement only: dec.data is not checked for the bracket condition."""
     p = _as_float_array(dec.basis_change, "basis change", ndim=2, square=m.n)
     model_algebra, model_gram = _model(dec.data, m.algebra.tol)
-    c_new = act_on_brackets(np.linalg.inv(p)[None], m.algebra.c)[0]  # P⁻¹[Pe_a, Pe_b]
+    c_new = act_on_brackets(np.linalg.inv(p)[None], p[None], m.algebra.c)[0]  # P⁻¹[Pe_a, Pe_b]
     g_new = p.T @ m.gram.mat @ p
     db = float(np.abs(c_new - model_algebra.c).max(initial=0.0))
     dg = float(np.abs(g_new - model_gram.mat).max(initial=0.0))

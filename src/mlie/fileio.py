@@ -95,9 +95,11 @@ def dict_to_algebra(doc: Any, tol: float) -> Tuple[LieAlgebra, Optional[Gram], O
     for key in doc:
         _require(key in known, f"unknown field {key!r}")
 
+    brackets = doc.get("brackets", [])
+    _require(isinstance(brackets, list), "'brackets' must be a list")
     c = np.zeros((dim, dim, dim))
     seen = set()
-    for pos, entry in enumerate(doc.get("brackets", [])):
+    for pos, entry in enumerate(brackets):
         where = f"brackets[{pos}]"
         _require(isinstance(entry, dict), f"{where}: expected an object")
         for key in entry:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -33,21 +33,22 @@ def _upper_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-def _computed_once(method: Callable[[Any], _T]) -> Callable[[Any], _T]:
-    """A fact of a frozen object, kept in its ``_memo`` dict by method name.
-    Every caller gets the same object, so a fact must be immutable: a number,
-    a tuple, a Subspace, or an array, which is made read-only here.  A call
-    that raises keeps nothing."""
+def _computed_once(method: Callable[..., _T]) -> Callable[..., _T]:
+    """A fact of a frozen object, kept in its ``_memo`` dict by method name and
+    hashable positional arguments (the bare name for none).  Every caller gets
+    the same object, so a fact must be immutable: a number, a tuple, a Subspace,
+    or an array, which is made read-only here.  A call that raises keeps nothing."""
     name = method.__name__
 
     @functools.wraps(method)
-    def once(self) -> _T:
-        if name not in self._memo:
-            fact = method(self)
+    def once(self, *args) -> _T:
+        key = (name, *args) if args else name
+        if key not in self._memo:
+            fact = method(self, *args)
             if isinstance(fact, np.ndarray):
                 fact.flags.writeable = False
-            self._memo[name] = fact
-        return self._memo[name]
+            self._memo[key] = fact
+        return self._memo[key]
 
     return once
 
@@ -85,15 +86,24 @@ class LieAlgebra:
     def from_brackets(
         cls, n: int, brackets: Mapping[Tuple[int, int], Mapping[int, float]]
     ) -> "LieAlgebra":
-        """Build from {(i, j): {k: coeff}} with 0-based indices and i < j."""
+        """Build from {(i, j): {k: coeff}} with 0-based integer indices, i < j,
+        and real finite coefficients (a bool or a string is refused as either)."""
         c = np.zeros((_nonnegative(n, "n"),) * 3)
-        for (i, j), coeffs in brackets.items():
-            if not (0 <= i < j < n):
+        if not isinstance(brackets, Mapping):
+            raise InvalidInput("brackets must be a mapping {(i, j): {k: coeff}}")
+        for pair, coeffs in brackets.items():
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise InvalidInput(f"bracket key {pair!r} must be a pair (i, j)")
+            i, j = (_nonnegative(index, "bracket index") for index in pair)
+            if not i < j < n:
                 raise InvalidInput(f"bracket indices ({i}, {j}) must satisfy 0 <= i < j < {n}")
+            if not isinstance(coeffs, Mapping):
+                raise InvalidInput(f"coefficients of bracket ({i}, {j}) must be a mapping")
             for k, val in coeffs.items():
-                if not (0 <= k < n):
+                k = _nonnegative(k, "bracket target index")
+                if k >= n:
                     raise InvalidInput(f"bracket target index {k} out of range")
-                c[i, j, k] = float(val)
+                c[i, j, k] = _as_float_array(val, f"coefficient of e_{k} in [e_{i}, e_{j}]", ndim=0)
         return cls(c)
 
     @classmethod
@@ -213,14 +223,9 @@ def derivation_defects(c: np.ndarray, e: np.ndarray) -> np.ndarray:
     return c @ t - e_left.reshape(e_left.shape[:-1] + (n, n)) - t @ c
 
 
-def act_on_brackets(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """μ[r] = A[r]·c for a stack of factors A (m, n, n): μ(x, y) = A c(A⁻¹x, A⁻¹y),
-    so μ[i,j,k] = Σ B[p,i] B[q,j] c[p,q,l] A[k,l] with B = A⁻¹."""
-    return _act(a, np.linalg.inv(a), c)
-
-
-def _act(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """act_on_brackets(a, c) for factors a whose inverses b are known."""
+def act_on_brackets(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """μ[r] = A[r]·c for a stack of factors A (m, n, n) and their inverses B:
+    μ(x, y) = A c(Bx, By), so μ[i,j,k] = Σ B[p,i] B[q,j] c[p,q,l] A[k,l]."""
     m, n = a.shape[:2]
     b_t = b.transpose(0, 2, 1)
     ca = c @ a.transpose(0, 2, 1)[:, None]  # [p,q,k] = Σ_l c[p,q,l] A[k,l]

@@ -132,7 +132,7 @@ class Gram:
 
     @classmethod
     def from_diagonal(cls, diag) -> "Gram":
-        return cls(np.diag(np.asarray(diag, dtype=float)))
+        return cls(np.diag(_as_float_array(diag, "gram diagonal", ndim=1)))
 
     @property
     def n(self) -> int:

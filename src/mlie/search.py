@@ -56,7 +56,7 @@ from .curvature import (
     ricci_operators,
 )
 from .errors import DegenerateGram, InvalidInput, is_route_mismatch
-from .liealg import LieAlgebra, _act, derivation_defects
+from .liealg import LieAlgebra, act_on_brackets, derivation_defects
 from .pseudolin import Gram, _cutoff, _nonnegative
 
 TARGETS = ("einstein", "ricci-flat")
@@ -174,7 +174,7 @@ def _forward(
     """(B, μ, Ric_η(μ), r) for a stack of factors A of grams AᵀηA on c, with
     B = A⁻¹ and η = diag(eps)."""
     b = np.linalg.inv(a)
-    mu = _act(a, b, c)
+    mu = act_on_brackets(a, b, c)
     ric = _ricci(mu, eps, nilpotent)
     return b, mu, ric, _scale_free(mu, _deviations(ric, einstein))
 

@@ -56,6 +56,9 @@ from .search import SearchSpec, run_search
 EX8_LAMBDA = 0.5
 
 _BASE_SEED = 20260823
+_VARIANT_DRAWS = 5  # draws of each metric variant's parameters
+_FRAMES = 20  # random frames (A, ε) per catalog algebra
+_LEMMA_TRIALS = 1000
 
 
 @dataclass
@@ -103,21 +106,22 @@ def _sample_params(mv: MetricVariant, rng: np.random.Generator) -> List[Dict[str
     return [base]
 
 
-def _variant_instances(rng: np.random.Generator, draws: int = 5):
+def _variant_instances(rng: np.random.Generator):
     """(variant, params, metric algebra) for seeded draws of every variant."""
     for mv in METRIC_VARIANTS.values():
-        for _ in range(draws):
+        for _ in range(_VARIANT_DRAWS):
             for params in _sample_params(mv, rng):
                 yield mv, params, make_metric(mv.algebra, mv.name, params)
 
 
-def _catalog_frames(rng: np.random.Generator, grams: int = 20):
-    """(name, algebra, A, μ, ε) for every catalog algebra: the frames (A, ε) of
-    random forms AᵀηA as stacks, and μ = A·c, the bracket in each frame."""
+def _catalog_frames(rng: np.random.Generator):
+    """(name, algebra, A, B, μ, ε) for every catalog algebra: the frames (A, ε) of
+    random forms AᵀηA as stacks, B = A⁻¹ and μ = A·c, the bracket in each frame."""
     for name in ALGEBRA_NAMES:
         algebra = make_algebra(name)
-        a, eps = map(np.array, zip(*[_random_frame(rng, algebra.n) for _ in range(grams)]))
-        yield name, algebra, a, act_on_brackets(a, algebra.c), eps
+        a, eps = map(np.array, zip(*[_random_frame(rng, algebra.n) for _ in range(_FRAMES)]))
+        b = np.linalg.inv(a)
+        yield name, algebra, a, b, act_on_brackets(a, b, algebra.c), eps
 
 
 def _sup_gaps(ref: np.ndarray, other: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -292,7 +296,7 @@ def check_route_equivalence(tol: float) -> _Claim:
     failures: List[str] = []
     worst = 0.0
     count = 0
-    for name, algebra, _, mu, eps in _catalog_frames(rng):
+    for name, algebra, _, _, mu, eps in _catalog_frames(rng):
         count += len(mu)
         r_def = ricci_forms(levi_civita_tensors(mu, eps))
         d_form, scale = _sup_gaps(r_def, ricci_general_forms(mu, eps))
@@ -322,7 +326,7 @@ def check_trace_j1_j2(tol: float) -> _Claim:
     failures: List[str] = []
     worst = 0.0
     count = 0
-    for name, algebra, _, mu, eps in _catalog_frames(rng):
+    for name, algebra, _, _, mu, eps in _catalog_frames(rng):
         count += len(mu)
         j1, j2 = j1_j2_operators(structure_endo_tensors(mu, eps), eps)
         t1, t2 = np.trace(j1, axis1=1, axis2=2), np.trace(j2, axis1=1, axis2=2)
@@ -347,13 +351,13 @@ def check_trace_formula(tol: float) -> _Claim:
     count = 0
     # Both sides are linear in E, so agreement on the n² unit matrices of the
     # frame (a basis of gl(n)) is agreement for every E; the derivation basis,
-    # moved to each frame as A·D·A⁻¹, follows them.
-    for name, algebra, a, mu, eps in _catalog_frames(rng):
+    # moved to each frame as A·D·B, follows them.
+    for name, algebra, a, b, mu, eps in _catalog_frames(rng):
         count += len(mu)
         n = algebra.n
         units = n * n
         unit_e = np.broadcast_to(np.eye(units).reshape(units, n, n), (len(a), units, n, n))
-        moved = a[:, None] @ algebra.derivation_space() @ np.linalg.inv(a)[:, None]
+        moved = a[:, None] @ algebra.derivation_space() @ b[:, None]
         e = np.concatenate([unit_e, moved], axis=1)
         lhs, rhs = trace_q_sides(mu, eps, e)
         big = np.maximum(np.abs(lhs), np.abs(rhs))
@@ -512,12 +516,12 @@ def check_derivations(tol: float) -> _Claim:
     )
 
 
-def _lemma_draws(rng: np.random.Generator, trials: int):
+def _lemma_draws(rng: np.random.Generator):
     """The lemma-fuzz trials, drawn in order and grouped by (n, mode): per
     group the trial numbers and stacks of W (skew, shaped by the mode), P
     (each passing its own SVD rejection test) and, in mode 2, λ."""
     groups: Dict[Tuple[int, int], Tuple[List[int], list, list, list]] = {}
-    for trial in range(trials):
+    for trial in range(_LEMMA_TRIALS):
         n = int(rng.integers(3, 9))
         mode = trial % 3
         w = rng.normal(size=(n, n))
@@ -552,7 +556,7 @@ def check_lemma_fuzz(tol: float) -> _Claim:
     failures: List[Tuple[int, str]] = []  # (trial, message), sorted by trial at the end
     worst = 0.0
     count = 0
-    for n, mode, trials, w, p, lam in _lemma_draws(rng, 1000):
+    for n, mode, trials, w, p, lam in _lemma_draws(rng):
         count += len(trials)
         gm = np.eye(n)
         gm[0, 0] = gm[1, 1] = 0.0

@@ -585,6 +585,15 @@ def test_bool_dim_exit_2(tmp_path, capsys):
     assert "'dim'" in err
 
 
+@pytest.mark.parametrize("brackets", ["null", "3", '{"i": 1}'])
+def test_brackets_that_are_not_a_list_exit_2(tmp_path, capsys, brackets):
+    src = tmp_path / "brackets.json"
+    src.write_text(f'{{"dim": 2, "brackets": {brackets}, "metric": [[1, 0], [0, 1]]}}')
+    code, out, err = run_cli(capsys, "ricci", str(src))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {src}: 'brackets' must be a list"]
+
+
 def test_missing_file_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "ricci", str(tmp_path / "absent.json"))
     assert code == 2

@@ -82,6 +82,10 @@ def test_dict_to_algebra_validation_messages():
         parse({"dim": 3, "brackets": [{"i": 1, "j": False, "coeffs": {}}]})
     with pytest.raises(InvalidInput, match=r"brackets\[0\]\.j must be an integer"):
         parse({"dim": 3, "brackets": [{"i": 1, "j": 2.0, "coeffs": {}}]})
+    # an object would be iterated by its keys, null or a number not at all
+    for brackets in (None, 3, {"i": 1, "j": 2, "coeffs": {}}):
+        with pytest.raises(InvalidInput, match="'brackets' must be a list"):
+            parse({"dim": 3, "brackets": brackets})
 
 
 def test_reader_builds_the_algebra_and_checks_the_metric_at_tol():

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +108,28 @@ def test_from_brackets_validates_indices():
         LieAlgebra.from_brackets(3, {(1, 0): {2: 1.0}})
     with pytest.raises(InvalidInput):
         LieAlgebra.from_brackets(3, {(0, 1): {3: 1.0}})
+
+
+@pytest.mark.parametrize(
+    "brackets, message",
+    [
+        ({(0, 1): {True: 1.0}}, "target index must be an integer, got True"),  # not a mask
+        ({(False, True): {2: 1.0}}, "bracket index must be an integer, got False"),
+        ({(0, 1): {2.0: 1.0}}, "target index must be an integer, got 2.0"),
+        ({(0, 1): [1.0]}, "coefficients of bracket \\(0, 1\\) must be a mapping"),
+        ([((0, 1), {2: 1.0})], "brackets must be a mapping"),
+        ({0: {2: 1.0}}, "bracket key 0 must be a pair"),
+        ({(0, 1, 2): {2: 1.0}}, "bracket key \\(0, 1, 2\\) must be a pair"),
+        ({(0, 1): {2: 1j}}, "must have real entries"),
+        ({(0, 1): {2: "1.5"}}, "must have real entries"),
+        ({(0, 1): {2: True}}, "must have real entries"),
+    ],
+)
+def test_from_brackets_reads_indices_and_coefficients_through_the_shared_readers(brackets, message):
+    # a bool, a float or a string is no index or coefficient: refused, not
+    # read as a mask, truncated or parsed
+    with pytest.raises(InvalidInput, match=message):
+        LieAlgebra.from_brackets(3, brackets)
 
 
 def test_center_and_derived_heisenberg():
@@ -504,3 +528,28 @@ def test_derivation_defects_of_a_stack_is_the_stack_of_defects():
                     - alg.bracket(np.eye(n)[i], e[:, j])
                 )
                 assert np.allclose(d[i, j], want, rtol=0.0, atol=1e-13)
+
+
+def test_each_basis_change_inverts_once_where_its_factors_are_made():
+    # act_on_brackets(A, B, c) takes B = A⁻¹ from its caller, so the package
+    # inverts only where a stack of factors is made, once each, and keeps no
+    # second entry point that inverts for its caller
+    inverses, acts = Counter(), []
+    for path in sorted(Path(mlie.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        for fn in (node for scope in scopes for node in scope.body):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.linalg.inv":
+                        inverses[path.stem, fn.name] += 1
+        acts += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.FunctionDef) and node.name == "_act")
+            or (isinstance(node, ast.alias) and node.name == "_act")
+        ]
+    made = [("search", "_forward"), ("verify", "_catalog_frames"), ("doubleext", "model_residual")]
+    assert inverses == Counter(made)
+    assert acts == []
+    assert list(inspect.signature(mlie.liealg.act_on_brackets).parameters) == ["a", "b", "c"]

@@ -87,6 +87,10 @@ _RAGGED_TENSOR = [[[0.0, 1.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         lambda: Gram([[None, 1], [1, 0]]),
         lambda: Gram(np.array([[None, 1], [1, 0]])),
         lambda: Gram(np.array([["1", 0], [0, 1]], dtype=object)),
+        lambda: Gram.from_diagonal([True, False, True]),
+        lambda: Gram.from_diagonal(["1", "2"]),
+        lambda: Gram.from_diagonal([1j, 1, 1]),
+        lambda: Gram.from_diagonal([None, 1.0]),
     ],
     ids=[
         "ragged-gram",
@@ -105,6 +109,10 @@ _RAGGED_TENSOR = [[[0.0, 1.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         "none-gram",
         "none-object-gram",
         "numeric-text-object-gram",
+        "bool-diagonal",
+        "numeric-text-diagonal",
+        "complex-diagonal",
+        "none-diagonal",
     ],
 )
 def test_arrays_that_are_not_numbers_are_refused(build):
