@@ -206,7 +206,7 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     if args.only:
         names = []
         for tok in args.only:
-            names.extend(x for x in tok.split(",") if x)
+            names.extend(x for x in map(str.strip, tok.split(",")) if x)
     results = run_checks(names, tol=verdict_tol)
     for r in results:
         print(format_row(r))
@@ -352,7 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--only",
         action="append",
         metavar="NAME",
-        help="run only the named checks (repeatable, comma-separable); known: "
+        help="run only the named checks (repeatable, comma-separable; a name given "
+        "twice runs once); known: "
         + ", ".join(CHECK_NAMES),
     )
     p.set_defaults(func=cmd_verify_paper)

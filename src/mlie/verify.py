@@ -77,13 +77,16 @@ def _rng(check_index: int) -> np.random.Generator:
     return np.random.default_rng([_BASE_SEED, check_index])
 
 
-def _random_frame(rng: np.random.Generator, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(A, ε): the frame of a random nondegenerate form AᵀηA, η = diag(ε)."""
-    while True:
-        a = np.eye(n) + 0.3 * rng.normal(size=(n, n))
-        if np.linalg.svd(a, compute_uv=False)[-1] >= 1e-3:
-            break
-    return a, rng.choice([-1.0, 1.0], size=n)
+def _near_identity(rng: np.random.Generator, k: int, n: int, floor: float) -> np.ndarray:
+    """k draws of I + 0.3·N, shape (k, n, n), each with smallest singular value
+    at least floor: one stacked SVD tests every draw, and only the rows below
+    the floor are drawn again, until none is."""
+    a = np.empty((k, n, n))
+    redraw = np.arange(k)
+    while redraw.size:
+        a[redraw] = np.eye(n) + 0.3 * rng.normal(size=(redraw.size, n, n))
+        redraw = redraw[np.linalg.svd(a[redraw], compute_uv=False)[:, -1] < floor]
+    return a
 
 
 def _sample_params(mv: MetricVariant, rng: np.random.Generator) -> List[Dict[str, float]]:
@@ -114,14 +117,25 @@ def _variant_instances(rng: np.random.Generator):
                 yield mv, params, make_metric(mv.algebra, mv.name, params)
 
 
-def _catalog_frames(rng: np.random.Generator):
+@functools.lru_cache(maxsize=None)
+def _catalog_frames():
     """(name, algebra, A, B, μ, ε) for every catalog algebra: the frames (A, ε) of
-    random forms AᵀηA as stacks, B = A⁻¹ and μ = A·c, the bracket in each frame."""
+    _FRAMES random nondegenerate forms AᵀηA, η = diag(ε), as stacks (A's smallest
+    singular value is at least 1e-3), B = A⁻¹ and μ = A·c, the bracket in each
+    frame.  The checks that compare formulas on these instances share them:
+    drawn once per process, at the first call, and read-only."""
+    rng = _rng(5)
+    frames = []
     for name in ALGEBRA_NAMES:
         algebra = make_algebra(name)
-        a, eps = map(np.array, zip(*[_random_frame(rng, algebra.n) for _ in range(_FRAMES)]))
+        a = _near_identity(rng, _FRAMES, algebra.n, 1e-3)
+        eps = rng.choice([-1.0, 1.0], size=(_FRAMES, algebra.n))
         b = np.linalg.inv(a)
-        yield name, algebra, a, b, act_on_brackets(a, b, algebra.c), eps
+        mu = act_on_brackets(a, b, algebra.c)
+        for arr in (a, b, mu, eps):
+            arr.flags.writeable = False
+        frames.append((name, algebra, a, b, mu, eps))
+    return tuple(frames)
 
 
 def _sup_gaps(ref: np.ndarray, other: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -292,11 +306,10 @@ def check_examples(tol: float) -> _Claim:
 
 @_check("route-equivalence")
 def check_route_equivalence(tol: float) -> _Claim:
-    rng = _rng(5)
     failures: List[str] = []
     worst = 0.0
     count = 0
-    for name, algebra, _, _, mu, eps in _catalog_frames(rng):
+    for name, algebra, _, _, mu, eps in _catalog_frames():
         count += len(mu)
         r_def = ricci_forms(levi_civita_tensors(mu, eps))
         d_form, scale = _sup_gaps(r_def, ricci_general_forms(mu, eps))
@@ -322,11 +335,10 @@ def check_route_equivalence(tol: float) -> _Claim:
 
 @_check("trace-j1-j2")
 def check_trace_j1_j2(tol: float) -> _Claim:
-    rng = _rng(5)  # same instance set as route-equivalence
     failures: List[str] = []
     worst = 0.0
     count = 0
-    for name, algebra, _, _, mu, eps in _catalog_frames(rng):
+    for name, algebra, _, _, mu, eps in _catalog_frames():
         count += len(mu)
         j1, j2 = j1_j2_operators(structure_endo_tensors(mu, eps), eps)
         t1, t2 = np.trace(j1, axis1=1, axis2=2), np.trace(j2, axis1=1, axis2=2)
@@ -345,14 +357,13 @@ def check_trace_j1_j2(tol: float) -> _Claim:
 
 @_check("trace-formula")
 def check_trace_formula(tol: float) -> _Claim:
-    rng = _rng(5)  # same instance set as route-equivalence
     failures: List[str] = []
     worst = 0.0
     count = 0
     # Both sides are linear in E, so agreement on the n² unit matrices of the
     # frame (a basis of gl(n)) is agreement for every E; the derivation basis,
     # moved to each frame as A·D·B, follows them.
-    for name, algebra, a, b, mu, eps in _catalog_frames(rng):
+    for name, algebra, a, b, mu, eps in _catalog_frames():
         count += len(mu)
         n = algebra.n
         units = n * n
@@ -517,36 +528,27 @@ def check_derivations(tol: float) -> _Claim:
 
 
 def _lemma_draws(rng: np.random.Generator):
-    """The lemma-fuzz trials, drawn in order and grouped by (n, mode): per
-    group the trial numbers and stacks of W (skew, shaped by the mode), P
-    (each passing its own SVD rejection test) and, in mode 2, λ."""
-    groups: Dict[Tuple[int, int], Tuple[List[int], list, list, list]] = {}
-    for trial in range(_LEMMA_TRIALS):
-        n = int(rng.integers(3, 9))
-        mode = trial % 3
-        w = rng.normal(size=(n, n))
-        w = w - w.T
-        if mode == 1:  # force Ae = αe
-            alpha = float(rng.normal())
-            w[:, 0] = 0.0
-            w[0, :] = 0.0
-            w[1, 0] = alpha
-            w[0, 1] = -alpha
-        elif mode == 2:  # force Ae = 0
-            w[:, 0] = 0.0
-            w[0, :] = 0.0
-        while True:
-            p = np.eye(n) + 0.3 * rng.normal(size=(n, n))
-            if np.linalg.svd(p, compute_uv=False)[-1] >= 1e-2:
-                break
-        group = groups.setdefault((n, mode), ([], [], [], []))
-        group[0].append(trial)
-        group[1].append(w)
-        group[2].append(p)
-        if mode == 2:
-            group[3].append(rng.normal(size=n - 2))
-    for (n, mode), (numbers, ws, ps, lams) in groups.items():
-        yield n, mode, numbers, np.array(ws), np.array(ps), np.array(lams)
+    """The lemma-fuzz trials, grouped by (n, mode): per group the trial numbers
+    and stacks of W (skew, shaped by the mode), P (each with smallest singular
+    value at least 1e-2) and, in mode 2, λ.  The sizes n are drawn first, for
+    every trial at once; trial t has mode t % 3."""
+    sizes = rng.integers(3, 9, size=_LEMMA_TRIALS)
+    modes = np.arange(_LEMMA_TRIALS) % 3
+    for n, mode in sorted(set(zip(sizes.tolist(), modes.tolist()))):
+        numbers = np.flatnonzero((sizes == n) & (modes == mode))
+        k = len(numbers)
+        w = rng.normal(size=(k, n, n))
+        w = w - w.transpose(0, 2, 1)
+        if mode:  # mode 1 forces Ae = αe, mode 2 Ae = 0
+            w[:, :, 0] = 0.0
+            w[:, 0, :] = 0.0
+        if mode == 1:
+            alpha = rng.normal(size=k)
+            w[:, 1, 0] = alpha
+            w[:, 0, 1] = -alpha
+        p = _near_identity(rng, k, n, 1e-2)
+        lam = rng.normal(size=(k, n - 2)) if mode == 2 else None
+        yield n, mode, numbers.tolist(), w, p, lam
 
 
 @_check("lemma-fuzz")
@@ -659,9 +661,10 @@ def run_checks(
 
     Checks quoting a stricter bound use tol/10; the pinned regression
     constants (derivation defect 1e-12, search tolerance 1e-6) stay put.
+    A name given twice runs once, in the order of its first occurrence.
     UnknownName names any check that does not exist, InvalidInput no check.
     """
-    selected: Sequence[str] = list(names) if names is not None else list(CHECK_NAMES)
+    selected: Sequence[str] = list(dict.fromkeys(names)) if names is not None else CHECK_NAMES
     if not selected:
         raise InvalidInput(f"no check selected; known: {', '.join(CHECK_NAMES)}")
     unknown = [s for s in selected if s not in CHECKS]

@@ -8,6 +8,9 @@ own test so that ``pytest -v`` shows one pass/fail line per criterion,
 and prints the check's summary row for the test log.
 """
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from mlie import curvature, verify
@@ -74,6 +77,73 @@ def test_the_catalog_checks_make_one_stacked_kernel_call_per_algebra(monkeypatch
     assert all(r.passed for r in results)
     assert builds == []
     assert stacks == {name: [20] * len(ALGEBRA_NAMES) for name in kernels.values()}
+
+
+def test_the_catalog_frames_are_drawn_once_and_read_only():
+    frames = verify._catalog_frames()
+    assert frames is verify._catalog_frames()
+    assert [name for name, *_ in frames] == list(ALGEBRA_NAMES)
+    for _, algebra, a, b, mu, eps in frames:
+        assert a.shape == b.shape == (verify._FRAMES, algebra.n, algebra.n)
+        assert (np.linalg.svd(a, compute_uv=False)[:, -1] >= 1e-3).all()
+        assert set(np.unique(eps)) <= {-1.0, 1.0}
+        for arr in (a, b, mu, eps):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
+def test_the_catalog_checks_share_inputs_only(monkeypatch):
+    # the frames are kept between calls, nothing computed from them is: a
+    # second call of each check makes every kernel call of the first again
+    kernels = ("ricci_forms", "ricci_general_forms", "j1_j2_operators", "trace_q_sides")
+    calls = Counter()
+
+    def spy(name):
+        kernel = getattr(verify, name)
+        return lambda *args: calls.update([name]) or kernel(*args)
+
+    for name in kernels:
+        monkeypatch.setattr(verify, name, spy(name))
+    checks = ["route-equivalence", "trace-j1-j2", "trace-formula"]
+    first = run_checks(checks)
+    made = calls.copy()
+    calls.clear()
+    second = run_checks(checks)
+    assert second == first
+    assert calls == made == {name: len(ALGEBRA_NAMES) for name in kernels}
+
+
+class _RecordingRng:
+    """A generator that keeps every normal draw it hands out."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def normal(self, size):
+        self.draws.append(self._rng.normal(size=size))
+        return self.draws[-1]
+
+
+def test_near_identity_redraws_only_the_rows_below_its_floor():
+    # at n = 3 a floor of 0.5 rejects about three draws in ten, so the
+    # redraw branch runs; lemma-fuzz's floor of 1e-2 also reaches it
+    rng, k, n, floor = _RecordingRng(0), 40, 3, 0.5
+    a = verify._near_identity(rng, k, n, floor)
+    assert a.shape == (k, n, n)
+    assert (np.linalg.svd(a, compute_uv=False)[:, -1] >= floor).all()
+    first = np.eye(n) + 0.3 * rng.draws[0]
+    passed = np.linalg.svd(first, compute_uv=False)[:, -1] >= floor
+    assert 0 < passed.sum() < k and len(rng.draws) >= 2
+    assert np.array_equal(a[passed], first[passed])  # kept bit for bit
+    assert rng.draws[1].shape == ((~passed).sum(), n, n)  # only the failing rows again
+    assert not (a[~passed] == first[~passed]).all(axis=(1, 2)).any()
+    assert verify._near_identity(_RecordingRng(0), 0, n, floor).shape == (0, n, n)
+
+
+def test_run_checks_runs_a_name_given_twice_once():
+    results = run_checks(["derivations", "examples", "derivations"])
+    assert [r.name for r in results] == ["derivations", "examples"]
 
 
 @pytest.mark.parametrize("names", [[], (), iter([])])

@@ -373,6 +373,26 @@ def test_verify_only_flatness(capsys):
     assert "1/1 checks passed" in out
 
 
+@pytest.mark.parametrize(
+    "only, ran",
+    [
+        (["flatness, derivations"], ["flatness", "derivations"]),
+        ([" examples ", "derivations ,"], ["examples", "derivations"]),
+        (["examples,examples"], ["examples"]),
+        (["derivations", "examples,derivations"], ["derivations", "examples"]),
+    ],
+)
+def test_verify_only_strips_names_and_runs_each_once(only, ran, capsys):
+    # whitespace around a name is no part of it, and a name given twice runs
+    # once, where it first appears
+    argv = [arg for tok in only for arg in ("--only", tok)]
+    code, out, err = run_cli(capsys, "verify-paper", *argv)
+    rows = out.splitlines()
+    assert (code, err) == (0, "")
+    assert [row.split()[1] for row in rows[:-1]] == ran
+    assert rows[-1] == f"{len(ran)}/{len(ran)} checks passed"
+
+
 def test_several_main_calls_build_the_parser_once(ex8_file, capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -408,7 +428,7 @@ def test_verify_unknown_check_exit_2(capsys):
     assert err == f"error: unknown checks: nonsense; known: {', '.join(CHECK_NAMES)}\n"
 
 
-@pytest.mark.parametrize("only", [",", ""])
+@pytest.mark.parametrize("only", [",", "", " , "])
 def test_verify_with_no_check_selected_exit_2(only, capsys):
     # a verification that runs no check verifies nothing: not "0/0 checks passed"
     code, out, err = run_cli(capsys, "verify-paper", "--only", only)
