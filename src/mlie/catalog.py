@@ -114,7 +114,7 @@ def make_algebra(name: str) -> LieAlgebra:
     frozen instance on every call."""
     try:
         return _ALGEBRAS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise UnknownName(f"unknown catalog algebra {name!r}") from None
 
 
@@ -123,7 +123,7 @@ def table1_derivation(name: str) -> np.ndarray:
     a read-only matrix."""
     try:
         diag = DERIVATION_TABLE[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownName(f"no listed derivation for {name!r}") from None
     der = np.diag(np.asarray(diag, dtype=float))
     der.flags.writeable = False
@@ -375,7 +375,7 @@ def make_metric(
         ))
     try:
         mv = METRIC_VARIANTS[variant]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownName(f"unknown metric variant {variant!r}") from None
     if mv.algebra != name:
         raise UnknownName(f"metric variant {variant} belongs to {mv.algebra}, not {name}")

@@ -35,7 +35,7 @@ from .errors import (
     NotLie,
     SingularK0,
 )
-from .liealg import LieAlgebra, _upper_pairs, act_on_brackets
+from .liealg import LieAlgebra, act_on_brackets
 from .pseudolin import (
     DEFAULT_TOL,
     Gram,
@@ -43,6 +43,7 @@ from .pseudolin import (
     _cutoff,
     _nonnegative,
     find_isotropic_in,
+    nullspace,
     numerical_rank,
 )
 
@@ -141,24 +142,28 @@ def extend(data: ExtensionData, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:
 def _model(data: ExtensionData, tol: float) -> Tuple[LieAlgebra, Gram]:
     """Bracket, built at tol, and gram of extend's model, unchecked: Jacobi
     holds only for data that check_admissible finds Lie."""
-    v = data.v_dim
-    n = v + 2
+    n = data.v_dim + 2
     c = np.zeros((n, n, n))
     # [ē, e] = μ e; ē is the last basis vector, e the first, so store the
     # i<j pair (e, ē) with the opposite sign.
     c[0, n - 1, 0] = -data.mu
-    # [ē, f_j] = D f_j + ⟨b, f_j⟩ e, stored on the pair (f_j, ē)
-    c[1 : 1 + v, n - 1, 1 : 1 + v] = -data.D.T
-    c[1 : 1 + v, n - 1, 0] = -data.b
-    # [f_i, f_j] = ⟨K f_i, f_j⟩ e = K[j,i] e
-    iu, ju = _upper_pairs(v)
-    c[1 + iu, 1 + ju, 0] = data.K[ju, iu]
-    algebra = LieAlgebra(c, tol)
+    k_t, minus_d_t, minus_b = _slots(c)
+    k_t[...] = data.K.T  # [f_i, f_j] = ⟨K f_i, f_j⟩ e = K[j,i] e
+    minus_d_t[...] = -data.D.T  # [ē, f_j] = D f_j + ⟨b, f_j⟩ e, stored on the pair (f_j, ē)
+    minus_b[...] = -data.b
+    return LieAlgebra(c, tol), Gram(_witt_gram(n))
 
-    g = np.zeros((n, n))
-    g[0, n - 1] = g[n - 1, 0] = 1.0
-    g[1 : 1 + v, 1 : 1 + v] = np.eye(v)
-    return algebra, Gram(g)
+
+def _slots(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The views (Kᵀ, −Dᵀ, −b) of a bracket c on (e, f_1..f_v, ē) where the
+    model keeps its data: ⟨[f_i, f_j], ē⟩, the f-part of [f_j, ē] and its e-part."""
+    return c[1:-1, 1:-1, 0], c[1:-1, -1, 1:-1], c[1:-1, -1, 0]
+
+
+def _witt_gram(n: int) -> np.ndarray:
+    """The model gram on (e, f_1..f_v, ē), its own inverse: e and ē isotropic
+    with ⟨e, ē⟩ = 1, both orthogonal to the orthonormal f_i."""
+    return np.eye(n)[[n - 1, *range(1, n - 1), 0]]
 
 
 def ricci_ebar(data: ExtensionData) -> float:
@@ -197,31 +202,24 @@ def decompose(m: MetricLieAlgebra, verdict_tol: float = VERDICT_TOL) -> Optional
     if report.verdict not in (Verdict.RICCI_FLAT, Verdict.FLAT):
         raise NotApplicable(f"metric is not Ricci-flat: verdict {report.verdict.value}")
 
-    center = m.algebra.center()
-    e = find_isotropic_in(m.gram, center)
+    e = find_isotropic_in(m.gram, m.algebra.center())
     if e is None:
         return None
 
-    g = m.gram.mat
-    w = g @ e
-    x0 = w / float(w @ w)  # ⟨e, x0⟩ = 1
-    ebar = x0 - 0.5 * float(x0 @ g @ x0) * e  # isotropy correction
-
-    # V = {e, ē}-perp is Euclidean; orthonormalize it against the metric.
-    span = np.vstack([e, ebar])
-    _, _, vt = np.linalg.svd(span @ g)
-    raw = vt[2:]
-    r = raw @ g @ raw.T
-    chol = np.linalg.cholesky(r)
-    f = np.linalg.solve(chol, raw)  # rows f_i with ⟨f_i, f_j⟩ = δ_ij
-
-    brk = f @ m.algebra.ad(ebar).T @ g  # row i: ⟨[ē, f_i], ·⟩
-    pair = m.algebra.c @ (g @ ebar)  # pair[a,b] = ⟨[e_a, e_b], ē⟩
-    kmat = f @ pair.T @ f.T  # K[j,i] = ⟨[f_i, f_j], ē⟩
-    dmat = f @ brk.T  # D[j,i] = ⟨[ē, f_i], f_j⟩
-    data = ExtensionData(kmat, dmat, mu=0.0, b=brk @ ebar)
-    basis_change = np.column_stack([e, *f, ebar])
-    return Decomposition(data, basis_change)
+    # The Witt basis W = [e, f, ē] of the frame, where G = η = diag(−1, 1, ..):
+    # e = (1, u) on the null line of A·e, ē = (−1, u)/2 and f_i = (0, v_i)
+    # with v_i orthonormal in u-perp.  Then Wᵀ·η·W = g₀ = g₀⁻¹, so W⁻¹ = g₀·Wᵀ·η.
+    eps, a, b = m._frame
+    e = a[0] @ e
+    u = np.sign(e[0]) * e[1:] / np.linalg.norm(e[1:])
+    w = np.zeros((n, n))
+    w[:, 0] = 1.0, *u
+    w[1:, 1:-1] = nullspace(u[None], m.algebra.tol).T
+    w[:, -1] = -0.5, *(0.5 * u)
+    w_inv = _witt_gram(n) @ (w.T * eps)
+    k_t, minus_d_t, minus_b = _slots(act_on_brackets(w_inv[None], w[None], m._brackets())[0])
+    data = ExtensionData(k_t.T, -minus_d_t.T, mu=0.0, b=-minus_b)
+    return Decomposition(data, b[0] @ w)
 
 
 def model_residual(m: MetricLieAlgebra, dec: Decomposition) -> float:

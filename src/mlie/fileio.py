@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -179,8 +180,17 @@ def dict_to_extension(doc: Any) -> Tuple[ExtensionData, Optional[np.ndarray], Op
     return ExtensionData(k, d, mu=mu, b=b), basis_change, comment
 
 
+def _path(path: Any) -> str:
+    """path as a str; anything else, a file descriptor included, is refused
+    unless it is an os.PathLike naming a str path."""
+    path = os.fspath(path) if isinstance(path, os.PathLike) else path
+    _require(isinstance(path, str), f"path must be a str or os.PathLike, got {type(path).__name__}")
+    return path
+
+
 def _read(path: str, parse: Callable[[Any], Any]) -> Any:
     """parse applied to the JSON document at path; InvalidInput names the path."""
+    path = _path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -196,7 +206,7 @@ def _read(path: str, parse: Callable[[Any], Any]) -> Any:
 
 def write_json(path: str, doc: Dict[str, Any]) -> None:
     """doc as indented JSON and a newline, the layout every writer here uses."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_path(path), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 

@@ -12,8 +12,9 @@ All randomness is seeded; rerunning a check reproduces it exactly.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -662,14 +663,19 @@ def run_checks(
     Checks quoting a stricter bound use tol/10; the pinned regression
     constants (derivation defect 1e-12, search tolerance 1e-6) stay put.
     A name given twice runs once, in the order of its first occurrence.
-    UnknownName names any check that does not exist, InvalidInput no check.
+    UnknownName names any check that does not exist, InvalidInput no check,
+    or names that are one string or no iterable at all.
     """
-    selected: Sequence[str] = list(dict.fromkeys(names)) if names is not None else CHECK_NAMES
+    if names is None:
+        names = CHECK_NAMES
+    elif isinstance(names, (str, bytes)) or not isinstance(names, Iterable):
+        raise InvalidInput(f"names must be an iterable of check names, got {type(names).__name__}")
+    selected = list(dict.fromkeys(names))
     if not selected:
         raise InvalidInput(f"no check selected; known: {', '.join(CHECK_NAMES)}")
     unknown = [s for s in selected if s not in CHECKS]
     if unknown:
-        raise UnknownName(f"unknown checks: {', '.join(unknown)}; known: {', '.join(CHECK_NAMES)}")
+        raise UnknownName(f"unknown checks: {', '.join(map(str, unknown))}; known: {', '.join(CHECK_NAMES)}")
     return [CHECKS[s](tol) for s in selected]
 
 

@@ -16,7 +16,7 @@ import pytest
 from mlie import curvature, verify
 from mlie.catalog import ALGEBRA_NAMES
 from mlie.curvature import VERDICT_TOL, MetricLieAlgebra
-from mlie.errors import InvalidInput
+from mlie.errors import InvalidInput, UnknownName
 from mlie.verify import CHECK_NAMES, check_trace_formula, format_row, run_checks
 
 
@@ -150,6 +150,17 @@ def test_run_checks_runs_a_name_given_twice_once():
 def test_run_checks_refuses_a_selection_of_no_check(names):
     with pytest.raises(InvalidInput, match="no check selected"):
         run_checks(names)
+
+
+@pytest.mark.parametrize("names, kind", [("examples", "str"), (2.5, "float")])
+def test_run_checks_refuses_one_string_or_a_non_iterable(names, kind):
+    with pytest.raises(InvalidInput, match=f"iterable of check names, got {kind}$"):
+        run_checks(names)
+
+
+def test_run_checks_names_a_name_that_is_no_string():
+    with pytest.raises(UnknownName, match="unknown checks: 2; known: "):
+        run_checks(["examples", 2])
 
 
 def test_run_checks_takes_every_verdict_at_its_tol(monkeypatch):

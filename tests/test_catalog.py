@@ -42,6 +42,21 @@ def test_unknown_name_raises():
         make_algebra("L9_99")
 
 
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (make_algebra, ([],)),
+        (make_algebra, ({},)),
+        (make_metric, ([],)),
+        (make_metric, ("L3_2", [], {"alpha": 1.0})),
+        (table1_derivation, ([],)),
+    ],
+)
+def test_an_unhashable_name_is_an_unknown_name(make, args):
+    with pytest.raises(UnknownName):
+        make(*args)
+
+
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
 def test_a_catalog_algebra_is_shared_and_hands_out_only_fixed_facts(name):
     alg = make_algebra(name)

@@ -17,7 +17,8 @@ from mlie.doubleext import (
     ricci_ebar,
 )
 from mlie.errors import ConstraintViolation, InvalidInput, NotApplicable, NotLie, SingularK0
-from mlie.pseudolin import DEFAULT_TOL, SubspaceTag, classify_subspace
+from mlie.liealg import LieAlgebra, act_on_brackets
+from mlie.pseudolin import DEFAULT_TOL, Gram, SubspaceTag, classify_subspace
 
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -197,14 +198,53 @@ def test_model_residual_refuses_a_basis_change_of_another_size():
         model_residual(make_metric("EX8"), dec._replace(basis_change=np.eye(3)))
 
 
+def test_decompose_is_well_conditioned_in_a_skewed_basis():
+    # nilpotent extensions pulled through P = I + 0.3N: the data come out at the
+    # metric's own scale, and the round trip is exact to roundoff
+    rng = np.random.default_rng(2024)
+    worst, largest, refused = 0.0, 0.0, []
+    for draw in range(210):
+        data = random_admissible(rng, f_dim=int(rng.integers(1, 4)), blocks=int(rng.integers(1, 3)))
+        model = extend(data)
+        n = model.n
+        p = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+        c = act_on_brackets(np.linalg.inv(p)[None], p[None], model.algebra.c)[0]
+        m = MetricLieAlgebra(LieAlgebra(c), Gram(p.T @ model.gram.mat @ p))
+        try:
+            dec = decompose(m)
+        except NotApplicable as err:
+            refused.append((draw, str(err)))
+            continue
+        scale = max(1.0, np.abs(m.algebra.c).max(), np.abs(m.gram.mat).max())
+        worst = max(worst, model_residual(m, dec) / scale)
+        largest = max(largest, *(np.abs(x).max() for x in (dec.data.K, dec.data.D, dec.data.b)))
+    # draw 48's lower central series does not reach 0 at tol in this basis
+    assert refused == [(48, "algebra is not nilpotent")]
+    assert worst <= 1e-12
+    assert largest <= 100.0
+
+
+def test_decompose_of_a_classified_metric_factors_nothing(monkeypatch):
+    m = extend(random_admissible(np.random.default_rng(5), f_dim=2, blocks=2))
+    m.einstein_classify()
+    calls = []
+    for name in ("solve", "cholesky", "inv"):
+        fn = getattr(np.linalg, name)
+
+        def spy(*args, _name=name, _fn=fn, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    dec = decompose(m)
+    assert dec is not None and calls == []
+
+
 def test_decompose_none_for_definite_center():
     assert decompose(make_metric("EX6")) is None
 
 
 def test_decompose_rejects_non_ricci_flat():
-    from mlie.liealg import LieAlgebra
-    from mlie.pseudolin import Gram
-
     hei = MetricLieAlgebra(
         LieAlgebra.from_brackets(3, {(0, 1): {2: 1.0}}), Gram.from_diagonal([-1.0, 1.0, 1.0])
     )

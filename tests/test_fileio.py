@@ -1,4 +1,5 @@
 import json
+import os
 from functools import partial
 
 import numpy as np
@@ -102,6 +103,29 @@ def test_parse_error_carries_location(tmp_path):
     path.write_text('{"dim": 2,\n  "brackets": [}\n')
     with pytest.raises(InvalidInput, match=r"broken\.json:2"):
         read_algebra(str(path), DEFAULT_TOL)
+    with pytest.raises(InvalidInput, match=r"broken\.json:2"):
+        read_algebra(path, DEFAULT_TOL)  # an os.PathLike names the file too
+
+
+def test_a_file_descriptor_is_not_a_path():
+    # an integer path would be opened as that fd, written to and closed
+    algebra = make_metric("L3_2", "m32", {"alpha": 1.0}).algebra
+    data = ExtensionData(np.zeros((1, 1)), np.zeros((1, 1)))
+    r, w = os.pipe()
+    try:
+        for call in (
+            partial(write_algebra, w, algebra),
+            partial(write_extension, w, data),
+            partial(read_algebra, r, DEFAULT_TOL),
+            partial(read_extension, r),
+        ):
+            with pytest.raises(InvalidInput, match="^path must be a str or os.PathLike, got int$"):
+                call()
+        os.write(w, b"x")  # w is still open
+        assert os.read(r, 2) == b"x"  # and nothing else was written
+    finally:
+        os.close(r)
+        os.close(w)
 
 
 def test_extension_roundtrip(tmp_path):
