@@ -21,9 +21,10 @@ symmetric form ⟨,⟩:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -202,13 +203,117 @@ def ricci_operators(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndar
     return _raise_index(eps, ricci_forms(levi_civita_tensors(mu, eps)))
 
 
-def _einstein_defect(ric: np.ndarray, tol: float) -> Tuple[float, float, float]:
-    """(λ, max|Ric − λ·Id|, cutoff) for a Ricci operator Ric, with λ = tr(Ric)/n
-    and cutoff _cutoff(tol, Ric): the verdict's Einstein test passes when the
-    residual is within the cutoff."""
-    lam = float(np.trace(ric)) / len(ric)
-    residual = float(np.abs(ric - lam * np.eye(len(ric))).max(initial=0.0))
-    return lam, residual, _cutoff(tol, ric)
+# -- the verdict on stacks ----------------------------------------------
+#
+# einstein_classify's layers, each on a stack of metrics given by their
+# brackets c (k,n,n,n) in the input basis and their frames (ε, A, B), stacks
+# of k or of one that every member shares.  Each decision is taken per member
+# in the input basis, at the member's own cutoff; a metric calls each layer on
+# its stack of one.
+
+
+def _frame(gram: Gram, tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pseudo-orthonormal frame G = AᵀηA of a gram, decided at tol, as
+    stacks of one: the signs ε (1, n), minus-first, A (1, n, n) and B = A⁻¹.
+    DegenerateGram on a null direction."""
+    b, eps = orthonormal_basis(gram, tol)
+    a = (eps[:, None] * b.T) @ gram.mat  # B⁻¹ = η·Bᵀ·G, as BᵀGB = η
+    return eps[None], a[None], b[None]
+
+
+def _in_input_basis(frame, x: np.ndarray, form: bool = False) -> np.ndarray:
+    """X (k, n, n) of the frames in the input basis: B·X·A, or Aᵀ·X·A for a
+    form, symmetrized as ricci_forms symmetrizes."""
+    _, a, b = frame
+    y = (a.swapaxes(-1, -2) if form else b) @ x @ a
+    return (y + y.swapaxes(-1, -2)) / 2.0 if form else y
+
+
+def _check_routes(ric_nil: np.ndarray, ric_def: np.ndarray) -> None:
+    """The Ricci cross-check in the frames: RuntimeError(ROUTE_MISMATCH) when a
+    member's 𝒥-route and definitional route differ beyond _cutoff(1e-6, Q)."""
+    gap = np.abs(ric_nil - ric_def).reshape(len(ric_nil), -1)
+    if any(np.maximum.reduce(gap, axis=1, initial=0.0) > _cutoff(1e-6, ric_nil, stack=True)):
+        raise RuntimeError(ROUTE_MISMATCH)
+
+
+def _curvature_tensors(c: np.ndarray, lc: np.ndarray) -> np.ndarray:
+    """K[m,i,j,k,:] = (L_[e_i,e_j] − [L_i, L_j]) e_k for brackets c and
+    Levi-Civita tensors lc[m, i, k, :] = L_{e_i} e_k, each (k, n, n, n)."""
+    m, n = lc.shape[:2]
+    # K[i,j,k,:] = Σ_m c[i,j,m] lc[m,k,:] + (lc[i] @ lc[j] − lc[j] @ lc[i])[k,:],
+    # each term one matmul over reshaped stacks
+    curv = (c.reshape(m, n * n, n) @ lc.reshape(m, n, n * n)).reshape(m, n, n, n, n)
+    products = lc.reshape(m, n * n, n) @ lc.transpose(0, 2, 1, 3).reshape(m, n, n * n)
+    products = products.reshape(m, n, n, n, n).transpose(0, 1, 3, 2, 4)  # [i,j] = lc[i] @ lc[j]
+    curv += products
+    curv -= products.transpose(0, 2, 1, 3, 4)
+    return curv
+
+
+def _flatness_defects(c: np.ndarray, lc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(sup-norm of each curvature tensor, its roundoff scale max(1, max|lc|)²,
+    squared by the C library's pow, as Python squares a number)."""
+    k = len(lc)
+    scale = np.float_power(np.maximum.reduce(np.abs(lc).reshape(k, -1), axis=1, initial=1.0), 2)
+    curv = _curvature_tensors(c, lc)
+    return np.maximum.reduce(np.abs(curv, out=curv).reshape(k, -1), axis=1, initial=0.0), scale
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, made once per n."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _einstein_defects(ric: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(λ, max|Ric − λ·Id|, cutoff) for each Ricci operator of a stack (k, n, n),
+    with λ = tr(Ric)/n and cutoff _cutoff(tol, Ric): the verdict's Einstein
+    test passes when the residual is within the cutoff."""
+    k, n = ric.shape[:2]
+    lam = ric.trace(axis1=1, axis2=2) / n
+    deviation = np.abs(ric - lam[:, None, None] * _identity(n)).reshape(k, -1)
+    return lam, np.maximum.reduce(deviation, axis=1, initial=0.0), _cutoff(tol, ric, stack=True)
+
+
+def _verdicts(
+    ric: np.ndarray, defect: np.ndarray, scale: np.ndarray, tol: float
+) -> Tuple[list, list, list, list]:
+    """The verdict rule on a stack: from the Ricci operators (k, n, n) and the
+    flatness defects and scales (k,) in the input basis, the lists (verdicts,
+    λ, residuals, flat), one entry per member.  NotEinstein when the Einstein
+    test fails; else Flat when the curvature is within _cutoff(tol, scale),
+    RicciFlat when |λ| is within the Einstein cutoff, and Einstein otherwise."""
+    lam, residual, cut = _einstein_defects(ric, tol)
+    lam, residual, cut = lam.tolist(), residual.tolist(), cut.tolist()
+    flat = (defect <= _cutoff(tol, scale, stack=True)).tolist()
+    verdicts = [
+        Verdict.NOT_EINSTEIN if r > c_m
+        else Verdict.FLAT if f
+        else Verdict.RICCI_FLAT if abs(l_m) <= c_m
+        else Verdict.EINSTEIN
+        for l_m, r, c_m, f in zip(lam, residual, cut, flat)
+    ]
+    return verdicts, lam, residual, flat
+
+
+def _nilpotent_verdicts(
+    c: np.ndarray, mu: np.ndarray, frame, tol: float
+) -> Tuple[np.ndarray, List[Verdict]]:
+    """(Ricci operators, verdicts) of einstein_classify(tol) for a stack of
+    nilpotent brackets c (k, n, n, n) with their frames and their brackets μ =
+    A·c in them, layer by layer as a metric takes them: both Ricci routes and
+    their cross-check, the transported Levi-Civita tensor and the flatness
+    test, the verdict rule."""
+    eps, a, b = frame
+    lc_frame = levi_civita_tensors(mu, eps)
+    ric_nil = ricci_operators(mu, eps, True)
+    _check_routes(ric_nil, _raise_index(eps, ricci_forms(lc_frame)))
+    ric = _in_input_basis(frame, ric_nil)
+    defect, scale = _flatness_defects(c, act_on_brackets(b, a, lc_frame))
+    return ric, _verdicts(ric, defect, scale, tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,13 +337,12 @@ class MetricLieAlgebra:
         gram = gram if isinstance(gram, Gram) else Gram(gram)
         if gram.n != algebra.n:
             raise InvalidInput("gram size does not match algebra dimension")
-        b, eps = orthonormal_basis(gram, algebra.tol)  # DegenerateGram on a null direction
-        minus = int(np.count_nonzero(eps < 0))  # ε is minus-first
-        a = (eps[:, None] * b.T) @ gram.mat  # B⁻¹ = η·Bᵀ·G, as BᵀGB = η
+        frame = _frame(gram, algebra.tol)  # ε, A, B: a stack of one
+        minus = int(np.count_nonzero(frame[0] < 0))  # ε is minus-first
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_signature", Signature(minus, algebra.n - minus, 0))
-        object.__setattr__(self, "_frame", (eps[None], a[None], b[None]))  # ε, A, B: a stack of one
+        object.__setattr__(self, "_frame", frame)
         object.__setattr__(self, "_memo", {})  # facts computed once, by method and arguments
 
     @property
@@ -251,11 +355,8 @@ class MetricLieAlgebra:
     # -- the frame --------------------------------------------------------
 
     def _moved_back(self, x: np.ndarray, form: bool = False) -> np.ndarray:
-        """X (1, n, n) of the frame in the input basis: B·X·A, or Aᵀ·X·A for a
-        form, symmetrized as ricci_forms symmetrizes."""
-        _, a, b = self._frame
-        y = ((a.swapaxes(-1, -2) if form else b) @ x @ a)[0]
-        return (y + y.T) / 2.0 if form else y
+        """X (1, n, n) of the frame in the input basis (_in_input_basis)."""
+        return _in_input_basis(self._frame, x, form)[0]
 
     @_computed_once
     def _brackets(self) -> np.ndarray:
@@ -277,20 +378,13 @@ class MetricLieAlgebra:
 
     def curvature_tensor(self) -> np.ndarray:
         """K[i,j,k,:] = K(e_i,e_j)e_k = (L_[e_i,e_j] − [L_i, L_j]) e_k."""
-        lc = self._levi_civita()  # lc[i, k, :] = L_{e_i} e_k
-        n = self.n
-        # K[i,j,k,:] = Σ_m c[i,j,m] lc[m,k,:] + (lc[i] @ lc[j] − lc[j] @ lc[i])[k,:],
-        # each term one matmul over reshaped stacks
-        term_bracket = self.algebra.c.reshape(n * n, n) @ lc.reshape(n, n * n)
-        products = lc.reshape(n * n, n) @ lc.transpose(1, 0, 2).reshape(n, n * n)
-        products = products.reshape(n, n, n, n).transpose(0, 2, 1, 3)  # [i,j] = lc[i] @ lc[j]
-        return term_bracket.reshape(n, n, n, n) + products - products.transpose(1, 0, 2, 3)
+        return _curvature_tensors(self.algebra.c[None], self._levi_civita()[None])[0]
 
     @_computed_once
     def flatness_defect(self) -> Tuple[float, float]:
         """(sup-norm of the curvature tensor, its roundoff scale)."""
-        scale = max(1.0, float(np.abs(self._levi_civita()).max(initial=0.0))) ** 2
-        return float(np.abs(self.curvature_tensor()).max(initial=0.0)), scale
+        defect, scale = _flatness_defects(self.algebra.c[None], self._levi_civita()[None])
+        return float(defect[0]), float(scale[0])
 
     # -- Ricci, three routes ----------------------------------------------
 
@@ -344,9 +438,7 @@ class MetricLieAlgebra:
         ric_def = self._ricci_definitional()
         if not self.algebra.is_nilpotent():
             return self._moved_back(ric_def)
-        ric_nil = self._ricci_nilpotent_frame()
-        if np.abs(ric_nil - ric_def).max(initial=0.0) > _cutoff(1e-6, ric_nil):
-            raise RuntimeError(ROUTE_MISMATCH)
+        _check_routes(self._ricci_nilpotent_frame(), ric_def)
         return self.ricci_nilpotent()
 
     def einstein_classify(self, tol: float = VERDICT_TOL) -> CurvatureReport:
@@ -366,25 +458,15 @@ class MetricLieAlgebra:
     def _classify(self, tol: float) -> CurvatureReport:
         """einstein_classify, computed from the kept facts."""
         ric_op = self.ricci_operator()
-        lam, residual, cut = _einstein_defect(ric_op, tol)
-        scalar = float(np.trace(self._ricci_definitional()[0]))
-
-        k_defect, k_scale = self.flatness_defect()
-        flat = k_defect <= _cutoff(tol, k_scale)
-
-        if residual > cut:
-            verdict = Verdict.NOT_EINSTEIN
-        elif flat:
-            verdict = Verdict.FLAT
-        elif abs(lam) <= cut:
-            verdict = Verdict.RICCI_FLAT
-        else:
-            verdict = Verdict.EINSTEIN
+        defect, scale = self.flatness_defect()
+        (verdict,), (lam,), (residual,), (flat,) = _verdicts(
+            ric_op[None], np.array([defect]), np.array([scale]), tol
+        )
         return CurvatureReport(
             verdict=verdict,
             ricci_operator=ric_op,
             ricci_form=self.ricci_via_definition(),
-            scalar_curvature=scalar,
+            scalar_curvature=float(self._ricci_definitional()[0].trace()),
             einstein_lambda=None if verdict is Verdict.NOT_EINSTEIN else lam,
             einstein_residual=residual,
             flat=flat,

@@ -23,7 +23,7 @@ Facts used throughout (K skew, D arbitrary, D* = Dᵀ on Euclidean V):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import (
     NotLie,
     SingularK0,
 )
-from .liealg import LieAlgebra, act_on_brackets
+from .liealg import LieAlgebra, _antisymmetric, act_on_brackets
 from .pseudolin import (
     DEFAULT_TOL,
     Gram,
@@ -43,7 +43,7 @@ from .pseudolin import (
     _cutoff,
     _nonnegative,
     find_isotropic_in,
-    nullspace,
+    _nullspaces,
     numerical_rank,
 )
 
@@ -142,22 +142,32 @@ def extend(data: ExtensionData, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:
 def _model(data: ExtensionData, tol: float) -> Tuple[LieAlgebra, Gram]:
     """Bracket, built at tol, and gram of extend's model, unchecked: Jacobi
     holds only for data that check_admissible finds Lie."""
-    n = data.v_dim + 2
-    c = np.zeros((n, n, n))
-    # [ē, e] = μ e; ē is the last basis vector, e the first, so store the
-    # i<j pair (e, ē) with the opposite sign.
-    c[0, n - 1, 0] = -data.mu
+    return LieAlgebra(_models([data])[0], tol), Gram(_witt_gram(data.v_dim + 2))
+
+
+def _models(data: Sequence[ExtensionData]) -> np.ndarray:
+    """The brackets of extend's model for data of one v_dim, a (k, n, n, n)
+    stack written as LieAlgebra reads a bracket (its pairs i < j), so
+    liealg._antisymmetric gives the bracket LieAlgebra keeps; unchecked, as
+    _model."""
+    n = data[0].v_dim + 2
+    c = np.zeros((len(data), n, n, n))
     k_t, minus_d_t, minus_b = _slots(c)
-    k_t[...] = data.K.T  # [f_i, f_j] = ⟨K f_i, f_j⟩ e = K[j,i] e
-    minus_d_t[...] = -data.D.T  # [ē, f_j] = D f_j + ⟨b, f_j⟩ e, stored on the pair (f_j, ē)
-    minus_b[...] = -data.b
-    return LieAlgebra(c, tol), Gram(_witt_gram(n))
+    for r, d in enumerate(data):
+        # [ē, e] = μ e; ē is the last basis vector, e the first, so store the
+        # i<j pair (e, ē) with the opposite sign.
+        c[r, 0, n - 1, 0] = -d.mu
+        k_t[r] = d.K.T  # [f_i, f_j] = ⟨K f_i, f_j⟩ e = K[j,i] e
+        minus_d_t[r] = -d.D.T  # [ē, f_j] = D f_j + ⟨b, f_j⟩ e, stored on the pair (f_j, ē)
+        minus_b[r] = -d.b
+    return c
 
 
 def _slots(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The views (Kᵀ, −Dᵀ, −b) of a bracket c on (e, f_1..f_v, ē) where the
-    model keeps its data: ⟨[f_i, f_j], ē⟩, the f-part of [f_j, ē] and its e-part."""
-    return c[1:-1, 1:-1, 0], c[1:-1, -1, 1:-1], c[1:-1, -1, 0]
+    """The views (Kᵀ, −Dᵀ, −b) of brackets c[..., :, :, :] on (e, f_1..f_v, ē)
+    where the model keeps its data: ⟨[f_i, f_j], ē⟩, the f-part of [f_j, ē]
+    and its e-part."""
+    return c[..., 1:-1, 1:-1, 0], c[..., 1:-1, -1, 1:-1], c[..., 1:-1, -1, 0]
 
 
 def _witt_gram(n: int) -> np.ndarray:
@@ -192,7 +202,6 @@ def decompose(m: MetricLieAlgebra, verdict_tol: float = VERDICT_TOL) -> Optional
     columns give (e, f_1..f_v, ē) in the input coordinates.
     """
     _cutoff(verdict_tol)  # refuses a bad verdict_tol before the other decisions
-    n = m.n
     sig = m.signature()
     if (sig.minus, sig.null) != (1, 0):
         raise NotApplicable(f"metric is not Lorentzian: signature {tuple(sig)}")
@@ -205,21 +214,34 @@ def decompose(m: MetricLieAlgebra, verdict_tol: float = VERDICT_TOL) -> Optional
     e = find_isotropic_in(m.gram, m.algebra.center())
     if e is None:
         return None
+    return _witt_decompositions(m._brackets(), m._frame, e[None], m.algebra.tol)[0]
 
-    # The Witt basis W = [e, f, ē] of the frame, where G = η = diag(−1, 1, ..):
-    # e = (1, u) on the null line of A·e, ē = (−1, u)/2 and f_i = (0, v_i)
-    # with v_i orthonormal in u-perp.  Then Wᵀ·η·W = g₀ = g₀⁻¹, so W⁻¹ = g₀·Wᵀ·η.
-    eps, a, b = m._frame
-    e = a[0] @ e
-    u = np.sign(e[0]) * e[1:] / np.linalg.norm(e[1:])
-    w = np.zeros((n, n))
-    w[:, 0] = 1.0, *u
-    w[1:, 1:-1] = nullspace(u[None], m.algebra.tol).T
-    w[:, -1] = -0.5, *(0.5 * u)
-    w_inv = _witt_gram(n) @ (w.T * eps)
-    k_t, minus_d_t, minus_b = _slots(act_on_brackets(w_inv[None], w[None], m._brackets())[0])
-    data = ExtensionData(k_t.T, -minus_d_t.T, mu=0.0, b=-minus_b)
-    return Decomposition(data, b[0] @ w)
+
+def _witt_decompositions(mu: np.ndarray, frame, e: np.ndarray, tol: float) -> List[Decomposition]:
+    """decompose's reading of a stack of brackets μ (k, n, n, n), all in the
+    one frame (ε, A, B) of their metric (stacks of one), with null central
+    vectors e (k, n) in input coordinates: (K, D, b) from the bracket in the
+    Witt basis, every rank decided at tol.
+
+    The Witt basis W = [e, f, ē] of a frame, where G = η = diag(−1, 1, ..):
+    e = (1, u) on the null line of A·e, ē = (−1, u)/2 and f_i = (0, v_i) with
+    v_i orthonormal in u-perp.  Then Wᵀ·η·W = g₀ = g₀⁻¹, so W⁻¹ = g₀·Wᵀ·η."""
+    eps, a, b = frame
+    k, n = mu.shape[:2]
+    u = np.zeros((k, n - 1))
+    for r in range(k):
+        a_e = a[0] @ e[r]
+        u[r] = np.sign(a_e[0]) * a_e[1:] / np.linalg.norm(a_e[1:])
+    w = np.zeros((k, n, n))
+    w[:, 0, 0], w[:, 1:, 0] = 1.0, u
+    w[:, 1:, 1:-1] = np.swapaxes(_nullspaces(u[:, None], tol), -1, -2)
+    w[:, 0, -1], w[:, 1:, -1] = -0.5, 0.5 * u
+    w_inv = _witt_gram(n) @ (w.transpose(0, 2, 1) * eps[:, None])
+    k_t, minus_d_t, minus_b = _slots(act_on_brackets(w_inv, w, mu))
+    return [
+        Decomposition(ExtensionData(kt.T, -mdt.T, mu=0.0, b=-mb), basis_change)
+        for kt, mdt, mb, basis_change in zip(k_t, minus_d_t, minus_b, b @ w)
+    ]
 
 
 def model_residual(m: MetricLieAlgebra, dec: Decomposition) -> float:
@@ -227,12 +249,20 @@ def model_residual(m: MetricLieAlgebra, dec: Decomposition) -> float:
     and the model extension of dec.data; small for a correct decomposition.
     A measurement only: dec.data is not checked for the bracket condition."""
     p = _as_float_array(dec.basis_change, "basis change", ndim=2, square=m.n)
-    model_algebra, model_gram = _model(dec.data, m.algebra.tol)
-    c_new = act_on_brackets(np.linalg.inv(p)[None], p[None], m.algebra.c)[0]  # P⁻¹[Pe_a, Pe_b]
-    g_new = p.T @ m.gram.mat @ p
-    db = float(np.abs(c_new - model_algebra.c).max(initial=0.0))
-    dg = float(np.abs(g_new - model_gram.mat).max(initial=0.0))
-    return max(db, dg)
+    return float(_model_residuals(m.algebra.c, m.gram.mat, p[None], [dec.data])[0])
+
+
+def _model_residuals(
+    c: np.ndarray, g: np.ndarray, p: np.ndarray, data: Sequence[ExtensionData]
+) -> np.ndarray:
+    """model_residual for a stack of basis changes P (k, n, n) with their data,
+    all of one v_dim, of the brackets c (k, n, n, n), or of one (n, n, n) that
+    all share, and the gram g (n, n)."""
+    c_new = act_on_brackets(np.linalg.inv(p), p, c)  # P⁻¹[Pe_a, Pe_b]
+    g_new = p.transpose(0, 2, 1) @ g @ p
+    db = np.abs(c_new - _antisymmetric(_models(data))).max(axis=(1, 2, 3), initial=0.0)
+    dg = np.abs(g_new - _witt_gram(len(g))).max(axis=(1, 2), initial=0.0)
+    return np.maximum(db, dg)
 
 
 def _blocks(k0, d1, d2, d3) -> Tuple[np.ndarray, np.ndarray]:

@@ -14,12 +14,21 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Tuple, TypeVar
+from typing import Callable, List, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from .errors import InvalidInput, NotLie
-from .pseudolin import DEFAULT_TOL, Subspace, _as_float_array, _cutoff, _nonnegative, nullspace
+from .pseudolin import (
+    DEFAULT_TOL,
+    Subspace,
+    _as_float_array,
+    _cutoff,
+    _nonnegative,
+    _nullspaces,
+    _ranks,
+    nullspace,
+)
 
 _T = TypeVar("_T")
 
@@ -69,17 +78,12 @@ class LieAlgebra:
         n = tensor.shape[0] if tensor.ndim else 0
         if tensor.shape != (n, n, n):
             raise InvalidInput(f"structure tensor must be an (n, n, n) array, got {tensor.shape}")
-        # keep the strict upper triangle, reflect with exact sign flips
-        clean = np.zeros((n, n, n))
-        iu, ju = _upper_pairs(n)
-        clean[iu, ju, :] = tensor[iu, ju, :]
-        clean[ju, iu, :] = -tensor[iu, ju, :]
+        clean = _antisymmetric(tensor)
         clean.flags.writeable = False
-        peak = float(np.abs(clean).max(initial=0.0))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", clean)
         object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "_unit", clean / peak if peak else clean)  # c/max|c|
+        object.__setattr__(self, "_unit", _unit(clean))  # c/max|c|
         object.__setattr__(self, "_memo", {})  # facts computed once, by method
 
     @classmethod
@@ -145,8 +149,7 @@ class LieAlgebra:
     @_computed_once
     def center(self) -> Subspace:
         """{u : [e_i, u] = 0 for all i}, via one stacked nullspace."""
-        stacked = self._unit.transpose(0, 2, 1).reshape(-1, self.n)  # rows of every ad_{e_i}
-        return Subspace.kernel(stacked, self.tol)
+        return Subspace._orthonormal(_centers(self._unit[None], self.tol)[0], self.tol)
 
     @_computed_once
     def derived_ideal(self) -> Subspace:
@@ -157,15 +160,8 @@ class LieAlgebra:
     @_computed_once
     def lower_central_series(self) -> Tuple[Subspace, ...]:
         """g ⊇ [g,g] ⊇ [g,[g,g]] ⊇ ..., until the dimension stabilizes."""
-        series = [Subspace.full(self.n, self.tol)]
-        while series[-1].dim:
-            prev = series[-1]
-            imgs = (prev.basis @ self._unit).reshape(-1, self.n)  # rows [e_i, w]
-            nxt = Subspace.column_span(imgs.T, self.tol)
-            if nxt.dim == prev.dim:
-                break
-            series.append(nxt)
-        return tuple(series)
+        (series,) = _lower_central_series(self._unit[None], self.tol)
+        return tuple(Subspace._orthonormal(rows, self.tol) for rows in series)
 
     @_computed_once
     def is_nilpotent(self) -> bool:
@@ -211,6 +207,65 @@ class LieAlgebra:
         return basis[best]
 
 
+@functools.lru_cache(maxsize=None)
+def _triangles(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The masks (i < j, i > j) of the pairs of n basis vectors, shaped
+    (n, n, 1) to select the pairs of a structure tensor, made once per n."""
+    i, j = np.indices((n, n))
+    upper, lower = (i < j)[:, :, None], (i > j)[:, :, None]
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
+def _antisymmetric(c: np.ndarray) -> np.ndarray:
+    """The bracket of structure tensors c[..., :, :, :] as LieAlgebra keeps it:
+    the strict upper triangle (i < j) kept, the lower one its exact negation
+    and the diagonal zero."""
+    upper, lower = _triangles(c.shape[-1])
+    return np.where(upper, c, np.where(lower, -c.swapaxes(-3, -2), 0.0))
+
+
+def _unit(c: np.ndarray) -> np.ndarray:
+    """c/max|c| for each bracket c[..., :, :, :], the zero bracket as it is:
+    the scale-free bracket every structure decision is taken on."""
+    peak = np.abs(c).max(axis=(-3, -2, -1), initial=0.0, keepdims=True)
+    return c / np.where(peak > 0.0, peak, 1.0)
+
+
+def _centers(unit: np.ndarray, tol: float) -> List[np.ndarray]:
+    """The rows of the center of each bracket of a stack unit (k, n, n, n) of
+    c/max|c|: the kernel of the rows of every ad_{e_i}, one stacked SVD."""
+    k, n = unit.shape[:2]
+    return _nullspaces(unit.transpose(0, 1, 3, 2).reshape(k, n * n, n), tol)
+
+
+def _lower_central_series(unit: np.ndarray, tol: float) -> List[List[np.ndarray]]:
+    """The lower central series of each bracket of a stack unit (k, n, n, n)
+    of c/max|c|, as rows: per member g, [g,g], [g,[g,g]], ... until the
+    dimension stabilizes, each step the column span of the brackets [e_i, w]
+    decided by one stacked SVD.  A member's rows beyond its dimension enter
+    the stack as zeros, which change no rank."""
+    k, n = unit.shape[:2]
+    series = [[np.eye(n)] for _ in range(k)]
+    running = list(range(k)) if n else []
+    while running:
+        last = [series[m][-1] for m in running]
+        prev = np.zeros((len(running), max(map(len, last)), n))
+        for rows, step in zip(prev, last):
+            rows[: len(step)] = step
+        imgs = prev[:, None] @ (unit if len(running) == k else unit[running])  # rows [e_i, w]
+        cols = imgs.reshape(len(running), -1, n).transpose(0, 2, 1)
+        u, s, _ = np.linalg.svd(cols, full_matrices=False)
+        still = []
+        for m, step, span, rank in zip(running, last, u, _ranks(s, tol)):
+            if rank != len(step):
+                series[m].append(span[:, :rank].T)
+                if rank:
+                    still.append(m)
+        running = still
+    return series
+
+
 def derivation_defects(c: np.ndarray, e: np.ndarray) -> np.ndarray:
     """d[..., i, j, :] = E[e_i,e_j] − [Ee_i,e_j] − [e_i,Ee_j] for structure
     tensors c[..., :, :, :] and matrices E[..., :, :], their leading axes
@@ -224,10 +279,12 @@ def derivation_defects(c: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def act_on_brackets(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """μ[r] = A[r]·c for a stack of factors A (m, n, n) and their inverses B:
-    μ(x, y) = A c(Bx, By), so μ[i,j,k] = Σ B[p,i] B[q,j] c[p,q,l] A[k,l]."""
-    m, n = a.shape[:2]
+    """μ[r] = A[r]·c[r] for a stack of factors A (m, n, n), their inverses B and
+    brackets c (m, n, n, n), where a stack of one factor, or one bracket
+    (n, n, n), serves every r: μ(x, y) = A c(Bx, By), so μ[i,j,k] =
+    Σ B[p,i] B[q,j] c[p,q,l] A[k,l]."""
+    n = a.shape[-1]
     b_t = b.transpose(0, 2, 1)
     ca = c @ a.transpose(0, 2, 1)[:, None]  # [p,q,k] = Σ_l c[p,q,l] A[k,l]
-    half = (b_t @ ca.reshape(m, n, n * n)).reshape(m, n, n, n)  # [i,q,k]
+    half = (b_t @ ca.reshape(-1, n, n * n)).reshape(-1, n, n, n)  # [i,q,k]
     return b_t[:, None] @ half

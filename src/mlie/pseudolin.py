@@ -10,7 +10,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -20,12 +20,14 @@ from .errors import DegenerateGram, InvalidInput
 DEFAULT_TOL = 1e-9
 
 
-def _cutoff(tol: float, *arrays) -> float:
+def _cutoff(tol: float, *arrays, stack: bool = False):
     """tol * max(1, largest |entry| of the arrays, a number counting as one
     entry): the one place a tolerance is validated (InvalidInput unless it is
     a positive finite number, so ``_cutoff(tol)`` validates alone) and turned
     into the cutoff every rank, degeneracy, inertia, verdict, admissibility
-    and parameter decision compares against.  Left outside on purpose: the
+    and parameter decision compares against.  With ``stack`` the one array is
+    a stack (k, ...) and the cutoff is taken per member, an array (k,), the
+    member's own cutoff bit for bit.  Left outside on purpose: the
     bound of ``LieAlgebra.require_jacobi``, tol·max|c|² with no floor so that
     a scaled bracket keeps its Jacobi verdict; the roundoff scale that
     ``MetricLieAlgebra.flatness_defect`` returns for ``verify``; ``verify``'s
@@ -36,6 +38,9 @@ def _cutoff(tol: float, *arrays) -> float:
     real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
     if not real or not 0.0 < tol < np.inf:
         raise InvalidInput("tol must be a positive finite number")
+    if stack:
+        (a,) = arrays
+        return tol * np.maximum.reduce(np.abs(a).reshape(len(a), -1), axis=1, initial=1.0)
     largest = 1.0
     for a in arrays:
         largest = max(largest, float(np.abs(a).max(initial=0.0)))
@@ -190,7 +195,7 @@ class Subspace:
         """The span of the columns of m, decided by one SVD at tol (economy
         size: only the leading columns of u are kept)."""
         u, s, _ = np.linalg.svd(_as_float_array(m, "matrix", 2), full_matrices=False)
-        return cls._orthonormal(u[:, :_rank(s, tol)].T, tol)
+        return cls._orthonormal(u[:, : _ranks(s[None], tol)[0]].T, tol)
 
     @property
     def dim(self) -> int:
@@ -213,26 +218,32 @@ class Subspace:
         return bool(np.abs(self.basis.T @ coeffs - v).max() <= cut)
 
 
-def _rank(s: np.ndarray, tol: float) -> int:
-    """Number of singular values s (descending) above _cutoff(tol, s)."""
-    return int(np.count_nonzero(s > _cutoff(tol, s)))
+def _ranks(s: np.ndarray, tol: float) -> np.ndarray:
+    """Per row of a stack s (k, r) of singular values (descending), the number
+    above the row's _cutoff(tol, s)."""
+    return (s > _cutoff(tol, s, stack=True)[:, None]).sum(axis=1)
 
 
 def numerical_rank(m, tol: float) -> int:
     """Rank of a matrix: number of singular values above _cutoff(tol, s)."""
-    return _rank(np.linalg.svd(_as_float_array(m, "matrix", 2), compute_uv=False), tol)
+    s = np.linalg.svd(_as_float_array(m, "matrix", 2)[None], compute_uv=False)
+    return int(_ranks(s, tol)[0])
 
 
 def nullspace(m, tol: float) -> np.ndarray:
-    """Euclidean-orthonormal basis (rows) of the kernel of m; I if m has no rows.
+    """Euclidean-orthonormal basis (rows) of the kernel of m; I if m has no rows."""
+    return _nullspaces(_as_float_array(m, "matrix", 2)[None], tol)[0]
 
-    The full vt is computed only for a wide m, whose kernel rows an economy
-    SVD would leave out; for a tall m the economy SVD has every row of vt and
-    skips the (rows x rows) u.
+
+def _nullspaces(m: np.ndarray, tol: float) -> List[np.ndarray]:
+    """nullspace of each matrix of a stack m (k, r, c), by one stacked SVD.
+
+    The full vt is computed only for wide matrices, whose kernel rows an
+    economy SVD would leave out; for tall ones the economy SVD has every row
+    of vt and skips the (r x r) u.
     """
-    a = _as_float_array(m, "matrix", 2)
-    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    return vt[_rank(s, tol):]
+    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[-2] < m.shape[-1])
+    return [rows[rank:] for rows, rank in zip(vt, _ranks(s, tol))]
 
 
 def signature(g: Gram, tol: float = DEFAULT_TOL) -> Signature:

@@ -51,7 +51,7 @@ from .curvature import (
     VERDICT_TOL,
     MetricLieAlgebra,
     Verdict,
-    _einstein_defect,
+    _einstein_defects,
     q_bracket_operators,
     ricci_operators,
 )
@@ -257,7 +257,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
         verdict's Einstein test is its gram classified, once: the reason is
         "converged" when the classifier's residual is within spec.tol and its
         verdict meets the target, and "" to go on."""
-        _, defect, cut = _einstein_defect(ric_g, VERDICT_TOL)
+        _, (defect,), (cut,) = _einstein_defects(ric_g[None], VERDICT_TOL)
         if defect > cut:
             return "", residual[i]
         try:

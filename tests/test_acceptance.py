@@ -16,6 +16,8 @@ import pytest
 from mlie import curvature, verify
 from mlie.catalog import ALGEBRA_NAMES
 from mlie.curvature import VERDICT_TOL, MetricLieAlgebra
+from mlie.doubleext import decompose, extend, model_residual, random_admissible
+from mlie.pseudolin import find_isotropic_in
 from mlie.errors import InvalidInput, UnknownName
 from mlie.verify import CHECK_NAMES, check_trace_formula, format_row, run_checks
 
@@ -164,16 +166,150 @@ def test_run_checks_names_a_name_that_is_no_string():
 
 
 def test_run_checks_takes_every_verdict_at_its_tol(monkeypatch):
-    # examples, double-extension (through decompose too) and guediri classify
-    # at the tol run_checks is given, not at the default verdict tolerance
-    seen = set()
+    # examples and guediri classify through einstein_classify, double-extension
+    # through the stacked verdict rule, which a metric's own verdict calls too:
+    # each at the tol run_checks is given, not at the default verdict tolerance
+    seen, stacked = set(), []
     classify = MetricLieAlgebra.einstein_classify
+    verdicts = curvature._verdicts
 
     def spy(self, tol=VERDICT_TOL):
         seen.add(tol)
         return classify(self, tol)
 
+    def spy_verdicts(ric, defect, scale, tol):
+        stacked.append(tol)
+        return verdicts(ric, defect, scale, tol)
+
     monkeypatch.setattr(MetricLieAlgebra, "einstein_classify", spy)
+    monkeypatch.setattr(curvature, "_verdicts", spy_verdicts)
     results = run_checks(["examples", "double-extension", "guediri"], tol=1e-7)
     assert seen == {1e-7}
+    assert stacked and set(stacked) == {1e-7}
     assert all(r.passed for r in results)
+    # double-extension alone takes its verdicts on stacks, at that tol
+    seen.clear()
+    stacked.clear()
+    (result,) = run_checks(["double-extension"], tol=1e-7)
+    assert result.passed
+    assert seen == set()
+    assert stacked and set(stacked) == {1e-7}
+
+
+def _double_extension_draws():
+    """The draws of the double-extension check, rebuilt from its seed: 100
+    nilpotent data, then 100 with μ ≠ 0."""
+    rng = verify._rng(8)
+    return [
+        [
+            random_admissible(
+                rng,
+                f_dim=int(rng.integers(1, 4)),
+                blocks=int(rng.integers(1, 3)),
+                nilpotent=nilpotent,
+            )
+            for _ in range(100)
+        ]
+        for nilpotent in (True, False)
+    ]
+
+
+def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch):
+    # one nilpotency, verdict, decomposition and round-trip call per core
+    # dimension v of the 100 nilpotent draws, and no MetricLieAlgebra built
+    nilpotent, _ = _double_extension_draws()
+    groups = Counter(data.v_dim for data in nilpotent)
+    layers = (
+        "_lower_central_series",
+        "_nilpotent_verdicts",
+        "_witt_decompositions",
+        "_model_residuals",
+    )
+    calls = {name: [] for name in layers}
+    builds, stacked = [], []
+
+    def spy(name):
+        layer = getattr(verify, name)
+        return lambda *args: calls[name].append(len(args[0])) or layer(*args)
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, spy(name))
+    verdicts = curvature._verdicts
+    monkeypatch.setattr(
+        curvature, "_verdicts", lambda ric, *rest: stacked.append(len(ric)) or verdicts(ric, *rest)
+    )
+    build = MetricLieAlgebra.__init__
+    monkeypatch.setattr(
+        MetricLieAlgebra, "__init__", lambda self, *args: builds.append(args) or build(self, *args)
+    )
+    (result,) = run_checks(["double-extension"])
+    assert result.passed and result.failures == []
+    assert builds == []
+    sizes = [groups[v] for v in sorted(groups)]
+    assert len(sizes) > 1 and sum(sizes) == 100
+    assert stacked == sizes
+    assert calls == {name: sizes for name in calls}
+
+
+def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
+    # every draw of the check, decided once in its group's stack and once by
+    # extend → is_nilpotent → einstein_classify → decompose → model_residual
+    # (ricci_via_definition for μ ≠ 0): equal decisions, bit-identical numbers
+    nilpotent, general = _double_extension_draws()
+    layers = (
+        "_extension_groups",
+        "_lower_central_series",
+        "_nilpotent_verdicts",
+        "_witt_decompositions",
+        "_model_residuals",
+        "_in_input_basis",
+    )
+    seen = {name: [] for name in layers}
+
+    def spy(name):
+        layer = getattr(verify, name)
+
+        def recording(*args):
+            out = layer(*args)
+            if name == "_extension_groups":
+                out = list(out)
+            seen[name].append((args, out))
+            return out
+
+        return recording
+
+    for name in seen:
+        monkeypatch.setattr(verify, name, spy(name))
+    tol = VERDICT_TOL
+    (result,) = run_checks(["double-extension"], tol)
+    assert result.passed and result.failures == []
+    (_, nilpotent_groups), (_, general_groups) = seen["_extension_groups"]
+    checked = 0
+    for g, (trials, data, c, _) in enumerate(nilpotent_groups):
+        series = seen["_lower_central_series"][g][1]
+        ric, verdicts = seen["_nilpotent_verdicts"][g][1]
+        (_, _, null, _), decs = seen["_witt_decompositions"][g]
+        resid = seen["_model_residuals"][g][1]
+        for r, trial in enumerate(trials):
+            for key in ("K", "D", "b"):
+                assert np.array_equal(getattr(data[r], key), getattr(nilpotent[trial], key))
+            m = extend(nilpotent[trial])
+            assert m.algebra.c.tobytes() == c[r].tobytes()
+            assert m.algebra.is_nilpotent() and len(series[r][-1]) == 0
+            report = m.einstein_classify(tol)
+            assert report.verdict is verdicts[r]
+            assert report.ricci_operator.tobytes() == ric[r].tobytes()
+            assert find_isotropic_in(m.gram, m.algebra.center()).tobytes() == null[r].tobytes()
+            dec = decompose(m, tol)
+            assert dec.basis_change.tobytes() == decs[r].basis_change.tobytes()
+            for key in ("K", "D", "b"):
+                assert getattr(dec.data, key).tobytes() == getattr(decs[r].data, key).tobytes()
+            assert model_residual(m, dec) == resid[r]
+            checked += 1
+    for g, (trials, data, _, _) in enumerate(general_groups):
+        forms = seen["_in_input_basis"][g][1]
+        for r, trial in enumerate(trials):
+            m = extend(general[trial])
+            assert m.ricci_via_definition()[-1, -1] == forms[r, -1, -1]
+            checked += 1
+    assert checked == 200

@@ -171,13 +171,13 @@ def test_einstein_classify_keeps_one_report_per_tol():
 def test_extend_classify_decompose_computes_the_verdict_once(monkeypatch):
     # the spy sits behind the memo: patching the memoized method would bypass it
     computed = []
-    defect = mlie.curvature._einstein_defect
+    defects = mlie.curvature._einstein_defects
 
     def spy(ric, tol):
         computed.append(tol)
-        return defect(ric, tol)
+        return defects(ric, tol)
 
-    monkeypatch.setattr(mlie.curvature, "_einstein_defect", spy)
+    monkeypatch.setattr(mlie.curvature, "_einstein_defects", spy)
     m = extend(random_admissible(np.random.default_rng(4), f_dim=2, blocks=1))
     report = m.einstein_classify()
     dec = decompose(m)

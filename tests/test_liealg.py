@@ -549,7 +549,7 @@ def test_each_basis_change_inverts_once_where_its_factors_are_made():
             if (isinstance(node, ast.FunctionDef) and node.name == "_act")
             or (isinstance(node, ast.alias) and node.name == "_act")
         ]
-    made = [("search", "_forward"), ("verify", "_catalog_frames"), ("doubleext", "model_residual")]
+    made = [("search", "_forward"), ("verify", "_catalog_frames"), ("doubleext", "_model_residuals")]
     assert inverses == Counter(made)
     assert acts == []
     assert list(inspect.signature(mlie.liealg.act_on_brackets).parameters) == ["a", "b", "c"]
