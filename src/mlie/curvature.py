@@ -381,9 +381,15 @@ class MetricLieAlgebra:
         return _curvature_tensors(self.algebra.c[None], self._levi_civita()[None])[0]
 
     @_computed_once
+    def _flatness(self) -> Tuple[np.ndarray, np.ndarray]:
+        """_flatness_defects on the stack of one: (defect, scale), each (1,)."""
+        defect, scale = _flatness_defects(self.algebra.c[None], self._levi_civita()[None])
+        defect.flags.writeable = scale.flags.writeable = False
+        return defect, scale
+
     def flatness_defect(self) -> Tuple[float, float]:
         """(sup-norm of the curvature tensor, its roundoff scale)."""
-        defect, scale = _flatness_defects(self.algebra.c[None], self._levi_civita()[None])
+        defect, scale = self._flatness()
         return float(defect[0]), float(scale[0])
 
     # -- Ricci, three routes ----------------------------------------------
@@ -458,10 +464,7 @@ class MetricLieAlgebra:
     def _classify(self, tol: float) -> CurvatureReport:
         """einstein_classify, computed from the kept facts."""
         ric_op = self.ricci_operator()
-        defect, scale = self.flatness_defect()
-        (verdict,), (lam,), (residual,), (flat,) = _verdicts(
-            ric_op[None], np.array([defect]), np.array([scale]), tol
-        )
+        (verdict,), (lam,), (residual,), (flat,) = _verdicts(ric_op[None], *self._flatness(), tol)
         return CurvatureReport(
             verdict=verdict,
             ricci_operator=ric_op,

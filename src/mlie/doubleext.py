@@ -19,11 +19,21 @@ Facts used throughout (K skew, D arbitrary, D* = Dᵀ on Euclidean V):
 * Killing form: Re ⊕ V ⊆ ker B and B(ē, ē) = μ² + tr(D²).
 * Every Einstein nilpotent non-abelian Lorentzian algebra with an isotropic
   central vector is Ricci-flat and arises this way with μ = 0, D nilpotent.
+
+The admissibility test, the model bracket, decompose's Witt reading and the
+round trip of model_residual are written once, on stacks of data of one core
+dimension v given as arrays K, D (m, v, v), μ (m,) and b (m, v):
+_admissibilities, _models, _witt_decompositions and _model_residuals.  The
+public functions (check_admissible, extend, decompose, model_residual) call
+them on the stack of one of their ExtensionData, extend only the bracket
+condition (_lie_tests), and verify's double-extension and guediri checks on a
+stack per core dimension.  guediri_2step is Guediri's data (_guediri_data)
+followed by extend.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -86,6 +96,11 @@ class ExtensionData:
         object.__setattr__(self, "b", bb)
 
 
+def _stack_of_one(data: ExtensionData) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(K, D, μ, b) of one ExtensionData as stacks of one."""
+    return data.K[None], data.D[None], np.array([data.mu]), data.b[None]
+
+
 class Admissibility(NamedTuple):
     is_lie: bool
     is_nilpotent: bool
@@ -94,72 +109,93 @@ class Admissibility(NamedTuple):
     trace_residual: float
 
 
-def _ebar_terms(k: np.ndarray, d: np.ndarray, mu: float) -> Tuple[float, float, float, float]:
-    """(4μ tr D, −2 tr D², −2 tr DDᵀ, −tr K²), whose sum is 4·ric(ē, ē): an
-    extension of Lie data is Einstein iff the sum vanishes."""
-    return (
-        4.0 * mu * float(np.trace(d)),
-        -2.0 * float(np.trace(d @ d)),
-        -2.0 * float(np.trace(d @ d.T)),
-        -float(np.trace(k @ k)),
-    )
+def _ebar_terms(k: np.ndarray, d: np.ndarray, mu) -> np.ndarray:
+    """(4μ tr D, −2 tr D², −2 tr DDᵀ, −tr K²) on the first axis, for K and D
+    (..., v, v) and μ (...), whose sum is 4·ric(ē, ē): an extension of Lie
+    data is Einstein iff the sum vanishes."""
+    terms = np.array([d, d @ d, d @ d.swapaxes(-1, -2), k @ k]).trace(axis1=-2, axis2=-1)
+    terms[0] *= 4.0 * mu
+    terms[1:3] *= -2.0
+    terms[3] *= -1.0
+    return terms
+
+
+def _lie_tests(
+    k: np.ndarray, d: np.ndarray, mu: np.ndarray, tol: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The bracket condition K∘D + Dᵀ∘K = μK on stacks K, D (m, v, v) and
+    μ (m,): each member's residual and whether it is within the member's own
+    cutoff, (m,) arrays: the condition under which the extension satisfies
+    Jacobi."""
+    kd, dk, muk = k @ d, d.swapaxes(-1, -2) @ k, mu[:, None, None] * k
+    residual = np.maximum.reduce(np.abs(kd + dk - muk).reshape(len(k), -1), axis=1, initial=0.0)
+    return residual, residual <= _cutoff(tol, kd, dk, muk, stack=True)
+
+
+def _admissibilities(k: np.ndarray, d: np.ndarray, mu: np.ndarray, tol: float) -> Admissibility:
+    """check_admissible on stacks K, D (m, v, v) and μ (m,): an Admissibility
+    of (m,) arrays, each decision at the member's own cutoff.  The power Dᵛ
+    is taken only when a member is Lie with μ within tol."""
+    m, v = len(k), k.shape[-1]
+    lie_residual, is_lie = _lie_tests(k, d, mu, tol)
+
+    is_nilp = is_lie & (np.abs(mu) <= _cutoff(tol))
+    if np.count_nonzero(is_nilp):
+        power = np.abs(np.linalg.matrix_power(d, v)).reshape(m, -1)
+        peak = np.maximum.reduce(np.abs(d).reshape(m, -1), axis=1, initial=0.0)
+        # raised as Python's ** raises a number, by the C library's pow
+        bound = _cutoff(tol, np.float_power(peak, max(v, 1))[:, None], stack=True)
+        is_nilp &= np.maximum.reduce(power, axis=1, initial=0.0) <= bound
+
+    t0, t1, t2, t3 = terms = _ebar_terms(k, d, mu)
+    trace_residual = np.abs(t0 + t1 + t2 + t3)  # summed in order, as sum() sums a tuple
+    is_einstein = is_lie & (trace_residual <= _cutoff(tol, terms.T, stack=True))
+    return Admissibility(is_lie, is_nilp, is_einstein, lie_residual, trace_residual)
 
 
 def check_admissible(data: ExtensionData, tol: float) -> Admissibility:
     """Evaluate the bracket, nilpotency and trace conditions for the data."""
-    k, d, mu = data.K, data.D, data.mu
-    kd, dk, muk = k @ d, d.T @ k, mu * k
-    lie_residual = float(np.abs(kd + dk - muk).max(initial=0.0))
-    is_lie = lie_residual <= _cutoff(tol, kd, dk, muk)
+    k, d, mu, _ = _stack_of_one(data)
+    return Admissibility(*[x.item() for x in _admissibilities(k, d, mu, tol)])
 
-    v = data.v_dim
-    is_nilp = (
-        is_lie
-        and abs(mu) <= _cutoff(tol)
-        and float(np.abs(np.linalg.matrix_power(d, v)).max(initial=0.0))
-        <= _cutoff(tol, float(np.abs(d).max(initial=0.0)) ** max(v, 1))
-    )
 
-    terms = _ebar_terms(k, d, mu)
-    trace_residual = abs(sum(terms))
-    is_einstein = is_lie and trace_residual <= _cutoff(tol, terms)
-
-    return Admissibility(is_lie, is_nilp, is_einstein, lie_residual, trace_residual)
+def _not_lie(residual: float) -> NotLie:
+    """extend's refusal of data that fail the bracket condition."""
+    return NotLie(f"K∘D + Dᵀ∘K = μK fails with residual {residual:.3e}")
 
 
 def extend(data: ExtensionData, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:
-    """Build the model metric algebra on basis (e, f_1..f_v, ē).
+    """Build the model metric algebra on basis (e, f_1..f_v, ē), its bracket
+    at tol.
 
     Raises NotLie when the data fails the bracket condition, since the result
     would not satisfy Jacobi.
     """
-    adm = check_admissible(data, tol)
-    if not adm.is_lie:
-        raise NotLie(f"K∘D + Dᵀ∘K = μK fails with residual {adm.lie_residual:.3e}")
-    return MetricLieAlgebra(*_model(data, tol))
+    k, d, mu, b = _stack_of_one(data)
+    residual, is_lie = _lie_tests(k, d, mu, tol)  # check_admissible's is_lie
+    if not is_lie[0]:
+        raise _not_lie(residual[0])
+    algebra = LieAlgebra(_models(k, d, mu, b)[0], tol)
+    return MetricLieAlgebra(algebra, Gram(_witt_gram(data.v_dim + 2)))
 
 
-def _model(data: ExtensionData, tol: float) -> Tuple[LieAlgebra, Gram]:
-    """Bracket, built at tol, and gram of extend's model, unchecked: Jacobi
-    holds only for data that check_admissible finds Lie."""
-    return LieAlgebra(_models([data])[0], tol), Gram(_witt_gram(data.v_dim + 2))
-
-
-def _models(data: Sequence[ExtensionData]) -> np.ndarray:
-    """The brackets of extend's model for data of one v_dim, a (k, n, n, n)
-    stack written as LieAlgebra reads a bracket (its pairs i < j), so
-    liealg._antisymmetric gives the bracket LieAlgebra keeps; unchecked, as
-    _model."""
-    n = data[0].v_dim + 2
-    c = np.zeros((len(data), n, n, n))
+def _models(k: np.ndarray, d: np.ndarray, mu: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The brackets of extend's model for stacks K, D (m, v, v), μ (m,) and
+    b (m, v), a (m, n, n, n) stack written as LieAlgebra reads a bracket (its
+    pairs i < j), so liealg._antisymmetric gives the bracket LieAlgebra keeps;
+    K enters through its strict upper triangle, the one ExtensionData keeps.
+    Unchecked: Jacobi holds only for the members that pass _lie_tests."""
+    n = k.shape[-1] + 2
+    c = np.zeros((len(k), n, n, n))
     k_t, minus_d_t, minus_b = _slots(c)
-    for r, d in enumerate(data):
-        # [ē, e] = μ e; ē is the last basis vector, e the first, so store the
-        # i<j pair (e, ē) with the opposite sign.
-        c[r, 0, n - 1, 0] = -d.mu
-        k_t[r] = d.K.T  # [f_i, f_j] = ⟨K f_i, f_j⟩ e = K[j,i] e
-        minus_d_t[r] = -d.D.T  # [ē, f_j] = D f_j + ⟨b, f_j⟩ e, stored on the pair (f_j, ē)
-        minus_b[r] = -d.b
+    # [ē, e] = μ e; ē is the last basis vector, e the first, so store the
+    # i<j pair (e, ē) with the opposite sign.
+    c[:, 0, n - 1, 0] = -mu
+    # [f_i, f_j] = ⟨K f_i, f_j⟩ e = K[j,i] e, which is 0.0 − K[i,j] for i < j
+    # as ExtensionData keeps K (so a zero enters as +0.0, not −0.0)
+    k_t[:] = 0.0 - k
+    minus_d_t[:] = -d.swapaxes(-1, -2)  # [ē, f_j] = D f_j + ⟨b, f_j⟩ e, on the pair (f_j, ē)
+    minus_b[:] = -b
     return c
 
 
@@ -178,7 +214,7 @@ def _witt_gram(n: int) -> np.ndarray:
 
 def ricci_ebar(data: ExtensionData) -> float:
     """ric(ē, ē) of the extension; all other slots vanish."""
-    return 0.25 * sum(_ebar_terms(data.K, data.D, data.mu))
+    return 0.25 * sum(_ebar_terms(data.K, data.D, data.mu).tolist())
 
 
 def killing_ebar(data: ExtensionData) -> float:
@@ -214,53 +250,63 @@ def decompose(m: MetricLieAlgebra, verdict_tol: float = VERDICT_TOL) -> Optional
     e = find_isotropic_in(m.gram, m.algebra.center())
     if e is None:
         return None
-    return _witt_decompositions(m._brackets(), m._frame, e[None], m.algebra.tol)[0]
+    (k, d, _, b), p = _witt_decompositions(m._brackets(), m._frame, e[None], m.algebra.tol)
+    return Decomposition(ExtensionData(k[0], d[0], b=b[0]), p[0])
 
 
-def _witt_decompositions(mu: np.ndarray, frame, e: np.ndarray, tol: float) -> List[Decomposition]:
-    """decompose's reading of a stack of brackets μ (k, n, n, n), all in the
+def _witt_decompositions(mu: np.ndarray, frame, e: np.ndarray, tol: float):
+    """decompose's reading of a stack of brackets μ (m, n, n, n), all in the
     one frame (ε, A, B) of their metric (stacks of one), with null central
-    vectors e (k, n) in input coordinates: (K, D, b) from the bracket in the
-    Witt basis, every rank decided at tol.
+    vectors e (m, n) in input coordinates: the stacks (K, D, μ = 0, b) read
+    from the bracket in the Witt basis, of which K counts through its upper
+    triangle, as ExtensionData and _models read it, and the basis changes
+    (m, n, n), every rank decided at tol.
 
     The Witt basis W = [e, f, ē] of a frame, where G = η = diag(−1, 1, ..):
     e = (1, u) on the null line of A·e, ē = (−1, u)/2 and f_i = (0, v_i) with
     v_i orthonormal in u-perp.  Then Wᵀ·η·W = g₀ = g₀⁻¹, so W⁻¹ = g₀·Wᵀ·η."""
     eps, a, b = frame
-    k, n = mu.shape[:2]
-    u = np.zeros((k, n - 1))
-    for r in range(k):
+    m, n = mu.shape[:2]
+    u = np.zeros((m, n - 1))
+    for r in range(m):
         a_e = a[0] @ e[r]
         u[r] = np.sign(a_e[0]) * a_e[1:] / np.linalg.norm(a_e[1:])
-    w = np.zeros((k, n, n))
+    w = np.zeros((m, n, n))
     w[:, 0, 0], w[:, 1:, 0] = 1.0, u
     w[:, 1:, 1:-1] = np.swapaxes(_nullspaces(u[:, None], tol), -1, -2)
     w[:, 0, -1], w[:, 1:, -1] = -0.5, 0.5 * u
     w_inv = _witt_gram(n) @ (w.transpose(0, 2, 1) * eps[:, None])
     k_t, minus_d_t, minus_b = _slots(act_on_brackets(w_inv, w, mu))
-    return [
-        Decomposition(ExtensionData(kt.T, -mdt.T, mu=0.0, b=-mb), basis_change)
-        for kt, mdt, mb, basis_change in zip(k_t, minus_d_t, minus_b, b @ w)
-    ]
+    data = (k_t.swapaxes(-1, -2), -minus_d_t.swapaxes(-1, -2), np.zeros(m), -minus_b)
+    return data, b @ w
 
 
 def model_residual(m: MetricLieAlgebra, dec: Decomposition) -> float:
     """Largest entrywise mismatch between m pulled through the basis change
     and the model extension of dec.data; small for a correct decomposition.
-    A measurement only: dec.data is not checked for the bracket condition."""
+    A measurement only: dec.data is not checked for the bracket condition,
+    but data whose model has another dimension than m, or a singular basis
+    change, is refused (InvalidInput)."""
     p = _as_float_array(dec.basis_change, "basis change", ndim=2, square=m.n)
-    return float(_model_residuals(m.algebra.c, m.gram.mat, p[None], [dec.data])[0])
+    v = dec.data.v_dim
+    if v + 2 != m.n:
+        raise InvalidInput(
+            f"data of core dimension {v} extend to dimension {v + 2}, "
+            f"the metric has dimension {m.n}"
+        )
+    try:
+        return float(_model_residuals(m.algebra.c, m.gram.mat, p[None], _stack_of_one(dec.data))[0])
+    except np.linalg.LinAlgError:
+        raise InvalidInput("basis change is singular") from None
 
 
-def _model_residuals(
-    c: np.ndarray, g: np.ndarray, p: np.ndarray, data: Sequence[ExtensionData]
-) -> np.ndarray:
-    """model_residual for a stack of basis changes P (k, n, n) with their data,
-    all of one v_dim, of the brackets c (k, n, n, n), or of one (n, n, n) that
-    all share, and the gram g (n, n)."""
+def _model_residuals(c: np.ndarray, g: np.ndarray, p: np.ndarray, data) -> np.ndarray:
+    """model_residual for a stack of basis changes P (m, n, n) with their data,
+    the stacks (K, D, μ, b) of _models, of the brackets c (m, n, n, n), or of
+    one (n, n, n) that all share, and the gram g (n, n)."""
     c_new = act_on_brackets(np.linalg.inv(p), p, c)  # P⁻¹[Pe_a, Pe_b]
     g_new = p.transpose(0, 2, 1) @ g @ p
-    db = np.abs(c_new - _antisymmetric(_models(data))).max(axis=(1, 2, 3), initial=0.0)
+    db = np.abs(c_new - _antisymmetric(_models(*data))).max(axis=(1, 2, 3), initial=0.0)
     dg = np.abs(g_new - _witt_gram(len(g))).max(axis=(1, 2), initial=0.0)
     return np.maximum(db, dg)
 
@@ -316,6 +362,15 @@ def guediri_2step(alpha, c, a, abelian_dim: int = 0, tol: float = DEFAULT_TOL) -
     Σ_{i,j} a_ij² = 2 Σ_{i,k} c_ik² (the trace condition of check_admissible);
     e, ē are isotropic with ⟨e, ē⟩ = 1 and everything else is orthonormal.
     """
+    data = _guediri_data(alpha, c, a, abelian_dim, tol)
+    if not check_admissible(data, tol).is_einstein:  # is_einstein implies is_lie
+        raise _unbalanced(data)
+    return extend(data, tol)
+
+
+def _guediri_data(alpha, c, a, abelian_dim: int, tol: float) -> ExtensionData:
+    """guediri_2step's data (K, D, b) on V = (z, e_i, abelian), its inputs
+    validated (InvalidInput) and its constraint not yet tested."""
     alpha = _as_float_array(alpha, "alpha")
     cmat = _as_float_array(c, "c")
     amat = _as_float_array(a, "a")
@@ -336,11 +391,14 @@ def guediri_2step(alpha, c, a, abelian_dim: int = 0, tol: float = DEFAULT_TOL) -
     d[:p, e_block] = cmat.T  # D e_i = Σ_k c_ik z_k
     b = np.zeros(v)
     b[e_block] = alpha
-    data = ExtensionData(k, d, b=b)
-    if not check_admissible(data, tol).is_einstein:  # is_einstein implies is_lie
-        lhs, rhs = float(np.sum(amat**2)), 2.0 * float(np.sum(cmat**2))
-        raise ConstraintViolation(f"Σ a_ij² = 2 Σ c_ik² fails: {lhs:.6g} vs {rhs:.6g}")
-    return extend(data, tol)
+    return ExtensionData(k, d, b=b)
+
+
+def _unbalanced(data: ExtensionData) -> ConstraintViolation:
+    """guediri_2step's refusal of its data when the trace condition fails:
+    Σ a_ij² is Σ K² and Σ c_ik² is Σ D², the only blocks the data fill."""
+    lhs, rhs = float(np.sum(data.K**2)), 2.0 * float(np.sum(data.D**2))
+    return ConstraintViolation(f"Σ a_ij² = 2 Σ c_ik² fails: {lhs:.6g} vs {rhs:.6g}")
 
 
 def random_admissible(
@@ -384,7 +442,7 @@ def random_admissible(
         d = d + 0.5 * mu * np.eye(v)
 
     # rescale K so 4μ tr(D) = tr(K²) + 2 tr(D²) + 2 tr(DDᵀ) exactly
-    *head, neg_tr_k2 = _ebar_terms(k, d, mu)
+    *head, neg_tr_k2 = _ebar_terms(k, d, mu).tolist()
     target, tr_k2 = sum(head), -neg_tr_k2  # tr(K²) = -2·blocks here
     if tr_k2 != 0.0 and target / tr_k2 > 0:
         k = k * np.sqrt(target / tr_k2)

@@ -25,8 +25,8 @@ def _cutoff(tol: float, *arrays, stack: bool = False):
     entry): the one place a tolerance is validated (InvalidInput unless it is
     a positive finite number, so ``_cutoff(tol)`` validates alone) and turned
     into the cutoff every rank, degeneracy, inertia, verdict, admissibility
-    and parameter decision compares against.  With ``stack`` the one array is
-    a stack (k, ...) and the cutoff is taken per member, an array (k,), the
+    and parameter decision compares against.  With ``stack`` the arrays are
+    stacks (k, ...) and the cutoff is taken per member, an array (k,), the
     member's own cutoff bit for bit.  Left outside on purpose: the
     bound of ``LieAlgebra.require_jacobi``, tol·max|c|² with no floor so that
     a scaled bracket keeps its Jacobi verdict; the roundoff scale that
@@ -39,7 +39,9 @@ def _cutoff(tol: float, *arrays, stack: bool = False):
     if not real or not 0.0 < tol < np.inf:
         raise InvalidInput("tol must be a positive finite number")
     if stack:
-        (a,) = arrays
+        a, *more = arrays
+        if more:
+            a = np.concatenate([x.reshape(len(x), -1) for x in arrays], axis=1)
         return tol * np.maximum.reduce(np.abs(a).reshape(len(a), -1), axis=1, initial=1.0)
     largest = 1.0
     for a in arrays:

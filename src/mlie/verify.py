@@ -43,11 +43,15 @@ from .curvature import (
     trace_q_sides,
 )
 from .doubleext import (
+    ExtensionData,
+    _admissibilities,
+    _guediri_data,
     _model_residuals,
     _models,
+    _not_lie,
+    _unbalanced,
     _witt_decompositions,
     _witt_gram,
-    check_admissible,
     guediri_2step,
     random_admissible,
     ricci_ebar,
@@ -404,29 +408,58 @@ def check_trace_formula(tol: float) -> _Claim:
     )
 
 
-def _extension_groups(rng: np.random.Generator, nilpotent: bool, fail):
-    """The 100 draws of one half of double-extension, in the order it has
-    always drawn them, that extend takes (fail(trial, v, message) for any
-    other), grouped by core dimension v: per group the trial numbers, the data,
-    their model brackets (k, n, n, n) and the one frame of the Witt gram."""
-    draws = [
-        random_admissible(
-            rng, f_dim=int(rng.integers(1, 4)), blocks=int(rng.integers(1, 3)), nilpotent=nilpotent
-        )
-        for _ in range(100)
-    ]
+def _extension_groups(draws: List[ExtensionData], fail, einstein: bool = False):
+    """The draws grouped by core dimension v, each group's admissibility
+    decided in one call: the members that extend takes (its Lie test), or with
+    einstein those that guediri_2step takes (its trace condition), and
+    fail(trial, message) with the refusal for any other.  Per group: the trial
+    numbers, their model brackets (m, n, n, n) and the one frame of the Witt
+    gram."""
     groups: Dict[int, List[int]] = {}
     for trial, data in enumerate(draws):
-        adm = check_admissible(data, DEFAULT_TOL)  # extend's Lie test
-        if adm.is_lie:
-            groups.setdefault(data.v_dim, []).append(trial)
-        else:
-            message = f"K∘D + Dᵀ∘K = μK fails with residual {adm.lie_residual:.3e}"
-            fail(trial, data.v_dim, message)
+        groups.setdefault(data.v_dim, []).append(trial)
     for v, trials in sorted(groups.items()):
-        data = [draws[t] for t in trials]
-        c = _antisymmetric(_models(data))  # as LieAlgebra keeps each model
-        yield trials, data, c, _frame(Gram(_witt_gram(v + 2)), DEFAULT_TOL)
+        stacks = [
+            np.array([getattr(draws[t], key) for t in trials]) for key in ("K", "D", "mu", "b")
+        ]
+        adm = _admissibilities(*stacks[:3], DEFAULT_TOL)
+        taken = adm.is_einstein if einstein else adm.is_lie
+        for r in np.flatnonzero(~taken):
+            refusal = _unbalanced(draws[trials[r]]) if einstein else _not_lie(adm.lie_residual[r])
+            fail(trials[r], str(refusal))
+        if taken.any():
+            # the model brackets as LieAlgebra keeps them
+            c = _antisymmetric(_models(*(x[taken] for x in stacks)))
+            trials = [t for t, took in zip(trials, taken) if took]
+            yield trials, c, _frame(Gram(_witt_gram(v + 2)), DEFAULT_TOL)
+
+
+def _verdict_layers(trials: List[int], c: np.ndarray, frame, tol: float, fail):
+    """The decisions that is_nilpotent, einstein_classify(tol) and center take
+    on a group of extension brackets c (m, n, n, n) in their one Witt frame,
+    one call a layer.  fail(trial, message) for a member that is not nilpotent
+    or not of signature (1, n − 1); for the others, None if there is none,
+    else their trial numbers, brackets c, brackets μ = A·c in the frame, the
+    peaks ‖Ric‖∞, verdicts and center rows."""
+    eps, a, b = frame
+    n = c.shape[1]
+    minus = int(np.count_nonzero(eps < 0))
+    unit = _unit(c)
+    keep = []
+    for r, series in enumerate(_lower_central_series(unit, DEFAULT_TOL)):
+        if len(series[-1]):
+            fail(trials[r], "extension not nilpotent")
+        elif minus != 1:  # the signature (1, n − 1, 0)
+            fail(trials[r], f"signature {(minus, n - minus, 0)}")
+        else:
+            keep.append(r)
+    if not keep:
+        return None
+    trials, c, unit = [trials[r] for r in keep], c[keep], unit[keep]
+    mu = act_on_brackets(a, b, c)
+    ric, verdicts = _nilpotent_verdicts(c, mu, frame, tol)
+    peaks = np.abs(ric).max(axis=(1, 2), initial=0.0)
+    return trials, c, mu, peaks, verdicts, _centers(unit, DEFAULT_TOL)
 
 
 @_check("double-extension")
@@ -435,67 +468,65 @@ def check_double_extension(tol: float) -> _Claim:
     # each group is decided layer by layer, one call a layer, at the decisions
     # that extend, einstein_classify, decompose and model_residual take.
     rng = _rng(8)
+    nilpotent, general = (
+        [
+            random_admissible(
+                rng, f_dim=int(rng.integers(1, 4)), blocks=int(rng.integers(1, 3)), nilpotent=nilp
+            )
+            for _ in range(100)
+        ]
+        for nilp in (True, False)
+    )
     failures: List[Tuple[int, int, str]] = []  # (half, trial, message), sorted at the end
     worst = 0.0
 
-    def fail(half: int, trial: int, v: int, message: str) -> None:
-        tag = f"nilpotent trial {trial} (v={v})" if half == 0 else f"μ≠0 trial {trial}"
+    def fail(half: int, trial: int, message: str) -> None:
+        if half == 0:
+            tag = f"nilpotent trial {trial} (v={nilpotent[trial].v_dim})"
+        else:
+            tag = f"μ≠0 trial {trial}"
         failures.append((half, trial, f"{tag}: {message}"))
 
-    for trials, data, c, frame in _extension_groups(rng, True, functools.partial(fail, 0)):
-        v, n = data[0].v_dim, c.shape[1]
-        eps, a, b = frame
-        minus = int(np.count_nonzero(eps < 0))
-        unit = _unit(c)
-        keep = []
-        for r, series in enumerate(_lower_central_series(unit, DEFAULT_TOL)):
-            if len(series[-1]):
-                fail(0, trials[r], v, "extension not nilpotent")
-            elif minus != 1:  # the signature (1, n − 1, 0)
-                fail(0, trials[r], v, f"signature {(minus, n - minus, 0)}")
-            else:
-                keep.append(r)
-        if not keep:
+    fail_nilpotent = functools.partial(fail, 0)
+    for trials, c, frame in _extension_groups(nilpotent, fail_nilpotent):
+        decided = _verdict_layers(trials, c, frame, tol, fail_nilpotent)
+        if decided is None:
             continue
-        trials, c, unit = [trials[r] for r in keep], c[keep], unit[keep]
-        mu = act_on_brackets(a, b, c)
-        ric, verdicts = _nilpotent_verdicts(c, mu, frame, tol)
-        peaks = np.abs(ric).max(axis=(1, 2), initial=0.0)
+        trials, c, mu, peaks, verdicts, centers = decided
         worst = max(worst, float(peaks.max()))
-        gram = Gram(_witt_gram(n))
+        gram = Gram(_witt_gram(c.shape[1]))
         keep, null = [], []
-        for r, (verdict, rows) in enumerate(zip(verdicts, _centers(unit, DEFAULT_TOL))):
+        for r, (verdict, rows) in enumerate(zip(verdicts, centers)):
             if verdict not in (Verdict.RICCI_FLAT, Verdict.FLAT):
-                fail(0, trials[r], v, f"verdict {verdict.value} (‖Ric‖∞={peaks[r]:.3e})")
+                fail(0, trials[r], f"verdict {verdict.value} (‖Ric‖∞={peaks[r]:.3e})")
                 continue
             e = find_isotropic_in(gram, Subspace._orthonormal(rows, DEFAULT_TOL))
             if e is None:
-                fail(0, trials[r], v, "decompose found no isotropic central vector")
+                fail(0, trials[r], "decompose found no isotropic central vector")
                 continue
             keep.append(r)
             null.append(e)
         if not keep:
             continue
-        decs = _witt_decompositions(mu[keep], frame, np.array(null), DEFAULT_TOL)
-        p = np.array([dec.basis_change for dec in decs])
-        resid = _model_residuals(c[keep], gram.mat, p, [dec.data for dec in decs])
+        data, p = _witt_decompositions(mu[keep], frame, np.array(null), DEFAULT_TOL)
+        resid = _model_residuals(c[keep], gram.mat, p, data)
         scale = np.maximum(np.abs(c[keep]).max(axis=(1, 2, 3)), max(1.0, np.abs(gram.mat).max()))
         worst = max(worst, float((resid / scale).max()))
         for r, res, sc in zip(keep, resid, scale):
             if res > tol * sc:
-                fail(0, trials[r], v, f"decompose∘extend residual {res:.3e}")
+                fail(0, trials[r], f"decompose∘extend residual {res:.3e}")
 
-    for trials, data, c, frame in _extension_groups(rng, False, functools.partial(fail, 1)):
+    for trials, c, frame in _extension_groups(general, functools.partial(fail, 1)):
         eps, a, b = frame
         lc_frame = levi_civita_tensors(act_on_brackets(a, b, c), eps)
         forms = _in_input_basis(frame, ricci_forms(lc_frame), True)  # ricci_via_definition
-        for trial, d, obs in zip(trials, data, forms[:, -1, -1].tolist()):
-            pred = ricci_ebar(d)
+        for trial, obs in zip(trials, forms[:, -1, -1].tolist()):
+            pred = ricci_ebar(general[trial])
             scale = max(1.0, abs(obs))
             diff = abs(pred - obs)
             worst = max(worst, diff / scale)
             if diff > tol * scale:
-                fail(1, trial, d.v_dim, f"ricci_ebar {pred:.6g} vs {obs:.6g}")
+                fail(1, trial, f"ricci_ebar {pred:.6g} vs {obs:.6g}")
     failures.sort(key=lambda f: f[:2])
     return (
         "100 nilpotent data: extend nilpotent/Lorentzian/Ricci-flat and decompose "
@@ -508,8 +539,10 @@ def check_double_extension(tol: float) -> _Claim:
 
 @_check("guediri")
 def check_guediri(tol: float) -> _Claim:
+    # The 50 constrained sets are built as guediri_2step builds them and
+    # decided by core dimension, as double-extension decides its draws.
     rng = _rng(9)
-    failures: List[str] = []
+    failures: List[Tuple[int, str]] = []  # (trial, message), sorted by trial at the end
     worst = 0.0
 
     def draw():
@@ -525,17 +558,28 @@ def check_guediri(tol: float) -> _Claim:
         alpha = rng.normal(size=q)
         return alpha, c, a, int(rng.integers(0, 3))
 
-    for trial in range(50):
+    def fail(trial: int, message: str) -> None:
+        failures.append((trial, f"trial {trial}: {message}"))
+
+    draws = []
+    for _ in range(50):
         alpha, c, a, ab = draw()
-        m = guediri_2step(alpha, c, a, abelian_dim=ab)
-        report = m.einstein_classify(tol)
-        ric = float(np.abs(report.ricci_operator).max(initial=0.0))
-        worst = max(worst, ric)
-        if report.verdict not in (Verdict.RICCI_FLAT, Verdict.FLAT):
-            failures.append(f"trial {trial}: verdict {report.verdict.value}")
-        cls = classify_subspace(m.gram, m.algebra.center())
-        if cls.tag is not SubspaceTag.DEGENERATE:
-            failures.append(f"trial {trial}: center {cls.tag.value}")
+        draws.append(_guediri_data(alpha, c, a, ab, DEFAULT_TOL))
+    for trials, c, frame in _extension_groups(draws, fail, einstein=True):
+        decided = _verdict_layers(trials, c, frame, tol, fail)
+        if decided is None:
+            continue
+        trials, _, _, peaks, verdicts, centers = decided
+        worst = max(worst, float(peaks.max()))
+        gram = Gram(_witt_gram(c.shape[1]))
+        for trial, verdict, rows in zip(trials, verdicts, centers):
+            if verdict not in (Verdict.RICCI_FLAT, Verdict.FLAT):
+                fail(trial, f"verdict {verdict.value}")
+            cls = classify_subspace(gram, Subspace._orthonormal(rows, DEFAULT_TOL))
+            if cls.tag is not SubspaceTag.DEGENERATE:
+                fail(trial, f"center {cls.tag.value}")
+    failures.sort(key=lambda f: f[0])  # stable: a trial's messages keep their order
+    messages = [message for _, message in failures]
     rejected = 0
     for trial in range(10):
         alpha, c, a, ab = draw()
@@ -544,13 +588,13 @@ def check_guediri(tol: float) -> _Claim:
         except ConstraintViolation:
             rejected += 1
     if rejected != 10:
-        failures.append(f"only {rejected}/10 violating parameter sets rejected")
+        messages.append(f"only {rejected}/10 violating parameter sets rejected")
     return (
         "50 constrained parameter sets Ricci-flat with degenerate center; "
         "10 violating sets rejected",
         f"50 built, {rejected}/10 rejected",
         worst,
-        failures,
+        messages,
     )
 
 

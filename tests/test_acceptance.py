@@ -16,9 +16,10 @@ import pytest
 from mlie import curvature, verify
 from mlie.catalog import ALGEBRA_NAMES
 from mlie.curvature import VERDICT_TOL, MetricLieAlgebra
-from mlie.doubleext import decompose, extend, model_residual, random_admissible
-from mlie.pseudolin import find_isotropic_in
-from mlie.errors import InvalidInput, UnknownName
+from mlie.doubleext import decompose, extend, guediri_2step, model_residual, random_admissible
+from mlie.errors import ConstraintViolation, InvalidInput, UnknownName
+from mlie.liealg import LieAlgebra
+from mlie.pseudolin import classify_subspace, find_isotropic_in
 from mlie.verify import CHECK_NAMES, check_trace_formula, format_row, run_checks
 
 
@@ -166,9 +167,10 @@ def test_run_checks_names_a_name_that_is_no_string():
 
 
 def test_run_checks_takes_every_verdict_at_its_tol(monkeypatch):
-    # examples and guediri classify through einstein_classify, double-extension
-    # through the stacked verdict rule, which a metric's own verdict calls too:
-    # each at the tol run_checks is given, not at the default verdict tolerance
+    # examples classifies through einstein_classify, double-extension and
+    # guediri through the stacked verdict rule, which a metric's own verdict
+    # calls too: each at the tol run_checks is given, not at the default
+    # verdict tolerance
     seen, stacked = set(), []
     classify = MetricLieAlgebra.einstein_classify
     verdicts = curvature._verdicts
@@ -187,13 +189,15 @@ def test_run_checks_takes_every_verdict_at_its_tol(monkeypatch):
     assert seen == {1e-7}
     assert stacked and set(stacked) == {1e-7}
     assert all(r.passed for r in results)
-    # double-extension alone takes its verdicts on stacks, at that tol
-    seen.clear()
-    stacked.clear()
-    (result,) = run_checks(["double-extension"], tol=1e-7)
-    assert result.passed
-    assert seen == set()
-    assert stacked and set(stacked) == {1e-7}
+    # double-extension and guediri, each alone, take their verdicts on stacks,
+    # at that tol, and none through einstein_classify
+    for name in ("double-extension", "guediri"):
+        seen.clear()
+        stacked.clear()
+        (result,) = run_checks([name], tol=1e-7)
+        assert result.passed
+        assert seen == set()
+        assert stacked and set(stacked) == {1e-7}
 
 
 def _double_extension_draws():
@@ -215,9 +219,10 @@ def _double_extension_draws():
 
 
 def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch):
-    # one nilpotency, verdict, decomposition and round-trip call per core
-    # dimension v of the 100 nilpotent draws, and no MetricLieAlgebra built
-    nilpotent, _ = _double_extension_draws()
+    # one admissibility, nilpotency, verdict, decomposition and round-trip call
+    # per core dimension v of the 100 nilpotent draws, and no MetricLieAlgebra
+    # built
+    nilpotent, general = _double_extension_draws()
     groups = Counter(data.v_dim for data in nilpotent)
     layers = (
         "_lower_central_series",
@@ -238,6 +243,13 @@ def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch
     monkeypatch.setattr(
         curvature, "_verdicts", lambda ric, *rest: stacked.append(len(ric)) or verdicts(ric, *rest)
     )
+    admissibilities = []
+    admissible = verify._admissibilities
+    monkeypatch.setattr(
+        verify,
+        "_admissibilities",
+        lambda k, *rest: admissibilities.append(len(k)) or admissible(k, *rest),
+    )
     build = MetricLieAlgebra.__init__
     monkeypatch.setattr(
         MetricLieAlgebra, "__init__", lambda self, *args: builds.append(args) or build(self, *args)
@@ -246,6 +258,8 @@ def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch
     assert result.passed and result.failures == []
     assert builds == []
     sizes = [groups[v] for v in sorted(groups)]
+    general_groups = Counter(data.v_dim for data in general)
+    assert admissibilities == sizes + [general_groups[v] for v in sorted(general_groups)]
     assert len(sizes) > 1 and sum(sizes) == 100
     assert stacked == sizes
     assert calls == {name: sizes for name in calls}
@@ -285,14 +299,12 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
     assert result.passed and result.failures == []
     (_, nilpotent_groups), (_, general_groups) = seen["_extension_groups"]
     checked = 0
-    for g, (trials, data, c, _) in enumerate(nilpotent_groups):
+    for g, (trials, c, _) in enumerate(nilpotent_groups):
         series = seen["_lower_central_series"][g][1]
         ric, verdicts = seen["_nilpotent_verdicts"][g][1]
-        (_, _, null, _), decs = seen["_witt_decompositions"][g]
+        (_, _, null, _), (dec_data, p) = seen["_witt_decompositions"][g]
         resid = seen["_model_residuals"][g][1]
         for r, trial in enumerate(trials):
-            for key in ("K", "D", "b"):
-                assert np.array_equal(getattr(data[r], key), getattr(nilpotent[trial], key))
             m = extend(nilpotent[trial])
             assert m.algebra.c.tobytes() == c[r].tobytes()
             assert m.algebra.is_nilpotent() and len(series[r][-1]) == 0
@@ -301,15 +313,116 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
             assert report.ricci_operator.tobytes() == ric[r].tobytes()
             assert find_isotropic_in(m.gram, m.algebra.center()).tobytes() == null[r].tobytes()
             dec = decompose(m, tol)
-            assert dec.basis_change.tobytes() == decs[r].basis_change.tobytes()
-            for key in ("K", "D", "b"):
-                assert getattr(dec.data, key).tobytes() == getattr(decs[r].data, key).tobytes()
+            assert dec.basis_change.tobytes() == p[r].tobytes()
+            for key, stack in zip(("K", "D", "mu", "b"), dec_data):
+                assert np.asarray(getattr(dec.data, key)).tobytes() == stack[r].tobytes()
             assert model_residual(m, dec) == resid[r]
             checked += 1
-    for g, (trials, data, _, _) in enumerate(general_groups):
+    for g, (trials, _, _) in enumerate(general_groups):
         forms = seen["_in_input_basis"][g][1]
         for r, trial in enumerate(trials):
             m = extend(general[trial])
             assert m.ricci_via_definition()[-1, -1] == forms[r, -1, -1]
             checked += 1
     assert checked == 200
+
+
+def _spy_guediri(monkeypatch, seen):
+    """Record the arguments of each Guediri builder call of the check and the
+    arguments and results of each stacked layer it calls, in seen[name]."""
+
+    def spy(name):
+        layer = getattr(verify, name)
+
+        def recording(*args, **kwargs):
+            out = layer(*args, **kwargs)
+            if name == "_extension_groups":
+                out = list(out)
+            seen[name].append((args, out))
+            return out
+
+        return recording
+
+    for name in seen:
+        monkeypatch.setattr(verify, name, spy(name))
+
+
+def test_guediri_makes_one_stacked_call_per_dimension_group(monkeypatch):
+    # one admissibility, nilpotency, verdict and center call per core
+    # dimension of the 50 constrained sets, and no algebra or metric built
+    layers = ("_admissibilities", "_lower_central_series", "_nilpotent_verdicts", "_centers")
+    seen = {name: [] for name in layers + ("_guediri_data",)}
+    _spy_guediri(monkeypatch, seen)
+    stacked, builds = [], []
+    verdicts = curvature._verdicts
+    monkeypatch.setattr(
+        curvature, "_verdicts", lambda ric, *rest: stacked.append(len(ric)) or verdicts(ric, *rest)
+    )
+    for cls in (LieAlgebra, MetricLieAlgebra):
+
+        def recording(self, *args, _build=cls.__init__):
+            builds.append(args)
+            _build(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    (result,) = run_checks(["guediri"])
+    assert result.passed and result.failures == []
+    assert builds == []  # the 10 violating sets are refused before extend
+    groups = Counter(data.v_dim for _, data in seen["_guediri_data"])
+    sizes = [groups[v] for v in sorted(groups)]
+    assert len(sizes) > 1 and sum(sizes) == 50
+    assert stacked == sizes
+    assert {name: [len(args[0]) for args, _ in seen[name]] for name in layers} == {
+        name: sizes for name in layers
+    }
+
+
+def test_guediri_stacks_agree_with_the_per_object_calls(monkeypatch):
+    # every constrained set, decided once in its group's stack and once by
+    # guediri_2step → einstein_classify → classify_subspace of the center:
+    # equal verdicts and classes, bit-identical ‖Ric‖∞ and Ricci operators
+    seen = {name: [] for name in ("_guediri_data", "_nilpotent_verdicts", "_verdict_layers")}
+    _spy_guediri(monkeypatch, seen)
+    classes = []
+    classify = verify.classify_subspace
+    monkeypatch.setattr(
+        verify, "classify_subspace", lambda *args: classes.append(classify(*args)) or classes[-1]
+    )
+    tol = VERDICT_TOL
+    (result,) = run_checks(["guediri"], tol)
+    assert result.passed and result.failures == []
+    built = [args for args, _ in seen["_guediri_data"]]  # guediri_2step builds the 10 others
+    ric = [op for _, (ops, _) in seen["_nilpotent_verdicts"] for op in ops]
+    trials, peaks, verdicts = [], [], []
+    for _, (group_trials, _, _, group_peaks, group_verdicts, _) in seen["_verdict_layers"]:
+        trials += group_trials
+        peaks += group_peaks.tolist()
+        verdicts += group_verdicts
+    assert len(built) == 50 and sorted(trials) == list(range(50)) and len(classes) == 50
+    for r, trial in enumerate(trials):
+        alpha, c, a, ab, _ = built[trial]
+        m = guediri_2step(alpha, c, a, abelian_dim=ab)
+        report = m.einstein_classify(tol)
+        assert report.verdict is verdicts[r]
+        assert report.ricci_operator.tobytes() == ric[r].tobytes()
+        assert float(np.abs(report.ricci_operator).max(initial=0.0)) == peaks[r]
+        assert classify_subspace(m.gram, m.algebra.center()) == classes[r]
+
+
+def test_guediri_reports_a_refused_set_by_its_trial(monkeypatch):
+    # a constrained set that guediri_2step would refuse is a failure named by
+    # its trial, with guediri_2step's message, not an escaping exception
+    calls = []
+    builder = verify._guediri_data
+
+    def unbalanced(alpha, c, a, ab, tol):
+        calls.append((alpha, c, a, ab))
+        return builder(alpha, 1.3 * c if len(calls) == 8 else c, a, ab, tol)
+
+    monkeypatch.setattr(verify, "_guediri_data", unbalanced)
+    (result,) = run_checks(["guediri"])
+    assert not result.passed
+    alpha, c, a, ab = calls[7]
+    with pytest.raises(ConstraintViolation) as refusal:
+        guediri_2step(alpha, 1.3 * c, a, abelian_dim=ab)
+    assert result.failures == [f"trial 7: {refusal.value}"]

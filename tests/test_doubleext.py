@@ -198,6 +198,64 @@ def test_model_residual_refuses_a_basis_change_of_another_size():
         model_residual(make_metric("EX8"), dec._replace(basis_change=np.eye(3)))
 
 
+def test_model_residual_refuses_data_of_another_core_dimension():
+    # the model of v = 3 data has dimension 5, the metric dimension 4
+    m = extend(random_admissible(np.random.default_rng(3), f_dim=0, blocks=1))
+    dec = decompose(m)
+    other = random_admissible(np.random.default_rng(4), f_dim=1, blocks=1)
+    assert (m.n, other.v_dim) == (4, 3)
+    refusal = "^data of core dimension 3 extend to dimension 5, the metric has dimension 4$"
+    with pytest.raises(InvalidInput, match=refusal):
+        model_residual(m, dec._replace(data=other))
+
+
+def test_model_residual_refuses_a_singular_basis_change():
+    m = extend(random_admissible(np.random.default_rng(3), f_dim=0, blocks=1))
+    dec = decompose(m)
+    rank_one = np.outer(np.arange(1.0, 5.0), np.ones(4))
+    for bad in (np.zeros((4, 4)), rank_one):
+        with pytest.raises(InvalidInput, match="^basis change is singular$"):
+            model_residual(m, dec._replace(basis_change=bad))
+
+
+def _mixed_stack(v: int, rng: np.random.Generator):
+    """ExtensionData of core dimension v of every kind check_admissible tells
+    apart: nilpotent draws, μ ≠ 0 draws, D with a nonzero eigenvalue at μ = 0
+    and, where K can be nonzero (v >= 2), a D that breaks the bracket
+    condition and a K scaled by 1.3 that breaks the trace condition."""
+    shapes = {0: [(0, 0)], 1: [(1, 0)]}.get(v, [(v - 2, 1), (v - 4, 2)] if v >= 4 else [(v - 2, 1)])
+    members = []
+    for f_dim, blocks in shapes:
+        for _ in range(3):
+            nilpotent = random_admissible(rng, f_dim=f_dim, blocks=blocks)
+            general = random_admissible(rng, f_dim=f_dim, blocks=blocks, nilpotent=False)
+            members += [nilpotent, general]
+            members.append(ExtensionData(nilpotent.K, nilpotent.D + np.eye(v), b=nilpotent.b))
+            if v >= 2:
+                members.append(ExtensionData(nilpotent.K * 1.3, nilpotent.D, b=nilpotent.b))
+                members.append(ExtensionData(nilpotent.K, rng.normal(size=(v, v)), b=nilpotent.b))
+    return members
+
+
+@pytest.mark.parametrize("v", [0, 1, 2, 5])
+def test_admissibilities_on_a_mixed_stack_is_check_admissible_per_member(v):
+    members = _mixed_stack(v, np.random.default_rng(v))
+    k, d, mu = (np.array([getattr(x, key) for x in members]) for key in ("K", "D", "mu"))
+    for tol in (DEFAULT_TOL, 1e-6):
+        stacked = doubleext._admissibilities(k, d, mu, tol)
+        kinds = set()
+        for r, data in enumerate(members):
+            one = check_admissible(data, tol)
+            assert [type(x) for x in one] == [bool, bool, bool, float, float]
+            # all five fields, bit for bit
+            assert [x[r].tobytes() for x in stacked] == [np.asarray(x).tobytes() for x in one]
+            kinds.add(one[:3])
+        assert (True, True, True) in kinds  # Lie, nilpotent, Einstein
+        assert {(True, False, True), (True, False, False)} & kinds  # Lie, not nilpotent
+        if v >= 2:  # not Lie, and Lie and nilpotent but not Einstein
+            assert (False, False, False) in kinds and (True, True, False) in kinds
+
+
 def test_decompose_is_well_conditioned_in_a_skewed_basis():
     # nilpotent extensions pulled through P = I + 0.3N: the data come out at the
     # metric's own scale, and the round trip is exact to roundoff
