@@ -17,9 +17,9 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .curvature import MetricLieAlgebra
-from .errors import BadParams, DegenerateGram, UnknownName
+from .errors import BadParams, DegenerateGram, InvalidInput, UnknownName
 from .liealg import LieAlgebra
-from .pseudolin import Gram
+from .pseudolin import Gram, _as_float_array
 
 _SQ = math.sqrt
 
@@ -354,11 +354,25 @@ def make_metric(
     """Catalog algebra + metric.
 
     For the dim <= 5 algebras a metric variant compatible with the algebra
-    and a full parameter assignment are required; parameters are validated
-    against the stated constraints (BadParams on violation).  For EX6, EX7
-    and EX8 no variant and no parameter is accepted and the orthonormal
-    metric is returned.
+    and a full parameter assignment are required; each parameter must be a
+    real finite number (not a bool or a string) and is validated against the
+    stated constraints (BadParams on violation, as for a gram the parameters
+    make degenerate).  For EX6, EX7 and EX8 no variant and no parameter is
+    accepted and the orthonormal metric is returned.  The gram is
+    _metric_gram's.
     """
+    gram = _metric_gram(name, variant, params)
+    try:
+        return MetricLieAlgebra(make_algebra(name), gram)
+    except DegenerateGram:
+        raise BadParams(f"parameters make the {variant} gram degenerate") from None
+
+
+def _metric_gram(
+    name: str, variant: Optional[str] = None, params: Optional[Mapping[str, float]] = None
+) -> Gram:
+    """The gram of make_metric(name, variant, params), every argument validated
+    as make_metric validates it; the gram's degeneracy is left to its frame."""
     algebra = make_algebra(name)
     if name in EXAMPLE_TIMELIKE_INDEX:
         if variant is not None:
@@ -367,7 +381,7 @@ def make_metric(
             raise BadParams(f"{name} takes no parameters: " + ", ".join(params))
         d = np.ones(algebra.n)
         d[EXAMPLE_TIMELIKE_INDEX[name] - 1] = -1.0
-        return MetricLieAlgebra(algebra, Gram.from_diagonal(d))
+        return Gram.from_diagonal(d)
 
     if variant is None:
         raise UnknownName(f"{name} needs a metric variant: " + ", ".join(
@@ -387,11 +401,16 @@ def make_metric(
     extra = [k for k in given if k not in mv.params]
     if extra:
         raise BadParams(f"unknown parameters for {variant}: " + ", ".join(extra))
-    vals = {k: float(given[k]) for k in mv.params}
-    for k, v in vals.items():
-        if not math.isfinite(v):
-            raise BadParams(f"parameter {k} must be finite")
+    return mv.build({k: _param(given[k], k) for k in mv.params})
+
+
+def _param(value, key: str) -> float:
+    """A parameter as a float; BadParams unless _as_float_array reads it as a
+    real finite number (a bool, a string, a complex number, None or a list
+    are refused).  A finite float is that number already and is taken as is."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float(value)
     try:
-        return MetricLieAlgebra(algebra, mv.build(vals))
-    except DegenerateGram:
-        raise BadParams(f"parameters make the {variant} gram degenerate") from None
+        return float(_as_float_array(value, f"parameter {key}", ndim=0))
+    except InvalidInput as err:
+        raise BadParams(str(err)) from None

@@ -30,7 +30,14 @@ import numpy as np
 
 from .errors import ROUTE_MISMATCH, InvalidInput, NotNilpotent
 from .liealg import LieAlgebra, _computed_once, act_on_brackets
-from .pseudolin import Gram, Signature, _as_float_array, _cutoff, orthonormal_basis
+from .pseudolin import (
+    Gram,
+    Signature,
+    _as_float_array,
+    _cutoff,
+    _orthonormal_bases,
+    orthonormal_basis,
+)
 
 #: Default relative tolerance for Einstein/flatness verdicts.
 VERDICT_TOL = 1e-8
@@ -213,12 +220,25 @@ def ricci_operators(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndar
 
 
 def _frame(gram: Gram, tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pseudo-orthonormal frame G = AᵀηA of a gram, decided at tol, as
-    stacks of one: the signs ε (1, n), minus-first, A (1, n, n) and B = A⁻¹.
-    DegenerateGram on a null direction."""
+    """The pseudo-orthonormal frame G = AᵀηA of a gram, decided at tol by
+    orthonormal_basis, as stacks of one: the signs ε (1, n), minus-first,
+    A (1, n, n) and B = A⁻¹.  DegenerateGram on a null direction."""
     b, eps = orthonormal_basis(gram, tol)
-    a = (eps[:, None] * b.T) @ gram.mat  # B⁻¹ = η·Bᵀ·G, as BᵀGB = η
-    return eps[None], a[None], b[None]
+    return _with_inverse(eps[None], b[None], gram.mat)
+
+
+def _frames(mats: np.ndarray, tol: float):
+    """_frame for a stack of gram matrices (k, n, n), from one stacked eigh:
+    ((ε, A, B), degenerate), each a stack of k, with degenerate (k,) True for
+    a member with a null direction, whose (ε, A, B) is no frame."""
+    b, eps, null = _orthonormal_bases(mats, tol)
+    return _with_inverse(eps, b, mats), null.any(axis=1)
+
+
+def _with_inverse(eps: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """The frames (ε, A, B) of the grams g with their bases B: A = B⁻¹ = η·Bᵀ·G,
+    as BᵀGB = η."""
+    return eps, (eps[..., :, None] * b.swapaxes(-1, -2)) @ g, b
 
 
 def _in_input_basis(frame, x: np.ndarray, form: bool = False) -> np.ndarray:
@@ -299,19 +319,28 @@ def _verdicts(
     return verdicts, lam, residual, flat
 
 
+def _nilpotent_ricci(mu: np.ndarray, frame) -> Tuple[np.ndarray, np.ndarray]:
+    """(Ricci operators in the input basis, Levi-Civita tensors in the frames)
+    for a stack of nilpotent brackets μ (k, n, n, n) in their frames, as a
+    metric's ricci_operator takes them: the 𝒥-route, cross-checked in the
+    frames against the definitional route (_check_routes), moved back."""
+    eps = frame[0]
+    lc_frame = levi_civita_tensors(mu, eps)
+    ric_nil = ricci_operators(mu, eps, True)
+    _check_routes(ric_nil, _raise_index(eps, ricci_forms(lc_frame)))
+    return _in_input_basis(frame, ric_nil), lc_frame
+
+
 def _nilpotent_verdicts(
     c: np.ndarray, mu: np.ndarray, frame, tol: float
 ) -> Tuple[np.ndarray, List[Verdict]]:
     """(Ricci operators, verdicts) of einstein_classify(tol) for a stack of
     nilpotent brackets c (k, n, n, n) with their frames and their brackets μ =
-    A·c in them, layer by layer as a metric takes them: both Ricci routes and
-    their cross-check, the transported Levi-Civita tensor and the flatness
+    A·c in them, layer by layer as a metric takes them: the Ricci operators
+    (_nilpotent_ricci), the transported Levi-Civita tensor and the flatness
     test, the verdict rule."""
-    eps, a, b = frame
-    lc_frame = levi_civita_tensors(mu, eps)
-    ric_nil = ricci_operators(mu, eps, True)
-    _check_routes(ric_nil, _raise_index(eps, ricci_forms(lc_frame)))
-    ric = _in_input_basis(frame, ric_nil)
+    _, a, b = frame
+    ric, lc_frame = _nilpotent_ricci(mu, frame)
     defect, scale = _flatness_defects(c, act_on_brackets(b, a, lc_frame))
     return ric, _verdicts(ric, defect, scale, tol)[0]
 

@@ -20,15 +20,17 @@ Facts used throughout (K skew, D arbitrary, D* = Dᵀ on Euclidean V):
 * Every Einstein nilpotent non-abelian Lorentzian algebra with an isotropic
   central vector is Ricci-flat and arises this way with μ = 0, D nilpotent.
 
-The admissibility test, the model bracket, decompose's Witt reading and the
-round trip of model_residual are written once, on stacks of data of one core
-dimension v given as arrays K, D (m, v, v), μ (m,) and b (m, v):
-_admissibilities, _models, _witt_decompositions and _model_residuals.  The
-public functions (check_admissible, extend, decompose, model_residual) call
-them on the stack of one of their ExtensionData, extend only the bracket
-condition (_lie_tests), and verify's double-extension and guediri checks on a
-stack per core dimension.  guediri_2step is Guediri's data (_guediri_data)
-followed by extend.
+The admissibility test, the model bracket, decompose's Witt reading, the
+round trip of model_residual, ric(ē, ē) and the random draw are written once,
+on stacks of data of one core dimension v given as arrays K, D (m, v, v),
+μ (m,) and b (m, v): _admissibilities, _models, _witt_decompositions,
+_model_residuals, _ricci_ebars and _random_admissibles.  The public functions
+(check_admissible, extend, decompose, model_residual, ricci_ebar,
+random_admissible) call them on the stack of one of their ExtensionData,
+extend only the bracket condition (_lie_tests), and verify's double-extension
+and guediri checks on a stack per core dimension; double-extension draws its
+data as stacks, one draw per shape, and builds no ExtensionData.
+guediri_2step is Guediri's data (_guediri_data) followed by extend.
 """
 from __future__ import annotations
 
@@ -214,7 +216,14 @@ def _witt_gram(n: int) -> np.ndarray:
 
 def ricci_ebar(data: ExtensionData) -> float:
     """ric(ē, ē) of the extension; all other slots vanish."""
-    return 0.25 * sum(_ebar_terms(data.K, data.D, data.mu).tolist())
+    k, d, mu, _ = _stack_of_one(data)
+    return float(_ricci_ebars(k, d, mu)[0])
+
+
+def _ricci_ebars(k: np.ndarray, d: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """ricci_ebar on stacks K, D (m, v, v) and μ (m,): the (m,) ric(ē, ē)."""
+    t0, t1, t2, t3 = _ebar_terms(k, d, mu)
+    return 0.25 * (t0 + t1 + t2 + t3)
 
 
 def killing_ebar(data: ExtensionData) -> float:
@@ -313,15 +322,16 @@ def _model_residuals(c: np.ndarray, g: np.ndarray, p: np.ndarray, data) -> np.nd
 
 def _blocks(k0, d1, d2, d3) -> Tuple[np.ndarray, np.ndarray]:
     """K = 0 ⊕ K0 and D = [[D1, D2], [0, D3]] on V = F ⊕ F-perp, F of
-    dimension len(D1) and F-perp of dimension len(K0)."""
-    f_dim = len(d1)
-    v = f_dim + len(k0)
-    k = np.zeros((v, v))
-    k[f_dim:, f_dim:] = k0
-    d = np.zeros((v, v))
-    d[:f_dim, :f_dim] = d1
-    d[:f_dim, f_dim:] = d2
-    d[f_dim:, f_dim:] = d3
+    dimension f, read from D1 (..., f, f), and F-perp of dimension read from
+    K0; the blocks may be stacks, with the same leading axes."""
+    f_dim = d1.shape[-1]
+    v = f_dim + k0.shape[-1]
+    k = np.zeros(k0.shape[:-2] + (v, v))
+    k[..., f_dim:, f_dim:] = k0
+    d = np.zeros(k.shape)
+    d[..., :f_dim, :f_dim] = d1
+    d[..., :f_dim, f_dim:] = d2
+    d[..., f_dim:, f_dim:] = d3
     return k, d
 
 
@@ -364,7 +374,7 @@ def guediri_2step(alpha, c, a, abelian_dim: int = 0, tol: float = DEFAULT_TOL) -
     """
     data = _guediri_data(alpha, c, a, abelian_dim, tol)
     if not check_admissible(data, tol).is_einstein:  # is_einstein implies is_lie
-        raise _unbalanced(data)
+        raise _unbalanced(data.K, data.D)
     return extend(data, tol)
 
 
@@ -394,10 +404,10 @@ def _guediri_data(alpha, c, a, abelian_dim: int, tol: float) -> ExtensionData:
     return ExtensionData(k, d, b=b)
 
 
-def _unbalanced(data: ExtensionData) -> ConstraintViolation:
-    """guediri_2step's refusal of its data when the trace condition fails:
-    Σ a_ij² is Σ K² and Σ c_ik² is Σ D², the only blocks the data fill."""
-    lhs, rhs = float(np.sum(data.K**2)), 2.0 * float(np.sum(data.D**2))
+def _unbalanced(k: np.ndarray, d: np.ndarray) -> ConstraintViolation:
+    """guediri_2step's refusal of its data (K, D) when the trace condition
+    fails: Σ a_ij² is Σ K² and Σ c_ik² is Σ D², the only blocks the data fill."""
+    lhs, rhs = float(np.sum(k**2)), 2.0 * float(np.sum(d**2))
     return ConstraintViolation(f"Σ a_ij² = 2 Σ c_ik² fails: {lhs:.6g} vs {rhs:.6g}")
 
 
@@ -416,37 +426,51 @@ def random_admissible(
     no block and f_dim >= 2 has no K to rescale, so it is refused
     (InvalidInput).  With nilpotent=False a shift D + μ/2·Id produces Lie data
     with μ ≠ 0, which meet the trace condition only when the shift allows a
-    rescaled K, and otherwise keep K = 0 and fail it.
+    rescaled K, and otherwise keep K = 0 and fail it.  It is
+    _random_admissibles on the stack of one.
     """
+    k, d, mu, b = _random_admissibles(rng, 1, f_dim, blocks, nilpotent)
+    return ExtensionData(k[0], d[0], mu=mu[0], b=b[0])
+
+
+def _random_admissibles(
+    rng: np.random.Generator, m: int, f_dim: int, blocks: int, nilpotent: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """m draws of random_admissible's data of one shape, as the stacks
+    (K, D, μ, b) of _models: K and D (m, v, v), v = f_dim + 2·blocks, with K
+    exactly skew, μ (m,) and b (m, v).  The rng is called in
+    random_admissible's order, each call drawing for the whole stack, so a
+    stack of one draws random_admissible's bits."""
     _nonnegative(f_dim, "f_dim")
     _nonnegative(blocks, "blocks")
     if nilpotent and blocks == 0 and f_dim >= 2:
         raise InvalidInput("a nilpotent draw with f_dim >= 2 needs blocks >= 1")
     fperp = 2 * blocks
-    d1 = np.triu(rng.normal(size=(f_dim, f_dim)), k=1)
-    d2 = rng.normal(size=(f_dim, fperp))
-    k0 = np.zeros((fperp, fperp))
-    d3 = np.zeros((fperp, fperp))
-    for bl in range(blocks):
-        i = 2 * bl
-        k0[i, i + 1] = -1.0
-        k0[i + 1, i] = 1.0
-        d3[i, i + 1] = rng.normal()
+    rows = np.arange(0, fperp, 2)  # block i of F-perp on its rows and columns i, i + 1
+    cols = rows + 1
+    k0 = np.zeros((m, fperp, fperp))
+    k0[:, rows, cols] = -1.0
+    k0[:, cols, rows] = 1.0
+    d1 = np.triu(rng.normal(size=(m, f_dim, f_dim)), k=1)
+    d2 = rng.normal(size=(m, f_dim, fperp))
+    d3 = np.zeros((m, fperp, fperp))
+    d3[:, rows, cols] = rng.normal(size=(m, blocks))
     k, d = _blocks(k0, d1, d2, d3)
-    v = len(k)
-    b = rng.normal(size=v)
+    v = f_dim + fperp
+    b = rng.normal(size=(m, v))
 
-    mu = 0.0
+    mu = np.zeros(m)
     if not nilpotent:
-        mu = rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])
-        d = d + 0.5 * mu * np.eye(v)
+        mu = rng.uniform(0.5, 1.5, size=m) * rng.choice([-1.0, 1.0], size=m)
+        d = d + 0.5 * mu[:, None, None] * np.eye(v)
 
-    # rescale K so 4μ tr(D) = tr(K²) + 2 tr(D²) + 2 tr(DDᵀ) exactly
-    *head, neg_tr_k2 = _ebar_terms(k, d, mu).tolist()
-    target, tr_k2 = sum(head), -neg_tr_k2  # tr(K²) = -2·blocks here
-    if tr_k2 != 0.0 and target / tr_k2 > 0:
-        k = k * np.sqrt(target / tr_k2)
-    elif target != 0.0:
-        # cannot balance with this K; drop the trace condition by zeroing K
-        k = np.zeros_like(k)
-    return ExtensionData(k, d, mu=mu, b=b)
+    # rescale K so 4μ tr(D) = tr(K²) + 2 tr(D²) + 2 tr(DDᵀ) exactly; a member
+    # that cannot balance with this K drops the trace condition, K zeroed
+    t0, t1, t2, neg_tr_k2 = _ebar_terms(k, d, mu)
+    target = t0 + t1 + t2
+    if blocks:  # tr(K²) = −2·blocks; with no block K is zero already
+        ratio = target / -neg_tr_k2
+        # K × √ratio where ratio > 0, else K kept where target = 0, else K zeroed
+        k *= np.where(ratio > 0, np.sqrt(np.abs(ratio)), target == 0.0)[:, None, None]
+        k += 0.0  # a zeroed −1 is −0.0; +0.0 is what np.zeros would give
+    return k, d, mu, b

@@ -10,7 +10,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -80,7 +80,7 @@ def _as_float_array(
         raise InvalidInput(f"{name} must be an array of numbers") from None
     if arr.dtype.kind != "f":
         raise InvalidInput(f"{name} must have real entries, got dtype {arr.dtype}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     if ndim is not None and arr.ndim != ndim:
         raise InvalidInput(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
@@ -248,30 +248,64 @@ def _nullspaces(m: np.ndarray, tol: float) -> List[np.ndarray]:
     return [rows[rank:] for rows, rank in zip(vt, _ranks(s, tol))]
 
 
+def _null_eigenvalues(size: np.ndarray, tol: float) -> np.ndarray:
+    """The inertia rule on a stack of eigenvalue magnitudes |w| (k, n): True
+    where an eigenvalue lies at or within the member's _cutoff(tol, w) =
+    tol * max(1, |λ|_max) of zero and counts as null; every other one counts
+    by its sign."""
+    return size <= _cutoff(tol, size, stack=True)[:, None]
+
+
+def _signatures(mats: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """signature for a stack of gram matrices (k, n, n), from one stacked
+    eigvalsh: per member the counts (minus, plus, null), (k,) arrays, by the
+    inertia rule (_null_eigenvalues)."""
+    w = np.linalg.eigvalsh(mats)
+    null = _null_eigenvalues(np.abs(w), tol)
+    minus = ((w < 0.0) & ~null).sum(axis=1)
+    nulls = null.sum(axis=1)
+    return minus, w.shape[1] - minus - nulls, nulls
+
+
 def signature(g: Gram, tol: float = DEFAULT_TOL) -> Signature:
-    """Inertia (minus, plus, null) of g, from one eigvalsh: eigenvalues at or
-    within _cutoff(tol, w) = tol * max(1, |λ|_max) of zero count as null."""
-    w = np.linalg.eigvalsh(g.mat)
-    cut = _cutoff(tol, w)
-    minus, plus = int(np.count_nonzero(w < -cut)), int(np.count_nonzero(w > cut))
-    return Signature(minus=minus, plus=plus, null=g.n - minus - plus)
+    """Inertia (minus, plus, null) of g: _signatures on the stack of one."""
+    return Signature(*(int(x[0]) for x in _signatures(g.mat[None], tol)))
 
 
 def restricted_gram(g: Gram, f: Subspace) -> Gram:
     """The form of g restricted to f, in f's basis coordinates."""
     if f.ambient_dim != g.n:
         raise InvalidInput("subspace ambient dimension does not match gram size")
-    return Gram(f.basis @ g.mat @ f.basis.T)
+    return Gram(_restricted_grams(g.mat[None], f)[0])
+
+
+def _restricted_grams(mats: np.ndarray, f: Subspace) -> np.ndarray:
+    """restricted_gram for a stack of gram matrices (k, n, n), symmetrized as
+    Gram symmetrizes: the (k, d, d) stack of Z·G·Zᵀ for the basis rows Z of f."""
+    r = f.basis @ mats @ f.basis.T
+    return (r + r.swapaxes(-1, -2)) / 2.0
 
 
 def classify_subspace(g: Gram, f: Subspace) -> SubspaceClass:
-    """Degeneracy class of g restricted to f, decided at f.tol.
+    """Degeneracy class of g restricted to f, decided at f.tol: the class rule
+    (_subspace_class) on its signature."""
+    return _subspace_class(signature(restricted_gram(g, f), f.tol))
+
+
+def _subspace_classes(mats: np.ndarray, f: Subspace) -> List[SubspaceClass]:
+    """classify_subspace for a stack of gram matrices (k, n, n): one stacked
+    restricted gram and signature, and the class rule per member."""
+    counts = zip(*(x.tolist() for x in _signatures(_restricted_grams(mats, f), f.tol)))
+    return [_subspace_class(Signature(*sig)) for sig in counts]
+
+
+def _subspace_class(sig: Signature) -> SubspaceClass:
+    """The class of a restricted form of signature sig.
 
     Nondegenerate restrictions are tagged Euclidean (definite) or Lorentzian
     (index one); restrictions of index two or more do not occur inside a
     Lorentzian ambient space and are rejected.
     """
-    sig = signature(restricted_gram(g, f), f.tol)
     if sig.null > 0:
         return SubspaceClass(SubspaceTag.DEGENERATE, null_dim=sig.null)
     if sig.minus == 0:
@@ -297,12 +331,11 @@ def find_isotropic_in(g: Gram, f: Subspace) -> Optional[np.ndarray]:
         return None
     r = restricted_gram(g, f).mat
     w, vecs = np.linalg.eigh(r)
-    cut = _cutoff(f.tol, w)
-    null_idx = np.nonzero(np.abs(w) <= cut)[0]
+    null_idx = np.flatnonzero(_null_eigenvalues(np.abs(w)[None], f.tol))
     if null_idx.size > 0:
         coeffs = vecs[:, null_idx[0]]
     else:
-        if w[0] > cut or w[-1] < -cut:  # definite: all same strict sign
+        if w[0] > 0.0 or w[-1] < 0.0:  # definite: no null eigenvalue, one sign
             return None
         # eigh sorts ascending: w[0] most negative, w[-1] most positive
         coeffs = vecs[:, -1] / np.sqrt(w[-1]) + vecs[:, 0] / np.sqrt(-w[0])
@@ -315,9 +348,22 @@ def orthonormal_basis(g: Gram, tol: float):
 
     Returns (B, eps) where the columns of B satisfy ⟨b_a, b_b⟩ = eps_a δ_ab
     with eps_a = ±1, ordered minus-first (eigenvalue ascending); an eigenvalue
-    that signature would count as null raises DegenerateGram."""
-    w, vecs = np.linalg.eigh(g.mat)
-    if np.abs(w).min(initial=np.inf) <= _cutoff(tol, w):
+    that signature would count as null raises DegenerateGram.  It is
+    _orthonormal_bases on the stack of one."""
+    b, eps, null = _orthonormal_bases(g.mat[None], tol)
+    if np.count_nonzero(null):
         raise DegenerateGram("metric gram matrix is degenerate at tolerance")
-    b = vecs / np.sqrt(np.abs(w))
-    return b, np.sign(w)
+    return b[0], eps[0]
+
+
+def _orthonormal_bases(mats: np.ndarray, tol: float):
+    """orthonormal_basis for a stack of gram matrices (k, n, n), from one
+    stacked eigh: (B, eps, null), with null (k, n) True at the eigenvalues
+    the inertia rule counts as null (_null_eigenvalues).  A member with a
+    null eigenvalue is degenerate, and its B and eps are no frame."""
+    w, vecs = np.linalg.eigh(mats)
+    size = np.abs(w)
+    null = _null_eigenvalues(size, tol)
+    if np.count_nonzero(null):
+        size = np.maximum(size, null)  # a null eigenvalue scaled as 1: no division by zero
+    return vecs / np.sqrt(size)[:, None, :], np.sign(w), null

@@ -12,6 +12,7 @@ All randomness is seeded; rerunning a check reproduces it exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -23,6 +24,7 @@ from .catalog import (
     DERIVATION_TABLE,
     METRIC_VARIANTS,
     MetricVariant,
+    _metric_gram,
     make_algebra,
     make_metric,
     table1_derivation,
@@ -30,8 +32,11 @@ from .catalog import (
 from .curvature import (
     VERDICT_TOL,
     Verdict,
+    _flatness_defects,
     _frame,
+    _frames,
     _in_input_basis,
+    _nilpotent_ricci,
     _nilpotent_verdicts,
     _raise_index,
     j1_j2_operators,
@@ -43,18 +48,18 @@ from .curvature import (
     trace_q_sides,
 )
 from .doubleext import (
-    ExtensionData,
     _admissibilities,
     _guediri_data,
     _model_residuals,
     _models,
     _not_lie,
+    _random_admissibles,
+    _ricci_ebars,
+    _stack_of_one,
     _unbalanced,
     _witt_decompositions,
     _witt_gram,
     guediri_2step,
-    random_admissible,
-    ricci_ebar,
 )
 from .errors import ConstraintViolation, InvalidInput, UnknownName
 from .liealg import _antisymmetric, _centers, _lower_central_series, _unit, act_on_brackets
@@ -64,6 +69,7 @@ from .pseudolin import (
     Subspace,
     SubspaceTag,
     _cutoff,
+    _subspace_classes,
     classify_subspace,
     find_isotropic_in,
 )
@@ -127,15 +133,64 @@ def _sample_params(mv: MetricVariant, rng: np.random.Generator) -> List[Dict[str
     return [base]
 
 
-def _variant_instances(rng: np.random.Generator, names: Iterable[str] = tuple(METRIC_VARIANTS)):
-    """(variant, params, metric algebra) for seeded draws of every variant:
-    the parameters of every variant are drawn, in one rng stream, and the
-    metrics of the variants named are built."""
+#: one draw of a metric variant: (index in draw order, variant, params, gram)
+_Draw = Tuple[int, MetricVariant, Dict[str, float], Gram]
+
+
+def _variant_draws(
+    rng: np.random.Generator, names: Iterable[str] = tuple(METRIC_VARIANTS)
+) -> List[_Draw]:
+    """Seeded draws of every variant: the parameters of every variant are
+    drawn, in one rng stream, and the grams of the variants named are built
+    as make_metric builds them (catalog._metric_gram)."""
+    draws: List[_Draw] = []
     for mv in METRIC_VARIANTS.values():
         for _ in range(_VARIANT_DRAWS):
             for params in _sample_params(mv, rng):
                 if mv.name in names:
-                    yield mv, params, make_metric(mv.algebra, mv.name, params)
+                    gram = _metric_gram(mv.algebra, mv.name, params)
+                    draws.append((len(draws), mv, params, gram))
+    return draws
+
+
+def _variant_groups(draws: List[_Draw], fail):
+    """The draws grouped by algebra, each group's frames taken in one call:
+    per algebra, in the order of its first draw, the algebra, the draws whose grams are
+    nondegenerate, their gram matrices (k, n, n) and their frames (ε, A, B),
+    as the metrics make_metric would build; fail(draw, message) for a draw
+    whose gram is degenerate, which make_metric refuses.  An algebra with no
+    such draw yields nothing."""
+    groups: Dict[str, List[_Draw]] = {}
+    for draw in draws:
+        groups.setdefault(draw[1].algebra, []).append(draw)
+    for name, group in groups.items():
+        algebra = make_algebra(name)
+        grams = np.array([gram.mat for *_, gram in group])
+        frame, degenerate = _frames(grams, algebra.tol)
+        for r in np.flatnonzero(degenerate):
+            fail(group[r], "parameters make the gram degenerate")
+        keep = ~degenerate
+        if keep.any():
+            kept = list(itertools.compress(group, keep))
+            yield algebra, kept, grams[keep], tuple(x[keep] for x in frame)
+
+
+def _draw_failures():
+    """(failures, fail): fail(draw, message) records the message under the
+    draw's variant and params, keyed by its index; the checks report the
+    failures in draw order."""
+    failures: List[Tuple[int, str]] = []
+
+    def fail(draw: _Draw, message: str) -> None:
+        index, mv, params, _ = draw
+        failures.append((index, f"{mv.name} {params}: {message}"))
+
+    return failures, fail
+
+
+def _in_draw_order(failures: List[Tuple[int, str]]) -> List[str]:
+    """The messages sorted by draw, a draw's messages in their order."""
+    return [message for _, message in sorted(failures, key=lambda f: f[0])]
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,71 +253,79 @@ def _check(name: str):
 
 @_check("classified-ricci-flat")
 def check_classified_ricci_flat(tol: float) -> _Claim:
-    rng = _rng(1)
-    failures: List[str] = []
+    # The metrics of one algebra are decided together, one call a layer, at
+    # the decisions their signature() and ricci_operator() take; the dim <= 5
+    # catalog algebras are nilpotent, so the 𝒥-route is cross-checked.
+    draws = _variant_draws(_rng(1))
+    failures, fail = _draw_failures()
     worst = 0.0
-    count = 0
-    for mv, params, m in _variant_instances(rng):
-        count += 1
-        sig = m.signature()
-        n = m.n
-        if (sig.minus, sig.plus, sig.null) != (1, n - 1, 0):
-            failures.append(f"{mv.name} {params}: signature {tuple(sig)}")
+    for algebra, group, _, frame in _variant_groups(draws, fail):
+        minus = (frame[0] < 0).sum(axis=1)  # ε is minus-first
+        for draw, m in zip(group, minus.tolist()):
+            if m != 1:  # the signature (m, n − m, 0)
+                fail(draw, f"signature {(m, algebra.n - m, 0)}")
+        lorentzian = minus == 1
+        if not lorentzian.any():
             continue
-        ric = m.ricci_operator()
-        resid = float(np.abs(ric).max(initial=0.0))
-        worst = max(worst, resid)
-        if resid > tol:
-            failures.append(f"{mv.name} {params}: ‖Ric‖∞ = {resid:.3e}")
+        eps, a, b = (x[lorentzian] for x in frame)
+        ric, _ = _nilpotent_ricci(act_on_brackets(a, b, algebra.c), (eps, a, b))
+        peaks = np.abs(ric).max(axis=(1, 2), initial=0.0).tolist()
+        for draw, resid in zip(itertools.compress(group, lorentzian), peaks):
+            worst = max(worst, resid)
+            if resid > tol:
+                fail(draw, f"‖Ric‖∞ = {resid:.3e}")
     return (
         f"10 variants, seeded draws: Lorentzian (1,n−1) and ‖Ric‖∞ ≤ {tol:g}",
-        f"{count} metrics all Lorentzian and Ricci-flat",
+        f"{len(draws)} metrics all Lorentzian and Ricci-flat",
         worst,
-        failures,
+        _in_draw_order(failures),
     )
 
 
 @_check("flatness")
 def check_flatness(tol: float) -> _Claim:
-    rng = _rng(2)
-    failures: List[str] = []
+    draws = _variant_draws(_rng(2), ("m32", "m42", "m52", "m43"))
+    failures, fail = _draw_failures()
     worst_flat = 0.0
     witness = np.inf
-    count = 0
-    for mv, params, m in _variant_instances(rng, ("m32", "m42", "m52", "m43")):
-        count += 1
-        defect, scale = m.flatness_defect()
-        if mv.name == "m43" and params["eps"] == 1.0:
-            witness = min(witness, defect / scale)
-            if defect <= 1e-6 * scale:
-                failures.append(f"m43 eps=+1 {params}: curvature too small ({defect:.3e})")
-        else:
-            worst_flat = max(worst_flat, defect / scale)
-            if defect > tol * scale:
-                failures.append(f"{mv.name} {params}: curvature defect {defect:.3e}")
+    for algebra, group, _, (eps, a, b) in _variant_groups(draws, fail):
+        # flatness_defect() of each metric: the Levi-Civita tensor of its
+        # frame bracket, transported by B
+        lc = act_on_brackets(b, a, levi_civita_tensors(act_on_brackets(a, b, algebra.c), eps))
+        defects, scales = _flatness_defects(np.broadcast_to(algebra.c, lc.shape), lc)
+        for draw, defect, scale in zip(group, defects.tolist(), scales.tolist()):
+            _, mv, params, _ = draw
+            if mv.name == "m43" and params["eps"] == 1.0:
+                witness = min(witness, defect / scale)
+                if defect <= 1e-6 * scale:
+                    fail(draw, f"curvature too small ({defect:.3e})")
+            else:
+                worst_flat = max(worst_flat, defect / scale)
+                if defect > tol * scale:
+                    fail(draw, f"curvature defect {defect:.3e}")
     return (
         "m32/m42/m52 and m43[ε=−1] flat; m43[ε=+1] visibly curved",
-        f"{count} instances match (smallest ε=+1 curvature witness {witness:.2e})",
+        f"{len(draws)} instances match (smallest ε=+1 curvature witness {witness:.2e})",
         worst_flat,
-        failures,
+        _in_draw_order(failures),
     )
 
 
 @_check("degenerate-center")
 def check_degenerate_center(tol: float) -> _Claim:
-    rng = _rng(3)
-    failures: List[str] = []
-    count = 0
-    for mv, params, m in _variant_instances(rng):
-        count += 1
-        cls = classify_subspace(m.gram, m.algebra.center())
-        if cls.tag is not SubspaceTag.DEGENERATE:
-            failures.append(f"{mv.name} {params}: center {cls.tag.value}")
+    draws = _variant_draws(_rng(3))
+    failures, fail = _draw_failures()
+    for algebra, group, grams, _ in _variant_groups(draws, fail):
+        # classify_subspace(m.gram, m.algebra.center()) of each metric
+        for draw, cls in zip(group, _subspace_classes(grams, algebra.center())):
+            if cls.tag is not SubspaceTag.DEGENERATE:
+                fail(draw, f"center {cls.tag.value}")
+    count = len(draws)
     return (
         "every classified dim ≤ 5 metric has a Degenerate center",
         f"{count - len(failures)}/{count} centers Degenerate",
         0.0,
-        failures,
+        _in_draw_order(failures),
     )
 
 
@@ -408,30 +471,49 @@ def check_trace_formula(tol: float) -> _Claim:
     )
 
 
-def _extension_groups(draws: List[ExtensionData], fail, einstein: bool = False):
-    """The draws grouped by core dimension v, each group's admissibility
-    decided in one call: the members that extend takes (its Lie test), or with
-    einstein those that guediri_2step takes (its trace condition), and
-    fail(trial, message) with the refusal for any other.  Per group: the trial
-    numbers, their model brackets (m, n, n, n) and the one frame of the Witt
-    gram."""
-    groups: Dict[int, List[int]] = {}
-    for trial, data in enumerate(draws):
-        groups.setdefault(data.v_dim, []).append(trial)
-    for v, trials in sorted(groups.items()):
-        stacks = [
-            np.array([getattr(draws[t], key) for t in trials]) for key in ("K", "D", "mu", "b")
-        ]
+#: extension data with their trial numbers: (trials, (K, D, μ, b)), the
+#: stacks of doubleext._models, one member a trial
+_Extensions = Tuple[List[int], Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _extension_groups(draws: Iterable[_Extensions], fail, einstein: bool = False):
+    """The draws, stacks of any core dimension, grouped by core dimension v,
+    each group's admissibility decided in one call: the members that extend
+    takes (its Lie test), or with einstein those that guediri_2step takes (its
+    trace condition), and fail(trial, message) with the refusal for any
+    other.  Per group: the trial numbers, their model brackets (m, n, n, n)
+    and the one frame of the Witt gram."""
+    groups: Dict[int, List[_Extensions]] = {}
+    for draw in draws:
+        groups.setdefault(draw[1][0].shape[-1], []).append(draw)
+    for v, parts in sorted(groups.items()):
+        trials = [t for part_trials, _ in parts for t in part_trials]
+        stacks = [np.concatenate(x) for x in zip(*(data for _, data in parts))]
         adm = _admissibilities(*stacks[:3], DEFAULT_TOL)
         taken = adm.is_einstein if einstein else adm.is_lie
         for r in np.flatnonzero(~taken):
-            refusal = _unbalanced(draws[trials[r]]) if einstein else _not_lie(adm.lie_residual[r])
-            fail(trials[r], str(refusal))
+            k, d = stacks[0][r], stacks[1][r]
+            fail(trials[r], str(_unbalanced(k, d) if einstein else _not_lie(adm.lie_residual[r])))
         if taken.any():
             # the model brackets as LieAlgebra keeps them
             c = _antisymmetric(_models(*(x[taken] for x in stacks)))
             trials = [t for t, took in zip(trials, taken) if took]
             yield trials, c, _frame(Gram(_witt_gram(v + 2)), DEFAULT_TOL)
+
+
+def _extension_draws(rng: np.random.Generator, nilpotent: bool):
+    """One half of double-extension's 100 draws: their shapes (f_dim 1–3,
+    blocks 1–2), one integers call each, then the data of each shape in one
+    stacked draw (doubleext._random_admissibles), in shape order.  Returns
+    the stacks with their trial numbers and each trial's core dimension."""
+    f_dims = rng.integers(1, 4, size=100)
+    blocks = rng.integers(1, 3, size=100)
+    draws: List[_Extensions] = []
+    for f_dim, count in sorted(set(zip(f_dims.tolist(), blocks.tolist()))):
+        trials = np.flatnonzero((f_dims == f_dim) & (blocks == count))
+        data = _random_admissibles(rng, len(trials), f_dim, count, nilpotent)
+        draws.append((trials.tolist(), data))
+    return draws, (f_dims + 2 * blocks).tolist()
 
 
 def _verdict_layers(trials: List[int], c: np.ndarray, frame, tol: float, fail):
@@ -468,21 +550,14 @@ def check_double_extension(tol: float) -> _Claim:
     # each group is decided layer by layer, one call a layer, at the decisions
     # that extend, einstein_classify, decompose and model_residual take.
     rng = _rng(8)
-    nilpotent, general = (
-        [
-            random_admissible(
-                rng, f_dim=int(rng.integers(1, 4)), blocks=int(rng.integers(1, 3)), nilpotent=nilp
-            )
-            for _ in range(100)
-        ]
-        for nilp in (True, False)
-    )
+    nilpotent, v_dims = _extension_draws(rng, True)
+    general, _ = _extension_draws(rng, False)
     failures: List[Tuple[int, int, str]] = []  # (half, trial, message), sorted at the end
     worst = 0.0
 
     def fail(half: int, trial: int, message: str) -> None:
         if half == 0:
-            tag = f"nilpotent trial {trial} (v={nilpotent[trial].v_dim})"
+            tag = f"nilpotent trial {trial} (v={v_dims[trial]})"
         else:
             tag = f"μ≠0 trial {trial}"
         failures.append((half, trial, f"{tag}: {message}"))
@@ -516,12 +591,14 @@ def check_double_extension(tol: float) -> _Claim:
             if res > tol * sc:
                 fail(0, trials[r], f"decompose∘extend residual {res:.3e}")
 
+    predicted = np.empty(100)  # ricci_ebar of each μ ≠ 0 trial
+    for trials, (k, d, mu, _) in general:
+        predicted[trials] = _ricci_ebars(k, d, mu)
     for trials, c, frame in _extension_groups(general, functools.partial(fail, 1)):
         eps, a, b = frame
         lc_frame = levi_civita_tensors(act_on_brackets(a, b, c), eps)
         forms = _in_input_basis(frame, ricci_forms(lc_frame), True)  # ricci_via_definition
-        for trial, obs in zip(trials, forms[:, -1, -1].tolist()):
-            pred = ricci_ebar(general[trial])
+        for trial, pred, obs in zip(trials, predicted[trials].tolist(), forms[:, -1, -1].tolist()):
             scale = max(1.0, abs(obs))
             diff = abs(pred - obs)
             worst = max(worst, diff / scale)
@@ -562,9 +639,9 @@ def check_guediri(tol: float) -> _Claim:
         failures.append((trial, f"trial {trial}: {message}"))
 
     draws = []
-    for _ in range(50):
+    for trial in range(50):
         alpha, c, a, ab = draw()
-        draws.append(_guediri_data(alpha, c, a, ab, DEFAULT_TOL))
+        draws.append(([trial], _stack_of_one(_guediri_data(alpha, c, a, ab, DEFAULT_TOL))))
     for trials, c, frame in _extension_groups(draws, fail, einstein=True):
         decided = _verdict_layers(trials, c, frame, tol, fail)
         if decided is None:

@@ -8,18 +8,20 @@ own test so that ``pytest -v`` shows one pass/fail line per criterion,
 and prints the check's summary row for the test log.
 """
 
+import dataclasses
+import inspect
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from mlie import curvature, verify
-from mlie.catalog import ALGEBRA_NAMES
+from mlie import curvature, pseudolin, verify
+from mlie.catalog import ALGEBRA_NAMES, METRIC_VARIANTS, make_metric
 from mlie.curvature import VERDICT_TOL, MetricLieAlgebra
-from mlie.doubleext import decompose, extend, guediri_2step, model_residual, random_admissible
-from mlie.errors import ConstraintViolation, InvalidInput, UnknownName
+from mlie.doubleext import ExtensionData, decompose, extend, guediri_2step, model_residual
+from mlie.errors import ConstraintViolation, DegenerateGram, InvalidInput, UnknownName
 from mlie.liealg import LieAlgebra
-from mlie.pseudolin import classify_subspace, find_isotropic_in
+from mlie.pseudolin import Gram, classify_subspace, find_isotropic_in
 from mlie.verify import CHECK_NAMES, check_trace_formula, format_row, run_checks
 
 
@@ -116,6 +118,124 @@ def test_the_catalog_checks_share_inputs_only(monkeypatch):
     assert calls == made == {name: len(ALGEBRA_NAMES) for name in kernels}
 
 
+#: the checks on the catalog's variant draws, and the variants each builds
+_DRAW_CHECKS = {
+    "classified-ricci-flat": tuple(METRIC_VARIANTS),
+    "flatness": ("m32", "m42", "m52", "m43"),
+    "degenerate-center": tuple(METRIC_VARIANTS),
+}
+
+
+def _draws_per_algebra(variants):
+    """The number of draws of each algebra of the variants, in catalog order."""
+    sizes = Counter()
+    for mv in METRIC_VARIANTS.values():
+        if mv.name in variants:
+            sizes[mv.algebra] += verify._VARIANT_DRAWS * (2 if "eps" in mv.params else 1)
+    return list(sizes.values())
+
+
+def test_the_variant_draw_checks_take_one_frame_per_algebra(monkeypatch):
+    # classified-ricci-flat, flatness and degenerate-center each take the
+    # frames of one algebra's draws in one call, and build no MetricLieAlgebra
+    frames, builds = [], []
+    stacked = verify._frames
+    monkeypatch.setattr(
+        verify, "_frames", lambda mats, tol: frames.append(len(mats)) or stacked(mats, tol)
+    )
+    build = MetricLieAlgebra.__init__
+    monkeypatch.setattr(
+        MetricLieAlgebra, "__init__", lambda self, *args: builds.append(args) or build(self, *args)
+    )
+    for name, variants in _DRAW_CHECKS.items():
+        frames.clear()
+        (result,) = run_checks([name])
+        assert result.passed and result.failures == []
+        assert frames == _draws_per_algebra(variants)
+    assert builds == []
+
+
+def test_the_variant_draw_checks_agree_with_the_per_object_calls(monkeypatch):
+    # every draw of the three checks, decided once in its algebra's stack and
+    # once on make_metric's metric: equal grams, frames and signatures,
+    # bit-identical Ricci operators and flatness numbers, equal center classes
+    layers = ("_variant_groups", "_nilpotent_ricci", "_flatness_defects", "_subspace_classes")
+    seen = {name: [] for name in layers}
+    _spy_verify(monkeypatch, seen)
+    checked = Counter()
+    for name, variants in _DRAW_CHECKS.items():
+        for layer in seen.values():
+            layer.clear()
+        (result,) = run_checks([name])
+        assert result.passed and result.failures == []
+        ((_, groups),) = seen["_variant_groups"]
+        for g, (algebra, group, grams, frame) in enumerate(groups):
+            for r, (_, mv, params, _) in enumerate(group):
+                m = make_metric(mv.algebra, mv.name, params)
+                assert m.algebra is algebra and m.gram.mat.tobytes() == grams[r].tobytes()
+                assert all(x[0].tobytes() == y[r].tobytes() for x, y in zip(m._frame, frame))
+                if name == "classified-ricci-flat":
+                    assert m.signature() == (1, m.n - 1, 0)
+                    ric, _ = seen["_nilpotent_ricci"][g][1]
+                    assert m.ricci_operator().tobytes() == ric[r].tobytes()
+                elif name == "flatness":
+                    defects, scales = seen["_flatness_defects"][g][1]
+                    assert m.flatness_defect() == (defects[r], scales[r])
+                else:
+                    cls = classify_subspace(m.gram, m.algebra.center())
+                    assert cls == seen["_subspace_classes"][g][1][r]
+                checked[name] += 1
+    assert checked == {"classified-ricci-flat": 75, "flatness": 25, "degenerate-center": 75}
+
+
+def test_signature_and_the_frame_are_the_stacked_core_on_a_stack_of_one():
+    # on the grams of the variant draws and the forms AᵀηA of the catalog
+    # frames, with a null direction put into every fifth form: signature and
+    # orthonormal_basis (the build's _frame) are _signatures and
+    # _orthonormal_bases (_frames) member for member, bit for bit
+    grams = [gram.mat for *_, gram in verify._variant_draws(verify._rng(1))]
+    stacks = [np.array([g for g in grams if len(g) == n]) for n in (3, 4, 5)]
+    for _, _, a, _, _, eps in verify._catalog_frames():
+        eps = eps.copy()
+        eps[::5, 0] = 0.0
+        stacks.append(a.transpose(0, 2, 1) @ (eps[:, :, None] * a))
+    checked = 0
+    for stack in stacks:
+        mats = np.array([Gram(m).mat for m in stack])
+        minus, plus, null = pseudolin._signatures(mats, 1e-9)
+        (eps, a, b), degenerate = curvature._frames(mats, 1e-9)
+        for r, mat in enumerate(mats):
+            gram = Gram(mat)
+            assert pseudolin.signature(gram, 1e-9) == (minus[r], plus[r], null[r])
+            assert degenerate[r] == (null[r] > 0)
+            if degenerate[r]:
+                with pytest.raises(DegenerateGram):
+                    pseudolin.orthonormal_basis(gram, 1e-9)
+                continue
+            frame = curvature._frame(gram, 1e-9)
+            assert [x[0].tobytes() for x in frame] == [x[r].tobytes() for x in (eps, a, b)]
+            checked += 1
+    assert checked > 250
+
+
+@pytest.mark.parametrize("name", list(_DRAW_CHECKS))
+def test_a_degenerate_variant_draw_is_a_failure_named_by_its_draw(monkeypatch, name):
+    # a variant whose gram is singular is reported draw by draw, by its
+    # variant and params, in draw order; the other draws are still decided
+    params = []
+    mv = METRIC_VARIANTS["m42"]
+
+    def singular(p):
+        params.append(dict(p))
+        return Gram.from_diagonal([1.0, -1.0, 1.0, 0.0])
+
+    monkeypatch.setitem(METRIC_VARIANTS, "m42", dataclasses.replace(mv, build=singular))
+    (result,) = run_checks([name])
+    assert not result.passed
+    assert len(params) == verify._VARIANT_DRAWS
+    assert result.failures == [f"m42 {p}: parameters make the gram degenerate" for p in params]
+
+
 class _RecordingRng:
     """A generator that keeps every normal draw it hands out."""
 
@@ -201,21 +321,18 @@ def test_run_checks_takes_every_verdict_at_its_tol(monkeypatch):
 
 
 def _double_extension_draws():
-    """The draws of the double-extension check, rebuilt from its seed: 100
-    nilpotent data, then 100 with μ ≠ 0."""
+    """The draws of the double-extension check, rebuilt from its seed as its
+    stacks and read member by member: 100 nilpotent data, then 100 with
+    μ ≠ 0, each list indexed by trial."""
     rng = verify._rng(8)
-    return [
-        [
-            random_admissible(
-                rng,
-                f_dim=int(rng.integers(1, 4)),
-                blocks=int(rng.integers(1, 3)),
-                nilpotent=nilpotent,
-            )
-            for _ in range(100)
-        ]
-        for nilpotent in (True, False)
-    ]
+    halves = []
+    for nilpotent in (True, False):
+        half = [None] * 100
+        for trials, (k, d, mu, b) in verify._extension_draws(rng, nilpotent)[0]:
+            for r, trial in enumerate(trials):
+                half[trial] = ExtensionData(k[r], d[r], mu[r], b[r])
+        halves.append(half)
+    return halves
 
 
 def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch):
@@ -327,16 +444,16 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
     assert checked == 200
 
 
-def _spy_guediri(monkeypatch, seen):
-    """Record the arguments of each Guediri builder call of the check and the
-    arguments and results of each stacked layer it calls, in seen[name]."""
+def _spy_verify(monkeypatch, seen):
+    """Record the arguments and results of each call verify makes to the
+    functions named in seen, in seen[name]; a generator's results as a list."""
 
     def spy(name):
         layer = getattr(verify, name)
 
         def recording(*args, **kwargs):
             out = layer(*args, **kwargs)
-            if name == "_extension_groups":
+            if inspect.isgenerator(out):
                 out = list(out)
             seen[name].append((args, out))
             return out
@@ -352,7 +469,7 @@ def test_guediri_makes_one_stacked_call_per_dimension_group(monkeypatch):
     # dimension of the 50 constrained sets, and no algebra or metric built
     layers = ("_admissibilities", "_lower_central_series", "_nilpotent_verdicts", "_centers")
     seen = {name: [] for name in layers + ("_guediri_data",)}
-    _spy_guediri(monkeypatch, seen)
+    _spy_verify(monkeypatch, seen)
     stacked, builds = [], []
     verdicts = curvature._verdicts
     monkeypatch.setattr(
@@ -382,7 +499,7 @@ def test_guediri_stacks_agree_with_the_per_object_calls(monkeypatch):
     # guediri_2step → einstein_classify → classify_subspace of the center:
     # equal verdicts and classes, bit-identical ‖Ric‖∞ and Ricci operators
     seen = {name: [] for name in ("_guediri_data", "_nilpotent_verdicts", "_verdict_layers")}
-    _spy_guediri(monkeypatch, seen)
+    _spy_verify(monkeypatch, seen)
     classes = []
     classify = verify.classify_subspace
     monkeypatch.setattr(

@@ -144,6 +144,23 @@ def test_make_metric_param_validation():
         make_metric("EX8", None, {"x": 1.0})  # the examples' metrics are fixed
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1.5", "real entries"),  # a numeric string is not parsed
+        (True, "real entries"),  # a bool is not read as 1.0
+        (1.5 + 0.0j, "real entries"),
+        (None, "array of numbers"),
+        ([1.5], "0-D array"),
+        (float("nan"), "non-finite"),
+        (float("inf"), "non-finite"),
+    ],
+)
+def test_make_metric_refuses_a_parameter_that_is_no_real_finite_number(value, message):
+    with pytest.raises(BadParams, match=f"^parameter alpha .*{message}"):
+        make_metric("L3_2", "m32", {"alpha": value})
+
+
 def test_all_variants_build_lorentzian_ricci_flat():
     rng = np.random.default_rng(1234)
     for mv in METRIC_VARIANTS.values():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,45 @@ def test_random_admissible_nilpotent_properties():
         data = random_admissible(rng, f_dim=2, blocks=2)
         adm = check_admissible(data, DEFAULT_TOL)
         assert adm.is_lie and adm.is_nilpotent and adm.is_einstein
+
+
+#: every (f_dim, blocks, nilpotent) that random_admissible draws
+_SHAPES = [
+    (f_dim, blocks, nilpotent)
+    for f_dim in range(4)
+    for blocks in range(3)
+    for nilpotent in (True, False)
+    if not (nilpotent and blocks == 0 and f_dim >= 2)
+]
+
+
+def test_random_admissible_draws_the_bits_it_drew_as_scalar_code():
+    # sha256 of (K, D, μ, b) over seeds 0-19 and every shape, frozen from the
+    # scalar code that random_admissible was before it became the stack of one:
+    # the same rng calls in the same order give the same data
+    digest = hashlib.sha256()
+    for seed in range(20):
+        for f_dim, blocks, nilpotent in _SHAPES:
+            data = random_admissible(np.random.default_rng(seed), f_dim, blocks, nilpotent)
+            for x in (data.K, data.D, np.float64(data.mu), data.b):
+                digest.update(np.asarray(x, dtype=float).tobytes())
+    assert digest.hexdigest() == "b6ed9eba2d9b683d320b39bb020b6ac0a4f3ae9dfa0662fb7468aa66f0f049fe"
+
+
+@pytest.mark.parametrize("f_dim, blocks, nilpotent", _SHAPES)
+def test_stacked_draws_are_skew_lie_data_and_einstein_when_nilpotent(f_dim, blocks, nilpotent):
+    k, d, mu, b = doubleext._random_admissibles(
+        np.random.default_rng(f_dim + 3 * blocks), 40, f_dim, blocks, nilpotent
+    )
+    v = f_dim + 2 * blocks
+    assert k.shape == d.shape == (40, v, v) and mu.shape == (40,) and b.shape == (40, v)
+    assert np.array_equal(k, -k.swapaxes(1, 2))  # exactly skew, member by member
+    adm = doubleext._admissibilities(k, d, mu, DEFAULT_TOL)
+    assert adm.is_lie.all()
+    if nilpotent:
+        assert (mu == 0.0).all() and adm.is_nilpotent.all() and adm.is_einstein.all()
+    else:
+        assert (np.abs(mu) >= 0.5).all() and not adm.is_nilpotent.any()
 
 
 def test_random_admissible_refuses_a_nilpotent_draw_it_cannot_balance():
