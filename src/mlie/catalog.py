@@ -407,9 +407,7 @@ def _metric_gram(
 def _param(value, key: str) -> float:
     """A parameter as a float; BadParams unless _as_float_array reads it as a
     real finite number (a bool, a string, a complex number, None or a list
-    are refused).  A finite float is that number already and is taken as is."""
-    if isinstance(value, float) and math.isfinite(value):
-        return float(value)
+    are refused)."""
     try:
         return float(_as_float_array(value, f"parameter {key}", ndim=0))
     except InvalidInput as err:

@@ -80,7 +80,7 @@ def _as_float_array(
         raise InvalidInput(f"{name} must be an array of numbers") from None
     if arr.dtype.kind != "f":
         raise InvalidInput(f"{name} must have real entries, got dtype {arr.dtype}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise InvalidInput(f"{name} contains non-finite entries")
     if ndim is not None and arr.ndim != ndim:
         raise InvalidInput(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
@@ -119,6 +119,12 @@ class SubspaceClass:
         return self.tag.value
 
 
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """(M + Mᵀ)/2 of a matrix or of each matrix of a stack: exactly symmetric,
+    as float addition commutes."""
+    return (m + m.swapaxes(-1, -2)) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class Gram:
     """Symmetric bilinear form ⟨·,·⟩ given by its matrix in a working basis.
@@ -133,7 +139,7 @@ class Gram:
         m = _as_float_array(mat, "gram matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInput(f"gram matrix must be square, got shape {m.shape}")
-        m = (m + m.T) / 2.0  # float addition commutes, so this is exactly symmetric
+        m = _symmetrized(m)
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
@@ -276,14 +282,13 @@ def restricted_gram(g: Gram, f: Subspace) -> Gram:
     """The form of g restricted to f, in f's basis coordinates."""
     if f.ambient_dim != g.n:
         raise InvalidInput("subspace ambient dimension does not match gram size")
-    return Gram(_restricted_grams(g.mat[None], f)[0])
+    return Gram(f.basis @ g.mat @ f.basis.T)
 
 
 def _restricted_grams(mats: np.ndarray, f: Subspace) -> np.ndarray:
     """restricted_gram for a stack of gram matrices (k, n, n), symmetrized as
     Gram symmetrizes: the (k, d, d) stack of Z·G·Zᵀ for the basis rows Z of f."""
-    r = f.basis @ mats @ f.basis.T
-    return (r + r.swapaxes(-1, -2)) / 2.0
+    return _symmetrized(f.basis @ mats @ f.basis.T)
 
 
 def classify_subspace(g: Gram, f: Subspace) -> SubspaceClass:

@@ -234,6 +234,9 @@ def test_a_degenerate_variant_draw_is_a_failure_named_by_its_draw(monkeypatch, n
     assert not result.passed
     assert len(params) == verify._VARIANT_DRAWS
     assert result.failures == [f"m42 {p}: parameters make the gram degenerate" for p in params]
+    if name == "degenerate-center":  # a refused draw has no center class to count
+        classified = sum(_draws_per_algebra(_DRAW_CHECKS[name])) - len(params)
+        assert result.observed.startswith(f"{classified}/{classified} centers Degenerate — ")
 
 
 class _RecordingRng:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mlie import pseudolin
 from mlie.catalog import make_algebra, make_metric
 from mlie.curvature import MetricLieAlgebra
 from mlie.doubleext import ExtensionData, kd_generate
@@ -257,6 +258,24 @@ def test_restricted_gram():
     f = Subspace(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), DEFAULT_TOL)
     r = restricted_gram(g, f)
     assert r.mat == pytest.approx(np.array([[0.0, 0.0], [0.0, 1.0]]))
+
+
+def test_stacked_restricted_grams_are_restricted_gram_bit_for_bit():
+    # _restricted_grams and _subspace_classes on a stack of grams are
+    # restricted_gram and classify_subspace member for member
+    rng = np.random.default_rng(9)
+    for n in range(1, 7):
+        a = np.eye(n) + 0.3 * rng.normal(size=(6, n, n))
+        eta = np.where(np.arange(n) == 0, -1.0, 1.0)
+        mats = np.array([Gram(x.T @ np.diag(eta) @ x).mat for x in a])
+        mats[::3, :, -1] = mats[::3, -1, :] = 0.0  # a null direction in every third gram
+        for d in range(n + 1):
+            f = Subspace._orthonormal(np.linalg.qr(rng.normal(size=(n, n)))[0][:d], 1e-9)
+            stacked = pseudolin._restricted_grams(mats, f)
+            classes = pseudolin._subspace_classes(mats, f)
+            for r, mat in enumerate(mats):
+                assert restricted_gram(Gram(mat), f).mat.tobytes() == stacked[r].tobytes()
+                assert classify_subspace(Gram(mat), f) == classes[r]
 
 
 def test_orthogonal_complement():
