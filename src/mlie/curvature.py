@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .pseudolin import (
     _as_float_array,
     _cutoff,
     _orthonormal_bases,
+    _peaks,
     orthonormal_basis,
 )
 
@@ -212,11 +213,13 @@ def ricci_operators(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndar
 
 # -- the verdict on stacks ----------------------------------------------
 #
-# einstein_classify's layers, each on a stack of metrics given by their
-# brackets c (k,n,n,n) in the input basis and their frames (ε, A, B), stacks
-# of k or of one that every member shares.  Each decision is taken per member
-# in the input basis, at the member's own cutoff; a metric calls each layer on
-# its stack of one.
+# einstein_classify on a stack of metrics given by their brackets c (k,n,n,n)
+# in the input basis and their frames (ε, A, B), stacks of k or of one that
+# every member shares.  _curvature_facts is the one place a metric's curvature
+# facts are computed, on a stack: MetricLieAlgebra keeps them for its stack
+# of one, and verify's checks take them once per group.  Each decision is
+# taken per member in the input basis, at the member's own cutoff; an empty
+# stack gives empty results.
 
 
 def _frame(gram: Gram, tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,18 +255,18 @@ def _in_input_basis(frame, x: np.ndarray, form: bool = False) -> np.ndarray:
 def _check_routes(ric_nil: np.ndarray, ric_def: np.ndarray) -> None:
     """The Ricci cross-check in the frames: RuntimeError(ROUTE_MISMATCH) when a
     member's 𝒥-route and definitional route differ beyond _cutoff(1e-6, Q)."""
-    gap = np.abs(ric_nil - ric_def).reshape(len(ric_nil), -1)
-    if any(np.maximum.reduce(gap, axis=1, initial=0.0) > _cutoff(1e-6, ric_nil, stack=True)):
+    if any(_peaks(np.abs(ric_nil - ric_def)) > _cutoff(1e-6, ric_nil, stack=True)):
         raise RuntimeError(ROUTE_MISMATCH)
 
 
 def _curvature_tensors(c: np.ndarray, lc: np.ndarray) -> np.ndarray:
-    """K[m,i,j,k,:] = (L_[e_i,e_j] − [L_i, L_j]) e_k for brackets c and
-    Levi-Civita tensors lc[m, i, k, :] = L_{e_i} e_k, each (k, n, n, n)."""
+    """K[m,i,j,k,:] = (L_[e_i,e_j] − [L_i, L_j]) e_k for brackets c (k, n, n, n),
+    or one (n, n, n) all share, and Levi-Civita tensors lc[m, i, k, :] =
+    L_{e_i} e_k (k, n, n, n)."""
     m, n = lc.shape[:2]
     # K[i,j,k,:] = Σ_m c[i,j,m] lc[m,k,:] + (lc[i] @ lc[j] − lc[j] @ lc[i])[k,:],
     # each term one matmul over reshaped stacks
-    curv = (c.reshape(m, n * n, n) @ lc.reshape(m, n, n * n)).reshape(m, n, n, n, n)
+    curv = (c.reshape(-1, n * n, n) @ lc.reshape(m, n, n * n)).reshape(m, n, n, n, n)
     products = lc.reshape(m, n * n, n) @ lc.transpose(0, 2, 1, 3).reshape(m, n, n * n)
     products = products.reshape(m, n, n, n, n).transpose(0, 1, 3, 2, 4)  # [i,j] = lc[i] @ lc[j]
     curv += products
@@ -274,10 +277,55 @@ def _curvature_tensors(c: np.ndarray, lc: np.ndarray) -> np.ndarray:
 def _flatness_defects(c: np.ndarray, lc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(sup-norm of each curvature tensor, its roundoff scale max(1, max|lc|)²,
     squared by the C library's pow, as Python squares a number)."""
-    k = len(lc)
-    scale = np.float_power(np.maximum.reduce(np.abs(lc).reshape(k, -1), axis=1, initial=1.0), 2)
+    scale = np.float_power(_peaks(np.abs(lc), 1.0), 2)
     curv = _curvature_tensors(c, lc)
-    return np.maximum.reduce(np.abs(curv, out=curv).reshape(k, -1), axis=1, initial=0.0), scale
+    return _peaks(np.abs(curv, out=curv)), scale
+
+
+class _CurvatureFacts(NamedTuple):
+    """The curvature facts of a stack of metrics, one member per row: in the
+    input basis the Ricci operator (the 𝒥-route on a nilpotent algebra, else
+    the definitional route), the definitional Ricci form and the Levi-Civita
+    tensor lc[i, k] = e_i·e_k; the scalar curvature tr(η·ric) of the frame;
+    and the flatness defect and its scale (_flatness_defects)."""
+
+    ricci: np.ndarray
+    ricci_form: np.ndarray
+    levi_civita: np.ndarray
+    scalar: np.ndarray
+    defect: np.ndarray
+    scale: np.ndarray
+
+    def verdicts(self, tol: float) -> List[Verdict]:
+        """The verdict of each member at tol (_verdicts)."""
+        return _verdicts(self.ricci, self.defect, self.scale, tol)[0]
+
+
+def _curvature_facts(c: np.ndarray, mu: np.ndarray, frame, nilpotent: bool) -> _CurvatureFacts:
+    """The curvature facts of the metrics with brackets c (k, n, n, n), or one
+    bracket all share, in their frames (ε, A, B), where their brackets are μ =
+    A·c: the frame's Levi-Civita tensor and η·ric; on a nilpotent algebra the
+    𝒥-route, cross-checked against η·ric (_check_routes, ROUTE_MISMATCH); Ric
+    moved back by B·X·A, the form by Aᵀ·X·A and the Levi-Civita tensor by B;
+    the flatness numbers from that tensor."""
+    eps, a, b = frame
+    lc_frame = levi_civita_tensors(mu, eps)
+    form = ricci_forms(lc_frame)
+    ric_def = _raise_index(eps, form)
+    ric = ric_def
+    if nilpotent:
+        ric = ricci_operators(mu, eps, True)
+        _check_routes(ric, ric_def)
+    lc = act_on_brackets(b, a, lc_frame)
+    defect, scale = _flatness_defects(c, lc)
+    return _CurvatureFacts(
+        _in_input_basis(frame, ric),
+        _in_input_basis(frame, form, True),
+        lc,
+        ric_def.trace(axis1=1, axis2=2),
+        defect,
+        scale,
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -292,10 +340,10 @@ def _einstein_defects(ric: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarr
     """(λ, max|Ric − λ·Id|, cutoff) for each Ricci operator of a stack (k, n, n),
     with λ = tr(Ric)/n and cutoff _cutoff(tol, Ric): the verdict's Einstein
     test passes when the residual is within the cutoff."""
-    k, n = ric.shape[:2]
+    n = ric.shape[1]
     lam = ric.trace(axis1=1, axis2=2) / n
-    deviation = np.abs(ric - lam[:, None, None] * _identity(n)).reshape(k, -1)
-    return lam, np.maximum.reduce(deviation, axis=1, initial=0.0), _cutoff(tol, ric, stack=True)
+    deviation = np.abs(ric - lam[:, None, None] * _identity(n))
+    return lam, _peaks(deviation), _cutoff(tol, ric, stack=True)
 
 
 def _verdicts(
@@ -319,44 +367,19 @@ def _verdicts(
     return verdicts, lam, residual, flat
 
 
-def _nilpotent_ricci(mu: np.ndarray, frame) -> Tuple[np.ndarray, np.ndarray]:
-    """(Ricci operators in the input basis, Levi-Civita tensors in the frames)
-    for a stack of nilpotent brackets μ (k, n, n, n) in their frames, as a
-    metric's ricci_operator takes them: the 𝒥-route, cross-checked in the
-    frames against the definitional route (_check_routes), moved back."""
-    eps = frame[0]
-    lc_frame = levi_civita_tensors(mu, eps)
-    ric_nil = ricci_operators(mu, eps, True)
-    _check_routes(ric_nil, _raise_index(eps, ricci_forms(lc_frame)))
-    return _in_input_basis(frame, ric_nil), lc_frame
-
-
-def _nilpotent_verdicts(
-    c: np.ndarray, mu: np.ndarray, frame, tol: float
-) -> Tuple[np.ndarray, List[Verdict]]:
-    """(Ricci operators, verdicts) of einstein_classify(tol) for a stack of
-    nilpotent brackets c (k, n, n, n) with their frames and their brackets μ =
-    A·c in them, layer by layer as a metric takes them: the Ricci operators
-    (_nilpotent_ricci), the transported Levi-Civita tensor and the flatness
-    test, the verdict rule."""
-    _, a, b = frame
-    ric, lc_frame = _nilpotent_ricci(mu, frame)
-    defect, scale = _flatness_defects(c, act_on_brackets(b, a, lc_frame))
-    return ric, _verdicts(ric, defect, scale, tol)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class MetricLieAlgebra:
     """A Lie algebra together with a nondegenerate ⟨,⟩, whose signature,
     pseudo-orthonormal frame G = AᵀηA and nilpotency (which picks the Ricci
     route) are decided once, at the algebra's ``tol``.
 
-    Building one only takes the frame.  Each curvature fact (not the S_i) is
-    computed on first use at the bracket μ = A·c of the frame, mapped back to
-    the input basis once (an operator X by B·X·A, a form by Aᵀ·X·A, the
-    Levi-Civita tensor by B = A⁻¹) and kept read-only, as the algebra keeps
-    its facts, so instances are safe to share; the report of
-    ``einstein_classify`` is kept the same way, once per tol.
+    Building one only takes the frame.  Its curvature facts (not the S_i) are
+    computed together on first use, by _curvature_facts on its stack of one,
+    at the bracket μ = A·c of the frame, mapped back to the input basis once
+    (an operator X by B·X·A, a form by Aᵀ·X·A, the Levi-Civita tensor by B =
+    A⁻¹) and kept read-only in one memo entry, as the algebra keeps its
+    facts, so instances are safe to share; the report of ``einstein_classify``
+    is kept the same way, once per tol.
     """
 
     algebra: LieAlgebra
@@ -394,39 +417,34 @@ class MetricLieAlgebra:
         return act_on_brackets(a, b, self.algebra.c)
 
     @_computed_once
-    def _levi_civita_frame(self) -> np.ndarray:
-        return levi_civita_tensors(self._brackets(), self._frame[0])
-
-    @_computed_once
-    def _levi_civita(self) -> np.ndarray:
-        """lc[i, k] = e_i·e_k, the frame's product transported by B."""
-        _, a, b = self._frame
-        return act_on_brackets(b, a, self._levi_civita_frame()[0])[0]
+    def _curvature(self) -> _CurvatureFacts:
+        """_curvature_facts on the stack of one: its member, read-only, the one
+        entry every curvature fact of the metric is read from."""
+        facts = _curvature_facts(
+            self.algebra.c, self._brackets(), self._frame, self.algebra.is_nilpotent()
+        )
+        member = _CurvatureFacts(*(x[0] for x in facts))
+        for x in member:
+            if isinstance(x, np.ndarray):  # not the numbers
+                x.flags.writeable = False
+        return member
 
     # -- curvature --------------------------------------------------------
 
     def curvature_tensor(self) -> np.ndarray:
         """K[i,j,k,:] = K(e_i,e_j)e_k = (L_[e_i,e_j] − [L_i, L_j]) e_k."""
-        return _curvature_tensors(self.algebra.c[None], self._levi_civita()[None])[0]
-
-    @_computed_once
-    def _flatness(self) -> Tuple[np.ndarray, np.ndarray]:
-        """_flatness_defects on the stack of one: (defect, scale), each (1,)."""
-        defect, scale = _flatness_defects(self.algebra.c[None], self._levi_civita()[None])
-        defect.flags.writeable = scale.flags.writeable = False
-        return defect, scale
+        return _curvature_tensors(self.algebra.c, self._curvature().levi_civita[None])[0]
 
     def flatness_defect(self) -> Tuple[float, float]:
         """(sup-norm of the curvature tensor, its roundoff scale)."""
-        defect, scale = self._flatness()
-        return float(defect[0]), float(scale[0])
+        facts = self._curvature()
+        return float(facts.defect), float(facts.scale)
 
     # -- Ricci, three routes ----------------------------------------------
 
-    @_computed_once
     def ricci_via_definition(self) -> np.ndarray:
         """ric(e_i,e_j) = −tr(R_i R_j) + tr(R_{e_i·e_j}); symmetric matrix."""
-        return self._moved_back(_raise_index(self._frame[0], self._ricci_definitional()), True)  # η·η = I
+        return self._curvature().ricci_form
 
     def j1_j2(self) -> Tuple[np.ndarray, np.ndarray]:
         """The self-adjoint operators 𝒥₁ and 𝒥₂ built from the S_i."""
@@ -434,16 +452,12 @@ class MetricLieAlgebra:
         j1, j2 = j1_j2_operators(structure_endo_tensors(self._brackets(), eps), eps)
         return self._moved_back(j1), self._moved_back(j2)
 
-    @_computed_once
-    def _ricci_nilpotent_frame(self) -> np.ndarray:
-        return ricci_operators(self._brackets(), self._frame[0], True)
-
-    @_computed_once
     def ricci_nilpotent(self) -> np.ndarray:
-        """Ricci operator −½𝒥₁ + ¼𝒥₂; only valid on nilpotent algebras."""
+        """Ricci operator −½𝒥₁ + ¼𝒥₂, cross-checked (ricci_operator); only
+        valid on nilpotent algebras."""
         if not self.algebra.is_nilpotent():
             raise NotNilpotent("the 𝒥-form of the Ricci operator needs a nilpotent algebra")
-        return self._moved_back(self._ricci_nilpotent_frame())
+        return self.ricci_operator()
 
     def ricci_general(self) -> np.ndarray:
         """Ricci form from the adjoint/J/mean-vector expression; any algebra."""
@@ -461,20 +475,10 @@ class MetricLieAlgebra:
 
     # -- verdicts ---------------------------------------------------------
 
-    @_computed_once
-    def _ricci_definitional(self) -> np.ndarray:
-        """η·ric_η, the Ricci operator of the definitional route in the frame."""
-        return _raise_index(self._frame[0], ricci_forms(self._levi_civita_frame()))
-
-    @_computed_once
     def ricci_operator(self) -> np.ndarray:
         """Ric = G^{-1}·ric: the 𝒥-route when nilpotent, cross-checked in the frame
         against the definitional route (ROUTE_MISMATCH), else the definitional."""
-        ric_def = self._ricci_definitional()
-        if not self.algebra.is_nilpotent():
-            return self._moved_back(ric_def)
-        _check_routes(self._ricci_nilpotent_frame(), ric_def)
-        return self.ricci_nilpotent()
+        return self._curvature().ricci
 
     def einstein_classify(self, tol: float = VERDICT_TOL) -> CurvatureReport:
         """Classify as Flat / RicciFlat / Einstein(λ≠0) / NotEinstein.
@@ -492,13 +496,15 @@ class MetricLieAlgebra:
     @_computed_once
     def _classify(self, tol: float) -> CurvatureReport:
         """einstein_classify, computed from the kept facts."""
-        ric_op = self.ricci_operator()
-        (verdict,), (lam,), (residual,), (flat,) = _verdicts(ric_op[None], *self._flatness(), tol)
+        facts = self._curvature()
+        (verdict,), (lam,), (residual,), (flat,) = _verdicts(
+            facts.ricci[None], facts.defect[None], facts.scale[None], tol
+        )
         return CurvatureReport(
             verdict=verdict,
-            ricci_operator=ric_op,
-            ricci_form=self.ricci_via_definition(),
-            scalar_curvature=float(self._ricci_definitional()[0].trace()),
+            ricci_operator=facts.ricci,
+            ricci_form=facts.ricci_form,
+            scalar_curvature=float(facts.scalar),
             einstein_lambda=None if verdict is Verdict.NOT_EINSTEIN else lam,
             einstein_residual=residual,
             flat=flat,

@@ -54,8 +54,9 @@ from .pseudolin import (
     _as_float_array,
     _cutoff,
     _nonnegative,
-    find_isotropic_in,
     _nullspaces,
+    _peaks,
+    find_isotropic_in,
     numerical_rank,
 )
 
@@ -130,7 +131,7 @@ def _lie_tests(
     cutoff, (m,) arrays: the condition under which the extension satisfies
     Jacobi."""
     kd, dk, muk = k @ d, d.swapaxes(-1, -2) @ k, mu[:, None, None] * k
-    residual = np.maximum.reduce(np.abs(kd + dk - muk).reshape(len(k), -1), axis=1, initial=0.0)
+    residual = _peaks(np.abs(kd + dk - muk))
     return residual, residual <= _cutoff(tol, kd, dk, muk, stack=True)
 
 
@@ -138,16 +139,14 @@ def _admissibilities(k: np.ndarray, d: np.ndarray, mu: np.ndarray, tol: float) -
     """check_admissible on stacks K, D (m, v, v) and μ (m,): an Admissibility
     of (m,) arrays, each decision at the member's own cutoff.  The power Dᵛ
     is taken only when a member is Lie with μ within tol."""
-    m, v = len(k), k.shape[-1]
+    v = k.shape[-1]
     lie_residual, is_lie = _lie_tests(k, d, mu, tol)
 
     is_nilp = is_lie & (np.abs(mu) <= _cutoff(tol))
     if np.count_nonzero(is_nilp):
-        power = np.abs(np.linalg.matrix_power(d, v)).reshape(m, -1)
-        peak = np.maximum.reduce(np.abs(d).reshape(m, -1), axis=1, initial=0.0)
         # raised as Python's ** raises a number, by the C library's pow
-        bound = _cutoff(tol, np.float_power(peak, max(v, 1))[:, None], stack=True)
-        is_nilp &= np.maximum.reduce(power, axis=1, initial=0.0) <= bound
+        bound = _cutoff(tol, np.float_power(_peaks(np.abs(d)), max(v, 1))[:, None], stack=True)
+        is_nilp &= _peaks(np.abs(np.linalg.matrix_power(d, v))) <= bound
 
     t0, t1, t2, t3 = terms = _ebar_terms(k, d, mu)
     trace_residual = np.abs(t0 + t1 + t2 + t3)  # summed in order, as sum() sums a tuple

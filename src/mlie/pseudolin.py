@@ -6,6 +6,8 @@ below the cutoff count as null.
 """
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -39,14 +41,19 @@ def _cutoff(tol: float, *arrays, stack: bool = False):
     if not real or not 0.0 < tol < np.inf:
         raise InvalidInput("tol must be a positive finite number")
     if stack:
-        a, *more = arrays
-        if more:
-            a = np.concatenate([x.reshape(len(x), -1) for x in arrays], axis=1)
-        return tol * np.maximum.reduce(np.abs(a).reshape(len(a), -1), axis=1, initial=1.0)
+        return tol * functools.reduce(np.maximum, [_peaks(np.abs(a), 1.0) for a in arrays])
     largest = 1.0
     for a in arrays:
         largest = max(largest, float(np.abs(a).max(initial=0.0)))
     return tol * largest
+
+
+def _peaks(size: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """max(floor, largest entry) of each member of a stack of magnitudes
+    size (k, ...): a (k,) array, empty for an empty stack (whose row length
+    reshape(k, -1) cannot infer)."""
+    rows = size.reshape(len(size), math.prod(size.shape[1:]))
+    return np.maximum.reduce(rows, axis=1, initial=floor)
 
 
 def _nonnegative(n: int, name: str) -> int:

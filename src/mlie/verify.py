@@ -32,12 +32,9 @@ from .catalog import (
 from .curvature import (
     VERDICT_TOL,
     Verdict,
-    _flatness_defects,
+    _curvature_facts,
     _frame,
     _frames,
-    _in_input_basis,
-    _nilpotent_ricci,
-    _nilpotent_verdicts,
     _raise_index,
     j1_j2_operators,
     levi_civita_tensors,
@@ -157,9 +154,9 @@ def _variant_groups(draws: List[_Draw], fail):
     """The draws grouped by algebra, each group's frames taken in one call:
     per algebra, in the order of its first draw, the algebra, the draws whose grams are
     nondegenerate, their gram matrices (k, n, n) and their frames (ε, A, B),
-    as the metrics make_metric would build; fail(draw, message) for a draw
-    whose gram is degenerate, which make_metric refuses.  An algebra with no
-    such draw yields nothing."""
+    as the metrics make_metric would build, an empty stack if there is none;
+    fail(draw, message) for a draw whose gram is degenerate, which
+    make_metric refuses."""
     groups: Dict[str, List[_Draw]] = {}
     for draw in draws:
         groups.setdefault(draw[1].algebra, []).append(draw)
@@ -170,9 +167,8 @@ def _variant_groups(draws: List[_Draw], fail):
         for r in np.flatnonzero(degenerate):
             fail(group[r], "parameters make the gram degenerate")
         keep = ~degenerate
-        if keep.any():
-            kept = list(itertools.compress(group, keep))
-            yield algebra, kept, grams[keep], tuple(x[keep] for x in frame)
+        kept = list(itertools.compress(group, keep))
+        yield algebra, kept, grams[keep], tuple(x[keep] for x in frame)
 
 
 def _draw_failures():
@@ -188,9 +184,10 @@ def _draw_failures():
     return failures, fail
 
 
-def _in_draw_order(failures: List[Tuple[int, str]]) -> List[str]:
-    """The messages sorted by draw, a draw's messages in their order."""
-    return [message for _, message in sorted(failures, key=lambda f: f[0])]
+def _in_draw_order(failures: List[tuple]) -> List[str]:
+    """The messages of failures (*key, message) sorted by their keys (a draw's
+    index, a trial, or (half, trial)), a key's messages in their order."""
+    return [message for *_, message in sorted(failures, key=lambda f: f[:-1])]
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,11 +262,10 @@ def check_classified_ricci_flat(tol: float) -> _Claim:
             if m != 1:  # the signature (m, n − m, 0)
                 fail(draw, f"signature {(m, algebra.n - m, 0)}")
         lorentzian = minus == 1
-        if not lorentzian.any():
-            continue
         eps, a, b = (x[lorentzian] for x in frame)
-        ric, _ = _nilpotent_ricci(act_on_brackets(a, b, algebra.c), (eps, a, b))
-        peaks = np.abs(ric).max(axis=(1, 2), initial=0.0).tolist()
+        mu = act_on_brackets(a, b, algebra.c)
+        facts = _curvature_facts(algebra.c, mu, (eps, a, b), algebra.is_nilpotent())
+        peaks = np.abs(facts.ricci).max(axis=(1, 2), initial=0.0).tolist()
         for draw, resid in zip(itertools.compress(group, lorentzian), peaks):
             worst = max(worst, resid)
             if resid > tol:
@@ -288,12 +284,11 @@ def check_flatness(tol: float) -> _Claim:
     failures, fail = _draw_failures()
     worst_flat = 0.0
     witness = np.inf
-    for algebra, group, _, (eps, a, b) in _variant_groups(draws, fail):
-        # flatness_defect() of each metric: the Levi-Civita tensor of its
-        # frame bracket, transported by B
-        lc = act_on_brackets(b, a, levi_civita_tensors(act_on_brackets(a, b, algebra.c), eps))
-        defects, scales = _flatness_defects(np.broadcast_to(algebra.c, lc.shape), lc)
-        for draw, defect, scale in zip(group, defects.tolist(), scales.tolist()):
+    for algebra, group, _, frame in _variant_groups(draws, fail):
+        # flatness_defect() of each metric
+        mu = act_on_brackets(frame[1], frame[2], algebra.c)
+        facts = _curvature_facts(algebra.c, mu, frame, algebra.is_nilpotent())
+        for draw, defect, scale in zip(group, facts.defect.tolist(), facts.scale.tolist()):
             _, mv, params, _ = draw
             if mv.name == "m43" and params["eps"] == 1.0:
                 witness = min(witness, defect / scale)
@@ -497,11 +492,10 @@ def _extension_groups(draws: Iterable[_Extensions], fail, einstein: bool = False
         for r in np.flatnonzero(~taken):
             k, d = stacks[0][r], stacks[1][r]
             fail(trials[r], str(_unbalanced(k, d) if einstein else _not_lie(adm.lie_residual[r])))
-        if taken.any():
-            # the model brackets as LieAlgebra keeps them
-            c = _antisymmetric(_models(*(x[taken] for x in stacks)))
-            trials = [t for t, took in zip(trials, taken) if took]
-            yield trials, c, _frame(Gram(_witt_gram(v + 2)), DEFAULT_TOL)
+        # the model brackets as LieAlgebra keeps them
+        c = _antisymmetric(_models(*(x[taken] for x in stacks)))
+        trials = [t for t, took in zip(trials, taken) if took]
+        yield trials, c, _frame(Gram(_witt_gram(v + 2)), DEFAULT_TOL)
 
 
 def _extension_draws(rng: np.random.Generator, nilpotent: bool):
@@ -523,9 +517,9 @@ def _verdict_layers(trials: List[int], c: np.ndarray, frame, tol: float, fail):
     """The decisions that is_nilpotent, einstein_classify(tol) and center take
     on a group of extension brackets c (m, n, n, n) in their one Witt frame,
     one call a layer.  fail(trial, message) for a member that is not nilpotent
-    or not of signature (1, n − 1); for the others, None if there is none,
-    else their trial numbers, brackets c, brackets μ = A·c in the frame, the
-    peaks ‖Ric‖∞, verdicts and center rows."""
+    or not of signature (1, n − 1); for the others, stacks of none or more,
+    their trial numbers, brackets c, brackets μ = A·c in the frame, the peaks
+    ‖Ric‖∞, verdicts and center rows."""
     eps, a, b = frame
     n = c.shape[1]
     minus = int(np.count_nonzero(eps < 0))
@@ -538,13 +532,11 @@ def _verdict_layers(trials: List[int], c: np.ndarray, frame, tol: float, fail):
             fail(trials[r], f"signature {(minus, n - minus, 0)}")
         else:
             keep.append(r)
-    if not keep:
-        return None
     trials, c, unit = [trials[r] for r in keep], c[keep], unit[keep]
     mu = act_on_brackets(a, b, c)
-    ric, verdicts = _nilpotent_verdicts(c, mu, frame, tol)
-    peaks = np.abs(ric).max(axis=(1, 2), initial=0.0)
-    return trials, c, mu, peaks, verdicts, _centers(unit, DEFAULT_TOL)
+    facts = _curvature_facts(c, mu, frame, True)
+    peaks = np.abs(facts.ricci).max(axis=(1, 2), initial=0.0)
+    return trials, c, mu, peaks, facts.verdicts(tol), _centers(unit, DEFAULT_TOL)
 
 
 @_check("double-extension")
@@ -567,11 +559,10 @@ def check_double_extension(tol: float) -> _Claim:
 
     fail_nilpotent = functools.partial(fail, 0)
     for trials, c, frame in _extension_groups(nilpotent, fail_nilpotent):
-        decided = _verdict_layers(trials, c, frame, tol, fail_nilpotent)
-        if decided is None:
-            continue
-        trials, c, mu, peaks, verdicts, centers = decided
-        worst = max(worst, float(peaks.max()))
+        trials, c, mu, peaks, verdicts, centers = _verdict_layers(
+            trials, c, frame, tol, fail_nilpotent
+        )
+        worst = max(worst, float(peaks.max(initial=0.0)))
         gram = Gram(_witt_gram(c.shape[1]))
         keep, null = [], []
         for r, (verdict, rows) in enumerate(zip(verdicts, centers)):
@@ -598,22 +589,20 @@ def check_double_extension(tol: float) -> _Claim:
     for trials, (k, d, mu, _) in general:
         predicted[trials] = _ricci_ebars(k, d, mu)
     for trials, c, frame in _extension_groups(general, functools.partial(fail, 1)):
-        eps, a, b = frame
-        lc_frame = levi_civita_tensors(act_on_brackets(a, b, c), eps)
-        forms = _in_input_basis(frame, ricci_forms(lc_frame), True)  # ricci_via_definition
+        facts = _curvature_facts(c, act_on_brackets(frame[1], frame[2], c), frame, False)
+        forms = facts.ricci_form  # ricci_via_definition
         for trial, pred, obs in zip(trials, predicted[trials].tolist(), forms[:, -1, -1].tolist()):
             scale = max(1.0, abs(obs))
             diff = abs(pred - obs)
             worst = max(worst, diff / scale)
             if diff > tol * scale:
                 fail(1, trial, f"ricci_ebar {pred:.6g} vs {obs:.6g}")
-    failures.sort(key=lambda f: f[:2])
     return (
         "100 nilpotent data: extend nilpotent/Lorentzian/Ricci-flat and decompose "
         f"round-trips; 100 μ≠0 data: ricci_ebar matches, all within {tol:g}·scale",
         "200 extensions behave as constructed",
         worst,
-        [message for *_, message in failures],
+        _in_draw_order(failures),
     )
 
 
@@ -646,11 +635,8 @@ def check_guediri(tol: float) -> _Claim:
         alpha, c, a, ab = draw()
         draws.append(([trial], _stack_of_one(_guediri_data(alpha, c, a, ab, DEFAULT_TOL))))
     for trials, c, frame in _extension_groups(draws, fail, einstein=True):
-        decided = _verdict_layers(trials, c, frame, tol, fail)
-        if decided is None:
-            continue
-        trials, _, _, peaks, verdicts, centers = decided
-        worst = max(worst, float(peaks.max()))
+        trials, _, _, peaks, verdicts, centers = _verdict_layers(trials, c, frame, tol, fail)
+        worst = max(worst, float(peaks.max(initial=0.0)))
         gram = Gram(_witt_gram(c.shape[1]))
         for trial, verdict, rows in zip(trials, verdicts, centers):
             if verdict not in (Verdict.RICCI_FLAT, Verdict.FLAT):
@@ -658,8 +644,7 @@ def check_guediri(tol: float) -> _Claim:
             cls = classify_subspace(gram, Subspace._orthonormal(rows, DEFAULT_TOL))
             if cls.tag is not SubspaceTag.DEGENERATE:
                 fail(trial, f"center {cls.tag.value}")
-    failures.sort(key=lambda f: f[0])  # stable: a trial's messages keep their order
-    messages = [message for _, message in failures]
+    messages = _in_draw_order(failures)
     rejected = 0
     for trial in range(10):
         alpha, c, a, ab = draw()
@@ -783,13 +768,12 @@ def check_lemma_fuzz(tol: float) -> _Claim:
             )
             worst = max(worst, float((np.abs(cross) / s1).max()))
             fail(np.abs(cross) > strict * s1, lambda k: f"tr(A₀A) = {cross[k]:.3e} ≠ 0")
-    failures.sort(key=lambda f: f[0])  # stable: a trial's messages keep their order
     return (
         "isotropy inequality ⟨Ae,Ae⟩ ≥ 0 with equality ⇔ Ae ∥ e; tr A² ≤ 0 "
         "when Ae = 0, with tr(A₀B) = 0 in the degenerate case",
         f"{count} trials in Lorentzian dims 3–8 hold",
         worst,
-        [message for _, message in failures],
+        _in_draw_order(failures),
     )
 
 

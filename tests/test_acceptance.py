@@ -159,7 +159,7 @@ def test_the_variant_draw_checks_agree_with_the_per_object_calls(monkeypatch):
     # every draw of the three checks, decided once in its algebra's stack and
     # once on make_metric's metric: equal grams, frames and signatures,
     # bit-identical Ricci operators and flatness numbers, equal center classes
-    layers = ("_variant_groups", "_nilpotent_ricci", "_flatness_defects", "_subspace_classes")
+    layers = ("_variant_groups", "_curvature_facts", "_subspace_classes")
     seen = {name: [] for name in layers}
     _spy_verify(monkeypatch, seen)
     checked = Counter()
@@ -176,11 +176,11 @@ def test_the_variant_draw_checks_agree_with_the_per_object_calls(monkeypatch):
                 assert all(x[0].tobytes() == y[r].tobytes() for x, y in zip(m._frame, frame))
                 if name == "classified-ricci-flat":
                     assert m.signature() == (1, m.n - 1, 0)
-                    ric, _ = seen["_nilpotent_ricci"][g][1]
-                    assert m.ricci_operator().tobytes() == ric[r].tobytes()
+                    facts = seen["_curvature_facts"][g][1]
+                    assert m.ricci_operator().tobytes() == facts.ricci[r].tobytes()
                 elif name == "flatness":
-                    defects, scales = seen["_flatness_defects"][g][1]
-                    assert m.flatness_defect() == (defects[r], scales[r])
+                    facts = seen["_curvature_facts"][g][1]
+                    assert m.flatness_defect() == (facts.defect[r], facts.scale[r])
                 else:
                     cls = classify_subspace(m.gram, m.algebra.center())
                     assert cls == seen["_subspace_classes"][g][1][r]
@@ -339,14 +339,15 @@ def _double_extension_draws():
 
 
 def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch):
-    # one admissibility, nilpotency, verdict, decomposition and round-trip call
-    # per core dimension v of the 100 nilpotent draws, and no MetricLieAlgebra
-    # built
+    # one admissibility, nilpotency, curvature, decomposition and round-trip
+    # call per core dimension v of the 100 nilpotent draws, one admissibility
+    # and one curvature call per core dimension of the 100 μ ≠ 0 draws, and no
+    # MetricLieAlgebra built
     nilpotent, general = _double_extension_draws()
     groups = Counter(data.v_dim for data in nilpotent)
     layers = (
         "_lower_central_series",
-        "_nilpotent_verdicts",
+        "_curvature_facts",
         "_witt_decompositions",
         "_model_residuals",
     )
@@ -379,9 +380,11 @@ def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch
     assert builds == []
     sizes = [groups[v] for v in sorted(groups)]
     general_groups = Counter(data.v_dim for data in general)
-    assert admissibilities == sizes + [general_groups[v] for v in sorted(general_groups)]
+    general_sizes = [general_groups[v] for v in sorted(general_groups)]
+    assert admissibilities == sizes + general_sizes
     assert len(sizes) > 1 and sum(sizes) == 100
     assert stacked == sizes
+    assert calls.pop("_curvature_facts") == sizes + general_sizes
     assert calls == {name: sizes for name in calls}
 
 
@@ -393,10 +396,10 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
     layers = (
         "_extension_groups",
         "_lower_central_series",
-        "_nilpotent_verdicts",
+        "_verdict_layers",
+        "_curvature_facts",
         "_witt_decompositions",
         "_model_residuals",
-        "_in_input_basis",
     )
     seen = {name: [] for name in layers}
 
@@ -421,7 +424,7 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
     checked = 0
     for g, (trials, c, _) in enumerate(nilpotent_groups):
         series = seen["_lower_central_series"][g][1]
-        ric, verdicts = seen["_nilpotent_verdicts"][g][1]
+        ric, verdicts = seen["_curvature_facts"][g][1].ricci, seen["_verdict_layers"][g][1][4]
         (_, _, null, _), (dec_data, p) = seen["_witt_decompositions"][g]
         resid = seen["_model_residuals"][g][1]
         for r, trial in enumerate(trials):
@@ -438,8 +441,8 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
                 assert np.asarray(getattr(dec.data, key)).tobytes() == stack[r].tobytes()
             assert model_residual(m, dec) == resid[r]
             checked += 1
-    for g, (trials, _, _) in enumerate(general_groups):
-        forms = seen["_in_input_basis"][g][1]
+    for g, (trials, _, _) in enumerate(general_groups, len(nilpotent_groups)):
+        forms = seen["_curvature_facts"][g][1].ricci_form
         for r, trial in enumerate(trials):
             m = extend(general[trial])
             assert m.ricci_via_definition()[-1, -1] == forms[r, -1, -1]
@@ -470,7 +473,7 @@ def _spy_verify(monkeypatch, seen):
 def test_guediri_makes_one_stacked_call_per_dimension_group(monkeypatch):
     # one admissibility, nilpotency, verdict and center call per core
     # dimension of the 50 constrained sets, and no algebra or metric built
-    layers = ("_admissibilities", "_lower_central_series", "_nilpotent_verdicts", "_centers")
+    layers = ("_admissibilities", "_lower_central_series", "_curvature_facts", "_centers")
     seen = {name: [] for name in layers + ("_guediri_data",)}
     _spy_verify(monkeypatch, seen)
     stacked, builds = [], []
@@ -501,7 +504,7 @@ def test_guediri_stacks_agree_with_the_per_object_calls(monkeypatch):
     # every constrained set, decided once in its group's stack and once by
     # guediri_2step → einstein_classify → classify_subspace of the center:
     # equal verdicts and classes, bit-identical ‖Ric‖∞ and Ricci operators
-    seen = {name: [] for name in ("_guediri_data", "_nilpotent_verdicts", "_verdict_layers")}
+    seen = {name: [] for name in ("_guediri_data", "_curvature_facts", "_verdict_layers")}
     _spy_verify(monkeypatch, seen)
     classes = []
     classify = verify.classify_subspace
@@ -512,7 +515,7 @@ def test_guediri_stacks_agree_with_the_per_object_calls(monkeypatch):
     (result,) = run_checks(["guediri"], tol)
     assert result.passed and result.failures == []
     built = [args for args, _ in seen["_guediri_data"]]  # guediri_2step builds the 10 others
-    ric = [op for _, (ops, _) in seen["_nilpotent_verdicts"] for op in ops]
+    ric = [op for _, facts in seen["_curvature_facts"] for op in facts.ricci]
     trials, peaks, verdicts = [], [], []
     for _, (group_trials, _, _, group_peaks, group_verdicts, _) in seen["_verdict_layers"]:
         trials += group_trials

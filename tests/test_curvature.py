@@ -73,7 +73,7 @@ def test_metric_algebra_decides_its_signature_once_at_its_tol():
 
 def levi_civita(m):
     """lc[i, j] = e_i·e_j of m, from the stacked Koszul kernel in m's frame."""
-    return m._levi_civita()
+    return m._curvature().levi_civita
 
 
 def test_levi_civita_heisenberg_table():
@@ -139,12 +139,21 @@ def test_route_mismatch_on_an_ill_conditioned_gram(monkeypatch):
     algebra, gram, _ = read_algebra(path, DEFAULT_TOL)
     assert MetricLieAlgebra(algebra, gram).einstein_classify().verdict is Verdict.NOT_EINSTEIN
 
-    # routes forced apart: the cross-check raises, and a raise is never kept
+    # routes forced apart: the cross-check raises, and a raise is never kept;
+    # every fact read from the one curvature entry raises it, whichever is first
     exact_q = mlie.curvature.q_operators
     monkeypatch.setattr(mlie.curvature, "q_operators", lambda s, eps: exact_q(s, eps) + 1.0)
     m = MetricLieAlgebra(algebra, gram)
+    calls = (
+        m.ricci_nilpotent,
+        m.einstein_classify,
+        m.ricci_operator,
+        m.ricci_via_definition,
+        m.flatness_defect,
+        m.curvature_tensor,
+    )
     for _ in range(2):  # the second call raises too
-        for call in (m.einstein_classify, m.ricci_operator):
+        for call in calls:
             with pytest.raises(RuntimeError, match="internal Ricci routes disagree") as err:
                 call()
             assert is_route_mismatch(err.value)
@@ -303,6 +312,46 @@ def test_the_metric_enters_the_kernel_in_one_place():
     ]
     assert assembled == ["curvature.py"]
     assert "q_operators(structure_endo_tensors(" in inspect.getsource(mlie.curvature.ricci_operators)
+
+
+def test_the_curvature_facts_are_computed_in_one_place():
+    # the Ricci cross-check and the flatness numbers are taken only inside
+    # _curvature_facts, which the metric and verify's verdict checks call
+    sources = {
+        path.name: path.read_text()
+        for path in sorted(Path(mlie.curvature.__file__).parent.glob("*.py"))
+    }
+    facts = inspect.getsource(mlie.curvature._curvature_facts)
+    for name in ("_check_routes(", "_flatness_defects("):
+        calls = {
+            module: text.count(name) - text.count(f"def {name}")
+            for module, text in sources.items()
+        }
+        assert {module: k for module, k in calls.items() if k} == {"curvature.py": 1}, name
+        assert facts.count(name) == 1, name
+
+
+def test_a_fresh_metric_takes_its_verdict_in_one_stacked_call(monkeypatch):
+    # einstein_classify of a new metric computes its curvature facts once, on
+    # its stack of one, and every other fact is read from that entry
+    calls = []
+    facts = mlie.curvature._curvature_facts
+
+    def spy(c, mu, frame, nilpotent):
+        calls.append(len(mu))
+        return facts(c, mu, frame, nilpotent)
+
+    monkeypatch.setattr(mlie.curvature, "_curvature_facts", spy)
+    m = MetricLieAlgebra(make_algebra("L5_6"), random_gram(5, np.random.default_rng(5)))
+    report = m.einstein_classify()
+    assert calls == [1]
+    assert m.ricci_operator() is report.ricci_operator
+    assert m.ricci_nilpotent() is report.ricci_operator
+    assert m.ricci_via_definition() is report.ricci_form
+    m.flatness_defect()
+    m.curvature_tensor()
+    m.einstein_classify(1e-6)
+    assert calls == [1]
 
 
 def test_stacked_kernels_match_the_per_gram_methods():

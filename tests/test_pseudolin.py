@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlie import pseudolin
+from mlie import curvature, doubleext, pseudolin
 from mlie.catalog import make_algebra, make_metric
 from mlie.curvature import MetricLieAlgebra
 from mlie.doubleext import ExtensionData, kd_generate
@@ -347,3 +347,42 @@ def test_orthonormal_basis_random_nondegenerate():
 def test_orthonormal_basis_rejects_degenerate():
     with pytest.raises(InvalidInput):
         orthonormal_basis(Gram.from_diagonal([1.0, 0.0]), DEFAULT_TOL)
+
+
+def _empty_facts():
+    """_curvature_facts of no metric of L4_3, in the frames of no gram."""
+    c = make_algebra("L4_3").c
+    frame, _ = curvature._frames(np.zeros((0, 4, 4)), DEFAULT_TOL)
+    return curvature._curvature_facts(c, np.zeros((0, 4, 4, 4)), frame, True)
+
+
+#: each stacked layer on a stack of no member, its results as a tuple (none
+#: for the Ricci cross-check, which raises nothing)
+_EMPTY_STACKS = {
+    "_cutoff": lambda: (pseudolin._cutoff(1e-9, np.zeros((0, 3)), stack=True),),
+    "_cutoff of two stacks": lambda: (
+        pseudolin._cutoff(1e-9, np.zeros((0, 3)), np.zeros((0, 2, 2)), stack=True),
+    ),
+    "_ranks": lambda: (pseudolin._ranks(np.zeros((0, 3)), 1e-9),),
+    "_null_eigenvalues": lambda: (pseudolin._null_eigenvalues(np.zeros((0, 3)), 1e-9),),
+    "_signatures": lambda: pseudolin._signatures(np.zeros((0, 3, 3)), 1e-9),
+    "_check_routes": lambda: curvature._check_routes(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))) or (),
+    "_einstein_defects": lambda: curvature._einstein_defects(np.zeros((0, 3, 3)), 1e-8),
+    "_flatness_defects": lambda: curvature._flatness_defects(
+        np.zeros((0, 3, 3, 3)), np.zeros((0, 3, 3, 3))
+    ),
+    "_verdicts": lambda: curvature._verdicts(np.zeros((0, 3, 3)), np.zeros(0), np.zeros(0), 1e-8),
+    "_curvature_facts": _empty_facts,
+    "_lie_tests": lambda: doubleext._lie_tests(
+        np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), np.zeros(0), 1e-9
+    ),
+    "_admissibilities": lambda: doubleext._admissibilities(
+        np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), np.zeros(0), 1e-9
+    ),
+}
+
+
+@pytest.mark.parametrize("layer", list(_EMPTY_STACKS))
+def test_a_stacked_layer_takes_an_empty_stack(layer):
+    # k = 0 members give k = 0 results, not a reshape error
+    assert all(len(x) == 0 for x in _EMPTY_STACKS[layer]())
