@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -215,11 +215,11 @@ def ricci_operators(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndar
 #
 # einstein_classify on a stack of metrics given by their brackets c (k,n,n,n)
 # in the input basis and their frames (ε, A, B), stacks of k or of one that
-# every member shares.  _curvature_facts is the one place a metric's curvature
-# facts are computed, on a stack: MetricLieAlgebra keeps them for its stack
-# of one, and verify's checks take them once per group.  Each decision is
-# taken per member in the input basis, at the member's own cutoff; an empty
-# stack gives empty results.
+# every member shares.  _CurvatureFacts is the one place a metric's curvature
+# facts are computed, on a stack, each on first read: MetricLieAlgebra keeps
+# them for its stack of one, and verify's checks take them once per group.
+# Each decision is taken per member in the input basis, at the member's own
+# cutoff; an empty stack gives empty results.
 
 
 def _frame(gram: Gram, tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -282,50 +282,57 @@ def _flatness_defects(c: np.ndarray, lc: np.ndarray) -> Tuple[np.ndarray, np.nda
     return _peaks(np.abs(curv, out=curv)), scale
 
 
-class _CurvatureFacts(NamedTuple):
-    """The curvature facts of a stack of metrics, one member per row: in the
-    input basis the Ricci operator (the 𝒥-route on a nilpotent algebra, else
-    the definitional route), the definitional Ricci form and the Levi-Civita
-    tensor lc[i, k] = e_i·e_k; the scalar curvature tr(η·ric) of the frame;
-    and the flatness defect and its scale (_flatness_defects)."""
-
-    ricci: np.ndarray
-    ricci_form: np.ndarray
-    levi_civita: np.ndarray
-    scalar: np.ndarray
-    defect: np.ndarray
-    scale: np.ndarray
-
-    def verdicts(self, tol: float) -> List[Verdict]:
-        """The verdict of each member at tol (_verdicts)."""
-        return _verdicts(self.ricci, self.defect, self.scale, tol)[0]
-
-
-def _curvature_facts(c: np.ndarray, mu: np.ndarray, frame, nilpotent: bool) -> _CurvatureFacts:
+class _CurvatureFacts:
     """The curvature facts of the metrics with brackets c (k, n, n, n), or one
     bracket all share, in their frames (ε, A, B), where their brackets are μ =
-    A·c: the frame's Levi-Civita tensor and η·ric; on a nilpotent algebra the
-    𝒥-route, cross-checked against η·ric (_check_routes, ROUTE_MISMATCH); Ric
-    moved back by B·X·A, the form by Aᵀ·X·A and the Levi-Civita tensor by B;
-    the flatness numbers from that tensor."""
-    eps, a, b = frame
-    lc_frame = levi_civita_tensors(mu, eps)
-    form = ricci_forms(lc_frame)
-    ric_def = _raise_index(eps, form)
-    ric = ric_def
-    if nilpotent:
-        ric = ricci_operators(mu, eps, True)
-        _check_routes(ric, ric_def)
-    lc = act_on_brackets(b, a, lc_frame)
-    defect, scale = _flatness_defects(c, lc)
-    return _CurvatureFacts(
-        _in_input_basis(frame, ric),
-        _in_input_basis(frame, form, True),
-        lc,
-        ric_def.trace(axis1=1, axis2=2),
-        defect,
-        scale,
-    )
+    A·c: stacks, one member per metric, each computed on first call from the
+    frame's Levi-Civita tensor and kept, so a caller pays only for what it
+    asks for.  ricci() is the Ricci operator moved back by B·X·A: the 𝒥-route
+    on a nilpotent algebra, cross-checked against η·ric (_check_routes), else
+    η·ric.  ricci_form() (moved back by Aᵀ·X·A), scalar() (tr η·ric),
+    levi_civita() (moved back by B) and flatness() (_flatness_defects) run no
+    cross-check, so they stay readable when the routes disagree."""
+
+    def __init__(self, c: np.ndarray, mu: np.ndarray, frame, nilpotent: bool) -> None:
+        self._c, self._mu, self._frame, self._nilpotent = c, mu, frame, nilpotent
+        self._memo = {}  # facts computed once, by method
+
+    @_computed_once
+    def _frame_levi_civita(self) -> np.ndarray:
+        return levi_civita_tensors(self._mu, self._frame[0])
+
+    @_computed_once
+    def _frame_ricci(self) -> np.ndarray:
+        return _raise_index(self._frame[0], ricci_forms(self._frame_levi_civita()))  # η·ric
+
+    @_computed_once
+    def ricci(self) -> np.ndarray:
+        ric = self._frame_ricci()
+        if self._nilpotent:
+            ric = ricci_operators(self._mu, self._frame[0], True)
+            _check_routes(ric, self._frame_ricci())
+        return _in_input_basis(self._frame, ric)
+
+    @_computed_once
+    def ricci_form(self) -> np.ndarray:
+        form = _raise_index(self._frame[0], self._frame_ricci())  # η·η = I
+        return _in_input_basis(self._frame, form, True)
+
+    def scalar(self) -> np.ndarray:
+        return self._frame_ricci().trace(axis1=1, axis2=2)
+
+    @_computed_once
+    def levi_civita(self) -> np.ndarray:
+        _, a, b = self._frame
+        return act_on_brackets(b, a, self._frame_levi_civita())
+
+    @_computed_once
+    def flatness(self) -> Tuple[np.ndarray, np.ndarray]:
+        return _flatness_defects(self._c, self.levi_civita())
+
+    def verdicts(self, tol: float) -> Tuple[list, list, list, list]:
+        """The rule _verdicts on ricci() and flatness() at tol."""
+        return _verdicts(self.ricci(), *self.flatness(), tol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -374,12 +381,13 @@ class MetricLieAlgebra:
     route) are decided once, at the algebra's ``tol``.
 
     Building one only takes the frame.  Its curvature facts (not the S_i) are
-    computed together on first use, by _curvature_facts on its stack of one,
-    at the bracket μ = A·c of the frame, mapped back to the input basis once
-    (an operator X by B·X·A, a form by Aᵀ·X·A, the Levi-Civita tensor by B =
-    A⁻¹) and kept read-only in one memo entry, as the algebra keeps its
-    facts, so instances are safe to share; the report of ``einstein_classify``
-    is kept the same way, once per tol.
+    kept in one memo entry, the _CurvatureFacts of its stack of one, each
+    computed on first use at the bracket μ = A·c of the frame and mapped back
+    to the input basis once (an operator X by B·X·A, a form by Aᵀ·X·A, the
+    Levi-Civita tensor by B = A⁻¹).  The Ricci operator and form it returns
+    are read-only, as the algebra keeps its facts, so instances are safe to
+    share; the report of ``einstein_classify`` is kept the same way, once per
+    tol.
     """
 
     algebra: LieAlgebra
@@ -418,33 +426,28 @@ class MetricLieAlgebra:
 
     @_computed_once
     def _curvature(self) -> _CurvatureFacts:
-        """_curvature_facts on the stack of one: its member, read-only, the one
-        entry every curvature fact of the metric is read from."""
-        facts = _curvature_facts(
+        """The _CurvatureFacts of the stack of one, read by every curvature method."""
+        return _CurvatureFacts(
             self.algebra.c, self._brackets(), self._frame, self.algebra.is_nilpotent()
         )
-        member = _CurvatureFacts(*(x[0] for x in facts))
-        for x in member:
-            if isinstance(x, np.ndarray):  # not the numbers
-                x.flags.writeable = False
-        return member
 
     # -- curvature --------------------------------------------------------
 
     def curvature_tensor(self) -> np.ndarray:
         """K[i,j,k,:] = K(e_i,e_j)e_k = (L_[e_i,e_j] − [L_i, L_j]) e_k."""
-        return _curvature_tensors(self.algebra.c, self._curvature().levi_civita[None])[0]
+        return _curvature_tensors(self.algebra.c, self._curvature().levi_civita())[0]
 
     def flatness_defect(self) -> Tuple[float, float]:
         """(sup-norm of the curvature tensor, its roundoff scale)."""
-        facts = self._curvature()
-        return float(facts.defect), float(facts.scale)
+        defect, scale = self._curvature().flatness()
+        return float(defect[0]), float(scale[0])
 
     # -- Ricci, three routes ----------------------------------------------
 
+    @_computed_once
     def ricci_via_definition(self) -> np.ndarray:
         """ric(e_i,e_j) = −tr(R_i R_j) + tr(R_{e_i·e_j}); symmetric matrix."""
-        return self._curvature().ricci_form
+        return self._curvature().ricci_form()[0]
 
     def j1_j2(self) -> Tuple[np.ndarray, np.ndarray]:
         """The self-adjoint operators 𝒥₁ and 𝒥₂ built from the S_i."""
@@ -475,10 +478,11 @@ class MetricLieAlgebra:
 
     # -- verdicts ---------------------------------------------------------
 
+    @_computed_once
     def ricci_operator(self) -> np.ndarray:
         """Ric = G^{-1}·ric: the 𝒥-route when nilpotent, cross-checked in the frame
         against the definitional route (ROUTE_MISMATCH), else the definitional."""
-        return self._curvature().ricci
+        return self._curvature().ricci()[0]
 
     def einstein_classify(self, tol: float = VERDICT_TOL) -> CurvatureReport:
         """Classify as Flat / RicciFlat / Einstein(λ≠0) / NotEinstein.
@@ -497,14 +501,12 @@ class MetricLieAlgebra:
     def _classify(self, tol: float) -> CurvatureReport:
         """einstein_classify, computed from the kept facts."""
         facts = self._curvature()
-        (verdict,), (lam,), (residual,), (flat,) = _verdicts(
-            facts.ricci[None], facts.defect[None], facts.scale[None], tol
-        )
+        (verdict,), (lam,), (residual,), (flat,) = facts.verdicts(tol)
         return CurvatureReport(
             verdict=verdict,
-            ricci_operator=facts.ricci,
-            ricci_form=facts.ricci_form,
-            scalar_curvature=float(facts.scalar),
+            ricci_operator=self.ricci_operator(),
+            ricci_form=self.ricci_via_definition(),
+            scalar_curvature=float(facts.scalar()[0]),
             einstein_lambda=None if verdict is Verdict.NOT_EINSTEIN else lam,
             einstein_residual=residual,
             flat=flat,

@@ -32,7 +32,7 @@ from .catalog import (
 from .curvature import (
     VERDICT_TOL,
     Verdict,
-    _curvature_facts,
+    _CurvatureFacts,
     _frame,
     _frames,
     _raise_index,
@@ -264,8 +264,8 @@ def check_classified_ricci_flat(tol: float) -> _Claim:
         lorentzian = minus == 1
         eps, a, b = (x[lorentzian] for x in frame)
         mu = act_on_brackets(a, b, algebra.c)
-        facts = _curvature_facts(algebra.c, mu, (eps, a, b), algebra.is_nilpotent())
-        peaks = np.abs(facts.ricci).max(axis=(1, 2), initial=0.0).tolist()
+        ric = _CurvatureFacts(algebra.c, mu, (eps, a, b), algebra.is_nilpotent()).ricci()
+        peaks = np.abs(ric).max(axis=(1, 2), initial=0.0).tolist()
         for draw, resid in zip(itertools.compress(group, lorentzian), peaks):
             worst = max(worst, resid)
             if resid > tol:
@@ -287,8 +287,8 @@ def check_flatness(tol: float) -> _Claim:
     for algebra, group, _, frame in _variant_groups(draws, fail):
         # flatness_defect() of each metric
         mu = act_on_brackets(frame[1], frame[2], algebra.c)
-        facts = _curvature_facts(algebra.c, mu, frame, algebra.is_nilpotent())
-        for draw, defect, scale in zip(group, facts.defect.tolist(), facts.scale.tolist()):
+        defects, scales = _CurvatureFacts(algebra.c, mu, frame, algebra.is_nilpotent()).flatness()
+        for draw, defect, scale in zip(group, defects.tolist(), scales.tolist()):
             _, mv, params, _ = draw
             if mv.name == "m43" and params["eps"] == 1.0:
                 witness = min(witness, defect / scale)
@@ -534,9 +534,9 @@ def _verdict_layers(trials: List[int], c: np.ndarray, frame, tol: float, fail):
             keep.append(r)
     trials, c, unit = [trials[r] for r in keep], c[keep], unit[keep]
     mu = act_on_brackets(a, b, c)
-    facts = _curvature_facts(c, mu, frame, True)
-    peaks = np.abs(facts.ricci).max(axis=(1, 2), initial=0.0)
-    return trials, c, mu, peaks, facts.verdicts(tol), _centers(unit, DEFAULT_TOL)
+    facts = _CurvatureFacts(c, mu, frame, True)
+    peaks = np.abs(facts.ricci()).max(axis=(1, 2), initial=0.0)
+    return trials, c, mu, peaks, facts.verdicts(tol)[0], _centers(unit, DEFAULT_TOL)
 
 
 @_check("double-extension")
@@ -589,8 +589,8 @@ def check_double_extension(tol: float) -> _Claim:
     for trials, (k, d, mu, _) in general:
         predicted[trials] = _ricci_ebars(k, d, mu)
     for trials, c, frame in _extension_groups(general, functools.partial(fail, 1)):
-        facts = _curvature_facts(c, act_on_brackets(frame[1], frame[2], c), frame, False)
-        forms = facts.ricci_form  # ricci_via_definition
+        mu = act_on_brackets(frame[1], frame[2], c)
+        forms = _CurvatureFacts(c, mu, frame, False).ricci_form()  # ricci_via_definition
         for trial, pred, obs in zip(trials, predicted[trials].tolist(), forms[:, -1, -1].tolist()):
             scale = max(1.0, abs(obs))
             diff = abs(pred - obs)

@@ -159,7 +159,7 @@ def test_the_variant_draw_checks_agree_with_the_per_object_calls(monkeypatch):
     # every draw of the three checks, decided once in its algebra's stack and
     # once on make_metric's metric: equal grams, frames and signatures,
     # bit-identical Ricci operators and flatness numbers, equal center classes
-    layers = ("_variant_groups", "_curvature_facts", "_subspace_classes")
+    layers = ("_variant_groups", "_CurvatureFacts", "_subspace_classes")
     seen = {name: [] for name in layers}
     _spy_verify(monkeypatch, seen)
     checked = Counter()
@@ -176,11 +176,12 @@ def test_the_variant_draw_checks_agree_with_the_per_object_calls(monkeypatch):
                 assert all(x[0].tobytes() == y[r].tobytes() for x, y in zip(m._frame, frame))
                 if name == "classified-ricci-flat":
                     assert m.signature() == (1, m.n - 1, 0)
-                    facts = seen["_curvature_facts"][g][1]
-                    assert m.ricci_operator().tobytes() == facts.ricci[r].tobytes()
+                    facts = seen["_CurvatureFacts"][g][1]
+                    assert m.ricci_operator().tobytes() == facts.ricci()[r].tobytes()
                 elif name == "flatness":
-                    facts = seen["_curvature_facts"][g][1]
-                    assert m.flatness_defect() == (facts.defect[r], facts.scale[r])
+                    facts = seen["_CurvatureFacts"][g][1]
+                    defects, scales = facts.flatness()
+                    assert m.flatness_defect() == (defects[r], scales[r])
                 else:
                     cls = classify_subspace(m.gram, m.algebra.center())
                     assert cls == seen["_subspace_classes"][g][1][r]
@@ -347,7 +348,7 @@ def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch
     groups = Counter(data.v_dim for data in nilpotent)
     layers = (
         "_lower_central_series",
-        "_curvature_facts",
+        "_CurvatureFacts",
         "_witt_decompositions",
         "_model_residuals",
     )
@@ -384,7 +385,7 @@ def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch
     assert admissibilities == sizes + general_sizes
     assert len(sizes) > 1 and sum(sizes) == 100
     assert stacked == sizes
-    assert calls.pop("_curvature_facts") == sizes + general_sizes
+    assert calls.pop("_CurvatureFacts") == sizes + general_sizes
     assert calls == {name: sizes for name in calls}
 
 
@@ -397,7 +398,7 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
         "_extension_groups",
         "_lower_central_series",
         "_verdict_layers",
-        "_curvature_facts",
+        "_CurvatureFacts",
         "_witt_decompositions",
         "_model_residuals",
     )
@@ -424,7 +425,7 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
     checked = 0
     for g, (trials, c, _) in enumerate(nilpotent_groups):
         series = seen["_lower_central_series"][g][1]
-        ric, verdicts = seen["_curvature_facts"][g][1].ricci, seen["_verdict_layers"][g][1][4]
+        ric, verdicts = seen["_CurvatureFacts"][g][1].ricci(), seen["_verdict_layers"][g][1][4]
         (_, _, null, _), (dec_data, p) = seen["_witt_decompositions"][g]
         resid = seen["_model_residuals"][g][1]
         for r, trial in enumerate(trials):
@@ -442,7 +443,7 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
             assert model_residual(m, dec) == resid[r]
             checked += 1
     for g, (trials, _, _) in enumerate(general_groups, len(nilpotent_groups)):
-        forms = seen["_curvature_facts"][g][1].ricci_form
+        forms = seen["_CurvatureFacts"][g][1].ricci_form()
         for r, trial in enumerate(trials):
             m = extend(general[trial])
             assert m.ricci_via_definition()[-1, -1] == forms[r, -1, -1]
@@ -473,7 +474,7 @@ def _spy_verify(monkeypatch, seen):
 def test_guediri_makes_one_stacked_call_per_dimension_group(monkeypatch):
     # one admissibility, nilpotency, verdict and center call per core
     # dimension of the 50 constrained sets, and no algebra or metric built
-    layers = ("_admissibilities", "_lower_central_series", "_curvature_facts", "_centers")
+    layers = ("_admissibilities", "_lower_central_series", "_CurvatureFacts", "_centers")
     seen = {name: [] for name in layers + ("_guediri_data",)}
     _spy_verify(monkeypatch, seen)
     stacked, builds = [], []
@@ -504,7 +505,7 @@ def test_guediri_stacks_agree_with_the_per_object_calls(monkeypatch):
     # every constrained set, decided once in its group's stack and once by
     # guediri_2step → einstein_classify → classify_subspace of the center:
     # equal verdicts and classes, bit-identical ‖Ric‖∞ and Ricci operators
-    seen = {name: [] for name in ("_guediri_data", "_curvature_facts", "_verdict_layers")}
+    seen = {name: [] for name in ("_guediri_data", "_CurvatureFacts", "_verdict_layers")}
     _spy_verify(monkeypatch, seen)
     classes = []
     classify = verify.classify_subspace
@@ -515,7 +516,7 @@ def test_guediri_stacks_agree_with_the_per_object_calls(monkeypatch):
     (result,) = run_checks(["guediri"], tol)
     assert result.passed and result.failures == []
     built = [args for args, _ in seen["_guediri_data"]]  # guediri_2step builds the 10 others
-    ric = [op for _, facts in seen["_curvature_facts"] for op in facts.ricci]
+    ric = [op for _, facts in seen["_CurvatureFacts"] for op in facts.ricci()]
     trials, peaks, verdicts = [], [], []
     for _, (group_trials, _, _, group_peaks, group_verdicts, _) in seen["_verdict_layers"]:
         trials += group_trials

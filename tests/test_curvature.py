@@ -73,7 +73,7 @@ def test_metric_algebra_decides_its_signature_once_at_its_tol():
 
 def levi_civita(m):
     """lc[i, j] = e_i·e_j of m, from the stacked Koszul kernel in m's frame."""
-    return m._curvature().levi_civita
+    return m._curvature().levi_civita()[0]
 
 
 def test_levi_civita_heisenberg_table():
@@ -139,24 +139,21 @@ def test_route_mismatch_on_an_ill_conditioned_gram(monkeypatch):
     algebra, gram, _ = read_algebra(path, DEFAULT_TOL)
     assert MetricLieAlgebra(algebra, gram).einstein_classify().verdict is Verdict.NOT_EINSTEIN
 
-    # routes forced apart: the cross-check raises, and a raise is never kept;
-    # every fact read from the one curvature entry raises it, whichever is first
+    # routes forced apart: the cross-check raises from every call that reads
+    # the Ricci operator, and a raise is never kept; the definitional form, the
+    # curvature tensor and the flatness numbers stay readable
     exact_q = mlie.curvature.q_operators
     monkeypatch.setattr(mlie.curvature, "q_operators", lambda s, eps: exact_q(s, eps) + 1.0)
     m = MetricLieAlgebra(algebra, gram)
-    calls = (
-        m.ricci_nilpotent,
-        m.einstein_classify,
-        m.ricci_operator,
-        m.ricci_via_definition,
-        m.flatness_defect,
-        m.curvature_tensor,
-    )
     for _ in range(2):  # the second call raises too
-        for call in calls:
+        for call in (m.ricci_nilpotent, m.einstein_classify, m.ricci_operator):
             with pytest.raises(RuntimeError, match="internal Ricci routes disagree") as err:
                 call()
             assert is_route_mismatch(err.value)
+    reference = MetricLieAlgebra(algebra, gram)
+    assert m.ricci_via_definition().tobytes() == reference.ricci_via_definition().tobytes()
+    assert m.flatness_defect() == reference.flatness_defect()
+    assert m.curvature_tensor().tobytes() == reference.curvature_tensor().tobytes()
 
 
 def test_einstein_classify_keeps_one_report_per_tol():
@@ -316,12 +313,12 @@ def test_the_metric_enters_the_kernel_in_one_place():
 
 def test_the_curvature_facts_are_computed_in_one_place():
     # the Ricci cross-check and the flatness numbers are taken only inside
-    # _curvature_facts, which the metric and verify's verdict checks call
+    # _CurvatureFacts, which the metric and verify's verdict checks read
     sources = {
         path.name: path.read_text()
         for path in sorted(Path(mlie.curvature.__file__).parent.glob("*.py"))
     }
-    facts = inspect.getsource(mlie.curvature._curvature_facts)
+    facts = inspect.getsource(mlie.curvature._CurvatureFacts)
     for name in ("_check_routes(", "_flatness_defects("):
         calls = {
             module: text.count(name) - text.count(f"def {name}")
@@ -335,13 +332,13 @@ def test_a_fresh_metric_takes_its_verdict_in_one_stacked_call(monkeypatch):
     # einstein_classify of a new metric computes its curvature facts once, on
     # its stack of one, and every other fact is read from that entry
     calls = []
-    facts = mlie.curvature._curvature_facts
+    facts = mlie.curvature._CurvatureFacts
 
     def spy(c, mu, frame, nilpotent):
         calls.append(len(mu))
         return facts(c, mu, frame, nilpotent)
 
-    monkeypatch.setattr(mlie.curvature, "_curvature_facts", spy)
+    monkeypatch.setattr(mlie.curvature, "_CurvatureFacts", spy)
     m = MetricLieAlgebra(make_algebra("L5_6"), random_gram(5, np.random.default_rng(5)))
     report = m.einstein_classify()
     assert calls == [1]
@@ -352,6 +349,27 @@ def test_a_fresh_metric_takes_its_verdict_in_one_stacked_call(monkeypatch):
     m.curvature_tensor()
     m.einstein_classify(1e-6)
     assert calls == [1]
+
+
+def test_a_metric_computes_only_the_curvature_facts_it_is_asked_for(monkeypatch):
+    # the Ricci operator takes no curvature tensor, and the definitional form,
+    # the flatness numbers and the curvature tensor take no 𝒥-route
+    calls = Counter()
+
+    def spy(name):
+        layer = getattr(mlie.curvature, name)
+        return lambda *args: calls.update([name]) or layer(*args)
+
+    for name in ("_curvature_tensors", "ricci_operators"):
+        monkeypatch.setattr(mlie.curvature, name, spy(name))
+    algebra, rng = make_algebra("L5_6"), np.random.default_rng(5)
+    MetricLieAlgebra(algebra, random_gram(5, rng)).ricci_operator()
+    assert calls == {"ricci_operators": 1}
+    m = MetricLieAlgebra(algebra, random_gram(5, rng))
+    m.ricci_via_definition()
+    m.flatness_defect()
+    m.curvature_tensor()
+    assert calls == {"ricci_operators": 1, "_curvature_tensors": 2}
 
 
 def test_stacked_kernels_match_the_per_gram_methods():

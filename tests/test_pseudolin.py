@@ -350,10 +350,13 @@ def test_orthonormal_basis_rejects_degenerate():
 
 
 def _empty_facts():
-    """_curvature_facts of no metric of L4_3, in the frames of no gram."""
+    """The curvature facts of no metric of L4_3, in the frames of no gram."""
     c = make_algebra("L4_3").c
     frame, _ = curvature._frames(np.zeros((0, 4, 4)), DEFAULT_TOL)
-    return curvature._curvature_facts(c, np.zeros((0, 4, 4, 4)), frame, True)
+    facts = curvature._CurvatureFacts(c, np.zeros((0, 4, 4, 4)), frame, True)
+    return (
+        facts.ricci(), facts.ricci_form(), facts.scalar(), facts.levi_civita(), *facts.flatness()
+    )
 
 
 #: each stacked layer on a stack of no member, its results as a tuple (none
@@ -372,7 +375,7 @@ _EMPTY_STACKS = {
         np.zeros((0, 3, 3, 3)), np.zeros((0, 3, 3, 3))
     ),
     "_verdicts": lambda: curvature._verdicts(np.zeros((0, 3, 3)), np.zeros(0), np.zeros(0), 1e-8),
-    "_curvature_facts": _empty_facts,
+    "_CurvatureFacts": _empty_facts,
     "_lie_tests": lambda: doubleext._lie_tests(
         np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), np.zeros(0), 1e-9
     ),
