@@ -268,6 +268,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     print(f"restart index: {result.restart_index}")
     print(f"stop reason:   {result.stop_reasons[result.restart_index]}")
     print(f"stop reasons:  {counts}")
+    if result.central_vector is not None:
+        print(f"held null:     {_fmt(result.central_vector)}")
     if result.best_gram is not None:
         print("gram matrix:")
         print(_fmt(result.best_gram.mat))

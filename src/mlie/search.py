@@ -19,6 +19,27 @@ step is the same as on all of gl(n), and one iteration evaluates
     algebra                 L3_2  L4_2  L4_3  L5_2  EX8
     sides on all of gl(n)     18    32    32    50  128
     sides on the complement    6    12    18    18  104
+    sides on the stratum S    14    26    26    42    -
+
+The paper's theorem says where the Lorentzian Ricci-flat metrics of dimension
+n ≤ 5 are: every Lorentzian Einstein nilpotent metric there has a degenerate
+center.  So when the spec asks for a Ricci-flat metric of signature (1, n − 1)
+on a non-abelian nilpotent algebra of dimension n ≤ 5, the search holds one
+central vector z null on every iterate: z is the first row of Z ∩ [g,g]
+(_held_central_vector says why [g,g]), and with ê = (b₀ + b₁)/√2, an η-null
+frame vector,
+- every start I + 0.1·N is turned by the Euclidean Householder reflection
+  that sends A·z/|A·z| to ê, which keeps cond(A);
+- every step X lies in S = {X : X·ê ∥ ê}, so (I + X)·A·z stays on the line of
+  ê to all orders and B·ê stays a central null vector of the gram.
+S has one Frobenius-orthonormal basis of n² − n + 1 members (7 on L3_2, 13 on
+L4_2 and L4_3, 21 on L5_2), computed once per search and shared by every
+restart and iteration, so this search makes no per-iteration QR; the
+directions of Der(μ) ∩ S give zero Jacobian columns, which the damping
+absorbs.  Every other spec (dimension ≥ 6, where EX6 and EX7 are Ricci-flat
+with a nondegenerate center; other signatures; the Einstein target; abelian
+or non-nilpotent algebras) steps on the complement of Der(μ), and
+SearchResult.central_vector is None.
 
 All restarts advance together as one stack of factors A[r]: per iteration one
 stacked Jacobian call over the restarts still running, and per damping round
@@ -57,7 +78,7 @@ from .curvature import (
 )
 from .errors import DegenerateGram, InvalidInput, is_route_mismatch
 from .liealg import LieAlgebra, act_on_brackets, derivation_defects
-from .pseudolin import Gram, _cutoff, _nonnegative
+from .pseudolin import Gram, _cutoff, _nonnegative, nullspace
 
 TARGETS = ("einstein", "ricci-flat")
 
@@ -79,6 +100,10 @@ _MIN_DAMPING = 1e-12
 _MAX_DAMPING = 1e12
 #: Frobenius norm of the longest step X, which keeps I + X invertible
 _MAX_STEP = 0.5
+#: up to this dimension every Lorentzian Einstein nilpotent metric has a
+#: degenerate center (the paper's theorem), and the Lorentzian Ricci-flat
+#: search holds a central vector null
+_STRATUM_MAX_DIM = 5
 
 
 def einstein_residual(algebra: LieAlgebra, gram, target: str = "einstein") -> float:
@@ -125,6 +150,9 @@ class SearchResult:
     restart_index: int
     #: one of STOP_REASONS per restart, in restart order
     stop_reasons: Tuple[str, ...]
+    #: the central vector z that every restart held null, read-only (n,),
+    #: or None when the search holds none
+    central_vector: Optional[np.ndarray]
 
 
 def _deviations(ric: np.ndarray, einstein: bool) -> np.ndarray:
@@ -214,6 +242,62 @@ def _jacobians(
     return d_r.reshape(m, k, n * n).transpose(0, 2, 1)
 
 
+def _held_central_vector(spec: SearchSpec) -> Optional[np.ndarray]:
+    """z, the first row of Z ∩ [g,g] (unit, read-only), when spec asks for a
+    Ricci-flat metric of signature (1, n − 1) on a non-abelian nilpotent
+    algebra of dimension n ≤ _STRATUM_MAX_DIM; else None.  Such a metric has
+    a degenerate center, so a null central line Re, and a double extension
+    (K, D, b) of an abelian Euclidean space V, with [g,g] ⊂ Re ⊕ D(V): if e
+    were outside [g,g], K = 0, Ricci-flatness ‖K‖² = 2‖D‖² would force D = 0,
+    and then b = 0, so the algebra would be abelian."""
+    algebra = spec.algebra
+    n = algebra.n
+    if (
+        spec.target != "ricci-flat"
+        or tuple(spec.signature) != (1, n - 1)
+        or n > _STRATUM_MAX_DIM
+        or not algebra.is_nilpotent()
+    ):
+        return None
+    center, derived = algebra.center().basis, algebra.derived_ideal().basis
+    if not len(derived):  # abelian
+        return None
+    # x = Dᵀy lies in Z when its part off Z, (I − ZᵀZ)·Dᵀy, vanishes
+    off_center = derived.T - center.T @ (center @ derived.T)
+    z = nullspace(off_center, algebra.tol)[0] @ derived
+    # its largest entry positive, whatever the SVD's signs (+ 0.0 clears −0)
+    z = z * np.sign(z[np.argmax(np.abs(z))]) + 0.0
+    z.flags.writeable = False
+    return z
+
+
+def _null_frame_vector(n: int) -> np.ndarray:
+    """ê = (b₀ + b₁)/√2, a unit η-null vector for η = diag(−1, 1, …, 1)."""
+    e = np.zeros(n)
+    e[:2] = math.sqrt(0.5)
+    return e
+
+
+def _stratum_directions(n: int) -> np.ndarray:
+    """A Frobenius-orthonormal basis (n² − n + 1, n, n) of S = {X : X·ê ∥ ê},
+    the kernel of X ↦ (I − êêᵀ)·X·ê, by one SVD.  Every I + X with X in S
+    maps the null line of ê onto itself."""
+    e = _null_frame_vector(n)
+    units = np.eye(n * n).reshape(n * n, n, n)
+    images = (np.eye(n) - np.outer(e, e)) @ units @ e  # (n², n)
+    # the map's singular values are 1 (n − 1 times) and 0
+    return nullspace(images.T, 0.5).reshape(-1, n, n)
+
+
+def _onto_null_line(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The stack a, each factor turned by the Euclidean Householder
+    reflection H = I − 2vvᵀ/|v|², v = A·z/|A·z| − ê, so that H·A·z ∥ ê;
+    H is orthogonal, so cond(H·A) = cond(A)."""
+    u = a @ z
+    v = u / _norms(u)[:, None] - _null_frame_vector(a.shape[-1])
+    return a - (2.0 / _sq_norms(v))[:, None, None] * v[:, :, None] @ (v[:, None, :] @ a)
+
+
 def _damped_steps(
     normal: np.ndarray, gradient: np.ndarray, damping: np.ndarray, directions: np.ndarray
 ) -> np.ndarray:
@@ -238,11 +322,16 @@ def run_search(spec: SearchSpec) -> SearchResult:
     minus, plus = spec.signature
     eps = np.concatenate([-np.ones(minus), np.ones(plus)])
     eta = np.diag(eps)
-    derivations = algebra.derivation_space()
+    z = _held_central_vector(spec)
+    if z is None:
+        derivations = algebra.derivation_space()
+    else:
+        stratum = _stratum_directions(n)
 
     count = spec.restarts
     starts = [np.random.default_rng([spec.seed, r]).standard_normal((n, n)) for r in range(count)]
-    a = _unit_det(np.eye(n) + 0.1 * np.array(starts))
+    a = np.eye(n) + 0.1 * np.array(starts)
+    a = _unit_det(a if z is None else _onto_null_line(a, z))
     b, mu, ric, r = _forward(a, algebra.c, eps, nilpotent, einstein)
     f = _norms(r)
     residual = np.zeros(count)
@@ -284,7 +373,10 @@ def run_search(spec: SearchSpec) -> SearchResult:
         if not running.size:
             break
         iters[running] += 1
-        directions = _orbit_directions(a[running], b[running], derivations)
+        if z is None:
+            directions = _orbit_directions(a[running], b[running], derivations)
+        else:
+            directions = np.broadcast_to(stratum, (len(running), *stratum.shape))
         jac = _jacobians(mu[running], ric[running], eps, nilpotent, einstein, directions)
         jac_t = jac.transpose(0, 2, 1)
         normal, gradient = jac_t @ jac, jac_t @ r[running].reshape(len(running), -1, 1)
@@ -330,4 +422,5 @@ def run_search(spec: SearchSpec) -> SearchResult:
         iterations=int(iters[best]),
         restart_index=best,
         stop_reasons=tuple(reasons),
+        central_vector=z,
     )

@@ -780,15 +780,19 @@ def check_lemma_fuzz(tol: float) -> _Claim:
 @_check("search-regression")
 def check_search_regression(tol: float) -> _Claim:
     failures: List[str] = []
-    spec = SearchSpec(
-        make_algebra("L3_2"), target="ricci-flat", signature=(1, 2), seed=0, restarts=8
-    )
+    algebra = make_algebra("L3_2")
+    spec = SearchSpec(algebra, target="ricci-flat", signature=(1, 2), seed=0, restarts=8)
     r1 = run_search(spec)
     r2 = run_search(spec)
     if not r1.converged:
         failures.append(f"search did not converge (residual {r1.residual:.3e})")
-    elif r1.residual > 1e-6:
-        failures.append(f"residual {r1.residual:.3e} above 1e-6")
+    else:
+        if r1.residual > 1e-6:
+            failures.append(f"residual {r1.residual:.3e} above 1e-6")
+        # the paper's theorem: in dimension ≤ 5 the center is degenerate
+        center = classify_subspace(r1.best_gram, algebra.center())
+        if center.tag is not SubspaceTag.DEGENERATE:
+            failures.append(f"center of the converged gram is {center.tag.value}")
     if r1.iterations > spec.max_iters:
         failures.append(f"used {r1.iterations} iterations > {spec.max_iters}")
     same = (

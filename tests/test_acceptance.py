@@ -52,6 +52,21 @@ def test_trace_formula_check_fails_on_a_perturbed_q(monkeypatch):
     assert "unit E[1,0]" in result.failures[0]
 
 
+def test_search_regression_fails_on_a_converged_gram_with_a_nondegenerate_center(monkeypatch):
+    # in dimension ≤ 5 a Ricci-flat Lorentzian center is degenerate: a returned
+    # gram whose center e₃ is spacelike fails the check on that alone
+    run_search = verify.run_search
+
+    def euclidean_center(spec):
+        result = run_search(spec)
+        return dataclasses.replace(result, best_gram=Gram(np.diag([-1.0, 1.0, 1.0])))
+
+    monkeypatch.setattr(verify, "run_search", euclidean_center)
+    (result,) = run_checks(["search-regression"])
+    assert not result.passed
+    assert result.failures == ["center of the converged gram is EuclideanNondegenerate"]
+
+
 def test_the_catalog_checks_make_one_stacked_kernel_call_per_algebra(monkeypatch):
     # route-equivalence, trace-j1-j2 and trace-formula each hand the kernel one
     # stack of 20 frames per catalog algebra and build no MetricLieAlgebra

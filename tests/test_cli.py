@@ -264,7 +264,8 @@ TOL_DECISIONS = {
     "decompose": {"require_jacobi", "is_nilpotent", "center", "orthonormal_basis"},
     "classify": {"require_jacobi", "is_nilpotent", "center", "derived_ideal", "orthonormal_basis", "signature"},
     "derivations": {"require_jacobi", "derivation_space"},
-    "search": {"require_jacobi", "is_nilpotent", "derivation_space", "orthonormal_basis"},
+    # a Lorentzian L3_2 search holds a vector of Z ∩ [g,g] null
+    "search": {"require_jacobi", "is_nilpotent", "center", "derived_ideal", "orthonormal_basis"},
 }
 
 
@@ -454,6 +455,7 @@ def test_search_converges_and_writes(tmp_path, capsys):
     assert code == 0
     assert "converged:     True" in out
     assert "stop reason:   converged" in out
+    assert "held null:     [0. 0. 1.]" in out  # L3_2's center, held null
     doc = json.loads(found.read_text())
     assert "metric" in doc
 
@@ -569,6 +571,7 @@ def test_search_nonconvergence_exit_1(tmp_path, capsys):
     )
     assert code == 1
     assert "converged:     False" in out
+    assert "held null" not in out  # a Euclidean search holds no null vector
 
 
 def test_search_bad_signature_exit_2(tmp_path, capsys):

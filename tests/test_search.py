@@ -11,15 +11,19 @@ from mlie.curvature import VERDICT_TOL, MetricLieAlgebra, Verdict
 from mlie.doubleext import extend, random_admissible
 from mlie.errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
 from mlie.liealg import LieAlgebra
-from mlie.pseudolin import Gram
+from mlie.pseudolin import Gram, SubspaceTag, classify_subspace
 from mlie.search import (
     STOP_REASONS,
     SearchSpec,
     _damped_steps,
     _forward,
     _jacobians,
+    _held_central_vector,
+    _null_frame_vector,
+    _onto_null_line,
     _orbit_directions,
     _residuals,
+    _stratum_directions,
     einstein_residual,
     run_search,
 )
@@ -399,6 +403,17 @@ def _solves_by_search_caller(monkeypatch):
     return calls
 
 
+def _counted(monkeypatch, *names):
+    """Count the calls of the named mlie.search functions."""
+    calls = Counter()
+    for name in names:
+        fn = getattr(search, name)
+        monkeypatch.setattr(
+            search, name, lambda *args, _fn=fn, _name=name: calls.update([_name]) or _fn(*args)
+        )
+    return calls
+
+
 @pytest.mark.parametrize(
     "case, seed, restarts", [("L4_3", 0, 8), ("L4_2", 0, 8), ("non-nilpotent", 1, 2)]
 )
@@ -409,12 +424,100 @@ def test_the_search_solves_nothing_against_its_frame(case, seed, restarts, monke
     # forward call made: the one inverse is the forward's, and the one solve
     # is the damped step's
     algebra = _case_algebra(case)
-    assert algebra.is_nilpotent() == (case != "non-nilpotent")
+    stratum = algebra.is_nilpotent()
+    assert stratum == (case != "non-nilpotent")
     spec = SearchSpec(algebra, signature=(1, algebra.n - 1), seed=seed, restarts=restarts)
     classified = _classifications(monkeypatch)
     calls = _solves_by_search_caller(monkeypatch)
+    built = _counted(monkeypatch, "_orbit_directions", "_stratum_directions")
     result = run_search(spec)
-    # L4_3 seed 0 stops by creep; the listed-metric test pins its convergence
-    if case != "L4_3":
-        assert result.converged and classified  # settle's classification ran under the spy
+    assert result.converged and classified  # settle's classification ran under the spy
     assert set(calls) == {("mlie.search", "_forward"), ("mlie.search", "_damped_steps")}
+    # the stratum search builds its one basis of S once and no per-iteration QR;
+    # every other search takes the complement of Der(μ) on every iteration
+    if stratum:
+        assert built == {"_stratum_directions": 1}
+    else:
+        assert set(built) == {"_orbit_directions"} and built["_orbit_directions"] >= result.iterations > 0
+
+
+def _stratum_spec(name, **kwargs):
+    algebra = make_algebra(name)
+    return SearchSpec(algebra, signature=(1, algebra.n - 1), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, verdicts",
+    [
+        ("L4_2", {Verdict.FLAT}),
+        ("L5_2", {Verdict.FLAT}),
+        ("L4_3", {Verdict.FLAT, Verdict.RICCI_FLAT}),
+    ],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_the_stratum_search_reaches_the_paper_s_ricci_flat_metrics(name, verdicts, seed):
+    # in dimension ≤ 5 a Lorentzian Ricci-flat nilpotent metric has a
+    # degenerate center; the search holds z ∈ Z ∩ [g,g] null on every iterate
+    # and reaches such a metric at a tolerance near rounding
+    spec = _stratum_spec(name, seed=seed, tol=1e-12)
+    result = run_search(spec)
+    assert result.converged and result.residual <= 1e-12
+    gram = result.best_gram.mat
+    report = MetricLieAlgebra(spec.algebra, result.best_gram).einstein_classify()
+    assert report.verdict in verdicts
+    center = classify_subspace(result.best_gram, spec.algebra.center())
+    assert center.tag is SubspaceTag.DEGENERATE
+    z = result.central_vector
+    assert z.shape == (spec.algebra.n,) and not z.flags.writeable
+    assert spec.algebra.center().contains(z) and spec.algebra.derived_ideal().contains(z)
+    assert abs(z @ gram @ z) <= 1e-12 * np.abs(gram).max()
+
+
+@pytest.mark.parametrize("name, seed", [("L5_4", 0), ("L5_7", 1)])
+def test_the_stratum_search_finds_nothing_where_no_ricci_flat_metric_exists(name, seed):
+    # L5_4 and L5_7 carry no Lorentzian Ricci-flat metric
+    result = run_search(_stratum_spec(name, seed=seed))
+    assert "converged" not in result.stop_reasons
+    assert not result.converged and result.best_gram is None
+    assert result.central_vector is not None
+
+
+@pytest.mark.parametrize(
+    "case, target, signature",
+    [
+        ("L4_3", "ricci-flat", (0, 4)),
+        ("L4_3", "ricci-flat", (2, 2)),
+        ("L4_3", "einstein", (1, 3)),
+        ("EX6", "ricci-flat", (1, 5)),  # Ricci-flat with a nondegenerate center
+        ("abelian", "ricci-flat", (1, 3)),
+        ("non-nilpotent", "ricci-flat", None),
+    ],
+)
+def test_only_lorentzian_ricci_flat_nilpotent_searches_up_to_dimension_5_hold_a_null_center(
+    case, target, signature
+):
+    algebra = LieAlgebra.abelian(4) if case == "abelian" else _case_algebra(case)
+    spec = SearchSpec(algebra, target=target, signature=signature or (1, algebra.n - 1))
+    assert _held_central_vector(spec) is None
+
+
+def test_the_stratum_start_and_steps_keep_the_central_vector_on_the_null_line():
+    spec = _stratum_spec("L5_2")
+    z = _held_central_vector(spec)
+    n = spec.algebra.n
+    e = _null_frame_vector(n)
+    assert abs(e @ np.diag(_lorentzian_signs(n)) @ e) <= 1e-16
+    # the reflected start sends A·z onto the line of ê and keeps every singular value
+    a = np.eye(n) + 0.1 * np.random.default_rng(3).standard_normal((4, n, n))
+    turned = _onto_null_line(a, z)
+    az = turned @ z
+    assert np.abs(az - np.linalg.norm(az, axis=1)[:, None] * e).max() <= 1e-14
+    sv = np.linalg.svd(a, compute_uv=False)
+    assert np.abs(np.linalg.svd(turned, compute_uv=False) - sv).max() <= 1e-14 * sv.max()
+    # S = {X : X·ê ∥ ê} has a Frobenius-orthonormal basis of n² − n + 1 members
+    basis = _stratum_directions(n)
+    assert basis.shape == (n * n - n + 1, n, n)
+    flat = basis.reshape(len(basis), -1)
+    assert np.abs(flat @ flat.T - np.eye(len(basis))).max() <= 1e-14
+    moved = basis @ e
+    assert np.abs(moved - np.outer(moved @ e, e)).max() <= 1e-14
