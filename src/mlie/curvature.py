@@ -74,7 +74,8 @@ class CurvatureReport:
 # depend on that layout), _raise_index or _lower_index, and nothing is solved.
 # ricci_operators alone assembles the 𝒥- and Levi-Civita routes; the bracket
 # form of the nilpotent Q, which the search and the bracket side of the trace
-# identity read, is q_bracket_operators.  Contractions are reshapes and
+# identity read, is q_bracket_operators, and the search's Jacobian reads its
+# exact differential, q_bracket_differentials.  Contractions are reshapes and
 # matmuls: at these sizes planning an einsum path costs more than doing it.
 # With ε fixed, the Koszul product and the S_i are linear in μ, and the Ricci
 # operators are quadratic.
@@ -134,19 +135,43 @@ def q_operators(s: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return -0.5 * j1 + 0.25 * j2
 
 
-def q_bracket_operators(mu: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Q = ¼Rᵀ, the Ricci operator of a nilpotent algebra from the bracket μ
-    alone, in the frame of the signs ε: R[k,l] = Σ_{ij} c♯[i,j,k] μ[i,j,l] −
-    2 Σ_{jp} μ[k,j,p] c♯[l,j,p] with c♯[i,j,p] = ε_i ε_j ε_p μ[i,j,p].  It is
-    the bracket side of the trace identity (trace_q_sides), ¼⟨R, E⟩ = tr(Q∘E)
-    for every E, and, with ε fixed, a quadratic form in μ."""
-    m, n = mu.shape[:2]
-    signs = eps[..., :, None, None] * eps[..., None, :, None] * eps[..., None, None, :]
-    c_sharp = mu * signs  # exact: each entry changes sign or not
-    # Rᵀ[l,k] = Σ_{ij} μ[i,j,l] c♯[i,j,k] − 2 Σ_{jp} c♯[l,j,p] μ[k,j,p]
-    rt = np.swapaxes(mu.reshape(m, n * n, n), -1, -2) @ c_sharp.reshape(m, n * n, n)
-    rt -= 2.0 * (c_sharp.reshape(m, n, n * n) @ np.swapaxes(mu.reshape(m, n, n * n), -1, -2))
+def _sharp(mu: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """μ♯[..., i,j,p] = ε_i ε_j ε_p μ[..., i,j,p], exact: each entry changes
+    sign or not."""
+    return mu * (eps[..., :, None, None] * eps[..., None, :, None] * eps[..., None, None, :])
+
+
+def _pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P(x, y) = ¼(xᵀ·y − 2·y·xᵀ) for stacks of brackets x and y (..., n, n, n),
+    their leading axes broadcast together: the first product on the (n², n)
+    reshapes, the second on the (n, n²) ones, so P(x, y)[l,k] = ¼(Σ_{ij}
+    x[i,j,l] y[i,j,k] − 2 Σ_{jp} y[l,j,p] x[k,j,p])."""
+    n = x.shape[-1]
+    x_cols, y_cols = (z.reshape(z.shape[:-3] + (n * n, n)) for z in (x, y))
+    x_rows, y_rows = (z.reshape(z.shape[:-3] + (n, n * n)) for z in (x, y))
+    rt = np.swapaxes(x_cols, -1, -2) @ y_cols
+    rt -= 2.0 * (y_rows @ np.swapaxes(x_rows, -1, -2))
     return 0.25 * rt
+
+
+def q_bracket_operators(mu: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Q = ¼Rᵀ = P(μ, μ♯), the Ricci operator of a nilpotent algebra from the
+    bracket μ alone, in the frame of the signs ε: R[k,l] = Σ_{ij} c♯[i,j,k]
+    μ[i,j,l] − 2 Σ_{jp} μ[k,j,p] c♯[l,j,p] with c♯ = μ♯.  It is the bracket
+    side of the trace identity (trace_q_sides), ¼⟨R, E⟩ = tr(Q∘E) for every
+    E, and, with ε fixed, a quadratic form in μ."""
+    return _pair_products(mu, _sharp(mu, eps))
+
+
+def q_bracket_differentials(mu: np.ndarray, eps: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """dQ[ν] = P(ν, μ♯) + η·P(ν, μ♯)ᵀ·η, the exact differential of
+    q_bracket_operators at the brackets μ (m, n, n, n) along the directions
+    ν (m, k, n, n, n), in the frame of the signs ε (n,) or (m, n): Q = P(μ, μ♯)
+    is bilinear in μ, and P(μ, ν♯) = η·P(ν, μ♯)ᵀ·η, so each direction costs
+    the two products of one P."""
+    e = eps[..., None, :]  # one row of signs for the k directions of each μ
+    p = _pair_products(nu, _sharp(mu[:, None], e))
+    return p + np.swapaxes(p, -1, -2) * (e[..., :, None] * e[..., None, :])
 
 
 def ricci_forms(lc: np.ndarray) -> np.ndarray:
@@ -217,7 +242,8 @@ def ricci_operators(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndar
 # in the input basis and their frames (ε, A, B), stacks of k or of one that
 # every member shares.  _CurvatureFacts is the one place a metric's curvature
 # facts are computed, on a stack, each on first read: MetricLieAlgebra keeps
-# them for its stack of one, and verify's checks take them once per group.
+# them for its stack of one, verify's checks take them once per group, and the
+# search's settle once per iteration.
 # Each decision is taken per member in the input basis, at the member's own
 # cutoff; an empty stack gives empty results.
 
@@ -284,22 +310,28 @@ def _flatness_defects(c: np.ndarray, lc: np.ndarray) -> Tuple[np.ndarray, np.nda
 
 class _CurvatureFacts:
     """The curvature facts of the metrics with brackets c (k, n, n, n), or one
-    bracket all share, in their frames (ε, A, B), where their brackets are μ =
-    A·c: stacks, one member per metric, each computed on first call from the
-    frame's Levi-Civita tensor and kept, so a caller pays only for what it
-    asks for.  ricci() is the Ricci operator moved back by B·X·A: the 𝒥-route
-    on a nilpotent algebra, cross-checked against η·ric (_check_routes), else
-    η·ric.  ricci_form() (moved back by Aᵀ·X·A), scalar() (tr η·ric),
-    levi_civita() (moved back by B) and flatness() (_flatness_defects) run no
-    cross-check, so they stay readable when the routes disagree."""
+    bracket all share, in their frames (ε, A, B): stacks, one member per
+    metric, each computed on first call and kept, so a caller pays only for
+    what it asks for.  brackets() is μ = A·c, the bracket in each frame; the
+    others are read from μ and the frame's Levi-Civita tensor.  ricci() is
+    the Ricci operator moved back by B·X·A: the 𝒥-route on a nilpotent
+    algebra, cross-checked against η·ric (_check_routes), else η·ric.
+    ricci_form() (moved back by Aᵀ·X·A), scalar() (tr η·ric), levi_civita()
+    (moved back by B) and flatness() (_flatness_defects) run no cross-check,
+    so they stay readable when the routes disagree."""
 
-    def __init__(self, c: np.ndarray, mu: np.ndarray, frame, nilpotent: bool) -> None:
-        self._c, self._mu, self._frame, self._nilpotent = c, mu, frame, nilpotent
+    def __init__(self, c: np.ndarray, frame, nilpotent: bool) -> None:
+        self._c, self._frame, self._nilpotent = c, frame, nilpotent
         self._memo = {}  # facts computed once, by method
 
     @_computed_once
+    def brackets(self) -> np.ndarray:
+        _, a, b = self._frame
+        return act_on_brackets(a, b, self._c)
+
+    @_computed_once
     def _frame_levi_civita(self) -> np.ndarray:
-        return levi_civita_tensors(self._mu, self._frame[0])
+        return levi_civita_tensors(self.brackets(), self._frame[0])
 
     @_computed_once
     def _frame_ricci(self) -> np.ndarray:
@@ -309,7 +341,7 @@ class _CurvatureFacts:
     def ricci(self) -> np.ndarray:
         ric = self._frame_ricci()
         if self._nilpotent:
-            ric = ricci_operators(self._mu, self._frame[0], True)
+            ric = ricci_operators(self.brackets(), self._frame[0], True)
             _check_routes(ric, self._frame_ricci())
         return _in_input_basis(self._frame, ric)
 
@@ -418,18 +450,14 @@ class MetricLieAlgebra:
         """X (1, n, n) of the frame in the input basis (_in_input_basis)."""
         return _in_input_basis(self._frame, x, form)[0]
 
-    @_computed_once
     def _brackets(self) -> np.ndarray:
-        """μ = A·c, the bracket in the frame (a stack of one)."""
-        _, a, b = self._frame
-        return act_on_brackets(a, b, self.algebra.c)
+        """μ = A·c, the bracket in the frame (a stack of one), kept with the facts."""
+        return self._curvature().brackets()
 
     @_computed_once
     def _curvature(self) -> _CurvatureFacts:
         """The _CurvatureFacts of the stack of one, read by every curvature method."""
-        return _CurvatureFacts(
-            self.algebra.c, self._brackets(), self._frame, self.algebra.is_nilpotent()
-        )
+        return _CurvatureFacts(self.algebra.c, self._frame, self.algebra.is_nilpotent())
 
     # -- curvature --------------------------------------------------------
 

@@ -7,19 +7,23 @@ A c(A⁻¹x, A⁻¹y), and Ric_G = A⁻¹ Ric_η(μ) A.  The search keeps η fix
 moves μ along its orbit, A ← (I+X)A with |det A| held at 1, towards a zero of
 r(μ) = (Ric_η(μ) − λ̂·Id)/‖μ‖², which does not change when the metric or the
 bracket is scaled (Lauret, Math. Ann. 2001).  On a nilpotent algebra
-Ric_η(μ) is taken from its bracket form Q = ¼Rᵀ (curvature.q_bracket_operators,
-two matmuls on μ), otherwise from the Levi-Civita route.  Ric_η(μ) is
-quadratic in μ, so its derivative along the orbit tangent ν = E·μ is exact
-by polarization, dRic[ν] = (Ric_η(μ+ν) − Ric_η(μ−ν))/2.  Every E in Der(μ) =
-A·Der(c)·A⁻¹ leaves μ fixed (ν = 0), so the Jacobian is built only on a
-Frobenius-orthonormal basis of the complement of Der(μ) in gl(n); the damped
-step is the same as on all of gl(n), and one iteration evaluates
-2(n² − dim Der(c)) sides per restart instead of 2n²:
+Ric_η(μ) is taken from its bracket form Q = P(μ, μ♯) = ¼Rᵀ
+(curvature.q_bracket_operators, two matmuls on μ), otherwise from the
+Levi-Civita route.  Q is bilinear in μ, so its derivative along the orbit
+tangent ν = E·μ is its exact differential dQ[ν] = P(ν, μ♯) + η·P(ν, μ♯)ᵀ·η
+(curvature.q_bracket_differentials), two matmuls per direction; the
+Levi-Civita route has no such form, and there the derivative is exact by
+polarization, dRic[ν] = (Ric_η(μ+ν) − Ric_η(μ−ν))/2, two Ricci evaluations
+per direction.  Every E in Der(μ) = A·Der(c)·A⁻¹ leaves μ fixed (ν = 0), so
+the Jacobian is built only on a Frobenius-orthonormal basis of the
+complement of Der(μ) in gl(n); the damped step is the same as on all of
+gl(n), and one iteration takes n² − dim Der(c) directions per restart
+instead of n²:
 
-    algebra                 L3_2  L4_2  L4_3  L5_2  EX8
-    sides on all of gl(n)     18    32    32    50  128
-    sides on the complement    6    12    18    18  104
-    sides on the stratum S    14    26    26    42    -
+    algebra                      L3_2  L4_2  L4_3  L5_2  EX8
+    directions on all of gl(n)      9    16    16    25   64
+    directions on the complement    3     6     9     9   52
+    directions on the stratum S     7    13    13    21    -
 
 The paper's theorem says where the Lorentzian Ricci-flat metrics of dimension
 n ≤ 5 are: every Lorentzian Einstein nilpotent metric there has a degenerate
@@ -47,8 +51,10 @@ one stacked forward call over those still searching, whose values the
 accepted ones keep.  Every operation acts on each restart alone, so a
 restart's trajectory does not depend on its stack mates; each one stops for
 its own reason (STOP_REASONS), and the whole search is deterministic for a
-fixed spec.  A restart converges only when one einstein_classify of its gram
-at VERDICT_TOL gives the target's verdict and ‖Ric − λ̂·Id‖_F ≤ spec.tol.
+fixed spec.  A restart converges only when the classification of its gram
+at VERDICT_TOL, the one einstein_classify gives, meets the target and
+‖Ric − λ̂·Id‖_F ≤ spec.tol; the restarts of one iteration that reach it are
+classified in one stacked call (_settle), each decided as its own metric is.
 Each forward call inverts its factors once, and B = A⁻¹ makes the bracket
 μ = A·c, the derivations A·Der(c)·B and Ric_G = B·Ric_η(μ)·A, which leaves
 the frame as a metric's operators do (MetricLieAlgebra._moved_back), with no
@@ -57,8 +63,8 @@ spec.tol of λ̂·Id but fails the verdict's Einstein test goes on with no
 classification.
 
 The forward and Jacobian calls hand the kernel the frame as its signs ε,
-η = diag(ε), so every product with η is a sign flip; settle and
-einstein_residual build a MetricLieAlgebra, which takes its gram's own frame.
+η = diag(ε), so every product with η is a sign flip; _settle and
+einstein_residual take each gram's own frame, as MetricLieAlgebra does.
 """
 from __future__ import annotations
 
@@ -72,13 +78,16 @@ from .curvature import (
     VERDICT_TOL,
     MetricLieAlgebra,
     Verdict,
+    _CurvatureFacts,
     _einstein_defects,
+    _frames,
+    q_bracket_differentials,
     q_bracket_operators,
     ricci_operators,
 )
-from .errors import DegenerateGram, InvalidInput, is_route_mismatch
+from .errors import InvalidInput, is_route_mismatch
 from .liealg import LieAlgebra, act_on_brackets, derivation_defects
-from .pseudolin import Gram, _cutoff, _nonnegative, nullspace
+from .pseudolin import Gram, _cutoff, _nonnegative, _symmetrized, nullspace
 
 TARGETS = ("einstein", "ricci-flat")
 
@@ -229,16 +238,23 @@ def _jacobians(
     """J[m] of shape (n², k), for brackets μ[m] ≠ 0 in the frame η = diag(eps)
     with Ricci operators ric[m] and matrices E = directions[m] (or one stack of
     them for every m) of shape (k, n, n): column j is the derivative of r at μ[m]
-    along the orbit tangent ν = E_j·μ.  One stacked _ricci call evaluates all
-    2k sides μ ± ν of every m."""
+    along the orbit tangent ν = E_j·μ.  On a nilpotent algebra dRic[ν] is the
+    exact differential of the bracket form, one stacked call for all k
+    directions of every m; otherwise one stacked call of the Levi-Civita route
+    evaluates the 2k sides μ ± ν, and dRic[ν] = (Ric_η(μ+ν) − Ric_η(μ−ν))/2."""
     m, n = mu.shape[:2]
     nu = derivation_defects(mu[:, None], directions)
     k = nu.shape[1]
-    sides = np.concatenate([mu[:, None] + nu, mu[:, None] - nu]).reshape(-1, n, n, n)
-    plus, minus = _deviations(_ricci(sides, eps, nilpotent), einstein).reshape(2, m, k, n, n)
     sq = _sq_norms(mu)[:, None, None, None]
+    if nilpotent:
+        d_ric = q_bracket_differentials(mu, eps, nu).reshape(m * k, n, n)
+        d_dev = _deviations(d_ric, einstein).reshape(m, k, n, n) / sq
+    else:
+        sides = np.concatenate([mu[:, None] + nu, mu[:, None] - nu]).reshape(-1, n, n, n)
+        plus, minus = _deviations(ricci_operators(sides, eps, False), einstein).reshape(2, m, k, n, n)
+        d_dev = (plus - minus) / (2.0 * sq)
     d_sq = 2.0 * (nu.reshape(m, k, -1) @ mu.reshape(m, -1, 1))[..., None]  # d‖μ‖²[ν]
-    d_r = (plus - minus) / (2.0 * sq) - _deviations(ric, einstein)[:, None] * d_sq / sq**2
+    d_r = d_dev - _deviations(ric, einstein)[:, None] * d_sq / sq**2
     return d_r.reshape(m, k, n * n).transpose(0, 2, 1)
 
 
@@ -310,6 +326,61 @@ def _damped_steps(
     return x * (_MAX_STEP / np.maximum(_norms(x), _MAX_STEP))[:, None, None]
 
 
+def _classified(c: np.ndarray, frame, nilpotent: bool) -> list:
+    """(verdict, Ricci operator) of each metric with brackets c in its frame
+    (ε, A, B), as einstein_classify(VERDICT_TOL) of the metric alone gives
+    them, or None for a member whose Ricci routes disagree: one stacked call,
+    and, only when some member's routes disagree, which fails its whole
+    stack, one call per member."""
+    try:
+        facts = _CurvatureFacts(c, frame, nilpotent)
+        return list(zip(facts.verdicts(VERDICT_TOL)[0], facts.ricci()))
+    except RuntimeError as err:
+        if not is_route_mismatch(err):
+            raise
+    if len(frame[0]) == 1:
+        return [None]
+    return [
+        one
+        for r in range(len(frame[0]))
+        for one in _classified(c, tuple(x[r : r + 1] for x in frame), nilpotent)
+    ]
+
+
+def _settle(
+    spec: SearchSpec, eta: np.ndarray, a: np.ndarray, ric_g: np.ndarray, residual: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(stop reasons, residuals) of the restarts with factors a (k, n, n) whose
+    Ricci operators ric_g = Ric_G are within spec.tol of λ̂·Id, at their
+    residuals (k,).  Only the members whose Ric_G passes the verdict's
+    Einstein test are classified, once and together: their grams AᵀηA, built
+    as Gram builds them, take one _frames call and one _classified call.  A
+    member stops "degenerating" when its gram is degenerate or its Ricci
+    routes disagree, and "converged" when its classification's residual is
+    within spec.tol and its verdict meets the target; with "" it goes on, at
+    that residual, or at its own when it was not classified."""
+    reasons = np.full(len(a), "", dtype=object)
+    residual = residual.copy()
+    _, defect, cut = _einstein_defects(ric_g, VERDICT_TOL)
+    idx = np.flatnonzero(defect <= cut)
+    if not idx.size:
+        return reasons, residual
+    mats = _symmetrized(a[idx].swapaxes(-1, -2) @ eta @ a[idx])
+    frame, degenerate = _frames(mats, spec.algebra.tol)
+    reasons[idx[degenerate]] = "degenerating"
+    idx = idx[~degenerate]
+    frame = tuple(x[~degenerate] for x in frame)
+    for i, one in zip(idx, _classified(spec.algebra.c, frame, spec.algebra.is_nilpotent())):
+        if one is None:
+            reasons[i] = "degenerating"
+            continue
+        verdict, ric = one
+        residual[i] = _residuals(ric[None], spec.target == "einstein")[0]
+        if residual[i] <= spec.tol and verdict in _TARGET_VERDICTS[spec.target]:
+            reasons[i] = "converged"
+    return reasons, residual
+
+
 def run_search(spec: SearchSpec) -> SearchResult:
     """Multi-restart Levenberg–Marquardt on the scale-free residual.  The
     winner is the converged restart of smallest residual, or, when none
@@ -340,31 +411,14 @@ def run_search(spec: SearchSpec) -> SearchResult:
     f_checkpoint = np.full(count, np.inf)
     reasons = np.full(count, "", dtype=object)
 
-    def settle(i: int, ric_g: np.ndarray) -> Tuple[str, float]:
-        """(stop reason, residual) of restart i, whose Ricci operator ric_g =
-        Ric_G is within spec.tol of λ̂·Id.  Only when Ric_G passes the
-        verdict's Einstein test is its gram classified, once: the reason is
-        "converged" when the classifier's residual is within spec.tol and its
-        verdict meets the target, and "" to go on."""
-        _, (defect,), (cut,) = _einstein_defects(ric_g[None], VERDICT_TOL)
-        if defect > cut:
-            return "", residual[i]
-        try:
-            report = MetricLieAlgebra(algebra, Gram(a[i].T @ eta @ a[i])).einstein_classify(VERDICT_TOL)
-        except (DegenerateGram, RuntimeError) as err:
-            if not (isinstance(err, DegenerateGram) or is_route_mismatch(err)):
-                raise  # NotLie, NotNilpotent, NotApplicable
-            return "degenerating", residual[i]
-        value = float(_residuals(report.ricci_operator[None], einstein)[0])
-        met = value <= spec.tol and report.verdict in _TARGET_VERDICTS[spec.target]
-        return ("converged" if met else ""), value
-
     running = np.arange(count)
     while True:
         ric_g = b[running] @ ric[running] @ a[running]
         residual[running] = _residuals(ric_g, einstein)
-        for k in np.flatnonzero(residual[running] <= spec.tol):
-            reasons[running[k]], residual[running[k]] = settle(running[k], ric_g[k])
+        near = np.flatnonzero(residual[running] <= spec.tol)
+        if near.size:
+            idx = running[near]
+            reasons[idx], residual[idx] = _settle(spec, eta, a[idx], ric_g[near], residual[idx])
         running = running[reasons[running] == ""]
         reasons[running[np.linalg.cond(a[running]) > _MAX_COND]] = "degenerating"
         running = running[reasons[running] == ""]

@@ -262,9 +262,8 @@ def check_classified_ricci_flat(tol: float) -> _Claim:
             if m != 1:  # the signature (m, n − m, 0)
                 fail(draw, f"signature {(m, algebra.n - m, 0)}")
         lorentzian = minus == 1
-        eps, a, b = (x[lorentzian] for x in frame)
-        mu = act_on_brackets(a, b, algebra.c)
-        ric = _CurvatureFacts(algebra.c, mu, (eps, a, b), algebra.is_nilpotent()).ricci()
+        lorentz_frame = tuple(x[lorentzian] for x in frame)
+        ric = _CurvatureFacts(algebra.c, lorentz_frame, algebra.is_nilpotent()).ricci()
         peaks = np.abs(ric).max(axis=(1, 2), initial=0.0).tolist()
         for draw, resid in zip(itertools.compress(group, lorentzian), peaks):
             worst = max(worst, resid)
@@ -286,8 +285,7 @@ def check_flatness(tol: float) -> _Claim:
     witness = np.inf
     for algebra, group, _, frame in _variant_groups(draws, fail):
         # flatness_defect() of each metric
-        mu = act_on_brackets(frame[1], frame[2], algebra.c)
-        defects, scales = _CurvatureFacts(algebra.c, mu, frame, algebra.is_nilpotent()).flatness()
+        defects, scales = _CurvatureFacts(algebra.c, frame, algebra.is_nilpotent()).flatness()
         for draw, defect, scale in zip(group, defects.tolist(), scales.tolist()):
             _, mv, params, _ = draw
             if mv.name == "m43" and params["eps"] == 1.0:
@@ -520,9 +518,8 @@ def _verdict_layers(trials: List[int], c: np.ndarray, frame, tol: float, fail):
     or not of signature (1, n − 1); for the others, stacks of none or more,
     their trial numbers, brackets c, brackets μ = A·c in the frame, the peaks
     ‖Ric‖∞, verdicts and center rows."""
-    eps, a, b = frame
     n = c.shape[1]
-    minus = int(np.count_nonzero(eps < 0))
+    minus = int(np.count_nonzero(frame[0] < 0))
     unit = _unit(c)
     keep = []
     for r, series in enumerate(_lower_central_series(unit, DEFAULT_TOL)):
@@ -533,10 +530,9 @@ def _verdict_layers(trials: List[int], c: np.ndarray, frame, tol: float, fail):
         else:
             keep.append(r)
     trials, c, unit = [trials[r] for r in keep], c[keep], unit[keep]
-    mu = act_on_brackets(a, b, c)
-    facts = _CurvatureFacts(c, mu, frame, True)
+    facts = _CurvatureFacts(c, frame, True)
     peaks = np.abs(facts.ricci()).max(axis=(1, 2), initial=0.0)
-    return trials, c, mu, peaks, facts.verdicts(tol)[0], _centers(unit, DEFAULT_TOL)
+    return trials, c, facts.brackets(), peaks, facts.verdicts(tol)[0], _centers(unit, DEFAULT_TOL)
 
 
 @_check("double-extension")
@@ -589,8 +585,7 @@ def check_double_extension(tol: float) -> _Claim:
     for trials, (k, d, mu, _) in general:
         predicted[trials] = _ricci_ebars(k, d, mu)
     for trials, c, frame in _extension_groups(general, functools.partial(fail, 1)):
-        mu = act_on_brackets(frame[1], frame[2], c)
-        forms = _CurvatureFacts(c, mu, frame, False).ricci_form()  # ricci_via_definition
+        forms = _CurvatureFacts(c, frame, False).ricci_form()  # ricci_via_definition
         for trial, pred, obs in zip(trials, predicted[trials].tolist(), forms[:, -1, -1].tolist()):
             scale = max(1.0, abs(obs))
             diff = abs(pred - obs)

@@ -264,8 +264,9 @@ TOL_DECISIONS = {
     "decompose": {"require_jacobi", "is_nilpotent", "center", "orthonormal_basis"},
     "classify": {"require_jacobi", "is_nilpotent", "center", "derived_ideal", "orthonormal_basis", "signature"},
     "derivations": {"require_jacobi", "derivation_space"},
-    # a Lorentzian L3_2 search holds a vector of Z ∩ [g,g] null
-    "search": {"require_jacobi", "is_nilpotent", "center", "derived_ideal", "orthonormal_basis"},
+    # a Lorentzian L3_2 search holds a vector of Z ∩ [g,g] null, and its
+    # settle takes the frames of the converging restarts' grams as one stack
+    "search": {"require_jacobi", "is_nilpotent", "center", "derived_ideal", "_orthonormal_bases"},
 }
 
 
@@ -292,10 +293,16 @@ def test_tol_reaches_every_nilpotency_and_inertia_decision(tmp_path, capsys, mon
     algebra_cls = mlie.liealg.LieAlgebra
     for name in STRUCTURE_METHODS:
         monkeypatch.setattr(algebra_cls, name, spy_method(getattr(algebra_cls, name)))
-    # every inertia decision is taken by orthonormal_basis (a metric's build)
+    # every inertia decision is taken by orthonormal_basis (a metric's build),
+    # _orthonormal_bases (a stack's frames, which orthonormal_basis reads too)
     # or signature (a subspace's class), each patched wherever a module holds
     # it, since modules look names up in their own globals
-    for decide in (mlie.pseudolin.orthonormal_basis, mlie.pseudolin.signature):
+    decisions = (
+        mlie.pseudolin.orthonormal_basis,
+        mlie.pseudolin._orthonormal_bases,
+        mlie.pseudolin.signature,
+    )
+    for decide in decisions:
         params = inspect.signature(decide)
 
         @functools.wraps(decide)

@@ -334,9 +334,9 @@ def test_a_fresh_metric_takes_its_verdict_in_one_stacked_call(monkeypatch):
     calls = []
     facts = mlie.curvature._CurvatureFacts
 
-    def spy(c, mu, frame, nilpotent):
-        calls.append(len(mu))
-        return facts(c, mu, frame, nilpotent)
+    def spy(c, frame, nilpotent):
+        calls.append(len(frame[0]))
+        return facts(c, frame, nilpotent)
 
     monkeypatch.setattr(mlie.curvature, "_CurvatureFacts", spy)
     m = MetricLieAlgebra(make_algebra("L5_6"), random_gram(5, np.random.default_rng(5)))

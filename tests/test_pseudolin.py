@@ -353,9 +353,14 @@ def _empty_facts():
     """The curvature facts of no metric of L4_3, in the frames of no gram."""
     c = make_algebra("L4_3").c
     frame, _ = curvature._frames(np.zeros((0, 4, 4)), DEFAULT_TOL)
-    facts = curvature._CurvatureFacts(c, np.zeros((0, 4, 4, 4)), frame, True)
+    facts = curvature._CurvatureFacts(c, frame, True)
     return (
-        facts.ricci(), facts.ricci_form(), facts.scalar(), facts.levi_civita(), *facts.flatness()
+        facts.brackets(),
+        facts.ricci(),
+        facts.ricci_form(),
+        facts.scalar(),
+        facts.levi_civita(),
+        *facts.flatness(),
     )
 
 

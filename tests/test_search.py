@@ -5,12 +5,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mlie.curvature
 from mlie import search
-from mlie.catalog import make_algebra
-from mlie.curvature import VERDICT_TOL, MetricLieAlgebra, Verdict
+from mlie.catalog import make_algebra, make_metric
+from mlie.curvature import (
+    VERDICT_TOL,
+    MetricLieAlgebra,
+    Verdict,
+    _einstein_defects,
+    q_bracket_differentials,
+    q_bracket_operators,
+    structure_endo_tensors,
+)
 from mlie.doubleext import extend, random_admissible
-from mlie.errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
-from mlie.liealg import LieAlgebra
+from mlie.errors import DegenerateGram, InvalidInput, NotNilpotent, is_route_mismatch
+from mlie.liealg import LieAlgebra, derivation_defects
 from mlie.pseudolin import Gram, SubspaceTag, classify_subspace
 from mlie.search import (
     STOP_REASONS,
@@ -23,6 +32,7 @@ from mlie.search import (
     _onto_null_line,
     _orbit_directions,
     _residuals,
+    _settle,
     _stratum_directions,
     einstein_residual,
     run_search,
@@ -167,7 +177,8 @@ def _case_algebra(case):
 @pytest.mark.parametrize("target", ["einstein", "ricci-flat"])
 def test_residual_gradient_matches_central_differences(case, target):
     # the derivative of the scale-free residual is its Jacobian along the
-    # orbit tangents E·μ, exact by polarization of the quadratic Ric_η(μ)
+    # orbit tangents E·μ: the exact differential of the bracket form on a
+    # nilpotent algebra, polarization of the Levi-Civita route otherwise
     algebra = _case_algebra(case)
     n, nilpotent, einstein = algebra.n, algebra.is_nilpotent(), target == "einstein"
     eps = _lorentzian_signs(n)
@@ -195,6 +206,48 @@ def test_residual_gradient_matches_central_differences(case, target):
     fd = ((up - down) / (2.0 * h)).reshape(n * n, n * n).T
     assert np.abs(fd).max() > 1e-2  # the residual moves along the orbit
     assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def _polarized_jacobians(mu, ric, eps, einstein, directions):
+    """The Jacobians of r at the brackets μ (m, n, n, n) along ν = E·μ by
+    polarization of the bracket form: dQ[ν] = (Q(μ+ν) − Q(μ−ν))/2, with
+    r = (Q − λ̂·Id)/‖μ‖² differentiated by the quotient rule."""
+    m, n = mu.shape[:2]
+    nu = derivation_defects(mu[:, None], directions)
+    k = nu.shape[1]
+    sides = [q_bracket_operators((mu[:, None] + t * nu).reshape(-1, n, n, n), eps) for t in (1, -1)]
+    d_ric = ((sides[0] - sides[1]) / 2.0).reshape(m, k, n, n)
+    dev = ric.copy()
+    if einstein:
+        d_ric -= np.einsum("mkii->mk", d_ric)[..., None, None] / n * np.eye(n)
+        dev -= np.einsum("mii->m", ric)[:, None, None] / n * np.eye(n)
+    sq = np.einsum("mijk,mijk->m", mu, mu)[:, None, None, None]
+    d_sq = 2.0 * np.einsum("mkijl,mijl->mk", nu, mu)[..., None, None]
+    d_r = d_ric / sq - dev[:, None] * d_sq / sq**2
+    return d_r.reshape(m, k, n * n).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("case", ["L3_2", "L4_3", "L5_2", "EX8"])
+@pytest.mark.parametrize("target", ["einstein", "ricci-flat"])
+def test_the_differential_jacobian_equals_polarization(case, target):
+    # Q = P(μ, μ♯) is quadratic in μ, so the exact differential of the bracket
+    # form gives the Jacobian that polarization on the sides μ ± ν gives, on
+    # the unit matrices and on the stratum's basis, up to rounding
+    algebra = _case_algebra(case)
+    n, einstein = algebra.n, target == "einstein"
+    eps = _lorentzian_signs(n)
+    a = np.eye(n) + 0.3 * np.random.default_rng(17).normal(size=(3, n, n))
+    _, mu, ric, _ = _forward(a, algebra.c, eps, True, einstein)
+    for directions in (np.eye(n * n).reshape(n * n, n, n), _stratum_directions(n)):
+        jac = _jacobians(mu, ric, eps, True, einstein, directions)
+        want = _polarized_jacobians(mu, ric, eps, einstein, directions)
+        assert jac.shape == want.shape == (3, n * n, len(directions))
+        assert np.abs(want).max() > 1e-2  # the residual moves along the orbit
+        assert np.abs(jac - want).max() <= 1e-12 * np.abs(want).max()
+    # dQ[μ] = 2·Q(μ): the differential of a quadratic form along its point
+    q = q_bracket_operators(mu, eps)
+    dq = q_bracket_differentials(mu, eps, mu[:, None])[:, 0]
+    assert np.abs(dq - 2.0 * q).max() <= 1e-12 * np.abs(q).max()
 
 
 @pytest.mark.parametrize("case", ["L4_3", "L5_2", "EX8", "non-nilpotent"])
@@ -302,17 +355,14 @@ def test_unreachable_targets_stop_before_the_budget(algebra, target, signature, 
 
 
 def test_settle_stops_a_restart_whose_ricci_routes_disagree(monkeypatch):
-    # every L3_2 restart reaches the classifier, which here always fails its
-    # cross-check: each one stops as degenerating, none converges
-    calls = []
-
-    def mismatch(self, tol):
-        calls.append(tol)
-        raise RuntimeError(ROUTE_MISMATCH)
-
-    monkeypatch.setattr(MetricLieAlgebra, "einstein_classify", mismatch)
+    # every L3_2 restart reaches the classifier at iteration 0, whose
+    # cross-check here always fails: the stack of 8 fails, each member is then
+    # decided alone and stops as degenerating, and none converges
+    calls = _classifications(monkeypatch)
+    exact_q = mlie.curvature.q_operators
+    monkeypatch.setattr(mlie.curvature, "q_operators", lambda s, eps: exact_q(s, eps) + 1.0)
     result = run_search(SearchSpec(make_algebra("L3_2"), signature=(1, 2), seed=0))
-    assert len(calls) == 8
+    assert calls == [8] + [1] * 8
     assert result.stop_reasons == ("degenerating",) * 8
     assert not result.converged and result.best_gram is None
 
@@ -322,9 +372,78 @@ def test_settle_lets_other_errors_through(error, monkeypatch):
     def raising(self, tol):
         raise error
 
-    monkeypatch.setattr(MetricLieAlgebra, "einstein_classify", raising)
+    monkeypatch.setattr(mlie.curvature._CurvatureFacts, "verdicts", raising)
     with pytest.raises(type(error)):
         run_search(SearchSpec(make_algebra("L3_2"), signature=(1, 2), seed=0))
+
+
+def _settled_alone(spec, eta, a, ric_g, residual):
+    """(stop reason, residual, report or None) of one restart with factor a,
+    decided by its own metric: its gram AᵀηA classified by MetricLieAlgebra."""
+    _, (defect,), (cut,) = _einstein_defects(ric_g[None], VERDICT_TOL)
+    if defect > cut:
+        return "", residual, None
+    try:
+        report = MetricLieAlgebra(spec.algebra, Gram(a.T @ eta @ a)).einstein_classify(VERDICT_TOL)
+    except (DegenerateGram, RuntimeError) as err:
+        assert isinstance(err, DegenerateGram) or is_route_mismatch(err)
+        return "degenerating", residual, None
+    value = _residuals(report.ricci_operator[None], spec.target == "einstein")[0]
+    met = value <= spec.tol and report.verdict in (Verdict.RICCI_FLAT, Verdict.FLAT)
+    return ("converged" if met else ""), value, report
+
+
+def test_a_stacked_settle_decides_each_member_alone(monkeypatch):
+    # one stack of L4_2 restarts: Ricci-flat catalog metrics, metrics that
+    # fail the Einstein test, one degenerate gram, and one metric whose Ricci
+    # routes are forced apart.  The stack's verdict fails on the mismatch, so
+    # its members are decided one by one; every member's reason and residual
+    # are those its own metric gives, bit for bit
+    algebra = make_algebra("L4_2")
+    spec = SearchSpec(algebra, signature=(1, 3))
+    eta = np.diag(_lorentzian_signs(4))
+    rng = np.random.default_rng(7)
+    metrics = [make_metric("L4_2", "m42", {"alpha": alpha, "a": x}) for alpha, x in
+               [(1.0, 0.3), (-2.0, -0.5), (0.5, 0.0), (3.0, 0.9), (1.5, -0.2)]]
+    for _ in range(2):
+        f = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
+        metrics.append(MetricLieAlgebra(algebra, Gram(f.T @ eta @ f)))
+    factors = [m._frame[1][0] for m in metrics]
+    assert all(np.array_equal(m._frame[0][0], np.diag(eta)) for m in metrics)
+    ric_g = [m.ricci_operator() for m in metrics]
+    forced = 1  # the member whose routes disagree
+    factors.append(np.diag([1.0, 1.0, 1.0, 0.0]) @ factors[0])  # a degenerate gram
+    ric_g.append(np.zeros((4, 4)))
+    a, ric_g = np.array(factors), np.array(ric_g)
+    residual = np.arange(len(a)) + 0.5
+
+    target = structure_endo_tensors(metrics[forced]._brackets(), metrics[forced]._frame[0])
+    exact_q = mlie.curvature.q_operators
+
+    def apart(s, eps):
+        hit = np.abs(s - target).max(axis=(1, 2, 3)) <= 1e-9 * np.abs(target).max()
+        return exact_q(s, eps) + hit[:, None, None]
+
+    monkeypatch.setattr(mlie.curvature, "q_operators", apart)
+    alone = [_settled_alone(spec, eta, *member) for member in zip(a, ric_g, residual)]
+    calls = _classifications(monkeypatch)
+    decided = []
+    classified = search._classified
+    monkeypatch.setattr(
+        search, "_classified", lambda *args: decided.append(classified(*args)) or decided[-1]
+    )
+    reasons, got = _settle(spec, eta, a, ric_g, residual)
+    assert calls == [5] + [1] * 5  # the Ricci-flat metrics, stacked and then alone
+    assert [reason for reason, *_ in alone] == list(reasons)
+    assert [value for _, value, _ in alone] == got.tolist()
+    # the verdicts and Ricci operators of the members, as settle read them
+    for one, (_, _, report) in zip(decided[-1], alone):
+        assert (one is None) == (report is None)
+        if one is not None:
+            assert one[0] is report.verdict
+            assert one[1].tobytes() == report.ricci_operator.tobytes()
+    assert list(reasons) == ["converged", "degenerating"] + ["converged"] * 3 + ["", "", "degenerating"]
+    assert got[[1, 5, 6, 7]].tolist() == [1.5, 5.5, 6.5, 7.5]  # residuals of the unclassified
 
 
 @pytest.mark.parametrize("name, signature", [("L3_2", (1, 2)), ("L4_2", (1, 3)), ("L5_2", (1, 4))])
@@ -338,13 +457,14 @@ def test_residual_of_a_converged_search_is_its_einstein_residual(name, signature
 
 
 def _classifications(monkeypatch):
-    """The tol of every einstein_classify call, recorded as it is made."""
+    """The size of every stack of metrics settle classifies, recorded as its
+    curvature facts are made."""
     calls = []
-    classify = MetricLieAlgebra.einstein_classify
+    facts = search._CurvatureFacts
     monkeypatch.setattr(
-        MetricLieAlgebra,
-        "einstein_classify",
-        lambda self, tol=VERDICT_TOL: calls.append(tol) or classify(self, tol),
+        search,
+        "_CurvatureFacts",
+        lambda c, frame, nilpotent: calls.append(len(frame[0])) or facts(c, frame, nilpotent),
     )
     return calls
 
@@ -358,15 +478,15 @@ def test_settle_classifies_only_restarts_that_converge(name, signature, seed, mo
     calls = _classifications(monkeypatch)
     result = run_search(SearchSpec(make_algebra(name), signature=signature, seed=seed))
     assert result.converged
-    assert len(calls) == result.stop_reasons.count("converged")
+    assert sum(calls) == result.stop_reasons.count("converged")
 
 
 @pytest.mark.parametrize("signature", [(0, 3), (1, 2)])
 def test_einstein_target_with_nonzero_lambda_is_classified_once_per_restart(signature, monkeypatch):
     # every metric on the algebra of real hyperbolic space, [e0, ei] = ei, is
     # Einstein with λ ≠ 0: each restart's Ric_G = B·Ric_η·A, measured at the
-    # loop top, passes settle's test and is classified once, at iteration 0;
-    # settle evaluates no Ricci operator of its own
+    # loop top, passes settle's test and is classified once, at iteration 0,
+    # all 8 in one stack; settle evaluates no Ricci operator of its own
     algebra = LieAlgebra.from_brackets(3, {(0, 1): {1: 1.0}, (0, 2): {2: 1.0}})
     calls = _classifications(monkeypatch)
     ricci_callers = Counter()
@@ -378,7 +498,7 @@ def test_einstein_target_with_nonzero_lambda_is_classified_once_per_restart(sign
     )
     result = run_search(SearchSpec(algebra, target="einstein", signature=signature, seed=0))
     assert result.stop_reasons == ("converged",) * 8 and result.iterations == 0
-    assert len(calls) == 8
+    assert calls == [8]
     assert set(ricci_callers) == {"_forward"}  # none from settle
     report = MetricLieAlgebra(algebra, result.best_gram).einstein_classify()
     assert report.verdict is Verdict.EINSTEIN and abs(report.einstein_lambda) > 1.0
