@@ -278,11 +278,10 @@ def _in_input_basis(frame, x: np.ndarray, form: bool = False) -> np.ndarray:
     return (y + y.swapaxes(-1, -2)) / 2.0 if form else y
 
 
-def _check_routes(ric_nil: np.ndarray, ric_def: np.ndarray) -> None:
-    """The Ricci cross-check in the frames: RuntimeError(ROUTE_MISMATCH) when a
-    member's 𝒥-route and definitional route differ beyond _cutoff(1e-6, Q)."""
-    if any(_peaks(np.abs(ric_nil - ric_def)) > _cutoff(1e-6, ric_nil, stack=True)):
-        raise RuntimeError(ROUTE_MISMATCH)
+def _check_routes(ric_nil: np.ndarray, ric_def: np.ndarray) -> np.ndarray:
+    """The Ricci cross-check in the frames, per member (k,): True where the
+    𝒥-route and the definitional route agree within _cutoff(1e-6, Q)."""
+    return ~(_peaks(np.abs(ric_nil - ric_def)) > _cutoff(1e-6, ric_nil, stack=True))
 
 
 def _curvature_tensors(c: np.ndarray, lc: np.ndarray) -> np.ndarray:
@@ -313,12 +312,15 @@ class _CurvatureFacts:
     bracket all share, in their frames (ε, A, B): stacks, one member per
     metric, each computed on first call and kept, so a caller pays only for
     what it asks for.  brackets() is μ = A·c, the bracket in each frame; the
-    others are read from μ and the frame's Levi-Civita tensor.  ricci() is
-    the Ricci operator moved back by B·X·A: the 𝒥-route on a nilpotent
-    algebra, cross-checked against η·ric (_check_routes), else η·ric.
+    others are read from μ and the frame's Levi-Civita tensor.
+    ricci_unchecked() is the Ricci operator moved back by B·X·A: the 𝒥-route
+    on a nilpotent algebra, else η·ric.  routes_agree() says per member
+    whether it passes the cross-check against η·ric (_check_routes; every
+    member does off a nilpotent algebra); ricci() is ricci_unchecked() when
+    every member passes, and raises RuntimeError(ROUTE_MISMATCH) otherwise.
     ricci_form() (moved back by Aᵀ·X·A), scalar() (tr η·ric), levi_civita()
-    (moved back by B) and flatness() (_flatness_defects) run no cross-check,
-    so they stay readable when the routes disagree."""
+    (moved back by B), flatness() (_flatness_defects) and verdicts() run no
+    cross-check, so they stay readable when the routes disagree."""
 
     def __init__(self, c: np.ndarray, frame, nilpotent: bool) -> None:
         self._c, self._frame, self._nilpotent = c, frame, nilpotent
@@ -338,12 +340,25 @@ class _CurvatureFacts:
         return _raise_index(self._frame[0], ricci_forms(self._frame_levi_civita()))  # η·ric
 
     @_computed_once
-    def ricci(self) -> np.ndarray:
-        ric = self._frame_ricci()
+    def _frame_operators(self) -> np.ndarray:
         if self._nilpotent:
-            ric = ricci_operators(self.brackets(), self._frame[0], True)
-            _check_routes(ric, self._frame_ricci())
-        return _in_input_basis(self._frame, ric)
+            return ricci_operators(self.brackets(), self._frame[0], True)
+        return self._frame_ricci()
+
+    @_computed_once
+    def routes_agree(self) -> np.ndarray:
+        if not self._nilpotent:  # η·ric is the operator itself
+            return np.ones(len(self._frame[0]), dtype=bool)
+        return _check_routes(self._frame_operators(), self._frame_ricci())
+
+    @_computed_once
+    def ricci_unchecked(self) -> np.ndarray:
+        return _in_input_basis(self._frame, self._frame_operators())
+
+    def ricci(self) -> np.ndarray:
+        if not self.routes_agree().all():
+            raise RuntimeError(ROUTE_MISMATCH)
+        return self.ricci_unchecked()
 
     @_computed_once
     def ricci_form(self) -> np.ndarray:
@@ -363,8 +378,8 @@ class _CurvatureFacts:
         return _flatness_defects(self._c, self.levi_civita())
 
     def verdicts(self, tol: float) -> Tuple[list, list, list, list]:
-        """The rule _verdicts on ricci() and flatness() at tol."""
-        return _verdicts(self.ricci(), *self.flatness(), tol)
+        """The rule _verdicts on ricci_unchecked() and flatness() at tol."""
+        return _verdicts(self.ricci_unchecked(), *self.flatness(), tol)
 
 
 @functools.lru_cache(maxsize=None)

@@ -272,10 +272,16 @@ def derivation_defects(c: np.ndarray, e: np.ndarray) -> np.ndarray:
     broadcast together.  Bilinear in (c, E); d is also the velocity of the
     bracket c under the change of basis I + tE at t = 0."""
     n = c.shape[-1]
+    lead = c.shape[:-3]
     et = np.swapaxes(e, -1, -2)
-    t = et[..., None, :, :]
-    e_left = et @ c.reshape(c.shape[:-3] + (n, n * n))  # [Ee_i, e_j]
-    return c @ t - e_left.reshape(e_left.shape[:-1] + (n, n)) - t @ c
+    image = c.reshape(lead + (n * n, n)) @ et  # E[e_i, e_j]
+    e_left = et @ c.reshape(lead + (n, n * n))  # [Ee_i, e_j]
+    # [e_i, Ee_j], at [j, i, :]: one product with c, its first two axes swapped
+    e_right = et @ np.swapaxes(c, -3, -2).reshape(lead + (n, n * n))
+    d = image.reshape(image.shape[:-2] + (n, n, n))
+    d -= e_left.reshape(d.shape)
+    d -= np.swapaxes(e_right.reshape(d.shape), -3, -2)
+    return d
 
 
 def act_on_brackets(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

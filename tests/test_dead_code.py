@@ -3,6 +3,8 @@ an import a module never uses, or a private helper, class, type alias or
 constant that nothing in the package reads, is code that only tests or nothing
 keep alive."""
 import ast
+import re
+import tokenize
 from pathlib import Path
 
 import mlie
@@ -91,3 +93,64 @@ def test_every_private_class_alias_and_constant_is_read_in_the_package():
         if name not in used
     ]
     assert unused == []
+
+
+#: a private name cited in prose: `_name`, `module._name` or `(_name`, not a
+#: math subscript such as |λ|_max, ‖X‖_F or e_k, whose `_` follows a symbol or
+#: a letter
+_CITED = re.compile(r"(?:(?<=[\s.(\[,`])|^)(_[A-Za-z]\w*)", re.MULTILINE)
+
+
+def _defined_names() -> set:
+    """Every name the package's code defines or reads: functions, classes,
+    arguments, bare names and attributes."""
+    names = set()
+    for tree in _SOURCES.values():
+        names |= _names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+    return names
+
+
+def _stale(text: str, where: str, defined: set) -> list:
+    return sorted(
+        {f"{where} {name}" for name in _CITED.findall(text) if not name.endswith("__")} - {
+            f"{where} {name}" for name in defined
+        }
+    )
+
+
+def test_every_private_name_the_readme_cites_exists_in_the_package():
+    readme = (_PACKAGE.parents[1] / "README.md").read_text()
+    spans = "\n".join(re.findall(r"`([^`\n]+)`", readme))
+    assert _stale(spans, "README.md", _defined_names()) == []
+
+
+def _prose(path: Path) -> str:
+    """The docstrings and comments of a module."""
+    tree = _SOURCES[path.name]
+    docs = [
+        ast.get_docstring(node) or ""
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+    ]
+    with path.open() as source:
+        comments = [
+            token.string
+            for token in tokenize.generate_tokens(source.readline)
+            if token.type == tokenize.COMMENT
+        ]
+    return "\n".join(docs + comments)
+
+
+def test_every_private_name_a_docstring_or_comment_cites_exists_in_the_package():
+    defined = _defined_names()
+    stale = [
+        entry
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for entry in _stale(_prose(path), path.name, defined)
+    ]
+    assert stale == []

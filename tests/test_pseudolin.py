@@ -356,6 +356,7 @@ def _empty_facts():
     facts = curvature._CurvatureFacts(c, frame, True)
     return (
         facts.brackets(),
+        facts.routes_agree(),
         facts.ricci(),
         facts.ricci_form(),
         facts.scalar(),
@@ -364,8 +365,7 @@ def _empty_facts():
     )
 
 
-#: each stacked layer on a stack of no member, its results as a tuple (none
-#: for the Ricci cross-check, which raises nothing)
+#: each stacked layer on a stack of no member, its results as a tuple
 _EMPTY_STACKS = {
     "_cutoff": lambda: (pseudolin._cutoff(1e-9, np.zeros((0, 3)), stack=True),),
     "_cutoff of two stacks": lambda: (
@@ -374,7 +374,7 @@ _EMPTY_STACKS = {
     "_ranks": lambda: (pseudolin._ranks(np.zeros((0, 3)), 1e-9),),
     "_null_eigenvalues": lambda: (pseudolin._null_eigenvalues(np.zeros((0, 3)), 1e-9),),
     "_signatures": lambda: pseudolin._signatures(np.zeros((0, 3, 3)), 1e-9),
-    "_check_routes": lambda: curvature._check_routes(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))) or (),
+    "_check_routes": lambda: (curvature._check_routes(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))),),
     "_einstein_defects": lambda: curvature._einstein_defects(np.zeros((0, 3, 3)), 1e-8),
     "_flatness_defects": lambda: curvature._flatness_defects(
         np.zeros((0, 3, 3, 3)), np.zeros((0, 3, 3, 3))

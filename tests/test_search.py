@@ -30,7 +30,6 @@ from mlie.search import (
     _held_central_vector,
     _null_frame_vector,
     _onto_null_line,
-    _orbit_directions,
     _residuals,
     _settle,
     _stratum_directions,
@@ -250,12 +249,23 @@ def test_the_differential_jacobian_equals_polarization(case, target):
     assert np.abs(dq - 2.0 * q).max() <= 1e-12 * np.abs(q).max()
 
 
+def _derivation_complement(a, b, derivations):
+    """A Frobenius-orthonormal basis (n² − d, n, n) of the complement of
+    Der(μ) = A·Der(c)·B in gl(n), B = A⁻¹, for μ = A·c and a basis (d, n, n)
+    of Der(c), from one complete QR."""
+    n, d = len(a), len(derivations)
+    moved = (a @ derivations @ b).reshape(d, n * n)
+    q = np.linalg.qr(moved.T, mode="complete")[0]
+    return q[:, d:].T.reshape(n * n - d, n, n)
+
+
 @pytest.mark.parametrize("case", ["L4_3", "L5_2", "EX8", "non-nilpotent"])
 @pytest.mark.parametrize("target", ["einstein", "ricci-flat"])
 def test_step_on_the_derivation_complement_equals_the_full_step(case, target):
     # Der(μ) = A·Der(c)·A⁻¹ leaves μ = A·c fixed, so its Jacobian columns are
     # zero, and the damped step on an orthonormal basis of its complement is
-    # the damped step on all of gl(n)
+    # the damped step on all of gl(n), the basis the search steps on off the
+    # stratum
     algebra = _case_algebra(case)
     n, nilpotent, einstein = algebra.n, algebra.is_nilpotent(), target == "einstein"
     eps = _lorentzian_signs(n)
@@ -267,8 +277,8 @@ def test_step_on_the_derivation_complement_equals_the_full_step(case, target):
     on_der = _jacobians(mu, ric, eps, nilpotent, einstein, a @ derivations @ b[0])
     assert np.abs(on_der).max() <= 1e-12 * np.abs(full).max()
 
-    directions = _orbit_directions(a[None], b, derivations)
-    assert directions.shape == (1, n * n - len(derivations), n, n)
+    directions = _derivation_complement(a, b[0], derivations)
+    assert directions.shape == (n * n - len(derivations), n, n)
     part = _jacobians(mu, ric, eps, nilpotent, einstein, directions)
     assert part.shape == (1, n * n, n * n - len(derivations))
 
@@ -277,7 +287,7 @@ def test_step_on_the_derivation_complement_equals_the_full_step(case, target):
         return _damped_steps(jac_t @ jac, jac_t @ r.reshape(1, -1, 1), np.array([damping]), e)
 
     for damping in (1e-12, 1e-3, 1.0):
-        want, got = step(full, units[None], damping), step(part, directions, damping)
+        want, got = step(full, units, damping), step(part, directions, damping)
         # the model's change J·X of r agrees at every damping
         j_want, j_got = full[0] @ want.reshape(-1), full[0] @ got.reshape(-1)
         assert np.abs(j_got - j_want).max() <= 1e-9 * np.abs(j_want).max()
@@ -288,23 +298,9 @@ def test_step_on_the_derivation_complement_equals_the_full_step(case, target):
         # about 1e-5 only, on any basis of gl(n), the unit matrices included
 
 
-@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1.0, 1e8])
-def test_orbit_directions_do_not_depend_on_the_bracket_scale(scale):
-    algebra = make_algebra("L4_3")
-    a = np.eye(4) + 0.3 * np.random.default_rng(17).normal(size=(1, 4, 4))
-    derivations = LieAlgebra(scale * algebra.c).derivation_space()
-    directions = _orbit_directions(a, np.linalg.inv(a), derivations)
-    assert directions.shape == (1, 16 - len(algebra.derivation_space()), 4, 4)
-
-
-def test_abelian_algebra_has_no_orbit_directions():
-    # every matrix is a derivation of the zero bracket: d = n², no column
-    # is left, the damped step is 0, and the search still returns
-    eye = np.eye(3)[None]
-    directions = _orbit_directions(eye, eye, LieAlgebra.abelian(3).derivation_space())
-    assert directions.shape == (1, 0, 3, 3)
-    x = _damped_steps(np.zeros((1, 0, 0)), np.zeros((1, 0, 1)), np.array([1e-3]), directions)
-    assert np.array_equal(x, np.zeros((1, 3, 3)))
+def test_the_abelian_search_meets_both_targets_at_residual_zero():
+    # the zero bracket is flat under every metric: each restart converges
+    # at its start
     for target in ("einstein", "ricci-flat"):
         result = run_search(SearchSpec(LieAlgebra.abelian(3), target=target, restarts=2))
         assert result.converged and result.residual == 0.0
@@ -346,7 +342,7 @@ def test_listed_ricci_flat_metrics_are_reached(name, signature, seed):
     [(heisenberg(), "einstein", (0, 3)), (make_algebra("L4_3"), "ricci-flat", (0, 4))],
     ids=["euclidean-heisenberg-einstein", "euclidean-L4_3-ricci-flat"],
 )
-@pytest.mark.parametrize("seed", [101, 102, 107])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 101, 102, 107])
 def test_unreachable_targets_stop_before_the_budget(algebra, target, signature, seed):
     result = run_search(SearchSpec(algebra, target=target, signature=signature, seed=seed))
     assert not result.converged
@@ -356,13 +352,13 @@ def test_unreachable_targets_stop_before_the_budget(algebra, target, signature, 
 
 def test_settle_stops_a_restart_whose_ricci_routes_disagree(monkeypatch):
     # every L3_2 restart reaches the classifier at iteration 0, whose
-    # cross-check here always fails: the stack of 8 fails, each member is then
-    # decided alone and stops as degenerating, and none converges
+    # cross-check here always fails: the one stacked call of 8 finds every
+    # member's routes apart, each stops as degenerating, and none converges
     calls = _classifications(monkeypatch)
     exact_q = mlie.curvature.q_operators
     monkeypatch.setattr(mlie.curvature, "q_operators", lambda s, eps: exact_q(s, eps) + 1.0)
     result = run_search(SearchSpec(make_algebra("L3_2"), signature=(1, 2), seed=0))
-    assert calls == [8] + [1] * 8
+    assert calls == [8]
     assert result.stop_reasons == ("degenerating",) * 8
     assert not result.converged and result.best_gram is None
 
@@ -396,8 +392,8 @@ def _settled_alone(spec, eta, a, ric_g, residual):
 def test_a_stacked_settle_decides_each_member_alone(monkeypatch):
     # one stack of L4_2 restarts: Ricci-flat catalog metrics, metrics that
     # fail the Einstein test, one degenerate gram, and one metric whose Ricci
-    # routes are forced apart.  The stack's verdict fails on the mismatch, so
-    # its members are decided one by one; every member's reason and residual
+    # routes are forced apart.  The one stacked call finds that member's
+    # routes apart and decides the others; every member's reason and residual
     # are those its own metric gives, bit for bit
     algebra = make_algebra("L4_2")
     spec = SearchSpec(algebra, signature=(1, 3))
@@ -426,22 +422,21 @@ def test_a_stacked_settle_decides_each_member_alone(monkeypatch):
 
     monkeypatch.setattr(mlie.curvature, "q_operators", apart)
     alone = [_settled_alone(spec, eta, *member) for member in zip(a, ric_g, residual)]
-    calls = _classifications(monkeypatch)
-    decided = []
-    classified = search._classified
-    monkeypatch.setattr(
-        search, "_classified", lambda *args: decided.append(classified(*args)) or decided[-1]
-    )
+    made = []
+    facts = search._CurvatureFacts
+    monkeypatch.setattr(search, "_CurvatureFacts", lambda *args: made.append(facts(*args)) or made[-1])
     reasons, got = _settle(spec, eta, a, ric_g, residual)
-    assert calls == [5] + [1] * 5  # the Ricci-flat metrics, stacked and then alone
+    (stacked,) = made  # one stacked call, on the Ricci-flat metrics
+    agree = stacked.routes_agree()
+    assert agree.tolist() == [report is not None for _, _, report in alone[:5]]
     assert [reason for reason, *_ in alone] == list(reasons)
     assert [value for _, value, _ in alone] == got.tolist()
     # the verdicts and Ricci operators of the members, as settle read them
-    for one, (_, _, report) in zip(decided[-1], alone):
-        assert (one is None) == (report is None)
-        if one is not None:
-            assert one[0] is report.verdict
-            assert one[1].tobytes() == report.ricci_operator.tobytes()
+    verdicts = stacked.verdicts(VERDICT_TOL)[0]
+    for ok, verdict, ric, (_, _, report) in zip(agree, verdicts, stacked.ricci_unchecked(), alone):
+        if ok:
+            assert verdict is report.verdict
+            assert ric.tobytes() == report.ricci_operator.tobytes()
     assert list(reasons) == ["converged", "degenerating"] + ["converged"] * 3 + ["", "", "degenerating"]
     assert got[[1, 5, 6, 7]].tolist() == [1.5, 5.5, 6.5, 7.5]  # residuals of the unclassified
 
@@ -505,10 +500,11 @@ def test_einstein_target_with_nonzero_lambda_is_classified_once_per_restart(sign
 
 
 def _solves_by_search_caller(monkeypatch):
-    """Count the np.linalg.solve and np.linalg.inv calls made from mlie
-    modules, by (calling module, the mlie.search function that led to them)."""
+    """Count the np.linalg.solve, np.linalg.inv and np.linalg.qr calls made
+    from mlie modules, by (calling module, the mlie.search function that led
+    to them)."""
     calls = Counter()
-    for name in ("solve", "inv"):
+    for name in ("solve", "inv", "qr"):
 
         def spy(*args, _real=getattr(np.linalg, name), **kwargs):
             frame = sys._getframe(1)
@@ -540,25 +536,23 @@ def _counted(monkeypatch, *names):
 def test_the_search_solves_nothing_against_its_frame(case, seed, restarts, monkeypatch):
     # in the frame η = diag(ε) every solve of the kernel is a sign flip,
     # settle's classification of a converged gram AᵀηA works in that gram's
-    # own frame, and the search moves Ric_η and Der(c) by the B = A⁻¹ its
-    # forward call made: the one inverse is the forward's, and the one solve
-    # is the damped step's
+    # own frame, and the search moves Ric_η by the B = A⁻¹ its forward call
+    # made: the one inverse is the forward's, and the one solve is the damped
+    # step's
     algebra = _case_algebra(case)
     stratum = algebra.is_nilpotent()
     assert stratum == (case != "non-nilpotent")
     spec = SearchSpec(algebra, signature=(1, algebra.n - 1), seed=seed, restarts=restarts)
     classified = _classifications(monkeypatch)
     calls = _solves_by_search_caller(monkeypatch)
-    built = _counted(monkeypatch, "_orbit_directions", "_stratum_directions")
+    built = _counted(monkeypatch, "_stratum_directions")
     result = run_search(spec)
     assert result.converged and classified  # settle's classification ran under the spy
+    assert result.iterations > 0
+    # no QR either: every search steps on one basis, built once
     assert set(calls) == {("mlie.search", "_forward"), ("mlie.search", "_damped_steps")}
-    # the stratum search builds its one basis of S once and no per-iteration QR;
-    # every other search takes the complement of Der(μ) on every iteration
-    if stratum:
-        assert built == {"_stratum_directions": 1}
-    else:
-        assert set(built) == {"_orbit_directions"} and built["_orbit_directions"] >= result.iterations > 0
+    # the stratum search builds its basis of S, every other one takes gl(n)
+    assert built == ({"_stratum_directions": 1} if stratum else {})
 
 
 def _stratum_spec(name, **kwargs):
@@ -619,6 +613,21 @@ def test_only_lorentzian_ricci_flat_nilpotent_searches_up_to_dimension_5_hold_a_
     algebra = LieAlgebra.abelian(4) if case == "abelian" else _case_algebra(case)
     spec = SearchSpec(algebra, target=target, signature=signature or (1, algebra.n - 1))
     assert _held_central_vector(spec) is None
+
+
+@pytest.mark.parametrize("name, signature", [("EX6", (1, 5)), ("EX7", (1, 6))])
+@pytest.mark.parametrize("seed", range(2))
+def test_the_search_off_the_stratum_reaches_the_paper_s_first_examples(name, signature, seed):
+    # EX6 and EX7 are Ricci-flat with a nondegenerate center; off the stratum
+    # the search holds no central vector and steps on all of gl(n)
+    algebra = make_algebra(name)
+    spec = SearchSpec(algebra, signature=signature, seed=seed)
+    result = run_search(spec)
+    assert result.central_vector is None
+    assert result.converged and result.stop_reasons == ("converged",) * spec.restarts
+    assert einstein_residual(algebra, result.best_gram, "ricci-flat") <= spec.tol
+    verdict = MetricLieAlgebra(algebra, result.best_gram).einstein_classify().verdict
+    assert verdict in (Verdict.FLAT, Verdict.RICCI_FLAT)
 
 
 def test_the_stratum_start_and_steps_keep_the_central_vector_on_the_null_line():
