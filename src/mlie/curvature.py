@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ROUTE_MISMATCH, InvalidInput, NotNilpotent
+from .errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
 from .liealg import LieAlgebra, _computed_once, act_on_brackets
 from .pseudolin import (
     Gram,
@@ -37,7 +37,7 @@ from .pseudolin import (
     _cutoff,
     _orthonormal_bases,
     _peaks,
-    orthonormal_basis,
+    _symmetrized,
 )
 
 #: Default relative tolerance for Einstein/flatness verdicts.
@@ -49,6 +49,10 @@ class Verdict(Enum):
     RICCI_FLAT = "RicciFlat"
     FLAT = "Flat"
     NOT_EINSTEIN = "NotEinstein"
+
+
+#: the verdicts of a Ricci-flat metric
+_RICCI_FLAT = (Verdict.RICCI_FLAT, Verdict.FLAT)
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,10 @@ class CurvatureReport:
 # row per bracket or one for the stack.  There G = G⁻¹ = η = diag(ε): every
 # product with the metric is a sign flip in C order (the Ricci form's bits
 # depend on that layout), _raise_index or _lower_index, and nothing is solved.
-# ricci_operators alone assembles the 𝒥- and Levi-Civita routes; the bracket
-# form of the nilpotent Q, which the search and the bracket side of the trace
+# ricci_operators assembles the 𝒥- and Levi-Civita routes (η·ric is also
+# raised from ricci_forms by _CurvatureFacts, from the Levi-Civita tensor it
+# keeps for flatness, and by verify's route-equivalence); the bracket form of
+# the nilpotent Q, which the search and the bracket side of the trace
 # identity read, is q_bracket_operators, and the search's Jacobian reads its
 # exact differential, q_bracket_differentials.  Contractions are reshapes and
 # matmuls: at these sizes planning an einsum path costs more than doing it.
@@ -86,10 +92,9 @@ def _raise_index(eps: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.multiply(eps[..., :, None], x, order="C")
 
 
-def _lower_index(x: np.ndarray, eps: np.ndarray, axis: int = -1) -> np.ndarray:
-    """x·η (axis -1) or η·x (axis -2): x (..., n, k) or (..., k, n) times the
-    signs ε (..., n) along that axis."""
-    return np.multiply(x, eps[..., None, :] if axis == -1 else eps[..., :, None], order="C")
+def _lower_index(x: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """x·η: the columns of x (..., k, n) times the signs ε (..., n)."""
+    return np.multiply(x, eps[..., None, :], order="C")
 
 
 def levi_civita_tensors(mu: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -124,7 +129,7 @@ def j1_j2_operators(s: np.ndarray, eps: np.ndarray) -> Tuple[np.ndarray, np.ndar
     """𝒥₁ = −Σ_i ε_i S_i∘S_i and 𝒥₂ = −(tr(S_i∘S_j))_{i,j}·η, from the stack s
     of structure_endo_tensors in the frame of the signs ε."""
     m, n = s.shape[:2]
-    gs = _lower_index(s.reshape(m, n, n * n), eps, axis=-2).reshape(m, n, n, n)  # gs[j] = ε_j S_j
+    gs = _raise_index(eps, s.reshape(m, n, n * n)).reshape(m, n, n, n)  # gs[j] = ε_j S_j
     j1 = -(gs.transpose(0, 2, 1, 3).reshape(m, n, n * n) @ s.reshape(m, n * n, n))
     return j1, _lower_index(-_pair_traces(s, s), eps)
 
@@ -182,8 +187,7 @@ def ricci_forms(lc: np.ndarray) -> np.ndarray:
     r_t = lc.transpose(0, 2, 3, 1).reshape(m, n, n * n)  # r_t[b,(j,k)] = R_b[j,k]
     r_traces = np.trace(lc, axis1=1, axis2=3)  # tr R_a = Σ_k lc[k,a,k]
     term2 = (lc.reshape(m, n * n, n) @ r_traces[:, :, None]).reshape(m, n, n)
-    ric = term2 - r @ r_t.transpose(0, 2, 1)
-    return (ric + ric.transpose(0, 2, 1)) / 2.0
+    return _symmetrized(term2 - r @ r_t.transpose(0, 2, 1))
 
 
 def ricci_general_forms(mu: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -195,17 +199,16 @@ def ricci_general_forms(mu: np.ndarray, eps: np.ndarray) -> np.ndarray:
     ads = np.swapaxes(mu, -1, -2)  # ads[m, i, k, j] = μ[m, i, j, k]
     ad_stars = _raise_index(eps[..., None, :], _lower_index(mu, eps[..., None, :]))
     s = structure_endo_tensors(mu, eps).reshape(m, n, n * n)
-    js = _lower_index(s, eps, axis=-2).reshape(m, n, n, n)
+    js = _raise_index(eps, s).reshape(m, n, n, n)
     h = _raise_index(eps, np.trace(mu, axis1=-2, axis2=-1).reshape(m, n, 1))  # H = η·τ
     ad_h = (np.swapaxes(h, -1, -2) @ ads.reshape(m, n, n * n)).reshape(m, n, n)
     bh = _lower_index(np.swapaxes(ad_h, -1, -2), eps)  # bh[i,j] = ⟨ad_H b_i, b_j⟩
-    ric = (
+    return _symmetrized(
         -0.5 * _pair_traces(ads, ads)
         - 0.5 * _pair_traces(ads, ad_stars)
         - 0.25 * _pair_traces(js, js)
         - 0.5 * (bh + np.swapaxes(bh, -1, -2))
     )
-    return (ric + np.swapaxes(ric, -1, -2)) / 2.0
 
 
 def trace_q_sides(mu: np.ndarray, eps: np.ndarray, e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -248,26 +251,14 @@ def ricci_operators(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndar
 # cutoff; an empty stack gives empty results.
 
 
-def _frame(gram: Gram, tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pseudo-orthonormal frame G = AᵀηA of a gram, decided at tol by
-    orthonormal_basis, as stacks of one: the signs ε (1, n), minus-first,
-    A (1, n, n) and B = A⁻¹.  DegenerateGram on a null direction."""
-    b, eps = orthonormal_basis(gram, tol)
-    return _with_inverse(eps[None], b[None], gram.mat)
-
-
 def _frames(mats: np.ndarray, tol: float):
-    """_frame for a stack of gram matrices (k, n, n), from one stacked eigh:
-    ((ε, A, B), degenerate), each a stack of k, with degenerate (k,) True for
-    a member with a null direction, whose (ε, A, B) is no frame."""
+    """The pseudo-orthonormal frames G = AᵀηA of a stack of gram matrices
+    (k, n, n), decided at tol by one stacked eigh (_orthonormal_bases):
+    ((ε, A, B), degenerate), each a stack of k, with the signs ε minus-first,
+    the bases B and A = B⁻¹ = η·Bᵀ·G, as BᵀGB = η; degenerate (k,) is True
+    for a member with a null direction, whose (ε, A, B) is no frame."""
     b, eps, null = _orthonormal_bases(mats, tol)
-    return _with_inverse(eps, b, mats), null.any(axis=1)
-
-
-def _with_inverse(eps: np.ndarray, b: np.ndarray, g: np.ndarray):
-    """The frames (ε, A, B) of the grams g with their bases B: A = B⁻¹ = η·Bᵀ·G,
-    as BᵀGB = η."""
-    return eps, (eps[..., :, None] * b.swapaxes(-1, -2)) @ g, b
+    return (eps, (eps[..., :, None] * b.swapaxes(-1, -2)) @ mats, b), null.any(axis=1)
 
 
 def _in_input_basis(frame, x: np.ndarray, form: bool = False) -> np.ndarray:
@@ -275,7 +266,7 @@ def _in_input_basis(frame, x: np.ndarray, form: bool = False) -> np.ndarray:
     form, symmetrized as ricci_forms symmetrizes."""
     _, a, b = frame
     y = (a.swapaxes(-1, -2) if form else b) @ x @ a
-    return (y + y.swapaxes(-1, -2)) / 2.0 if form else y
+    return _symmetrized(y) if form else y
 
 
 def _check_routes(ric_nil: np.ndarray, ric_def: np.ndarray) -> np.ndarray:
@@ -444,7 +435,9 @@ class MetricLieAlgebra:
         gram = gram if isinstance(gram, Gram) else Gram(gram)
         if gram.n != algebra.n:
             raise InvalidInput("gram size does not match algebra dimension")
-        frame = _frame(gram, algebra.tol)  # ε, A, B: a stack of one
+        frame, degenerate = _frames(gram.mat[None], algebra.tol)  # ε, A, B: a stack of one
+        if degenerate[0]:
+            raise DegenerateGram("metric gram matrix is degenerate at tolerance")
         minus = int(np.count_nonzero(frame[0] < 0))  # ε is minus-first
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "gram", gram)
@@ -460,10 +453,6 @@ class MetricLieAlgebra:
         return self._signature
 
     # -- the frame --------------------------------------------------------
-
-    def _moved_back(self, x: np.ndarray, form: bool = False) -> np.ndarray:
-        """X (1, n, n) of the frame in the input basis (_in_input_basis)."""
-        return _in_input_basis(self._frame, x, form)[0]
 
     def _brackets(self) -> np.ndarray:
         """μ = A·c, the bracket in the frame (a stack of one), kept with the facts."""
@@ -496,7 +485,7 @@ class MetricLieAlgebra:
         """The self-adjoint operators 𝒥₁ and 𝒥₂ built from the S_i."""
         eps = self._frame[0]
         j1, j2 = j1_j2_operators(structure_endo_tensors(self._brackets(), eps), eps)
-        return self._moved_back(j1), self._moved_back(j2)
+        return _in_input_basis(self._frame, j1)[0], _in_input_basis(self._frame, j2)[0]
 
     def ricci_nilpotent(self) -> np.ndarray:
         """Ricci operator −½𝒥₁ + ¼𝒥₂, cross-checked (ricci_operator); only
@@ -507,7 +496,8 @@ class MetricLieAlgebra:
 
     def ricci_general(self) -> np.ndarray:
         """Ricci form from the adjoint/J/mean-vector expression; any algebra."""
-        return self._moved_back(ricci_general_forms(self._brackets(), self._frame[0]), True)
+        form = ricci_general_forms(self._brackets(), self._frame[0])
+        return _in_input_basis(self._frame, form, True)[0]
 
     # -- trace identity ---------------------------------------------------
 

@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .curvature import VERDICT_TOL, MetricLieAlgebra, Verdict
+from .curvature import _RICCI_FLAT, VERDICT_TOL, MetricLieAlgebra
 from .errors import (
     ConstraintViolation,
     InvalidInput,
@@ -252,7 +252,7 @@ def decompose(m: MetricLieAlgebra, verdict_tol: float = VERDICT_TOL) -> Optional
     if not m.algebra.is_nilpotent():
         raise NotApplicable("algebra is not nilpotent")
     report = m.einstein_classify(verdict_tol)
-    if report.verdict not in (Verdict.RICCI_FLAT, Verdict.FLAT):
+    if report.verdict not in _RICCI_FLAT:
         raise NotApplicable(f"metric is not Ricci-flat: verdict {report.verdict.value}")
 
     e = find_isotropic_in(m.gram, m.algebra.center())
@@ -314,8 +314,8 @@ def _model_residuals(c: np.ndarray, g: np.ndarray, p: np.ndarray, data) -> np.nd
     one (n, n, n) that all share, and the gram g (n, n)."""
     c_new = act_on_brackets(np.linalg.inv(p), p, c)  # P⁻¹[Pe_a, Pe_b]
     g_new = p.transpose(0, 2, 1) @ g @ p
-    db = np.abs(c_new - _antisymmetric(_models(*data))).max(axis=(1, 2, 3), initial=0.0)
-    dg = np.abs(g_new - _witt_gram(len(g))).max(axis=(1, 2), initial=0.0)
+    db = _peaks(np.abs(c_new - _antisymmetric(_models(*data))))
+    dg = _peaks(np.abs(g_new - _witt_gram(len(g))))
     return np.maximum(db, dg)
 
 

@@ -64,9 +64,9 @@ def _computed_once(method: Callable[..., _T]) -> Callable[..., _T]:
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """Anticommutative algebra on R^n, n read from the (n, n, n) tensor c;
-    Jacobi is checked only on request.  Every decision is taken at ``tol``, a
-    positive finite number."""
+    """Anticommutative algebra on R^n, n >= 1 read from the (n, n, n) tensor
+    c; Jacobi is checked only on request.  Every decision is taken at ``tol``,
+    a positive finite number."""
 
     n: int
     c: np.ndarray = field()
@@ -78,6 +78,8 @@ class LieAlgebra:
         n = tensor.shape[0] if tensor.ndim else 0
         if tensor.shape != (n, n, n):
             raise InvalidInput(f"structure tensor must be an (n, n, n) array, got {tensor.shape}")
+        if not n:  # as the file reader refuses dim 0
+            raise InvalidInput("a Lie algebra must have dimension n >= 1, got 0")
         clean = _antisymmetric(tensor)
         clean.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -247,7 +249,7 @@ def _lower_central_series(unit: np.ndarray, tol: float) -> List[List[np.ndarray]
     the stack as zeros, which change no rank."""
     k, n = unit.shape[:2]
     series = [[np.eye(n)] for _ in range(k)]
-    running = list(range(k)) if n else []
+    running = list(range(k))
     while running:
         last = [series[m][-1] for m in running]
         prev = np.zeros((len(running), max(map(len, last)), n))

@@ -286,27 +286,26 @@ def signature(g: Gram, tol: float = DEFAULT_TOL) -> Signature:
 
 
 def restricted_gram(g: Gram, f: Subspace) -> Gram:
-    """The form of g restricted to f, in f's basis coordinates."""
-    if f.ambient_dim != g.n:
-        raise InvalidInput("subspace ambient dimension does not match gram size")
-    return Gram(f.basis @ g.mat @ f.basis.T)
+    """The form of g restricted to f, in f's basis: _restricted_grams on a stack of one."""
+    return Gram(_restricted_grams(g.mat[None], f)[0])
 
 
 def _restricted_grams(mats: np.ndarray, f: Subspace) -> np.ndarray:
-    """restricted_gram for a stack of gram matrices (k, n, n), symmetrized as
-    Gram symmetrizes: the (k, d, d) stack of Z·G·Zᵀ for the basis rows Z of f."""
+    """The (k, d, d) stack of Z·G·Zᵀ, symmetrized as Gram symmetrizes, for a stack
+    of grams G (k, n, n) and the basis rows Z of f; InvalidInput unless f is in R^n."""
+    if f.ambient_dim != mats.shape[-1]:
+        raise InvalidInput("subspace ambient dimension does not match gram size")
     return _symmetrized(f.basis @ mats @ f.basis.T)
 
 
 def classify_subspace(g: Gram, f: Subspace) -> SubspaceClass:
-    """Degeneracy class of g restricted to f, decided at f.tol: the class rule
-    (_subspace_class) on its signature."""
-    return _subspace_class(signature(restricted_gram(g, f), f.tol))
+    """Degeneracy class of g restricted to f: _subspace_classes on a stack of one."""
+    return _subspace_classes(g.mat[None], f)[0]
 
 
 def _subspace_classes(mats: np.ndarray, f: Subspace) -> List[SubspaceClass]:
-    """classify_subspace for a stack of gram matrices (k, n, n): one stacked
-    restricted gram and signature, and the class rule per member."""
+    """Degeneracy classes at f.tol of a stack of grams (k, n, n) restricted to f:
+    one stacked restricted gram and signature, and the class rule per member."""
     counts = zip(*(x.tolist() for x in _signatures(_restricted_grams(mats, f), f.tol)))
     return [_subspace_class(Signature(*sig)) for sig in counts]
 
@@ -339,9 +338,9 @@ def find_isotropic_in(g: Gram, f: Subspace) -> Optional[np.ndarray]:
     null eigenvector and otherwise mixing the extreme positive and negative
     eigenvectors to u+/√λ+ + u-/√(-λ-).
     """
+    r = _restricted_grams(g.mat[None], f)[0]  # refuses an f outside R^n first
     if f.dim == 0:
         return None
-    r = restricted_gram(g, f).mat
     w, vecs = np.linalg.eigh(r)
     null_idx = np.flatnonzero(_null_eigenvalues(np.abs(w)[None], f.tol))
     if null_idx.size > 0:

@@ -52,13 +52,13 @@ at VERDICT_TOL, the one einstein_classify gives, meets the target and
 classified in one stacked call (_settle), each decided as its own metric is.
 Each forward call inverts its factors once, and B = A⁻¹ makes the bracket
 μ = A·c and Ric_G = B·Ric_η(μ)·A, which leaves the frame as a metric's
-operators do (MetricLieAlgebra._moved_back), with no solve.  Only candidates are classified: a restart whose Ric_G is within
-spec.tol of λ̂·Id but fails the verdict's Einstein test goes on with no
-classification.
+operators do (curvature._in_input_basis), with no solve.  Only candidates
+are classified: a restart whose Ric_G is within spec.tol of λ̂·Id but fails
+the verdict's Einstein test goes on with no classification.
 
 The forward and Jacobian calls hand the kernel the frame as its signs ε,
-η = diag(ε), so every product with η is a sign flip; _settle and
-einstein_residual take each gram's own frame, as MetricLieAlgebra does.
+η = diag(ε), so every product with η is a sign flip (a gram AᵀηA is
+(Aᵀ·ε)·A); _settle and einstein_residual take each gram's own frame.
 """
 from __future__ import annotations
 
@@ -72,6 +72,7 @@ from .curvature import (
     VERDICT_TOL,
     MetricLieAlgebra,
     Verdict,
+    _RICCI_FLAT,
     _CurvatureFacts,
     _einstein_defects,
     _frames,
@@ -87,8 +88,8 @@ TARGETS = ("einstein", "ricci-flat")
 
 #: the verdicts that meet each target
 _TARGET_VERDICTS = {
-    "einstein": (Verdict.EINSTEIN, Verdict.RICCI_FLAT, Verdict.FLAT),
-    "ricci-flat": (Verdict.RICCI_FLAT, Verdict.FLAT),
+    "einstein": (Verdict.EINSTEIN, *_RICCI_FLAT),
+    "ricci-flat": _RICCI_FLAT,
 }
 
 #: why a restart stopped: its gram met the target; the damping passed
@@ -310,25 +311,25 @@ def _damped_steps(
 
 
 def _settle(
-    spec: SearchSpec, eta: np.ndarray, a: np.ndarray, ric_g: np.ndarray, residual: np.ndarray
+    spec: SearchSpec, eps: np.ndarray, a: np.ndarray, ric_g: np.ndarray, residual: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(stop reasons, residuals) of the restarts with factors a (k, n, n) whose
     Ricci operators ric_g = Ric_G are within spec.tol of λ̂·Id, at their
     residuals (k,).  Only the members whose Ric_G passes the verdict's
-    Einstein test are classified, once and together: their grams AᵀηA, built
-    as Gram builds them, take one _frames call, and the nondegenerate ones one
-    _CurvatureFacts.  A member stops "degenerating" when its gram is
-    degenerate or its Ricci routes disagree, and "converged" when its
-    classification's residual is within spec.tol and its verdict meets the
-    target; with "" it goes on, at that residual, or at its own when it was
-    not classified."""
+    Einstein test are classified, once and together: their grams AᵀηA,
+    η = diag(eps), built as Gram builds them, take one _frames call, and the
+    nondegenerate ones one _CurvatureFacts.  A member stops "degenerating"
+    when its gram is degenerate or its Ricci routes disagree, and "converged"
+    when its classification's residual is within spec.tol and its verdict
+    meets the target; with "" it goes on, at that residual, or at its own
+    when it was not classified."""
     reasons = np.full(len(a), "", dtype=object)
     residual = residual.copy()
     _, defect, cut = _einstein_defects(ric_g, VERDICT_TOL)
     idx = np.flatnonzero(defect <= cut)
     if not idx.size:
         return reasons, residual
-    mats = _symmetrized(a[idx].swapaxes(-1, -2) @ eta @ a[idx])
+    mats = _symmetrized((a[idx].swapaxes(-1, -2) * eps) @ a[idx])
     frame, degenerate = _frames(mats, spec.algebra.tol)
     reasons[idx[degenerate]] = "degenerating"
     idx, frame = idx[~degenerate], tuple(x[~degenerate] for x in frame)
@@ -353,7 +354,6 @@ def run_search(spec: SearchSpec) -> SearchResult:
     einstein = spec.target == "einstein"
     minus, plus = spec.signature
     eps = np.concatenate([-np.ones(minus), np.ones(plus)])
-    eta = np.diag(eps)
     z = _held_central_vector(spec)
     # the one basis every step of this search is taken on
     basis = np.eye(n * n).reshape(n * n, n, n) if z is None else _stratum_directions(n)
@@ -377,7 +377,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
         near = np.flatnonzero(residual[running] <= spec.tol)
         if near.size:
             idx = running[near]
-            reasons[idx], residual[idx] = _settle(spec, eta, a[idx], ric_g[near], residual[idx])
+            reasons[idx], residual[idx] = _settle(spec, eps, a[idx], ric_g[near], residual[idx])
         running = running[reasons[running] == ""]
         reasons[running[np.linalg.cond(a[running]) > _MAX_COND]] = "degenerating"
         running = running[reasons[running] == ""]
@@ -424,7 +424,7 @@ def run_search(spec: SearchSpec) -> SearchResult:
     best = int(pool[np.argmin(residual[pool])])
     return SearchResult(
         converged=bool(converged[best]),
-        best_gram=Gram(a[best].T @ eta @ a[best]) if converged[best] else None,
+        best_gram=Gram((a[best].T * eps) @ a[best]) if converged[best] else None,
         residual=float(residual[best]),
         iterations=int(iters[best]),
         restart_index=best,

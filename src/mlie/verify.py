@@ -32,8 +32,8 @@ from .catalog import (
 from .curvature import (
     VERDICT_TOL,
     Verdict,
+    _RICCI_FLAT,
     _CurvatureFacts,
-    _frame,
     _frames,
     _raise_index,
     j1_j2_operators,
@@ -66,6 +66,7 @@ from .pseudolin import (
     Subspace,
     SubspaceTag,
     _cutoff,
+    _peaks,
     _subspace_classes,
     classify_subspace,
     find_isotropic_in,
@@ -211,12 +212,6 @@ def _catalog_frames():
     return tuple(frames)
 
 
-def _sup_gaps(ref: np.ndarray, other: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per matrix of two (k, n, n) stacks: (max|ref − other|, max(1, max|ref|))."""
-    gap = np.abs(ref - other).max(axis=(1, 2), initial=0.0)
-    return gap, np.maximum(np.abs(ref).max(axis=(1, 2), initial=0.0), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # the checks
 # ---------------------------------------------------------------------------
@@ -264,8 +259,7 @@ def check_classified_ricci_flat(tol: float) -> _Claim:
         lorentzian = minus == 1
         lorentz_frame = tuple(x[lorentzian] for x in frame)
         ric = _CurvatureFacts(algebra.c, lorentz_frame, algebra.is_nilpotent()).ricci()
-        peaks = np.abs(ric).max(axis=(1, 2), initial=0.0).tolist()
-        for draw, resid in zip(itertools.compress(group, lorentzian), peaks):
+        for draw, resid in zip(itertools.compress(group, lorentzian), _peaks(np.abs(ric)).tolist()):
             worst = max(worst, resid)
             if resid > tol:
                 fail(draw, f"‖Ric‖∞ = {resid:.3e}")
@@ -389,13 +383,17 @@ def check_route_equivalence(tol: float) -> _Claim:
     count = 0
     for name, algebra, _, _, mu, eps in _catalog_frames():
         count += len(mu)
+        # per member: the gap max|ref − other| and the scale max(1, max|ref|)
         r_def = ricci_forms(levi_civita_tensors(mu, eps))
-        d_form, scale = _sup_gaps(r_def, ricci_general_forms(mu, eps))
+        d_form = _peaks(np.abs(r_def - ricci_general_forms(mu, eps)))
+        scale = _peaks(np.abs(r_def), 1.0)
         worst = max(worst, float((d_form / scale).max()))
         bad_form = d_form > tol * scale
         bad_op = np.zeros(len(mu), dtype=bool)
         if algebra.is_nilpotent():
-            d_op, op_scale = _sup_gaps(_raise_index(eps, r_def), ricci_operators(mu, eps, True))
+            op = _raise_index(eps, r_def)  # η·ric
+            d_op = _peaks(np.abs(op - ricci_operators(mu, eps, True)))
+            op_scale = _peaks(np.abs(op), 1.0)
             worst = max(worst, float((d_op / op_scale).max()))
             bad_op = d_op > tol * op_scale
         for k in np.flatnonzero(bad_form | bad_op):
@@ -493,7 +491,7 @@ def _extension_groups(draws: Iterable[_Extensions], fail, einstein: bool = False
         # the model brackets as LieAlgebra keeps them
         c = _antisymmetric(_models(*(x[taken] for x in stacks)))
         trials = [t for t, took in zip(trials, taken) if took]
-        yield trials, c, _frame(Gram(_witt_gram(v + 2)), DEFAULT_TOL)
+        yield trials, c, _frames(_witt_gram(v + 2)[None], DEFAULT_TOL)[0]
 
 
 def _extension_draws(rng: np.random.Generator, nilpotent: bool):
@@ -531,7 +529,7 @@ def _verdict_layers(trials: List[int], c: np.ndarray, frame, tol: float, fail):
             keep.append(r)
     trials, c, unit = [trials[r] for r in keep], c[keep], unit[keep]
     facts = _CurvatureFacts(c, frame, True)
-    peaks = np.abs(facts.ricci()).max(axis=(1, 2), initial=0.0)
+    peaks = _peaks(np.abs(facts.ricci()))
     return trials, c, facts.brackets(), peaks, facts.verdicts(tol)[0], _centers(unit, DEFAULT_TOL)
 
 
@@ -562,7 +560,7 @@ def check_double_extension(tol: float) -> _Claim:
         gram = Gram(_witt_gram(c.shape[1]))
         keep, null = [], []
         for r, (verdict, rows) in enumerate(zip(verdicts, centers)):
-            if verdict not in (Verdict.RICCI_FLAT, Verdict.FLAT):
+            if verdict not in _RICCI_FLAT:
                 fail(0, trials[r], f"verdict {verdict.value} (‖Ric‖∞={peaks[r]:.3e})")
                 continue
             e = find_isotropic_in(gram, Subspace._orthonormal(rows, DEFAULT_TOL))
@@ -575,7 +573,7 @@ def check_double_extension(tol: float) -> _Claim:
             continue
         data, p = _witt_decompositions(mu[keep], frame, np.array(null), DEFAULT_TOL)
         resid = _model_residuals(c[keep], gram.mat, p, data)
-        scale = np.maximum(np.abs(c[keep]).max(axis=(1, 2, 3)), max(1.0, np.abs(gram.mat).max()))
+        scale = _peaks(np.abs(c[keep]), max(1.0, np.abs(gram.mat).max()))
         worst = max(worst, float((resid / scale).max()))
         for r, res, sc in zip(keep, resid, scale):
             if res > tol * sc:
@@ -634,7 +632,7 @@ def check_guediri(tol: float) -> _Claim:
         worst = max(worst, float(peaks.max(initial=0.0)))
         gram = Gram(_witt_gram(c.shape[1]))
         for trial, verdict, rows in zip(trials, verdicts, centers):
-            if verdict not in (Verdict.RICCI_FLAT, Verdict.FLAT):
+            if verdict not in _RICCI_FLAT:
                 fail(trial, f"verdict {verdict.value}")
             cls = classify_subspace(gram, Subspace._orthonormal(rows, DEFAULT_TOL))
             if cls.tag is not SubspaceTag.DEGENERATE:
@@ -726,7 +724,7 @@ def check_lemma_fuzz(tol: float) -> _Claim:
         v = ap @ ep
         val = (v.transpose(0, 2, 1) @ g @ v)[:, 0, 0]
         vv = (v.transpose(0, 2, 1) @ v)[:, 0, 0]
-        scale = np.maximum(np.abs(g).max(axis=(1, 2)) * vv, 1.0)
+        scale = np.maximum(_peaks(np.abs(g)) * vv, 1.0)
         tags = [f"trial {t} (n={n}, mode={mode})" for t in trials]
 
         def fail(bad, message) -> None:

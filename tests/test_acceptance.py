@@ -207,7 +207,7 @@ def test_the_variant_draw_checks_agree_with_the_per_object_calls(monkeypatch):
 def test_signature_and_the_frame_are_the_stacked_core_on_a_stack_of_one():
     # on the grams of the variant draws and the forms AᵀηA of the catalog
     # frames, with a null direction put into every fifth form: signature and
-    # orthonormal_basis (the build's _frame) are _signatures and
+    # orthonormal_basis (the frame a metric's build takes) are _signatures and
     # _orthonormal_bases (_frames) member for member, bit for bit
     grams = [gram.mat for *_, gram in verify._variant_draws(verify._rng(1))]
     stacks = [np.array([g for g in grams if len(g) == n]) for n in (3, 4, 5)]
@@ -228,7 +228,8 @@ def test_signature_and_the_frame_are_the_stacked_core_on_a_stack_of_one():
                 with pytest.raises(DegenerateGram):
                     pseudolin.orthonormal_basis(gram, 1e-9)
                 continue
-            frame = curvature._frame(gram, 1e-9)
+            algebra = LieAlgebra.abelian(len(mat))  # at the default tol, 1e-9
+            frame = MetricLieAlgebra(algebra, gram)._frame
             assert [x[0].tobytes() for x in frame] == [x[r].tobytes() for x in (eps, a, b)]
             checked += 1
     assert checked > 250

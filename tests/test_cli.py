@@ -259,10 +259,10 @@ STRUCTURE_METHODS = (
 
 #: decisions each command must be seen taking
 TOL_DECISIONS = {
-    "ricci": {"require_jacobi", "is_nilpotent", "orthonormal_basis"},
-    "double-extend": {"orthonormal_basis"},
-    "decompose": {"require_jacobi", "is_nilpotent", "center", "orthonormal_basis"},
-    "classify": {"require_jacobi", "is_nilpotent", "center", "derived_ideal", "orthonormal_basis", "signature"},
+    "ricci": {"require_jacobi", "is_nilpotent", "_orthonormal_bases"},
+    "double-extend": {"_orthonormal_bases"},
+    "decompose": {"require_jacobi", "is_nilpotent", "center", "_orthonormal_bases"},
+    "classify": {"require_jacobi", "is_nilpotent", "center", "derived_ideal", "_orthonormal_bases", "_signatures"},
     "derivations": {"require_jacobi", "derivation_space"},
     # a Lorentzian L3_2 search holds a vector of Z ∩ [g,g] null, and its
     # settle takes the frames of the converging restarts' grams as one stack
@@ -293,14 +293,13 @@ def test_tol_reaches_every_nilpotency_and_inertia_decision(tmp_path, capsys, mon
     algebra_cls = mlie.liealg.LieAlgebra
     for name in STRUCTURE_METHODS:
         monkeypatch.setattr(algebra_cls, name, spy_method(getattr(algebra_cls, name)))
-    # every inertia decision is taken by orthonormal_basis (a metric's build),
-    # _orthonormal_bases (a stack's frames, which orthonormal_basis reads too)
-    # or signature (a subspace's class), each patched wherever a module holds
-    # it, since modules look names up in their own globals
+    # every inertia decision is taken by _orthonormal_bases (a stack's frames,
+    # a metric's build among them) or _signatures (a subspace's class, which
+    # signature reads too), each patched wherever a module holds it, since
+    # modules look names up in their own globals
     decisions = (
-        mlie.pseudolin.orthonormal_basis,
         mlie.pseudolin._orthonormal_bases,
-        mlie.pseudolin.signature,
+        mlie.pseudolin._signatures,
     )
     for decide in decisions:
         params = inspect.signature(decide)

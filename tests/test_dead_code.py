@@ -154,3 +154,72 @@ def test_every_private_name_a_docstring_or_comment_cites_exists_in_the_package()
         for entry in _stale(_prose(path), path.name, defined)
     ]
     assert stale == []
+
+
+def _sites(match) -> set:
+    """'module:function' of every node of the package source that match
+    accepts, named by the innermost function it lies in."""
+    sites = set()
+
+    def visit(node: ast.AST, module: str, where: str) -> None:
+        if match(node):
+            sites.add(f"{module}:{where}")
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else where
+            visit(child, module, inner)
+
+    for module, tree in _SOURCES.items():
+        visit(tree, module, "<module>")
+    return sites
+
+
+def _is_transpose_of(node: ast.AST, x: ast.AST) -> bool:
+    """Whether node is xᵀ written as x.T, x.swapaxes(…), x.transpose(…),
+    np.swapaxes(x, …) or np.transpose(x, …)."""
+    same = ast.dump(x)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "T" and ast.dump(node.value) == same
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    if node.func.attr not in ("swapaxes", "transpose"):
+        return False
+    owner = node.func.value
+    if ast.dump(owner) == same:
+        return True
+    numpy_call = isinstance(owner, ast.Name) and owner.id == "np" and bool(node.args)
+    return numpy_call and ast.dump(node.args[0]) == same
+
+
+def _is_symmetrization(node: ast.AST) -> bool:
+    """(x + xᵀ) / 2, for any expression x."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 2
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Add)
+        and _is_transpose_of(node.left.right, node.left.left)
+    )
+
+
+def _is_max_over_axes(node: ast.AST) -> bool:
+    """A .max(…) call with an axis= keyword, a method's or numpy's."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "max"
+        and any(keyword.arg == "axis" for keyword in node.keywords)
+    )
+
+
+def test_a_symmetrization_is_written_once():
+    # (M + Mᵀ)/2 of a matrix or a stack is pseudolin._symmetrized
+    assert _sites(_is_symmetrization) == {"pseudolin.py:_symmetrized"}
+
+
+def test_a_maximum_over_axes_is_written_once():
+    # a per-member maximum of a stack is pseudolin._peaks; the one max over
+    # axes left is liealg._unit's, which keeps its axes to divide each
+    # bracket by its own peak
+    assert _sites(_is_max_over_axes) == {"liealg.py:_unit"}

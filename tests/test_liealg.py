@@ -387,6 +387,32 @@ def test_a_negative_size_is_refused_where_it_enters():
             build()
 
 
+#: every way to ask for an algebra of dimension 0
+_ZERO_DIMENSIONAL = {
+    "LieAlgebra": lambda: LieAlgebra(np.zeros((0, 0, 0))),
+    "LieAlgebra.abelian": lambda: LieAlgebra.abelian(0),
+    "LieAlgebra.from_brackets": lambda: LieAlgebra.from_brackets(0, {}),
+}
+
+
+@pytest.mark.parametrize("constructor", list(_ZERO_DIMENSIONAL))
+def test_a_zero_dimensional_algebra_is_refused_where_it_enters(constructor):
+    # as the file reader refuses dim 0: its metric's verdict, its derivations
+    # and a search on it would otherwise fail later with a bare numpy or
+    # Python error
+    with pytest.raises(InvalidInput, match="^a Lie algebra must have dimension n >= 1, got 0$"):
+        _ZERO_DIMENSIONAL[constructor]()
+
+
+def test_a_zero_dimensional_gram_and_subspace_stay_valid():
+    # a center can be 0-dimensional, and so can the form restricted to it
+    assert Gram(np.zeros((0, 0))).n == 0
+    assert Subspace.full(0, 1e-9).dim == 0
+    center = LieAlgebra.from_brackets(3, {(0, 1): {2: 1.0}, (0, 2): {1: 1.0}}).center()
+    assert center.dim == 0
+    assert classify_subspace(Gram(np.eye(3)), center).tag is pseudolin.SubspaceTag.EUCLIDEAN
+
+
 def _tol_entry_points():
     """qualified name -> a call of it on a minimal valid input, at a given tol,
     for every public callable of mlie that takes a tol; each verify check is

@@ -278,6 +278,25 @@ def test_stacked_restricted_grams_are_restricted_gram_bit_for_bit():
                 assert classify_subspace(Gram(mat), f) == classes[r]
 
 
+#: every path to a form restricted to a subspace: the public calls and the stacked layer
+_RESTRICTIONS = {
+    "restricted_gram": restricted_gram,
+    "classify_subspace": classify_subspace,
+    "find_isotropic_in": find_isotropic_in,
+    "_subspace_classes": lambda g, f: pseudolin._subspace_classes(g.mat[None], f),
+}
+
+
+@pytest.mark.parametrize("rows", [np.eye(3)[:2], np.zeros((0, 3))], ids=["plane", "zero"])
+@pytest.mark.parametrize("path", list(_RESTRICTIONS))
+def test_a_subspace_of_another_ambient_dimension_is_refused(path, rows):
+    # a subspace of R³ under a 4 x 4 gram, refused by the one stacked
+    # restriction every path reads, before any class or vector is decided
+    f = Subspace(rows, DEFAULT_TOL)
+    with pytest.raises(InvalidInput, match="^subspace ambient dimension does not match gram size$"):
+        _RESTRICTIONS[path](minkowski(4), f)
+
+
 def test_orthogonal_complement():
     g = minkowski(3)
     f = Subspace(np.array([[1.0, 1.0, 0.0]]), DEFAULT_TOL)

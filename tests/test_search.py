@@ -373,14 +373,16 @@ def test_settle_lets_other_errors_through(error, monkeypatch):
         run_search(SearchSpec(make_algebra("L3_2"), signature=(1, 2), seed=0))
 
 
-def _settled_alone(spec, eta, a, ric_g, residual):
+def _settled_alone(spec, eps, a, ric_g, residual):
     """(stop reason, residual, report or None) of one restart with factor a,
-    decided by its own metric: its gram AᵀηA classified by MetricLieAlgebra."""
+    decided by its own metric: its gram AᵀηA, η = diag(eps), classified by
+    MetricLieAlgebra."""
     _, (defect,), (cut,) = _einstein_defects(ric_g[None], VERDICT_TOL)
     if defect > cut:
         return "", residual, None
     try:
-        report = MetricLieAlgebra(spec.algebra, Gram(a.T @ eta @ a)).einstein_classify(VERDICT_TOL)
+        gram = Gram(a.T @ np.diag(eps) @ a)
+        report = MetricLieAlgebra(spec.algebra, gram).einstein_classify(VERDICT_TOL)
     except (DegenerateGram, RuntimeError) as err:
         assert isinstance(err, DegenerateGram) or is_route_mismatch(err)
         return "degenerating", residual, None
@@ -397,7 +399,8 @@ def test_a_stacked_settle_decides_each_member_alone(monkeypatch):
     # are those its own metric gives, bit for bit
     algebra = make_algebra("L4_2")
     spec = SearchSpec(algebra, signature=(1, 3))
-    eta = np.diag(_lorentzian_signs(4))
+    eps = _lorentzian_signs(4)
+    eta = np.diag(eps)
     rng = np.random.default_rng(7)
     metrics = [make_metric("L4_2", "m42", {"alpha": alpha, "a": x}) for alpha, x in
                [(1.0, 0.3), (-2.0, -0.5), (0.5, 0.0), (3.0, 0.9), (1.5, -0.2)]]
@@ -421,11 +424,11 @@ def test_a_stacked_settle_decides_each_member_alone(monkeypatch):
         return exact_q(s, eps) + hit[:, None, None]
 
     monkeypatch.setattr(mlie.curvature, "q_operators", apart)
-    alone = [_settled_alone(spec, eta, *member) for member in zip(a, ric_g, residual)]
+    alone = [_settled_alone(spec, eps, *member) for member in zip(a, ric_g, residual)]
     made = []
     facts = search._CurvatureFacts
     monkeypatch.setattr(search, "_CurvatureFacts", lambda *args: made.append(facts(*args)) or made[-1])
-    reasons, got = _settle(spec, eta, a, ric_g, residual)
+    reasons, got = _settle(spec, eps, a, ric_g, residual)
     (stacked,) = made  # one stacked call, on the Ricci-flat metrics
     agree = stacked.routes_agree()
     assert agree.tolist() == [report is not None for _, _, report in alone[:5]]
