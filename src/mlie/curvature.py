@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
+from .errors import DEGENERATE_GRAM, ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
 from .liealg import LieAlgebra, _computed_once, act_on_brackets
 from .pseudolin import (
     Gram,
@@ -437,7 +437,7 @@ class MetricLieAlgebra:
             raise InvalidInput("gram size does not match algebra dimension")
         frame, degenerate = _frames(gram.mat[None], algebra.tol)  # ε, A, B: a stack of one
         if degenerate[0]:
-            raise DegenerateGram("metric gram matrix is degenerate at tolerance")
+            raise DegenerateGram(DEGENERATE_GRAM)
         minus = int(np.count_nonzero(frame[0] < 0))  # ε is minus-first
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "gram", gram)

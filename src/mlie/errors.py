@@ -41,6 +41,12 @@ class BadParams(InvalidInput):
 #: the one known failure that perfbench/run.py counts by exactly that type.
 ROUTE_MISMATCH = "internal Ricci routes disagree beyond cross-check bound"
 
+#: The message of every DegenerateGram a metric's frame raises, the metric's
+#: build and orthonormal_basis alike; make_metric callers and perfbench's
+#: raises gate self-test read it.
+DEGENERATE_GRAM = "metric gram matrix is degenerate at tolerance"
+
 
 def is_route_mismatch(err: BaseException) -> bool:
     return type(err) is RuntimeError and str(err) == ROUTE_MISMATCH
+

@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateGram, InvalidInput
+from .errors import DEGENERATE_GRAM, DegenerateGram, InvalidInput
 
 #: Default relative tolerance for rank / signature / degeneracy decisions.
 DEFAULT_TOL = 1e-9
@@ -363,7 +363,7 @@ def orthonormal_basis(g: Gram, tol: float):
     _orthonormal_bases on the stack of one."""
     b, eps, null = _orthonormal_bases(g.mat[None], tol)
     if np.count_nonzero(null):
-        raise DegenerateGram("metric gram matrix is degenerate at tolerance")
+        raise DegenerateGram(DEGENERATE_GRAM)
     return b[0], eps[0]
 
 

@@ -43,13 +43,20 @@ SearchResult.central_vector is None.
 All restarts advance together as one stack of factors A[r]: per iteration one
 stacked Jacobian call over the restarts still running, and per damping round
 one stacked forward call over those still searching, whose values the
-accepted ones keep.  Every operation acts on each restart alone, so a
-restart's trajectory does not depend on its stack mates; each one stops for
-its own reason (STOP_REASONS), and the whole search is deterministic for a
-fixed spec.  A restart converges only when the classification of its gram
-at VERDICT_TOL, the one einstein_classify gives, meets the target and
-‖Ric − λ̂·Id‖_F ≤ spec.tol; the restarts of one iteration that reach it are
-classified in one stacked call (_settle), each decided as its own metric is.
+accepted ones keep.  A restart's damping rises ×10 per rejected rung d, 10d,
+100d, … up to _MAX_DAMPING.  The first three rounds try one rung each, since
+most iterations settle within three; one more round then tries every rung
+left of each restart still searching, as (restart, rung) pairs of one
+stacked forward call, and each takes its first rung that lowers ‖r‖, the one
+single-rung rounds would reach.  So an iteration makes at most four forward
+calls, where a restart that collapses climbs about sixteen rungs.  Every
+operation acts on each restart alone, so a restart's trajectory does not
+depend on its stack mates; each one stops for its own reason (STOP_REASONS),
+and the whole search is deterministic for a fixed spec.  A restart converges
+only when the classification of its gram at VERDICT_TOL, the one
+einstein_classify gives, meets the target and ‖Ric − λ̂·Id‖_F ≤ spec.tol;
+the restarts of one iteration that reach it are classified in one stacked
+call (_settle), each decided as its own metric is.
 Each forward call inverts its factors once, and B = A⁻¹ makes the bracket
 μ = A·c and Ric_G = B·Ric_η(μ)·A, which leaves the frame as a metric's
 operators do (curvature._in_input_basis), with no solve.  Only candidates
@@ -102,6 +109,9 @@ _MAX_COND = 1e3
 #: bounds of the damping, absolute because r and J are free of scale
 _MIN_DAMPING = 1e-12
 _MAX_DAMPING = 1e12
+#: the damping rounds that try one rung each before one round tries the rest
+#: of the ladder: most iterations settle within three
+_SINGLE_RUNGS = 3
 #: Frobenius norm of the longest step X, which keeps I + X invertible
 _MAX_STEP = 0.5
 #: up to this dimension every Lorentzian Einstein nilpotent metric has a
@@ -310,6 +320,16 @@ def _damped_steps(
     return x * (_MAX_STEP / np.maximum(_norms(x), _MAX_STEP))[:, None, None]
 
 
+def _ladder(damping: np.ndarray) -> np.ndarray:
+    """The rungs d, 10d, 100d, … (s, w) of each damping d of a stack, made by
+    repeated ×10 as the single-rung rounds make them, w wide enough that
+    every rung up to _MAX_DAMPING is in it."""
+    width = 1 + math.ceil(math.log10(_MAX_DAMPING / damping.min()))
+    rungs = np.full((len(damping), width), 10.0)
+    rungs[:, 0] = damping
+    return np.multiply.accumulate(rungs, axis=1)
+
+
 def _settle(
     spec: SearchSpec, eps: np.ndarray, a: np.ndarray, ric_g: np.ndarray, residual: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -370,6 +390,15 @@ def run_search(spec: SearchSpec) -> SearchResult:
     f_checkpoint = np.full(count, np.inf)
     reasons = np.full(count, "", dtype=object)
 
+    def trials(rows, rungs):
+        """(A, B, μ, Ric, r, ‖r‖) after the damped steps of the restarts
+        running[rows] at the dampings rungs, on this iteration's normal
+        equations."""
+        x = _damped_steps(normal[rows], gradient[rows], rungs, basis)
+        trial = _unit_det((np.eye(n) + x) @ a[running[rows]])
+        forward = _forward(trial, algebra.c, eps, nilpotent, einstein)
+        return (trial, *forward, _norms(forward[3]))
+
     running = np.arange(count)
     while True:
         ric_g = b[running] @ ric[running] @ a[running]
@@ -389,24 +418,41 @@ def run_search(spec: SearchSpec) -> SearchResult:
         jac = _jacobians(mu[running], ric[running], eps, nilpotent, einstein, basis)
         jac_t = jac.transpose(0, 2, 1)
         normal, gradient = jac_t @ jac, jac_t @ r[running].reshape(len(running), -1, 1)
-        # the damped step X = Σ y_j E_j, damping ×10 until ‖r‖ drops
+        # the damped step X = Σ y_j E_j, damping ×10 until ‖r‖ drops: one
+        # rung per round for _SINGLE_RUNGS rounds, then the rest of the ladder
         accepted = np.zeros(count, dtype=bool)
         searching = np.arange(len(running))
-        while searching.size:
+        for _ in range(_SINGLE_RUNGS):
+            if not searching.size:
+                break
             idx = running[searching]
-            x = _damped_steps(normal[searching], gradient[searching], damping[idx], basis)
-            trial = _unit_det((np.eye(n) + x) @ a[idx])
-            forward = _forward(trial, algebra.c, eps, nilpotent, einstein)
-            f_trial = _norms(forward[3])
-            better = f_trial < f[idx]
+            values = trials(searching, damping[idx])
+            better = values[-1] < f[idx]
             won = idx[better]
-            for kept, value in zip((a, b, mu, ric, r, f), (trial, *forward, f_trial)):
+            for kept, value in zip((a, b, mu, ric, r, f), values):
                 kept[won] = value[better]
             damping[won] = np.maximum(damping[won] / 10.0, _MIN_DAMPING)
             accepted[won] = True
             lost = searching[~better]
             damping[running[lost]] *= 10.0
             searching = lost[damping[running[lost]] <= _MAX_DAMPING]
+        if searching.size:
+            # every rung left up to _MAX_DAMPING in one round; each restart
+            # takes its first rung that lowers ‖r‖, the one the single-rung
+            # rounds would reach
+            idx = running[searching]
+            rungs = _ladder(damping[idx])
+            valid = rungs <= _MAX_DAMPING
+            rows = np.nonzero(valid)[0]
+            values = trials(searching[rows], rungs[valid])
+            lower = np.zeros_like(valid)
+            lower[valid] = values[-1] < f[idx[rows]]
+            first = lower & (np.cumsum(lower, axis=1) == 1)
+            won, taken = idx[first.any(axis=1)], first[valid]
+            for kept, value in zip((a, b, mu, ric, r, f), values):
+                kept[won] = value[taken]
+            damping[won] = np.maximum(rungs[first] / 10.0, _MIN_DAMPING)
+            accepted[won] = True
         reasons[running[~accepted[running]]] = "step-collapse"  # a local stall
         running = running[accepted[running]]
         # drop restarts that creep: unless the residual at least halves every

@@ -5,7 +5,7 @@ from mlie import curvature, doubleext, pseudolin
 from mlie.catalog import make_algebra, make_metric
 from mlie.curvature import MetricLieAlgebra
 from mlie.doubleext import ExtensionData, kd_generate
-from mlie.errors import InvalidInput, SingularK0
+from mlie.errors import DEGENERATE_GRAM, DegenerateGram, InvalidInput, SingularK0
 from mlie.liealg import LieAlgebra
 from mlie.pseudolin import (
     DEFAULT_TOL,
@@ -366,6 +366,18 @@ def test_orthonormal_basis_random_nondegenerate():
 def test_orthonormal_basis_rejects_degenerate():
     with pytest.raises(InvalidInput):
         orthonormal_basis(Gram.from_diagonal([1.0, 0.0]), DEFAULT_TOL)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda g: orthonormal_basis(g, DEFAULT_TOL), lambda g: MetricLieAlgebra(LieAlgebra.abelian(2), g)],
+    ids=["orthonormal_basis", "MetricLieAlgebra"],
+)
+def test_both_frame_paths_refuse_a_degenerate_gram_with_one_message(build):
+    # make_metric callers and perfbench's raises gate self-test read this text
+    with pytest.raises(DegenerateGram) as err:
+        build(Gram.from_diagonal([1.0, 0.0]))
+    assert str(err.value) == DEGENERATE_GRAM == "metric gram matrix is degenerate at tolerance"
 
 
 def _empty_facts():

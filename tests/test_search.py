@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -306,12 +307,22 @@ def test_the_abelian_search_meets_both_targets_at_residual_zero():
         assert result.converged and result.residual == 0.0
 
 
-@pytest.mark.parametrize("name, signature", [("L3_2", (1, 2)), ("L4_2", (1, 3))])
+@pytest.mark.parametrize(
+    "name, signature, target",
+    [
+        ("L3_2", (1, 2), "ricci-flat"),
+        ("L4_2", (1, 3), "ricci-flat"),
+        # obstructed: every restart walks the damping ladder to step-collapse
+        ("L3_2", (0, 3), "einstein"),
+        ("L4_3", (0, 4), "einstein"),
+    ],
+    ids=["L3_2-signature0", "L4_2-signature1", "L3_2-euclid-einstein", "L4_3-euclid-einstein"],
+)
 @pytest.mark.parametrize("seed", range(5))
-def test_restarts_do_not_depend_on_their_stack_mates(name, signature, seed):
+def test_restarts_do_not_depend_on_their_stack_mates(name, signature, target, seed):
     # the restarts advance as one stack; cutting the stack after the winner
     # must leave the winner's trajectory, and every earlier one, bit for bit
-    spec = SearchSpec(make_algebra(name), signature=signature, seed=seed, restarts=8)
+    spec = SearchSpec(make_algebra(name), target=target, signature=signature, seed=seed, restarts=8)
     full = run_search(spec)
     assert len(full.stop_reasons) == 8 and set(full.stop_reasons) <= set(STOP_REASONS)
     r = full.restart_index
@@ -323,6 +334,85 @@ def test_restarts_do_not_depend_on_their_stack_mates(name, signature, seed):
     assert (short.best_gram is None) == (full.best_gram is None)
     if full.best_gram is not None:
         assert short.best_gram.mat.tobytes() == full.best_gram.mat.tobytes()
+
+
+#: (algebra, signature, target, seed, residual, iterations, restart index,
+#: stop reasons, sha256 of the best gram's bytes), recorded when every damping
+#: round tried one rung
+_COLLAPSED = ("step-collapse",) * 8
+_LADDER_RESULTS = [
+    ("L3_2", (0, 3), "einstein", 0, "0x1.f872378b78871p-2", 3, 1, _COLLAPSED, None),
+    ("L3_2", (0, 3), "einstein", 1, "0x1.30390e26ddcdfp-1", 1, 7, _COLLAPSED, None),
+    ("L3_2", (0, 3), "einstein", 2, "0x1.4380401dfc881p-1", 3, 7, _COLLAPSED, None),
+    ("L3_2", (0, 3), "einstein", 3, "0x1.1a8c1f3aee520p-1", 1, 0, _COLLAPSED, None),
+    ("L3_2", (0, 3), "einstein", 4, "0x1.a2bb2febc2332p-2", 2, 6, _COLLAPSED, None),
+    ("L4_3", (0, 4), "einstein", 0, "0x1.c3027069ef110p-1", 12, 4, _COLLAPSED, None),
+    ("L4_3", (0, 4), "einstein", 1, "0x1.c5b2d95284d3dp-1", 12, 4, _COLLAPSED, None),
+    ("L4_3", (0, 4), "einstein", 2, "0x1.64f6f2114a1c4p-1", 14, 7, _COLLAPSED, None),
+    ("L4_3", (0, 4), "einstein", 3, "0x1.b3f8fc645b479p-1", 12, 0, _COLLAPSED, None),
+    (
+        "L4_3", (2, 2), "ricci-flat", 0, "0x1.246eeb92eca1fp-45", 5, 4,
+        ("converged", "converged", "creep", "converged", "converged", "creep", "converged", "converged"),
+        "037869aad5bd970b81aa8ce67c28c1d839495286a92bf6151f76eaab6c4159b8",
+    ),
+    (
+        "L5_6", (1, 4), "einstein", 1, "0x1.511b6994a02dbp-28", 15, 1,
+        ("creep", "converged", "creep", "degenerating", "creep", "converged", "creep", "converged"),
+        "879cbb8c002031a3e3d7df6bb59f6601b41c4fd3bb49272c527cf5fbe7f53bde",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, signature, target, seed, residual, iterations, restart, reasons, gram_sha",
+    _LADDER_RESULTS,
+    ids=[f"{row[0]}-{row[1][0]}{row[1][1]}-{row[2]}-{row[3]}" for row in _LADDER_RESULTS],
+)
+def test_the_damping_ladder_keeps_the_parent_s_results(
+    name, signature, target, seed, residual, iterations, restart, reasons, gram_sha
+):
+    # after three single-rung rounds one round tries every rung left; each
+    # restart takes the first rung that lowers its residual, the one the
+    # single-rung rounds would reach, so every result keeps its bits: these
+    # specs take that round's first rung, a later one, or none
+    result = run_search(SearchSpec(make_algebra(name), target=target, signature=signature, seed=seed))
+    assert result.residual.hex() == residual
+    assert (result.iterations, result.restart_index) == (iterations, restart)
+    assert result.stop_reasons == reasons
+    sha = None if result.best_gram is None else hashlib.sha256(result.best_gram.mat.tobytes()).hexdigest()
+    assert sha == gram_sha
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_an_obstructed_search_takes_at_most_four_damping_rounds_per_iteration(seed, monkeypatch):
+    # the Euclidean Heisenberg algebra has no Einstein metric, so every
+    # restart walks the whole damping ladder to step-collapse: three
+    # single-rung rounds, then one round for the rest of the ladder
+    calls = _counted(monkeypatch, "_forward", "_jacobians")
+    spec = SearchSpec(make_algebra("L3_2"), target="einstein", signature=(0, 3), seed=seed)
+    result = run_search(spec)
+    assert set(result.stop_reasons) == {"step-collapse"}
+    assert calls["_jacobians"] > 0
+    assert calls["_forward"] <= 1 + 4 * calls["_jacobians"]
+
+
+def test_damped_steps_at_a_ladder_of_dampings_are_the_single_rung_steps():
+    # the ladder round stacks one normal matrix with its rungs d, 10d, 100d;
+    # each step must be, bit for bit, the step of its rung alone
+    algebra = make_algebra("L4_3")
+    eps = _lorentzian_signs(4)
+    rng = np.random.default_rng(3)
+    a = (np.eye(4) + 0.1 * rng.standard_normal((4, 4)))[None]
+    _, mu, ric, r = _forward(a, algebra.c, eps, True, False)
+    basis = np.eye(16).reshape(16, 4, 4)
+    jac = _jacobians(mu, ric, eps, True, False, basis)
+    normal, gradient = jac[0].T @ jac[0], jac[0].T @ r.reshape(-1, 1)
+    rungs = np.multiply.accumulate([1e-3, 10.0, 10.0])
+    steps = _damped_steps(np.repeat(normal[None], 3, 0), np.repeat(gradient[None], 3, 0), rungs, basis)
+    for step, rung in zip(steps, rungs):
+        alone = _damped_steps(normal[None], gradient[None], np.array([rung]), basis)[0]
+        assert step.tobytes() == alone.tobytes()
+    assert len({step.tobytes() for step in steps}) == 3
 
 
 @pytest.mark.parametrize("name, signature", [("L4_2", (1, 3)), ("L4_3", (1, 3)), ("L5_2", (1, 4))])
