@@ -377,8 +377,9 @@ def _metric_gram(
     if name in EXAMPLE_TIMELIKE_INDEX:
         if variant is not None:
             raise UnknownName(f"{name} has a fixed orthonormal metric, no variants")
-        if params:
-            raise BadParams(f"{name} takes no parameters: " + ", ".join(params))
+        given = _named(params)
+        if given:
+            raise BadParams(f"{name} takes no parameters: " + ", ".join(given))
         d = np.ones(algebra.n)
         d[EXAMPLE_TIMELIKE_INDEX[name] - 1] = -1.0
         return Gram.from_diagonal(d)
@@ -394,7 +395,7 @@ def _metric_gram(
     if mv.algebra != name:
         raise UnknownName(f"metric variant {variant} belongs to {mv.algebra}, not {name}")
 
-    given = dict(params or {})
+    given = _named(params)
     missing = [k for k in mv.params if k not in given]
     if missing:
         raise BadParams(f"missing parameters for {variant}: " + ", ".join(missing))
@@ -402,6 +403,15 @@ def _metric_gram(
     if extra:
         raise BadParams(f"unknown parameters for {variant}: " + ", ".join(extra))
     return mv.build({k: _param(given[k], k) for k in mv.params})
+
+
+def _named(params: Optional[Mapping[str, float]]) -> dict:
+    """params as a dict; BadParams naming a key that is not a string."""
+    given = dict(params or {})
+    for key in given:
+        if not isinstance(key, str):
+            raise BadParams(f"parameter name {key!r} is not a string")
+    return given
 
 
 def _param(value, key: str) -> float:

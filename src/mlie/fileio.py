@@ -112,10 +112,9 @@ def dict_to_algebra(doc: Any, tol: float) -> Tuple[LieAlgebra, Optional[Gram], O
         coeffs = entry.get("coeffs", {})
         _require(isinstance(coeffs, dict), f"{where}: 'coeffs' must be an object")
         for kstr, val in coeffs.items():
-            try:
-                k = int(kstr)
-            except (TypeError, ValueError):
-                raise InvalidInput(f"{where}: coefficient key {kstr!r} is not an index") from None
+            k = int(kstr) if isinstance(kstr, str) and kstr.isdecimal() else None
+            # only the canonical spelling: "03" or "٣" would overwrite "3"
+            _require(kstr == str(k), f"{where}: coefficient key {kstr!r} is not an index")
             _require(1 <= k <= dim, f"{where}: coefficient index {k} out of range")
             c[i - 1, j - 1, k - 1] = _finite_number(val, f"{where}.coeffs[{kstr}]")
     algebra = LieAlgebra(c, tol)

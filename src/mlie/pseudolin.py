@@ -2,7 +2,9 @@
 
 Tolerance tests compare against ``_cutoff``: a tol times the problem scale
 max(1, largest magnitude involved); eigenvalues whose magnitude lands at or
-below the cutoff count as null.
+below the cutoff count as null.  Every inertia decision (signatures, subspace
+classes, isotropic vectors, metric frames) reads the one eigendecomposition,
+_orthonormal_bases.
 """
 from __future__ import annotations
 
@@ -226,11 +228,8 @@ class Subspace:
         v = _as_float_array(v, "vector", ndim=1)
         if len(v) != self.ambient_dim:
             raise InvalidInput(f"vector must have length {self.ambient_dim}, got {len(v)}")
-        cut = _cutoff(self.tol, v)
-        if self.dim == 0:
-            return bool(np.linalg.norm(v) <= cut)
         coeffs, *_ = np.linalg.lstsq(self.basis.T, v, rcond=None)
-        return bool(np.abs(self.basis.T @ coeffs - v).max() <= cut)
+        return bool(np.abs(self.basis.T @ coeffs - v).max(initial=0.0) <= _cutoff(self.tol, v))
 
 
 def _ranks(s: np.ndarray, tol: float) -> np.ndarray:
@@ -261,23 +260,14 @@ def _nullspaces(m: np.ndarray, tol: float) -> List[np.ndarray]:
     return [rows[rank:] for rows, rank in zip(vt, _ranks(s, tol))]
 
 
-def _null_eigenvalues(size: np.ndarray, tol: float) -> np.ndarray:
-    """The inertia rule on a stack of eigenvalue magnitudes |w| (k, n): True
-    where an eigenvalue lies at or within the member's _cutoff(tol, w) =
-    tol * max(1, |λ|_max) of zero and counts as null; every other one counts
-    by its sign."""
-    return size <= _cutoff(tol, size, stack=True)[:, None]
-
-
 def _signatures(mats: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """signature for a stack of gram matrices (k, n, n), from one stacked
-    eigvalsh: per member the counts (minus, plus, null), (k,) arrays, by the
-    inertia rule (_null_eigenvalues)."""
-    w = np.linalg.eigvalsh(mats)
-    null = _null_eigenvalues(np.abs(w), tol)
-    minus = ((w < 0.0) & ~null).sum(axis=1)
+    """signature for a stack of gram matrices (k, n, n): per member the counts
+    (minus, plus, null), (k,) arrays, of the signs and null eigenvalues of
+    _orthonormal_bases."""
+    _, eps, null = _orthonormal_bases(mats, tol)
+    minus = ((eps < 0.0) & ~null).sum(axis=1)
     nulls = null.sum(axis=1)
-    return minus, w.shape[1] - minus - nulls, nulls
+    return minus, eps.shape[1] - minus - nulls, nulls
 
 
 def signature(g: Gram, tol: float = DEFAULT_TOL) -> Signature:
@@ -334,22 +324,17 @@ def find_isotropic_in(g: Gram, f: Subspace) -> Optional[np.ndarray]:
 
     Returns None when the restriction of g to f is definite, which is exactly
     the case with no isotropic directions.  The choice is deterministic: it is
-    built from the eigendecomposition of the restricted form, preferring a
-    null eigenvector and otherwise mixing the extreme positive and negative
-    eigenvectors to u+/√λ+ + u-/√(-λ-).
+    read from the pseudo-orthonormal frame B of the restricted form
+    (_orthonormal_bases), preferring the first null eigenvector and otherwise
+    adding the extreme negative and positive columns, u-/√(-λ-) + u+/√λ+.
     """
-    r = _restricted_grams(g.mat[None], f)[0]  # refuses an f outside R^n first
-    if f.dim == 0:
+    b, eps, null = (x[0] for x in _orthonormal_bases(_restricted_grams(g.mat[None], f), f.tol))
+    if np.count_nonzero(null):
+        coeffs = b[:, np.flatnonzero(null)[0]]
+    elif np.all(eps > 0.0) or np.all(eps < 0.0):  # definite, or f is zero
         return None
-    w, vecs = np.linalg.eigh(r)
-    null_idx = np.flatnonzero(_null_eigenvalues(np.abs(w)[None], f.tol))
-    if null_idx.size > 0:
-        coeffs = vecs[:, null_idx[0]]
     else:
-        if w[0] > 0.0 or w[-1] < 0.0:  # definite: no null eigenvalue, one sign
-            return None
-        # eigh sorts ascending: w[0] most negative, w[-1] most positive
-        coeffs = vecs[:, -1] / np.sqrt(w[-1]) + vecs[:, 0] / np.sqrt(-w[0])
+        coeffs = b[:, -1] + b[:, 0]  # minus-first: column 0 the most negative eigenvalue
     v = coeffs @ f.basis
     return v / np.linalg.norm(v)
 
@@ -369,12 +354,15 @@ def orthonormal_basis(g: Gram, tol: float):
 
 def _orthonormal_bases(mats: np.ndarray, tol: float):
     """orthonormal_basis for a stack of gram matrices (k, n, n), from one
-    stacked eigh: (B, eps, null), with null (k, n) True at the eigenvalues
-    the inertia rule counts as null (_null_eigenvalues).  A member with a
-    null eigenvalue is degenerate, and its B and eps are no frame."""
+    stacked eigh, the package's only eigendecomposition: (B, eps, null).  The
+    inertia rule is written here once: null (k, n) is True where an eigenvalue
+    lies at or within the member's _cutoff(tol, w) = tol * max(1, |λ|_max) of
+    zero, and every other eigenvalue counts by its sign eps.  A member with a
+    null eigenvalue is degenerate: its B and eps are no frame, and its null
+    columns are the unit eigenvectors."""
     w, vecs = np.linalg.eigh(mats)
     size = np.abs(w)
-    null = _null_eigenvalues(size, tol)
+    null = size <= _cutoff(tol, size, stack=True)[:, None]
     if np.count_nonzero(null):
-        size = np.maximum(size, null)  # a null eigenvalue scaled as 1: no division by zero
+        size = np.where(null, 1.0, size)  # a null column left unscaled: no division by zero
     return vecs / np.sqrt(size)[:, None, :], np.sign(w), null

@@ -142,6 +142,14 @@ def test_make_metric_param_validation():
         make_metric("L4_3", "m43", {"a": 0.0, "b": 0.0, "eps": 0.5})  # eps must be ±1
     with pytest.raises(BadParams, match="EX8 takes no parameters: x"):
         make_metric("EX8", None, {"x": 1.0})  # the examples' metrics are fixed
+    # a parameter name that is not a string is refused by name, not joined into
+    # a message as a TypeError
+    with pytest.raises(BadParams, match="^parameter name 1 is not a string$"):
+        make_metric("L3_2", "m32", {"alpha": 1.0, 1: 2.0})
+    with pytest.raises(BadParams, match="^parameter name 1 is not a string$"):
+        make_metric("EX6", params={1: 2.0})
+    with pytest.raises(BadParams, match=r"^parameter name \('alpha',\) is not a string$"):
+        make_metric("L3_2", "m32", {("alpha",): 1.0})
 
 
 @pytest.mark.parametrize(

@@ -134,6 +134,14 @@ def test_parse_error_exit_2_with_line(tmp_path, capsys):
     assert ":2:" in err
 
 
+def test_a_coefficient_key_in_another_spelling_exit_2(tmp_path, capsys):
+    path = tmp_path / "twokeys.json"
+    path.write_text('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1.0, "03": 2.0}}]}')
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 2 and out == ""
+    assert "coefficient key '03' is not an index" in err
+
+
 def test_decompose_roundtrip_via_files(tmp_path, capsys):
     src = tmp_path / "l32.json"
     dec = tmp_path / "dec.json"

@@ -213,6 +213,14 @@ def _is_max_over_axes(node: ast.AST) -> bool:
     )
 
 
+def _is_eigensolve(node: ast.AST) -> bool:
+    """A call of numpy's eigh, eigvalsh, eig or eigvals, in any spelling
+    (np.linalg.eigh, linalg.eigh, a bare eigh)."""
+    func = node.func if isinstance(node, ast.Call) else None
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in ("eigh", "eigvalsh", "eig", "eigvals")
+
+
 def test_a_symmetrization_is_written_once():
     # (M + Mᵀ)/2 of a matrix or a stack is pseudolin._symmetrized
     assert _sites(_is_symmetrization) == {"pseudolin.py:_symmetrized"}
@@ -223,3 +231,10 @@ def test_a_maximum_over_axes_is_written_once():
     # axes left is liealg._unit's, which keeps its axes to divide each
     # bracket by its own peak
     assert _sites(_is_max_over_axes) == {"liealg.py:_unit"}
+
+
+def test_an_eigendecomposition_is_written_once():
+    # every inertia decision (signature, the subspace classes, the isotropic
+    # vectors, the metrics' frames) reads pseudolin._orthonormal_bases, so
+    # no two of them can disagree on one gram
+    assert _sites(_is_eigensolve) == {"pseudolin.py:_orthonormal_bases"}

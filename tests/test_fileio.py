@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from functools import partial
 
 import numpy as np
@@ -70,6 +71,16 @@ def test_dict_to_algebra_validation_messages():
         )
     with pytest.raises(InvalidInput, match="finite"):
         parse({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"1": float("inf")}}]})
+    # a coefficient key is an index in its one canonical spelling, so two keys
+    # cannot name one coefficient and the first be lost
+    for key in ("03", " +0_3 ", "3 ", "+3", "٣", "3.0", "0x3"):
+        with pytest.raises(InvalidInput, match=re.escape(f"coefficient key {key!r} is not an index")):
+            parse({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1.0, key: 2.0}}]})
+    for key in (3, True, None):  # a library caller's key that JSON cannot spell
+        with pytest.raises(InvalidInput, match="is not an index"):
+            parse({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {key: 1.0}}]})
+    with pytest.raises(InvalidInput, match="coefficient index 0 out of range"):
+        parse({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"0": 1.0}}]})
     with pytest.raises(InvalidInput, match="unknown field"):
         parse({"dim": 2, "bracketts": []})
     with pytest.raises(InvalidInput, match="symmetric"):

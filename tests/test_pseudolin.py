@@ -221,6 +221,14 @@ def test_subspace_validation():
     for bad in (0.0, -1e-9, float("nan"), float("inf")):
         with pytest.raises(InvalidInput, match="positive finite"):
             Subspace(np.zeros((0, 3)), bad)
+    # the zero subspace contains by the sup-norm residual rule of every
+    # subspace, as a line does: (9e-10,)*3 has 2-norm 1.6e-9 > 1e-9
+    zero = Subspace.kernel(np.eye(3), DEFAULT_TOL)
+    assert zero.dim == 0
+    assert zero.contains([9e-10] * 3)
+    assert s.contains([0.0, 9e-10, 9e-10])
+    assert not zero.contains([2e-9, 0.0, 0.0])
+    assert Subspace.full(0, DEFAULT_TOL).contains(np.zeros(0))
 
 
 def test_classify_trichotomy():
@@ -344,6 +352,38 @@ def test_find_isotropic_random_lorentzian_planes():
         assert np.abs(f.basis.T @ coeffs - v).max() <= 1e-8
 
 
+def _band_grams(rng, count, lorentzian):
+    """count grams Q·diag(λ)·Qᵀ of 2 to 5 dimensions, λ positive but for one
+    negative entry when lorentzian, with one eigenvalue placed within 2e-6 of
+    the cutoff tol·max(1, |λ|_max) in relative terms, where two eigensolves
+    of one gram can fall on either side of it."""
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        lam = rng.uniform(0.5, 2.0, size=n - 1)
+        if lorentzian:
+            lam[0] = -lam[0]
+        cut = DEFAULT_TOL * max(1.0, np.abs(lam).max())
+        lam = np.append(lam, cut * (1.0 + 2e-6 * rng.uniform(-1.0, 1.0)))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        yield Gram(q @ np.diag(lam) @ q.T)
+
+
+def test_every_inertia_decision_agrees_at_the_cutoff():
+    # signature, the metric build, classify_subspace and find_isotropic_in
+    # read one eigendecomposition, so they agree on every gram of the band
+    for g in _band_grams(np.random.default_rng(5), 1000, lorentzian=True):
+        try:
+            MetricLieAlgebra(LieAlgebra(np.zeros((g.n,) * 3), DEFAULT_TOL), g)
+            degenerate = False
+        except DegenerateGram:
+            degenerate = True
+        assert (signature(g, DEFAULT_TOL).null > 0) == degenerate
+    for g in _band_grams(np.random.default_rng(9), 1000, lorentzian=False):
+        full = Subspace.full(g.n, DEFAULT_TOL)
+        definite = classify_subspace(g, full).tag is not SubspaceTag.DEGENERATE
+        assert definite == (find_isotropic_in(g, full) is None)
+
+
 def test_orthonormal_basis_minkowski():
     g = minkowski(3)
     b, eps = orthonormal_basis(g, DEFAULT_TOL)
@@ -403,7 +443,7 @@ _EMPTY_STACKS = {
         pseudolin._cutoff(1e-9, np.zeros((0, 3)), np.zeros((0, 2, 2)), stack=True),
     ),
     "_ranks": lambda: (pseudolin._ranks(np.zeros((0, 3)), 1e-9),),
-    "_null_eigenvalues": lambda: (pseudolin._null_eigenvalues(np.zeros((0, 3)), 1e-9),),
+    "_orthonormal_bases": lambda: pseudolin._orthonormal_bases(np.zeros((0, 3, 3)), 1e-9),
     "_signatures": lambda: pseudolin._signatures(np.zeros((0, 3, 3)), 1e-9),
     "_check_routes": lambda: (curvature._check_routes(np.zeros((0, 3, 3)), np.zeros((0, 3, 3))),),
     "_einstein_defects": lambda: curvature._einstein_defects(np.zeros((0, 3, 3)), 1e-8),
