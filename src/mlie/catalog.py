@@ -11,6 +11,7 @@ resulting metrics are Ricci-flat.
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
@@ -406,7 +407,10 @@ def _metric_gram(
 
 
 def _named(params: Optional[Mapping[str, float]]) -> dict:
-    """params as a dict; BadParams naming a key that is not a string."""
+    """params as a dict; BadParams naming the type of params when it is not a
+    mapping, or a key that is not a string."""
+    if params is not None and not isinstance(params, abc.Mapping):
+        raise BadParams(f"params must be a mapping of names to numbers, not {type(params).__name__}")
     given = dict(params or {})
     for key in given:
         if not isinstance(key, str):

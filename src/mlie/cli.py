@@ -270,6 +270,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     print(f"stop reasons:  {counts}")
     if result.central_vector is not None:
         print(f"held null:     {_fmt(result.central_vector)}")
+        print(f"hyperplane α:  {_fmt(result.hyperplane)}")
     if result.best_gram is not None:
         print("gram matrix:")
         print(_fmt(result.best_gram.mat))

@@ -31,6 +31,8 @@ extend only the bracket condition (_lie_tests), and verify's double-extension
 and guediri checks on a stack per core dimension; double-extension draws its
 data as stacks, one draw per shape, and builds no ExtensionData.
 guediri_2step is Guediri's data (_guediri_data) followed by extend.
+_admissible_forms reads the model's hyperplane e^⊥ = Re ⊕ V back from an
+algebra alone: the 1-forms whose kernels can play it for a given central e.
 """
 from __future__ import annotations
 
@@ -57,6 +59,7 @@ from .pseudolin import (
     _nullspaces,
     _peaks,
     find_isotropic_in,
+    nullspace,
     numerical_rank,
 )
 
@@ -178,6 +181,24 @@ def extend(data: ExtensionData, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:
         raise _not_lie(residual[0])
     algebra = LieAlgebra(_models(k, d, mu, b)[0], tol)
     return MetricLieAlgebra(algebra, Gram(_witt_gram(data.v_dim + 2)))
+
+
+def _admissible_forms(algebra: LieAlgebra, z: np.ndarray) -> np.ndarray:
+    """An orthonormal basis (rows, (k, n)) of the α-space of a central z: the
+    1-forms α with α(Z) = α([g,g]) = 0 and α ∧ (λ∘c) = 0 for every λ that
+    kills z, every rank decided at algebra.tol.  A 2-form ω vanishes on
+    ker α ≠ 0 iff α ∧ ω = 0, so every nonzero α in it has a kernel
+    H ⊇ Z + [g,g] with [H,H] ⊆ Rz: the hyperplane e^⊥ = Re ⊕ V of a double
+    extension whose null central vector e is z.  It is the nullspace of one
+    stacked linear map: the rows of Z and [g,g], and (α∧ω)(a,b,c) =
+    α(a)ω(b,c) + α(b)ω(c,a) + α(c)ω(a,b) for ω = λ∘c and λ running over a
+    basis of z's annihilator, written as rows acting on α."""
+    n = algebra.n
+    omega = np.einsum("lk,ijk->lij", nullspace(z[None], algebra.tol), algebra.c)
+    term = np.einsum("ap,lbc->labcp", np.eye(n), omega)  # α(a)ω(b,c) as rows on α
+    wedge = term + term.transpose(0, 2, 3, 1, 4) + term.transpose(0, 3, 1, 2, 4)
+    rows = np.concatenate([wedge.reshape(-1, n), algebra.center().basis, algebra.derived_ideal().basis])
+    return nullspace(rows, algebra.tol)
 
 
 def _models(k: np.ndarray, d: np.ndarray, mu: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,23 +22,31 @@ zero Jacobian column, which the damping absorbs:
 
     algebra                      L3_2  L4_2  L4_3  L5_2  EX8
     directions on all of gl(n)      9    16    16    25   64
-    directions on the stratum S     7    13    13    21    -
+    directions on the flag's S      6    11    11    18    -
 
 The paper's theorem says where the Lorentzian Ricci-flat metrics of dimension
 n ≤ 5 are: every Lorentzian Einstein nilpotent metric there has a degenerate
-center.  So when the spec asks for a Ricci-flat metric of signature (1, n − 1)
-on a non-abelian nilpotent algebra of dimension n ≤ 5, the search holds one
-central vector z null on every iterate: z is the first row of Z ∩ [g,g]
-(_held_central_vector says why [g,g]), and with ê = (b₀ + b₁)/√2, an η-null
-frame vector,
+center, so it is a double extension, whose null central vector z has a
+hyperplane H = z^⊥ ⊇ Z + [g,g] with [H,H] ⊆ Rz.  So when the spec asks for a
+Ricci-flat metric of signature (1, n − 1) on a non-abelian nilpotent algebra
+of dimension n ≤ 5, the search holds that null flag z ∈ H on every iterate:
+z is the first row of Z ∩ [g,g] (_held_central_vector says why [g,g]), the
+admissible H are the kernels of the nonzero members α of z's α-space
+(doubleext._admissible_forms), and with ê = (b₀ + b₁)/√2, an η-null frame
+vector,
 - every start I + 0.1·N is turned by the Euclidean Householder reflection
-  that sends A·z/|A·z| to ê, which keeps cond(A);
-- every step X lies in S = {X : X·ê ∥ ê}, so (I + X)·A·z stays on the line of
-  ê to all orders and B·ê stays a central null vector of the gram.
-S has a basis of n² − n + 1 members.  Every other spec (dimension ≥ 6, where
+  that sends A·z/|A·z| to ê, which keeps cond(A), and then moved by the
+  rank-one A ← A − ηê ⊗ (w − α), where w = êᵀηA and α is its orthogonal
+  projection onto the α-space, so that A·z ∥ ê and A⁻¹(ê^⊥) = ker α;
+- every step X lies in S = {X : X·ê ∥ ê, Xᵀ·ηê ∥ ηê}, the flag's
+  stabilizer, so (I + X)·A keeps A·z on the line of ê and the row êᵀηA on
+  the line of α to all orders: B·ê stays a central null vector of the gram
+  and its orthogonal hyperplane stays ker α.
+S has a basis of n² − 2n + 3 members.  Every other spec (dimension ≥ 6, where
 EX6 and EX7 are Ricci-flat with a nondegenerate center; other signatures;
-the Einstein target; abelian or non-nilpotent algebras) steps on gl(n), and
-SearchResult.central_vector is None.
+the Einstein target; abelian or non-nilpotent algebras; an empty α-space,
+which no catalog algebra has) steps on gl(n), and SearchResult.central_vector
+and SearchResult.hyperplane are None.
 
 All restarts advance together as one stack of factors A[r]: per iteration one
 stacked Jacobian call over the restarts still running, and per damping round
@@ -65,7 +73,10 @@ the verdict's Einstein test goes on with no classification.
 
 The forward and Jacobian calls hand the kernel the frame as its signs ε,
 η = diag(ε), so every product with η is a sign flip (a gram AᵀηA is
-(Aᵀ·ε)·A); _settle and einstein_residual take each gram's own frame.
+(Aᵀ·ε)·A); _settle and einstein_residual take each gram's own frame.  A
+restart stops "degenerating" when cond₂(A) passes _MAX_COND; the bound
+‖A‖_F·‖B‖_F ≥ cond₂(A) comes free from the forward call's B, so only the
+factors whose bound passes pay the SVD of np.linalg.cond.
 """
 from __future__ import annotations
 
@@ -87,6 +98,7 @@ from .curvature import (
     q_bracket_operators,
     ricci_operators,
 )
+from .doubleext import _admissible_forms
 from .errors import InvalidInput
 from .liealg import LieAlgebra, act_on_brackets, derivation_defects
 from .pseudolin import Gram, _cutoff, _nonnegative, _symmetrized, nullspace
@@ -116,7 +128,8 @@ _SINGLE_RUNGS = 3
 _MAX_STEP = 0.5
 #: up to this dimension every Lorentzian Einstein nilpotent metric has a
 #: degenerate center (the paper's theorem), and the Lorentzian Ricci-flat
-#: search holds a central vector null
+#: search holds a null flag: a central vector null and its hyperplane
+#: admissible
 _STRATUM_MAX_DIM = 5
 
 
@@ -165,8 +178,11 @@ class SearchResult:
     #: one of STOP_REASONS per restart, in restart order
     stop_reasons: Tuple[str, ...]
     #: the central vector z that every restart held null, read-only (n,),
-    #: or None when the search holds none
+    #: or None off the flag
     central_vector: Optional[np.ndarray]
+    #: the 1-form α of the winner's hyperplane H = z^⊥ = ker α, unit with its
+    #: largest entry positive, read-only (n,), or None off the flag
+    hyperplane: Optional[np.ndarray]
 
 
 def _deviations(ric: np.ndarray, einstein: bool) -> np.ndarray:
@@ -274,29 +290,46 @@ def _held_central_vector(spec: SearchSpec) -> Optional[np.ndarray]:
         return None
     # x = Dᵀy lies in Z when its part off Z, (I − ZᵀZ)·Dᵀy, vanishes
     off_center = derived.T - center.T @ (center @ derived.T)
-    z = nullspace(off_center, algebra.tol)[0] @ derived
-    # its largest entry positive, whatever the SVD's signs (+ 0.0 clears −0)
-    z = z * np.sign(z[np.argmax(np.abs(z))]) + 0.0
-    z.flags.writeable = False
-    return z
+    return _on_its_line(nullspace(off_center, algebra.tol)[0] @ derived)
 
 
-def _null_frame_vector(n: int) -> np.ndarray:
-    """ê = (b₀ + b₁)/√2, a unit η-null vector for η = diag(−1, 1, …, 1)."""
+def _held_flag(spec: SearchSpec) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(z, forms): the central vector _held_central_vector gives and the
+    orthonormal rows (k, n) of its α-space (doubleext._admissible_forms),
+    whose nonzero members are the 1-forms α of the admissible hyperplanes
+    H = ker α ⊇ Z + [g,g] with [H,H] ⊆ Rz.  None when the spec holds no
+    central vector, and when the α-space is empty: with no admissible
+    hyperplane the spec steps on gl(n).  No catalog algebra of dimension
+    ≤ 5 has an empty α-space."""
+    z = _held_central_vector(spec)
+    if z is None:
+        return None
+    forms = _admissible_forms(spec.algebra, z)
+    return (z, forms) if len(forms) else None
+
+
+def _null_flag(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(ê, ηê) for η = diag(−1, 1, …, 1): ê = (b₀ + b₁)/√2, a unit η-null
+    vector, and ηê, the unit 1-form whose kernel is ê^⊥ ∋ ê."""
     e = np.zeros(n)
     e[:2] = math.sqrt(0.5)
-    return e
+    eta_e = e.copy()
+    eta_e[0] = -eta_e[0]
+    return e, eta_e
 
 
-def _stratum_directions(n: int) -> np.ndarray:
-    """A Frobenius-orthonormal basis (n² − n + 1, n, n) of S = {X : X·ê ∥ ê},
-    the kernel of X ↦ (I − êêᵀ)·X·ê, by one SVD.  Every I + X with X in S
-    maps the null line of ê onto itself."""
-    e = _null_frame_vector(n)
+def _flag_directions(n: int) -> np.ndarray:
+    """A Frobenius-orthonormal basis (n² − 2n + 3, n, n) of the flag's
+    stabilizer S = {X : X·ê ∥ ê, Xᵀ·ηê ∥ ηê}, the kernel of X ↦
+    ((I − êêᵀ)·X·ê, (I − ηêêᵀη)·Xᵀ·ηê), by one SVD.  Every I + X with X in S
+    maps the null line of ê and the hyperplane ê^⊥ onto themselves; the two
+    halves share one condition, êᵀηXê = 0."""
+    e, eta_e = _null_flag(n)
     units = np.eye(n * n).reshape(n * n, n, n)
-    images = (np.eye(n) - np.outer(e, e)) @ units @ e  # (n², n)
-    # the map's singular values are 1 (n − 1 times) and 0
-    return nullspace(images.T, 0.5).reshape(-1, n, n)
+    lines = (np.eye(n) - np.outer(e, e)) @ units @ e  # (n², n)
+    planes = (np.eye(n) - np.outer(eta_e, eta_e)) @ units.transpose(0, 2, 1) @ eta_e
+    # the map's singular values are √2 (once), 1 (2n − 4 times) and 0
+    return nullspace(np.concatenate([lines, planes], axis=1).T, 0.5).reshape(-1, n, n)
 
 
 def _onto_null_line(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -304,8 +337,30 @@ def _onto_null_line(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     reflection H = I − 2vvᵀ/|v|², v = A·z/|A·z| − ê, so that H·A·z ∥ ê;
     H is orthogonal, so cond(H·A) = cond(A)."""
     u = a @ z
-    v = u / _norms(u)[:, None] - _null_frame_vector(a.shape[-1])
+    v = u / _norms(u)[:, None] - _null_flag(a.shape[-1])[0]
     return a - (2.0 / _sq_norms(v))[:, None, None] * v[:, :, None] @ (v[:, None, :] @ a)
+
+
+def _onto_flag(a: np.ndarray, z: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """The stack a turned by _onto_null_line, then each factor moved by the
+    rank-one A ← A − ηê ⊗ (w − α), with w = êᵀηA its row and α the orthogonal
+    projection of w onto the α-space, of orthonormal rows forms (k, n).  The
+    new row êᵀηA is α, since η² = I and |ê| = 1, and A·z stays, since
+    w·z = 0 = α·z; so A·z ∥ ê and A⁻¹(ê^⊥) = ker α is an admissible
+    hyperplane.  α depends on the restart's own start alone."""
+    a = _onto_null_line(a, z)
+    eta_e = _null_flag(a.shape[-1])[1]
+    w = eta_e @ a
+    return a - eta_e[:, None] * (w - w @ forms.T @ forms)[:, None, :]
+
+
+def _on_its_line(v: np.ndarray) -> np.ndarray:
+    """v/|v| with its largest entry positive, whatever the signs of the
+    computation that gave v (+ 0.0 clears −0), read-only."""
+    v = v / np.linalg.norm(v)
+    v = v * np.sign(v[np.argmax(np.abs(v))]) + 0.0
+    v.flags.writeable = False
+    return v
 
 
 def _damped_steps(
@@ -374,14 +429,14 @@ def run_search(spec: SearchSpec) -> SearchResult:
     einstein = spec.target == "einstein"
     minus, plus = spec.signature
     eps = np.concatenate([-np.ones(minus), np.ones(plus)])
-    z = _held_central_vector(spec)
+    flag = _held_flag(spec)
     # the one basis every step of this search is taken on
-    basis = np.eye(n * n).reshape(n * n, n, n) if z is None else _stratum_directions(n)
+    basis = np.eye(n * n).reshape(n * n, n, n) if flag is None else _flag_directions(n)
 
     count = spec.restarts
     starts = [np.random.default_rng([spec.seed, r]).standard_normal((n, n)) for r in range(count)]
     a = np.eye(n) + 0.1 * np.array(starts)
-    a = _unit_det(a if z is None else _onto_null_line(a, z))
+    a = _unit_det(a if flag is None else _onto_flag(a, *flag))
     b, mu, ric, r = _forward(a, algebra.c, eps, nilpotent, einstein)
     f = _norms(r)
     residual = np.zeros(count)
@@ -408,7 +463,10 @@ def run_search(spec: SearchSpec) -> SearchResult:
             idx = running[near]
             reasons[idx], residual[idx] = _settle(spec, eps, a[idx], ric_g[near], residual[idx])
         running = running[reasons[running] == ""]
-        reasons[running[np.linalg.cond(a[running]) > _MAX_COND]] = "degenerating"
+        # ‖A‖_F·‖B‖_F ≥ cond₂(A), so only the factors whose bound passes
+        # _MAX_COND pay the SVD of np.linalg.cond, which decides
+        bounded = running[_norms(a[running]) * _norms(b[running]) > _MAX_COND]
+        reasons[bounded[np.linalg.cond(a[bounded]) > _MAX_COND]] = "degenerating"
         running = running[reasons[running] == ""]
         reasons[running[iters[running] >= spec.max_iters]] = "budget"
         running = running[reasons[running] == ""]
@@ -475,5 +533,6 @@ def run_search(spec: SearchSpec) -> SearchResult:
         iterations=int(iters[best]),
         restart_index=best,
         stop_reasons=tuple(reasons),
-        central_vector=z,
+        central_vector=None if flag is None else flag[0],
+        hyperplane=None if flag is None else _on_its_line(_null_flag(n)[1] @ a[best]),
     )

@@ -150,6 +150,13 @@ def test_make_metric_param_validation():
         make_metric("EX6", params={1: 2.0})
     with pytest.raises(BadParams, match=r"^parameter name \('alpha',\) is not a string$"):
         make_metric("L3_2", "m32", {("alpha",): 1.0})
+    # params that are not a mapping are refused by their type, not met as a
+    # TypeError or ValueError from dict()
+    for params, kind in (([1, 2], "list"), ("alpha", "str"), ((("alpha", 1.0),), "tuple")):
+        with pytest.raises(BadParams, match=f"^params must be a mapping of names to numbers, not {kind}$"):
+            make_metric("L3_2", "m32", params)
+    with pytest.raises(BadParams, match="not list$"):
+        make_metric("EX8", params=[])
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,8 @@ import mlie.errors
 import mlie.liealg
 import mlie.pseudolin
 from mlie.cli import main
+from mlie.fileio import read_algebra
+from mlie.search import SearchSpec, run_search
 from mlie.errors import (
     InvalidInput,
     NotApplicable,
@@ -586,6 +588,22 @@ def test_search_nonconvergence_exit_1(tmp_path, capsys):
     assert code == 1
     assert "converged:     False" in out
     assert "held null" not in out  # a Euclidean search holds no null vector
+    assert "hyperplane" not in out
+
+
+def test_search_prints_the_held_hyperplane(tmp_path, capsys):
+    # beside the null central vector z the search prints the 1-form α whose
+    # kernel H = z^⊥ it held admissible: the winner's SearchResult.hyperplane
+    src = tmp_path / "l43.json"
+    run_cli(capsys, "catalog", "L4_3", "m43", "a=0", "b=0", "eps=1", "-o", str(src))
+    code, out, _ = run_cli(capsys, "search", str(src), "--signature", "1,3", "--seed", "2")
+    assert code == 0
+    (line,) = [x for x in out.splitlines() if x.startswith("hyperplane α:  [")]
+    printed = np.array(line.split("[", 1)[1].rstrip("]").split(), dtype=float)
+    algebra = read_algebra(str(src), mlie.pseudolin.DEFAULT_TOL)[0]
+    want = run_search(SearchSpec(algebra, signature=(1, 3), seed=2)).hyperplane
+    assert np.abs(printed - want).max() <= 1e-8
+    assert abs(printed @ algebra.center().basis[0]) <= 1e-8
 
 
 def test_search_bad_signature_exit_2(tmp_path, capsys):

@@ -6,8 +6,10 @@ import pytest
 from mlie import doubleext
 from mlie.catalog import make_metric
 from mlie.curvature import MetricLieAlgebra, Verdict
+from mlie.catalog import make_algebra
 from mlie.doubleext import (
     ExtensionData,
+    _admissible_forms,
     check_admissible,
     decompose,
     extend,
@@ -20,7 +22,8 @@ from mlie.doubleext import (
 )
 from mlie.errors import ConstraintViolation, InvalidInput, NotApplicable, NotLie, SingularK0
 from mlie.liealg import LieAlgebra, act_on_brackets
-from mlie.pseudolin import DEFAULT_TOL, Gram, SubspaceTag, classify_subspace
+from mlie.pseudolin import DEFAULT_TOL, Gram, SubspaceTag, classify_subspace, nullspace
+from mlie.search import SearchSpec, _held_central_vector
 
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -462,3 +465,41 @@ def test_guediri_constraint_violation():
     guediri_2step(np.zeros(2), c, a)
     with pytest.raises(ConstraintViolation):
         guediri_2step(np.zeros(2), np.sqrt(2.0) * c, a)
+
+
+#: the dimension of the α-space of the search's central vector z on each
+#: nilpotent catalog algebra of dimension ≤ 5 but the abelian ones
+_ALPHA_SPACE_DIMS = {
+    "L3_2": 2, "L4_2": 2, "L4_3": 2, "L5_2": 2, "L5_3": 2, "L5_5": 2, "L5_8": 2,
+    "L5_6": 1, "L5_9": 1, "L5_7": 1, "L5_4": 4,
+}
+
+
+@pytest.mark.parametrize("name, dim", sorted(_ALPHA_SPACE_DIMS.items()))
+def test_the_alpha_space_on_the_catalog(name, dim):
+    # every member α has H = ker α ⊇ Z + [g,g] and [H,H] ⊆ Rz, checked on
+    # H's basis pair by pair
+    algebra = make_algebra(name)
+    z = _held_central_vector(SearchSpec(algebra, signature=(1, algebra.n - 1)))
+    forms = _admissible_forms(algebra, z)
+    assert forms.shape == (dim, algebra.n)
+    assert np.abs(forms @ forms.T - np.eye(dim)).max() <= 1e-14
+    for alpha in forms:
+        assert np.abs(algebra.center().basis @ alpha).max() <= 1e-14
+        assert np.abs(algebra.derived_ideal().basis @ alpha).max() <= 1e-14
+        h = nullspace(alpha[None], algebra.tol)
+        for i in range(len(h)):
+            for j in range(i):
+                bracket = algebra.bracket(h[i], h[j])
+                assert np.abs(bracket - (bracket @ z) * z).max() <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_alpha_space_of_a_model_holds_its_hyperplane(seed):
+    # in the model (e, f_1..f_v, ē), e^⊥ = Re ⊕ V is the kernel of the last
+    # coordinate, an admissible hyperplane of the null central e
+    model = extend(random_admissible(np.random.default_rng(seed), f_dim=2, blocks=1)).algebra
+    n = model.n
+    forms = _admissible_forms(model, np.eye(n)[0])
+    last = np.eye(n)[-1]
+    assert np.abs(last - last @ forms.T @ forms).max() <= 1e-12

@@ -18,22 +18,24 @@ from mlie.curvature import (
     q_bracket_operators,
     structure_endo_tensors,
 )
-from mlie.doubleext import extend, random_admissible
+from mlie.doubleext import _admissible_forms, extend, random_admissible
 from mlie.errors import DegenerateGram, InvalidInput, NotNilpotent, is_route_mismatch
 from mlie.liealg import LieAlgebra, derivation_defects
-from mlie.pseudolin import Gram, SubspaceTag, classify_subspace
+from mlie.pseudolin import Gram, SubspaceTag, classify_subspace, nullspace
 from mlie.search import (
     STOP_REASONS,
     SearchSpec,
+    _MAX_COND,
     _damped_steps,
+    _flag_directions,
     _forward,
     _jacobians,
     _held_central_vector,
-    _null_frame_vector,
+    _null_flag,
+    _onto_flag,
     _onto_null_line,
     _residuals,
     _settle,
-    _stratum_directions,
     einstein_residual,
     run_search,
 )
@@ -232,13 +234,13 @@ def _polarized_jacobians(mu, ric, eps, einstein, directions):
 def test_the_differential_jacobian_equals_polarization(case, target):
     # Q = P(μ, μ♯) is quadratic in μ, so the exact differential of the bracket
     # form gives the Jacobian that polarization on the sides μ ± ν gives, on
-    # the unit matrices and on the stratum's basis, up to rounding
+    # the unit matrices and on the flag's basis, up to rounding
     algebra = _case_algebra(case)
     n, einstein = algebra.n, target == "einstein"
     eps = _lorentzian_signs(n)
     a = np.eye(n) + 0.3 * np.random.default_rng(17).normal(size=(3, n, n))
     _, mu, ric, _ = _forward(a, algebra.c, eps, True, einstein)
-    for directions in (np.eye(n * n).reshape(n * n, n, n), _stratum_directions(n)):
+    for directions in (np.eye(n * n).reshape(n * n, n, n), _flag_directions(n)):
         jac = _jacobians(mu, ric, eps, True, einstein, directions)
         want = _polarized_jacobians(mu, ric, eps, einstein, directions)
         assert jac.shape == want.shape == (3, n * n, len(directions))
@@ -624,7 +626,7 @@ def _counted(monkeypatch, *names):
 
 
 @pytest.mark.parametrize(
-    "case, seed, restarts", [("L4_3", 0, 8), ("L4_2", 0, 8), ("non-nilpotent", 1, 2)]
+    "case, seed, restarts", [("L4_3", 0, 8), ("L5_5", 0, 8), ("non-nilpotent", 1, 2)]
 )
 def test_the_search_solves_nothing_against_its_frame(case, seed, restarts, monkeypatch):
     # in the frame η = diag(ε) every solve of the kernel is a sign flip,
@@ -638,19 +640,22 @@ def test_the_search_solves_nothing_against_its_frame(case, seed, restarts, monke
     spec = SearchSpec(algebra, signature=(1, algebra.n - 1), seed=seed, restarts=restarts)
     classified = _classifications(monkeypatch)
     calls = _solves_by_search_caller(monkeypatch)
-    built = _counted(monkeypatch, "_stratum_directions")
+    built = _counted(monkeypatch, "_flag_directions")
     result = run_search(spec)
     assert result.converged and classified  # settle's classification ran under the spy
     assert result.iterations > 0
     # no QR either: every search steps on one basis, built once
     assert set(calls) == {("mlie.search", "_forward"), ("mlie.search", "_damped_steps")}
-    # the stratum search builds its basis of S, every other one takes gl(n)
-    assert built == ({"_stratum_directions": 1} if stratum else {})
+    # the flag search builds its basis of S, every other one takes gl(n)
+    assert built == ({"_flag_directions": 1} if stratum else {})
 
 
 def _stratum_spec(name, **kwargs):
     algebra = make_algebra(name)
     return SearchSpec(algebra, signature=(1, algebra.n - 1), **kwargs)
+
+
+_RICCI_FLAT_ONLY = {Verdict.RICCI_FLAT}
 
 
 @pytest.mark.parametrize(
@@ -659,25 +664,51 @@ def _stratum_spec(name, **kwargs):
         ("L4_2", {Verdict.FLAT}),
         ("L5_2", {Verdict.FLAT}),
         ("L4_3", {Verdict.FLAT, Verdict.RICCI_FLAT}),
+        ("L5_3", _RICCI_FLAT_ONLY),
+        ("L5_5", _RICCI_FLAT_ONLY),
+        ("L5_6", _RICCI_FLAT_ONLY),
+        ("L5_8", _RICCI_FLAT_ONLY),
+        ("L5_9", _RICCI_FLAT_ONLY),
     ],
 )
 @pytest.mark.parametrize("seed", range(4))
 def test_the_stratum_search_reaches_the_paper_s_ricci_flat_metrics(name, verdicts, seed):
     # in dimension ≤ 5 a Lorentzian Ricci-flat nilpotent metric has a
-    # degenerate center; the search holds z ∈ Z ∩ [g,g] null on every iterate
-    # and reaches such a metric at a tolerance near rounding
-    spec = _stratum_spec(name, seed=seed, tol=1e-12)
-    result = run_search(spec)
-    assert result.converged and result.residual <= 1e-12
-    gram = result.best_gram.mat
-    report = MetricLieAlgebra(spec.algebra, result.best_gram).einstein_classify()
-    assert report.verdict in verdicts
-    center = classify_subspace(result.best_gram, spec.algebra.center())
-    assert center.tag is SubspaceTag.DEGENERATE
-    z = result.central_vector
-    assert z.shape == (spec.algebra.n,) and not z.flags.writeable
-    assert spec.algebra.center().contains(z) and spec.algebra.derived_ideal().contains(z)
-    assert abs(z @ gram @ z) <= 1e-12 * np.abs(gram).max()
+    # degenerate center; the search holds z ∈ Z ∩ [g,g] null and its
+    # hyperplane z^⊥ admissible on every iterate, and reaches such a metric
+    # at a tolerance near rounding, with a degenerate center at the default
+    # tolerance too
+    for tol in (1e-12, SearchSpec.tol):
+        spec = _stratum_spec(name, seed=seed, tol=tol)
+        result = run_search(spec)
+        assert result.converged and result.residual <= tol
+        gram = result.best_gram.mat
+        report = MetricLieAlgebra(spec.algebra, result.best_gram).einstein_classify()
+        assert report.verdict in verdicts
+        center = classify_subspace(result.best_gram, spec.algebra.center())
+        assert center.tag is SubspaceTag.DEGENERATE
+        z, alpha = result.central_vector, result.hyperplane
+        assert z.shape == alpha.shape == (spec.algebra.n,)
+        assert not z.flags.writeable and not alpha.flags.writeable
+        assert spec.algebra.center().contains(z) and spec.algebra.derived_ideal().contains(z)
+        assert abs(z @ gram @ z) <= 1e-12 * np.abs(gram).max()
+        # z^⊥ = ker α under the found gram, and α is in z's α-space
+        g_z = gram @ z
+        assert np.abs(g_z - (g_z @ alpha) * alpha).max() <= 1e-12 * np.abs(gram).max()
+        forms = _admissible_forms(spec.algebra, z)
+        assert np.abs(alpha - alpha @ forms.T @ forms).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name, signature", [("L4_2", (1, 3)), ("L5_2", (1, 4))])
+@pytest.mark.parametrize("seed", range(4))
+def test_the_flag_start_is_already_flat_on_l4_2_and_l5_2(name, signature, seed):
+    # with its central vector null and an admissible hyperplane, every start
+    # on these algebras has K = D = 0 in the model, so it is flat: each
+    # restart converges at iteration 0, before any step
+    result = run_search(SearchSpec(make_algebra(name), signature=signature, seed=seed))
+    assert result.stop_reasons == ("converged",) * 8 and result.iterations == 0
+    verdict = MetricLieAlgebra(make_algebra(name), result.best_gram).einstein_classify().verdict
+    assert verdict is Verdict.FLAT
 
 
 @pytest.mark.parametrize("name, seed", [("L5_4", 0), ("L5_7", 1)])
@@ -723,23 +754,96 @@ def test_the_search_off_the_stratum_reaches_the_paper_s_first_examples(name, sig
     assert verdict in (Verdict.FLAT, Verdict.RICCI_FLAT)
 
 
-def test_the_stratum_start_and_steps_keep_the_central_vector_on_the_null_line():
-    spec = _stratum_spec("L5_2")
+def test_the_flag_start_and_steps_keep_z_null_and_its_hyperplane_admissible():
+    spec = _stratum_spec("L5_5")
+    algebra, n = spec.algebra, spec.algebra.n
     z = _held_central_vector(spec)
-    n = spec.algebra.n
-    e = _null_frame_vector(n)
-    assert abs(e @ np.diag(_lorentzian_signs(n)) @ e) <= 1e-16
-    # the reflected start sends A·z onto the line of ê and keeps every singular value
+    forms = _admissible_forms(algebra, z)
+    e, eta_e = _null_flag(n)
+    eta = np.diag(_lorentzian_signs(n))
+    assert abs(e @ eta @ e) <= 1e-16 and np.abs(eta @ e - eta_e).max() == 0.0
     a = np.eye(n) + 0.1 * np.random.default_rng(3).standard_normal((4, n, n))
+    # the reflection sends A·z onto the line of ê and keeps every singular value
     turned = _onto_null_line(a, z)
-    az = turned @ z
-    assert np.abs(az - np.linalg.norm(az, axis=1)[:, None] * e).max() <= 1e-14
     sv = np.linalg.svd(a, compute_uv=False)
     assert np.abs(np.linalg.svd(turned, compute_uv=False) - sv).max() <= 1e-14 * sv.max()
-    # S = {X : X·ê ∥ ê} has a Frobenius-orthonormal basis of n² − n + 1 members
-    basis = _stratum_directions(n)
-    assert basis.shape == (n * n - n + 1, n, n)
+    # the flag start keeps A·z on that line and makes the row êᵀηA the
+    # projection α of the reflected row onto the α-space
+    start = _onto_flag(a, z, forms)
+    az = start @ z
+    assert np.abs(az - np.linalg.norm(az, axis=1)[:, None] * e).max() <= 1e-14
+    row = e @ eta @ start
+    want = (e @ eta @ turned) @ forms.T @ forms
+    assert np.abs(row - want).max() <= 1e-14
+    # S = {X : X·ê ∥ ê, Xᵀ·ηê ∥ ηê} has a Frobenius-orthonormal basis of
+    # n² − 2n + 3 members, each keeping the line of ê and that of ηê
+    basis = _flag_directions(n)
+    assert basis.shape == (n * n - 2 * n + 3, n, n)
     flat = basis.reshape(len(basis), -1)
     assert np.abs(flat @ flat.T - np.eye(len(basis))).max() <= 1e-14
-    moved = basis @ e
+    moved, covectors = basis @ e, eta_e @ basis
     assert np.abs(moved - np.outer(moved @ e, e)).max() <= 1e-14
+    assert np.abs(covectors - np.outer(covectors @ eta_e, eta_e)).max() <= 1e-14
+    # after a step on S the central vector is still on the line of ê, and
+    # H = A⁻¹(ê^⊥) = ker êᵀηA contains Z + [g,g] with [H,H] ⊆ Rz
+    x = 0.3 * np.einsum("mj,jab->mab", np.random.default_rng(4).standard_normal((4, len(basis))), basis)
+    stepped = (np.eye(n) + x) @ start
+    az = stepped @ z
+    assert np.abs(az - np.linalg.norm(az, axis=1)[:, None] * e).max() <= 1e-14
+    for alpha in e @ eta @ stepped:
+        hyperplane = nullspace(alpha[None], algebra.tol)
+        for sub in (algebra.center(), algebra.derived_ideal()):
+            assert np.abs(sub.basis @ alpha).max() <= 1e-14 * np.abs(alpha).max()
+        brackets = np.einsum("ai,bj,ijk->abk", hyperplane, hyperplane, algebra.c)
+        off_z = brackets - np.multiply.outer(brackets @ z, z)
+        assert np.abs(brackets).max() > 0.1 and np.abs(off_z).max() <= 1e-14
+
+
+def test_a_spec_with_no_admissible_hyperplane_steps_on_gl_n(monkeypatch):
+    # no catalog algebra of dimension ≤ 5 has an empty α-space; were it
+    # empty, the spec would hold no flag and step on the n² unit matrices
+    monkeypatch.setattr(search, "_admissible_forms", lambda algebra, z: np.zeros((0, algebra.n)))
+    widths = []
+    jacobians = search._jacobians
+    monkeypatch.setattr(search, "_jacobians", lambda *args: widths.append(len(args[-1])) or jacobians(*args))
+    built = _counted(monkeypatch, "_flag_directions", "_onto_flag")
+    result = run_search(_stratum_spec("L4_3", seed=0))
+    assert result.central_vector is None and result.hyperplane is None
+    assert widths and set(widths) == {16} and not built
+
+
+@pytest.mark.parametrize(
+    "name, signature, target",
+    [
+        ("L3_2", (1, 2), "ricci-flat"),
+        ("L4_2", (1, 3), "ricci-flat"),
+        ("L4_3", (1, 3), "ricci-flat"),
+        ("L5_2", (1, 4), "ricci-flat"),
+        ("L3_2", (0, 3), "einstein"),
+    ],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_the_cond_check_makes_no_svd_on_the_workload_s_specs(name, signature, target, seed, monkeypatch):
+    # ‖A‖_F·‖B‖_F bounds cond₂(A) from above, so np.linalg.cond sees only the
+    # factors whose bound passes _MAX_COND: none on these specs
+    conds = _conds(monkeypatch)
+    run_search(SearchSpec(make_algebra(name), target=target, signature=signature, seed=seed))
+    assert conds and sum(map(len, conds)) == 0
+
+
+def test_the_cond_check_still_decides_where_the_bound_passes(monkeypatch):
+    # on the pinned L5_6 Einstein search some factors' bound passes
+    # _MAX_COND, and there np.linalg.cond stops a restart as degenerating;
+    # the results keep their bits (test_the_damping_ladder_keeps_the_parent_s_results)
+    conds = _conds(monkeypatch)
+    result = run_search(SearchSpec(make_algebra("L5_6"), target="einstein", signature=(1, 4), seed=1))
+    assert (np.concatenate(conds) > _MAX_COND).sum() == 1
+    assert result.stop_reasons.count("degenerating") == 1
+
+
+def _conds(monkeypatch):
+    """The values of each np.linalg.cond call."""
+    conds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda x: conds.append(cond(x)) or conds[-1])
+    return conds
