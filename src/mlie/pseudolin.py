@@ -276,7 +276,10 @@ def signature(g: Gram, tol: float = DEFAULT_TOL) -> Signature:
 
 
 def restricted_gram(g: Gram, f: Subspace) -> Gram:
-    """The form of g restricted to f, in f's basis: _restricted_grams on a stack of one."""
+    """The form of g restricted to f, in f's basis: _restricted_grams on a stack of one.
+    Nothing in the package calls it; it stays public for users.  Gram
+    symmetrizes the stacked row a second time, which changes no bit (the row
+    is already symmetric), so its bits are _restricted_grams'."""
     return Gram(_restricted_grams(g.mat[None], f)[0])
 
 

@@ -50,21 +50,22 @@ and SearchResult.hyperplane are None.
 
 All restarts advance together as one stack of factors A[r]: per iteration one
 stacked Jacobian call over the restarts still running, and per damping round
-one stacked forward call over those still searching, whose values the
-accepted ones keep.  A restart's damping rises ×10 per rejected rung d, 10d,
-100d, … up to _MAX_DAMPING.  The first three rounds try one rung each, since
-most iterations settle within three; one more round then tries every rung
-left of each restart still searching, as (restart, rung) pairs of one
-stacked forward call, and each takes its first rung that lowers ‖r‖, the one
-single-rung rounds would reach.  So an iteration makes at most four forward
-calls, where a restart that collapses climbs about sixteen rungs.  Every
-operation acts on each restart alone, so a restart's trajectory does not
-depend on its stack mates; each one stops for its own reason (STOP_REASONS),
-and the whole search is deterministic for a fixed spec.  A restart converges
-only when the classification of its gram at VERDICT_TOL, the one
-einstein_classify gives, meets the target and ‖Ric − λ̂·Id‖_F ≤ spec.tol;
-the restarts of one iteration that reach it are classified in one stacked
-call (_settle), each decided as its own metric is.
+one stacked forward call over the (restart, rung) pairs of those still
+searching, whose values the accepted ones keep.  A restart's damping rises
+×10 per rejected rung d, 10d, 100d, … up to _MAX_DAMPING.  One round body
+runs over the widths _ROUND_WIDTHS = (1, 1, 1, rest): one rung each in the
+first three rounds, since most iterations settle within three, then every
+rung left.  Each restart takes its first rung that lowers ‖r‖ and goes on at
+a tenth of it (at least _MIN_DAMPING), one with none from its last rung ×10,
+so the rungs and their floats are those of one rung per round; an iteration
+makes at most four forward calls, where a restart that collapses climbs about
+sixteen rungs.  Every operation acts on each restart alone, so a restart's
+trajectory does not depend on its stack mates; each one stops for its own
+reason (STOP_REASONS), and the whole search is deterministic for a fixed
+spec.  A restart converges only when the classification of its gram at
+VERDICT_TOL, the one einstein_classify gives, meets the target and
+‖Ric − λ̂·Id‖_F ≤ spec.tol; the restarts of one iteration that reach it are
+classified in one stacked call (_settle), each decided as its own metric is.
 Each forward call inverts its factors once, and B = A⁻¹ makes the bracket
 μ = A·c and Ric_G = B·Ric_η(μ)·A, which leaves the frame as a metric's
 operators do (curvature._in_input_basis), with no solve.  Only candidates
@@ -80,6 +81,7 @@ factors whose bound passes pay the SVD of np.linalg.cond.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -94,6 +96,7 @@ from .curvature import (
     _CurvatureFacts,
     _einstein_defects,
     _frames,
+    _identity,
     q_bracket_differentials,
     q_bracket_operators,
     ricci_operators,
@@ -121,9 +124,9 @@ _MAX_COND = 1e3
 #: bounds of the damping, absolute because r and J are free of scale
 _MIN_DAMPING = 1e-12
 _MAX_DAMPING = 1e12
-#: the damping rounds that try one rung each before one round tries the rest
-#: of the ladder: most iterations settle within three
-_SINGLE_RUNGS = 3
+#: the rungs each damping round tries: one in each of the first three, since
+#: most iterations settle within three, then every rung left (None)
+_ROUND_WIDTHS = (1, 1, 1, None)
 #: Frobenius norm of the longest step X, which keeps I + X invertible
 _MAX_STEP = 0.5
 #: up to this dimension every Lorentzian Einstein nilpotent metric has a
@@ -190,7 +193,7 @@ def _deviations(ric: np.ndarray, einstein: bool) -> np.ndarray:
     if einstein:
         n = ric.shape[-1]
         lam = np.einsum("mii->m", ric) / n
-        ric = ric - lam[:, None, None] * np.eye(n)
+        ric = ric - lam[:, None, None] * _identity(n)
     return ric
 
 
@@ -318,18 +321,22 @@ def _null_flag(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return e, eta_e
 
 
+@functools.lru_cache(maxsize=None)
 def _flag_directions(n: int) -> np.ndarray:
     """A Frobenius-orthonormal basis (n² − 2n + 3, n, n) of the flag's
     stabilizer S = {X : X·ê ∥ ê, Xᵀ·ηê ∥ ηê}, the kernel of X ↦
-    ((I − êêᵀ)·X·ê, (I − ηêêᵀη)·Xᵀ·ηê), by one SVD.  Every I + X with X in S
-    maps the null line of ê and the hyperplane ê^⊥ onto themselves; the two
-    halves share one condition, êᵀηXê = 0."""
+    ((I − êêᵀ)·X·ê, (I − ηêêᵀη)·Xᵀ·ηê), by one SVD, made once per n and
+    read-only.  Every I + X with X in S maps the null line of ê and the
+    hyperplane ê^⊥ onto themselves; the two halves share one condition,
+    êᵀηXê = 0."""
     e, eta_e = _null_flag(n)
     units = np.eye(n * n).reshape(n * n, n, n)
     lines = (np.eye(n) - np.outer(e, e)) @ units @ e  # (n², n)
     planes = (np.eye(n) - np.outer(eta_e, eta_e)) @ units.transpose(0, 2, 1) @ eta_e
     # the map's singular values are √2 (once), 1 (2n − 4 times) and 0
-    return nullspace(np.concatenate([lines, planes], axis=1).T, 0.5).reshape(-1, n, n)
+    basis = nullspace(np.concatenate([lines, planes], axis=1).T, 0.5).reshape(-1, n, n)
+    basis.flags.writeable = False
+    return basis
 
 
 def _onto_null_line(a: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -369,20 +376,20 @@ def _damped_steps(
     """X[m] = Σ_j y_j E_j, (n, n), for the minimizer y of ‖r + J y‖² +
     damping·‖y‖², from normal = JᵀJ, gradient = Jᵀr and the basis (k, n, n)
     of J's columns; ‖X‖_F is capped at _MAX_STEP."""
-    lhs = normal + damping[:, None, None] * np.eye(normal.shape[-1])
+    lhs = normal + damping[:, None, None] * _identity(normal.shape[-1])
     y = -np.linalg.solve(lhs, gradient)
     x = np.einsum("mj,jab->mab", y[..., 0], basis)
     return x * (_MAX_STEP / np.maximum(_norms(x), _MAX_STEP))[:, None, None]
 
 
-def _ladder(damping: np.ndarray) -> np.ndarray:
-    """The rungs d, 10d, 100d, … (s, w) of each damping d of a stack, made by
-    repeated ×10 as the single-rung rounds make them, w wide enough that
-    every rung up to _MAX_DAMPING is in it."""
-    width = 1 + math.ceil(math.log10(_MAX_DAMPING / damping.min()))
+def _ladder(damping: np.ndarray, width: Optional[int]) -> np.ndarray:
+    """The rungs d, 10d, 100d, … (s, width) of each damping d of a stack, made
+    by repeated ×10; width None makes every rung up to _MAX_DAMPING."""
+    if width is None:
+        width = 1 + math.ceil(math.log10(_MAX_DAMPING / damping.min()))
     rungs = np.full((len(damping), width), 10.0)
     rungs[:, 0] = damping
-    return np.multiply.accumulate(rungs, axis=1)
+    return np.multiply.accumulate(rungs, axis=1, out=rungs)
 
 
 def _settle(
@@ -445,15 +452,6 @@ def run_search(spec: SearchSpec) -> SearchResult:
     f_checkpoint = np.full(count, np.inf)
     reasons = np.full(count, "", dtype=object)
 
-    def trials(rows, rungs):
-        """(A, B, μ, Ric, r, ‖r‖) after the damped steps of the restarts
-        running[rows] at the dampings rungs, on this iteration's normal
-        equations."""
-        x = _damped_steps(normal[rows], gradient[rows], rungs, basis)
-        trial = _unit_det((np.eye(n) + x) @ a[running[rows]])
-        forward = _forward(trial, algebra.c, eps, nilpotent, einstein)
-        return (trial, *forward, _norms(forward[3]))
-
     running = np.arange(count)
     while True:
         ric_g = b[running] @ ric[running] @ a[running]
@@ -476,43 +474,35 @@ def run_search(spec: SearchSpec) -> SearchResult:
         jac = _jacobians(mu[running], ric[running], eps, nilpotent, einstein, basis)
         jac_t = jac.transpose(0, 2, 1)
         normal, gradient = jac_t @ jac, jac_t @ r[running].reshape(len(running), -1, 1)
-        # the damped step X = Σ y_j E_j, damping ×10 until ‖r‖ drops: one
-        # rung per round for _SINGLE_RUNGS rounds, then the rest of the ladder
-        accepted = np.zeros(count, dtype=bool)
+        # the damped step X = Σ y_j E_j, damping ×10 until ‖r‖ drops: each
+        # round tries the next rungs of every restart still searching
         searching = np.arange(len(running))
-        for _ in range(_SINGLE_RUNGS):
+        for width in _ROUND_WIDTHS:
             if not searching.size:
                 break
             idx = running[searching]
-            values = trials(searching, damping[idx])
-            better = values[-1] < f[idx]
-            won = idx[better]
-            for kept, value in zip((a, b, mu, ric, r, f), values):
-                kept[won] = value[better]
-            damping[won] = np.maximum(damping[won] / 10.0, _MIN_DAMPING)
-            accepted[won] = True
-            lost = searching[~better]
-            damping[running[lost]] *= 10.0
-            searching = lost[damping[running[lost]] <= _MAX_DAMPING]
-        if searching.size:
-            # every rung left up to _MAX_DAMPING in one round; each restart
-            # takes its first rung that lowers ‖r‖, the one the single-rung
-            # rounds would reach
-            idx = running[searching]
-            rungs = _ladder(damping[idx])
+            rungs = _ladder(damping[idx], width)
             valid = rungs <= _MAX_DAMPING
-            rows = np.nonzero(valid)[0]
-            values = trials(searching[rows], rungs[valid])
-            lower = np.zeros_like(valid)
-            lower[valid] = values[-1] < f[idx[rows]]
-            first = lower & (np.cumsum(lower, axis=1) == 1)
-            won, taken = idx[first.any(axis=1)], first[valid]
+            rows = valid.nonzero()[0]
+            pairs, tried = idx[rows], rungs[valid]
+            x = _damped_steps(normal[searching[rows]], gradient[searching[rows]], tried, basis)
+            trial = _unit_det((_identity(n) + x) @ a[pairs])
+            forward = _forward(trial, algebra.c, eps, nilpotent, einstein)
+            values = (trial, *forward, _norms(forward[3]))
+            lower = np.zeros(valid.shape, dtype=bool)
+            lower[valid] = values[-1] < f[pairs]
+            # each restart takes its first rung that lowers ‖r‖
+            seen = lower.cumsum(axis=1)
+            taken = (lower & (seen == 1))[valid].nonzero()[0]
+            winners = pairs[taken]
             for kept, value in zip((a, b, mu, ric, r, f), values):
-                kept[won] = value[taken]
-            damping[won] = np.maximum(rungs[first] / 10.0, _MIN_DAMPING)
-            accepted[won] = True
-        reasons[running[~accepted[running]]] = "step-collapse"  # a local stall
-        running = running[accepted[running]]
+                kept[winners] = value[taken]
+            damping[idx] = rungs[:, -1] * 10.0  # the next rung, for those with none
+            damping[winners] = np.maximum(tried[taken] / 10.0, _MIN_DAMPING)
+            searching = searching[(seen[:, -1] == 0) & (damping[idx] <= _MAX_DAMPING)]
+        # a local stall: no rung up to _MAX_DAMPING lowered ‖r‖
+        reasons[running[damping[running] > _MAX_DAMPING]] = "step-collapse"
+        running = running[reasons[running] == ""]
         # drop restarts that creep: unless the residual at least halves every
         # 100 iterations, the target is out of reach in budget
         due = iters[running] % 100 == 0

@@ -385,6 +385,75 @@ def test_the_damping_ladder_keeps_the_parent_s_results(
     assert sha == gram_sha
 
 
+#: (algebra, signature, seed, iterations, restart index, residual, sha256 of
+#: the best gram's bytes, the axis z lies on, the hyperplane's α as
+#: float.hex), ricci-flat searches on the null flag, recorded when the
+#: single-rung rounds and the ladder round were two code paths
+_CONVERGED = ("converged",) * 8
+_FLAG_RESULTS = [
+    (
+        "L4_3", (1, 3), 0, 3, 1, "0x1.1be9b57ffc44ap-40",
+        "59e5174113c9333cd06509ee3d4ff738c1fe9a2214773b6f34b547a798b46e2b", 3,
+        ("-0x1.2e810415968a5p-1", "0x1.9d148fb5fba04p-1", "-0x1.24da9372b68e6p-56", "0x1.17878725f974bp-54"),
+    ),
+    (
+        "L4_3", (1, 3), 1, 4, 7, "0x1.3d2a295a04ce1p-41",
+        "f80c7dd07f0082e03d1baa2992f39d5cd4ac91711a2a00f3fddd79a152a2055f", 3,
+        ("-0x1.48b094ac22aafp-1", "0x1.88908f8a8f993p-1", "-0x1.f1c5858211c57p-57", "-0x1.192b0a2865426p-53"),
+    ),
+    (
+        "L5_5", (1, 4), 0, 3, 7, "0x1.c40e8af192826p-39",
+        "c8c6e86d226f39fc8f14d173b4215ba49c753a5a9933087b297a09b73cbca586", 4,
+        (
+            "0x1.6bbfdf957a6fap-1", "-0x1.6851d8df324eep-1", "0x1.70cd829b5823ep-57",
+            "0x1.0038336c39c6fp-57", "0x1.314578f995160p-53",
+        ),
+    ),
+    (
+        "L5_6", (1, 4), 0, 5, 1, "0x1.77fb9c1b6fd7bp-33",
+        "f737327728e4f3840ca65d794bdc22f6f508f90eb3007b5d4ac23b655b00d8c9", 4,
+        (
+            "0x1.0000000000000p+0", "0x1.acad5282e95fcp-52", "-0x1.4b7a22aa1b1a8p-56",
+            "-0x1.8e8fbea5782a7p-54", "0x1.b501ecb5f5571p-51",
+        ),
+    ),
+    (
+        "L5_9", (1, 4), 0, 4, 6, "0x1.1e691ec54b66fp-42",
+        "17f0ec1adfce3d7ae34ac24b9d3446b2dbd1094e852179668d39c837bdec80b0", 3,
+        (
+            "0x1.3f9085d10528bp-53", "0x1.0000000000000p+0", "0x1.1faeeabf66297p-56",
+            "0x1.15f763aca4530p-54", "-0x1.86ff4ff4613c7p-61",
+        ),
+    ),
+    # no Ricci-flat metric: every restart stops by creep at iteration 200
+    (
+        "L5_4", (1, 4), 0, 200, 1, "0x1.a3f0cd1ba4fbfp-17", None, 4,
+        (
+            "-0x1.8f05083fcc1bep-2", "0x1.d3694efee02a9p-1", "-0x1.b9908c5efb18ep-7",
+            "-0x1.ee5fdaa40deb5p-4", "0x1.8150cf8c31840p-47",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, signature, seed, iterations, restart, residual, gram_sha, z_axis, alpha",
+    _FLAG_RESULTS,
+    ids=[f"{row[0]}-{row[2]}" for row in _FLAG_RESULTS],
+)
+def test_the_flag_search_keeps_the_parent_s_results(
+    name, signature, seed, iterations, restart, residual, gram_sha, z_axis, alpha
+):
+    result = run_search(SearchSpec(make_algebra(name), signature=signature, seed=seed))
+    assert result.residual.hex() == residual
+    assert (result.iterations, result.restart_index) == (iterations, restart)
+    assert result.stop_reasons == (_CONVERGED if gram_sha else ("creep",) * 8)
+    sha = None if result.best_gram is None else hashlib.sha256(result.best_gram.mat.tobytes()).hexdigest()
+    assert sha == gram_sha
+    assert result.central_vector.tobytes() == np.eye(len(alpha))[z_axis].tobytes()
+    assert result.hyperplane.tobytes() == np.array([float.fromhex(x) for x in alpha]).tobytes()
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_an_obstructed_search_takes_at_most_four_damping_rounds_per_iteration(seed, monkeypatch):
     # the Euclidean Heisenberg algebra has no Einstein metric, so every
@@ -396,6 +465,36 @@ def test_an_obstructed_search_takes_at_most_four_damping_rounds_per_iteration(se
     assert set(result.stop_reasons) == {"step-collapse"}
     assert calls["_jacobians"] > 0
     assert calls["_forward"] <= 1 + 4 * calls["_jacobians"]
+
+
+@pytest.mark.parametrize(
+    "name, signature, target, seed, forward, jacobians",
+    [
+        ("L3_2", (0, 3), "einstein", 0, 13, 3),
+        ("L3_2", (0, 3), "einstein", 1, 13, 3),
+        ("L3_2", (0, 3), "einstein", 2, 17, 4),
+        ("L3_2", (0, 3), "einstein", 3, 13, 3),
+        ("L3_2", (0, 3), "einstein", 4, 17, 4),
+        ("L4_3", (1, 3), "ricci-flat", 0, 5, 4),
+        ("L4_3", (1, 3), "ricci-flat", 1, 5, 4),
+        ("L5_5", (1, 4), "ricci-flat", 0, 4, 3),
+        ("L5_6", (1, 4), "ricci-flat", 0, 6, 5),
+        ("L5_9", (1, 4), "ricci-flat", 0, 5, 4),
+        ("L5_4", (1, 4), "ricci-flat", 0, 201, 200),
+    ],
+)
+def test_the_damping_rounds_keep_the_parent_s_schedule(
+    name, signature, target, seed, forward, jacobians, monkeypatch
+):
+    # the widths (1, 1, 1, rest): on the obstructed Euclidean Heisenberg
+    # target every iteration walks all four rounds, and on the flag every
+    # iteration's first rung lowers ‖r‖ for every restart, so each iteration
+    # makes one
+    calls = _counted(monkeypatch, "_forward", "_jacobians")
+    run_search(SearchSpec(make_algebra(name), target=target, signature=signature, seed=seed))
+    assert (calls["_forward"], calls["_jacobians"]) == (forward, jacobians)
+    rounds = 4 if target == "einstein" else 1
+    assert calls["_forward"] == 1 + rounds * calls["_jacobians"]
 
 
 def test_damped_steps_at_a_ladder_of_dampings_are_the_single_rung_steps():
@@ -810,6 +909,12 @@ def test_a_spec_with_no_admissible_hyperplane_steps_on_gl_n(monkeypatch):
     result = run_search(_stratum_spec("L4_3", seed=0))
     assert result.central_vector is None and result.hyperplane is None
     assert widths and set(widths) == {16} and not built
+
+
+def test_the_flag_basis_is_made_once_per_n_and_read_only():
+    basis = _flag_directions(4)
+    assert _flag_directions(4) is basis and not basis.flags.writeable
+    assert _flag_directions(5) is not basis and len(_flag_directions(5)) == 18
 
 
 @pytest.mark.parametrize(
