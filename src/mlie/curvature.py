@@ -381,14 +381,21 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
+def _einstein_deviations(ric: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(λ̂, Ric − λ̂·Id) for each Ricci operator of a stack (k, n, n), with
+    λ̂ = tr(Ric)/n: the verdict's Einstein test and the search's Einstein
+    target both read it."""
+    n = ric.shape[1]
+    lam = ric.trace(axis1=1, axis2=2) / n
+    return lam, ric - lam[:, None, None] * _identity(n)
+
+
 def _einstein_defects(ric: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(λ, max|Ric − λ·Id|, cutoff) for each Ricci operator of a stack (k, n, n),
     with λ = tr(Ric)/n and cutoff _cutoff(tol, Ric): the verdict's Einstein
     test passes when the residual is within the cutoff."""
-    n = ric.shape[1]
-    lam = ric.trace(axis1=1, axis2=2) / n
-    deviation = np.abs(ric - lam[:, None, None] * _identity(n))
-    return lam, _peaks(deviation), _cutoff(tol, ric, stack=True)
+    lam, deviation = _einstein_deviations(ric)
+    return lam, _peaks(np.abs(deviation)), _cutoff(tol, ric, stack=True)
 
 
 def _verdicts(

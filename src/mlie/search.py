@@ -95,6 +95,7 @@ from .curvature import (
     _RICCI_FLAT,
     _CurvatureFacts,
     _einstein_defects,
+    _einstein_deviations,
     _frames,
     _identity,
     q_bracket_differentials,
@@ -190,11 +191,7 @@ class SearchResult:
 
 def _deviations(ric: np.ndarray, einstein: bool) -> np.ndarray:
     """Ric − λ̂·Id for a stack of Ricci operators."""
-    if einstein:
-        n = ric.shape[-1]
-        lam = np.einsum("mii->m", ric) / n
-        ric = ric - lam[:, None, None] * _identity(n)
-    return ric
+    return _einstein_deviations(ric)[1] if einstein else ric
 
 
 def _residuals(ric: np.ndarray, einstein: bool) -> np.ndarray:

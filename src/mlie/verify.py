@@ -2,10 +2,12 @@
 
 Each check function reproduces one numerically testable statement about the
 classified Ricci-flat Lorentzian nilpotent metrics, the curvature formulas,
-the double-extension construction or the search regression, and returns a
-:class:`CheckResult` row (name, expected, observed, residual, pass/fail).
-The CLI's ``verify-paper`` subcommand and the acceptance test suite both
-drive :func:`run_checks`.
+the double-extension construction or the search regression, and returns its
+claim (expected, observed); it reports each failure and each deviation it
+measures to the two callbacks :func:`_check` hands it, and :func:`_check`
+makes the :class:`CheckResult` row (name, expected, observed, residual,
+pass/fail).  The CLI's ``verify-paper`` subcommand and the acceptance test
+suite both drive :func:`run_checks`.
 
 All randomness is seeded; rerunning a check reproduces it exactly.
 """
@@ -172,23 +174,13 @@ def _variant_groups(draws: List[_Draw], fail):
         yield algebra, kept, grams[keep], tuple(x[keep] for x in frame)
 
 
-def _draw_failures():
-    """(failures, fail): fail(draw, message) records the message under the
-    draw's variant and params, keyed by its index; the checks report the
-    failures in draw order."""
-    failures: List[Tuple[int, str]] = []
-
-    def fail(draw: _Draw, message: str) -> None:
+def _by_draw(fail):
+    """fail(draw, message) for a row's fail: the message under the draw's
+    variant and params, keyed by the draw's index."""
+    def fail_draw(draw: _Draw, message: str) -> None:
         index, mv, params, _ = draw
-        failures.append((index, f"{mv.name} {params}: {message}"))
-
-    return failures, fail
-
-
-def _in_draw_order(failures: List[tuple]) -> List[str]:
-    """The messages of failures (*key, message) sorted by their keys (a draw's
-    index, a trial, or (half, trial)), a key's messages in their order."""
-    return [message for *_, message in sorted(failures, key=lambda f: f[:-1])]
+        fail(f"{mv.name} {params}: {message}", index)
+    return fail_draw
 
 
 @functools.lru_cache(maxsize=None)
@@ -220,18 +212,34 @@ def _catalog_frames():
 CHECKS: Dict[str, Callable[[float], CheckResult]] = {}
 
 
-#: what a check returns: (expected, observed, residual, failures)
-_Claim = Tuple[str, str, float, List[str]]
+#: what a check returns: (expected, observed)
+_Claim = Tuple[str, str]
 
 
 def _check(name: str):
     """Register the decorated check as CHECKS[name], in verify-paper's order;
-    the registered function turns the check's claim into the row named name."""
-    def register(check: Callable[[float], _Claim]) -> Callable[[float], CheckResult]:
+    the registered function runs check(tol, fail, measure) and turns its claim
+    into the row named name.  fail(message, *key) records a failure under a
+    key (a draw's index, a trial, or (half, trial); none for a check that
+    reports in order): the row lists the failures sorted by key, a key's
+    messages in the order reported.  measure(*values) records deviations,
+    numbers or arrays: the row's residual is the largest, 0.0 if none."""
+    def register(check: Callable[..., _Claim]) -> Callable[[float], CheckResult]:
         @functools.wraps(check)
         def run(tol: float) -> CheckResult:
             _cutoff(tol)  # refused first: some checks never compare against their tol
-            expected, observed, residual, failures = check(tol)
+            keyed: List[Tuple[tuple, str]] = []  # (key, message)
+            measured = [0.0]
+
+            def fail(message: str, *key) -> None:
+                keyed.append((key, message))
+
+            def measure(*values) -> None:
+                measured.extend(float(np.asarray(v).max(initial=0.0)) for v in values)
+
+            expected, observed = check(tol, fail, measure)
+            failures = [message for _, message in sorted(keyed, key=lambda f: f[0])]
+            residual = max(measured)
             if failures:
                 shown = "; ".join(failures[:3])
                 if len(failures) > 3:
@@ -244,13 +252,12 @@ def _check(name: str):
 
 
 @_check("classified-ricci-flat")
-def check_classified_ricci_flat(tol: float) -> _Claim:
+def check_classified_ricci_flat(tol: float, fail, measure) -> _Claim:
     # The metrics of one algebra are decided together, one call a layer, at
     # the decisions their signature() and ricci_operator() take; the dim <= 5
     # catalog algebras are nilpotent, so the 𝒥-route is cross-checked.
     draws = _variant_draws(_rng(1))
-    failures, fail = _draw_failures()
-    worst = 0.0
+    fail = _by_draw(fail)
     for algebra, group, _, frame in _variant_groups(draws, fail):
         minus = (frame[0] < 0).sum(axis=1)  # ε is minus-first
         for draw, m in zip(group, minus.tolist()):
@@ -259,23 +266,21 @@ def check_classified_ricci_flat(tol: float) -> _Claim:
         lorentzian = minus == 1
         lorentz_frame = tuple(x[lorentzian] for x in frame)
         ric = _CurvatureFacts(algebra.c, lorentz_frame, algebra.is_nilpotent()).ricci()
-        for draw, resid in zip(itertools.compress(group, lorentzian), _peaks(np.abs(ric)).tolist()):
-            worst = max(worst, resid)
+        peaks = _peaks(np.abs(ric))
+        measure(peaks)
+        for draw, resid in zip(itertools.compress(group, lorentzian), peaks.tolist()):
             if resid > tol:
                 fail(draw, f"‖Ric‖∞ = {resid:.3e}")
     return (
         f"10 variants, seeded draws: Lorentzian (1,n−1) and ‖Ric‖∞ ≤ {tol:g}",
         f"{len(draws)} metrics all Lorentzian and Ricci-flat",
-        worst,
-        _in_draw_order(failures),
     )
 
 
 @_check("flatness")
-def check_flatness(tol: float) -> _Claim:
+def check_flatness(tol: float, fail, measure) -> _Claim:
     draws = _variant_draws(_rng(2), ("m32", "m42", "m52", "m43"))
-    failures, fail = _draw_failures()
-    worst_flat = 0.0
+    fail = _by_draw(fail)
     witness = np.inf
     for algebra, group, _, frame in _variant_groups(draws, fail):
         # flatness_defect() of each metric
@@ -287,21 +292,19 @@ def check_flatness(tol: float) -> _Claim:
                 if defect <= 1e-6 * scale:
                     fail(draw, f"curvature too small ({defect:.3e})")
             else:
-                worst_flat = max(worst_flat, defect / scale)
+                measure(defect / scale)
                 if defect > tol * scale:
                     fail(draw, f"curvature defect {defect:.3e}")
     return (
         "m32/m42/m52 and m43[ε=−1] flat; m43[ε=+1] visibly curved",
         f"{len(draws)} instances match (smallest ε=+1 curvature witness {witness:.2e})",
-        worst_flat,
-        _in_draw_order(failures),
     )
 
 
 @_check("degenerate-center")
-def check_degenerate_center(tol: float) -> _Claim:
+def check_degenerate_center(tol: float, fail, measure) -> _Claim:
     draws = _variant_draws(_rng(3))
-    failures, fail = _draw_failures()
+    fail = _by_draw(fail)
     classified = degenerate = 0  # a draw with a degenerate gram has no center class
     for algebra, group, grams, _ in _variant_groups(draws, fail):
         # classify_subspace(m.gram, m.algebra.center()) of each metric
@@ -314,28 +317,22 @@ def check_degenerate_center(tol: float) -> _Claim:
     return (
         "every classified dim ≤ 5 metric has a Degenerate center",
         f"{degenerate}/{classified} centers Degenerate",
-        0.0,
-        _in_draw_order(failures),
     )
 
 
 @_check("examples")
-def check_examples(tol: float) -> _Claim:
+def check_examples(tol: float, fail, measure) -> _Claim:
     strict = tol / 10.0
-    failures: List[str] = []
-    worst = 0.0
-
     obs: List[str] = []
     for name in ("EX6", "EX7"):
         m = make_metric(name)
         report = m.einstein_classify(tol)
-        resid = float(np.abs(report.ricci_operator).max(initial=0.0))
-        worst = max(worst, resid)
+        measure(np.abs(report.ricci_operator))
         if report.verdict is not Verdict.RICCI_FLAT:
-            failures.append(f"{name}: verdict {report.verdict.value}")
+            fail(f"{name}: verdict {report.verdict.value}")
         cls = classify_subspace(m.gram, m.algebra.center())
         if cls.tag is SubspaceTag.DEGENERATE:
-            failures.append(f"{name}: center is Degenerate")
+            fail(f"{name}: center is Degenerate")
         obs.append(f"{name} {report.verdict.value}/{cls.tag.value}")
 
     m = make_metric("EX8")
@@ -343,43 +340,39 @@ def check_examples(tol: float) -> _Claim:
     lam = float(np.trace(report.ricci_operator)) / m.n
     scale = max(1.0, float(np.abs(report.ricci_operator).max(initial=0.0)))
     if report.verdict is not Verdict.EINSTEIN:
-        failures.append(f"EX8: verdict {report.verdict.value}")
+        fail(f"EX8: verdict {report.verdict.value}")
     if abs(lam) <= 1e-6:
-        failures.append(f"EX8: λ̂ = {lam:.3e} not clearly nonzero")
+        fail(f"EX8: λ̂ = {lam:.3e} not clearly nonzero")
     if report.einstein_residual > tol * scale:
-        failures.append(f"EX8: Einstein residual {report.einstein_residual:.3e}")
+        fail(f"EX8: Einstein residual {report.einstein_residual:.3e}")
     if abs(lam - EX8_LAMBDA) > tol * max(1.0, abs(EX8_LAMBDA)):
-        failures.append(f"EX8: λ̂ = {lam!r} drifted from frozen {EX8_LAMBDA}")
+        fail(f"EX8: λ̂ = {lam!r} drifted from frozen {EX8_LAMBDA}")
     center = m.algebra.center()
     derived = m.algebra.derived_ideal()
     c_cls = classify_subspace(m.gram, center)
     d_cls = classify_subspace(m.gram, derived)
     if c_cls.tag is not SubspaceTag.EUCLIDEAN:
-        failures.append(f"EX8: center {c_cls.tag.value}")
+        fail(f"EX8: center {c_cls.tag.value}")
     if d_cls.tag is not SubspaceTag.LORENTZIAN:
-        failures.append(f"EX8: derived ideal {d_cls.tag.value}")
+        fail(f"EX8: derived ideal {d_cls.tag.value}")
     p = derived.basis  # orthonormal rows
     incl = 0.0
     for z in center.basis:
         incl = max(incl, float(np.linalg.norm(z - p.T @ (p @ z))))
     if incl > strict:
-        failures.append(f"EX8: center ⊄ derived ideal (residual {incl:.3e})")
-    worst = max(worst, report.einstein_residual, abs(lam - EX8_LAMBDA), incl)
+        fail(f"EX8: center ⊄ derived ideal (residual {incl:.3e})")
+    measure(report.einstein_residual, abs(lam - EX8_LAMBDA), incl)
     obs.append(
         f"EX8 Einstein λ̂={lam:.12g} ({c_cls.tag.value} center ⊆ {d_cls.tag.value} derived)"
     )
     return (
         f"EX6/EX7 Ricci-flat with nondegenerate center; EX8 Einstein, λ̂ = {EX8_LAMBDA}",
         "; ".join(obs),
-        worst,
-        failures,
     )
 
 
 @_check("route-equivalence")
-def check_route_equivalence(tol: float) -> _Claim:
-    failures: List[str] = []
-    worst = 0.0
+def check_route_equivalence(tol: float, fail, measure) -> _Claim:
     count = 0
     for name, algebra, _, _, mu, eps in _catalog_frames():
         count += len(mu)
@@ -387,32 +380,28 @@ def check_route_equivalence(tol: float) -> _Claim:
         r_def = ricci_forms(levi_civita_tensors(mu, eps))
         d_form = _peaks(np.abs(r_def - ricci_general_forms(mu, eps)))
         scale = _peaks(np.abs(r_def), 1.0)
-        worst = max(worst, float((d_form / scale).max()))
+        measure(d_form / scale)
         bad_form = d_form > tol * scale
         bad_op = np.zeros(len(mu), dtype=bool)
         if algebra.is_nilpotent():
             op = _raise_index(eps, r_def)  # η·ric
             d_op = _peaks(np.abs(op - ricci_operators(mu, eps, True)))
             op_scale = _peaks(np.abs(op), 1.0)
-            worst = max(worst, float((d_op / op_scale).max()))
+            measure(d_op / op_scale)
             bad_op = d_op > tol * op_scale
         for k in np.flatnonzero(bad_form | bad_op):
             if bad_form[k]:
-                failures.append(f"{name}: definition vs general {d_form[k]:.3e}")
+                fail(f"{name}: definition vs general {d_form[k]:.3e}")
             if bad_op[k]:
-                failures.append(f"{name}: definition vs 𝒥-route {d_op[k]:.3e}")
+                fail(f"{name}: definition vs 𝒥-route {d_op[k]:.3e}")
     return (
         f"definition ≡ general (≡ 𝒥-route when nilpotent) within {tol:g}·scale",
         f"{count} (algebra, gram) instances agree on all routes",
-        worst,
-        failures,
     )
 
 
 @_check("trace-j1-j2")
-def check_trace_j1_j2(tol: float) -> _Claim:
-    failures: List[str] = []
-    worst = 0.0
+def check_trace_j1_j2(tol: float, fail, measure) -> _Claim:
     count = 0
     for name, algebra, _, _, mu, eps in _catalog_frames():
         count += len(mu)
@@ -420,21 +409,17 @@ def check_trace_j1_j2(tol: float) -> _Claim:
         t1, t2 = np.trace(j1, axis1=1, axis2=2), np.trace(j2, axis1=1, axis2=2)
         scale = np.maximum(np.abs(t1), 1.0)
         diff = np.abs(t1 - t2)
-        worst = max(worst, float((diff / scale).max()))
+        measure(diff / scale)
         for k in np.flatnonzero(diff > tol * scale):
-            failures.append(f"{name}: tr𝒥₁={t1[k]:.6g} tr𝒥₂={t2[k]:.6g}")
+            fail(f"{name}: tr𝒥₁={t1[k]:.6g} tr𝒥₂={t2[k]:.6g}")
     return (
         f"tr 𝒥₁ = tr 𝒥₂ within {tol:g}·scale",
         f"{count} instances agree",
-        worst,
-        failures,
     )
 
 
 @_check("trace-formula")
-def check_trace_formula(tol: float) -> _Claim:
-    failures: List[str] = []
-    worst = 0.0
+def check_trace_formula(tol: float, fail, measure) -> _Claim:
     count = 0
     # Both sides are linear in E, so agreement on the n² unit matrices of the
     # frame (a basis of gl(n)) is agreement for every E; the derivation basis,
@@ -450,18 +435,16 @@ def check_trace_formula(tol: float) -> _Claim:
         big = np.maximum(np.abs(lhs), np.abs(rhs))
         scale = np.maximum(1.0, big)
         gap = np.concatenate([np.abs(lhs - rhs)[:, :units], big[:, units:]], axis=1)
-        worst = max(worst, float((gap / scale).max()))
+        measure(gap / scale)
         for r, k in zip(*np.nonzero(gap > tol * scale)):
             if k < units:
-                failures.append(f"{name}: unit E[{k // n},{k % n}]: |lhs−rhs| = {gap[r, k]:.3e}")
+                fail(f"{name}: unit E[{k // n},{k % n}]: |lhs−rhs| = {gap[r, k]:.3e}")
             else:
-                failures.append(f"{name}: derivation {k - units} gives tr(QE) = {lhs[r, k]:.3e}")
+                fail(f"{name}: derivation {k - units} gives tr(QE) = {lhs[r, k]:.3e}")
     return (
         f"tr(QE) = bracket double sum within {tol:g}·scale on every unit E; "
         "both ≈ 0 on every derivation",
         f"n² unit E and the full derivation basis on each of {count} instances agree",
-        worst,
-        failures,
     )
 
 
@@ -534,38 +517,34 @@ def _verdict_layers(trials: List[int], c: np.ndarray, frame, tol: float, fail):
 
 
 @_check("double-extension")
-def check_double_extension(tol: float) -> _Claim:
+def check_double_extension(tol: float, fail, measure) -> _Claim:
     # The models of one core dimension v share one Witt gram, so one frame:
     # each group is decided layer by layer, one call a layer, at the decisions
     # that extend, einstein_classify, decompose and model_residual take.
     rng = _rng(8)
     nilpotent, v_dims = _extension_draws(rng, True)
     general, _ = _extension_draws(rng, False)
-    failures: List[Tuple[int, int, str]] = []  # (half, trial, message), sorted at the end
-    worst = 0.0
 
-    def fail(half: int, trial: int, message: str) -> None:
-        if half == 0:
-            tag = f"nilpotent trial {trial} (v={v_dims[trial]})"
-        else:
-            tag = f"μ≠0 trial {trial}"
-        failures.append((half, trial, f"{tag}: {message}"))
+    def fail_nilpotent(trial: int, message: str) -> None:
+        fail(f"nilpotent trial {trial} (v={v_dims[trial]}): {message}", 0, trial)
 
-    fail_nilpotent = functools.partial(fail, 0)
+    def fail_general(trial: int, message: str) -> None:
+        fail(f"μ≠0 trial {trial}: {message}", 1, trial)
+
     for trials, c, frame in _extension_groups(nilpotent, fail_nilpotent):
         trials, c, mu, peaks, verdicts, centers = _verdict_layers(
             trials, c, frame, tol, fail_nilpotent
         )
-        worst = max(worst, float(peaks.max(initial=0.0)))
+        measure(peaks)
         gram = Gram(_witt_gram(c.shape[1]))
         keep, null = [], []
         for r, (verdict, rows) in enumerate(zip(verdicts, centers)):
             if verdict not in _RICCI_FLAT:
-                fail(0, trials[r], f"verdict {verdict.value} (‖Ric‖∞={peaks[r]:.3e})")
+                fail_nilpotent(trials[r], f"verdict {verdict.value} (‖Ric‖∞={peaks[r]:.3e})")
                 continue
             e = find_isotropic_in(gram, Subspace._orthonormal(rows, DEFAULT_TOL))
             if e is None:
-                fail(0, trials[r], "decompose found no isotropic central vector")
+                fail_nilpotent(trials[r], "decompose found no isotropic central vector")
                 continue
             keep.append(r)
             null.append(e)
@@ -574,38 +553,34 @@ def check_double_extension(tol: float) -> _Claim:
         data, p = _witt_decompositions(mu[keep], frame, np.array(null), DEFAULT_TOL)
         resid = _model_residuals(c[keep], gram.mat, p, data)
         scale = _peaks(np.abs(c[keep]), max(1.0, np.abs(gram.mat).max()))
-        worst = max(worst, float((resid / scale).max()))
+        measure(resid / scale)
         for r, res, sc in zip(keep, resid, scale):
             if res > tol * sc:
-                fail(0, trials[r], f"decompose∘extend residual {res:.3e}")
+                fail_nilpotent(trials[r], f"decompose∘extend residual {res:.3e}")
 
     predicted = np.empty(100)  # ricci_ebar of each μ ≠ 0 trial
     for trials, (k, d, mu, _) in general:
         predicted[trials] = _ricci_ebars(k, d, mu)
-    for trials, c, frame in _extension_groups(general, functools.partial(fail, 1)):
+    for trials, c, frame in _extension_groups(general, fail_general):
         forms = _CurvatureFacts(c, frame, False).ricci_form()  # ricci_via_definition
         for trial, pred, obs in zip(trials, predicted[trials].tolist(), forms[:, -1, -1].tolist()):
             scale = max(1.0, abs(obs))
             diff = abs(pred - obs)
-            worst = max(worst, diff / scale)
+            measure(diff / scale)
             if diff > tol * scale:
-                fail(1, trial, f"ricci_ebar {pred:.6g} vs {obs:.6g}")
+                fail_general(trial, f"ricci_ebar {pred:.6g} vs {obs:.6g}")
     return (
         "100 nilpotent data: extend nilpotent/Lorentzian/Ricci-flat and decompose "
         f"round-trips; 100 μ≠0 data: ricci_ebar matches, all within {tol:g}·scale",
         "200 extensions behave as constructed",
-        worst,
-        _in_draw_order(failures),
     )
 
 
 @_check("guediri")
-def check_guediri(tol: float) -> _Claim:
+def check_guediri(tol: float, fail, measure) -> _Claim:
     # The 50 constrained sets are built as guediri_2step builds them and
     # decided by core dimension, as double-extension decides its draws.
     rng = _rng(9)
-    failures: List[Tuple[int, str]] = []  # (trial, message), sorted by trial at the end
-    worst = 0.0
 
     def draw():
         q = int(rng.integers(2, 4))
@@ -620,24 +595,23 @@ def check_guediri(tol: float) -> _Claim:
         alpha = rng.normal(size=q)
         return alpha, c, a, int(rng.integers(0, 3))
 
-    def fail(trial: int, message: str) -> None:
-        failures.append((trial, f"trial {trial}: {message}"))
+    def fail_trial(trial: int, message: str) -> None:
+        fail(f"trial {trial}: {message}", trial)
 
     draws = []
     for trial in range(50):
         alpha, c, a, ab = draw()
         draws.append(([trial], _stack_of_one(_guediri_data(alpha, c, a, ab, DEFAULT_TOL))))
-    for trials, c, frame in _extension_groups(draws, fail, einstein=True):
-        trials, _, _, peaks, verdicts, centers = _verdict_layers(trials, c, frame, tol, fail)
-        worst = max(worst, float(peaks.max(initial=0.0)))
+    for trials, c, frame in _extension_groups(draws, fail_trial, einstein=True):
+        trials, _, _, peaks, verdicts, centers = _verdict_layers(trials, c, frame, tol, fail_trial)
+        measure(peaks)
         gram = Gram(_witt_gram(c.shape[1]))
         for trial, verdict, rows in zip(trials, verdicts, centers):
             if verdict not in _RICCI_FLAT:
-                fail(trial, f"verdict {verdict.value}")
+                fail_trial(trial, f"verdict {verdict.value}")
             cls = classify_subspace(gram, Subspace._orthonormal(rows, DEFAULT_TOL))
             if cls.tag is not SubspaceTag.DEGENERATE:
-                fail(trial, f"center {cls.tag.value}")
-    messages = _in_draw_order(failures)
+                fail_trial(trial, f"center {cls.tag.value}")
     rejected = 0
     for trial in range(10):
         alpha, c, a, ab = draw()
@@ -645,39 +619,33 @@ def check_guediri(tol: float) -> _Claim:
             guediri_2step(alpha, 1.3 * c, a, abelian_dim=ab)
         except ConstraintViolation:
             rejected += 1
-    if rejected != 10:
-        messages.append(f"only {rejected}/10 violating parameter sets rejected")
+    if rejected != 10:  # keyed past every trial, so listed last
+        fail(f"only {rejected}/10 violating parameter sets rejected", len(draws))
     return (
         "50 constrained parameter sets Ricci-flat with degenerate center; "
         "10 violating sets rejected",
         f"50 built, {rejected}/10 rejected",
-        worst,
-        messages,
     )
 
 
 @_check("derivations")
-def check_derivations(tol: float) -> _Claim:
-    failures: List[str] = []
-    worst = 0.0
+def check_derivations(tol: float, fail, measure) -> _Claim:
     for name in DERIVATION_TABLE:
         der = table1_derivation(name)
         algebra = make_algebra(name)
         defect = algebra.derivation_defect(der)
-        worst = max(worst, defect)
+        measure(defect)
         if defect > 1e-12:
-            failures.append(f"{name}: derivation defect {defect:.3e}")
+            fail(f"{name}: derivation defect {defect:.3e}")
         if abs(np.trace(der)) <= 1e-12:
-            failures.append(f"{name}: listed derivation is traceless")
+            fail(f"{name}: listed derivation is traceless")
         found = algebra.find_nonzero_trace_derivation()
         if found is None or abs(np.trace(found)) <= 1e-9:
-            failures.append(f"{name}: find_nonzero_trace_derivation failed")
+            fail(f"{name}: find_nonzero_trace_derivation failed")
     return (
         "tabulated diagonal derivations exact (defect ≤ 1e-12) with nonzero trace; "
         "the search finds one on every algebra",
         f"{len(DERIVATION_TABLE)} table rows verified",
-        worst,
-        failures,
     )
 
 
@@ -706,11 +674,9 @@ def _lemma_draws(rng: np.random.Generator):
 
 
 @_check("lemma-fuzz")
-def check_lemma_fuzz(tol: float) -> _Claim:
+def check_lemma_fuzz(tol: float, fail, measure) -> _Claim:
     strict = tol / 10.0
     rng = _rng(11)
-    failures: List[Tuple[int, str]] = []  # (trial, message), sorted by trial at the end
-    worst = 0.0
     count = 0
     for n, mode, trials, w, p, lam in _lemma_draws(rng):
         count += len(trials)
@@ -727,26 +693,27 @@ def check_lemma_fuzz(tol: float) -> _Claim:
         scale = np.maximum(_peaks(np.abs(g)) * vv, 1.0)
         tags = [f"trial {t} (n={n}, mode={mode})" for t in trials]
 
-        def fail(bad, message) -> None:
-            failures.extend((trials[k], f"{tags[k]}: {message(k)}") for k in np.flatnonzero(bad))
+        def fail_where(bad, message) -> None:
+            for k in np.flatnonzero(bad):
+                fail(f"{tags[k]}: {message(k)}", trials[k])
 
         if mode == 0:
-            worst = max(worst, float((np.maximum(-val, 0.0) / scale).max()))
-            fail(val < -strict * scale, lambda k: f"⟨Ae,Ae⟩ = {val[k]:.3e} < 0")
+            measure(np.maximum(-val, 0.0) / scale)
+            fail_where(val < -strict * scale, lambda k: f"⟨Ae,Ae⟩ = {val[k]:.3e} < 0")
         elif mode == 1:
-            worst = max(worst, float((np.abs(val) / scale).max()))
-            fail(np.abs(val) > strict * scale, lambda k: f"⟨Ae,Ae⟩ = {val[k]:.3e} ≠ 0 for Ae ∥ e")
+            measure(np.abs(val) / scale)
+            fail_where(np.abs(val) > strict * scale, lambda k: f"⟨Ae,Ae⟩ = {val[k]:.3e} ≠ 0 for Ae ∥ e")
             coef = (ep.transpose(0, 2, 1) @ v) / (ep.transpose(0, 2, 1) @ ep)
             resid = np.linalg.norm((v - coef * ep)[:, :, 0], axis=1)
-            fail(
+            fail_where(
                 resid > strict * np.maximum(np.sqrt(vv), 1.0),
                 lambda k: f"Ae not collinear with e (residual {resid[k]:.3e})",
             )
         else:
             tr2 = np.trace(ap @ ap, axis1=1, axis2=2)
             s2 = np.maximum(np.sum(ap * ap, axis=(1, 2)), 1.0)
-            worst = max(worst, float((np.maximum(tr2, 0.0) / s2).max()))
-            fail(tr2 > strict * s2, lambda k: f"tr A² = {tr2[k]:.3e} > 0 with Ae = 0")
+            measure(np.maximum(tr2, 0.0) / s2)
+            fail_where(tr2 > strict * s2, lambda k: f"tr A² = {tr2[k]:.3e} > 0 with Ae = 0")
             # degenerate companion: A0 f_j = λ_j e, A0 ē = −Σ λ_j f_j, A0 e = 0
             w0 = np.zeros_like(w)
             w0[:, 1, 2:] = lam
@@ -754,40 +721,38 @@ def check_lemma_fuzz(tol: float) -> _Claim:
             a0p = np.linalg.solve(p, np.linalg.solve(gm, w0) @ p)
             s0 = np.maximum(np.sum(a0p * a0p, axis=(1, 2)), 1.0)
             tr0 = np.trace(a0p @ a0p, axis1=1, axis2=2)
-            fail(np.abs(tr0) > strict * s0, lambda k: "degenerate map has tr A₀² ≠ 0")
+            fail_where(np.abs(tr0) > strict * s0, lambda k: "degenerate map has tr A₀² ≠ 0")
             cross = np.trace(a0p @ ap, axis1=1, axis2=2)
             s1 = np.maximum(
                 np.linalg.norm(a0p, axis=(1, 2)) * np.linalg.norm(ap, axis=(1, 2)), 1.0
             )
-            worst = max(worst, float((np.abs(cross) / s1).max()))
-            fail(np.abs(cross) > strict * s1, lambda k: f"tr(A₀A) = {cross[k]:.3e} ≠ 0")
+            measure(np.abs(cross) / s1)
+            fail_where(np.abs(cross) > strict * s1, lambda k: f"tr(A₀A) = {cross[k]:.3e} ≠ 0")
     return (
         "isotropy inequality ⟨Ae,Ae⟩ ≥ 0 with equality ⇔ Ae ∥ e; tr A² ≤ 0 "
         "when Ae = 0, with tr(A₀B) = 0 in the degenerate case",
         f"{count} trials in Lorentzian dims 3–8 hold",
-        worst,
-        _in_draw_order(failures),
     )
 
 
 @_check("search-regression")
-def check_search_regression(tol: float) -> _Claim:
-    failures: List[str] = []
+def check_search_regression(tol: float, fail, measure) -> _Claim:
     algebra = make_algebra("L3_2")
     spec = SearchSpec(algebra, target="ricci-flat", signature=(1, 2), seed=0, restarts=8)
     r1 = run_search(spec)
     r2 = run_search(spec)
+    measure(r1.residual)
     if not r1.converged:
-        failures.append(f"search did not converge (residual {r1.residual:.3e})")
+        fail(f"search did not converge (residual {r1.residual:.3e})")
     else:
         if r1.residual > 1e-6:
-            failures.append(f"residual {r1.residual:.3e} above 1e-6")
+            fail(f"residual {r1.residual:.3e} above 1e-6")
         # the paper's theorem: in dimension ≤ 5 the center is degenerate
         center = classify_subspace(r1.best_gram, algebra.center())
         if center.tag is not SubspaceTag.DEGENERATE:
-            failures.append(f"center of the converged gram is {center.tag.value}")
+            fail(f"center of the converged gram is {center.tag.value}")
     if r1.iterations > spec.max_iters:
-        failures.append(f"used {r1.iterations} iterations > {spec.max_iters}")
+        fail(f"used {r1.iterations} iterations > {spec.max_iters}")
     same = (
         r1.converged == r2.converged
         and r1.residual == r2.residual
@@ -797,13 +762,11 @@ def check_search_regression(tol: float) -> _Claim:
         and (r1.best_gram is None or np.array_equal(r1.best_gram.mat, r2.best_gram.mat))
     )
     if not same:
-        failures.append("two runs of the same spec differ")
+        fail("two runs of the same spec differ")
     return (
         "L3_2 (1,2) Ricci-flat search converges below 1e-6 and reruns bit-identically",
         f"converged={r1.converged} iterations={r1.iterations} "
         f"restart={r1.restart_index} bit-identical={same}",
-        r1.residual,
-        failures,
     )
 
 

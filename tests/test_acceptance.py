@@ -10,6 +10,7 @@ and prints the check's summary row for the test log.
 
 import dataclasses
 import inspect
+import re
 from collections import Counter
 
 import numpy as np
@@ -566,3 +567,54 @@ def test_guediri_reports_a_refused_set_by_its_trial(monkeypatch):
     with pytest.raises(ConstraintViolation) as refusal:
         guediri_2step(alpha, 1.3 * c, a, abelian_dim=ab)
     assert result.failures == [f"trial 7: {refusal.value}"]
+
+
+def test_double_extension_lists_its_nilpotent_trials_then_its_mu_trials(monkeypatch):
+    # every round trip and every ricci_ebar off by one: the 100 nilpotent
+    # trials in trial order, then the 100 μ ≠ 0 trials in trial order
+    residuals, ebars = verify._model_residuals, verify._ricci_ebars
+    monkeypatch.setattr(verify, "_model_residuals", lambda *args: residuals(*args) + 1.0)
+    monkeypatch.setattr(verify, "_ricci_ebars", lambda *args: ebars(*args) + 1.0)
+    (result,) = run_checks(["double-extension"])
+    assert len(result.failures) == 200
+    for t, message in enumerate(result.failures[:100]):
+        assert message.startswith(f"nilpotent trial {t} (v=")
+        assert "decompose∘extend residual" in message
+    for t, message in enumerate(result.failures[100:]):
+        assert message.startswith(f"μ≠0 trial {t}: ricci_ebar ")
+
+
+#: the tests lemma-fuzz runs on a trial of each mode, in their order
+_LEMMA_TESTS = {
+    0: ("⟨Ae,Ae⟩",),
+    1: ("⟨Ae,Ae⟩", "Ae not collinear"),
+    2: ("tr A²", "degenerate map", "tr(A₀A)"),
+}
+
+
+def test_lemma_fuzz_lists_trials_in_order_and_a_trial_s_tests_in_their_order():
+    # at a tol nothing meets, most trials fail one test or more
+    (result,) = run_checks(["lemma-fuzz"], tol=1e-300)
+    assert len(result.failures) > 1000
+    places = []
+    for message in result.failures:
+        head, text = message.split(": ", 1)
+        trial, mode = re.fullmatch(r"trial (\d+) \(n=\d, mode=(\d)\)", head).groups()
+        tests = _LEMMA_TESTS[int(mode)]
+        places.append((int(trial), next(i for i, t in enumerate(tests) if text.startswith(t))))
+    assert places == sorted(set(places))
+
+
+def test_guediri_reports_too_few_rejections_after_every_trial_failure(monkeypatch):
+    monkeypatch.setattr(verify, "guediri_2step", lambda *args, **kwargs: None)
+    (result,) = run_checks(["guediri"], tol=1e-300)
+    *trial_failures, last = result.failures
+    assert last == "only 0/10 violating parameter sets rejected"
+    assert trial_failures
+    trials = [int(re.match(r"trial (\d+): ", m).group(1)) for m in trial_failures]
+    assert trials == sorted(trials)
+
+
+def test_degenerate_center_measures_no_residual():
+    (result,) = run_checks(["degenerate-center"])
+    assert result.residual == 0.0

@@ -238,3 +238,48 @@ def test_an_eigendecomposition_is_written_once():
     # vectors, the metrics' frames) reads pseudolin._orthonormal_bases, so
     # no two of them can disagree on one gram
     assert _sites(_is_eigensolve) == {"pseudolin.py:_orthonormal_bases"}
+
+
+def _binds_a_row(node: ast.AST) -> bool:
+    """An assignment to a name `failures` or `worst…`: a check's own failure
+    list or residual."""
+    return (
+        isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Store)
+        and (node.id == "failures" or node.id.startswith("worst"))
+    )
+
+
+def test_only_check_collects_a_row_s_failures_and_residual():
+    # a row's failures are ordered and its residual taken in verify._check
+    binders = {
+        node.name
+        for node in _SOURCES["verify.py"].body
+        if isinstance(node, ast.FunctionDef) and any(map(_binds_a_row, ast.walk(node)))
+    }
+    assert binders == {"_check"}
+
+
+def _is_mean_trace(node: ast.AST) -> bool:
+    """A trace divided by something: x.trace(…) / n, np.trace(x, …) / n or an
+    einsum of a diagonal ("mii->m") / n."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+        return False
+    call = node.left
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)):
+        return False
+    if call.func.attr == "trace":
+        return True
+    subscripts = call.args[0] if call.args else None
+    return (
+        call.func.attr == "einsum"
+        and isinstance(subscripts, ast.Constant)
+        and re.search(r"(\w)\1->", str(subscripts.value)) is not None
+    )
+
+
+def test_the_einstein_constant_is_written_once():
+    # λ̂ = tr(Ric)/n of the verdict and the search is curvature._einstein_deviations;
+    # verify's EX8 reading stays its own, an independent check
+    sites = {site for site in _sites(_is_mean_trace) if not site.startswith("verify.py:")}
+    assert sites == {"curvature.py:_einstein_deviations"}
