@@ -31,8 +31,9 @@ extend only the bracket condition (_lie_tests), and verify's double-extension
 and guediri checks on a stack per core dimension; double-extension draws its
 data as stacks, one draw per shape, and builds no ExtensionData.
 guediri_2step is Guediri's data (_guediri_data) followed by extend.
-_admissible_forms reads the model's hyperplane e^⊥ = Re ⊕ V back from an
-algebra alone: the 1-forms whose kernels can play it for a given central e.
+_double_extension_reading reads the model back from an algebra, once per
+algebra: a central z that can play e, and its α-space (_admissible_forms),
+the 1-forms whose kernels can play e^⊥ = Re ⊕ V.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from .errors import (
     NotLie,
     SingularK0,
 )
-from .liealg import LieAlgebra, _antisymmetric, act_on_brackets
+from .liealg import LieAlgebra, _antisymmetric, _computed_once, act_on_brackets
 from .pseudolin import (
     DEFAULT_TOL,
     Gram,
@@ -183,10 +184,43 @@ def extend(data: ExtensionData, tol: float = DEFAULT_TOL) -> MetricLieAlgebra:
     return MetricLieAlgebra(algebra, Gram(_witt_gram(data.v_dim + 2)))
 
 
+@_computed_once
+def _double_extension_reading(algebra: LieAlgebra) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(z, forms), read-only: z, the first row of Z ∩ [g,g], unit with its
+    largest entry positive, and the orthonormal rows (k, n), k ≥ 0, of its
+    α-space (_admissible_forms); None for an abelian or non-nilpotent algebra.
+    Made once per algebra object.  A Lorentzian Ricci-flat metric with a null
+    central line Re is a double extension (K, D, b) of an abelian Euclidean V,
+    with [g,g] ⊂ Re ⊕ D(V): if e were outside [g,g], K = 0, Ricci-flatness
+    ‖K‖² = 2‖D‖² would force D = 0, and then b = 0, so the algebra would be
+    abelian.  So z can be that e, and an admissible H = ker α its e^⊥."""
+    if not algebra.is_nilpotent():
+        return None
+    center, derived = algebra.center().basis, algebra.derived_ideal().basis
+    if not len(derived):  # abelian
+        return None
+    # x = Dᵀy lies in Z when its part off Z, (I − ZᵀZ)·Dᵀy, vanishes
+    off_center = derived.T - center.T @ (center @ derived.T)
+    z = _on_its_line(nullspace(off_center, algebra.tol)[0] @ derived)
+    forms = _admissible_forms(algebra, z)
+    forms.flags.writeable = False
+    return z, forms
+
+
+def _on_its_line(v: np.ndarray) -> np.ndarray:
+    """v/|v| with its largest entry positive, whatever the signs of the
+    computation that gave v (+ 0.0 clears −0), read-only."""
+    v = v / np.linalg.norm(v)
+    v = v * np.sign(v[np.argmax(np.abs(v))]) + 0.0
+    v.flags.writeable = False
+    return v
+
+
 def _admissible_forms(algebra: LieAlgebra, z: np.ndarray) -> np.ndarray:
     """An orthonormal basis (rows, (k, n)) of the α-space of a central z: the
     1-forms α with α(Z) = α([g,g]) = 0 and α ∧ (λ∘c) = 0 for every λ that
-    kills z, every rank decided at algebra.tol.  A 2-form ω vanishes on
+    kills z, every rank decided at algebra.tol on c/max|c|, so a scaled
+    bracket has the same α-space.  A 2-form ω vanishes on
     ker α ≠ 0 iff α ∧ ω = 0, so every nonzero α in it has a kernel
     H ⊇ Z + [g,g] with [H,H] ⊆ Rz: the hyperplane e^⊥ = Re ⊕ V of a double
     extension whose null central vector e is z.  It is the nullspace of one
@@ -194,7 +228,7 @@ def _admissible_forms(algebra: LieAlgebra, z: np.ndarray) -> np.ndarray:
     α(a)ω(b,c) + α(b)ω(c,a) + α(c)ω(a,b) for ω = λ∘c and λ running over a
     basis of z's annihilator, written as rows acting on α."""
     n = algebra.n
-    omega = np.einsum("lk,ijk->lij", nullspace(z[None], algebra.tol), algebra.c)
+    omega = np.einsum("lk,ijk->lij", nullspace(z[None], algebra.tol), algebra._unit)
     term = np.einsum("ap,lbc->labcp", np.eye(n), omega)  # α(a)ω(b,c) as rows on α
     wedge = term + term.transpose(0, 2, 3, 1, 4) + term.transpose(0, 3, 1, 2, 4)
     rows = np.concatenate([wedge.reshape(-1, n), algebra.center().basis, algebra.derived_ideal().basis])

@@ -43,10 +43,12 @@ def _upper_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _computed_once(method: Callable[..., _T]) -> Callable[..., _T]:
-    """A fact of a frozen object, kept in its ``_memo`` dict by method name and
-    hashable positional arguments (the bare name for none).  Every caller gets
-    the same object, so a fact must be immutable: a number, a tuple, a Subspace,
-    or an array, which is made read-only here.  A call that raises keeps nothing."""
+    """A fact of a frozen object, kept in its ``_memo`` dict by the name of the
+    method, or of a module function of the object such as
+    doubleext._double_extension_reading, and hashable positional arguments
+    (the bare name for none).  Every caller gets the same object, so a fact
+    must be immutable: a number, a tuple, a Subspace, or an array, which is
+    made read-only here.  A call that raises keeps nothing."""
     name = method.__name__
 
     @functools.wraps(method)

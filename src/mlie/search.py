@@ -30,10 +30,10 @@ center, so it is a double extension, whose null central vector z has a
 hyperplane H = z^⊥ ⊇ Z + [g,g] with [H,H] ⊆ Rz.  So when the spec asks for a
 Ricci-flat metric of signature (1, n − 1) on a non-abelian nilpotent algebra
 of dimension n ≤ 5, the search holds that null flag z ∈ H on every iterate:
-z is the first row of Z ∩ [g,g] (_held_central_vector says why [g,g]), the
-admissible H are the kernels of the nonzero members α of z's α-space
-(doubleext._admissible_forms), and with ê = (b₀ + b₁)/√2, an η-null frame
-vector,
+z is the first row of Z ∩ [g,g], the admissible H are the kernels of the
+nonzero members α of z's α-space, both read from the algebra once by
+doubleext._double_extension_reading (which says why [g,g]), and with
+ê = (b₀ + b₁)/√2, an η-null frame vector,
 - every start I + 0.1·N is turned by the Euclidean Householder reflection
   that sends A·z/|A·z| to ê, which keeps cond(A), and then moved by the
   rank-one A ← A − ηê ⊗ (w − α), where w = êᵀηA and α is its orthogonal
@@ -45,8 +45,9 @@ vector,
 S has a basis of n² − 2n + 3 members.  Every other spec (dimension ≥ 6, where
 EX6 and EX7 are Ricci-flat with a nondegenerate center; other signatures;
 the Einstein target; abelian or non-nilpotent algebras; an empty α-space,
-which no catalog algebra has) steps on gl(n), and SearchResult.central_vector
-and SearchResult.hyperplane are None.
+which no catalog algebra of dimension ≤ 5 has) steps on gl(n), and
+SearchResult.central_vector and SearchResult.hyperplane are None; such a
+spec makes no reading (_held_flag tests its gates first).
 
 All restarts advance together as one stack of factors A[r]: per iteration one
 stacked Jacobian call over the restarts still running, and per damping round
@@ -102,7 +103,7 @@ from .curvature import (
     q_bracket_operators,
     ricci_operators,
 )
-from .doubleext import _admissible_forms
+from .doubleext import _double_extension_reading, _on_its_line
 from .errors import InvalidInput
 from .liealg import LieAlgebra, act_on_brackets, derivation_defects
 from .pseudolin import Gram, _cutoff, _nonnegative, _symmetrized, nullspace
@@ -268,44 +269,16 @@ def _jacobians(
     return d_r.reshape(m, k, n * n).transpose(0, 2, 1)
 
 
-def _held_central_vector(spec: SearchSpec) -> Optional[np.ndarray]:
-    """z, the first row of Z ∩ [g,g] (unit, read-only), when spec asks for a
-    Ricci-flat metric of signature (1, n − 1) on a non-abelian nilpotent
-    algebra of dimension n ≤ _STRATUM_MAX_DIM; else None.  Such a metric has
-    a degenerate center, so a null central line Re, and a double extension
-    (K, D, b) of an abelian Euclidean space V, with [g,g] ⊂ Re ⊕ D(V): if e
-    were outside [g,g], K = 0, Ricci-flatness ‖K‖² = 2‖D‖² would force D = 0,
-    and then b = 0, so the algebra would be abelian."""
-    algebra = spec.algebra
-    n = algebra.n
-    if (
-        spec.target != "ricci-flat"
-        or tuple(spec.signature) != (1, n - 1)
-        or n > _STRATUM_MAX_DIM
-        or not algebra.is_nilpotent()
-    ):
-        return None
-    center, derived = algebra.center().basis, algebra.derived_ideal().basis
-    if not len(derived):  # abelian
-        return None
-    # x = Dᵀy lies in Z when its part off Z, (I − ZᵀZ)·Dᵀy, vanishes
-    off_center = derived.T - center.T @ (center @ derived.T)
-    return _on_its_line(nullspace(off_center, algebra.tol)[0] @ derived)
-
-
 def _held_flag(spec: SearchSpec) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """(z, forms): the central vector _held_central_vector gives and the
-    orthonormal rows (k, n) of its α-space (doubleext._admissible_forms),
-    whose nonzero members are the 1-forms α of the admissible hyperplanes
-    H = ker α ⊇ Z + [g,g] with [H,H] ⊆ Rz.  None when the spec holds no
-    central vector, and when the α-space is empty: with no admissible
-    hyperplane the spec steps on gl(n).  No catalog algebra of dimension
-    ≤ 5 has an empty α-space."""
-    z = _held_central_vector(spec)
-    if z is None:
+    """The algebra's doubleext._double_extension_reading (z, forms), read
+    only once the spec passes its gates: Ricci-flat target, signature
+    (1, n − 1) and n ≤ _STRATUM_MAX_DIM.  None off them, with no reading, and
+    with an empty α-space, where the spec steps on gl(n)."""
+    n = spec.algebra.n
+    if spec.target != "ricci-flat" or tuple(spec.signature) != (1, n - 1) or n > _STRATUM_MAX_DIM:
         return None
-    forms = _admissible_forms(spec.algebra, z)
-    return (z, forms) if len(forms) else None
+    flag = _double_extension_reading(spec.algebra)
+    return flag if flag is not None and len(flag[1]) else None
 
 
 def _null_flag(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -356,15 +329,6 @@ def _onto_flag(a: np.ndarray, z: np.ndarray, forms: np.ndarray) -> np.ndarray:
     eta_e = _null_flag(a.shape[-1])[1]
     w = eta_e @ a
     return a - eta_e[:, None] * (w - w @ forms.T @ forms)[:, None, :]
-
-
-def _on_its_line(v: np.ndarray) -> np.ndarray:
-    """v/|v| with its largest entry positive, whatever the signs of the
-    computation that gave v (+ 0.0 clears −0), read-only."""
-    v = v / np.linalg.norm(v)
-    v = v * np.sign(v[np.argmax(np.abs(v))]) + 0.0
-    v.flags.writeable = False
-    return v
 
 
 def _damped_steps(

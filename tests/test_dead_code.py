@@ -283,3 +283,17 @@ def test_the_einstein_constant_is_written_once():
     # verify's EX8 reading stays its own, an independent check
     sites = {site for site in _sites(_is_mean_trace) if not site.startswith("verify.py:")}
     assert sites == {"curvature.py:_einstein_deviations"}
+
+
+def test_the_held_central_vector_is_chosen_in_doubleext_alone():
+    # the search reads doubleext._double_extension_reading and decides no
+    # structure fact of its own, and doubleext's tests need no search
+    assert not {"center", "derived_ideal", "_admissible_forms"} & _names(_SOURCES["search.py"])
+    tests = ast.parse((Path(__file__).parent / "test_doubleext.py").read_text())
+    modules = set()
+    for node in ast.walk(tests):
+        if isinstance(node, ast.ImportFrom):
+            modules |= {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+    assert "mlie.search" not in modules

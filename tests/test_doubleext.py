@@ -10,6 +10,7 @@ from mlie.catalog import make_algebra
 from mlie.doubleext import (
     ExtensionData,
     _admissible_forms,
+    _double_extension_reading,
     check_admissible,
     decompose,
     extend,
@@ -23,7 +24,6 @@ from mlie.doubleext import (
 from mlie.errors import ConstraintViolation, InvalidInput, NotApplicable, NotLie, SingularK0
 from mlie.liealg import LieAlgebra, act_on_brackets
 from mlie.pseudolin import DEFAULT_TOL, Gram, SubspaceTag, classify_subspace, nullspace
-from mlie.search import SearchSpec, _held_central_vector
 
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -467,23 +467,28 @@ def test_guediri_constraint_violation():
         guediri_2step(np.zeros(2), np.sqrt(2.0) * c, a)
 
 
-#: the dimension of the α-space of the search's central vector z on each
-#: nilpotent catalog algebra of dimension ≤ 5 but the abelian ones
+#: the dimension of the α-space of the held central vector z on each
+#: non-abelian nilpotent catalog algebra of dimension ≤ 5 and on the paper's
+#: examples; EX8's is empty, so no hyperplane of its z is admissible
 _ALPHA_SPACE_DIMS = {
     "L3_2": 2, "L4_2": 2, "L4_3": 2, "L5_2": 2, "L5_3": 2, "L5_5": 2, "L5_8": 2,
-    "L5_6": 1, "L5_9": 1, "L5_7": 1, "L5_4": 4,
+    "L5_6": 1, "L5_9": 1, "L5_7": 1, "L5_4": 4, "EX6": 1, "EX7": 1, "EX8": 0,
 }
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-10, 1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("name, dim", sorted(_ALPHA_SPACE_DIMS.items()))
-def test_the_alpha_space_on_the_catalog(name, dim):
-    # every member α has H = ker α ⊇ Z + [g,g] and [H,H] ⊆ Rz, checked on
-    # H's basis pair by pair
-    algebra = make_algebra(name)
-    z = _held_central_vector(SearchSpec(algebra, signature=(1, algebra.n - 1)))
-    forms = _admissible_forms(algebra, z)
+def test_the_alpha_space_on_the_catalog(name, dim, scale):
+    # z lies in Z ∩ [g,g], and every member α has H = ker α ⊇ Z + [g,g] and
+    # [H,H] ⊆ Rz, checked on H's basis pair by pair; the α-space is decided
+    # on c/max|c|, so the bracket's scale does not change it
+    algebra = LieAlgebra(scale * make_algebra(name).c)
+    z, forms = _double_extension_reading(algebra)
     assert forms.shape == (dim, algebra.n)
-    assert np.abs(forms @ forms.T - np.eye(dim)).max() <= 1e-14
+    assert not z.flags.writeable and not forms.flags.writeable
+    assert algebra.center().contains(z) and algebra.derived_ideal().contains(z)
+    assert np.abs(forms @ forms.T - np.eye(dim)).max(initial=0.0) <= 1e-14
+    peak = np.abs(algebra.c).max()
     for alpha in forms:
         assert np.abs(algebra.center().basis @ alpha).max() <= 1e-14
         assert np.abs(algebra.derived_ideal().basis @ alpha).max() <= 1e-14
@@ -491,7 +496,13 @@ def test_the_alpha_space_on_the_catalog(name, dim):
         for i in range(len(h)):
             for j in range(i):
                 bracket = algebra.bracket(h[i], h[j])
-                assert np.abs(bracket - (bracket @ z) * z).max() <= 1e-14
+                assert np.abs(bracket - (bracket @ z) * z).max() <= 1e-14 * peak
+
+
+def test_an_abelian_or_non_nilpotent_algebra_has_no_reading():
+    non_nilpotent = extend(random_admissible(np.random.default_rng(0), nilpotent=False)).algebra
+    assert _double_extension_reading(LieAlgebra.abelian(3)) is None
+    assert _double_extension_reading(non_nilpotent) is None
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mlie.curvature
-from mlie import search
+from mlie import doubleext, search
 from mlie.catalog import make_algebra, make_metric
 from mlie.curvature import (
     VERDICT_TOL,
@@ -18,7 +18,7 @@ from mlie.curvature import (
     q_bracket_operators,
     structure_endo_tensors,
 )
-from mlie.doubleext import _admissible_forms, extend, random_admissible
+from mlie.doubleext import _double_extension_reading, extend, random_admissible
 from mlie.errors import DegenerateGram, InvalidInput, NotNilpotent, is_route_mismatch
 from mlie.liealg import LieAlgebra, derivation_defects
 from mlie.pseudolin import Gram, SubspaceTag, classify_subspace, nullspace
@@ -30,7 +30,7 @@ from mlie.search import (
     _flag_directions,
     _forward,
     _jacobians,
-    _held_central_vector,
+    _held_flag,
     _null_flag,
     _onto_flag,
     _onto_null_line,
@@ -794,7 +794,7 @@ def test_the_stratum_search_reaches_the_paper_s_ricci_flat_metrics(name, verdict
         # z^⊥ = ker α under the found gram, and α is in z's α-space
         g_z = gram @ z
         assert np.abs(g_z - (g_z @ alpha) * alpha).max() <= 1e-12 * np.abs(gram).max()
-        forms = _admissible_forms(spec.algebra, z)
+        forms = _double_extension_reading(spec.algebra)[1]
         assert np.abs(alpha - alpha @ forms.T @ forms).max() <= 1e-12
 
 
@@ -835,7 +835,7 @@ def test_only_lorentzian_ricci_flat_nilpotent_searches_up_to_dimension_5_hold_a_
 ):
     algebra = LieAlgebra.abelian(4) if case == "abelian" else _case_algebra(case)
     spec = SearchSpec(algebra, target=target, signature=signature or (1, algebra.n - 1))
-    assert _held_central_vector(spec) is None
+    assert _held_flag(spec) is None
 
 
 @pytest.mark.parametrize("name, signature", [("EX6", (1, 5)), ("EX7", (1, 6))])
@@ -856,8 +856,7 @@ def test_the_search_off_the_stratum_reaches_the_paper_s_first_examples(name, sig
 def test_the_flag_start_and_steps_keep_z_null_and_its_hyperplane_admissible():
     spec = _stratum_spec("L5_5")
     algebra, n = spec.algebra, spec.algebra.n
-    z = _held_central_vector(spec)
-    forms = _admissible_forms(algebra, z)
+    z, forms = _held_flag(spec)
     e, eta_e = _null_flag(n)
     eta = np.diag(_lorentzian_signs(n))
     assert abs(e @ eta @ e) <= 1e-16 and np.abs(eta @ e - eta_e).max() == 0.0
@@ -899,16 +898,36 @@ def test_the_flag_start_and_steps_keep_z_null_and_its_hyperplane_admissible():
 
 
 def test_a_spec_with_no_admissible_hyperplane_steps_on_gl_n(monkeypatch):
-    # no catalog algebra of dimension ≤ 5 has an empty α-space; were it
-    # empty, the spec would hold no flag and step on the n² unit matrices
-    monkeypatch.setattr(search, "_admissible_forms", lambda algebra, z: np.zeros((0, algebra.n)))
+    # no catalog algebra of dimension ≤ 5 has an empty α-space (EX8's is, in
+    # dimension 8); were it empty, the spec would hold no flag and step on
+    # the n² unit matrices.  A fresh algebra leaves the shared catalog memo be
+    reading = search._double_extension_reading
+    monkeypatch.setattr(
+        search, "_double_extension_reading", lambda algebra: (reading(algebra)[0], np.zeros((0, algebra.n)))
+    )
     widths = []
     jacobians = search._jacobians
     monkeypatch.setattr(search, "_jacobians", lambda *args: widths.append(len(args[-1])) or jacobians(*args))
     built = _counted(monkeypatch, "_flag_directions", "_onto_flag")
-    result = run_search(_stratum_spec("L4_3", seed=0))
+    result = run_search(SearchSpec(LieAlgebra(make_algebra("L4_3").c), signature=(1, 3), seed=0))
     assert result.central_vector is None and result.hyperplane is None
     assert widths and set(widths) == {16} and not built
+
+
+def test_the_algebra_s_reading_is_made_once_and_shared(monkeypatch):
+    # z and its α-space depend on the algebra alone: two searches on one
+    # algebra make them once and hold one read-only z, and a spec off the
+    # flag's gates makes no reading at all
+    made = []
+    forms = doubleext._admissible_forms
+    monkeypatch.setattr(doubleext, "_admissible_forms", lambda *args: made.append(1) or forms(*args))
+    algebra = LieAlgebra(make_algebra("L4_3").c)
+    first, second = (run_search(SearchSpec(algebra, signature=(1, 3), seed=seed)) for seed in (0, 1))
+    assert len(made) == 1
+    assert first.central_vector is second.central_vector and not first.central_vector.flags.writeable
+    euclidean = LieAlgebra(make_algebra("L3_2").c)
+    run_search(SearchSpec(euclidean, target="einstein", signature=(0, 3)))
+    assert "_double_extension_reading" not in euclidean._memo and len(made) == 1
 
 
 def test_the_flag_basis_is_made_once_per_n_and_read_only():
