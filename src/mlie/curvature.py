@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DEGENERATE_GRAM, ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
-from .liealg import LieAlgebra, _computed_once, act_on_brackets
+from .liealg import LieAlgebra, act_on_brackets
 from .pseudolin import (
     Gram,
     Signature,
@@ -55,7 +55,7 @@ class Verdict(Enum):
 _RICCI_FLAT = (Verdict.RICCI_FLAT, Verdict.FLAT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureReport:
     """Summary verdict for one metric Lie algebra."""
 
@@ -244,11 +244,11 @@ def ricci_operators(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndar
 # einstein_classify on a stack of metrics given by their brackets c (k,n,n,n)
 # in the input basis and their frames (ε, A, B), stacks of k or of one that
 # every member shares.  _CurvatureFacts is the one place a metric's curvature
-# facts are computed, on a stack, each on first read: MetricLieAlgebra keeps
-# them for its stack of one, verify's checks take them once per group, and the
-# search's settle once per iteration.
-# Each decision is taken per member in the input basis, at the member's own
-# cutoff; an empty stack gives empty results.
+# facts are computed, on a stack, in three kept passes through the kernel:
+# MetricLieAlgebra reads them for its stack of one, verify's checks once per
+# group, and the search's settle once per iteration.  The layers it calls
+# are array functions; each decision is taken per member in the input basis,
+# at the member's own cutoff, and an empty stack gives empty results.
 
 
 def _frames(mats: np.ndarray, tol: float):
@@ -259,14 +259,6 @@ def _frames(mats: np.ndarray, tol: float):
     for a member with a null direction, whose (ε, A, B) is no frame."""
     b, eps, null = _orthonormal_bases(mats, tol)
     return (eps, (eps[..., :, None] * b.swapaxes(-1, -2)) @ mats, b), null.any(axis=1)
-
-
-def _in_input_basis(frame, x: np.ndarray, form: bool = False) -> np.ndarray:
-    """X (k, n, n) of the frames in the input basis: B·X·A, or Aᵀ·X·A for a
-    form, symmetrized as ricci_forms symmetrizes."""
-    _, a, b = frame
-    y = (a.swapaxes(-1, -2) if form else b) @ x @ a
-    return _symmetrized(y) if form else y
 
 
 def _check_routes(ric_nil: np.ndarray, ric_def: np.ndarray) -> np.ndarray:
@@ -298,79 +290,84 @@ def _flatness_defects(c: np.ndarray, lc: np.ndarray) -> Tuple[np.ndarray, np.nda
     return _peaks(np.abs(curv, out=curv)), scale
 
 
+@dataclass(eq=False)
 class _CurvatureFacts:
     """The curvature facts of the metrics with brackets c (k, n, n, n), or one
-    bracket all share, in their frames (ε, A, B): stacks, one member per
-    metric, each computed on first call and kept, so a caller pays only for
-    what it asks for.  brackets() is μ = A·c, the bracket in each frame; the
-    others are read from μ and the frame's Levi-Civita tensor.
-    ricci_unchecked() is the Ricci operator moved back by B·X·A: the 𝒥-route
-    on a nilpotent algebra, else η·ric.  routes_agree() says per member
-    whether it passes the cross-check against η·ric (_check_routes; every
-    member does off a nilpotent algebra); ricci() is ricci_unchecked() when
-    every member passes, and raises RuntimeError(ROUTE_MISMATCH) otherwise.
-    ricci_form() (moved back by Aᵀ·X·A), scalar() (tr η·ric), levi_civita()
-    (moved back by B), flatness() (_flatness_defects) and verdicts() run no
-    cross-check, so they stay readable when the routes disagree."""
+    bracket all share, in their frames (ε, A, B): read-only stacks, one member
+    per metric, from three passes through the stacked kernel, each run on the
+    first read of one of its facts and kept, so a caller pays only for the
+    passes it reads.  _frame_pass: μ = A·c and, from its Levi-Civita tensor,
+    η·ric, the Ricci form moved back by Aᵀ·X·A and the tensor moved back by B;
+    _route_pass: the Ricci operators moved back by B·X·A (the 𝒥-route on a
+    nilpotent algebra, else η·ric) and per member whether they pass the
+    cross-check against η·ric; _flatness_pass: the flatness numbers.  Only
+    ricci() raises on a route mismatch, so every other fact stays readable;
+    MetricLieAlgebra.einstein_classify reads the passes directly."""
 
-    def __init__(self, c: np.ndarray, frame, nilpotent: bool) -> None:
-        self._c, self._frame, self._nilpotent = c, frame, nilpotent
-        self._memo = {}  # facts computed once, by method
+    c: np.ndarray
+    frame: tuple
+    nilpotent: bool
 
-    @_computed_once
+    @functools.cached_property
+    def _frame_pass(self) -> Tuple[np.ndarray, ...]:
+        """(μ, η·ric, ricci_form, levi_civita)."""
+        eps, a, b = self.frame
+        mu = act_on_brackets(a, b, self.c)
+        lc = levi_civita_tensors(mu, eps)
+        ric = ricci_forms(lc)
+        form = _symmetrized(a.swapaxes(-1, -2) @ ric @ a)
+        facts = mu, _raise_index(eps, ric), form, act_on_brackets(b, a, lc)
+        for fact in facts:
+            fact.flags.writeable = False
+        return facts
+
+    @functools.cached_property
+    def _route_pass(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(ricci_unchecked, routes_agree)."""
+        eps, a, b = self.frame
+        mu, eta_ric = self._frame_pass[:2]
+        if self.nilpotent:
+            q = ricci_operators(mu, eps, True)
+            agree = _check_routes(q, eta_ric)
+        else:  # η·ric is the operator itself
+            q, agree = eta_ric, np.ones(len(eps), dtype=bool)
+        ric = b @ q @ a
+        ric.flags.writeable = False
+        return ric, agree
+
+    @functools.cached_property
+    def _flatness_pass(self) -> Tuple[np.ndarray, np.ndarray]:
+        return _flatness_defects(self.c, self._frame_pass[3])
+
     def brackets(self) -> np.ndarray:
-        _, a, b = self._frame
-        return act_on_brackets(a, b, self._c)
+        return self._frame_pass[0]
 
-    @_computed_once
-    def _frame_levi_civita(self) -> np.ndarray:
-        return levi_civita_tensors(self.brackets(), self._frame[0])
-
-    @_computed_once
-    def _frame_ricci(self) -> np.ndarray:
-        return _raise_index(self._frame[0], ricci_forms(self._frame_levi_civita()))  # η·ric
-
-    @_computed_once
-    def _frame_operators(self) -> np.ndarray:
-        if self._nilpotent:
-            return ricci_operators(self.brackets(), self._frame[0], True)
-        return self._frame_ricci()
-
-    @_computed_once
     def routes_agree(self) -> np.ndarray:
-        if not self._nilpotent:  # η·ric is the operator itself
-            return np.ones(len(self._frame[0]), dtype=bool)
-        return _check_routes(self._frame_operators(), self._frame_ricci())
+        return self._route_pass[1]
 
-    @_computed_once
     def ricci_unchecked(self) -> np.ndarray:
-        return _in_input_basis(self._frame, self._frame_operators())
+        return self._route_pass[0]
 
     def ricci(self) -> np.ndarray:
-        if not self.routes_agree().all():
+        ric, agree = self._route_pass
+        if not agree.all():
             raise RuntimeError(ROUTE_MISMATCH)
-        return self.ricci_unchecked()
+        return ric
 
-    @_computed_once
     def ricci_form(self) -> np.ndarray:
-        form = _raise_index(self._frame[0], self._frame_ricci())  # η·η = I
-        return _in_input_basis(self._frame, form, True)
+        return self._frame_pass[2]
 
     def scalar(self) -> np.ndarray:
-        return self._frame_ricci().trace(axis1=1, axis2=2)
+        return self._frame_pass[1].trace(axis1=1, axis2=2)
 
-    @_computed_once
     def levi_civita(self) -> np.ndarray:
-        _, a, b = self._frame
-        return act_on_brackets(b, a, self._frame_levi_civita())
+        return self._frame_pass[3]
 
-    @_computed_once
     def flatness(self) -> Tuple[np.ndarray, np.ndarray]:
-        return _flatness_defects(self._c, self.levi_civita())
+        return self._flatness_pass
 
     def verdicts(self, tol: float) -> Tuple[list, list, list, list]:
-        """The rule _verdicts on ricci_unchecked() and flatness() at tol."""
-        return _verdicts(self.ricci_unchecked(), *self.flatness(), tol)
+        return _verdicts(self._route_pass[0], *self._flatness_pass, tol)
 
 
 @functools.lru_cache(maxsize=None)
@@ -409,13 +406,14 @@ def _verdicts(
     lam, residual, cut = _einstein_defects(ric, tol)
     lam, residual, cut = lam.tolist(), residual.tolist(), cut.tolist()
     flat = (defect <= _cutoff(tol, scale, stack=True)).tolist()
-    verdicts = [
-        Verdict.NOT_EINSTEIN if r > c_m
-        else Verdict.FLAT if f
-        else Verdict.RICCI_FLAT if abs(l_m) <= c_m
-        else Verdict.EINSTEIN
-        for l_m, r, c_m, f in zip(lam, residual, cut, flat)
-    ]
+    verdicts = []
+    for l_m, r, c_m, f in zip(lam, residual, cut, flat):
+        verdicts.append(
+            Verdict.NOT_EINSTEIN if r > c_m
+            else Verdict.FLAT if f
+            else Verdict.RICCI_FLAT if abs(l_m) <= c_m
+            else Verdict.EINSTEIN
+        )
     return verdicts, lam, residual, flat
 
 
@@ -426,13 +424,12 @@ class MetricLieAlgebra:
     route) are decided once, at the algebra's ``tol``.
 
     Building one only takes the frame.  Its curvature facts (not the S_i) are
-    kept in one memo entry, the _CurvatureFacts of its stack of one, each
-    computed on first use at the bracket μ = A·c of the frame and mapped back
-    to the input basis once (an operator X by B·X·A, a form by Aᵀ·X·A, the
-    Levi-Civita tensor by B = A⁻¹).  The Ricci operator and form it returns
-    are read-only, as the algebra keeps its facts, so instances are safe to
-    share; the report of ``einstein_classify`` is kept the same way, once per
-    tol.
+    those of the _CurvatureFacts of its stack of one (_curvature), made on
+    first use: each is computed at the bracket μ = A·c of the frame and
+    mapped back to the input basis once (an operator X by B·X·A, a form by
+    Aᵀ·X·A, the Levi-Civita tensor by B = A⁻¹).  Its memo keeps the Ricci
+    operator and form as one read-only array each, so instances are safe to
+    share, and the report of ``einstein_classify`` once per tol.
     """
 
     algebra: LieAlgebra
@@ -440,7 +437,7 @@ class MetricLieAlgebra:
 
     def __init__(self, algebra: LieAlgebra, gram: Gram) -> None:
         gram = gram if isinstance(gram, Gram) else Gram(gram)
-        if gram.n != algebra.n:
+        if len(gram.mat) != algebra.n:
             raise InvalidInput("gram size does not match algebra dimension")
         frame, degenerate = _frames(gram.mat[None], algebra.tol)  # ε, A, B: a stack of one
         if degenerate[0]:
@@ -450,7 +447,7 @@ class MetricLieAlgebra:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_signature", Signature(minus, algebra.n - minus, 0))
         object.__setattr__(self, "_frame", frame)
-        object.__setattr__(self, "_memo", {})  # facts computed once, by method and arguments
+        object.__setattr__(self, "_memo", {})  # the curvature facts, the kept Ricci arrays, reports by tol
 
     @property
     def n(self) -> int:
@@ -465,10 +462,12 @@ class MetricLieAlgebra:
         """μ = A·c, the bracket in the frame (a stack of one), kept with the facts."""
         return self._curvature().brackets()
 
-    @_computed_once
     def _curvature(self) -> _CurvatureFacts:
-        """The _CurvatureFacts of the stack of one, read by every curvature method."""
-        return _CurvatureFacts(self.algebra.c, self._frame, self.algebra.is_nilpotent())
+        """The _CurvatureFacts of the stack of one, made on first use and kept."""
+        if "_curvature" not in self._memo:
+            nilpotent = self.algebra.is_nilpotent()
+            self._memo["_curvature"] = _CurvatureFacts(self.algebra.c, self._frame, nilpotent)
+        return self._memo["_curvature"]
 
     # -- curvature --------------------------------------------------------
 
@@ -483,16 +482,15 @@ class MetricLieAlgebra:
 
     # -- Ricci, three routes ----------------------------------------------
 
-    @_computed_once
     def ricci_via_definition(self) -> np.ndarray:
         """ric(e_i,e_j) = −tr(R_i R_j) + tr(R_{e_i·e_j}); symmetric matrix."""
-        return self._curvature().ricci_form()[0]
+        return self._memo.setdefault("ricci_via_definition", self._curvature().ricci_form()[0])
 
     def j1_j2(self) -> Tuple[np.ndarray, np.ndarray]:
         """The self-adjoint operators 𝒥₁ and 𝒥₂ built from the S_i."""
-        eps = self._frame[0]
+        eps, a, b = self._frame
         j1, j2 = j1_j2_operators(structure_endo_tensors(self._brackets(), eps), eps)
-        return _in_input_basis(self._frame, j1)[0], _in_input_basis(self._frame, j2)[0]
+        return (b @ j1 @ a)[0], (b @ j2 @ a)[0]
 
     def ricci_nilpotent(self) -> np.ndarray:
         """Ricci operator −½𝒥₁ + ¼𝒥₂, cross-checked (ricci_operator); only
@@ -503,8 +501,9 @@ class MetricLieAlgebra:
 
     def ricci_general(self) -> np.ndarray:
         """Ricci form from the adjoint/J/mean-vector expression; any algebra."""
-        form = ricci_general_forms(self._brackets(), self._frame[0])
-        return _in_input_basis(self._frame, form, True)[0]
+        eps, a, _ = self._frame
+        form = ricci_general_forms(self._brackets(), eps)
+        return _symmetrized(a.swapaxes(-1, -2) @ form @ a)[0]
 
     # -- trace identity ---------------------------------------------------
 
@@ -518,11 +517,10 @@ class MetricLieAlgebra:
 
     # -- verdicts ---------------------------------------------------------
 
-    @_computed_once
     def ricci_operator(self) -> np.ndarray:
         """Ric = G^{-1}·ric: the 𝒥-route when nilpotent, cross-checked in the frame
         against the definitional route (ROUTE_MISMATCH), else the definitional."""
-        return self._curvature().ricci()[0]
+        return self._memo.setdefault("ricci_operator", self._curvature().ricci()[0])
 
     def einstein_classify(self, tol: float = VERDICT_TOL) -> CurvatureReport:
         """Classify as Flat / RicciFlat / Einstein(λ≠0) / NotEinstein.
@@ -530,25 +528,26 @@ class MetricLieAlgebra:
         The residual and λ are measured against _cutoff(tol, Ric), that is
         tol·max(1, ‖Ric‖∞); flatness against the squared Levi-Civita magnitude.
         The report, whose arrays are the metric's read-only Ricci facts, is
-        computed once per tol: a call at an equal tol returns the same object.
-        A call that raises (a bad tol, the Ricci cross-check) keeps nothing
-        and raises again.
+        computed once per tol, in one pass over the facts: a call at an equal
+        tol returns the same object.  A call that raises (a bad tol, the Ricci
+        cross-check) keeps nothing and raises again.
         """
         _cutoff(tol)  # validates tol before it keys the memo (an unhashable one included)
-        return self._classify(tol)
-
-    @_computed_once
-    def _classify(self, tol: float) -> CurvatureReport:
-        """einstein_classify, computed from the kept facts."""
-        facts = self._curvature()
-        (verdict,), (lam,), (residual,), (flat,) = facts.verdicts(tol)
-        return CurvatureReport(
-            verdict=verdict,
-            ricci_operator=self.ricci_operator(),
-            ricci_form=self.ricci_via_definition(),
-            scalar_curvature=float(facts.scalar()[0]),
-            einstein_lambda=None if verdict is Verdict.NOT_EINSTEIN else lam,
-            einstein_residual=residual,
-            flat=flat,
-            signature=self._signature,
-        )
+        key = ("einstein_classify", tol)
+        if key not in self._memo:
+            facts = self._curvature()
+            (ric, agree), (_, eta_ric, form, _) = facts._route_pass, facts._frame_pass
+            if not agree.all():
+                raise RuntimeError(ROUTE_MISMATCH)
+            (verdict,), (lam,), (residual,), (flat,) = _verdicts(ric, *facts._flatness_pass, tol)
+            self._memo[key] = CurvatureReport(
+                verdict=verdict,
+                ricci_operator=self._memo.setdefault("ricci_operator", ric[0]),
+                ricci_form=self._memo.setdefault("ricci_via_definition", form[0]),
+                scalar_curvature=float(eta_ric.trace(axis1=1, axis2=2)[0]),
+                einstein_lambda=None if verdict is Verdict.NOT_EINSTEIN else lam,
+                einstein_residual=residual,
+                flat=flat,
+                signature=self._signature,
+            )
+        return self._memo[key]

@@ -8,7 +8,6 @@ _orthonormal_bases.
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -43,7 +42,10 @@ def _cutoff(tol: float, *arrays, stack: bool = False):
     if not real or not 0.0 < tol < np.inf:
         raise InvalidInput("tol must be a positive finite number")
     if stack:
-        return tol * functools.reduce(np.maximum, [_peaks(np.abs(a), 1.0) for a in arrays])
+        largest = _peaks(np.abs(arrays[0]), 1.0)
+        for a in arrays[1:]:
+            largest = np.maximum(largest, _peaks(np.abs(a), 1.0))
+        return tol * largest
     largest = 1.0
     for a in arrays:
         largest = max(largest, float(np.abs(a).max(initial=0.0)))
@@ -326,20 +328,36 @@ def find_isotropic_in(g: Gram, f: Subspace) -> Optional[np.ndarray]:
     """A unit (Euclidean norm) vector v in f with ⟨v, v⟩ = 0 at f.tol.
 
     Returns None when the restriction of g to f is definite, which is exactly
-    the case with no isotropic directions.  The choice is deterministic: it is
-    read from the pseudo-orthonormal frame B of the restricted form
-    (_orthonormal_bases), preferring the first null eigenvector and otherwise
-    adding the extreme negative and positive columns, u-/√(-λ-) + u+/√λ+.
+    the case with no isotropic directions.  It is _isotropic_vectors on the
+    stack of one.
     """
-    b, eps, null = (x[0] for x in _orthonormal_bases(_restricted_grams(g.mat[None], f), f.tol))
-    if np.count_nonzero(null):
-        coeffs = b[:, np.flatnonzero(null)[0]]
-    elif np.all(eps > 0.0) or np.all(eps < 0.0):  # definite, or f is zero
-        return None
-    else:
-        coeffs = b[:, -1] + b[:, 0]  # minus-first: column 0 the most negative eigenvalue
-    v = coeffs @ f.basis
-    return v / np.linalg.norm(v)
+    if f.ambient_dim != g.n:
+        raise InvalidInput("subspace ambient dimension does not match gram size")
+    return _isotropic_vectors(g.mat, f.basis[None], f.tol)[0]
+
+
+def _isotropic_vectors(mat: np.ndarray, rows: np.ndarray, tol: float) -> List[Optional[np.ndarray]]:
+    """find_isotropic_in for one gram matrix (n, n) and a stack of subspaces of
+    one dimension, given by their orthonormal rows Z (k, d, n): the restricted
+    forms Z·G·Zᵀ, symmetrized as _restricted_grams does, take one stacked
+    _orthonormal_bases at tol.  Per member the choice is deterministic: the
+    first null column of its frame B, or, with none, the sum of the extreme
+    negative and positive columns u-/√(-λ-) + u+/√λ+, or None when every sign
+    agrees (a definite restriction, or d = 0); the vector is those
+    coefficients times Z, scaled to unit norm."""
+    b, eps, null = _orthonormal_bases(_symmetrized(rows @ mat @ rows.swapaxes(-1, -2)), tol)
+    vectors = []
+    for z, b_m, eps_m, null_m in zip(rows, b, eps, null):
+        if np.count_nonzero(null_m):
+            coeffs = b_m[:, np.flatnonzero(null_m)[0]]
+        elif np.all(eps_m > 0.0) or np.all(eps_m < 0.0):
+            vectors.append(None)
+            continue
+        else:
+            coeffs = b_m[:, -1] + b_m[:, 0]  # minus-first: column 0 the most negative eigenvalue
+        v = coeffs @ z
+        vectors.append(v / np.linalg.norm(v))
+    return vectors
 
 
 def orthonormal_basis(g: Gram, tol: float):

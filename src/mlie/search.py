@@ -69,7 +69,7 @@ VERDICT_TOL, the one einstein_classify gives, meets the target and
 classified in one stacked call (_settle), each decided as its own metric is.
 Each forward call inverts its factors once, and B = A⁻¹ makes the bracket
 μ = A·c and Ric_G = B·Ric_η(μ)·A, which leaves the frame as a metric's
-operators do (curvature._in_input_basis), with no solve.  Only candidates
+operators do (B·X·A, in curvature._CurvatureFacts), with no solve.  Only candidates
 are classified: a restart whose Ric_G is within spec.tol of λ̂·Id but fails
 the verdict's Einstein test goes on with no classification.
 
@@ -172,7 +172,7 @@ class SearchSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     converged: bool
     best_gram: Optional[Gram]

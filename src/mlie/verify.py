@@ -68,10 +68,10 @@ from .pseudolin import (
     Subspace,
     SubspaceTag,
     _cutoff,
+    _isotropic_vectors,
     _peaks,
     _subspace_classes,
     classify_subspace,
-    find_isotropic_in,
 )
 from .search import SearchSpec, run_search
 
@@ -537,20 +537,25 @@ def check_double_extension(tol: float, fail, measure) -> _Claim:
         )
         measure(peaks)
         gram = Gram(_witt_gram(c.shape[1]))
-        keep, null = [], []
-        for r, (verdict, rows) in enumerate(zip(verdicts, centers)):
-            if verdict not in _RICCI_FLAT:
+        flat = []
+        for r, verdict in enumerate(verdicts):
+            if verdict in _RICCI_FLAT:
+                flat.append(r)
+            else:
                 fail_nilpotent(trials[r], f"verdict {verdict.value} (‖Ric‖∞={peaks[r]:.3e})")
-                continue
-            e = find_isotropic_in(gram, Subspace._orthonormal(rows, DEFAULT_TOL))
-            if e is None:
-                fail_nilpotent(trials[r], "decompose found no isotropic central vector")
-                continue
-            keep.append(r)
-            null.append(e)
+        null = {}  # find_isotropic_in of each Ricci-flat center, one call per center dimension
+        for d in sorted({len(centers[r]) for r in flat}):
+            same = [r for r in flat if len(centers[r]) == d]
+            rows = np.array([centers[r] for r in same])
+            for r, e in zip(same, _isotropic_vectors(gram.mat, rows, DEFAULT_TOL)):
+                if e is None:
+                    fail_nilpotent(trials[r], "decompose found no isotropic central vector")
+                else:
+                    null[r] = e
+        keep = sorted(null)
         if not keep:
             continue
-        data, p = _witt_decompositions(mu[keep], frame, np.array(null), DEFAULT_TOL)
+        data, p = _witt_decompositions(mu[keep], frame, np.array([null[r] for r in keep]), DEFAULT_TOL)
         resid = _model_residuals(c[keep], gram.mat, p, data)
         scale = _peaks(np.abs(c[keep]), max(1.0, np.abs(gram.mat).max()))
         measure(resid / scale)

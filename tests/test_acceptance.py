@@ -406,6 +406,36 @@ def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch
     assert calls == {name: sizes for name in calls}
 
 
+def test_double_extension_takes_one_stack_of_null_vectors_per_center_dimension(monkeypatch):
+    # the Ricci-flat members of a group whose centers share a dimension take
+    # their isotropic central vectors in one stacked call, each that of
+    # find_isotropic_in on its own center, bit for bit
+    events = []
+    layers, isotropic = verify._verdict_layers, verify._isotropic_vectors
+
+    def stacked(mat, rows, tol):
+        vectors = isotropic(mat, rows, tol)
+        events.append(rows.shape[1::-1])  # (d, k)
+        for z, v in zip(rows, vectors):
+            assert v.tobytes() == find_isotropic_in(Gram(mat), pseudolin.Subspace._orthonormal(z, tol)).tobytes()
+        return vectors
+
+    monkeypatch.setattr(verify, "_verdict_layers", lambda *args: events.append("group") or layers(*args))
+    monkeypatch.setattr(verify, "_isotropic_vectors", stacked)
+    (result,) = run_checks(["double-extension"])
+    assert result.passed
+    groups, calls = [], 0
+    for event in events:
+        if event == "group":
+            groups.append([])
+        else:
+            groups[-1].append(event)
+            calls += 1
+    dims = [[d for d, _ in group] for group in groups]
+    assert all(d == sorted(set(d)) for d in dims)
+    assert sum(k for group in groups for _, k in group) == 100 and calls < 100 and len(groups) > 1
+
+
 def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
     # every draw of the check, decided once in its group's stack and once by
     # extend → is_nilpotent → einstein_classify → decompose → model_residual

@@ -1,4 +1,6 @@
+import hashlib
 import inspect
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -572,3 +574,103 @@ def test_killing_form_of_a_double_extension_is_killing_ebar():
             expected = np.zeros_like(killing)
             expected[-1, -1] = killing_ebar(data)
             assert np.abs(killing - expected).max() <= 1e-12 * max(1.0, abs(expected[-1, -1]))
+
+
+#: the sha256 of every verdict fact of _pinned_metrics, as _verdict_digest
+#: reads them; it is of float bits, so it holds for one numpy build and BLAS
+VERDICT_DIGEST = "a19591f89e350a17ae79af999c9e1e9b3361464cc7eec84c39c0856f001fd90e"
+
+_VARIANT_PARAMS = {"alpha": 0.7, "a": 0.3, "b": -0.4, "x": 1.2, "y": 0.5, "mu": 0.8, "rho": 1.1}
+
+
+def _pinned_metrics():
+    """Fresh metrics: 6 random grams on each catalog algebra, the 10 variants
+    (with both ε where they take one), EX6–EX8 and 10 fresh extensions, half
+    with μ = 0 and half with μ ≠ 0."""
+    rng = np.random.default_rng(2024)
+    for name in ALGEBRA_NAMES:
+        for _ in range(6):
+            yield random_metric(name, rng)
+    for variant in mlie.catalog.METRIC_VARIANTS.values():
+        params = {p: _VARIANT_PARAMS[p] for p in variant.params if p != "eps"}
+        for eps in (1.0, -1.0) if "eps" in variant.params else (None,):
+            given = params if eps is None else dict(params, eps=eps)
+            yield make_metric(variant.algebra, variant.name, given)
+    for name in ("EX6", "EX7", "EX8"):
+        yield make_metric(name)
+    for nilpotent in (True, False):
+        for f_dim, blocks in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2)):
+            yield extend(random_admissible(rng, f_dim=f_dim, blocks=blocks, nilpotent=nilpotent))
+
+
+def _verdict_digest(metrics):
+    """sha256 over each metric's einstein_classify() fields, with the bytes of
+    its Ricci operator and form, its flatness_defect() and the bytes of its
+    curvature_tensor(); floats enter by their hex form."""
+    digest = hashlib.sha256()
+    for m in metrics:
+        r = m.einstein_classify()
+        floats = (r.einstein_lambda, r.einstein_residual, r.scalar_curvature, *m.flatness_defect())
+        words = [r.verdict.value, str(r.flat), str(tuple(r.signature))]
+        words += ["None" if x is None else float(x).hex() for x in floats]
+        digest.update(" ".join(words).encode())
+        for array in (r.ricci_operator, r.ricci_form, m.curvature_tensor()):
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def test_the_verdicts_keep_their_bits(monkeypatch):
+    metrics = list(_pinned_metrics())
+    assert len(metrics) == 14 * 6 + 15 + 3 + 10
+    path = str(Path(__file__).parent / "data" / "l58_route_mismatch.json")
+    algebra, gram, _ = read_algebra(path, DEFAULT_TOL)
+    metrics.append(MetricLieAlgebra(algebra, gram))
+    assert _verdict_digest(metrics) == VERDICT_DIGEST
+    # with the routes forced apart the file's metric raises the route
+    # mismatch on every call and keeps no report
+    exact_q = mlie.curvature.q_operators
+    monkeypatch.setattr(mlie.curvature, "q_operators", lambda s, eps: exact_q(s, eps) + 1.0)
+    m = MetricLieAlgebra(algebra, gram)
+    for _ in range(2):
+        with pytest.raises(RuntimeError) as err:
+            m.einstein_classify()
+        assert is_route_mismatch(err.value)
+    assert not any(isinstance(fact, mlie.curvature.CurvatureReport) for fact in m._memo.values())
+
+
+def _package_calls(run):
+    """The number of Python calls into functions of the mlie package that
+    run() makes, counted with sys.setprofile."""
+    package = str(Path(mlie.curvature.__file__).parent)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+def test_a_fresh_verdict_keeps_its_call_budget():
+    # a Lorentzian metric on L5_6, built and classified, in one lean pass:
+    # the count is deterministic, and its bound keeps layers from creeping back
+    algebra = make_algebra("L5_6")
+    a = random_frame(5, np.random.default_rng(7))[0]
+    gram = Gram(a.T @ np.diag([-1.0, 1.0, 1.0, 1.0, 1.0]) @ a)
+    # a first verdict decides what every later one shares: the algebra's
+    # nilpotency and the cached identity of its dimension
+    first = MetricLieAlgebra(algebra, gram)
+    assert first.signature() == Signature(1, 4, 0) and first.einstein_classify()
+    assert _package_calls(lambda: MetricLieAlgebra(algebra, gram).einstein_classify()) <= 45
+
+
+def test_a_report_compares_by_identity_and_hashes():
+    # its fields hold arrays, so == is identity, as for the metric itself
+    first, second = make_metric("EX8").einstein_classify(), make_metric("EX8").einstein_classify()
+    assert first == first and first != second
+    assert hash(first) != hash(second) and {first: 1}[first] == 1

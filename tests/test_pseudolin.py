@@ -352,6 +352,32 @@ def test_find_isotropic_random_lorentzian_planes():
         assert np.abs(f.basis.T @ coeffs - v).max() <= 1e-8
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stacked_isotropic_vectors_are_find_isotropic_in_bit_for_bit(n):
+    # one gram and a stack of subspaces of each dimension d, Lorentzian,
+    # definite and degenerate restrictions among them: each member's vector
+    # (or None) is find_isotropic_in's on its own subspace, bit for bit
+    rng = np.random.default_rng([67, n])
+    g = minkowski(n)
+    lightlike = np.zeros(n)
+    lightlike[:2] = np.sqrt(0.5)  # a null line: some restrictions through it are degenerate
+    for d in range(n + 1):
+        stack = []
+        for _ in range(6):
+            rows = rng.normal(size=(n, n))
+            if d and len(stack) % 3 == 0:
+                rows[0] = lightlike
+            stack.append(np.linalg.qr(rows.T)[0].T[:d])
+        rows = np.array(stack).reshape(6, d, n)
+        got = pseudolin._isotropic_vectors(g.mat, rows, DEFAULT_TOL)
+        assert len(got) == 6
+        for z, v in zip(rows, got):
+            want = find_isotropic_in(g, Subspace._orthonormal(z, DEFAULT_TOL))
+            assert (v is None and want is None) or v.tobytes() == want.tobytes()
+        if d == 0:
+            assert got == [None] * 6
+
+
 def _band_grams(rng, count, lorentzian):
     """count grams Q·diag(λ)·Qᵀ of 2 to 5 dimensions, λ positive but for one
     negative entry when lorentzian, with one eigenvalue placed within 2e-6 of

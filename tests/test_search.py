@@ -971,3 +971,13 @@ def _conds(monkeypatch):
     cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda x: conds.append(cond(x)) or conds[-1])
     return conds
+
+
+def test_a_search_result_compares_by_identity_and_hashes():
+    # a flag search holds arrays (its central vector and hyperplane), so ==
+    # is identity, as for a report
+    spec = SearchSpec(make_algebra("L4_3"), signature=(1, 3), seed=0, restarts=2)
+    first, second = run_search(spec), run_search(spec)
+    assert first.central_vector is not None
+    assert first == first and first != second
+    assert hash(first) != hash(second) and {first: 1}[first] == 1
