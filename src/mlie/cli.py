@@ -55,7 +55,7 @@ from .fileio import (
 )
 from .liealg import LieAlgebra
 from .pseudolin import DEFAULT_TOL, Gram, classify_subspace
-from .search import STOP_REASONS, SearchSpec, run_search
+from .search import STOP_REASONS, TARGETS, SearchSpec, run_search
 from .verify import CHECK_NAMES, format_row, run_checks
 
 EXIT_OK = 0
@@ -374,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "for Einstein/Ricci-flat grams",
     )
     p.add_argument("file", help="algebra JSON file (metric field ignored)")
-    p.add_argument("--target", choices=("ricci-flat", "einstein"), default="ricci-flat")
+    p.add_argument("--target", choices=TARGETS, default="ricci-flat")
     p.add_argument("--signature", default="1,2", metavar="MINUS,PLUS")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=8)

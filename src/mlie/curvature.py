@@ -302,7 +302,8 @@ class _CurvatureFacts:
     nilpotent algebra, else η·ric) and per member whether they pass the
     cross-check against η·ric; _flatness_pass: the flatness numbers.  Only
     ricci() raises on a route mismatch, so every other fact stays readable;
-    MetricLieAlgebra.einstein_classify reads the passes directly."""
+    MetricLieAlgebra.einstein_classify reads the passes directly, the scalar
+    curvature as the trace of η·ric."""
 
     c: np.ndarray
     frame: tuple
@@ -356,9 +357,6 @@ class _CurvatureFacts:
 
     def ricci_form(self) -> np.ndarray:
         return self._frame_pass[2]
-
-    def scalar(self) -> np.ndarray:
-        return self._frame_pass[1].trace(axis1=1, axis2=2)
 
     def levi_civita(self) -> np.ndarray:
         return self._frame_pass[3]
@@ -424,12 +422,13 @@ class MetricLieAlgebra:
     route) are decided once, at the algebra's ``tol``.
 
     Building one only takes the frame.  Its curvature facts (not the S_i) are
-    those of the _CurvatureFacts of its stack of one (_curvature), made on
-    first use: each is computed at the bracket μ = A·c of the frame and
-    mapped back to the input basis once (an operator X by B·X·A, a form by
-    Aᵀ·X·A, the Levi-Civita tensor by B = A⁻¹).  Its memo keeps the Ricci
-    operator and form as one read-only array each, so instances are safe to
-    share, and the report of ``einstein_classify`` once per tol.
+    those of the _CurvatureFacts of its stack of one, _facts, a cached
+    property made on first read: each is computed at the bracket μ = A·c of
+    the frame and mapped back to the input basis once (an operator X by
+    B·X·A, a form by Aᵀ·X·A, the Levi-Civita tensor by B = A⁻¹).  Its memo
+    keeps the Ricci operator and form as one read-only array each, so
+    instances are safe to share, and the report of ``einstein_classify``
+    once per tol.
     """
 
     algebra: LieAlgebra
@@ -447,7 +446,7 @@ class MetricLieAlgebra:
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_signature", Signature(minus, algebra.n - minus, 0))
         object.__setattr__(self, "_frame", frame)
-        object.__setattr__(self, "_memo", {})  # the curvature facts, the kept Ricci arrays, reports by tol
+        object.__setattr__(self, "_memo", {})  # the kept Ricci arrays, reports by tol
 
     @property
     def n(self) -> int:
@@ -456,40 +455,32 @@ class MetricLieAlgebra:
     def signature(self) -> Signature:
         return self._signature
 
-    # -- the frame --------------------------------------------------------
-
-    def _brackets(self) -> np.ndarray:
-        """μ = A·c, the bracket in the frame (a stack of one), kept with the facts."""
-        return self._curvature().brackets()
-
-    def _curvature(self) -> _CurvatureFacts:
-        """The _CurvatureFacts of the stack of one, made on first use and kept."""
-        if "_curvature" not in self._memo:
-            nilpotent = self.algebra.is_nilpotent()
-            self._memo["_curvature"] = _CurvatureFacts(self.algebra.c, self._frame, nilpotent)
-        return self._memo["_curvature"]
+    @functools.cached_property
+    def _facts(self) -> _CurvatureFacts:
+        """The _CurvatureFacts of the stack of one, made on first read and kept."""
+        return _CurvatureFacts(self.algebra.c, self._frame, self.algebra.is_nilpotent())
 
     # -- curvature --------------------------------------------------------
 
     def curvature_tensor(self) -> np.ndarray:
         """K[i,j,k,:] = K(e_i,e_j)e_k = (L_[e_i,e_j] − [L_i, L_j]) e_k."""
-        return _curvature_tensors(self.algebra.c, self._curvature().levi_civita())[0]
+        return _curvature_tensors(self.algebra.c, self._facts.levi_civita())[0]
 
     def flatness_defect(self) -> Tuple[float, float]:
         """(sup-norm of the curvature tensor, its roundoff scale)."""
-        defect, scale = self._curvature().flatness()
+        defect, scale = self._facts.flatness()
         return float(defect[0]), float(scale[0])
 
     # -- Ricci, three routes ----------------------------------------------
 
     def ricci_via_definition(self) -> np.ndarray:
         """ric(e_i,e_j) = −tr(R_i R_j) + tr(R_{e_i·e_j}); symmetric matrix."""
-        return self._memo.setdefault("ricci_via_definition", self._curvature().ricci_form()[0])
+        return self._memo.setdefault("ricci_via_definition", self._facts.ricci_form()[0])
 
     def j1_j2(self) -> Tuple[np.ndarray, np.ndarray]:
         """The self-adjoint operators 𝒥₁ and 𝒥₂ built from the S_i."""
         eps, a, b = self._frame
-        j1, j2 = j1_j2_operators(structure_endo_tensors(self._brackets(), eps), eps)
+        j1, j2 = j1_j2_operators(structure_endo_tensors(self._facts.brackets(), eps), eps)
         return (b @ j1 @ a)[0], (b @ j2 @ a)[0]
 
     def ricci_nilpotent(self) -> np.ndarray:
@@ -502,7 +493,7 @@ class MetricLieAlgebra:
     def ricci_general(self) -> np.ndarray:
         """Ricci form from the adjoint/J/mean-vector expression; any algebra."""
         eps, a, _ = self._frame
-        form = ricci_general_forms(self._brackets(), eps)
+        form = ricci_general_forms(self._facts.brackets(), eps)
         return _symmetrized(a.swapaxes(-1, -2) @ form @ a)[0]
 
     # -- trace identity ---------------------------------------------------
@@ -512,7 +503,7 @@ class MetricLieAlgebra:
         stack E[..., :, :], each of shape E.shape[:-2] (numpy scalars for one)."""
         e = _as_float_array(e, "E", square=self.n)
         eps, a, b = self._frame
-        lhs, rhs = trace_q_sides(self._brackets(), eps, (a[0] @ e @ b[0])[None])  # E in the frame
+        lhs, rhs = trace_q_sides(self._facts.brackets(), eps, (a[0] @ e @ b[0])[None])  # E in the frame
         return lhs[0], rhs[0]
 
     # -- verdicts ---------------------------------------------------------
@@ -520,7 +511,7 @@ class MetricLieAlgebra:
     def ricci_operator(self) -> np.ndarray:
         """Ric = G^{-1}·ric: the 𝒥-route when nilpotent, cross-checked in the frame
         against the definitional route (ROUTE_MISMATCH), else the definitional."""
-        return self._memo.setdefault("ricci_operator", self._curvature().ricci()[0])
+        return self._memo.setdefault("ricci_operator", self._facts.ricci()[0])
 
     def einstein_classify(self, tol: float = VERDICT_TOL) -> CurvatureReport:
         """Classify as Flat / RicciFlat / Einstein(λ≠0) / NotEinstein.
@@ -535,7 +526,7 @@ class MetricLieAlgebra:
         _cutoff(tol)  # validates tol before it keys the memo (an unhashable one included)
         key = ("einstein_classify", tol)
         if key not in self._memo:
-            facts = self._curvature()
+            facts = self._facts
             (ric, agree), (_, eta_ric, form, _) = facts._route_pass, facts._frame_pass
             if not agree.all():
                 raise RuntimeError(ROUTE_MISMATCH)

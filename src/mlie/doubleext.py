@@ -313,7 +313,7 @@ def decompose(m: MetricLieAlgebra, verdict_tol: float = VERDICT_TOL) -> Optional
     e = find_isotropic_in(m.gram, m.algebra.center())
     if e is None:
         return None
-    (k, d, _, b), p = _witt_decompositions(m._brackets(), m._frame, e[None], m.algebra.tol)
+    (k, d, _, b), p = _witt_decompositions(m._facts.brackets(), m._frame, e[None], m.algebra.tol)
     return Decomposition(ExtensionData(k[0], d[0], b=b[0]), p[0])
 
 

@@ -33,33 +33,22 @@ from .pseudolin import (
 _T = TypeVar("_T")
 
 
-@functools.lru_cache(maxsize=None)
-def _upper_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The index pair (i, j) of the pairs i < j < n, np.triu_indices(n, 1),
-    made once per n and read-only."""
-    iu, ju = np.triu_indices(n, k=1)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
-
-
 def _computed_once(method: Callable[..., _T]) -> Callable[..., _T]:
-    """A fact of a frozen object, kept in its ``_memo`` dict by the name of the
-    method, or of a module function of the object such as
-    doubleext._double_extension_reading, and hashable positional arguments
-    (the bare name for none).  Every caller gets the same object, so a fact
-    must be immutable: a number, a tuple, a Subspace, or an array, which is
-    made read-only here.  A call that raises keeps nothing."""
+    """A fact of a frozen object, a method or a module function of the object
+    alone such as doubleext._double_extension_reading, kept in its ``_memo``
+    dict under the function's name.  Every caller gets the same object, so a
+    fact must be immutable: a number, a tuple, a Subspace, or an array, which
+    is made read-only here.  A call that raises keeps nothing."""
     name = method.__name__
 
     @functools.wraps(method)
-    def once(self, *args) -> _T:
-        key = (name, *args) if args else name
-        if key not in self._memo:
-            fact = method(self, *args)
+    def once(self) -> _T:
+        if name not in self._memo:
+            fact = method(self)
             if isinstance(fact, np.ndarray):
                 fact.flags.writeable = False
-            self._memo[key] = fact
-        return self._memo[key]
+            self._memo[name] = fact
+        return self._memo[name]
 
     return once
 
@@ -158,8 +147,8 @@ class LieAlgebra:
     @_computed_once
     def derived_ideal(self) -> Subspace:
         """[g, g]: span of all basis brackets."""
-        iu, ju = _upper_pairs(self.n)
-        return Subspace.column_span(self._unit[iu, ju, :].T, self.tol)  # columns are brackets
+        upper = _triangles(self.n)[0][..., 0]
+        return Subspace.column_span(self._unit[upper].T, self.tol)  # columns are brackets
 
     @_computed_once
     def lower_central_series(self) -> Tuple[Subspace, ...]:
@@ -183,10 +172,9 @@ class LieAlgebra:
         solved by SVD, which fixes the basis deterministically.
         """
         n = self.n
-        iu, ju = _upper_pairs(n)
         units = np.eye(n * n).reshape(n * n, n, n)
         # row (pair, k), column (a, b): entry k of the defect of E = e_a e_bᵀ
-        cols = derivation_defects(self._unit, units)[:, iu, ju, :]
+        cols = derivation_defects(self._unit, units)[:, _triangles(n)[0][..., 0]]
         return nullspace(cols.reshape(n * n, -1).T, self.tol).reshape(-1, n, n)
 
     def derivation_defect(self, e) -> float:
@@ -214,7 +202,9 @@ class LieAlgebra:
 @functools.lru_cache(maxsize=None)
 def _triangles(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """The masks (i < j, i > j) of the pairs of n basis vectors, shaped
-    (n, n, 1) to select the pairs of a structure tensor, made once per n."""
+    (n, n, 1) to select the pairs of a structure tensor, made once per n.
+    The mask i < j without its last axis picks the pairs i < j in row-major
+    order, np.triu_indices(n, 1)'s."""
     i, j = np.indices((n, n))
     upper, lower = (i < j)[:, :, None], (i > j)[:, :, None]
     upper.flags.writeable = lower.flags.writeable = False

@@ -282,15 +282,17 @@ def restricted_gram(g: Gram, f: Subspace) -> Gram:
     Nothing in the package calls it; it stays public for users.  Gram
     symmetrizes the stacked row a second time, which changes no bit (the row
     is already symmetric), so its bits are _restricted_grams'."""
-    return Gram(_restricted_grams(g.mat[None], f)[0])
+    return Gram(_restricted_grams(g.mat[None], f.basis)[0])
 
 
-def _restricted_grams(mats: np.ndarray, f: Subspace) -> np.ndarray:
+def _restricted_grams(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The (k, d, d) stack of Z·G·Zᵀ, symmetrized as Gram symmetrizes, for a stack
-    of grams G (k, n, n) and the basis rows Z of f; InvalidInput unless f is in R^n."""
-    if f.ambient_dim != mats.shape[-1]:
+    of grams G (k, n, n) and the orthonormal rows Z (d, n) of one subspace, or one
+    gram (n, n) and a stack of subspaces' rows (k, d, n): the package's one
+    restricted form, and its one refusal (InvalidInput) of rows not in R^n."""
+    if rows.shape[-1] != mats.shape[-1]:
         raise InvalidInput("subspace ambient dimension does not match gram size")
-    return _symmetrized(f.basis @ mats @ f.basis.T)
+    return _symmetrized(rows @ mats @ rows.swapaxes(-1, -2))
 
 
 def classify_subspace(g: Gram, f: Subspace) -> SubspaceClass:
@@ -301,7 +303,7 @@ def classify_subspace(g: Gram, f: Subspace) -> SubspaceClass:
 def _subspace_classes(mats: np.ndarray, f: Subspace) -> List[SubspaceClass]:
     """Degeneracy classes at f.tol of a stack of grams (k, n, n) restricted to f:
     one stacked restricted gram and signature, and the class rule per member."""
-    counts = zip(*(x.tolist() for x in _signatures(_restricted_grams(mats, f), f.tol)))
+    counts = zip(*(x.tolist() for x in _signatures(_restricted_grams(mats, f.basis), f.tol)))
     return [_subspace_class(Signature(*sig)) for sig in counts]
 
 
@@ -329,23 +331,21 @@ def find_isotropic_in(g: Gram, f: Subspace) -> Optional[np.ndarray]:
 
     Returns None when the restriction of g to f is definite, which is exactly
     the case with no isotropic directions.  It is _isotropic_vectors on the
-    stack of one.
+    stack of one, whose _restricted_grams refuses an f not in R^n.
     """
-    if f.ambient_dim != g.n:
-        raise InvalidInput("subspace ambient dimension does not match gram size")
     return _isotropic_vectors(g.mat, f.basis[None], f.tol)[0]
 
 
 def _isotropic_vectors(mat: np.ndarray, rows: np.ndarray, tol: float) -> List[Optional[np.ndarray]]:
     """find_isotropic_in for one gram matrix (n, n) and a stack of subspaces of
     one dimension, given by their orthonormal rows Z (k, d, n): the restricted
-    forms Z·G·Zᵀ, symmetrized as _restricted_grams does, take one stacked
-    _orthonormal_bases at tol.  Per member the choice is deterministic: the
-    first null column of its frame B, or, with none, the sum of the extreme
-    negative and positive columns u-/√(-λ-) + u+/√λ+, or None when every sign
-    agrees (a definite restriction, or d = 0); the vector is those
-    coefficients times Z, scaled to unit norm."""
-    b, eps, null = _orthonormal_bases(_symmetrized(rows @ mat @ rows.swapaxes(-1, -2)), tol)
+    forms Z·G·Zᵀ of _restricted_grams take one stacked _orthonormal_bases at
+    tol.  Per member the choice is deterministic: the first null column of its
+    frame B, or, with none, the sum of the extreme negative and positive
+    columns u-/√(-λ-) + u+/√λ+, or None when every sign agrees (a definite
+    restriction, or d = 0); the vector is those coefficients times Z, scaled
+    to unit norm."""
+    b, eps, null = _orthonormal_bases(_restricted_grams(mat, rows), tol)
     vectors = []
     for z, b_m, eps_m, null_m in zip(rows, b, eps, null):
         if np.count_nonzero(null_m):

@@ -17,7 +17,7 @@ import mlie.liealg
 import mlie.pseudolin
 from mlie.cli import main
 from mlie.fileio import read_algebra
-from mlie.search import SearchSpec, run_search
+from mlie.search import TARGETS, SearchSpec, run_search
 from mlie.errors import (
     InvalidInput,
     NotApplicable,
@@ -426,6 +426,19 @@ def test_several_main_calls_build_the_parser_once(ex8_file, capsys, monkeypatch)
     finally:
         mlie.cli._build_parser.cache_clear()  # drop the parser built under the spy
     assert built.count("mlie") == 1
+
+
+def test_the_search_targets_are_the_search_module_s():
+    # one list of targets: the parser's choices are search.TARGETS, in its order
+    (subparsers,) = [
+        action
+        for action in mlie.cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    search = subparsers.choices["search"]
+    (target,) = [action for action in search._actions if action.dest == "target"]
+    assert target.choices == TARGETS and target.default == "ricci-flat"
+    assert "{" + ",".join(TARGETS) + "}" in search.format_help()
 
 
 def test_successive_main_calls_leak_no_state(capsys):

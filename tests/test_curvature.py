@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import sys
@@ -75,7 +76,7 @@ def test_metric_algebra_decides_its_signature_once_at_its_tol():
 
 def levi_civita(m):
     """lc[i, j] = e_i·e_j of m, from the stacked Koszul kernel in m's frame."""
-    return m._curvature().levi_civita()[0]
+    return m._facts.levi_civita()[0]
 
 
 def test_levi_civita_heisenberg_table():
@@ -667,6 +668,16 @@ def test_a_fresh_verdict_keeps_its_call_budget():
     first = MetricLieAlgebra(algebra, gram)
     assert first.signature() == Signature(1, 4, 0) and first.einstein_classify()
     assert _package_calls(lambda: MetricLieAlgebra(algebra, gram).einstein_classify()) <= 45
+
+
+def test_a_metric_keeps_its_curvature_facts_as_a_cached_property():
+    # the facts are the cached property _facts, made on first read; the memo
+    # keeps only what callers read back: the Ricci arrays and the reports
+    m = make_metric("EX8")
+    m.einstein_classify()
+    assert isinstance(MetricLieAlgebra.__dict__["_facts"], functools.cached_property)
+    assert m.__dict__["_facts"] is m._facts
+    assert not any(isinstance(fact, mlie.curvature._CurvatureFacts) for fact in m._memo.values())
 
 
 def test_a_report_compares_by_identity_and_hashes():

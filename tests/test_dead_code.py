@@ -57,6 +57,23 @@ def test_every_private_function_and_method_is_used_in_the_package():
     assert unused == []
 
 
+def test_every_method_of_a_private_class_is_used_in_the_package():
+    # a private class is no public interface, so its public-named methods
+    # need a reader in the package too
+    used = set().union(*(_names(tree) for tree in _SOURCES.values()))
+    unused = [
+        f"{module}:{node.lineno} {scope.name}.{node.name}"
+        for module, tree in _SOURCES.items()
+        for scope in tree.body
+        if isinstance(scope, ast.ClassDef) and scope.name.startswith("_")
+        for node in scope.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+    assert unused == []
+
+
 def _reads(tree: ast.AST) -> set:
     """The names a tree reads, not the ones it assigns: loaded bare names and
     attribute names."""
@@ -238,6 +255,36 @@ def test_an_eigendecomposition_is_written_once():
     # vectors, the metrics' frames) reads pseudolin._orthonormal_bases, so
     # no two of them can disagree on one gram
     assert _sites(_is_eigensolve) == {"pseudolin.py:_orthonormal_bases"}
+
+
+def _is_restriction(node: ast.AST) -> bool:
+    """x @ G @ xᵀ, for any expressions x and G."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.MatMult)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.MatMult)
+        and _is_transpose_of(node.right, node.left.left)
+    )
+
+
+def test_a_restricted_form_is_written_once():
+    # Z·G·Zᵀ of a subspace's rows Z, for every subspace class, isotropic
+    # vector and restricted gram, is pseudolin._restricted_grams
+    assert _sites(_is_restriction) == {"pseudolin.py:_restricted_grams"}
+
+
+def _raises_ambient_mismatch(node: ast.AST) -> bool:
+    """A raise whose exception carries the ambient-dimension message."""
+    return isinstance(node, ast.Raise) and any(
+        isinstance(part, ast.Constant)
+        and part.value == "subspace ambient dimension does not match gram size"
+        for part in ast.walk(node)
+    )
+
+
+def test_a_subspace_of_another_ambient_dimension_is_refused_in_one_place():
+    assert _sites(_raises_ambient_mismatch) == {"pseudolin.py:_restricted_grams"}
 
 
 def _binds_a_row(node: ast.AST) -> bool:

@@ -279,7 +279,7 @@ def test_stacked_restricted_grams_are_restricted_gram_bit_for_bit():
         mats[::3, :, -1] = mats[::3, -1, :] = 0.0  # a null direction in every third gram
         for d in range(n + 1):
             f = Subspace._orthonormal(np.linalg.qr(rng.normal(size=(n, n)))[0][:d], 1e-9)
-            stacked = pseudolin._restricted_grams(mats, f)
+            stacked = pseudolin._restricted_grams(mats, f.basis)
             classes = pseudolin._subspace_classes(mats, f)
             for r, mat in enumerate(mats):
                 assert restricted_gram(Gram(mat), f).mat.tobytes() == stacked[r].tobytes()
@@ -456,7 +456,6 @@ def _empty_facts():
         facts.routes_agree(),
         facts.ricci(),
         facts.ricci_form(),
-        facts.scalar(),
         facts.levi_civita(),
         *facts.flatness(),
     )

@@ -607,7 +607,7 @@ def test_a_stacked_settle_decides_each_member_alone(monkeypatch):
     a, ric_g = np.array(factors), np.array(ric_g)
     residual = np.arange(len(a)) + 0.5
 
-    target = structure_endo_tensors(metrics[forced]._brackets(), metrics[forced]._frame[0])
+    target = structure_endo_tensors(metrics[forced]._facts.brackets(), metrics[forced]._frame[0])
     exact_q = mlie.curvature.q_operators
 
     def apart(s, eps):
