@@ -132,14 +132,10 @@ def table1_derivation(name: str) -> np.ndarray:
 
 
 # -- metric variants -----------------------------------------------------
-
-
-def _sym(n: int, entries: Mapping[Tuple[int, int], float]) -> Gram:
-    g = np.zeros((n, n))
-    for (i, j), v in entries.items():
-        g[i - 1, j - 1] = v
-        g[j - 1, i - 1] = v
-    return Gram(g)
+#
+# A variant's build takes one parameter set, as floats, and returns its
+# gram's slots {(i, j): value} with i <= j, refusing a set outside the
+# variant's constraints; _variant_grams writes the slots of a stack of sets.
 
 
 def _need_nonzero(params: Dict[str, float], key: str) -> float:
@@ -167,148 +163,124 @@ def _m32(p):
     alpha = p["alpha"]
     if not alpha > 0.0:
         raise BadParams("parameter alpha must be positive")
-    return _sym(3, {(1, 3): alpha, (2, 2): 1.0})
+    return {(1, 3): alpha, (2, 2): 1.0}
 
 
 def _m42(p):
     alpha = _need_nonzero(p, "alpha")
     a = _need_open_unit(p, "a")
-    return _sym(4, {(1, 3): alpha, (2, 2): 1.0, (4, 4): 1.0, (2, 4): a})
+    return {(1, 3): alpha, (2, 2): 1.0, (4, 4): 1.0, (2, 4): a}
 
 
 def _m43(p):
     a, b, eps = p["a"], p["b"], _need_eps(p)
-    return _sym(
-        4,
-        {(1, 1): 1.0, (1, 2): a, (2, 2): a * a + b * b, (2, 3): b, (2, 4): eps, (3, 3): 1.0},
-    )
+    return {(1, 1): 1.0, (1, 2): a, (2, 2): a * a + b * b, (2, 3): b, (2, 4): eps, (3, 3): 1.0}
 
 
 def _m52(p):
     alpha = _need_nonzero(p, "alpha")
     a = _need_open_unit(p, "a")
     b = _need_open_unit(p, "b")
-    return _sym(
-        5,
-        {
-            (1, 3): alpha,
-            (2, 2): 1.0,
-            (4, 4): 1.0,
-            (5, 5): 1.0,
-            (2, 4): a,
-            (2, 5): b,
-            (4, 5): a * b,
-        },
-    )
+    return {
+        (1, 3): alpha,
+        (2, 2): 1.0,
+        (4, 4): 1.0,
+        (5, 5): 1.0,
+        (2, 4): a,
+        (2, 5): b,
+        (4, 5): a * b,
+    }
 
 
 def _m53(p):
     a, b, x, eps = p["a"], p["b"], p["x"], _need_eps(p)
-    return _sym(
-        5,
-        {
-            (1, 1): 1.0,
-            (1, 2): a,
-            (2, 2): a * a + b * b,
-            (2, 3): b,
-            (2, 4): eps * _SQ(x * x + 1.0),
-            (3, 3): 1.0 + x * x,
-            (3, 5): -x,
-            (5, 5): 1.0,
-        },
-    )
+    return {
+        (1, 1): 1.0,
+        (1, 2): a,
+        (2, 2): a * a + b * b,
+        (2, 3): b,
+        (2, 4): eps * _SQ(x * x + 1.0),
+        (3, 3): 1.0 + x * x,
+        (3, 5): -x,
+        (5, 5): 1.0,
+    }
 
 
 def _m551(p):
     a, b, y = p["a"], p["b"], p["y"]
     x = _need_nonzero(p, "x")
     rho = _need_nonzero(p, "rho")
-    return _sym(
-        5,
-        {
-            (1, 1): a * a + b * b,
-            (1, 2): a / rho,
-            (1, 4): rho * (b - a * y / x),
-            (1, 5): _SQ(x * x + y * y),
-            (2, 2): rho**-2,
-            (2, 4): -y / x,
-            (3, 3): x * x / rho**2,
-            (4, 4): rho * rho * (1.0 + (y / x) ** 2),
-        },
-    )
+    return {
+        (1, 1): a * a + b * b,
+        (1, 2): a / rho,
+        (1, 4): rho * (b - a * y / x),
+        (1, 5): _SQ(x * x + y * y),
+        (2, 2): rho**-2,
+        (2, 4): -y / x,
+        (3, 3): x * x / rho**2,
+        (4, 4): rho * rho * (1.0 + (y / x) ** 2),
+    }
 
 
 def _m552(p):
     a, b, x, eps = p["a"], p["b"], p["x"], _need_eps(p)
     rho = _need_nonzero(p, "rho")
-    return _sym(
-        5,
-        {
-            (1, 1): 1.0,
-            (1, 2): b,
-            (2, 2): a * a + b * b,
-            (2, 3): a,
-            (2, 5): eps * _SQ(x * x + 1.0),
-            (3, 3): 1.0 + x * x,
-            (3, 4): x * rho,
-            (4, 4): rho * rho,
-        },
-    )
+    return {
+        (1, 1): 1.0,
+        (1, 2): b,
+        (2, 2): a * a + b * b,
+        (2, 3): a,
+        (2, 5): eps * _SQ(x * x + 1.0),
+        (3, 3): 1.0 + x * x,
+        (3, 4): x * rho,
+        (4, 4): rho * rho,
+    }
 
 
 def _m56(p):
     a, b, y, eps = p["a"], p["b"], p["y"], _need_eps(p)
     mu = _need_nonzero(p, "mu")
     x = _need_nonzero(p, "x")
-    return _sym(
-        5,
-        {
-            (1, 1): a * a + b * b,
-            (1, 2): b + a * y / x,
-            (1, 3): mu * a,
-            (1, 5): eps * mu * mu * _SQ(x * x + y * y + 1.0),
-            (2, 2): 1.0 + (y / x) ** 2,
-            (2, 3): mu * y / x,
-            (3, 3): mu * mu,
-            (4, 4): mu**4 * x * x,
-        },
-    )
+    return {
+        (1, 1): a * a + b * b,
+        (1, 2): b + a * y / x,
+        (1, 3): mu * a,
+        (1, 5): eps * mu * mu * _SQ(x * x + y * y + 1.0),
+        (2, 2): 1.0 + (y / x) ** 2,
+        (2, 3): mu * y / x,
+        (3, 3): mu * mu,
+        (4, 4): mu**4 * x * x,
+    }
 
 
 def _m58(p):
     a, b, y = p["a"], p["b"], p["y"]
     x = _need_nonzero(p, "x")
-    return _sym(
-        5,
-        {
-            (1, 1): 1.0,
-            (1, 2): a,
-            (1, 3): -y / x,
-            (2, 2): a * a + b * b,
-            (2, 3): b - a * y / x,
-            (2, 5): _SQ(x * x + y * y),
-            (3, 3): 1.0 + (y / x) ** 2,
-            (4, 4): x * x,
-        },
-    )
+    return {
+        (1, 1): 1.0,
+        (1, 2): a,
+        (1, 3): -y / x,
+        (2, 2): a * a + b * b,
+        (2, 3): b - a * y / x,
+        (2, 5): _SQ(x * x + y * y),
+        (3, 3): 1.0 + (y / x) ** 2,
+        (4, 4): x * x,
+    }
 
 
 def _m59(p):
     a, b, y, eps = p["a"], p["b"], p["y"], _need_eps(p)
     x = _need_nonzero(p, "x")
-    return _sym(
-        5,
-        {
-            (1, 1): a * a + b * b,
-            (1, 2): b - a * y / x,
-            (1, 3): a,
-            (1, 5): eps * _SQ(x * x + y * y + 1.0),
-            (2, 2): 1.0 + (y / x) ** 2,
-            (2, 3): -y / x,
-            (3, 3): 1.0,
-            (4, 4): x * x,
-        },
-    )
+    return {
+        (1, 1): a * a + b * b,
+        (1, 2): b - a * y / x,
+        (1, 3): a,
+        (1, 5): eps * _SQ(x * x + y * y + 1.0),
+        (2, 2): 1.0 + (y / x) ** 2,
+        (2, 3): -y / x,
+        (3, 3): 1.0,
+        (4, 4): x * x,
+    }
 
 
 @dataclass(frozen=True)
@@ -317,7 +289,8 @@ class MetricVariant:
     algebra: str
     params: Tuple[str, ...]
     constraints: str
-    build: Callable[[Dict[str, float]], Gram] = dc_field(repr=False)
+    #: one parameter set's gram slots {(i, j): value}, i <= j
+    build: Callable[[Dict[str, float]], Dict[Tuple[int, int], float]] = dc_field(repr=False)
 
 
 METRIC_VARIANTS: Dict[str, MetricVariant] = {
@@ -396,14 +369,38 @@ def _metric_gram(
     if mv.algebra != name:
         raise UnknownName(f"metric variant {variant} belongs to {mv.algebra}, not {name}")
 
+    return Gram(_variant_grams(mv, params, ndim=0)[0])
+
+
+def _variant_grams(
+    mv: MetricVariant, params: Optional[Mapping[str, object]], ndim: int = 1
+) -> np.ndarray:
+    """The grams (k, n, n) of variant mv on a stack of k parameter sets: params
+    maps each of mv's parameters to its k values, 1-D arrays of one length,
+    or with ndim=0 to one value (k = 1).  Each parameter's values are
+    validated once, as make_metric validates a parameter (BadParams, with
+    make_metric's texts, when one is missing or unknown or is no real finite
+    number); mv's build then takes each set as Python floats and refuses one
+    outside its constraints.  The entries stay Python-float arithmetic, whose
+    powers are the C library's pow: numpy's vectorized pow rounds some of
+    them differently.  Every slot of the stack and its mirror are written in
+    one assignment, so the grams are symmetric bit for bit."""
     given = _named(params)
     missing = [k for k in mv.params if k not in given]
     if missing:
-        raise BadParams(f"missing parameters for {variant}: " + ", ".join(missing))
+        raise BadParams(f"missing parameters for {mv.name}: " + ", ".join(missing))
     extra = [k for k in given if k not in mv.params]
     if extra:
-        raise BadParams(f"unknown parameters for {variant}: " + ", ".join(extra))
-    return mv.build({k: _param(given[k], k) for k in mv.params})
+        raise BadParams(f"unknown parameters for {mv.name}: " + ", ".join(extra))
+    sets = zip(*(_param(given[k], k, ndim) for k in mv.params))
+    slots = [mv.build(dict(zip(mv.params, values))) for values in sets]
+    n = BRACKET_TABLES[mv.algebra][0]
+    grams = np.zeros((len(slots), n * n))
+    if slots:  # the flat indices of each slot (i, j), then of its mirror (j, i)
+        flat = [(i - 1) * n + j - 1 for i, j in slots[0]]
+        flat += [(j - 1) * n + i - 1 for i, j in slots[0]]
+        grams[:, flat] = [list(member.values()) * 2 for member in slots]
+    return grams.reshape(-1, n, n)
 
 
 def _named(params: Optional[Mapping[str, float]]) -> dict:
@@ -418,11 +415,12 @@ def _named(params: Optional[Mapping[str, float]]) -> dict:
     return given
 
 
-def _param(value, key: str) -> float:
-    """A parameter as a float; BadParams unless _as_float_array reads it as a
-    real finite number (a bool, a string, a complex number, None or a list
-    are refused)."""
+def _param(value, key: str, ndim: int) -> list:
+    """A parameter's k values as floats; BadParams unless _as_float_array
+    reads them as real finite numbers with ndim axes (with ndim=0 a bool, a
+    string, a complex number, None or a list are refused)."""
     try:
-        return float(_as_float_array(value, f"parameter {key}", ndim=0))
+        values = _as_float_array(value, f"parameter {key}", ndim=ndim).tolist()
     except InvalidInput as err:
         raise BadParams(str(err)) from None
+    return values if ndim else [values]

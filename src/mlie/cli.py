@@ -137,6 +137,8 @@ def _parse_params(tokens: List[str]) -> Dict[str, float]:
         key, sep, value = tok.partition("=")
         if not sep or not key:
             raise InvalidInput(f"expected NAME=VALUE, got {tok!r}")
+        if key in params:
+            raise InvalidInput(f"parameter {key} given twice")
         try:
             params[key] = float(value)
         except ValueError:

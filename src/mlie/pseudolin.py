@@ -303,7 +303,14 @@ def classify_subspace(g: Gram, f: Subspace) -> SubspaceClass:
 def _subspace_classes(mats: np.ndarray, f: Subspace) -> List[SubspaceClass]:
     """Degeneracy classes at f.tol of a stack of grams (k, n, n) restricted to f:
     one stacked restricted gram and signature, and the class rule per member."""
-    counts = zip(*(x.tolist() for x in _signatures(_restricted_grams(mats, f.basis), f.tol)))
+    return _form_classes(_restricted_grams(mats, f.basis), f.tol)
+
+
+def _form_classes(forms: np.ndarray, tol: float) -> List[SubspaceClass]:
+    """The classes at tol of a stack of restricted forms (k, d, d), as
+    _restricted_grams makes them: one stacked signature, and the class rule
+    per member."""
+    counts = zip(*(x.tolist() for x in _signatures(forms, tol)))
     return [_subspace_class(Signature(*sig)) for sig in counts]
 
 

@@ -26,7 +26,7 @@ from .catalog import (
     DERIVATION_TABLE,
     METRIC_VARIANTS,
     MetricVariant,
-    _metric_gram,
+    _variant_grams,
     make_algebra,
     make_metric,
     table1_derivation,
@@ -64,12 +64,12 @@ from .errors import ConstraintViolation, InvalidInput, UnknownName
 from .liealg import _antisymmetric, _centers, _lower_central_series, _unit, act_on_brackets
 from .pseudolin import (
     DEFAULT_TOL,
-    Gram,
-    Subspace,
     SubspaceTag,
     _cutoff,
+    _form_classes,
     _isotropic_vectors,
     _peaks,
+    _restricted_grams,
     _subspace_classes,
     classify_subspace,
 )
@@ -113,6 +113,13 @@ def _near_identity(rng: np.random.Generator, k: int, n: int, floor: float) -> np
     return a
 
 
+def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """rng.uniform(low, high), bit for bit: numpy computes it as
+    low + (high − low)·rng.random(), here without uniform's argument
+    handling, which costs three times the draw."""
+    return low + (high - low) * rng.random()
+
+
 def _sample_params(mv: MetricVariant, rng: np.random.Generator) -> List[Dict[str, float]]:
     """One random parameter assignment inside the variant's constraints;
     variants with an ε parameter yield both sign choices."""
@@ -121,35 +128,39 @@ def _sample_params(mv: MetricVariant, rng: np.random.Generator) -> List[Dict[str
         if p == "eps":
             continue
         if p in ("a", "b"):
-            base[p] = float(rng.uniform(-0.9, 0.9))
+            base[p] = _uniform(rng, -0.9, 0.9)
         elif p == "y":
-            base[p] = float(rng.uniform(-1.5, 1.5))
+            base[p] = _uniform(rng, -1.5, 1.5)
         elif p == "alpha" and mv.name == "m32":
-            base[p] = float(rng.uniform(0.3, 1.8))
+            base[p] = _uniform(rng, 0.3, 1.8)
         else:  # alpha, x, mu, rho: bounded away from zero, either sign
-            base[p] = float(rng.uniform(0.3, 1.8) * rng.choice([-1.0, 1.0]))
+            # (rng.integers(2) draws the index rng.choice([-1.0, 1.0]) draws)
+            base[p] = _uniform(rng, 0.3, 1.8) * (-1.0, 1.0)[rng.integers(2)]
     if "eps" in mv.params:
         return [dict(base, eps=1.0), dict(base, eps=-1.0)]
     return [base]
 
 
-#: one draw of a metric variant: (index in draw order, variant, params, gram)
-_Draw = Tuple[int, MetricVariant, Dict[str, float], Gram]
+#: one draw of a metric variant: (index in draw order, variant, params, gram
+#: matrix), the matrix a row of its variant's stack
+_Draw = Tuple[int, MetricVariant, Dict[str, float], np.ndarray]
 
 
 def _variant_draws(
     rng: np.random.Generator, names: Iterable[str] = tuple(METRIC_VARIANTS)
 ) -> List[_Draw]:
     """Seeded draws of every variant: the parameters of every variant are
-    drawn, in one rng stream, and the grams of the variants named are built
-    as make_metric builds them (catalog._metric_gram)."""
+    drawn, draw by draw in one rng stream, and the grams of the variants
+    named are built as make_metric builds them, each variant's in one call on
+    the stack of its parameter sets (catalog._variant_grams), so no parameter
+    array is validated and no Gram built per draw; a draw's gram is its row
+    of that stack."""
     draws: List[_Draw] = []
     for mv in METRIC_VARIANTS.values():
-        for _ in range(_VARIANT_DRAWS):
-            for params in _sample_params(mv, rng):
-                if mv.name in names:
-                    gram = _metric_gram(mv.algebra, mv.name, params)
-                    draws.append((len(draws), mv, params, gram))
+        sets = [params for _ in range(_VARIANT_DRAWS) for params in _sample_params(mv, rng)]
+        if mv.name in names:
+            grams = _variant_grams(mv, {p: [s[p] for s in sets] for p in mv.params})
+            draws += [(r, mv, s, g) for r, (s, g) in enumerate(zip(sets, grams), len(draws))]
     return draws
 
 
@@ -165,7 +176,7 @@ def _variant_groups(draws: List[_Draw], fail):
         groups.setdefault(draw[1].algebra, []).append(draw)
     for name, group in groups.items():
         algebra = make_algebra(name)
-        grams = np.array([gram.mat for *_, gram in group])
+        grams = np.array([gram for *_, gram in group])
         frame, degenerate = _frames(grams, algebra.tol)
         for r in np.flatnonzero(degenerate):
             fail(group[r], "parameters make the gram degenerate")
@@ -516,6 +527,17 @@ def _verdict_layers(trials: List[int], c: np.ndarray, frame, tol: float, fail):
     return trials, c, facts.brackets(), peaks, facts.verdicts(tol)[0], _centers(unit, DEFAULT_TOL)
 
 
+def _per_center_dimension(centers: List[np.ndarray], call) -> list:
+    """call(rows) on the centers' rows stacked (k, d, n), one call per center
+    dimension d, in ascending order; the results in the centers' order."""
+    results = [None] * len(centers)
+    for d in sorted({len(z) for z in centers}):
+        same = [r for r, z in enumerate(centers) if len(z) == d]
+        for r, x in zip(same, call(np.array([centers[r] for r in same]))):
+            results[r] = x
+    return results
+
+
 @_check("double-extension")
 def check_double_extension(tol: float, fail, measure) -> _Claim:
     # The models of one core dimension v share one Witt gram, so one frame:
@@ -536,28 +558,28 @@ def check_double_extension(tol: float, fail, measure) -> _Claim:
             trials, c, frame, tol, fail_nilpotent
         )
         measure(peaks)
-        gram = Gram(_witt_gram(c.shape[1]))
+        mat = _witt_gram(c.shape[1])
         flat = []
         for r, verdict in enumerate(verdicts):
             if verdict in _RICCI_FLAT:
                 flat.append(r)
             else:
                 fail_nilpotent(trials[r], f"verdict {verdict.value} (‖Ric‖∞={peaks[r]:.3e})")
-        null = {}  # find_isotropic_in of each Ricci-flat center, one call per center dimension
-        for d in sorted({len(centers[r]) for r in flat}):
-            same = [r for r in flat if len(centers[r]) == d]
-            rows = np.array([centers[r] for r in same])
-            for r, e in zip(same, _isotropic_vectors(gram.mat, rows, DEFAULT_TOL)):
-                if e is None:
-                    fail_nilpotent(trials[r], "decompose found no isotropic central vector")
-                else:
-                    null[r] = e
+        null = {}  # find_isotropic_in of each Ricci-flat center
+        vectors = _per_center_dimension(
+            [centers[r] for r in flat], lambda rows: _isotropic_vectors(mat, rows, DEFAULT_TOL)
+        )
+        for r, e in zip(flat, vectors):
+            if e is None:
+                fail_nilpotent(trials[r], "decompose found no isotropic central vector")
+            else:
+                null[r] = e
         keep = sorted(null)
         if not keep:
             continue
         data, p = _witt_decompositions(mu[keep], frame, np.array([null[r] for r in keep]), DEFAULT_TOL)
-        resid = _model_residuals(c[keep], gram.mat, p, data)
-        scale = _peaks(np.abs(c[keep]), max(1.0, np.abs(gram.mat).max()))
+        resid = _model_residuals(c[keep], mat, p, data)
+        scale = _peaks(np.abs(c[keep]), max(1.0, np.abs(mat).max()))
         measure(resid / scale)
         for r, res, sc in zip(keep, resid, scale):
             if res > tol * sc:
@@ -610,11 +632,14 @@ def check_guediri(tol: float, fail, measure) -> _Claim:
     for trials, c, frame in _extension_groups(draws, fail_trial, einstein=True):
         trials, _, _, peaks, verdicts, centers = _verdict_layers(trials, c, frame, tol, fail_trial)
         measure(peaks)
-        gram = Gram(_witt_gram(c.shape[1]))
-        for trial, verdict, rows in zip(trials, verdicts, centers):
+        mat = _witt_gram(c.shape[1])
+        # classify_subspace of each center
+        classes = _per_center_dimension(
+            centers, lambda rows: _form_classes(_restricted_grams(mat, rows), DEFAULT_TOL)
+        )
+        for trial, verdict, cls in zip(trials, verdicts, classes):
             if verdict not in _RICCI_FLAT:
                 fail_trial(trial, f"verdict {verdict.value}")
-            cls = classify_subspace(gram, Subspace._orthonormal(rows, DEFAULT_TOL))
             if cls.tag is not SubspaceTag.DEGENERATE:
                 fail_trial(trial, f"center {cls.tag.value}")
     rejected = 0

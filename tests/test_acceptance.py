@@ -9,6 +9,7 @@ and prints the check's summary row for the test log.
 """
 
 import dataclasses
+import hashlib
 import inspect
 import re
 from collections import Counter
@@ -205,12 +206,28 @@ def test_the_variant_draw_checks_agree_with_the_per_object_calls(monkeypatch):
     assert checked == {"classified-ricci-flat": 75, "flatness": 25, "degenerate-center": 75}
 
 
+#: sha256 over the index, variant, params (by float.hex) and gram bytes of
+#: every draw of the three variant-draw checks, as drawn when each gram was
+#: built on its own
+_VARIANT_DRAWS_DIGEST = "0ceea6cd6b99f5a33e0e60300f16f367e7791ead3ad0da081b3cf4e45e33e4ab"
+
+
+def test_the_variant_draw_stream_cannot_drift():
+    digest = hashlib.sha256()
+    for seed, variants in zip((1, 2, 3), _DRAW_CHECKS.values()):
+        for index, mv, params, gram in verify._variant_draws(verify._rng(seed), variants):
+            digest.update(f"{index} {mv.name} ".encode())
+            digest.update(" ".join(f"{k}={v.hex()}" for k, v in params.items()).encode())
+            digest.update(gram.tobytes())
+    assert digest.hexdigest() == _VARIANT_DRAWS_DIGEST
+
+
 def test_signature_and_the_frame_are_the_stacked_core_on_a_stack_of_one():
     # on the grams of the variant draws and the forms AᵀηA of the catalog
     # frames, with a null direction put into every fifth form: signature and
     # orthonormal_basis (the frame a metric's build takes) are _signatures and
     # _orthonormal_bases (_frames) member for member, bit for bit
-    grams = [gram.mat for *_, gram in verify._variant_draws(verify._rng(1))]
+    grams = [gram for *_, gram in verify._variant_draws(verify._rng(1))]
     stacks = [np.array([g for g in grams if len(g) == n]) for n in (3, 4, 5)]
     for _, _, a, _, _, eps in verify._catalog_frames():
         eps = eps.copy()
@@ -243,9 +260,9 @@ def test_a_degenerate_variant_draw_is_a_failure_named_by_its_draw(monkeypatch, n
     params = []
     mv = METRIC_VARIANTS["m42"]
 
-    def singular(p):
+    def singular(p):  # the slots of diag(1, -1, 1, 0)
         params.append(dict(p))
-        return Gram.from_diagonal([1.0, -1.0, 1.0, 0.0])
+        return {(1, 1): 1.0, (2, 2): -1.0, (3, 3): 1.0}
 
     monkeypatch.setitem(METRIC_VARIANTS, "m42", dataclasses.replace(mv, build=singular))
     (result,) = run_checks([name])
@@ -555,10 +572,14 @@ def test_guediri_stacks_agree_with_the_per_object_calls(monkeypatch):
     seen = {name: [] for name in ("_guediri_data", "_CurvatureFacts", "_verdict_layers")}
     _spy_verify(monkeypatch, seen)
     classes = []
-    classify = verify.classify_subspace
-    monkeypatch.setattr(
-        verify, "classify_subspace", lambda *args: classes.append(classify(*args)) or classes[-1]
-    )
+    per_dimension = verify._per_center_dimension
+
+    def center_classes(*args):
+        out = per_dimension(*args)
+        classes.extend(out)
+        return out
+
+    monkeypatch.setattr(verify, "_per_center_dimension", center_classes)
     tol = VERDICT_TOL
     (result,) = run_checks(["guediri"], tol)
     assert result.passed and result.failures == []
@@ -578,6 +599,39 @@ def test_guediri_stacks_agree_with_the_per_object_calls(monkeypatch):
         assert report.ricci_operator.tobytes() == ric[r].tobytes()
         assert float(np.abs(report.ricci_operator).max(initial=0.0)) == peaks[r]
         assert classify_subspace(m.gram, m.algebra.center()) == classes[r]
+
+
+def test_guediri_classifies_its_centers_in_one_stacked_call_per_center_dimension(monkeypatch):
+    # the centers of a group that share a dimension take their classes in one
+    # call, on the group's one Witt gram and the stack of their rows, each the
+    # class classify_subspace gives on its own center
+    events, restricted = [], []
+    layers, restrict, classes = verify._verdict_layers, verify._restricted_grams, verify._form_classes
+
+    def stacked(forms, tol):
+        out = classes(forms, tol)
+        ((mat, rows),) = restricted
+        restricted.clear()
+        events.append(rows.shape[1::-1])  # (d, k)
+        for z, cls in zip(rows, out):
+            assert cls == classify_subspace(Gram(mat), pseudolin.Subspace._orthonormal(z, tol))
+        return out
+
+    monkeypatch.setattr(verify, "_verdict_layers", lambda *args: events.append("group") or layers(*args))
+    monkeypatch.setattr(verify, "_restricted_grams", lambda *args: restricted.append(args) or restrict(*args))
+    monkeypatch.setattr(verify, "_form_classes", stacked)
+    (result,) = run_checks(["guediri"])
+    assert result.passed
+    groups, calls = [], 0
+    for event in events:
+        if event == "group":
+            groups.append([])
+        else:
+            groups[-1].append(event)
+            calls += 1
+    dims = [[d for d, _ in group] for group in groups]
+    assert all(d == sorted(set(d)) for d in dims)
+    assert sum(k for group in groups for _, k in group) == 50 and calls < 50 and len(groups) > 1
 
 
 def test_guediri_reports_a_refused_set_by_its_trial(monkeypatch):

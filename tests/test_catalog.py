@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -7,6 +8,7 @@ from mlie.catalog import (
     ALGEBRA_NAMES,
     DERIVATION_TABLE,
     METRIC_VARIANTS,
+    _variant_grams,
     make_algebra,
     make_metric,
     table1_derivation,
@@ -236,3 +238,68 @@ def test_metric_bit_exact_reproducibility():
     m2 = make_metric("L5_8", "m58", p)
     assert np.array_equal(m1.gram.mat, m2.gram.mat)
     assert np.array_equal(m1.algebra.c, m2.algebra.c)
+
+
+def _parameter_stacks(mv, rng, k=300):
+    """k seeded parameter sets of mv as stacks, each set twice (ε = +1, then
+    ε = −1) when mv takes ε: a and b in (−0.9, 0.9), y in (−1.5, 1.5), the
+    others in ±(0.3, 1.8) (m32's alpha positive)."""
+    stacks = {}
+    for p in mv.params:
+        if p == "eps":
+            continue
+        if p in ("a", "b"):
+            stacks[p] = rng.uniform(-0.9, 0.9, k)
+        elif p == "y":
+            stacks[p] = rng.uniform(-1.5, 1.5, k)
+        elif p == "alpha" and mv.name == "m32":
+            stacks[p] = rng.uniform(0.3, 1.8, k)
+        else:
+            stacks[p] = rng.uniform(0.3, 1.8, k) * (2 * rng.integers(2, size=k) - 1)
+    if "eps" in mv.params:
+        stacks = {p: np.concatenate([v, v]) for p, v in stacks.items()}
+        stacks["eps"] = np.repeat([1.0, -1.0], k)
+    return stacks
+
+
+#: sha256 over the gram bytes of make_metric on every set of _parameter_stacks
+#: (numpy seed 20260823), as make_metric built them one set at a time
+_STACKED_GRAMS_DIGEST = "1ac808a53b68fffb13087d8adf5b907f679bfbd01bba10e88f87b6ee9e6e1d35"
+
+
+def test_make_metric_is_the_stacked_build_on_a_stack_of_one():
+    # 4500 parameter sets, among them values of mu and rho at which numpy's
+    # vectorized pow rounds mu**4 and rho**-2 unlike the C library's pow:
+    # each make_metric gram is its member of the variant's stack, bit for bit,
+    # and the grams are those make_metric built before it was the stack of one
+    rng = np.random.default_rng(20260823)
+    digest = hashlib.sha256()
+    count = 0
+    for mv in METRIC_VARIANTS.values():
+        stacks = _parameter_stacks(mv, rng)
+        grams = _variant_grams(mv, stacks)
+        for r, values in enumerate(zip(*(v.tolist() for v in stacks.values()))):
+            gram = make_metric(mv.algebra, mv.name, dict(zip(stacks, values))).gram.mat
+            assert gram.tobytes() == grams[r].tobytes()
+            digest.update(gram.tobytes())
+            count += 1
+    assert count == 4500
+    assert digest.hexdigest() == _STACKED_GRAMS_DIGEST
+
+
+def test_a_stack_is_refused_with_make_metric_s_texts():
+    # one member outside the constraints refuses the stack, as make_metric
+    # refuses that member; an empty stack gives no gram
+    mv = METRIC_VARIANTS["m56"]
+    stacks = {p: np.full(3, 0.5) for p in mv.params}
+    stacks["eps"] = np.array([1.0, -1.0, 0.5])
+    with pytest.raises(BadParams, match="^parameter eps must be \\+1 or -1$"):
+        _variant_grams(mv, stacks)
+    stacks["eps"] = np.array([1.0, -1.0, 1.0])
+    stacks["mu"] = np.array([0.5, 0.0, 0.5])
+    with pytest.raises(BadParams, match="^parameter mu must be nonzero$"):
+        _variant_grams(mv, stacks)
+    stacks["mu"] = np.array([0.5, np.nan, 0.5])
+    with pytest.raises(BadParams, match="^parameter mu contains non-finite entries$"):
+        _variant_grams(mv, stacks)
+    assert _variant_grams(mv, {p: [] for p in mv.params}).shape == (0, 5, 5)

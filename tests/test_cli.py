@@ -111,6 +111,16 @@ def test_catalog_bad_params_exit_2(capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("second", ["alpha=2", "alpha=1"])
+def test_catalog_refuses_a_parameter_given_twice(capsys, second):
+    # the first value is not silently overwritten, nor a repeat of it taken
+    code, out, err = run_cli(capsys, "catalog", "L3_2", "m32", "alpha=1", second)
+    assert (code, out) == (2, "")
+    assert err == "error: parameter alpha given twice\n"
+    code, _, err = run_cli(capsys, "catalog", "L4_2", "m42", "a=0.3", "alpha=1", "a=0.5")
+    assert code == 2 and "parameter a given twice" in err
+
+
 def test_ricci_ex8_einstein(tmp_path, capsys):
     path = tmp_path / "ex8.json"
     run_cli(capsys, "catalog", "EX8", "-o", str(path))

@@ -230,12 +230,16 @@ def _is_max_over_axes(node: ast.AST) -> bool:
     )
 
 
-def _is_eigensolve(node: ast.AST) -> bool:
-    """A call of numpy's eigh, eigvalsh, eig or eigvals, in any spelling
-    (np.linalg.eigh, linalg.eigh, a bare eigh)."""
+def _calls(node: ast.AST, names: set) -> bool:
+    """A call of one of the names, bare or as an attribute (np.linalg.eigh,
+    linalg.eigh and a bare eigh are each a call of eigh)."""
     func = node.func if isinstance(node, ast.Call) else None
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-    return name in ("eigh", "eigvalsh", "eig", "eigvals")
+    return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in names
+
+
+def _is_eigensolve(node: ast.AST) -> bool:
+    """A call of numpy's eigh, eigvalsh, eig or eigvals, in any spelling."""
+    return _calls(node, {"eigh", "eigvalsh", "eig", "eigvals"})
 
 
 def test_a_symmetrization_is_written_once():
@@ -344,3 +348,28 @@ def test_the_held_central_vector_is_chosen_in_doubleext_alone():
         elif isinstance(node, ast.Import):
             modules |= {alias.name for alias in node.names}
     assert "mlie.search" not in modules
+
+
+def test_verify_builds_no_gram_per_draw():
+    # the variant draws take their grams from catalog._variant_grams, one call
+    # a variant, and the checks decide on stacks: verify builds no Gram and
+    # takes no gram from catalog._metric_gram
+    sites = _sites(lambda node: _calls(node, {"Gram", "_metric_gram"}))
+    assert {site for site in sites if site.startswith("verify.py:")} == set()
+
+
+def _writes_matrix_slots(node: ast.AST) -> bool:
+    """An assignment to a subscript with two or more indices, x[i, j] = …"""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Subscript)
+        and isinstance(target.slice, ast.Tuple)
+        and len(target.slice.elts) >= 2
+        for target in node.targets
+    )
+
+
+def test_the_catalog_writes_a_gram_s_slots_in_one_place():
+    # every variant's build returns its slots, and catalog._variant_grams
+    # writes them, for a stack of parameter sets or make_metric's one
+    sites = {site for site in _sites(_writes_matrix_slots) if site.startswith("catalog.py:")}
+    assert sites == {"catalog.py:_variant_grams"}
