@@ -384,7 +384,9 @@ def _variant_grams(
     outside its constraints.  The entries stay Python-float arithmetic, whose
     powers are the C library's pow: numpy's vectorized pow rounds some of
     them differently.  Every slot of the stack and its mirror are written in
-    one assignment, so the grams are symmetric bit for bit."""
+    one assignment, so the grams are symmetric bit for bit.  A set whose
+    entries overflow (a power raises OverflowError, a product or a sum turns
+    infinite or NaN) is refused as BadParams naming the variant."""
     given = _named(params)
     missing = [k for k in mv.params if k not in given]
     if missing:
@@ -393,13 +395,19 @@ def _variant_grams(
     if extra:
         raise BadParams(f"unknown parameters for {mv.name}: " + ", ".join(extra))
     sets = zip(*(_param(given[k], k, ndim) for k in mv.params))
-    slots = [mv.build(dict(zip(mv.params, values))) for values in sets]
+    non_finite = f"parameters make the {mv.name} gram non-finite"
+    try:
+        slots = [mv.build(dict(zip(mv.params, values))) for values in sets]
+    except OverflowError:
+        raise BadParams(non_finite) from None
     n = BRACKET_TABLES[mv.algebra][0]
     grams = np.zeros((len(slots), n * n))
     if slots:  # the flat indices of each slot (i, j), then of its mirror (j, i)
         flat = [(i - 1) * n + j - 1 for i, j in slots[0]]
         flat += [(j - 1) * n + i - 1 for i, j in slots[0]]
         grams[:, flat] = [list(member.values()) * 2 for member in slots]
+    if not np.isfinite(grams).all():
+        raise BadParams(non_finite)
     return grams.reshape(-1, n, n)
 
 

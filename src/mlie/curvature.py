@@ -221,13 +221,18 @@ def trace_q_sides(mu: np.ndarray, eps: np.ndarray, e: np.ndarray) -> Tuple[np.nd
     S_i (ricci_operators), the right side is ¼⟨R, E⟩ = ⟨Q_bᵀ, E⟩ with Q_b from
     q_bracket_operators (the three terms of the derivation defect, two equal
     as μ is skew): two independent formulas, and never a stack of defects."""
-    m, n = mu.shape[:2]
-    flat_e = e.reshape(m, -1, n * n)
-    lhs, rhs = (
-        flat_e @ q.swapaxes(-1, -2).reshape(m, n * n, 1)  # tr(Q∘E) = ⟨Qᵀ, E⟩
-        for q in (ricci_operators(mu, eps, True), q_bracket_operators(mu, eps))
-    )
-    return lhs.reshape(e.shape[:-2]), rhs.reshape(e.shape[:-2])
+    q, q_b = ricci_operators(mu, eps, True), q_bracket_operators(mu, eps)
+    return _operator_traces(q, e), _operator_traces(q_b, e)
+
+
+def _operator_traces(q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """tr(Q[m]∘E[m, ...]) = ⟨Q[m]ᵀ, E[m, ...]⟩ for a stack of operators Q
+    (m, n, n) and matrices E (m, ..., n, n), of shape E.shape[:-2]: the one
+    contraction of both sides of the trace identity.  On the unit matrix E_kl
+    it is Q[l,k], so on the n² unit matrices it reads the entries of Qᵀ."""
+    m, n = q.shape[:2]
+    traces = e.reshape(m, -1, n * n) @ q.swapaxes(-1, -2).reshape(m, n * n, 1)
+    return traces.reshape(e.shape[:-2])
 
 
 def ricci_operators(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndarray:

@@ -287,8 +287,9 @@ def restricted_gram(g: Gram, f: Subspace) -> Gram:
 
 def _restricted_grams(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The (k, d, d) stack of Z·G·Zᵀ, symmetrized as Gram symmetrizes, for a stack
-    of grams G (k, n, n) and the orthonormal rows Z (d, n) of one subspace, or one
-    gram (n, n) and a stack of subspaces' rows (k, d, n): the package's one
+    of grams G (k, n, n) and the orthonormal rows Z (d, n) of one subspace, one
+    gram (n, n) and a stack of subspaces' rows (k, d, n), or a stack of grams
+    and a stack of subspaces' rows, member by member: the package's one
     restricted form, and its one refusal (InvalidInput) of rows not in R^n."""
     if rows.shape[-1] != mats.shape[-1]:
         raise InvalidInput("subspace ambient dimension does not match gram size")

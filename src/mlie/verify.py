@@ -37,14 +37,15 @@ from .curvature import (
     _RICCI_FLAT,
     _CurvatureFacts,
     _frames,
+    _operator_traces,
     _raise_index,
     j1_j2_operators,
     levi_civita_tensors,
+    q_bracket_operators,
     ricci_forms,
     ricci_general_forms,
     ricci_operators,
     structure_endo_tensors,
-    trace_q_sides,
 )
 from .doubleext import (
     _admissibilities,
@@ -70,7 +71,6 @@ from .pseudolin import (
     _isotropic_vectors,
     _peaks,
     _restricted_grams,
-    _subspace_classes,
     classify_subspace,
 )
 from .search import SearchSpec, run_search
@@ -165,24 +165,25 @@ def _variant_draws(
 
 
 def _variant_groups(draws: List[_Draw], fail):
-    """The draws grouped by algebra, each group's frames taken in one call:
-    per algebra, in the order of its first draw, the algebra, the draws whose grams are
-    nondegenerate, their gram matrices (k, n, n) and their frames (ε, A, B),
-    as the metrics make_metric would build, an empty stack if there is none;
+    """The draws grouped by dimension n, each group's frames taken in one call
+    at DEFAULT_TOL, every catalog algebra's tol: per n, ascending, the draws
+    whose grams are nondegenerate, their gram matrices (k, n, n), their
+    algebras' brackets c (k, n, n, n) and their frames (ε, A, B), as the
+    metrics make_metric would build, empty stacks if there is none;
     fail(draw, message) for a draw whose gram is degenerate, which
     make_metric refuses."""
-    groups: Dict[str, List[_Draw]] = {}
+    groups: Dict[int, List[_Draw]] = {}
     for draw in draws:
-        groups.setdefault(draw[1].algebra, []).append(draw)
-    for name, group in groups.items():
-        algebra = make_algebra(name)
+        groups.setdefault(len(draw[3]), []).append(draw)
+    for n, group in sorted(groups.items()):
         grams = np.array([gram for *_, gram in group])
-        frame, degenerate = _frames(grams, algebra.tol)
+        frame, degenerate = _frames(grams, DEFAULT_TOL)
         for r in np.flatnonzero(degenerate):
             fail(group[r], "parameters make the gram degenerate")
         keep = ~degenerate
         kept = list(itertools.compress(group, keep))
-        yield algebra, kept, grams[keep], tuple(x[keep] for x in frame)
+        c = np.array([make_algebra(mv.algebra).c for _, mv, _, _ in kept]).reshape(-1, n, n, n)
+        yield kept, grams[keep], c, tuple(x[keep] for x in frame)
 
 
 def _by_draw(fail):
@@ -196,22 +197,30 @@ def _by_draw(fail):
 
 @functools.lru_cache(maxsize=None)
 def _catalog_frames():
-    """(name, algebra, A, B, μ, ε) for every catalog algebra: the frames (A, ε) of
-    _FRAMES random nondegenerate forms AᵀηA, η = diag(ε), as stacks (A's smallest
-    singular value is at least 1e-3), B = A⁻¹ and μ = A·c, the bracket in each
-    frame.  The checks that compare formulas on these instances share them:
-    drawn once per process, at the first call, and read-only."""
+    """(names, algebras, A, B, μ, ε) per dimension n of the catalog algebras,
+    ascending: _FRAMES frames (A, ε) of random nondegenerate forms AᵀηA,
+    η = diag(ε), per algebra (A's smallest singular value is at least 1e-3),
+    drawn algebra by algebra in catalog order and stacked per n, so that the
+    frames of the algebra names[i] are the rows i·_FRAMES to (i + 1)·_FRAMES;
+    B = A⁻¹ and μ = A·c, each algebra's bracket in each of its frames, one
+    call each per stack.  The checks that compare formulas on these instances
+    share them: drawn once per process, at the first call, and read-only."""
     rng = _rng(5)
-    frames = []
+    draws: Dict[int, list] = {}
     for name in ALGEBRA_NAMES:
         algebra = make_algebra(name)
         a = _near_identity(rng, _FRAMES, algebra.n, 1e-3)
         eps = rng.choice([-1.0, 1.0], size=(_FRAMES, algebra.n))
+        draws.setdefault(algebra.n, []).append((name, algebra, a, eps))
+    frames = []
+    for _, group in sorted(draws.items()):
+        names, algebras, a, eps = zip(*group)
+        a, eps = np.concatenate(a), np.concatenate(eps)
         b = np.linalg.inv(a)
-        mu = act_on_brackets(a, b, algebra.c)
+        mu = act_on_brackets(a, b, np.repeat([algebra.c for algebra in algebras], _FRAMES, axis=0))
         for arr in (a, b, mu, eps):
             arr.flags.writeable = False
-        frames.append((name, algebra, a, b, mu, eps))
+        frames.append((names, algebras, a, b, mu, eps))
     return tuple(frames)
 
 
@@ -264,19 +273,20 @@ def _check(name: str):
 
 @_check("classified-ricci-flat")
 def check_classified_ricci_flat(tol: float, fail, measure) -> _Claim:
-    # The metrics of one algebra are decided together, one call a layer, at
+    # The metrics of one dimension are decided together, one call a layer, at
     # the decisions their signature() and ricci_operator() take; the dim <= 5
     # catalog algebras are nilpotent, so the 𝒥-route is cross-checked.
     draws = _variant_draws(_rng(1))
     fail = _by_draw(fail)
-    for algebra, group, _, frame in _variant_groups(draws, fail):
+    for group, _, c, frame in _variant_groups(draws, fail):
+        n = c.shape[1]
         minus = (frame[0] < 0).sum(axis=1)  # ε is minus-first
         for draw, m in zip(group, minus.tolist()):
             if m != 1:  # the signature (m, n − m, 0)
-                fail(draw, f"signature {(m, algebra.n - m, 0)}")
+                fail(draw, f"signature {(m, n - m, 0)}")
         lorentzian = minus == 1
         lorentz_frame = tuple(x[lorentzian] for x in frame)
-        ric = _CurvatureFacts(algebra.c, lorentz_frame, algebra.is_nilpotent()).ricci()
+        ric = _CurvatureFacts(c[lorentzian], lorentz_frame, True).ricci()
         peaks = _peaks(np.abs(ric))
         measure(peaks)
         for draw, resid in zip(itertools.compress(group, lorentzian), peaks.tolist()):
@@ -293,9 +303,9 @@ def check_flatness(tol: float, fail, measure) -> _Claim:
     draws = _variant_draws(_rng(2), ("m32", "m42", "m52", "m43"))
     fail = _by_draw(fail)
     witness = np.inf
-    for algebra, group, _, frame in _variant_groups(draws, fail):
+    for group, _, c, frame in _variant_groups(draws, fail):
         # flatness_defect() of each metric
-        defects, scales = _CurvatureFacts(algebra.c, frame, algebra.is_nilpotent()).flatness()
+        defects, scales = _CurvatureFacts(c, frame, True).flatness()
         for draw, defect, scale in zip(group, defects.tolist(), scales.tolist()):
             _, mv, params, _ = draw
             if mv.name == "m43" and params["eps"] == 1.0:
@@ -317,9 +327,14 @@ def check_degenerate_center(tol: float, fail, measure) -> _Claim:
     draws = _variant_draws(_rng(3))
     fail = _by_draw(fail)
     classified = degenerate = 0  # a draw with a degenerate gram has no center class
-    for algebra, group, grams, _ in _variant_groups(draws, fail):
-        # classify_subspace(m.gram, m.algebra.center()) of each metric
-        for draw, cls in zip(group, _subspace_classes(grams, algebra.center())):
+    for group, grams, _, _ in _variant_groups(draws, fail):
+        # classify_subspace(m.gram, m.algebra.center()) of each metric, the
+        # centers of one dimension together
+        centers = [make_algebra(mv.algebra).center().basis for _, mv, _, _ in group]
+        classes = _per_center_dimension(
+            centers, lambda rows, mats: _form_classes(_restricted_grams(mats, rows), DEFAULT_TOL), grams
+        )
+        for draw, cls in zip(group, classes):
             classified += 1
             if cls.tag is SubspaceTag.DEGENERATE:
                 degenerate += 1
@@ -385,7 +400,7 @@ def check_examples(tol: float, fail, measure) -> _Claim:
 @_check("route-equivalence")
 def check_route_equivalence(tol: float, fail, measure) -> _Claim:
     count = 0
-    for name, algebra, _, _, mu, eps in _catalog_frames():
+    for names, algebras, _, _, mu, eps in _catalog_frames():
         count += len(mu)
         # per member: the gap max|ref − other| and the scale max(1, max|ref|)
         r_def = ricci_forms(levi_civita_tensors(mu, eps))
@@ -393,14 +408,15 @@ def check_route_equivalence(tol: float, fail, measure) -> _Claim:
         scale = _peaks(np.abs(r_def), 1.0)
         measure(d_form / scale)
         bad_form = d_form > tol * scale
-        bad_op = np.zeros(len(mu), dtype=bool)
-        if algebra.is_nilpotent():
-            op = _raise_index(eps, r_def)  # η·ric
-            d_op = _peaks(np.abs(op - ricci_operators(mu, eps, True)))
-            op_scale = _peaks(np.abs(op), 1.0)
-            measure(d_op / op_scale)
-            bad_op = d_op > tol * op_scale
+        # the 𝒥-route is compared on the members whose algebra is nilpotent
+        nilpotent = np.repeat([algebra.is_nilpotent() for algebra in algebras], _FRAMES)
+        op = _raise_index(eps, r_def)  # η·ric
+        d_op = _peaks(np.abs(op - ricci_operators(mu, eps, True)))
+        op_scale = _peaks(np.abs(op), 1.0)
+        measure(d_op[nilpotent] / op_scale[nilpotent])
+        bad_op = nilpotent & (d_op > tol * op_scale)
         for k in np.flatnonzero(bad_form | bad_op):
+            name = names[k // _FRAMES]
             if bad_form[k]:
                 fail(f"{name}: definition vs general {d_form[k]:.3e}")
             if bad_op[k]:
@@ -414,7 +430,7 @@ def check_route_equivalence(tol: float, fail, measure) -> _Claim:
 @_check("trace-j1-j2")
 def check_trace_j1_j2(tol: float, fail, measure) -> _Claim:
     count = 0
-    for name, algebra, _, _, mu, eps in _catalog_frames():
+    for names, _, _, _, mu, eps in _catalog_frames():
         count += len(mu)
         j1, j2 = j1_j2_operators(structure_endo_tensors(mu, eps), eps)
         t1, t2 = np.trace(j1, axis1=1, axis2=2), np.trace(j2, axis1=1, axis2=2)
@@ -422,7 +438,7 @@ def check_trace_j1_j2(tol: float, fail, measure) -> _Claim:
         diff = np.abs(t1 - t2)
         measure(diff / scale)
         for k in np.flatnonzero(diff > tol * scale):
-            fail(f"{name}: tr𝒥₁={t1[k]:.6g} tr𝒥₂={t2[k]:.6g}")
+            fail(f"{names[k // _FRAMES]}: tr𝒥₁={t1[k]:.6g} tr𝒥₂={t2[k]:.6g}")
     return (
         f"tr 𝒥₁ = tr 𝒥₂ within {tol:g}·scale",
         f"{count} instances agree",
@@ -434,24 +450,33 @@ def check_trace_formula(tol: float, fail, measure) -> _Claim:
     count = 0
     # Both sides are linear in E, so agreement on the n² unit matrices of the
     # frame (a basis of gl(n)) is agreement for every E; the derivation basis,
-    # moved to each frame as A·D·B, follows them.
-    for name, algebra, a, b, mu, eps in _catalog_frames():
-        count += len(mu)
-        n = algebra.n
+    # moved to each frame as A·D·B, follows them.  Both Q's, the 𝒥-route and
+    # the bracket form, are computed once per stack, as trace_q_sides computes
+    # them; tr(Q∘E_kl) = Q[l,k], so the sides on the unit E are the entries of
+    # Qᵀ, and only each algebra's derivations are contracted.  A failure is
+    # keyed by its instance, then its E: the units first, then the derivations.
+    for names, algebras, a, b, mu, eps in _catalog_frames():
+        n = mu.shape[1]
         units = n * n
-        unit_e = np.broadcast_to(np.eye(units).reshape(units, n, n), (len(a), units, n, n))
-        moved = a[:, None] @ algebra.derivation_space() @ b[:, None]
-        e = np.concatenate([unit_e, moved], axis=1)
-        lhs, rhs = trace_q_sides(mu, eps, e)
-        big = np.maximum(np.abs(lhs), np.abs(rhs))
-        scale = np.maximum(1.0, big)
-        gap = np.concatenate([np.abs(lhs - rhs)[:, :units], big[:, units:]], axis=1)
+        qs = ricci_operators(mu, eps, True), q_bracket_operators(mu, eps)
+        lhs, rhs = (q.swapaxes(-1, -2).reshape(-1, units) for q in qs)
+        gap = np.abs(lhs - rhs)
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         measure(gap / scale)
         for r, k in zip(*np.nonzero(gap > tol * scale)):
-            if k < units:
-                fail(f"{name}: unit E[{k // n},{k % n}]: |lhs−rhs| = {gap[r, k]:.3e}")
-            else:
-                fail(f"{name}: derivation {k - units} gives tr(QE) = {lhs[r, k]:.3e}")
+            message = f"unit E[{k // n},{k % n}]: |lhs−rhs| = {gap[r, k]:.3e}"
+            fail(f"{names[r // _FRAMES]}: {message}", count + r, k)
+        for i, (name, algebra) in enumerate(zip(names, algebras)):
+            rows = slice(i * _FRAMES, (i + 1) * _FRAMES)
+            moved = a[rows, None] @ algebra.derivation_space() @ b[rows, None]
+            lhs, rhs = (_operator_traces(q[rows], moved) for q in qs)
+            big = np.maximum(np.abs(lhs), np.abs(rhs))
+            scale = np.maximum(1.0, big)
+            measure(big / scale)
+            for r, k in zip(*np.nonzero(big > tol * scale)):
+                message = f"derivation {k} gives tr(QE) = {lhs[r, k]:.3e}"
+                fail(f"{name}: {message}", count + rows.start + r, units + k)
+        count += len(mu)
     return (
         f"tr(QE) = bracket double sum within {tol:g}·scale on every unit E; "
         "both ≈ 0 on every derivation",
@@ -527,13 +552,16 @@ def _verdict_layers(trials: List[int], c: np.ndarray, frame, tol: float, fail):
     return trials, c, facts.brackets(), peaks, facts.verdicts(tol)[0], _centers(unit, DEFAULT_TOL)
 
 
-def _per_center_dimension(centers: List[np.ndarray], call) -> list:
-    """call(rows) on the centers' rows stacked (k, d, n), one call per center
-    dimension d, in ascending order; the results in the centers' order."""
+def _per_center_dimension(centers: List[np.ndarray], call, *stacks: np.ndarray) -> list:
+    """call(rows, *members) on the centers' rows stacked (k, d, n) and the
+    rows of each stack (one member per center) that belong to them, one call
+    per center dimension d, in ascending order; the results in the centers'
+    order."""
     results = [None] * len(centers)
     for d in sorted({len(z) for z in centers}):
         same = [r for r, z in enumerate(centers) if len(z) == d]
-        for r, x in zip(same, call(np.array([centers[r] for r in same]))):
+        rows = np.array([centers[r] for r in same])
+        for r, x in zip(same, call(rows, *(stack[same] for stack in stacks))):
             results[r] = x
     return results
 

@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 from mlie import curvature, pseudolin, verify
-from mlie.catalog import ALGEBRA_NAMES, METRIC_VARIANTS, make_metric
+from mlie.catalog import ALGEBRA_NAMES, METRIC_VARIANTS, make_algebra, make_metric
 from mlie.curvature import VERDICT_TOL, MetricLieAlgebra
 from mlie.doubleext import ExtensionData, decompose, extend, guediri_2step, model_residual
 from mlie.errors import ConstraintViolation, DegenerateGram, InvalidInput, UnknownName
-from mlie.liealg import LieAlgebra
+from mlie.liealg import LieAlgebra, act_on_brackets
 from mlie.pseudolin import Gram, classify_subspace, find_isotropic_in
 from mlie.verify import CHECK_NAMES, check_trace_formula, format_row, run_checks
 
@@ -69,44 +69,68 @@ def test_search_regression_fails_on_a_converged_gram_with_a_nondegenerate_center
     assert result.failures == ["center of the converged gram is EuclideanNondegenerate"]
 
 
-def test_the_catalog_checks_make_one_stacked_kernel_call_per_algebra(monkeypatch):
-    # route-equivalence, trace-j1-j2 and trace-formula each hand the kernel one
-    # stack of 20 frames per catalog algebra and build no MetricLieAlgebra
+#: the catalog's dimensions n and the frames of each dimension's stack: 20
+#: per catalog algebra of that dimension (L3_2; L4_2, L4_3; the eight L5_*;
+#: EX6; EX7; EX8)
+_FRAME_STACKS = {3: 20, 4: 40, 5: 160, 6: 20, 7: 20, 8: 20}
+
+
+def test_the_catalog_checks_make_one_stacked_kernel_call_per_dimension(monkeypatch):
+    # route-equivalence, trace-j1-j2 and trace-formula each hand every kernel
+    # one stack of frames per catalog dimension and build no MetricLieAlgebra;
+    # trace-formula contracts each algebra's moved derivations on its own 20
+    # frames, once per side
     kernels = {
-        "route-equivalence": "ricci_general_forms",
-        "trace-j1-j2": "j1_j2_operators",
-        "trace-formula": "trace_q_sides",
+        "route-equivalence": ("ricci_forms", "ricci_general_forms", "ricci_operators"),
+        "trace-j1-j2": ("j1_j2_operators",),
+        "trace-formula": ("ricci_operators", "q_bracket_operators", "_operator_traces"),
     }
-    stacks = {name: [] for name in kernels.values()}
+    stacks = {}
     builds = []
 
     def spy(name):
         kernel = getattr(verify, name)
 
         def recording(*args):
-            stacks[name].append(args[1].shape[0])  # the signs ε follow μ, or the S_i
+            stacks[name].append(len(args[0]))  # μ, the S_i, the Levi-Civita tensors or Q
+            if name == "_operator_traces":
+                stacks[name][-1] = args[1].shape[:2]  # the frames and derivations E
             return kernel(*args)
 
         return recording
 
-    for name in kernels.values():
+    for name in set().union(*kernels.values()):
         monkeypatch.setattr(verify, name, spy(name))
     build = MetricLieAlgebra.__init__
     monkeypatch.setattr(
         MetricLieAlgebra, "__init__", lambda self, *args: builds.append(args) or build(self, *args)
     )
-    results = run_checks(list(kernels))
-    assert all(r.passed for r in results)
+    derivations = [
+        (verify._FRAMES, len(make_algebra(name).derivation_space())) for name in ALGEBRA_NAMES
+    ]
+    for check, names in kernels.items():
+        stacks.update({name: [] for name in names})
+        (result,) = run_checks([check])
+        assert result.passed
+        expected = {name: list(_FRAME_STACKS.values()) for name in names}
+        if check == "trace-formula":
+            expected["_operator_traces"] = [d for d in derivations for _ in range(2)]
+        assert {name: stacks[name] for name in names} == expected
     assert builds == []
-    assert stacks == {name: [20] * len(ALGEBRA_NAMES) for name in kernels.values()}
+    assert len(derivations) == 14 and derivations[0] == (20, 6) and derivations[-1] == (20, 12)
 
 
 def test_the_catalog_frames_are_drawn_once_and_read_only():
     frames = verify._catalog_frames()
     assert frames is verify._catalog_frames()
-    assert [name for name, *_ in frames] == list(ALGEBRA_NAMES)
-    for _, algebra, a, b, mu, eps in frames:
-        assert a.shape == b.shape == (verify._FRAMES, algebra.n, algebra.n)
+    assert [name for names, *_ in frames for name in names] == list(ALGEBRA_NAMES)
+    assert [len(a) for _, _, a, *_ in frames] == list(_FRAME_STACKS.values())
+    for (names, algebras, a, b, mu, eps), n in zip(frames, _FRAME_STACKS):
+        assert [make_algebra(name) for name in names] == list(algebras)
+        assert all(algebra.n == n for algebra in algebras)
+        size = verify._FRAMES * len(names)
+        assert a.shape == b.shape == (size, n, n) and mu.shape == (size, n, n, n)
+        assert eps.shape == (size, n)
         assert (np.linalg.svd(a, compute_uv=False)[:, -1] >= 1e-3).all()
         assert set(np.unique(eps)) <= {-1.0, 1.0}
         for arr in (a, b, mu, eps):
@@ -114,10 +138,73 @@ def test_the_catalog_frames_are_drawn_once_and_read_only():
                 arr[0] = 0.0
 
 
+def _kernel_rows(c, a, b, mu, eps):
+    """What the catalog checks compute on the frames (A, B, μ, ε) of brackets
+    c, member by member: the kernels' results and the curvature facts."""
+    j1, j2 = curvature.j1_j2_operators(curvature.structure_endo_tensors(mu, eps), eps)
+    facts = curvature._CurvatureFacts(c, (eps, a, b), True)
+    defects, scales = facts.flatness()
+    return {
+        "ricci_forms": curvature.ricci_forms(curvature.levi_civita_tensors(mu, eps)),
+        "ricci_general_forms": curvature.ricci_general_forms(mu, eps),
+        "ricci_operators": curvature.ricci_operators(mu, eps, True),
+        "q_bracket_operators": curvature.q_bracket_operators(mu, eps),
+        "tr j1": np.trace(j1, axis1=1, axis2=2),
+        "tr j2": np.trace(j2, axis1=1, axis2=2),
+        "ricci": facts.ricci(),
+        "flatness defects": defects,
+        "flatness scales": scales,
+    }
+
+
+def test_a_catalog_algebra_s_rows_of_its_dimension_stack_are_its_own_calls():
+    # every catalog algebra's rows of its dimension's stack are, bit for bit,
+    # its own frames, drawn algebra by algebra, and the calls on them;
+    # trace-formula's unit sides, the entries of each Qᵀ, are trace_q_sides
+    # on the n² unit E up to the sign of zero.  The stacks take the algebras'
+    # tol and nilpotency as shared, and the checks that list failures unkeyed
+    # list them in catalog order
+    dims = [make_algebra(name).n for name in ALGEBRA_NAMES]
+    assert dims == sorted(dims)
+    for name in ALGEBRA_NAMES:
+        algebra = make_algebra(name)
+        assert algebra.tol == pseudolin.DEFAULT_TOL and algebra.is_nilpotent()
+    checked = 0
+    rng = verify._rng(5)
+    for names, algebras, a, b, mu, eps in verify._catalog_frames():
+        n = mu.shape[1]
+        c = np.repeat([algebra.c for algebra in algebras], verify._FRAMES, axis=0)
+        stacked = _kernel_rows(c, a, b, mu, eps)
+        units = np.broadcast_to(np.eye(n * n).reshape(n * n, n, n), (verify._FRAMES, n * n, n, n))
+        for i, algebra in enumerate(algebras):
+            rows = slice(i * verify._FRAMES, (i + 1) * verify._FRAMES)
+            own_a = verify._near_identity(rng, verify._FRAMES, n, 1e-3)
+            own_eps = rng.choice([-1.0, 1.0], size=(verify._FRAMES, n))
+            own_b = np.linalg.inv(own_a)
+            own_frame = (own_a, own_b, act_on_brackets(own_a, own_b, algebra.c), own_eps)
+            for x, y in zip((a, b, mu, eps), own_frame):
+                assert x[rows].tobytes() == y.tobytes(), names[i]
+            own = _kernel_rows(algebra.c, *own_frame)
+            for key, values in own.items():
+                assert stacked[key][rows].tobytes() == values.tobytes(), (names[i], key)
+            sides = curvature.trace_q_sides(mu[rows], eps[rows], units)
+            for q, side in zip((own["ricci_operators"], own["q_bracket_operators"]), sides):
+                assert np.array_equal(q.swapaxes(1, 2).reshape(-1, n * n), side)
+            checked += 1
+    assert checked == len(ALGEBRA_NAMES)
+
+
 def test_the_catalog_checks_share_inputs_only(monkeypatch):
     # the frames are kept between calls, nothing computed from them is: a
     # second call of each check makes every kernel call of the first again
-    kernels = ("ricci_forms", "ricci_general_forms", "j1_j2_operators", "trace_q_sides")
+    kernels = (
+        "ricci_forms",
+        "ricci_general_forms",
+        "ricci_operators",
+        "j1_j2_operators",
+        "q_bracket_operators",
+        "_operator_traces",
+    )
     calls = Counter()
 
     def spy(name):
@@ -132,7 +219,15 @@ def test_the_catalog_checks_share_inputs_only(monkeypatch):
     calls.clear()
     second = run_checks(checks)
     assert second == first
-    assert calls == made == {name: len(ALGEBRA_NAMES) for name in kernels}
+    stacks = len(_FRAME_STACKS)
+    assert calls == made == {
+        "ricci_forms": stacks,
+        "ricci_general_forms": stacks,
+        "ricci_operators": 2 * stacks,  # route-equivalence's and trace-formula's
+        "j1_j2_operators": stacks,
+        "q_bracket_operators": stacks,
+        "_operator_traces": 2 * len(ALGEBRA_NAMES),
+    }
 
 
 #: the checks on the catalog's variant draws, and the variants each builds
@@ -143,32 +238,50 @@ _DRAW_CHECKS = {
 }
 
 
-def _draws_per_algebra(variants):
-    """The number of draws of each algebra of the variants, in catalog order."""
-    sizes = Counter()
-    for mv in METRIC_VARIANTS.values():
-        if mv.name in variants:
-            sizes[mv.algebra] += verify._VARIANT_DRAWS * (2 if "eps" in mv.params else 1)
-    return list(sizes.values())
+#: the draws of each check per dimension n = 3, 4, 5: m32; m42 and m43 (ε = ±1);
+#: the L5_* variants (flatness: m52 alone), 5 draws a variant, twice with ε
+_DRAWS_PER_DIMENSION = {
+    "classified-ricci-flat": [5, 15, 55],
+    "flatness": [5, 15, 5],
+    "degenerate-center": [5, 15, 55],
+}
+
+#: degenerate-center's draws per (n, center dimension d), ascending: L3_2
+#: (d = 1); L4_3 (1), L4_2 (2); L5_5 and L5_6 (1), L5_3, L5_8 and L5_9 (2),
+#: L5_2 (3)
+_CENTERS_PER_DIMENSION = [5, 10, 5, 25, 25, 5]
 
 
-def test_the_variant_draw_checks_take_one_frame_per_algebra(monkeypatch):
+def test_the_variant_draw_checks_take_one_frame_per_dimension(monkeypatch):
     # classified-ricci-flat, flatness and degenerate-center each take the
-    # frames of one algebra's draws in one call, and build no MetricLieAlgebra
-    frames, builds = [], []
-    stacked = verify._frames
-    monkeypatch.setattr(
-        verify, "_frames", lambda mats, tol: frames.append(len(mats)) or stacked(mats, tol)
-    )
+    # frames of one dimension's draws in one call, decide them in one
+    # _CurvatureFacts, or classify their centers in one call per center
+    # dimension, and build no MetricLieAlgebra
+    calls = {"_frames": [], "_CurvatureFacts": [], "_form_classes": []}
+    builds = []
+
+    def spy(name):
+        layer = getattr(verify, name)
+        return lambda first, *rest: calls[name].append(len(first)) or layer(first, *rest)
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, spy(name))
     build = MetricLieAlgebra.__init__
     monkeypatch.setattr(
         MetricLieAlgebra, "__init__", lambda self, *args: builds.append(args) or build(self, *args)
     )
     for name, variants in _DRAW_CHECKS.items():
-        frames.clear()
+        for layer in calls.values():
+            layer.clear()
         (result,) = run_checks([name])
         assert result.passed and result.failures == []
-        assert frames == _draws_per_algebra(variants)
+        sizes = _DRAWS_PER_DIMENSION[name]
+        assert sum(sizes) == sum(
+            verify._VARIANT_DRAWS * (2 if "eps" in METRIC_VARIANTS[v].params else 1) for v in variants
+        )
+        decided = sizes if name != "degenerate-center" else []
+        centers = _CENTERS_PER_DIMENSION if name == "degenerate-center" else []
+        assert calls == {"_frames": sizes, "_CurvatureFacts": decided, "_form_classes": centers}
     assert builds == []
 
 
@@ -176,7 +289,7 @@ def test_the_variant_draw_checks_agree_with_the_per_object_calls(monkeypatch):
     # every draw of the three checks, decided once in its algebra's stack and
     # once on make_metric's metric: equal grams, frames and signatures,
     # bit-identical Ricci operators and flatness numbers, equal center classes
-    layers = ("_variant_groups", "_CurvatureFacts", "_subspace_classes")
+    layers = ("_variant_groups", "_CurvatureFacts", "_per_center_dimension")
     seen = {name: [] for name in layers}
     _spy_verify(monkeypatch, seen)
     checked = Counter()
@@ -186,10 +299,11 @@ def test_the_variant_draw_checks_agree_with_the_per_object_calls(monkeypatch):
         (result,) = run_checks([name])
         assert result.passed and result.failures == []
         ((_, groups),) = seen["_variant_groups"]
-        for g, (algebra, group, grams, frame) in enumerate(groups):
+        for g, (group, grams, c, frame) in enumerate(groups):
             for r, (_, mv, params, _) in enumerate(group):
                 m = make_metric(mv.algebra, mv.name, params)
-                assert m.algebra is algebra and m.gram.mat.tobytes() == grams[r].tobytes()
+                assert m.algebra.c.tobytes() == c[r].tobytes()
+                assert m.gram.mat.tobytes() == grams[r].tobytes()
                 assert all(x[0].tobytes() == y[r].tobytes() for x, y in zip(m._frame, frame))
                 if name == "classified-ricci-flat":
                     assert m.signature() == (1, m.n - 1, 0)
@@ -201,7 +315,7 @@ def test_the_variant_draw_checks_agree_with_the_per_object_calls(monkeypatch):
                     assert m.flatness_defect() == (defects[r], scales[r])
                 else:
                     cls = classify_subspace(m.gram, m.algebra.center())
-                    assert cls == seen["_subspace_classes"][g][1][r]
+                    assert cls == seen["_per_center_dimension"][g][1][r]
                 checked[name] += 1
     assert checked == {"classified-ricci-flat": 75, "flatness": 25, "degenerate-center": 75}
 
@@ -270,7 +384,7 @@ def test_a_degenerate_variant_draw_is_a_failure_named_by_its_draw(monkeypatch, n
     assert len(params) == verify._VARIANT_DRAWS
     assert result.failures == [f"m42 {p}: parameters make the gram degenerate" for p in params]
     if name == "degenerate-center":  # a refused draw has no center class to count
-        classified = sum(_draws_per_algebra(_DRAW_CHECKS[name])) - len(params)
+        classified = sum(_DRAWS_PER_DIMENSION[name]) - len(params)
         assert result.observed.startswith(f"{classified}/{classified} centers Degenerate — ")
 
 

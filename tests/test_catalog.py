@@ -303,3 +303,26 @@ def test_a_stack_is_refused_with_make_metric_s_texts():
     with pytest.raises(BadParams, match="^parameter mu contains non-finite entries$"):
         _variant_grams(mv, stacks)
     assert _variant_grams(mv, {p: [] for p in mv.params}).shape == (0, 5, 5)
+
+
+_ABXY = dict(a=0.1, b=0.2, x=0.5, y=0.3)
+
+
+@pytest.mark.parametrize(
+    "algebra, variant, params",
+    [
+        ("L5_5", "m551", dict(_ABXY, rho=1e-200)),  # rho**-2 raises OverflowError
+        ("L5_5", "m551", dict(_ABXY, rho=1e200)),  # rho**2 raises OverflowError
+        ("L5_6", "m56", dict(_ABXY, mu=1e100, eps=1)),  # mu**4 raises OverflowError
+        ("L4_3", "m43", dict(a=1e200, b=0.1, eps=1)),  # a * a is inf, no exception
+    ],
+)
+def test_a_gram_that_overflows_is_refused_naming_its_variant(algebra, variant, params):
+    # finite parameters whose gram entries overflow are BadParams, in
+    # make_metric and in a stack that holds them among finite sets
+    message = f"^parameters make the {variant} gram non-finite$"
+    with pytest.raises(BadParams, match=message):
+        make_metric(algebra, variant, params)
+    stacks = {p: [1.0, v, 1.0] if p != "eps" else [1, v, -1] for p, v in params.items()}
+    with pytest.raises(BadParams, match=message):
+        _variant_grams(METRIC_VARIANTS[variant], stacks)

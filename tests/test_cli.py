@@ -111,6 +111,15 @@ def test_catalog_bad_params_exit_2(capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+def test_catalog_params_that_overflow_the_gram_exit_2_with_one_error_line(capsys):
+    # mu**4 overflows: BadParams, not a traceback
+    code, out, err = run_cli(
+        capsys, "catalog", "L5_6", "m56", "a=0.1", "b=0.2", "x=0.5", "y=0.3", "mu=1e100", "eps=1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: parameters make the m56 gram non-finite\n"
+
+
 @pytest.mark.parametrize("second", ["alpha=2", "alpha=1"])
 def test_catalog_refuses_a_parameter_given_twice(capsys, second):
     # the first value is not silently overwritten, nor a repeat of it taken
