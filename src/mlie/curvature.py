@@ -24,19 +24,22 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import DEGENERATE_GRAM, ROUTE_MISMATCH, DegenerateGram, InvalidInput, NotNilpotent
-from .liealg import LieAlgebra, act_on_brackets
+from .liealg import LieAlgebra, _centers, _lower_central_series, _unit, act_on_brackets
 from .pseudolin import (
     Gram,
     Signature,
     _as_float_array,
     _cutoff,
+    _form_classes,
+    _isotropic_vectors,
     _orthonormal_bases,
     _peaks,
+    _restricted_grams,
     _symmetrized,
 )
 
@@ -247,13 +250,15 @@ def ricci_operators(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndar
 # -- the verdict on stacks ----------------------------------------------
 #
 # einstein_classify on a stack of metrics given by their brackets c (k,n,n,n)
-# in the input basis and their frames (ε, A, B), stacks of k or of one that
-# every member shares.  _CurvatureFacts is the one place a metric's curvature
-# facts are computed, on a stack, in three kept passes through the kernel:
-# MetricLieAlgebra reads them for its stack of one, verify's checks once per
-# group, and the search's settle once per iteration.  The layers it calls
-# are array functions; each decision is taken per member in the input basis,
-# at the member's own cutoff, and an empty stack gives empty results.
+# in the input basis and their grams (k,n,n), either a stack of k or of one
+# that every member shares.  _CurvatureFacts is the one stacked metric
+# pipeline: gram → frame → signature → curvature facts → verdict → subspace
+# classes, in one _frames call and three kept passes through the kernel.
+# MetricLieAlgebra runs it for its stack of one, verify's verdict checks once
+# per group of draws, and the search's settle once per iteration.  The layers
+# it calls are array functions; each decision is taken per member in the
+# input basis, at the member's own cutoff, and an empty stack gives empty
+# results.
 
 
 def _frames(mats: np.ndarray, tol: float):
@@ -295,24 +300,46 @@ def _flatness_defects(c: np.ndarray, lc: np.ndarray) -> Tuple[np.ndarray, np.nda
     return _peaks(np.abs(curv, out=curv)), scale
 
 
-@dataclass(eq=False)
 class _CurvatureFacts:
-    """The curvature facts of the metrics with brackets c (k, n, n, n), or one
-    bracket all share, in their frames (ε, A, B): read-only stacks, one member
-    per metric, from three passes through the stacked kernel, each run on the
-    first read of one of its facts and kept, so a caller pays only for the
-    passes it reads.  _frame_pass: μ = A·c and, from its Levi-Civita tensor,
-    η·ric, the Ricci form moved back by Aᵀ·X·A and the tensor moved back by B;
-    _route_pass: the Ricci operators moved back by B·X·A (the 𝒥-route on a
-    nilpotent algebra, else η·ric) and per member whether they pass the
-    cross-check against η·ric; _flatness_pass: the flatness numbers.  Only
-    ricci() raises on a route mismatch, so every other fact stays readable;
-    MetricLieAlgebra.einstein_classify reads the passes directly, the scalar
-    curvature as the trace of η·ric."""
+    """The stacked metric pipeline: the metrics with brackets c (k, n, n, n),
+    or one bracket (n, n, n) all share, and grams (k, n, n), or one (1, n, n)
+    all share, decided at tol.  Building it takes the frames (ε, A, B) in one
+    _frames call and keeps the members it can decide, kept (k,): those whose
+    gram is nondegenerate and, when nilpotent is None, whose bracket is
+    nilpotent, each decided per member as LieAlgebra.is_nilpotent decides it;
+    nilpotent True or False is the caller's, shared by every member, and picks
+    the Ricci route.  Its c, grams and frame are the kept members' (a shared
+    one stays one), and minus is each kept member's count of negative signs.
 
-    c: np.ndarray
-    frame: tuple
-    nilpotent: bool
+    The curvature facts of the kept members are read-only stacks from three
+    passes through the stacked kernel, each run on the first read of one of
+    its facts and kept, so a caller pays only for the passes it reads.
+    _frame_pass: μ = A·c and, from its Levi-Civita tensor, η·ric, the Ricci
+    form moved back by Aᵀ·X·A and the tensor moved back by B; _route_pass: the
+    Ricci operators moved back by B·X·A (the 𝒥-route on a nilpotent algebra,
+    else η·ric) and per member whether they pass the cross-check against
+    η·ric; _flatness_pass: the flatness numbers.  Only ricci() raises on a
+    route mismatch, so every other fact stays readable; a caller that decides
+    member by member reads routes_agree() and ricci_unchecked().
+    MetricLieAlgebra.einstein_classify reads the passes directly, the scalar
+    curvature as the trace of η·ric.  classes(rows) and null_vectors(rows)
+    decide, per kept member, its gram on the subspace of the orthonormal rows
+    handed for it, one stacked call per subspace dimension."""
+
+    def __init__(self, c: np.ndarray, grams: np.ndarray, tol: float, nilpotent: Optional[bool]) -> None:
+        (eps, a, b), degenerate = _frames(grams, tol)
+        kept, minus = ~degenerate, (eps < 0).sum(axis=1)  # ε is minus-first
+        if c.ndim == 4 and len(grams) < len(c):  # one gram all share: its frame stays one
+            kept, minus = kept.repeat(len(c)), minus.repeat(len(c))
+        if nilpotent is None:  # each member's lower central series reaches 0
+            series = _lower_central_series(_unit(c), tol)
+            kept = kept & np.array([not len(steps[-1]) for steps in series], dtype=bool)
+        if np.count_nonzero(kept) < len(kept):
+            rows = kept if len(grams) == len(kept) else ~degenerate
+            c = c[kept] if c.ndim == 4 else c
+            grams, eps, a, b, minus = grams[rows], eps[rows], a[rows], b[rows], minus[kept]
+        self.kept, self.minus, self.c, self.grams, self.frame = kept, minus, c, grams, (eps, a, b)
+        self.tol, self.nilpotent = tol, nilpotent is not False  # a kept member is, when decided
 
     @functools.cached_property
     def _frame_pass(self) -> Tuple[np.ndarray, ...]:
@@ -336,7 +363,7 @@ class _CurvatureFacts:
             q = ricci_operators(mu, eps, True)
             agree = _check_routes(q, eta_ric)
         else:  # η·ric is the operator itself
-            q, agree = eta_ric, np.ones(len(eps), dtype=bool)
+            q, agree = eta_ric, np.ones(len(eta_ric), dtype=bool)
         ric = b @ q @ a
         ric.flags.writeable = False
         return ric, agree
@@ -371,6 +398,35 @@ class _CurvatureFacts:
 
     def verdicts(self, tol: float) -> Tuple[list, list, list, list]:
         return _verdicts(self._route_pass[0], *self._flatness_pass, tol)
+
+    def centers(self) -> List[np.ndarray]:
+        """The rows of the center of each kept member's bracket, of a stack c,
+        decided at tol as LieAlgebra.center decides it."""
+        return _centers(_unit(self.c), self.tol)
+
+    def classes(self, rows: List[np.ndarray]) -> list:
+        """classify_subspace of each kept member's gram on the subspace of its
+        orthonormal rows (d, n), at tol."""
+        return self._per_dimension(
+            rows, lambda grams, z: _form_classes(_restricted_grams(grams, z), self.tol)
+        )
+
+    def null_vectors(self, rows: List[np.ndarray]) -> list:
+        """find_isotropic_in of each kept member's gram on the subspace of its
+        orthonormal rows (d, n), at tol."""
+        return self._per_dimension(rows, lambda grams, z: _isotropic_vectors(grams, z, self.tol))
+
+    def _per_dimension(self, rows: List[np.ndarray], call) -> list:
+        """call(grams, z) on the rows z (m, d, n) of the members whose rows
+        have dimension d, and on their grams (or the one shared), one call per
+        d, ascending; the results in the members' order."""
+        results = [None] * len(rows)
+        for d in sorted({len(z) for z in rows}):
+            same = [r for r, z in enumerate(rows) if len(z) == d]
+            grams = self.grams if len(self.grams) == 1 else self.grams[same]
+            for r, x in zip(same, call(grams, np.array([rows[r] for r in same]))):
+                results[r] = x
+        return results
 
 
 @functools.lru_cache(maxsize=None)
@@ -426,12 +482,12 @@ class MetricLieAlgebra:
     pseudo-orthonormal frame G = AᵀηA and nilpotency (which picks the Ricci
     route) are decided once, at the algebra's ``tol``.
 
-    Building one only takes the frame.  Its curvature facts (not the S_i) are
-    those of the _CurvatureFacts of its stack of one, _facts, a cached
-    property made on first read: each is computed at the bracket μ = A·c of
-    the frame and mapped back to the input basis once (an operator X by
-    B·X·A, a form by Aᵀ·X·A, the Levi-Civita tensor by B = A⁻¹).  Its memo
-    keeps the Ricci operator and form as one read-only array each, so
+    Building one runs the stacked pipeline _CurvatureFacts on its stack of one
+    and keeps it as _facts; the build takes only the frame, and each
+    curvature fact (not the S_i) is computed on first read, at the bracket
+    μ = A·c of the frame, and mapped back to the input basis once (an operator
+    X by B·X·A, a form by Aᵀ·X·A, the Levi-Civita tensor by B = A⁻¹).  Its
+    memo keeps the Ricci operator and form as one read-only array each, so
     instances are safe to share, and the report of ``einstein_classify``
     once per tol.
     """
@@ -443,14 +499,14 @@ class MetricLieAlgebra:
         gram = gram if isinstance(gram, Gram) else Gram(gram)
         if len(gram.mat) != algebra.n:
             raise InvalidInput("gram size does not match algebra dimension")
-        frame, degenerate = _frames(gram.mat[None], algebra.tol)  # ε, A, B: a stack of one
-        if degenerate[0]:
+        facts = _CurvatureFacts(algebra.c, gram.mat[None], algebra.tol, algebra.is_nilpotent())
+        if not facts.kept[0]:
             raise DegenerateGram(DEGENERATE_GRAM)
-        minus = int(np.count_nonzero(frame[0] < 0))  # ε is minus-first
+        minus = int(facts.minus[0])
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_signature", Signature(minus, algebra.n - minus, 0))
-        object.__setattr__(self, "_frame", frame)
+        object.__setattr__(self, "_facts", facts)
         object.__setattr__(self, "_memo", {})  # the kept Ricci arrays, reports by tol
 
     @property
@@ -459,11 +515,6 @@ class MetricLieAlgebra:
 
     def signature(self) -> Signature:
         return self._signature
-
-    @functools.cached_property
-    def _facts(self) -> _CurvatureFacts:
-        """The _CurvatureFacts of the stack of one, made on first read and kept."""
-        return _CurvatureFacts(self.algebra.c, self._frame, self.algebra.is_nilpotent())
 
     # -- curvature --------------------------------------------------------
 
@@ -484,7 +535,7 @@ class MetricLieAlgebra:
 
     def j1_j2(self) -> Tuple[np.ndarray, np.ndarray]:
         """The self-adjoint operators 𝒥₁ and 𝒥₂ built from the S_i."""
-        eps, a, b = self._frame
+        eps, a, b = self._facts.frame
         j1, j2 = j1_j2_operators(structure_endo_tensors(self._facts.brackets(), eps), eps)
         return (b @ j1 @ a)[0], (b @ j2 @ a)[0]
 
@@ -497,7 +548,7 @@ class MetricLieAlgebra:
 
     def ricci_general(self) -> np.ndarray:
         """Ricci form from the adjoint/J/mean-vector expression; any algebra."""
-        eps, a, _ = self._frame
+        eps, a, _ = self._facts.frame
         form = ricci_general_forms(self._facts.brackets(), eps)
         return _symmetrized(a.swapaxes(-1, -2) @ form @ a)[0]
 
@@ -507,7 +558,7 @@ class MetricLieAlgebra:
         """Both sides of the trace identity (see trace_q_sides) for a matrix or a
         stack E[..., :, :], each of shape E.shape[:-2] (numpy scalars for one)."""
         e = _as_float_array(e, "E", square=self.n)
-        eps, a, b = self._frame
+        eps, a, b = self._facts.frame
         lhs, rhs = trace_q_sides(self._facts.brackets(), eps, (a[0] @ e @ b[0])[None])  # E in the frame
         return lhs[0], rhs[0]
 

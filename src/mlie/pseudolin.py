@@ -345,11 +345,11 @@ def find_isotropic_in(g: Gram, f: Subspace) -> Optional[np.ndarray]:
 
 
 def _isotropic_vectors(mat: np.ndarray, rows: np.ndarray, tol: float) -> List[Optional[np.ndarray]]:
-    """find_isotropic_in for one gram matrix (n, n) and a stack of subspaces of
-    one dimension, given by their orthonormal rows Z (k, d, n): the restricted
-    forms Z·G·Zᵀ of _restricted_grams take one stacked _orthonormal_bases at
-    tol.  Per member the choice is deterministic: the first null column of its
-    frame B, or, with none, the sum of the extreme negative and positive
+    """find_isotropic_in for a gram (n, n), or grams (1 or k, n, n), and a stack
+    of subspaces of one dimension, given by their orthonormal rows Z (k, d, n):
+    the forms Z·G·Zᵀ of _restricted_grams take one stacked _orthonormal_bases
+    at tol.  Per member the choice is deterministic: the first null column of
+    its frame B, or, with none, the sum of the extreme negative and positive
     columns u-/√(-λ-) + u+/√λ+, or None when every sign agrees (a definite
     restriction, or d = 0); the vector is those coefficients times Z, scaled
     to unit norm."""

@@ -66,7 +66,7 @@ reason (STOP_REASONS), and the whole search is deterministic for a fixed
 spec.  A restart converges only when the classification of its gram at
 VERDICT_TOL, the one einstein_classify gives, meets the target and
 ‖Ric − λ̂·Id‖_F ≤ spec.tol; the restarts of one iteration that reach it are
-classified in one stacked call (_settle), each decided as its own metric is.
+classified in one pipeline call (_settle), each decided as its own metric is.
 Each forward call inverts its factors once, and B = A⁻¹ makes the bracket
 μ = A·c and Ric_G = B·Ric_η(μ)·A, which leaves the frame as a metric's
 operators do (B·X·A, in curvature._CurvatureFacts), with no solve.  Only candidates
@@ -97,7 +97,6 @@ from .curvature import (
     _CurvatureFacts,
     _einstein_defects,
     _einstein_deviations,
-    _frames,
     _identity,
     q_bracket_differentials,
     q_bracket_operators,
@@ -360,12 +359,13 @@ def _settle(
     Ricci operators ric_g = Ric_G are within spec.tol of λ̂·Id, at their
     residuals (k,).  Only the members whose Ric_G passes the verdict's
     Einstein test are classified, once and together: their grams AᵀηA,
-    η = diag(eps), built as Gram builds them, take one _frames call, and the
-    nondegenerate ones one _CurvatureFacts.  A member stops "degenerating"
-    when its gram is degenerate or its Ricci routes disagree, and "converged"
-    when its classification's residual is within spec.tol and its verdict
-    meets the target; with "" it goes on, at that residual, or at its own
-    when it was not classified."""
+    η = diag(eps), built as Gram builds them, go through one _CurvatureFacts,
+    the pipeline a metric runs on its stack of one.  A member stops
+    "degenerating" when the pipeline does not keep it (its gram is
+    degenerate) or its Ricci routes disagree, and "converged" when its
+    classification's residual is within spec.tol and its verdict meets the
+    target; with "" it goes on, at that residual, or at its own when it was
+    not classified."""
     reasons = np.full(len(a), "", dtype=object)
     residual = residual.copy()
     _, defect, cut = _einstein_defects(ric_g, VERDICT_TOL)
@@ -373,10 +373,9 @@ def _settle(
     if not idx.size:
         return reasons, residual
     mats = _symmetrized((a[idx].swapaxes(-1, -2) * eps) @ a[idx])
-    frame, degenerate = _frames(mats, spec.algebra.tol)
-    reasons[idx[degenerate]] = "degenerating"
-    idx, frame = idx[~degenerate], tuple(x[~degenerate] for x in frame)
-    facts = _CurvatureFacts(spec.algebra.c, frame, spec.algebra.is_nilpotent())
+    facts = _CurvatureFacts(spec.algebra.c, mats, spec.algebra.tol, spec.algebra.is_nilpotent())
+    reasons[idx[~facts.kept]] = "degenerating"
+    idx = idx[facts.kept]
     agree = facts.routes_agree()
     reasons[idx[~agree]] = "degenerating"
     residual[idx[agree]] = _residuals(facts.ricci_unchecked()[agree], spec.target == "einstein")

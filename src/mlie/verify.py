@@ -36,7 +36,6 @@ from .curvature import (
     Verdict,
     _RICCI_FLAT,
     _CurvatureFacts,
-    _frames,
     _operator_traces,
     _raise_index,
     j1_j2_operators,
@@ -62,15 +61,12 @@ from .doubleext import (
     guediri_2step,
 )
 from .errors import ConstraintViolation, InvalidInput, UnknownName
-from .liealg import _antisymmetric, _centers, _lower_central_series, _unit, act_on_brackets
+from .liealg import _antisymmetric, act_on_brackets
 from .pseudolin import (
     DEFAULT_TOL,
     SubspaceTag,
     _cutoff,
-    _form_classes,
-    _isotropic_vectors,
     _peaks,
-    _restricted_grams,
     classify_subspace,
 )
 from .search import SearchSpec, run_search
@@ -164,35 +160,46 @@ def _variant_draws(
     return draws
 
 
-def _variant_groups(draws: List[_Draw], fail):
-    """The draws grouped by dimension n, each group's frames taken in one call
-    at DEFAULT_TOL, every catalog algebra's tol: per n, ascending, the draws
-    whose grams are nondegenerate, their gram matrices (k, n, n), their
-    algebras' brackets c (k, n, n, n) and their frames (ε, A, B), as the
-    metrics make_metric would build, empty stacks if there is none;
-    fail(draw, message) for a draw whose gram is degenerate, which
-    make_metric refuses."""
-    groups: Dict[int, List[_Draw]] = {}
-    for draw in draws:
-        groups.setdefault(len(draw[3]), []).append(draw)
-    for n, group in sorted(groups.items()):
-        grams = np.array([gram for *_, gram in group])
-        frame, degenerate = _frames(grams, DEFAULT_TOL)
-        for r in np.flatnonzero(degenerate):
-            fail(group[r], "parameters make the gram degenerate")
-        keep = ~degenerate
-        kept = list(itertools.compress(group, keep))
-        c = np.array([make_algebra(mv.algebra).c for _, mv, _, _ in kept]).reshape(-1, n, n, n)
-        yield kept, grams[keep], c, tuple(x[keep] for x in frame)
+def _grouped(items: Iterable, key) -> list:
+    """[(k, the items with key(item) == k)] for each key k, ascending, each
+    group in the items' order: verify's one group-by-key.  What is drawn
+    group by group afterwards is drawn in key order, and what was drawn item
+    by item before keeps its order within each group."""
+    groups: Dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return sorted(groups.items())  # the keys are distinct
 
 
-def _by_draw(fail):
-    """fail(draw, message) for a row's fail: the message under the draw's
-    variant and params, keyed by the draw's index."""
-    def fail_draw(draw: _Draw, message: str) -> None:
-        index, mv, params, _ = draw
-        fail(f"{mv.name} {params}: {message}", index)
-    return fail_draw
+def _variant_facts(draws: List[_Draw], fail):
+    """The draws grouped by dimension n, each group's metrics, as make_metric
+    would build them, decided by one _CurvatureFacts at DEFAULT_TOL, every
+    catalog algebra's tol (each catalog algebra is nilpotent): per n,
+    ascending, the facts and the draws they keep.  A draw whose gram is
+    degenerate, which make_metric refuses, fails under its variant and
+    params, keyed by its index."""
+    for _, group in _grouped(draws, lambda draw: len(draw[3])):
+        c = np.array([make_algebra(mv.algebra).c for _, mv, _, _ in group])
+        facts = _CurvatureFacts(c, np.array([gram for *_, gram in group]), DEFAULT_TOL, True)
+        for index, mv, params, _ in itertools.compress(group, ~facts.kept):
+            fail(f"{mv.name} {params}: parameters make the gram degenerate", index)
+        yield facts, list(itertools.compress(group, facts.kept))
+
+
+def _unreached(facts: _CurvatureFacts, measure) -> Tuple[List[Optional[str]], np.ndarray]:
+    """Per member the facts keep, why the per-object calls reach no verdict
+    on it, or None: a signature other than (1, n − 1), which the verdict
+    checks take as given, or Ricci routes that disagree, where
+    einstein_classify raises; and the peaks ‖Ric‖∞, measured where it is
+    reached."""
+    n = facts.frame[0].shape[-1]
+    problems = [
+        f"signature {(m, n - m, 0)}" if m != 1 else None if agree else "Ricci routes disagree"
+        for m, agree in zip(facts.minus.tolist(), facts.routes_agree().tolist())
+    ]
+    peaks = _peaks(np.abs(facts.ricci_unchecked()))
+    measure(peaks[np.array([p is None for p in problems], dtype=bool)])
+    return problems, peaks
 
 
 @functools.lru_cache(maxsize=None)
@@ -206,14 +213,14 @@ def _catalog_frames():
     call each per stack.  The checks that compare formulas on these instances
     share them: drawn once per process, at the first call, and read-only."""
     rng = _rng(5)
-    draws: Dict[int, list] = {}
+    draws = []
     for name in ALGEBRA_NAMES:
         algebra = make_algebra(name)
         a = _near_identity(rng, _FRAMES, algebra.n, 1e-3)
         eps = rng.choice([-1.0, 1.0], size=(_FRAMES, algebra.n))
-        draws.setdefault(algebra.n, []).append((name, algebra, a, eps))
+        draws.append((name, algebra, a, eps))
     frames = []
-    for _, group in sorted(draws.items()):
+    for _, group in _grouped(draws, lambda draw: draw[1].n):
         names, algebras, a, eps = zip(*group)
         a, eps = np.concatenate(a), np.concatenate(eps)
         b = np.linalg.inv(a)
@@ -273,25 +280,17 @@ def _check(name: str):
 
 @_check("classified-ricci-flat")
 def check_classified_ricci_flat(tol: float, fail, measure) -> _Claim:
-    # The metrics of one dimension are decided together, one call a layer, at
-    # the decisions their signature() and ricci_operator() take; the dim <= 5
-    # catalog algebras are nilpotent, so the 𝒥-route is cross-checked.
+    # The metrics of one dimension are decided together, at the decisions
+    # their signature() and ricci_operator() take; the dim <= 5 catalog
+    # algebras are nilpotent, so the 𝒥-route is cross-checked.
     draws = _variant_draws(_rng(1))
-    fail = _by_draw(fail)
-    for group, _, c, frame in _variant_groups(draws, fail):
-        n = c.shape[1]
-        minus = (frame[0] < 0).sum(axis=1)  # ε is minus-first
-        for draw, m in zip(group, minus.tolist()):
-            if m != 1:  # the signature (m, n − m, 0)
-                fail(draw, f"signature {(m, n - m, 0)}")
-        lorentzian = minus == 1
-        lorentz_frame = tuple(x[lorentzian] for x in frame)
-        ric = _CurvatureFacts(c[lorentzian], lorentz_frame, True).ricci()
-        peaks = _peaks(np.abs(ric))
-        measure(peaks)
-        for draw, resid in zip(itertools.compress(group, lorentzian), peaks.tolist()):
-            if resid > tol:
-                fail(draw, f"‖Ric‖∞ = {resid:.3e}")
+    for facts, group in _variant_facts(draws, fail):
+        problems, peaks = _unreached(facts, measure)
+        for (index, mv, params, _), problem, resid in zip(group, problems, peaks.tolist()):
+            if problem is None and resid > tol:
+                problem = f"‖Ric‖∞ = {resid:.3e}"
+            if problem:
+                fail(f"{mv.name} {params}: {problem}", index)
     return (
         f"10 variants, seeded draws: Lorentzian (1,n−1) and ‖Ric‖∞ ≤ {tol:g}",
         f"{len(draws)} metrics all Lorentzian and Ricci-flat",
@@ -301,21 +300,19 @@ def check_classified_ricci_flat(tol: float, fail, measure) -> _Claim:
 @_check("flatness")
 def check_flatness(tol: float, fail, measure) -> _Claim:
     draws = _variant_draws(_rng(2), ("m32", "m42", "m52", "m43"))
-    fail = _by_draw(fail)
     witness = np.inf
-    for group, _, c, frame in _variant_groups(draws, fail):
+    for facts, group in _variant_facts(draws, fail):
         # flatness_defect() of each metric
-        defects, scales = _CurvatureFacts(c, frame, True).flatness()
-        for draw, defect, scale in zip(group, defects.tolist(), scales.tolist()):
-            _, mv, params, _ = draw
+        defects, scales = facts.flatness()
+        for (index, mv, params, _), defect, scale in zip(group, defects.tolist(), scales.tolist()):
             if mv.name == "m43" and params["eps"] == 1.0:
                 witness = min(witness, defect / scale)
                 if defect <= 1e-6 * scale:
-                    fail(draw, f"curvature too small ({defect:.3e})")
+                    fail(f"{mv.name} {params}: curvature too small ({defect:.3e})", index)
             else:
                 measure(defect / scale)
                 if defect > tol * scale:
-                    fail(draw, f"curvature defect {defect:.3e}")
+                    fail(f"{mv.name} {params}: curvature defect {defect:.3e}", index)
     return (
         "m32/m42/m52 and m43[ε=−1] flat; m43[ε=+1] visibly curved",
         f"{len(draws)} instances match (smallest ε=+1 curvature witness {witness:.2e})",
@@ -325,21 +322,16 @@ def check_flatness(tol: float, fail, measure) -> _Claim:
 @_check("degenerate-center")
 def check_degenerate_center(tol: float, fail, measure) -> _Claim:
     draws = _variant_draws(_rng(3))
-    fail = _by_draw(fail)
     classified = degenerate = 0  # a draw with a degenerate gram has no center class
-    for group, grams, _, _ in _variant_groups(draws, fail):
-        # classify_subspace(m.gram, m.algebra.center()) of each metric, the
-        # centers of one dimension together
-        centers = [make_algebra(mv.algebra).center().basis for _, mv, _, _ in group]
-        classes = _per_center_dimension(
-            centers, lambda rows, mats: _form_classes(_restricted_grams(mats, rows), DEFAULT_TOL), grams
-        )
-        for draw, cls in zip(group, classes):
+    for facts, group in _variant_facts(draws, fail):
+        # classify_subspace(m.gram, m.algebra.center()) of each metric
+        classes = facts.classes([make_algebra(mv.algebra).center().basis for _, mv, _, _ in group])
+        for (index, mv, params, _), cls in zip(group, classes):
             classified += 1
             if cls.tag is SubspaceTag.DEGENERATE:
                 degenerate += 1
             else:
-                fail(draw, f"center {cls.tag.value}")
+                fail(f"{mv.name} {params}: center {cls.tag.value}", index)
     return (
         "every classified dim ≤ 5 metric has a Degenerate center",
         f"{degenerate}/{classified} centers Degenerate",
@@ -495,11 +487,8 @@ def _extension_groups(draws: Iterable[_Extensions], fail, einstein: bool = False
     takes (its Lie test), or with einstein those that guediri_2step takes (its
     trace condition), and fail(trial, message) with the refusal for any
     other.  Per group: the trial numbers, their model brackets (m, n, n, n)
-    and the one frame of the Witt gram."""
-    groups: Dict[int, List[_Extensions]] = {}
-    for draw in draws:
-        groups.setdefault(draw[1][0].shape[-1], []).append(draw)
-    for v, parts in sorted(groups.items()):
+    as LieAlgebra keeps them, and the one Witt gram (1, n, n) they share."""
+    for v, parts in _grouped(draws, lambda draw: draw[1][0].shape[-1]):
         trials = [t for part_trials, _ in parts for t in part_trials]
         stacks = [np.concatenate(x) for x in zip(*(data for _, data in parts))]
         adm = _admissibilities(*stacks[:3], DEFAULT_TOL)
@@ -507,10 +496,8 @@ def _extension_groups(draws: Iterable[_Extensions], fail, einstein: bool = False
         for r in np.flatnonzero(~taken):
             k, d = stacks[0][r], stacks[1][r]
             fail(trials[r], str(_unbalanced(k, d) if einstein else _not_lie(adm.lie_residual[r])))
-        # the model brackets as LieAlgebra keeps them
         c = _antisymmetric(_models(*(x[taken] for x in stacks)))
-        trials = [t for t, took in zip(trials, taken) if took]
-        yield trials, c, _frames(_witt_gram(v + 2)[None], DEFAULT_TOL)[0]
+        yield list(itertools.compress(trials, taken)), c, _witt_gram(v + 2)[None]
 
 
 def _extension_draws(rng: np.random.Generator, nilpotent: bool):
@@ -520,57 +507,20 @@ def _extension_draws(rng: np.random.Generator, nilpotent: bool):
     the stacks with their trial numbers and each trial's core dimension."""
     f_dims = rng.integers(1, 4, size=100)
     blocks = rng.integers(1, 3, size=100)
-    draws: List[_Extensions] = []
-    for f_dim, count in sorted(set(zip(f_dims.tolist(), blocks.tolist()))):
-        trials = np.flatnonzero((f_dims == f_dim) & (blocks == count))
-        data = _random_admissibles(rng, len(trials), f_dim, count, nilpotent)
-        draws.append((trials.tolist(), data))
+    shapes = list(zip(f_dims.tolist(), blocks.tolist()))
+    draws: List[_Extensions] = [
+        (trials, _random_admissibles(rng, len(trials), f_dim, count, nilpotent))
+        for (f_dim, count), trials in _grouped(range(100), shapes.__getitem__)
+    ]
     return draws, (f_dims + 2 * blocks).tolist()
-
-
-def _verdict_layers(trials: List[int], c: np.ndarray, frame, tol: float, fail):
-    """The decisions that is_nilpotent, einstein_classify(tol) and center take
-    on a group of extension brackets c (m, n, n, n) in their one Witt frame,
-    one call a layer.  fail(trial, message) for a member that is not nilpotent
-    or not of signature (1, n − 1); for the others, stacks of none or more,
-    their trial numbers, brackets c, brackets μ = A·c in the frame, the peaks
-    ‖Ric‖∞, verdicts and center rows."""
-    n = c.shape[1]
-    minus = int(np.count_nonzero(frame[0] < 0))
-    unit = _unit(c)
-    keep = []
-    for r, series in enumerate(_lower_central_series(unit, DEFAULT_TOL)):
-        if len(series[-1]):
-            fail(trials[r], "extension not nilpotent")
-        elif minus != 1:  # the signature (1, n − 1, 0)
-            fail(trials[r], f"signature {(minus, n - minus, 0)}")
-        else:
-            keep.append(r)
-    trials, c, unit = [trials[r] for r in keep], c[keep], unit[keep]
-    facts = _CurvatureFacts(c, frame, True)
-    peaks = _peaks(np.abs(facts.ricci()))
-    return trials, c, facts.brackets(), peaks, facts.verdicts(tol)[0], _centers(unit, DEFAULT_TOL)
-
-
-def _per_center_dimension(centers: List[np.ndarray], call, *stacks: np.ndarray) -> list:
-    """call(rows, *members) on the centers' rows stacked (k, d, n) and the
-    rows of each stack (one member per center) that belong to them, one call
-    per center dimension d, in ascending order; the results in the centers'
-    order."""
-    results = [None] * len(centers)
-    for d in sorted({len(z) for z in centers}):
-        same = [r for r, z in enumerate(centers) if len(z) == d]
-        rows = np.array([centers[r] for r in same])
-        for r, x in zip(same, call(rows, *(stack[same] for stack in stacks))):
-            results[r] = x
-    return results
 
 
 @_check("double-extension")
 def check_double_extension(tol: float, fail, measure) -> _Claim:
-    # The models of one core dimension v share one Witt gram, so one frame:
-    # each group is decided layer by layer, one call a layer, at the decisions
-    # that extend, einstein_classify, decompose and model_residual take.
+    # The models of one core dimension v share one Witt gram: each group is
+    # decided by one _CurvatureFacts, which also decides each model's
+    # nilpotency, at the decisions that extend, einstein_classify, decompose
+    # and model_residual take, then read and round-tripped on stacks.
     rng = _rng(8)
     nilpotent, v_dims = _extension_draws(rng, True)
     general, _ = _extension_draws(rng, False)
@@ -581,33 +531,30 @@ def check_double_extension(tol: float, fail, measure) -> _Claim:
     def fail_general(trial: int, message: str) -> None:
         fail(f"μ≠0 trial {trial}: {message}", 1, trial)
 
-    for trials, c, frame in _extension_groups(nilpotent, fail_nilpotent):
-        trials, c, mu, peaks, verdicts, centers = _verdict_layers(
-            trials, c, frame, tol, fail_nilpotent
-        )
-        measure(peaks)
-        mat = _witt_gram(c.shape[1])
-        flat = []
-        for r, verdict in enumerate(verdicts):
-            if verdict in _RICCI_FLAT:
-                flat.append(r)
+    for trials, c, witt in _extension_groups(nilpotent, fail_nilpotent):
+        facts = _CurvatureFacts(c, witt, DEFAULT_TOL, None)
+        for trial in itertools.compress(trials, ~facts.kept):  # a Witt gram is nondegenerate
+            fail_nilpotent(trial, "extension not nilpotent")
+        trials = list(itertools.compress(trials, facts.kept))
+        problems, peaks = _unreached(facts, measure)
+        verdicts = facts.verdicts(tol)[0]
+        null = facts.null_vectors(facts.centers())  # find_isotropic_in of each center
+        keep = []
+        for r, (trial, problem, verdict) in enumerate(zip(trials, problems, verdicts)):
+            if problem is None and verdict not in _RICCI_FLAT:
+                problem = f"verdict {verdict.value} (‖Ric‖∞={peaks[r]:.3e})"
+            elif problem is None and null[r] is None:
+                problem = "decompose found no isotropic central vector"
+            if problem:
+                fail_nilpotent(trial, problem)
             else:
-                fail_nilpotent(trials[r], f"verdict {verdict.value} (‖Ric‖∞={peaks[r]:.3e})")
-        null = {}  # find_isotropic_in of each Ricci-flat center
-        vectors = _per_center_dimension(
-            [centers[r] for r in flat], lambda rows: _isotropic_vectors(mat, rows, DEFAULT_TOL)
-        )
-        for r, e in zip(flat, vectors):
-            if e is None:
-                fail_nilpotent(trials[r], "decompose found no isotropic central vector")
-            else:
-                null[r] = e
-        keep = sorted(null)
+                keep.append(r)
         if not keep:
             continue
-        data, p = _witt_decompositions(mu[keep], frame, np.array([null[r] for r in keep]), DEFAULT_TOL)
-        resid = _model_residuals(c[keep], mat, p, data)
-        scale = _peaks(np.abs(c[keep]), max(1.0, np.abs(mat).max()))
+        e = np.array([null[r] for r in keep])
+        data, p = _witt_decompositions(facts.brackets()[keep], facts.frame, e, DEFAULT_TOL)
+        resid = _model_residuals(facts.c[keep], witt[0], p, data)
+        scale = _peaks(np.abs(facts.c[keep]), max(1.0, np.abs(witt).max()))
         measure(resid / scale)
         for r, res, sc in zip(keep, resid, scale):
             if res > tol * sc:
@@ -616,8 +563,8 @@ def check_double_extension(tol: float, fail, measure) -> _Claim:
     predicted = np.empty(100)  # ricci_ebar of each μ ≠ 0 trial
     for trials, (k, d, mu, _) in general:
         predicted[trials] = _ricci_ebars(k, d, mu)
-    for trials, c, frame in _extension_groups(general, fail_general):
-        forms = _CurvatureFacts(c, frame, False).ricci_form()  # ricci_via_definition
+    for trials, c, witt in _extension_groups(general, fail_general):
+        forms = _CurvatureFacts(c, witt, DEFAULT_TOL, False).ricci_form()  # ricci_via_definition
         for trial, pred, obs in zip(trials, predicted[trials].tolist(), forms[:, -1, -1].tolist()):
             scale = max(1.0, abs(obs))
             diff = abs(pred - obs)
@@ -657,15 +604,17 @@ def check_guediri(tol: float, fail, measure) -> _Claim:
     for trial in range(50):
         alpha, c, a, ab = draw()
         draws.append(([trial], _stack_of_one(_guediri_data(alpha, c, a, ab, DEFAULT_TOL))))
-    for trials, c, frame in _extension_groups(draws, fail_trial, einstein=True):
-        trials, _, _, peaks, verdicts, centers = _verdict_layers(trials, c, frame, tol, fail_trial)
-        measure(peaks)
-        mat = _witt_gram(c.shape[1])
-        # classify_subspace of each center
-        classes = _per_center_dimension(
-            centers, lambda rows: _form_classes(_restricted_grams(mat, rows), DEFAULT_TOL)
-        )
-        for trial, verdict, cls in zip(trials, verdicts, classes):
+    for trials, c, witt in _extension_groups(draws, fail_trial, einstein=True):
+        facts = _CurvatureFacts(c, witt, DEFAULT_TOL, None)
+        for trial in itertools.compress(trials, ~facts.kept):  # a Witt gram is nondegenerate
+            fail_trial(trial, "extension not nilpotent")
+        trials = list(itertools.compress(trials, facts.kept))
+        problems, _ = _unreached(facts, measure)
+        classes = facts.classes(facts.centers())  # classify_subspace of each center
+        for trial, problem, verdict, cls in zip(trials, problems, facts.verdicts(tol)[0], classes):
+            if problem:
+                fail_trial(trial, problem)
+                continue
             if verdict not in _RICCI_FLAT:
                 fail_trial(trial, f"verdict {verdict.value}")
             if cls.tag is not SubspaceTag.DEGENERATE:
@@ -712,10 +661,8 @@ def _lemma_draws(rng: np.random.Generator):
     and stacks of W (skew, shaped by the mode), P (each with smallest singular
     value at least 1e-2) and, in mode 2, λ.  The sizes n are drawn first, for
     every trial at once; trial t has mode t % 3."""
-    sizes = rng.integers(3, 9, size=_LEMMA_TRIALS)
-    modes = np.arange(_LEMMA_TRIALS) % 3
-    for n, mode in sorted(set(zip(sizes.tolist(), modes.tolist()))):
-        numbers = np.flatnonzero((sizes == n) & (modes == mode))
+    sizes = rng.integers(3, 9, size=_LEMMA_TRIALS).tolist()
+    for (n, mode), numbers in _grouped(range(_LEMMA_TRIALS), lambda t: (sizes[t], t % 3)):
         k = len(numbers)
         w = rng.normal(size=(k, n, n))
         w = w - w.transpose(0, 2, 1)
@@ -728,7 +675,7 @@ def _lemma_draws(rng: np.random.Generator):
             w[:, 0, 1] = -alpha
         p = _near_identity(rng, k, n, 1e-2)
         lam = rng.normal(size=(k, n - 2)) if mode == 2 else None
-        yield n, mode, numbers.tolist(), w, p, lam
+        yield n, mode, numbers, w, p, lam
 
 
 @_check("lemma-fuzz")

@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mlie import curvature, pseudolin, verify
+from mlie import cli, curvature, pseudolin, verify
 from mlie.catalog import ALGEBRA_NAMES, METRIC_VARIANTS, make_algebra, make_metric
 from mlie.curvature import VERDICT_TOL, MetricLieAlgebra
 from mlie.doubleext import ExtensionData, decompose, extend, guediri_2step, model_residual
@@ -140,9 +140,12 @@ def test_the_catalog_frames_are_drawn_once_and_read_only():
 
 def _kernel_rows(c, a, b, mu, eps):
     """What the catalog checks compute on the frames (A, B, μ, ε) of brackets
-    c, member by member: the kernels' results and the curvature facts."""
+    c, member by member: the kernels' results, and the curvature facts the
+    metric pipeline gives on the grams AᵀηA."""
     j1, j2 = curvature.j1_j2_operators(curvature.structure_endo_tensors(mu, eps), eps)
-    facts = curvature._CurvatureFacts(c, (eps, a, b), True)
+    grams = a.transpose(0, 2, 1) @ (eps[:, :, None] * a)
+    facts = curvature._CurvatureFacts(c, grams, pseudolin.DEFAULT_TOL, True)
+    assert facts.kept.all()
     defects, scales = facts.flatness()
     return {
         "ricci_forms": curvature.ricci_forms(curvature.levi_civita_tensors(mu, eps)),
@@ -253,19 +256,20 @@ _CENTERS_PER_DIMENSION = [5, 10, 5, 25, 25, 5]
 
 
 def test_the_variant_draw_checks_take_one_frame_per_dimension(monkeypatch):
-    # classified-ricci-flat, flatness and degenerate-center each take the
-    # frames of one dimension's draws in one call, decide them in one
-    # _CurvatureFacts, or classify their centers in one call per center
-    # dimension, and build no MetricLieAlgebra
+    # classified-ricci-flat, flatness and degenerate-center each decide one
+    # dimension's draws in one _CurvatureFacts, which takes their frames in
+    # one call, and degenerate-center classifies their centers in one call
+    # per center dimension; no MetricLieAlgebra is built
     calls = {"_frames": [], "_CurvatureFacts": [], "_form_classes": []}
     builds = []
 
-    def spy(name):
-        layer = getattr(verify, name)
+    def spy(module, name):
+        layer = getattr(module, name)
         return lambda first, *rest: calls[name].append(len(first)) or layer(first, *rest)
 
-    for name in calls:
-        monkeypatch.setattr(verify, name, spy(name))
+    layers = ((curvature, "_frames"), (verify, "_CurvatureFacts"), (curvature, "_form_classes"))
+    for module, name in layers:
+        monkeypatch.setattr(module, name, spy(module, name))
     build = MetricLieAlgebra.__init__
     monkeypatch.setattr(
         MetricLieAlgebra, "__init__", lambda self, *args: builds.append(args) or build(self, *args)
@@ -279,43 +283,48 @@ def test_the_variant_draw_checks_take_one_frame_per_dimension(monkeypatch):
         assert sum(sizes) == sum(
             verify._VARIANT_DRAWS * (2 if "eps" in METRIC_VARIANTS[v].params else 1) for v in variants
         )
-        decided = sizes if name != "degenerate-center" else []
         centers = _CENTERS_PER_DIMENSION if name == "degenerate-center" else []
-        assert calls == {"_frames": sizes, "_CurvatureFacts": decided, "_form_classes": centers}
+        assert calls == {"_frames": sizes, "_CurvatureFacts": sizes, "_form_classes": centers}
     assert builds == []
 
 
 def test_the_variant_draw_checks_agree_with_the_per_object_calls(monkeypatch):
-    # every draw of the three checks, decided once in its algebra's stack and
+    # every draw of the three checks, decided once in its dimension's stack and
     # once on make_metric's metric: equal grams, frames and signatures,
     # bit-identical Ricci operators and flatness numbers, equal center classes
-    layers = ("_variant_groups", "_CurvatureFacts", "_per_center_dimension")
-    seen = {name: [] for name in layers}
+    seen = {"_variant_facts": []}
     _spy_verify(monkeypatch, seen)
+    classes = []
+    own_classes = curvature._CurvatureFacts.classes
+    monkeypatch.setattr(
+        curvature._CurvatureFacts,
+        "classes",
+        lambda self, rows: classes.append(own_classes(self, rows)) or classes[-1],
+    )
     checked = Counter()
     for name, variants in _DRAW_CHECKS.items():
-        for layer in seen.values():
-            layer.clear()
+        seen["_variant_facts"].clear()
+        classes.clear()
         (result,) = run_checks([name])
         assert result.passed and result.failures == []
-        ((_, groups),) = seen["_variant_groups"]
-        for g, (group, grams, c, frame) in enumerate(groups):
+        ((_, groups),) = seen["_variant_facts"]
+        for g, (facts, group) in enumerate(groups):
+            assert facts.kept.all()
             for r, (_, mv, params, _) in enumerate(group):
                 m = make_metric(mv.algebra, mv.name, params)
-                assert m.algebra.c.tobytes() == c[r].tobytes()
-                assert m.gram.mat.tobytes() == grams[r].tobytes()
-                assert all(x[0].tobytes() == y[r].tobytes() for x, y in zip(m._frame, frame))
+                assert m.algebra.c.tobytes() == facts.c[r].tobytes()
+                assert m.gram.mat.tobytes() == facts.grams[r].tobytes()
+                assert all(x[0].tobytes() == y[r].tobytes() for x, y in zip(m._facts.frame, facts.frame))
+                assert m.signature() == (facts.minus[r], m.n - facts.minus[r], 0)
                 if name == "classified-ricci-flat":
                     assert m.signature() == (1, m.n - 1, 0)
-                    facts = seen["_CurvatureFacts"][g][1]
                     assert m.ricci_operator().tobytes() == facts.ricci()[r].tobytes()
                 elif name == "flatness":
-                    facts = seen["_CurvatureFacts"][g][1]
                     defects, scales = facts.flatness()
                     assert m.flatness_defect() == (defects[r], scales[r])
                 else:
                     cls = classify_subspace(m.gram, m.algebra.center())
-                    assert cls == seen["_per_center_dimension"][g][1][r]
+                    assert cls == classes[g][r]
                 checked[name] += 1
     assert checked == {"classified-ricci-flat": 75, "flatness": 25, "degenerate-center": 75}
 
@@ -361,7 +370,7 @@ def test_signature_and_the_frame_are_the_stacked_core_on_a_stack_of_one():
                     pseudolin.orthonormal_basis(gram, 1e-9)
                 continue
             algebra = LieAlgebra.abelian(len(mat))  # at the default tol, 1e-9
-            frame = MetricLieAlgebra(algebra, gram)._frame
+            frame = MetricLieAlgebra(algebra, gram)._facts.frame
             assert [x[0].tobytes() for x in frame] == [x[r].tobytes() for x in (eps, a, b)]
             checked += 1
     assert checked > 250
@@ -488,27 +497,28 @@ def _double_extension_draws():
 
 
 def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch):
-    # one admissibility, nilpotency, curvature, decomposition and round-trip
-    # call per core dimension v of the 100 nilpotent draws, one admissibility
-    # and one curvature call per core dimension of the 100 μ ≠ 0 draws, and no
-    # MetricLieAlgebra built
+    # one admissibility, pipeline (with its frame and nilpotency),
+    # decomposition and round-trip call per core dimension v of the 100
+    # nilpotent draws, one admissibility and one pipeline call (with its frame)
+    # per core dimension of the 100 μ ≠ 0 draws, and no MetricLieAlgebra built
     nilpotent, general = _double_extension_draws()
     groups = Counter(data.v_dim for data in nilpotent)
     layers = (
-        "_lower_central_series",
-        "_CurvatureFacts",
-        "_witt_decompositions",
-        "_model_residuals",
+        (curvature, "_lower_central_series"),
+        (curvature, "_frames"),
+        (verify, "_CurvatureFacts"),
+        (verify, "_witt_decompositions"),
+        (verify, "_model_residuals"),
     )
-    calls = {name: [] for name in layers}
+    calls = {name: [] for _, name in layers}
     builds, stacked = [], []
 
-    def spy(name):
-        layer = getattr(verify, name)
+    def spy(module, name):
+        layer = getattr(module, name)
         return lambda *args: calls[name].append(len(args[0])) or layer(*args)
 
-    for name in calls:
-        monkeypatch.setattr(verify, name, spy(name))
+    for module, name in layers:
+        monkeypatch.setattr(module, name, spy(module, name))
     verdicts = curvature._verdicts
     monkeypatch.setattr(
         curvature, "_verdicts", lambda ric, *rest: stacked.append(len(ric)) or verdicts(ric, *rest)
@@ -534,25 +544,27 @@ def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch
     assert len(sizes) > 1 and sum(sizes) == 100
     assert stacked == sizes
     assert calls.pop("_CurvatureFacts") == sizes + general_sizes
+    assert calls.pop("_frames") == [1] * (len(sizes) + len(general_sizes))  # the one Witt gram
     assert calls == {name: sizes for name in calls}
 
 
 def test_double_extension_takes_one_stack_of_null_vectors_per_center_dimension(monkeypatch):
-    # the Ricci-flat members of a group whose centers share a dimension take
-    # their isotropic central vectors in one stacked call, each that of
-    # find_isotropic_in on its own center, bit for bit
+    # the members of a group whose centers share a dimension take their
+    # isotropic central vectors in one stacked call on the group's one Witt
+    # gram, each that of find_isotropic_in on its own center, bit for bit
     events = []
-    layers, isotropic = verify._verdict_layers, verify._isotropic_vectors
+    isotropic = curvature._isotropic_vectors
 
-    def stacked(mat, rows, tol):
-        vectors = isotropic(mat, rows, tol)
+    def stacked(mats, rows, tol):
+        vectors = isotropic(mats, rows, tol)
+        (mat,) = mats
         events.append(rows.shape[1::-1])  # (d, k)
         for z, v in zip(rows, vectors):
             assert v.tobytes() == find_isotropic_in(Gram(mat), pseudolin.Subspace._orthonormal(z, tol)).tobytes()
         return vectors
 
-    monkeypatch.setattr(verify, "_verdict_layers", lambda *args: events.append("group") or layers(*args))
-    monkeypatch.setattr(verify, "_isotropic_vectors", stacked)
+    _spy_groups(monkeypatch, events)
+    monkeypatch.setattr(curvature, "_isotropic_vectors", stacked)
     (result,) = run_checks(["double-extension"])
     assert result.passed
     groups, calls = [], 0
@@ -572,38 +584,21 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
     # extend → is_nilpotent → einstein_classify → decompose → model_residual
     # (ricci_via_definition for μ ≠ 0): equal decisions, bit-identical numbers
     nilpotent, general = _double_extension_draws()
-    layers = (
-        "_extension_groups",
-        "_lower_central_series",
-        "_verdict_layers",
-        "_CurvatureFacts",
-        "_witt_decompositions",
-        "_model_residuals",
-    )
+    layers = ("_extension_groups", "_CurvatureFacts", "_witt_decompositions", "_model_residuals")
     seen = {name: [] for name in layers}
-
-    def spy(name):
-        layer = getattr(verify, name)
-
-        def recording(*args):
-            out = layer(*args)
-            if name == "_extension_groups":
-                out = list(out)
-            seen[name].append((args, out))
-            return out
-
-        return recording
-
-    for name in seen:
-        monkeypatch.setattr(verify, name, spy(name))
+    _spy_verify(monkeypatch, seen)
+    series_seen = {"_lower_central_series": []}
+    _spy_verify(monkeypatch, series_seen, curvature)
     tol = VERDICT_TOL
     (result,) = run_checks(["double-extension"], tol)
     assert result.passed and result.failures == []
     (_, nilpotent_groups), (_, general_groups) = seen["_extension_groups"]
     checked = 0
     for g, (trials, c, _) in enumerate(nilpotent_groups):
-        series = seen["_lower_central_series"][g][1]
-        ric, verdicts = seen["_CurvatureFacts"][g][1].ricci(), seen["_verdict_layers"][g][1][4]
+        series = series_seen["_lower_central_series"][g][1]
+        facts = seen["_CurvatureFacts"][g][1]
+        assert facts.kept.all()
+        ric, verdicts = facts.ricci(), facts.verdicts(tol)[0]
         (_, _, null, _), (dec_data, p) = seen["_witt_decompositions"][g]
         resid = seen["_model_residuals"][g][1]
         for r, trial in enumerate(trials):
@@ -629,12 +624,13 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
     assert checked == 200
 
 
-def _spy_verify(monkeypatch, seen):
-    """Record the arguments and results of each call verify makes to the
-    functions named in seen, in seen[name]; a generator's results as a list."""
+def _spy_verify(monkeypatch, seen, module=verify):
+    """Record the arguments and results of each call the module (verify by
+    default) makes to the functions named in seen, in seen[name]; a
+    generator's results as a list."""
 
     def spy(name):
-        layer = getattr(verify, name)
+        layer = getattr(module, name)
 
         def recording(*args, **kwargs):
             out = layer(*args, **kwargs)
@@ -646,15 +642,27 @@ def _spy_verify(monkeypatch, seen):
         return recording
 
     for name in seen:
-        monkeypatch.setattr(verify, name, spy(name))
+        monkeypatch.setattr(module, name, spy(name))
+
+
+def _spy_groups(monkeypatch, events):
+    """Mark in events, with "group", each group whose centers the checks take
+    from the pipeline (_CurvatureFacts.centers)."""
+    centers = curvature._CurvatureFacts.centers
+    monkeypatch.setattr(
+        curvature._CurvatureFacts, "centers", lambda self: events.append("group") or centers(self)
+    )
 
 
 def test_guediri_makes_one_stacked_call_per_dimension_group(monkeypatch):
-    # one admissibility, nilpotency, verdict and center call per core
-    # dimension of the 50 constrained sets, and no algebra or metric built
-    layers = ("_admissibilities", "_lower_central_series", "_CurvatureFacts", "_centers")
-    seen = {name: [] for name in layers + ("_guediri_data",)}
-    _spy_verify(monkeypatch, seen)
+    # one admissibility, pipeline (with its one frame of the Witt gram),
+    # nilpotency and center call per core dimension of the 50 constrained
+    # sets, and no algebra or metric built
+    layers = ("_admissibilities", "_CurvatureFacts", "_lower_central_series", "_centers")
+    seen = {name: [] for name in layers + ("_guediri_data", "_frames")}
+    in_verify = ("_admissibilities", "_CurvatureFacts", "_guediri_data")
+    _spy_verify(monkeypatch, {name: seen[name] for name in in_verify})
+    _spy_verify(monkeypatch, {name: seen[name] for name in seen if name not in in_verify}, curvature)
     stacked, builds = [], []
     verdicts = curvature._verdicts
     monkeypatch.setattr(
@@ -674,6 +682,7 @@ def test_guediri_makes_one_stacked_call_per_dimension_group(monkeypatch):
     sizes = [groups[v] for v in sorted(groups)]
     assert len(sizes) > 1 and sum(sizes) == 50
     assert stacked == sizes
+    assert [len(args[0]) for args, _ in seen["_frames"]] == [1] * len(sizes)
     assert {name: [len(args[0]) for args, _ in seen[name]] for name in layers} == {
         name: sizes for name in layers
     }
@@ -683,27 +692,29 @@ def test_guediri_stacks_agree_with_the_per_object_calls(monkeypatch):
     # every constrained set, decided once in its group's stack and once by
     # guediri_2step → einstein_classify → classify_subspace of the center:
     # equal verdicts and classes, bit-identical ‖Ric‖∞ and Ricci operators
-    seen = {name: [] for name in ("_guediri_data", "_CurvatureFacts", "_verdict_layers")}
+    seen = {name: [] for name in ("_guediri_data", "_extension_groups", "_CurvatureFacts")}
     _spy_verify(monkeypatch, seen)
     classes = []
-    per_dimension = verify._per_center_dimension
+    own_classes = curvature._CurvatureFacts.classes
 
-    def center_classes(*args):
-        out = per_dimension(*args)
+    def center_classes(self, rows):
+        out = own_classes(self, rows)
         classes.extend(out)
         return out
 
-    monkeypatch.setattr(verify, "_per_center_dimension", center_classes)
+    monkeypatch.setattr(curvature._CurvatureFacts, "classes", center_classes)
     tol = VERDICT_TOL
     (result,) = run_checks(["guediri"], tol)
     assert result.passed and result.failures == []
     built = [args for args, _ in seen["_guediri_data"]]  # guediri_2step builds the 10 others
-    ric = [op for _, facts in seen["_CurvatureFacts"] for op in facts.ricci()]
-    trials, peaks, verdicts = [], [], []
-    for _, (group_trials, _, _, group_peaks, group_verdicts, _) in seen["_verdict_layers"]:
+    ((_, groups),) = seen["_extension_groups"]
+    trials, ric, peaks, verdicts = [], [], [], []
+    for (group_trials, _, _), (_, facts) in zip(groups, seen["_CurvatureFacts"]):
+        assert facts.kept.all()
         trials += group_trials
-        peaks += group_peaks.tolist()
-        verdicts += group_verdicts
+        ric += list(facts.ricci())
+        peaks += pseudolin._peaks(np.abs(facts.ricci())).tolist()
+        verdicts += facts.verdicts(tol)[0]
     assert len(built) == 50 and sorted(trials) == list(range(50)) and len(classes) == 50
     for r, trial in enumerate(trials):
         alpha, c, a, ab, _ = built[trial]
@@ -720,20 +731,20 @@ def test_guediri_classifies_its_centers_in_one_stacked_call_per_center_dimension
     # call, on the group's one Witt gram and the stack of their rows, each the
     # class classify_subspace gives on its own center
     events, restricted = [], []
-    layers, restrict, classes = verify._verdict_layers, verify._restricted_grams, verify._form_classes
+    restrict, classes = curvature._restricted_grams, curvature._form_classes
 
     def stacked(forms, tol):
         out = classes(forms, tol)
-        ((mat, rows),) = restricted
+        (((mat,), rows),) = restricted  # the group's one Witt gram
         restricted.clear()
         events.append(rows.shape[1::-1])  # (d, k)
         for z, cls in zip(rows, out):
             assert cls == classify_subspace(Gram(mat), pseudolin.Subspace._orthonormal(z, tol))
         return out
 
-    monkeypatch.setattr(verify, "_verdict_layers", lambda *args: events.append("group") or layers(*args))
-    monkeypatch.setattr(verify, "_restricted_grams", lambda *args: restricted.append(args) or restrict(*args))
-    monkeypatch.setattr(verify, "_form_classes", stacked)
+    _spy_groups(monkeypatch, events)
+    monkeypatch.setattr(curvature, "_restricted_grams", lambda *args: restricted.append(args) or restrict(*args))
+    monkeypatch.setattr(curvature, "_form_classes", stacked)
     (result,) = run_checks(["guediri"])
     assert result.passed
     groups, calls = [], 0
@@ -811,6 +822,44 @@ def test_guediri_reports_too_few_rejections_after_every_trial_failure(monkeypatc
     assert trial_failures
     trials = [int(re.match(r"trial (\d+): ", m).group(1)) for m in trial_failures]
     assert trials == sorted(trials)
+
+
+def test_a_route_mismatch_fails_its_member_s_row_and_every_row_is_made(capsys, monkeypatch):
+    # with the Ricci routes of the first member of every stack of more than
+    # one metric forced apart (a metric's own stack of one keeps its routes),
+    # the checks that read Ricci operators off the stacked pipeline fail that
+    # member by name, and the run makes all twelve rows: verify-paper prints
+    # them, then the count, and exits 1
+    check = curvature._check_routes
+
+    def first_apart(q, ric):
+        agree = check(q, ric)
+        if len(agree) > 1:
+            agree = agree.copy()
+            agree[0] = False
+        return agree
+
+    monkeypatch.setattr(curvature, "_check_routes", first_apart)
+    results = run_checks()
+    assert [r.name for r in results] == list(CHECK_NAMES)
+    failed = {r.name: r.failures for r in results if not r.passed}
+    assert set(failed) == {"classified-ricci-flat", "double-extension", "guediri"}
+    firsts = {}  # the first draw of each dimension's stack
+    for _, mv, params, gram in verify._variant_draws(verify._rng(1)):
+        firsts.setdefault(len(gram), f"{mv.name} {params}")
+    apart = [f"{tag}: Ricci routes disagree" for tag in firsts.values()]
+    assert failed["classified-ricci-flat"] == apart
+    nilpotent, _ = _double_extension_draws()
+    groups = {data.v_dim for data in nilpotent}
+    assert len(failed["double-extension"]) == len(groups) > 1
+    assert {int(re.match(r"nilpotent trial \d+ \(v=(\d+)\): Ricci routes disagree$", m).group(1))
+            for m in failed["double-extension"]} == groups
+    assert len(failed["guediri"]) > 1
+    assert all(re.fullmatch(r"trial \d+: Ricci routes disagree", m) for m in failed["guediri"])
+    assert cli.main(["verify-paper"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [format_row(r) for r in results] + ["9/12 checks passed"]
 
 
 def test_degenerate_center_measures_no_residual():

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import inspect
 import sys
@@ -337,9 +336,9 @@ def test_a_fresh_metric_takes_its_verdict_in_one_stacked_call(monkeypatch):
     calls = []
     facts = mlie.curvature._CurvatureFacts
 
-    def spy(c, frame, nilpotent):
-        calls.append(len(frame[0]))
-        return facts(c, frame, nilpotent)
+    def spy(c, grams, tol, nilpotent):
+        calls.append(len(grams))
+        return facts(c, grams, tol, nilpotent)
 
     monkeypatch.setattr(mlie.curvature, "_CurvatureFacts", spy)
     m = MetricLieAlgebra(make_algebra("L5_6"), random_gram(5, np.random.default_rng(5)))
@@ -427,7 +426,7 @@ def test_a_metric_takes_its_frame_by_the_eigh_rule():
     rng = np.random.default_rng(61)
     for name in ALGEBRA_NAMES:
         m = random_metric(name, rng)
-        eps, a, b = (x[0] for x in m._frame)
+        eps, a, b = (x[0] for x in m._facts.frame)
         g = m.gram.mat
         assert np.abs(a.T @ np.diag(eps) @ a - g).max() <= 1e-12 * np.abs(g).max()
         minus = m.signature().minus
@@ -670,14 +669,52 @@ def test_a_fresh_verdict_keeps_its_call_budget():
     assert _package_calls(lambda: MetricLieAlgebra(algebra, gram).einstein_classify()) <= 45
 
 
-def test_a_metric_keeps_its_curvature_facts_as_a_cached_property():
-    # the facts are the cached property _facts, made on first read; the memo
-    # keeps only what callers read back: the Ricci arrays and the reports
+def test_a_metric_keeps_the_pipeline_of_its_stack_of_one():
+    # the build runs the stacked pipeline on the metric's stack of one and
+    # keeps it as _facts, whose passes each run on the first read of one of
+    # their facts; the memo keeps only what callers read back: the Ricci
+    # arrays and the reports
     m = make_metric("EX8")
+    assert isinstance(m._facts, mlie.curvature._CurvatureFacts)
+    assert m._facts.kept.tolist() == [True] and m._facts.grams.tobytes() == m.gram.mat.tobytes()
+    assert not {"_frame_pass", "_route_pass", "_flatness_pass"} & set(vars(m._facts))
     m.einstein_classify()
-    assert isinstance(MetricLieAlgebra.__dict__["_facts"], functools.cached_property)
-    assert m.__dict__["_facts"] is m._facts
+    assert {"_frame_pass", "_route_pass", "_flatness_pass"} <= set(vars(m._facts))
     assert not any(isinstance(fact, mlie.curvature._CurvatureFacts) for fact in m._memo.values())
+
+
+@pytest.mark.parametrize("name", ["L3_2", "L5_6", "EX8"])
+def test_the_pipeline_on_a_stack_is_each_member_s_own_metric(name):
+    # 200 grams AᵀηA, A = I + 0.3N, of mixed signature, every 25th with a null
+    # direction: the pipeline keeps exactly the members whose MetricLieAlgebra
+    # builds, and gives each the signature, the report and the Ricci bits of
+    # its own metric
+    algebra = make_algebra(name)
+    n, k = algebra.n, 200
+    rng = np.random.default_rng([67, n])
+    a = np.eye(n) + 0.3 * rng.normal(size=(k, n, n))
+    eps = rng.choice([-1.0, 1.0], size=(k, n))
+    eps[::25, 0] = 0.0
+    grams = np.array([Gram(g).mat for g in a.transpose(0, 2, 1) @ (eps[:, :, None] * a)])
+    facts = mlie.curvature._CurvatureFacts(algebra.c, grams, algebra.tol, algebra.is_nilpotent())
+    verdicts, lams, residuals, flats = facts.verdicts(mlie.curvature.VERDICT_TOL)
+    scalars = facts._frame_pass[1].trace(axis1=1, axis2=2).tolist()
+    assert facts.routes_agree().all() and len(set(facts.minus.tolist())) > 2
+    members = iter(range(len(facts.minus)))
+    for gram, kept in zip(grams, facts.kept.tolist()):
+        if not kept:
+            with pytest.raises(DegenerateGram):
+                MetricLieAlgebra(algebra, Gram(gram))
+            continue
+        m, r = MetricLieAlgebra(algebra, Gram(gram)), next(members)
+        report = m.einstein_classify()
+        assert m.signature() == report.signature == (facts.minus[r], n - facts.minus[r], 0)
+        assert (report.verdict, report.flat) == (verdicts[r], flats[r])
+        assert report.einstein_lambda == (None if verdicts[r] is Verdict.NOT_EINSTEIN else lams[r])
+        assert (report.einstein_residual, report.scalar_curvature) == (residuals[r], scalars[r])
+        assert report.ricci_operator.tobytes() == facts.ricci()[r].tobytes()
+        assert report.ricci_form.tobytes() == facts.ricci_form()[r].tobytes()
+    assert next(members, None) is None and k // 25 <= k - len(facts.minus) < k // 10
 
 
 def test_a_report_compares_by_identity_and_hashes():

@@ -373,3 +373,55 @@ def test_the_catalog_writes_a_gram_s_slots_in_one_place():
     # writes them, for a stack of parameter sets or make_metric's one
     sites = {site for site in _sites(_writes_matrix_slots) if site.startswith("catalog.py:")}
     assert sites == {"catalog.py:_variant_grams"}
+
+
+def test_the_frames_are_taken_in_the_metric_pipeline_alone():
+    # a gram's frame is taken in one place, curvature._CurvatureFacts, which
+    # the metric, the search's settle and verify's verdict checks all run
+    frames = _sites(lambda node: _calls(node, {"_frames"}))
+    pipeline = next(
+        node for node in _SOURCES["curvature.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "_CurvatureFacts"
+    )
+    inside = [node for node in ast.walk(pipeline) if _calls(node, {"_frames"})]
+    assert frames == {"curvature.py:__init__"} and len(inside) == 1
+
+
+def test_verify_reads_no_layer_of_the_metric_pipeline():
+    # frames, nilpotency, centers, subspace classes and null vectors are the
+    # pipeline's to decide: verify feeds it draws and reads its results
+    layers = {
+        "_frames",
+        "_lower_central_series",
+        "_centers",
+        "_form_classes",
+        "_isotropic_vectors",
+        "_restricted_grams",
+    }
+    imported = {
+        alias.name
+        for node in ast.walk(_SOURCES["verify.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported & layers == set()
+
+
+def _groups_by_key(node: ast.AST) -> bool:
+    """A dict.setdefault call, or sorted(…) of a set: the two ways code
+    groups items by a key."""
+    if _calls(node, {"setdefault"}):
+        return True
+    return (
+        _calls(node, {"sorted"})
+        and bool(node.args)
+        and (isinstance(node.args[0], ast.SetComp) or _calls(node.args[0], {"set"}))
+    )
+
+
+def test_verify_groups_by_key_in_one_place():
+    # the catalog frames, the variant draws, the extension draws and groups
+    # and the lemma-fuzz trials are each grouped by verify._grouped, which
+    # keeps the order every rng stream is drawn in
+    sites = {site for site in _sites(_groups_by_key) if site.startswith("verify.py:")}
+    assert sites == {"verify.py:_grouped"}

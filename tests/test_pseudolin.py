@@ -447,11 +447,14 @@ def test_both_frame_paths_refuse_a_degenerate_gram_with_one_message(build):
 
 
 def _empty_facts():
-    """The curvature facts of no metric of L4_3, in the frames of no gram."""
+    """The curvature facts of no metric of L4_3, on a stack of no gram."""
     c = make_algebra("L4_3").c
-    frame, _ = curvature._frames(np.zeros((0, 4, 4)), DEFAULT_TOL)
-    facts = curvature._CurvatureFacts(c, frame, True)
+    facts = curvature._CurvatureFacts(c, np.zeros((0, 4, 4)), DEFAULT_TOL, True)
     return (
+        facts.kept,
+        facts.minus,
+        facts.classes([]),
+        facts.null_vectors([]),
         facts.brackets(),
         facts.routes_agree(),
         facts.ricci(),
@@ -459,6 +462,12 @@ def _empty_facts():
         facts.levi_civita(),
         *facts.flatness(),
     )
+
+
+def _empty_decided_facts():
+    """The pipeline on no bracket, whose nilpotency it decides, and no gram."""
+    facts = curvature._CurvatureFacts(np.zeros((0, 4, 4, 4)), np.zeros((0, 4, 4)), DEFAULT_TOL, None)
+    return facts.kept, facts.minus, facts.centers(), facts.ricci(), *facts.verdicts(1e-8)
 
 
 #: each stacked layer on a stack of no member, its results as a tuple
@@ -477,6 +486,7 @@ _EMPTY_STACKS = {
     ),
     "_verdicts": lambda: curvature._verdicts(np.zeros((0, 3, 3)), np.zeros(0), np.zeros(0), 1e-8),
     "_CurvatureFacts": _empty_facts,
+    "_CurvatureFacts deciding nilpotency": _empty_decided_facts,
     "_lie_tests": lambda: doubleext._lie_tests(
         np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), np.zeros(0), 1e-9
     ),

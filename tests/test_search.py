@@ -598,8 +598,8 @@ def test_a_stacked_settle_decides_each_member_alone(monkeypatch):
     for _ in range(2):
         f = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
         metrics.append(MetricLieAlgebra(algebra, Gram(f.T @ eta @ f)))
-    factors = [m._frame[1][0] for m in metrics]
-    assert all(np.array_equal(m._frame[0][0], np.diag(eta)) for m in metrics)
+    factors = [m._facts.frame[1][0] for m in metrics]
+    assert all(np.array_equal(m._facts.frame[0][0], np.diag(eta)) for m in metrics)
     ric_g = [m.ricci_operator() for m in metrics]
     forced = 1  # the member whose routes disagree
     factors.append(np.diag([1.0, 1.0, 1.0, 0.0]) @ factors[0])  # a degenerate gram
@@ -607,7 +607,7 @@ def test_a_stacked_settle_decides_each_member_alone(monkeypatch):
     a, ric_g = np.array(factors), np.array(ric_g)
     residual = np.arange(len(a)) + 0.5
 
-    target = structure_endo_tensors(metrics[forced]._facts.brackets(), metrics[forced]._frame[0])
+    target = structure_endo_tensors(metrics[forced]._facts.brackets(), metrics[forced]._facts.frame[0])
     exact_q = mlie.curvature.q_operators
 
     def apart(s, eps):
@@ -646,15 +646,17 @@ def test_residual_of_a_converged_search_is_its_einstein_residual(name, signature
 
 
 def _classifications(monkeypatch):
-    """The size of every stack of metrics settle classifies, recorded as its
-    curvature facts are made."""
+    """The size of every stack of metrics settle classifies, recorded as the
+    pipeline it runs keeps them."""
     calls = []
-    facts = search._CurvatureFacts
-    monkeypatch.setattr(
-        search,
-        "_CurvatureFacts",
-        lambda c, frame, nilpotent: calls.append(len(frame[0])) or facts(c, frame, nilpotent),
-    )
+    pipeline = search._CurvatureFacts
+
+    def recording(*args):
+        facts = pipeline(*args)
+        calls.append(int(facts.kept.sum()))
+        return facts
+
+    monkeypatch.setattr(search, "_CurvatureFacts", recording)
     return calls
 
 
