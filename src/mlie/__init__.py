@@ -22,7 +22,6 @@ from .doubleext import (
     extend,
     guediri_2step,
     kd_generate,
-    killing_ebar,
     model_residual,
     random_admissible,
     ricci_ebar,
@@ -38,7 +37,7 @@ from .errors import (
     SingularK0,
     UnknownName,
 )
-from .fileio import read_algebra, read_extension, write_algebra, write_extension
+from .fileio import read_algebra, read_extension, write_algebra
 from .liealg import LieAlgebra
 from .pseudolin import (
     DEFAULT_TOL,
@@ -50,7 +49,6 @@ from .pseudolin import (
     classify_subspace,
     find_isotropic_in,
     orthonormal_basis,
-    restricted_gram,
     signature,
 )
 from .search import SearchResult, SearchSpec, einstein_residual, run_search
@@ -97,7 +95,6 @@ __all__ = [
     "find_isotropic_in",
     "guediri_2step",
     "kd_generate",
-    "killing_ebar",
     "make_algebra",
     "make_metric",
     "model_residual",
@@ -105,12 +102,10 @@ __all__ = [
     "random_admissible",
     "read_algebra",
     "read_extension",
-    "restricted_gram",
     "ricci_ebar",
     "run_checks",
     "run_search",
     "signature",
     "table1_derivation",
     "write_algebra",
-    "write_extension",
 ]

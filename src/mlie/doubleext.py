@@ -16,7 +16,6 @@ Facts used throughout (K skew, D arbitrary, D* = Dᵀ on Euclidean V):
   in which case it is Ricci-flat.
 * Re ⊕ V ⊆ ker ric always, and
   ric(ē, ē) = −½tr(D²) − ½tr(DDᵀ) − ¼tr(K²) + μ tr(D).
-* Killing form: Re ⊕ V ⊆ ker B and B(ē, ē) = μ² + tr(D²).
 * Every Einstein nilpotent non-abelian Lorentzian algebra with an isotropic
   central vector is Ricci-flat and arises this way with μ = 0, D nilpotent.
 
@@ -280,11 +279,6 @@ def _ricci_ebars(k: np.ndarray, d: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return 0.25 * (t0 + t1 + t2 + t3)
 
 
-def killing_ebar(data: ExtensionData) -> float:
-    """B(ē, ē) of the extension; the rest of the Killing form vanishes."""
-    return float(data.mu**2 + np.trace(data.D @ data.D))
-
-
 class Decomposition(NamedTuple):
     data: ExtensionData
     basis_change: np.ndarray  # columns are (e, f_1.., ē) in input coordinates
@@ -390,7 +384,8 @@ def _blocks(k0, d1, d2, d3) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def kd_generate(D1, D2, K0, S, tol: float) -> ExtensionData:
-    """Solutions of K∘D + Dᵀ∘K = 0 in block form.
+    """The paper's solution set of K∘D + D*∘K = 0, the pairs (K, D) of a double
+    extension with μ = 0 (D* = Dᵀ on the Euclidean V), in block form.
 
     With F = ker K, of dimension f read from the f x f matrix D1, and F-perp,
     of dimension f' read from the f' x f' matrix K0, all solutions have

@@ -226,12 +226,3 @@ def write_algebra(
 
 def read_extension(path: str) -> Tuple[ExtensionData, Optional[np.ndarray], Optional[str]]:
     return _read(path, dict_to_extension)
-
-
-def write_extension(
-    path: str,
-    data: ExtensionData,
-    basis_change: Optional[np.ndarray] = None,
-    comment: Optional[str] = None,
-) -> None:
-    write_json(path, extension_to_dict(data, basis_change, comment))

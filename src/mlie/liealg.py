@@ -105,6 +105,8 @@ class LieAlgebra:
 
     @classmethod
     def abelian(cls, n: int) -> "LieAlgebra":
+        """The abelian algebra R^n: with a Euclidean metric, the paper's core V
+        of a double extension."""
         return cls(np.zeros((_nonnegative(n, "n"),) * 3))
 
     # -- basic operations -------------------------------------------------

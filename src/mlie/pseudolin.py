@@ -32,8 +32,9 @@ def _cutoff(tol: float, *arrays, stack: bool = False):
     stacks (k, ...) and the cutoff is taken per member, an array (k,), the
     member's own cutoff bit for bit.  Left outside on purpose: the
     bound of ``LieAlgebra.require_jacobi``, tol·max|c|² with no floor so that
-    a scaled bracket keeps its Jacobi verdict; the roundoff scale that
-    ``MetricLieAlgebra.flatness_defect`` returns for ``verify``; ``verify``'s
+    a scaled bracket keeps its Jacobi verdict; the roundoff scale of
+    ``curvature._flatness_defects``, which the verdict and
+    ``MetricLieAlgebra.flatness_defect`` share; ``verify``'s
     check bounds, the checks' stated claims; ``SearchSpec.tol``, absolute on
     a residual; and the (0, 1) range of ``--tol`` in ``cli._tols``.
     """
@@ -170,10 +171,9 @@ class Subspace:
     to it are decided at the same tol.
 
     The constructor takes rows from the caller and checks that they are
-    linearly independent (numerical rank equals the row count).  ``kernel``,
-    ``column_span`` and ``full`` build a subspace from the one SVD, or the
-    identity, that decides it; their rows are Euclidean-orthonormal, so they
-    are not checked a second time.
+    linearly independent (numerical rank equals the row count).
+    ``column_span`` builds a subspace from the one SVD that decides it; its
+    rows are Euclidean-orthonormal, so they are not checked a second time.
     """
 
     basis: np.ndarray = field()
@@ -199,15 +199,6 @@ class Subspace:
         f = cls.__new__(cls)
         f._keep(rows, tol)
         return f
-
-    @classmethod
-    def full(cls, n: int, tol: float) -> "Subspace":
-        return cls._orthonormal(np.eye(_nonnegative(n, "n")), tol)
-
-    @classmethod
-    def kernel(cls, m, tol: float) -> "Subspace":
-        """The kernel of m, decided by one SVD at tol."""
-        return cls._orthonormal(nullspace(m, tol), tol)
 
     @classmethod
     def column_span(cls, m, tol: float) -> "Subspace":
@@ -277,14 +268,6 @@ def signature(g: Gram, tol: float = DEFAULT_TOL) -> Signature:
     return Signature(*(int(x[0]) for x in _signatures(g.mat[None], tol)))
 
 
-def restricted_gram(g: Gram, f: Subspace) -> Gram:
-    """The form of g restricted to f, in f's basis: _restricted_grams on a stack of one.
-    Nothing in the package calls it; it stays public for users.  Gram
-    symmetrizes the stacked row a second time, which changes no bit (the row
-    is already symmetric), so its bits are _restricted_grams'."""
-    return Gram(_restricted_grams(g.mat[None], f.basis)[0])
-
-
 def _restricted_grams(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The (k, d, d) stack of Z·G·Zᵀ, symmetrized as Gram symmetrizes, for a stack
     of grams G (k, n, n) and the orthonormal rows Z (d, n) of one subspace, one
@@ -297,14 +280,9 @@ def _restricted_grams(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def classify_subspace(g: Gram, f: Subspace) -> SubspaceClass:
-    """Degeneracy class of g restricted to f: _subspace_classes on a stack of one."""
-    return _subspace_classes(g.mat[None], f)[0]
-
-
-def _subspace_classes(mats: np.ndarray, f: Subspace) -> List[SubspaceClass]:
-    """Degeneracy classes at f.tol of a stack of grams (k, n, n) restricted to f:
-    one stacked restricted gram and signature, and the class rule per member."""
-    return _form_classes(_restricted_grams(mats, f.basis), f.tol)
+    """Degeneracy class of g restricted to f, at f.tol: _form_classes of the
+    stack of one _restricted_grams makes."""
+    return _form_classes(_restricted_grams(g.mat[None], f.basis), f.tol)[0]
 
 
 def _form_classes(forms: np.ndarray, tol: float) -> List[SubspaceClass]:

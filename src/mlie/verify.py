@@ -481,13 +481,15 @@ def check_trace_formula(tol: float, fail, measure) -> _Claim:
 _Extensions = Tuple[List[int], Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _extension_groups(draws: Iterable[_Extensions], fail, einstein: bool = False):
+def _extension_groups(draws: Iterable[_Extensions], fail, nilpotent: Optional[bool], einstein: bool = False):
     """The draws, stacks of any core dimension, grouped by core dimension v,
     each group's admissibility decided in one call: the members that extend
     takes (its Lie test), or with einstein those that guediri_2step takes (its
     trace condition), and fail(trial, message) with the refusal for any
-    other.  Per group: the trial numbers, their model brackets (m, n, n, n)
-    as LieAlgebra keeps them, and the one Witt gram (1, n, n) they share."""
+    other.  Per group: the trials its one _CurvatureFacts at nilpotent keeps
+    (with None, a model that is not nilpotent fails), on the model brackets
+    as LieAlgebra keeps them and the one Witt gram (1, n, n) they share
+    (facts.grams), and those facts."""
     for v, parts in _grouped(draws, lambda draw: draw[1][0].shape[-1]):
         trials = [t for part_trials, _ in parts for t in part_trials]
         stacks = [np.concatenate(x) for x in zip(*(data for _, data in parts))]
@@ -497,7 +499,11 @@ def _extension_groups(draws: Iterable[_Extensions], fail, einstein: bool = False
             k, d = stacks[0][r], stacks[1][r]
             fail(trials[r], str(_unbalanced(k, d) if einstein else _not_lie(adm.lie_residual[r])))
         c = _antisymmetric(_models(*(x[taken] for x in stacks)))
-        yield list(itertools.compress(trials, taken)), c, _witt_gram(v + 2)[None]
+        facts = _CurvatureFacts(c, _witt_gram(v + 2)[None], DEFAULT_TOL, nilpotent)
+        trials = list(itertools.compress(trials, taken))
+        for trial in itertools.compress(trials, ~facts.kept):  # a Witt gram is nondegenerate
+            fail(trial, "extension not nilpotent")
+        yield list(itertools.compress(trials, facts.kept)), facts
 
 
 def _extension_draws(rng: np.random.Generator, nilpotent: bool):
@@ -531,11 +537,7 @@ def check_double_extension(tol: float, fail, measure) -> _Claim:
     def fail_general(trial: int, message: str) -> None:
         fail(f"μ≠0 trial {trial}: {message}", 1, trial)
 
-    for trials, c, witt in _extension_groups(nilpotent, fail_nilpotent):
-        facts = _CurvatureFacts(c, witt, DEFAULT_TOL, None)
-        for trial in itertools.compress(trials, ~facts.kept):  # a Witt gram is nondegenerate
-            fail_nilpotent(trial, "extension not nilpotent")
-        trials = list(itertools.compress(trials, facts.kept))
+    for trials, facts in _extension_groups(nilpotent, fail_nilpotent, None):
         problems, peaks = _unreached(facts, measure)
         verdicts = facts.verdicts(tol)[0]
         null = facts.null_vectors(facts.centers())  # find_isotropic_in of each center
@@ -553,8 +555,8 @@ def check_double_extension(tol: float, fail, measure) -> _Claim:
             continue
         e = np.array([null[r] for r in keep])
         data, p = _witt_decompositions(facts.brackets()[keep], facts.frame, e, DEFAULT_TOL)
-        resid = _model_residuals(facts.c[keep], witt[0], p, data)
-        scale = _peaks(np.abs(facts.c[keep]), max(1.0, np.abs(witt).max()))
+        resid = _model_residuals(facts.c[keep], facts.grams[0], p, data)
+        scale = _peaks(np.abs(facts.c[keep]), max(1.0, np.abs(facts.grams).max()))
         measure(resid / scale)
         for r, res, sc in zip(keep, resid, scale):
             if res > tol * sc:
@@ -563,8 +565,8 @@ def check_double_extension(tol: float, fail, measure) -> _Claim:
     predicted = np.empty(100)  # ricci_ebar of each μ ≠ 0 trial
     for trials, (k, d, mu, _) in general:
         predicted[trials] = _ricci_ebars(k, d, mu)
-    for trials, c, witt in _extension_groups(general, fail_general):
-        forms = _CurvatureFacts(c, witt, DEFAULT_TOL, False).ricci_form()  # ricci_via_definition
+    for trials, facts in _extension_groups(general, fail_general, False):
+        forms = facts.ricci_form()  # ricci_via_definition
         for trial, pred, obs in zip(trials, predicted[trials].tolist(), forms[:, -1, -1].tolist()):
             scale = max(1.0, abs(obs))
             diff = abs(pred - obs)
@@ -604,11 +606,7 @@ def check_guediri(tol: float, fail, measure) -> _Claim:
     for trial in range(50):
         alpha, c, a, ab = draw()
         draws.append(([trial], _stack_of_one(_guediri_data(alpha, c, a, ab, DEFAULT_TOL))))
-    for trials, c, witt in _extension_groups(draws, fail_trial, einstein=True):
-        facts = _CurvatureFacts(c, witt, DEFAULT_TOL, None)
-        for trial in itertools.compress(trials, ~facts.kept):  # a Witt gram is nondegenerate
-            fail_trial(trial, "extension not nilpotent")
-        trials = list(itertools.compress(trials, facts.kept))
+    for trials, facts in _extension_groups(draws, fail_trial, None, einstein=True):
         problems, _ = _unreached(facts, measure)
         classes = facts.classes(facts.centers())  # classify_subspace of each center
         for trial, problem, verdict, cls in zip(trials, problems, facts.verdicts(tol)[0], classes):

@@ -397,6 +397,51 @@ def test_a_degenerate_variant_draw_is_a_failure_named_by_its_draw(monkeypatch, n
         assert result.observed.startswith(f"{classified}/{classified} centers Degenerate — ")
 
 
+@pytest.mark.parametrize("name", ["double-extension", "guediri"])
+def test_a_model_that_is_not_nilpotent_is_a_failure_named_by_its_trial(monkeypatch, name):
+    # every drawn model is nilpotent, so no passing run reaches this failure:
+    # here the lower central series of the first model the check hands the
+    # pipeline stops short of 0, and that trial alone fails, while the other
+    # trials are still decided and run_checks still makes every row
+    firsts, groups = [], verify._extension_groups
+
+    def first_trials(*args, **kwargs):
+        for group in groups(*args, **kwargs):
+            firsts.append(group[0][0])
+            yield group
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_extension_groups", first_trials)
+        (clean,) = run_checks([name])
+    assert clean.passed
+    trial = firsts[0]
+    if name == "double-extension":
+        v = verify._extension_draws(verify._rng(8), True)[1][trial]
+        expected = f"nilpotent trial {trial} (v={v}): extension not nilpotent"
+    else:
+        expected = f"trial {trial}: extension not nilpotent"
+
+    series, check, armed = curvature._lower_central_series, verify.CHECKS[name], []
+
+    def stops_short(unit, tol):
+        steps = series(unit, tol)
+        if armed and armed.pop():
+            steps[0] = steps[0][:-1]  # the zero ideal dropped: the series stops at [g, …]
+        return steps
+
+    def arming(tol):
+        armed.append(True)
+        return check(tol)
+
+    monkeypatch.setattr(curvature, "_lower_central_series", stops_short)
+    monkeypatch.setitem(verify.CHECKS, name, arming)
+    results = run_checks()
+    assert [r.name for r in results] == list(CHECK_NAMES)
+    assert [r.name for r in results if not r.passed] == [name]
+    (failed,) = (r for r in results if r.name == name)
+    assert failed.failures == [expected]
+
+
 class _RecordingRng:
     """A generator that keeps every normal draw it hands out."""
 
@@ -584,7 +629,7 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
     # extend → is_nilpotent → einstein_classify → decompose → model_residual
     # (ricci_via_definition for μ ≠ 0): equal decisions, bit-identical numbers
     nilpotent, general = _double_extension_draws()
-    layers = ("_extension_groups", "_CurvatureFacts", "_witt_decompositions", "_model_residuals")
+    layers = ("_extension_groups", "_witt_decompositions", "_model_residuals")
     seen = {name: [] for name in layers}
     _spy_verify(monkeypatch, seen)
     series_seen = {"_lower_central_series": []}
@@ -594,16 +639,15 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
     assert result.passed and result.failures == []
     (_, nilpotent_groups), (_, general_groups) = seen["_extension_groups"]
     checked = 0
-    for g, (trials, c, _) in enumerate(nilpotent_groups):
+    for g, (trials, facts) in enumerate(nilpotent_groups):
         series = series_seen["_lower_central_series"][g][1]
-        facts = seen["_CurvatureFacts"][g][1]
         assert facts.kept.all()
         ric, verdicts = facts.ricci(), facts.verdicts(tol)[0]
         (_, _, null, _), (dec_data, p) = seen["_witt_decompositions"][g]
         resid = seen["_model_residuals"][g][1]
         for r, trial in enumerate(trials):
             m = extend(nilpotent[trial])
-            assert m.algebra.c.tobytes() == c[r].tobytes()
+            assert m.algebra.c.tobytes() == facts.c[r].tobytes()
             assert m.algebra.is_nilpotent() and len(series[r][-1]) == 0
             report = m.einstein_classify(tol)
             assert report.verdict is verdicts[r]
@@ -615,8 +659,8 @@ def test_double_extension_stacks_agree_with_the_per_object_calls(monkeypatch):
                 assert np.asarray(getattr(dec.data, key)).tobytes() == stack[r].tobytes()
             assert model_residual(m, dec) == resid[r]
             checked += 1
-    for g, (trials, _, _) in enumerate(general_groups, len(nilpotent_groups)):
-        forms = seen["_CurvatureFacts"][g][1].ricci_form()
+    for trials, facts in general_groups:
+        forms = facts.ricci_form()
         for r, trial in enumerate(trials):
             m = extend(general[trial])
             assert m.ricci_via_definition()[-1, -1] == forms[r, -1, -1]
@@ -692,7 +736,7 @@ def test_guediri_stacks_agree_with_the_per_object_calls(monkeypatch):
     # every constrained set, decided once in its group's stack and once by
     # guediri_2step → einstein_classify → classify_subspace of the center:
     # equal verdicts and classes, bit-identical ‖Ric‖∞ and Ricci operators
-    seen = {name: [] for name in ("_guediri_data", "_extension_groups", "_CurvatureFacts")}
+    seen = {name: [] for name in ("_guediri_data", "_extension_groups")}
     _spy_verify(monkeypatch, seen)
     classes = []
     own_classes = curvature._CurvatureFacts.classes
@@ -709,7 +753,7 @@ def test_guediri_stacks_agree_with_the_per_object_calls(monkeypatch):
     built = [args for args, _ in seen["_guediri_data"]]  # guediri_2step builds the 10 others
     ((_, groups),) = seen["_extension_groups"]
     trials, ric, peaks, verdicts = [], [], [], []
-    for (group_trials, _, _), (_, facts) in zip(groups, seen["_CurvatureFacts"]):
+    for group_trials, facts in groups:
         assert facts.kept.all()
         trials += group_trials
         ric += list(facts.ricci())

@@ -19,7 +19,7 @@ from mlie.curvature import (
     structure_endo_tensors,
     trace_q_sides,
 )
-from mlie.doubleext import decompose, extend, killing_ebar, random_admissible
+from mlie.doubleext import decompose, extend, random_admissible
 from mlie.errors import DegenerateGram, InvalidInput, NotNilpotent, is_route_mismatch
 from mlie.fileio import read_algebra
 from mlie.liealg import LieAlgebra, act_on_brackets
@@ -559,9 +559,9 @@ def test_curvature_tensor_matches_the_einsum_form(name):
         assert diff <= 1e-14 * scale
 
 
-def test_killing_form_of_a_double_extension_is_killing_ebar():
+def test_killing_form_of_a_double_extension_lives_on_ebar_ebar():
     # B(u,v) = tr(ad_u∘ad_v) on the extension's basis (e, f_1.., ē): zero
-    # except at (ē, ē), where it is killing_ebar
+    # except at (ē, ē), where it is μ² + tr(D²)
     rng = np.random.default_rng(23)
     for nilpotent in (True, False):
         for _ in range(5):
@@ -572,7 +572,7 @@ def test_killing_form_of_a_double_extension_is_killing_ebar():
             ads = algebra.ad(np.eye(algebra.n))
             killing = np.einsum("iab,jba->ij", ads, ads)
             expected = np.zeros_like(killing)
-            expected[-1, -1] = killing_ebar(data)
+            expected[-1, -1] = data.mu**2 + np.trace(data.D @ data.D)
             assert np.abs(killing - expected).max() <= 1e-12 * max(1.0, abs(expected[-1, -1]))
 
 

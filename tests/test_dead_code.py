@@ -1,10 +1,12 @@
 """Dead-code guard over the package source, read with the standard ast module:
 an import a module never uses, or a private helper, class, type alias or
 constant that nothing in the package reads, is code that only tests or nothing
-keep alive."""
+keep alive; and a public name is public for one stated reason (_PUBLIC)."""
 import ast
+import functools
 import re
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import mlie
@@ -84,21 +86,26 @@ def _reads(tree: ast.AST) -> set:
     }
 
 
+def _bound_names(node: ast.stmt) -> list:
+    """The names a top-level statement defines: a function's or class's, or
+    the names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def _private_module_names(tree: ast.Module):
     """(line, name) of each private class, type alias and constant a module
     defines at its top level."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            targets = [node.name]
-        elif isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            targets = [node.target.id]
-        else:
-            continue
-        for name in targets:
-            if name.startswith("_") and not name.endswith("__"):
-                yield node.lineno, name
+        if not isinstance(node, ast.FunctionDef):
+            for name in _bound_names(node):
+                if name.startswith("_") and not name.endswith("__"):
+                    yield node.lineno, name
 
 
 def test_every_private_class_alias_and_constant_is_read_in_the_package():
@@ -425,3 +432,215 @@ def test_verify_groups_by_key_in_one_place():
     # keeps the order every rng stream is drawn in
     sites = {site for site in _sites(_groups_by_key) if site.startswith("verify.py:")}
     assert sites == {"verify.py:_grouped"}
+
+
+# ---------------------------------------------------------------------------
+# the public surface
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _public_names() -> dict:
+    """'module.name' or 'module.Class.method' -> (module, definition node) of
+    every public top-level name of the package and every public method,
+    classmethod and property of a public class; mlie.__all__ names resolve,
+    through __init__.py's imports, to the module that defines them."""
+    public = {}
+    for module, tree in _SOURCES.items():
+        if module == "__init__.py":
+            continue
+        for node in tree.body:
+            for name in _bound_names(node):
+                if not name.startswith("_"):
+                    public[f"{module[:-3]}.{name}"] = module, node
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                        public[f"{module[:-3]}.{node.name}.{method.name}"] = module, method
+    exported = {
+        alias.asname or alias.name: f"{node.module}.{alias.name}"
+        for node in _SOURCES["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    for name in mlie.__all__:
+        public.setdefault(exported.get(name, f"mlie.{name}"), ("__init__.py", None))
+    return public
+
+
+def _module_aliases(tree: ast.Module) -> set:
+    """The names a module binds to imported modules (np, functools, ...)."""
+    return {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+
+
+def _read_counts(node: ast.AST, aliases: set) -> Counter:
+    """How often a tree reads each name: loaded bare names and attribute
+    names, but not an attribute of an imported module (np.full is no read of
+    a method named full)."""
+    reads = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            base = sub.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if not (isinstance(base, ast.Name) and base.id in aliases):
+                reads[sub.attr] += 1
+    return reads
+
+
+@functools.lru_cache(maxsize=None)
+def _package_read_counts() -> Counter:
+    return sum(
+        (
+            _read_counts(tree, _module_aliases(tree))
+            for module, tree in _SOURCES.items()
+            if module != "__init__.py"
+        ),
+        Counter(),
+    )
+
+
+def _registered(node: ast.AST) -> bool:
+    """A check that verify's @_check(name) registers in CHECKS."""
+    return isinstance(node, ast.FunctionDef) and any(
+        _calls(decorator, {"_check"}) for decorator in node.decorator_list
+    )
+
+
+def _read_by_the_package(name: str) -> bool:
+    # a read outside the name's own definition (and outside __init__.py)
+    module, node = _public_names()[name]
+    bare = name.rpartition(".")[2]
+    inside = _read_counts(node, _module_aliases(_SOURCES[module]))[bare] if node else 0
+    return _registered(node) or _package_read_counts()[bare] > inside
+
+
+@functools.lru_cache(maxsize=None)
+def _perfbench_text() -> str:
+    return "\n".join(path.read_text() for path in sorted((_PACKAGE.parents[1] / "perfbench").glob("*.py")))
+
+
+def _named_by_perfbench(name: str) -> bool:
+    bare = re.escape(name.rpartition(".")[2])
+    return re.search(rf"\b{bare}\b", _perfbench_text()) is not None
+
+
+@functools.lru_cache(maxsize=None)
+def _test_reads() -> set:
+    # every test module but this one, whose table names every public name
+    return set().union(
+        *(
+            _reads(ast.parse(path.read_text()))
+            for path in sorted(Path(__file__).parent.glob("test_*.py"))
+            if path.name != Path(__file__).name
+        )
+    )
+
+
+def _read_by_the_tests(name: str) -> bool:
+    return name.rpartition(".")[2] in _test_reads()
+
+
+#: why each public name is public, one reason a name:
+#: - package: the package's code reads it outside its own definition and
+#:   __init__.py; a check that verify.CHECKS registers counts
+#: - item 18: perfbench/*.py names it, and only the benchmark PR of ROADMAP
+#:   item 18 edits perfbench
+#: - paper: its docstring names the paper's object or statement
+#: - reference: an independent implementation the tests compare against
+#: - item 27: its numbers move into CurvatureReport with ROADMAP item 27
+_PUBLIC = {
+    "package": (
+        "catalog.BRACKET_TABLES", "catalog.DERIVATION_TABLE", "catalog.ALGEBRA_NAMES",
+        "catalog.make_algebra", "catalog.table1_derivation", "catalog.MetricVariant",
+        "catalog.METRIC_VARIANTS", "catalog.EXAMPLE_TIMELIKE_INDEX", "catalog.make_metric",
+        "cli.EXIT_OK", "cli.EXIT_VERIFY_FAILED", "cli.EXIT_INVALID", "cli.EXIT_NOT_APPLICABLE",
+        "cli.cmd_ricci", "cli.cmd_catalog", "cli.cmd_double_extend", "cli.cmd_decompose",
+        "cli.cmd_verify_paper", "cli.cmd_derivations", "cli.cmd_search", "cli.cmd_classify",
+        "cli.main",
+        "curvature.VERDICT_TOL", "curvature.Verdict", "curvature.CurvatureReport",
+        "curvature.levi_civita_tensors", "curvature.structure_endo_tensors",
+        "curvature.j1_j2_operators", "curvature.q_operators", "curvature.q_bracket_operators",
+        "curvature.q_bracket_differentials", "curvature.ricci_forms",
+        "curvature.ricci_general_forms", "curvature.trace_q_sides", "curvature.ricci_operators",
+        "curvature.MetricLieAlgebra", "curvature.MetricLieAlgebra.n",
+        "curvature.MetricLieAlgebra.signature", "curvature.MetricLieAlgebra.ricci_operator",
+        "curvature.MetricLieAlgebra.einstein_classify",
+        "doubleext.ExtensionData", "doubleext.Admissibility", "doubleext.check_admissible",
+        "doubleext.extend", "doubleext.Decomposition", "doubleext.decompose",
+        "doubleext.guediri_2step",
+        "errors.InvalidInput", "errors.NotNilpotent", "errors.NotLie", "errors.NotApplicable",
+        "errors.SingularK0", "errors.ConstraintViolation", "errors.DegenerateGram",
+        "errors.UnknownName", "errors.BadParams", "errors.ROUTE_MISMATCH",
+        "errors.DEGENERATE_GRAM", "errors.is_route_mismatch",
+        "fileio.algebra_to_dict", "fileio.dict_to_algebra", "fileio.extension_to_dict",
+        "fileio.dict_to_extension", "fileio.write_json", "fileio.read_algebra",
+        "fileio.write_algebra", "fileio.read_extension",
+        "liealg.LieAlgebra", "liealg.LieAlgebra.from_brackets", "liealg.LieAlgebra.jacobi_defect",
+        "liealg.LieAlgebra.require_jacobi", "liealg.LieAlgebra.center",
+        "liealg.LieAlgebra.derived_ideal", "liealg.LieAlgebra.lower_central_series",
+        "liealg.LieAlgebra.is_nilpotent", "liealg.LieAlgebra.derivation_space",
+        "liealg.LieAlgebra.derivation_defect", "liealg.LieAlgebra.find_nonzero_trace_derivation",
+        "liealg.derivation_defects", "liealg.act_on_brackets",
+        "pseudolin.DEFAULT_TOL", "pseudolin.Signature", "pseudolin.SubspaceTag",
+        "pseudolin.SubspaceClass", "pseudolin.Gram", "pseudolin.Gram.from_diagonal",
+        "pseudolin.Gram.n", "pseudolin.Subspace", "pseudolin.Subspace.column_span",
+        "pseudolin.Subspace.dim", "pseudolin.Subspace.ambient_dim", "pseudolin.numerical_rank",
+        "pseudolin.nullspace", "pseudolin.signature", "pseudolin.classify_subspace",
+        "pseudolin.find_isotropic_in",
+        "search.TARGETS", "search.STOP_REASONS", "search.einstein_residual", "search.SearchSpec",
+        "search.SearchResult", "search.run_search",
+        "verify.EX8_LAMBDA", "verify.CheckResult", "verify.CHECKS",
+        "verify.check_classified_ricci_flat", "verify.check_flatness",
+        "verify.check_degenerate_center", "verify.check_examples",
+        "verify.check_route_equivalence", "verify.check_trace_j1_j2", "verify.check_trace_formula",
+        "verify.check_double_extension", "verify.check_guediri", "verify.check_derivations",
+        "verify.check_lemma_fuzz", "verify.check_search_regression", "verify.CHECK_NAMES",
+        "verify.run_checks", "verify.format_row",
+    ),
+    "item 18": (
+        "curvature.MetricLieAlgebra.curvature_tensor", "curvature.MetricLieAlgebra.j1_j2",
+        "curvature.MetricLieAlgebra.ricci_general", "curvature.MetricLieAlgebra.ricci_nilpotent",
+        "curvature.MetricLieAlgebra.ricci_via_definition",
+        "curvature.MetricLieAlgebra.trace_q_times", "doubleext.model_residual",
+        "doubleext.random_admissible", "doubleext.ricci_ebar", "pseudolin.orthonormal_basis",
+    ),
+    # the solution set of K∘D + D*∘K = 0, and the abelian Euclidean core
+    "paper": ("doubleext.kd_generate", "liealg.LieAlgebra.abelian"),
+    "reference": (
+        "liealg.LieAlgebra.ad", "liealg.LieAlgebra.bracket", "pseudolin.Subspace.contains",
+    ),
+    "item 27": ("curvature.MetricLieAlgebra.flatness_defect",),
+}
+
+#: the reasons a test can decide; paper is read off the docstring by a reviewer
+_HOLDS = {
+    "package": _read_by_the_package,
+    "item 18": _named_by_perfbench,
+    "reference": _read_by_the_tests,
+}
+
+
+def test_every_public_name_has_exactly_one_reason():
+    # a public name with no entry has no caller and no stated reason: delete
+    # it or give it one; an entry whose name is gone goes with it
+    listed = Counter(name for names in _PUBLIC.values() for name in names)
+    assert sorted(name for name, count in listed.items() if count > 1) == []
+    stray = sorted(set(_public_names()) ^ set(listed))
+    assert stray == [], stray
+
+
+def test_every_decidable_reason_still_holds():
+    broken = [
+        f"{reason}: {name}"
+        for reason, holds in _HOLDS.items()
+        for name in _PUBLIC[reason]
+        if name in _public_names() and not holds(name)
+    ]
+    assert broken == []

@@ -16,7 +16,6 @@ from mlie.doubleext import (
     extend,
     guediri_2step,
     kd_generate,
-    killing_ebar,
     model_residual,
     random_admissible,
     ricci_ebar,
@@ -54,12 +53,6 @@ def test_ricci_ebar_oracle_half():
     # D = 0, K the 2x2 rotation: ric(ē,ē) = −¼ tr(K²) = ½
     data = ExtensionData(ROT, np.zeros((2, 2)))
     assert ricci_ebar(data) == pytest.approx(0.5)
-
-
-def test_killing_ebar_formula():
-    d = np.diag([2.0, -1.0])
-    data = ExtensionData(ROT, d, mu=3.0)
-    assert killing_ebar(data) == pytest.approx(9.0 + 5.0)  # μ² + tr(D²)
 
 
 def test_extend_rejects_non_lie_data():

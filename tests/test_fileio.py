@@ -13,10 +13,11 @@ from mlie.fileio import (
     algebra_to_dict,
     dict_to_algebra,
     dict_to_extension,
+    extension_to_dict,
     read_algebra,
     read_extension,
     write_algebra,
-    write_extension,
+    write_json,
 )
 from mlie.liealg import LieAlgebra
 from mlie.pseudolin import DEFAULT_TOL, Gram
@@ -126,7 +127,7 @@ def test_a_file_descriptor_is_not_a_path():
     try:
         for call in (
             partial(write_algebra, w, algebra),
-            partial(write_extension, w, data),
+            partial(write_json, w, extension_to_dict(data)),
             partial(read_algebra, r, DEFAULT_TOL),
             partial(read_extension, r),
         ):
@@ -147,7 +148,7 @@ def test_extension_roundtrip(tmp_path):
         b=np.array([0.125, -3.5]),
     )
     path = tmp_path / "ext.json"
-    write_extension(str(path), data, basis_change=np.eye(4), comment="c")
+    write_json(str(path), extension_to_dict(data, basis_change=np.eye(4), comment="c"))
     back, bc, comment = read_extension(str(path))
     assert np.array_equal(back.K, data.K)
     assert np.array_equal(back.D, data.D)

@@ -335,7 +335,7 @@ def test_every_constructor_reads_its_sizes_from_its_arrays():
         for fn in _public_callables()
         if not sizes.isdisjoint(inspect.signature(fn).parameters)
     }
-    kept = {"LieAlgebra.from_brackets", "LieAlgebra.abelian", "Subspace.full", "random_admissible"}
+    kept = {"LieAlgebra.from_brackets", "LieAlgebra.abelian", "random_admissible"}
     assert taking == kept
     assert "abelian_dim" in inspect.signature(doubleext.guediri_2step).parameters
 
@@ -365,7 +365,6 @@ def test_a_negative_size_is_refused_where_it_enters():
     refused = [
         ("n must be nonnegative, got -1", lambda: LieAlgebra.abelian(-1)),
         ("n must be nonnegative, got -2", lambda: LieAlgebra.from_brackets(-2, {})),
-        ("n must be nonnegative, got -1", lambda: Subspace.full(-1, 1e-9)),
         ("f_dim must be nonnegative, got -1", lambda: random_admissible(rng, f_dim=-1)),
         ("blocks must be nonnegative, got -1", lambda: random_admissible(rng, blocks=-1)),
         # a size that is not an integer, a bool included, is refused, not
@@ -373,7 +372,6 @@ def test_a_negative_size_is_refused_where_it_enters():
         ("n must be an integer, got 2.5", lambda: LieAlgebra.abelian(2.5)),
         ("n must be an integer, got True", lambda: LieAlgebra.abelian(True)),
         ("n must be an integer, got 2.5", lambda: LieAlgebra.from_brackets(2.5, {})),
-        ("n must be an integer, got 2.5", lambda: Subspace.full(2.5, 1e-9)),
         ("f_dim must be an integer, got 1.5", lambda: random_admissible(rng, f_dim=1.5)),
         (
             "abelian_dim must be an integer, got 1.7",
@@ -407,7 +405,7 @@ def test_a_zero_dimensional_algebra_is_refused_where_it_enters(constructor):
 def test_a_zero_dimensional_gram_and_subspace_stay_valid():
     # a center can be 0-dimensional, and so can the form restricted to it
     assert Gram(np.zeros((0, 0))).n == 0
-    assert Subspace.full(0, 1e-9).dim == 0
+    assert Subspace(np.eye(0), 1e-9).dim == 0
     center = LieAlgebra.from_brackets(3, {(0, 1): {2: 1.0}, (0, 2): {1: 1.0}}).center()
     assert center.dim == 0
     assert classify_subspace(Gram(np.eye(3)), center).tag is pseudolin.SubspaceTag.EUCLIDEAN
@@ -437,8 +435,6 @@ def _tol_entry_points():
         "dict_to_algebra": lambda tol: fileio.dict_to_algebra({"dim": 1}, tol),
         "read_algebra": lambda tol: fileio.read_algebra(data_file, tol),
         "Subspace.__init__": lambda tol: Subspace([[1.0, 0.0]], tol),
-        "Subspace.full": lambda tol: Subspace.full(2, tol),
-        "Subspace.kernel": lambda tol: Subspace.kernel(eye, tol),
         "Subspace.column_span": lambda tol: Subspace.column_span(eye, tol),
         "numerical_rank": lambda tol: pseudolin.numerical_rank(np.zeros((0, 2)), tol),
         "nullspace": lambda tol: pseudolin.nullspace(np.zeros((0, 2)), tol),

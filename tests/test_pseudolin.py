@@ -19,7 +19,6 @@ from mlie.pseudolin import (
     nullspace,
     numerical_rank,
     orthonormal_basis,
-    restricted_gram,
     signature,
 )
 
@@ -149,7 +148,7 @@ def test_signature_boundary_counts_null():
     assert numerical_rank(tie.mat, DEFAULT_TOL) == 1
     assert nullspace(tie.mat, DEFAULT_TOL).shape == (1, 2)
     assert Subspace.column_span(tie.mat, DEFAULT_TOL).basis.shape == (1, 2)
-    v = find_isotropic_in(tie, Subspace.full(2, DEFAULT_TOL))
+    v = find_isotropic_in(tie, Subspace(np.eye(2), DEFAULT_TOL))
     assert np.array_equal(np.abs(v), [0.0, 1.0])
     with pytest.raises(InvalidInput):
         orthonormal_basis(tie, DEFAULT_TOL)
@@ -163,7 +162,7 @@ def test_signature_boundary_counts_null():
     assert numerical_rank(above.mat, DEFAULT_TOL) == 2
     assert nullspace(above.mat, DEFAULT_TOL).shape == (0, 2)
     assert Subspace.column_span(above.mat, DEFAULT_TOL).basis.shape == (2, 2)
-    assert find_isotropic_in(above, Subspace.full(2, DEFAULT_TOL)) is None
+    assert find_isotropic_in(above, Subspace(np.eye(2), DEFAULT_TOL)) is None
     _, eps = orthonormal_basis(above, DEFAULT_TOL)
     assert np.array_equal(eps, [1.0, 1.0])
     assert kd_generate(
@@ -202,7 +201,7 @@ def test_numerical_rank_and_nullspace():
     assert Subspace.column_span(np.zeros((0, 3)), DEFAULT_TOL).basis.shape == (0, 0)
     # an array that is not a matrix is refused by every rank helper
     for bad in (np.zeros((2, 3, 4)), np.zeros(3), 1.0):
-        for helper in (numerical_rank, nullspace, Subspace.column_span, Subspace.kernel):
+        for helper in (numerical_rank, nullspace, Subspace.column_span):
             with pytest.raises(InvalidInput, match="2-D"):
                 helper(bad, DEFAULT_TOL)
 
@@ -215,7 +214,7 @@ def test_subspace_validation():
     assert s.contains([2.0, 0.0, 0.0])
     assert not s.contains([0.0, 1.0, 0.0])
     # a vector of another space is refused, not handed to numpy's lstsq
-    for space in (s, make_algebra("L3_2").center(), Subspace.full(3, DEFAULT_TOL)):
+    for space in (s, make_algebra("L3_2").center(), Subspace(np.eye(3), DEFAULT_TOL)):
         with pytest.raises(InvalidInput, match="vector must have length 3, got 2"):
             space.contains([1.0, 0.0])
     for bad in (0.0, -1e-9, float("nan"), float("inf")):
@@ -223,12 +222,12 @@ def test_subspace_validation():
             Subspace(np.zeros((0, 3)), bad)
     # the zero subspace contains by the sup-norm residual rule of every
     # subspace, as a line does: (9e-10,)*3 has 2-norm 1.6e-9 > 1e-9
-    zero = Subspace.kernel(np.eye(3), DEFAULT_TOL)
+    zero = Subspace(np.zeros((0, 3)), DEFAULT_TOL)
     assert zero.dim == 0
     assert zero.contains([9e-10] * 3)
     assert s.contains([0.0, 9e-10, 9e-10])
     assert not zero.contains([2e-9, 0.0, 0.0])
-    assert Subspace.full(0, DEFAULT_TOL).contains(np.zeros(0))
+    assert Subspace(np.eye(0), DEFAULT_TOL).contains(np.zeros(0))
 
 
 def test_classify_trichotomy():
@@ -264,13 +263,13 @@ def test_a_subspace_is_classified_at_the_tol_it_was_decided_at():
 def test_restricted_gram():
     g = minkowski(3)
     f = Subspace(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), DEFAULT_TOL)
-    r = restricted_gram(g, f)
-    assert r.mat == pytest.approx(np.array([[0.0, 0.0], [0.0, 1.0]]))
+    (r,) = pseudolin._restricted_grams(g.mat[None], f.basis)
+    assert r == pytest.approx(np.array([[0.0, 0.0], [0.0, 1.0]]))
 
 
 def test_stacked_restricted_grams_are_restricted_gram_bit_for_bit():
-    # _restricted_grams and _subspace_classes on a stack of grams are
-    # restricted_gram and classify_subspace member for member
+    # _restricted_grams and _form_classes on a stack of grams are their stacks
+    # of one, and classify_subspace, member for member
     rng = np.random.default_rng(9)
     for n in range(1, 7):
         a = np.eye(n) + 0.3 * rng.normal(size=(6, n, n))
@@ -280,18 +279,20 @@ def test_stacked_restricted_grams_are_restricted_gram_bit_for_bit():
         for d in range(n + 1):
             f = Subspace._orthonormal(np.linalg.qr(rng.normal(size=(n, n)))[0][:d], 1e-9)
             stacked = pseudolin._restricted_grams(mats, f.basis)
-            classes = pseudolin._subspace_classes(mats, f)
+            classes = pseudolin._form_classes(stacked, f.tol)
             for r, mat in enumerate(mats):
-                assert restricted_gram(Gram(mat), f).mat.tobytes() == stacked[r].tobytes()
+                (one,) = pseudolin._restricted_grams(Gram(mat).mat[None], f.basis)
+                assert one.tobytes() == stacked[r].tobytes()
                 assert classify_subspace(Gram(mat), f) == classes[r]
 
 
 #: every path to a form restricted to a subspace: the public calls and the stacked layer
 _RESTRICTIONS = {
-    "restricted_gram": restricted_gram,
     "classify_subspace": classify_subspace,
     "find_isotropic_in": find_isotropic_in,
-    "_subspace_classes": lambda g, f: pseudolin._subspace_classes(g.mat[None], f),
+    "_form_classes": lambda g, f: pseudolin._form_classes(
+        pseudolin._restricted_grams(g.mat[None], f.basis), f.tol
+    ),
 }
 
 
@@ -405,7 +406,7 @@ def test_every_inertia_decision_agrees_at_the_cutoff():
             degenerate = True
         assert (signature(g, DEFAULT_TOL).null > 0) == degenerate
     for g in _band_grams(np.random.default_rng(9), 1000, lorentzian=False):
-        full = Subspace.full(g.n, DEFAULT_TOL)
+        full = Subspace(np.eye(g.n), DEFAULT_TOL)
         definite = classify_subspace(g, full).tag is not SubspaceTag.DEGENERATE
         assert definite == (find_isotropic_in(g, full) is None)
 
