@@ -332,21 +332,8 @@ def make_metric(
     real finite number (not a bool or a string) and is validated against the
     stated constraints (BadParams on violation, as for a gram the parameters
     make degenerate).  For EX6, EX7 and EX8 no variant and no parameter is
-    accepted and the orthonormal metric is returned.  The gram is
-    _metric_gram's.
+    accepted and the orthonormal metric is returned.
     """
-    gram = _metric_gram(name, variant, params)
-    try:
-        return MetricLieAlgebra(make_algebra(name), gram)
-    except DegenerateGram:
-        raise BadParams(f"parameters make the {variant} gram degenerate") from None
-
-
-def _metric_gram(
-    name: str, variant: Optional[str] = None, params: Optional[Mapping[str, float]] = None
-) -> Gram:
-    """The gram of make_metric(name, variant, params), every argument validated
-    as make_metric validates it; the gram's degeneracy is left to its frame."""
     algebra = make_algebra(name)
     if name in EXAMPLE_TIMELIKE_INDEX:
         if variant is not None:
@@ -356,7 +343,7 @@ def _metric_gram(
             raise BadParams(f"{name} takes no parameters: " + ", ".join(given))
         d = np.ones(algebra.n)
         d[EXAMPLE_TIMELIKE_INDEX[name] - 1] = -1.0
-        return Gram.from_diagonal(d)
+        return MetricLieAlgebra(algebra, Gram.from_diagonal(d))
 
     if variant is None:
         raise UnknownName(f"{name} needs a metric variant: " + ", ".join(
@@ -369,7 +356,10 @@ def _metric_gram(
     if mv.algebra != name:
         raise UnknownName(f"metric variant {variant} belongs to {mv.algebra}, not {name}")
 
-    return Gram(_variant_grams(mv, params, ndim=0)[0])
+    try:
+        return MetricLieAlgebra(algebra, Gram(_variant_grams(mv, params, ndim=0)[0]))
+    except DegenerateGram:
+        raise BadParams(f"parameters make the {variant} gram degenerate") from None
 
 
 def _variant_grams(

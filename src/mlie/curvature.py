@@ -250,8 +250,8 @@ def ricci_operators(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndar
 # -- the verdict on stacks ----------------------------------------------
 #
 # einstein_classify on a stack of metrics given by their brackets c (k,n,n,n)
-# in the input basis and their grams (k,n,n), either a stack of k or of one
-# that every member shares.  _CurvatureFacts is the one stacked metric
+# in the input basis, always k, and their grams (k,n,n), a stack of k or of
+# one that every member shares.  _CurvatureFacts is the one stacked metric
 # pipeline: gram → frame → signature → curvature facts → verdict → subspace
 # classes, in one _frames call and three kept passes through the kernel.
 # MetricLieAlgebra runs it for its stack of one, verify's verdict checks once
@@ -278,13 +278,13 @@ def _check_routes(ric_nil: np.ndarray, ric_def: np.ndarray) -> np.ndarray:
 
 
 def _curvature_tensors(c: np.ndarray, lc: np.ndarray) -> np.ndarray:
-    """K[m,i,j,k,:] = (L_[e_i,e_j] − [L_i, L_j]) e_k for brackets c (k, n, n, n),
-    or one (n, n, n) all share, and Levi-Civita tensors lc[m, i, k, :] =
-    L_{e_i} e_k (k, n, n, n)."""
+    """K[m,i,j,k,:] = (L_[e_i,e_j] − [L_i, L_j]) e_k for a stack of brackets c
+    (k, n, n, n) and their Levi-Civita tensors lc[m, i, k, :] = L_{e_i} e_k
+    (k, n, n, n)."""
     m, n = lc.shape[:2]
     # K[i,j,k,:] = Σ_m c[i,j,m] lc[m,k,:] + (lc[i] @ lc[j] − lc[j] @ lc[i])[k,:],
     # each term one matmul over reshaped stacks
-    curv = (c.reshape(-1, n * n, n) @ lc.reshape(m, n, n * n)).reshape(m, n, n, n, n)
+    curv = (c.reshape(m, n * n, n) @ lc.reshape(m, n, n * n)).reshape(m, n, n, n, n)
     products = lc.reshape(m, n * n, n) @ lc.transpose(0, 2, 1, 3).reshape(m, n, n * n)
     products = products.reshape(m, n, n, n, n).transpose(0, 1, 3, 2, 4)  # [i,j] = lc[i] @ lc[j]
     curv += products
@@ -302,14 +302,14 @@ def _flatness_defects(c: np.ndarray, lc: np.ndarray) -> Tuple[np.ndarray, np.nda
 
 class _CurvatureFacts:
     """The stacked metric pipeline: the metrics with brackets c (k, n, n, n),
-    or one bracket (n, n, n) all share, and grams (k, n, n), or one (1, n, n)
-    all share, decided at tol.  Building it takes the frames (ε, A, B) in one
+    a stack even when shared, and grams (k, n, n), or one (1, n, n) all
+    share, decided at tol.  Building it takes the frames (ε, A, B) in one
     _frames call and keeps the members it can decide, kept (k,): those whose
     gram is nondegenerate and, when nilpotent is None, whose bracket is
     nilpotent, each decided per member as LieAlgebra.is_nilpotent decides it;
     nilpotent True or False is the caller's, shared by every member, and picks
     the Ricci route.  Its c, grams and frame are the kept members' (a shared
-    one stays one), and minus is each kept member's count of negative signs.
+    gram stays one), and minus is each kept member's count of negative signs.
 
     The curvature facts of the kept members are read-only stacks from three
     passes through the stacked kernel, each run on the first read of one of
@@ -329,15 +329,15 @@ class _CurvatureFacts:
     def __init__(self, c: np.ndarray, grams: np.ndarray, tol: float, nilpotent: Optional[bool]) -> None:
         (eps, a, b), degenerate = _frames(grams, tol)
         kept, minus = ~degenerate, (eps < 0).sum(axis=1)  # ε is minus-first
-        if c.ndim == 4 and len(grams) < len(c):  # one gram all share: its frame stays one
+        if len(grams) < len(c):  # one gram all share: its frame stays one
             kept, minus = kept.repeat(len(c)), minus.repeat(len(c))
         if nilpotent is None:  # each member's lower central series reaches 0
             series = _lower_central_series(_unit(c), tol)
             kept = kept & np.array([not len(steps[-1]) for steps in series], dtype=bool)
         if np.count_nonzero(kept) < len(kept):
             rows = kept if len(grams) == len(kept) else ~degenerate
-            c = c[kept] if c.ndim == 4 else c
-            grams, eps, a, b, minus = grams[rows], eps[rows], a[rows], b[rows], minus[kept]
+            c, minus = c[kept], minus[kept]
+            grams, eps, a, b = grams[rows], eps[rows], a[rows], b[rows]
         self.kept, self.minus, self.c, self.grams, self.frame = kept, minus, c, grams, (eps, a, b)
         self.tol, self.nilpotent = tol, nilpotent is not False  # a kept member is, when decided
 
@@ -400,8 +400,8 @@ class _CurvatureFacts:
         return _verdicts(self._route_pass[0], *self._flatness_pass, tol)
 
     def centers(self) -> List[np.ndarray]:
-        """The rows of the center of each kept member's bracket, of a stack c,
-        decided at tol as LieAlgebra.center decides it."""
+        """The rows of the center of each kept member's bracket, decided at
+        tol as LieAlgebra.center decides it."""
         return _centers(_unit(self.c), self.tol)
 
     def classes(self, rows: List[np.ndarray]) -> list:
@@ -499,7 +499,7 @@ class MetricLieAlgebra:
         gram = gram if isinstance(gram, Gram) else Gram(gram)
         if len(gram.mat) != algebra.n:
             raise InvalidInput("gram size does not match algebra dimension")
-        facts = _CurvatureFacts(algebra.c, gram.mat[None], algebra.tol, algebra.is_nilpotent())
+        facts = _CurvatureFacts(algebra.c[None], gram.mat[None], algebra.tol, algebra.is_nilpotent())
         if not facts.kept[0]:
             raise DegenerateGram(DEGENERATE_GRAM)
         minus = int(facts.minus[0])
@@ -520,7 +520,7 @@ class MetricLieAlgebra:
 
     def curvature_tensor(self) -> np.ndarray:
         """K[i,j,k,:] = K(e_i,e_j)e_k = (L_[e_i,e_j] − [L_i, L_j]) e_k."""
-        return _curvature_tensors(self.algebra.c, self._facts.levi_civita())[0]
+        return _curvature_tensors(self._facts.c, self._facts.levi_civita())[0]
 
     def flatness_defect(self) -> Tuple[float, float]:
         """(sup-norm of the curvature tensor, its roundoff scale)."""

@@ -352,15 +352,15 @@ def model_residual(m: MetricLieAlgebra, dec: Decomposition) -> float:
             f"the metric has dimension {m.n}"
         )
     try:
-        return float(_model_residuals(m.algebra.c, m.gram.mat, p[None], _stack_of_one(dec.data))[0])
+        return float(_model_residuals(m.algebra.c[None], m.gram.mat, p[None], _stack_of_one(dec.data))[0])
     except np.linalg.LinAlgError:
         raise InvalidInput("basis change is singular") from None
 
 
 def _model_residuals(c: np.ndarray, g: np.ndarray, p: np.ndarray, data) -> np.ndarray:
     """model_residual for a stack of basis changes P (m, n, n) with their data,
-    the stacks (K, D, μ, b) of _models, of the brackets c (m, n, n, n), or of
-    one (n, n, n) that all share, and the gram g (n, n)."""
+    the stacks (K, D, μ, b) of _models, of the brackets c (m, n, n, n) and
+    the gram g (n, n)."""
     c_new = act_on_brackets(np.linalg.inv(p), p, c)  # P⁻¹[Pe_a, Pe_b]
     g_new = p.transpose(0, 2, 1) @ g @ p
     db = _peaks(np.abs(c_new - _antisymmetric(_models(*data))))

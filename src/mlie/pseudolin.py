@@ -159,10 +159,6 @@ class Gram:
     def from_diagonal(cls, diag) -> "Gram":
         return cls(np.diag(_as_float_array(diag, "gram diagonal", ndim=1)))
 
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class Subspace:

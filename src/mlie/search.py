@@ -359,8 +359,8 @@ def _settle(
     Ricci operators ric_g = Ric_G are within spec.tol of λ̂·Id, at their
     residuals (k,).  Only the members whose Ric_G passes the verdict's
     Einstein test are classified, once and together: their grams AᵀηA,
-    η = diag(eps), built as Gram builds them, go through one _CurvatureFacts,
-    the pipeline a metric runs on its stack of one.  A member stops
+    η = diag(eps), built as Gram builds them, with the bracket broadcast, go
+    through one _CurvatureFacts, as a metric's stack of one does.  A member stops
     "degenerating" when the pipeline does not keep it (its gram is
     degenerate) or its Ricci routes disagree, and "converged" when its
     classification's residual is within spec.tol and its verdict meets the
@@ -373,7 +373,8 @@ def _settle(
     if not idx.size:
         return reasons, residual
     mats = _symmetrized((a[idx].swapaxes(-1, -2) * eps) @ a[idx])
-    facts = _CurvatureFacts(spec.algebra.c, mats, spec.algebra.tol, spec.algebra.is_nilpotent())
+    c = np.broadcast_to(spec.algebra.c, (len(mats),) + spec.algebra.c.shape)
+    facts = _CurvatureFacts(c, mats, spec.algebra.tol, spec.algebra.is_nilpotent())
     reasons[idx[~facts.kept]] = "degenerating"
     idx = idx[facts.kept]
     agree = facts.routes_agree()

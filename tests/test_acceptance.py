@@ -187,7 +187,8 @@ def test_a_catalog_algebra_s_rows_of_its_dimension_stack_are_its_own_calls():
             own_frame = (own_a, own_b, act_on_brackets(own_a, own_b, algebra.c), own_eps)
             for x, y in zip((a, b, mu, eps), own_frame):
                 assert x[rows].tobytes() == y.tobytes(), names[i]
-            own = _kernel_rows(algebra.c, *own_frame)
+            own_c = np.broadcast_to(algebra.c, (verify._FRAMES,) + algebra.c.shape)
+            own = _kernel_rows(own_c, *own_frame)
             for key, values in own.items():
                 assert stacked[key][rows].tobytes() == values.tobytes(), (names[i], key)
             sides = curvature.trace_q_sides(mu[rows], eps[rows], units)
@@ -900,6 +901,27 @@ def test_a_route_mismatch_fails_its_member_s_row_and_every_row_is_made(capsys, m
             for m in failed["double-extension"]} == groups
     assert len(failed["guediri"]) > 1
     assert all(re.fullmatch(r"trial \d+: Ricci routes disagree", m) for m in failed["guediri"])
+    assert cli.main(["verify-paper"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [format_row(r) for r in results] + ["9/12 checks passed"]
+
+
+def test_a_kernel_fault_fails_the_examples_row_and_every_row_is_made(capsys, monkeypatch):
+    # Q scaled by 1.01 stays within the cross-check on the Ricci-flat metrics
+    # (Q ≈ 0) and trips it on EX8, the one Einstein example: examples fails
+    # that example by name and goes on, route-equivalence compares the 𝒥-route
+    # on every catalog instance, and the run makes all twelve rows
+    exact_q = curvature.q_operators
+    monkeypatch.setattr(curvature, "q_operators", lambda s, eps: 1.01 * exact_q(s, eps))
+    results = run_checks()
+    assert [r.name for r in results] == list(CHECK_NAMES)
+    failed = {r.name: r.failures for r in results if not r.passed}
+    assert set(failed) == {"examples", "route-equivalence", "trace-formula"}
+    assert failed["examples"] == ["EX8: Ricci routes disagree"]
+    (route,) = [r for r in results if r.name == "route-equivalence"]
+    assert all(re.fullmatch(r"\w+: definition vs 𝒥-route \S+", m) for m in route.failures)
+    assert {m.split(":")[0] for m in route.failures} == set(ALGEBRA_NAMES)
     assert cli.main(["verify-paper"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""

@@ -24,6 +24,7 @@ from mlie.errors import DegenerateGram, InvalidInput, NotNilpotent, is_route_mis
 from mlie.fileio import read_algebra
 from mlie.liealg import LieAlgebra, act_on_brackets
 from mlie.pseudolin import DEFAULT_TOL, Gram, Signature, classify_subspace
+from mlie.search import SearchSpec, run_search
 
 
 def euclidean_heisenberg():
@@ -351,6 +352,29 @@ def test_a_fresh_metric_takes_its_verdict_in_one_stacked_call(monkeypatch):
     m.curvature_tensor()
     m.einstein_classify(1e-6)
     assert calls == [1]
+
+
+def test_every_caller_hands_the_pipeline_a_stack_of_brackets(monkeypatch):
+    # the pipeline's input contract: brackets (k, n, n, n), always a stack,
+    # and grams a stack of k or of one that every member shares; a metric,
+    # the search's settle and verify's stacked checks all keep it
+    seen = []
+    init = mlie.curvature._CurvatureFacts.__init__
+
+    def spy(self, c, grams, tol, nilpotent):
+        seen.append((c.ndim, len(c), len(grams)))
+        init(self, c, grams, tol, nilpotent)
+
+    monkeypatch.setattr(mlie.curvature._CurvatureFacts, "__init__", spy)
+    make_metric("EX8").einstein_classify()
+    metric = len(seen)
+    spec = SearchSpec(make_algebra("L3_2"), "ricci-flat", signature=(1, 2), seed=0, restarts=8)
+    assert run_search(spec).converged
+    search = len(seen)
+    mlie.verify.run_checks(["classified-ricci-flat", "double-extension", "guediri"])
+    assert 0 < metric < search < len(seen)
+    assert all(ndim == 4 for ndim, _, _ in seen), seen
+    assert all(grams in (1, k) for _, k, grams in seen), seen
 
 
 def test_a_metric_computes_only_the_curvature_facts_it_is_asked_for(monkeypatch):
@@ -696,7 +720,8 @@ def test_the_pipeline_on_a_stack_is_each_member_s_own_metric(name):
     eps = rng.choice([-1.0, 1.0], size=(k, n))
     eps[::25, 0] = 0.0
     grams = np.array([Gram(g).mat for g in a.transpose(0, 2, 1) @ (eps[:, :, None] * a)])
-    facts = mlie.curvature._CurvatureFacts(algebra.c, grams, algebra.tol, algebra.is_nilpotent())
+    c = np.broadcast_to(algebra.c, (k,) + algebra.c.shape)
+    facts = mlie.curvature._CurvatureFacts(c, grams, algebra.tol, algebra.is_nilpotent())
     verdicts, lams, residuals, flats = facts.verdicts(mlie.curvature.VERDICT_TOL)
     scalars = facts._frame_pass[1].trace(axis1=1, axis2=2).tolist()
     assert facts.routes_agree().all() and len(set(facts.minus.tolist())) > 2

@@ -359,9 +359,8 @@ def test_the_held_central_vector_is_chosen_in_doubleext_alone():
 
 def test_verify_builds_no_gram_per_draw():
     # the variant draws take their grams from catalog._variant_grams, one call
-    # a variant, and the checks decide on stacks: verify builds no Gram and
-    # takes no gram from catalog._metric_gram
-    sites = _sites(lambda node: _calls(node, {"Gram", "_metric_gram"}))
+    # a variant, and the checks decide on stacks: verify builds no Gram
+    sites = _sites(lambda node: _calls(node, {"Gram"}))
     assert {site for site in sites if site.startswith("verify.py:")} == set()
 
 
@@ -590,7 +589,7 @@ _PUBLIC = {
         "liealg.derivation_defects", "liealg.act_on_brackets",
         "pseudolin.DEFAULT_TOL", "pseudolin.Signature", "pseudolin.SubspaceTag",
         "pseudolin.SubspaceClass", "pseudolin.Gram", "pseudolin.Gram.from_diagonal",
-        "pseudolin.Gram.n", "pseudolin.Subspace", "pseudolin.Subspace.column_span",
+        "pseudolin.Subspace", "pseudolin.Subspace.column_span",
         "pseudolin.Subspace.dim", "pseudolin.Subspace.ambient_dim", "pseudolin.numerical_rank",
         "pseudolin.nullspace", "pseudolin.signature", "pseudolin.classify_subspace",
         "pseudolin.find_isotropic_in",

@@ -400,13 +400,13 @@ def test_every_inertia_decision_agrees_at_the_cutoff():
     # read one eigendecomposition, so they agree on every gram of the band
     for g in _band_grams(np.random.default_rng(5), 1000, lorentzian=True):
         try:
-            MetricLieAlgebra(LieAlgebra(np.zeros((g.n,) * 3), DEFAULT_TOL), g)
+            MetricLieAlgebra(LieAlgebra(np.zeros((len(g.mat),) * 3), DEFAULT_TOL), g)
             degenerate = False
         except DegenerateGram:
             degenerate = True
         assert (signature(g, DEFAULT_TOL).null > 0) == degenerate
     for g in _band_grams(np.random.default_rng(9), 1000, lorentzian=False):
-        full = Subspace(np.eye(g.n), DEFAULT_TOL)
+        full = Subspace(np.eye(len(g.mat)), DEFAULT_TOL)
         definite = classify_subspace(g, full).tag is not SubspaceTag.DEGENERATE
         assert definite == (find_isotropic_in(g, full) is None)
 
@@ -449,7 +449,7 @@ def test_both_frame_paths_refuse_a_degenerate_gram_with_one_message(build):
 
 def _empty_facts():
     """The curvature facts of no metric of L4_3, on a stack of no gram."""
-    c = make_algebra("L4_3").c
+    c = np.broadcast_to(make_algebra("L4_3").c, (0, 4, 4, 4))
     facts = curvature._CurvatureFacts(c, np.zeros((0, 4, 4)), DEFAULT_TOL, True)
     return (
         facts.kept,
