@@ -250,8 +250,8 @@ def ricci_operators(mu: np.ndarray, eps: np.ndarray, nilpotent: bool) -> np.ndar
 # -- the verdict on stacks ----------------------------------------------
 #
 # einstein_classify on a stack of metrics given by their brackets c (k,n,n,n)
-# in the input basis, always k, and their grams (k,n,n), a stack of k or of
-# one that every member shares.  _CurvatureFacts is the one stacked metric
+# in the input basis and their grams (k,n,n): member r of every stack is one
+# metric, and nothing is shared.  _CurvatureFacts is the one stacked metric
 # pipeline: gram → frame → signature → curvature facts → verdict → subspace
 # classes, in one _frames call and three kept passes through the kernel.
 # MetricLieAlgebra runs it for its stack of one, verify's verdict checks once
@@ -301,15 +301,15 @@ def _flatness_defects(c: np.ndarray, lc: np.ndarray) -> Tuple[np.ndarray, np.nda
 
 
 class _CurvatureFacts:
-    """The stacked metric pipeline: the metrics with brackets c (k, n, n, n),
-    a stack even when shared, and grams (k, n, n), or one (1, n, n) all
-    share, decided at tol.  Building it takes the frames (ε, A, B) in one
-    _frames call and keeps the members it can decide, kept (k,): those whose
-    gram is nondegenerate and, when nilpotent is None, whose bracket is
-    nilpotent, each decided per member as LieAlgebra.is_nilpotent decides it;
-    nilpotent True or False is the caller's, shared by every member, and picks
-    the Ricci route.  Its c, grams and frame are the kept members' (a shared
-    gram stays one), and minus is each kept member's count of negative signs.
+    """The stacked metric pipeline: the metrics with brackets c (k, n, n, n)
+    and grams (k, n, n), member r of each stack one metric, decided at tol.
+    Building it takes the frames (ε, A, B) in one _frames call and keeps the
+    members it can decide, kept (k,): those whose gram is nondegenerate and,
+    when nilpotent is None, whose bracket is nilpotent, each decided per
+    member as LieAlgebra.is_nilpotent decides it; nilpotent True or False is
+    the caller's, shared by every member, and picks the Ricci route.  Its c,
+    grams, frame and minus (each kept member's count of negative signs) are
+    the kept members' stacks, so member r of each is still one metric.
 
     The curvature facts of the kept members are read-only stacks from three
     passes through the stacked kernel, each run on the first read of one of
@@ -329,15 +329,11 @@ class _CurvatureFacts:
     def __init__(self, c: np.ndarray, grams: np.ndarray, tol: float, nilpotent: Optional[bool]) -> None:
         (eps, a, b), degenerate = _frames(grams, tol)
         kept, minus = ~degenerate, (eps < 0).sum(axis=1)  # ε is minus-first
-        if len(grams) < len(c):  # one gram all share: its frame stays one
-            kept, minus = kept.repeat(len(c)), minus.repeat(len(c))
         if nilpotent is None:  # each member's lower central series reaches 0
             series = _lower_central_series(_unit(c), tol)
             kept = kept & np.array([not len(steps[-1]) for steps in series], dtype=bool)
         if np.count_nonzero(kept) < len(kept):
-            rows = kept if len(grams) == len(kept) else ~degenerate
-            c, minus = c[kept], minus[kept]
-            grams, eps, a, b = grams[rows], eps[rows], a[rows], b[rows]
+            c, minus, grams, eps, a, b = (x[kept] for x in (c, minus, grams, eps, a, b))
         self.kept, self.minus, self.c, self.grams, self.frame = kept, minus, c, grams, (eps, a, b)
         self.tol, self.nilpotent = tol, nilpotent is not False  # a kept member is, when decided
 
@@ -418,13 +414,12 @@ class _CurvatureFacts:
 
     def _per_dimension(self, rows: List[np.ndarray], call) -> list:
         """call(grams, z) on the rows z (m, d, n) of the members whose rows
-        have dimension d, and on their grams (or the one shared), one call per
-        d, ascending; the results in the members' order."""
+        have dimension d, and on their grams (m, n, n), one call per d,
+        ascending; the results in the members' order."""
         results = [None] * len(rows)
         for d in sorted({len(z) for z in rows}):
             same = [r for r, z in enumerate(rows) if len(z) == d]
-            grams = self.grams if len(self.grams) == 1 else self.grams[same]
-            for r, x in zip(same, call(grams, np.array([rows[r] for r in same]))):
+            for r, x in zip(same, call(self.grams[same], np.array([rows[r] for r in same]))):
                 results[r] = x
         return results
 

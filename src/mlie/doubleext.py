@@ -312,8 +312,8 @@ def decompose(m: MetricLieAlgebra, verdict_tol: float = VERDICT_TOL) -> Optional
 
 
 def _witt_decompositions(mu: np.ndarray, frame, e: np.ndarray, tol: float):
-    """decompose's reading of a stack of brackets μ (m, n, n, n), all in the
-    one frame (ε, A, B) of their metric (stacks of one), with null central
+    """decompose's reading of a stack of brackets μ (m, n, n, n), each in the
+    frame of its own metric, the stacks (ε, A, B) of m, with null central
     vectors e (m, n) in input coordinates: the stacks (K, D, μ = 0, b) read
     from the bracket in the Witt basis, of which K counts through its upper
     triangle, as ExtensionData and _models read it, and the basis changes
@@ -326,7 +326,7 @@ def _witt_decompositions(mu: np.ndarray, frame, e: np.ndarray, tol: float):
     m, n = mu.shape[:2]
     u = np.zeros((m, n - 1))
     for r in range(m):
-        a_e = a[0] @ e[r]
+        a_e = a[r] @ e[r]
         u[r] = np.sign(a_e[0]) * a_e[1:] / np.linalg.norm(a_e[1:])
     w = np.zeros((m, n, n))
     w[:, 0, 0], w[:, 1:, 0] = 1.0, u
@@ -352,19 +352,19 @@ def model_residual(m: MetricLieAlgebra, dec: Decomposition) -> float:
             f"the metric has dimension {m.n}"
         )
     try:
-        return float(_model_residuals(m.algebra.c[None], m.gram.mat, p[None], _stack_of_one(dec.data))[0])
+        return float(_model_residuals(m.algebra.c[None], m.gram.mat[None], p[None], _stack_of_one(dec.data))[0])
     except np.linalg.LinAlgError:
         raise InvalidInput("basis change is singular") from None
 
 
 def _model_residuals(c: np.ndarray, g: np.ndarray, p: np.ndarray, data) -> np.ndarray:
     """model_residual for a stack of basis changes P (m, n, n) with their data,
-    the stacks (K, D, μ, b) of _models, of the brackets c (m, n, n, n) and
-    the gram g (n, n)."""
+    the stacks (K, D, μ, b) of _models, of the metrics with brackets c
+    (m, n, n, n) and grams g (m, n, n)."""
     c_new = act_on_brackets(np.linalg.inv(p), p, c)  # P⁻¹[Pe_a, Pe_b]
     g_new = p.transpose(0, 2, 1) @ g @ p
     db = _peaks(np.abs(c_new - _antisymmetric(_models(*data))))
-    dg = _peaks(np.abs(g_new - _witt_gram(len(g))))
+    dg = _peaks(np.abs(g_new - _witt_gram(g.shape[-1])))
     return np.maximum(db, dg)
 
 

@@ -282,9 +282,8 @@ def derivation_defects(c: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def act_on_brackets(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """μ[r] = A[r]·c[r] for a stack of factors A (m, n, n), their inverses B and
-    brackets c (m, n, n, n), where a stack of one factor, or one bracket
-    (n, n, n), serves every r: μ(x, y) = A c(Bx, By), so μ[i,j,k] =
-    Σ B[p,i] B[q,j] c[p,q,l] A[k,l]."""
+    brackets c (m, n, n, n), or one bracket (n, n, n) that serves every r:
+    μ(x, y) = A c(Bx, By), so μ[i,j,k] = Σ B[p,i] B[q,j] c[p,q,l] A[k,l]."""
     n = a.shape[-1]
     b_t = b.transpose(0, 2, 1)
     ca = c @ a.transpose(0, 2, 1)[:, None]  # [p,q,k] = Σ_l c[p,q,l] A[k,l]

@@ -266,10 +266,10 @@ def signature(g: Gram, tol: float = DEFAULT_TOL) -> Signature:
 
 def _restricted_grams(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The (k, d, d) stack of Z·G·Zᵀ, symmetrized as Gram symmetrizes, for a stack
-    of grams G (k, n, n) and the orthonormal rows Z (d, n) of one subspace, one
-    gram (n, n) and a stack of subspaces' rows (k, d, n), or a stack of grams
-    and a stack of subspaces' rows, member by member: the package's one
-    restricted form, and its one refusal (InvalidInput) of rows not in R^n."""
+    of grams G (k, n, n) and the orthonormal rows Z (d, n) of one subspace, or
+    a stack of grams and a stack of subspaces' rows (k, d, n), member by
+    member: the package's one restricted form, and its one refusal
+    (InvalidInput) of rows not in R^n."""
     if rows.shape[-1] != mats.shape[-1]:
         raise InvalidInput("subspace ambient dimension does not match gram size")
     return _symmetrized(rows @ mats @ rows.swapaxes(-1, -2))
@@ -315,19 +315,19 @@ def find_isotropic_in(g: Gram, f: Subspace) -> Optional[np.ndarray]:
     the case with no isotropic directions.  It is _isotropic_vectors on the
     stack of one, whose _restricted_grams refuses an f not in R^n.
     """
-    return _isotropic_vectors(g.mat, f.basis[None], f.tol)[0]
+    return _isotropic_vectors(g.mat[None], f.basis[None], f.tol)[0]
 
 
-def _isotropic_vectors(mat: np.ndarray, rows: np.ndarray, tol: float) -> List[Optional[np.ndarray]]:
-    """find_isotropic_in for a gram (n, n), or grams (1 or k, n, n), and a stack
-    of subspaces of one dimension, given by their orthonormal rows Z (k, d, n):
-    the forms Z·G·Zᵀ of _restricted_grams take one stacked _orthonormal_bases
-    at tol.  Per member the choice is deterministic: the first null column of
-    its frame B, or, with none, the sum of the extreme negative and positive
-    columns u-/√(-λ-) + u+/√λ+, or None when every sign agrees (a definite
-    restriction, or d = 0); the vector is those coefficients times Z, scaled
-    to unit norm."""
-    b, eps, null = _orthonormal_bases(_restricted_grams(mat, rows), tol)
+def _isotropic_vectors(mats: np.ndarray, rows: np.ndarray, tol: float) -> List[Optional[np.ndarray]]:
+    """find_isotropic_in for a stack of grams G (k, n, n) and a stack of
+    subspaces of one dimension, given by their orthonormal rows Z (k, d, n),
+    member by member: the forms Z·G·Zᵀ of _restricted_grams take one stacked
+    _orthonormal_bases at tol.  Per member the choice is deterministic: the
+    first null column of its frame B, or, with none, the sum of the extreme
+    negative and positive columns u-/√(-λ-) + u+/√λ+, or None when every sign
+    agrees (a definite restriction, or d = 0); the vector is those
+    coefficients times Z, scaled to unit norm."""
+    b, eps, null = _orthonormal_bases(_restricted_grams(mats, rows), tol)
     vectors = []
     for z, b_m, eps_m, null_m in zip(rows, b, eps, null):
         if np.count_nonzero(null_m):

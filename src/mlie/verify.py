@@ -499,8 +499,8 @@ def _extension_groups(draws: Iterable[_Extensions], fail, nilpotent: Optional[bo
     trace condition), and fail(trial, message) with the refusal for any
     other.  Per group: the trials its one _CurvatureFacts at nilpotent keeps
     (with None, a model that is not nilpotent fails), on the model brackets
-    as LieAlgebra keeps them and the one Witt gram (1, n, n) they share
-    (facts.grams), and those facts."""
+    as LieAlgebra keeps them, each paired with the Witt gram of its
+    dimension (facts.grams), and those facts."""
     for v, parts in _grouped(draws, lambda draw: draw[1][0].shape[-1]):
         trials = [t for part_trials, _ in parts for t in part_trials]
         stacks = [np.concatenate(x) for x in zip(*(data for _, data in parts))]
@@ -510,7 +510,8 @@ def _extension_groups(draws: Iterable[_Extensions], fail, nilpotent: Optional[bo
             k, d = stacks[0][r], stacks[1][r]
             fail(trials[r], str(_unbalanced(k, d) if einstein else _not_lie(adm.lie_residual[r])))
         c = _antisymmetric(_models(*(x[taken] for x in stacks)))
-        facts = _CurvatureFacts(c, _witt_gram(v + 2)[None], DEFAULT_TOL, nilpotent)
+        grams = np.broadcast_to(_witt_gram(v + 2), (len(c), v + 2, v + 2))
+        facts = _CurvatureFacts(c, grams, DEFAULT_TOL, nilpotent)
         trials = list(itertools.compress(trials, taken))
         for trial in itertools.compress(trials, ~facts.kept):  # a Witt gram is nondegenerate
             fail(trial, "extension not nilpotent")
@@ -534,10 +535,10 @@ def _extension_draws(rng: np.random.Generator, nilpotent: bool):
 
 @_check("double-extension")
 def check_double_extension(tol: float, fail, measure) -> _Claim:
-    # The models of one core dimension v share one Witt gram: each group is
-    # decided by one _CurvatureFacts, which also decides each model's
+    # The models of one core dimension v, each with its Witt gram, are one
+    # group decided by one _CurvatureFacts, which also decides each model's
     # nilpotency, at the decisions that extend, einstein_classify, decompose
-    # and model_residual take, then read and round-tripped on stacks.
+    # and model_residual take, then read in its own frame and round-tripped.
     rng = _rng(8)
     nilpotent, v_dims = _extension_draws(rng, True)
     general, _ = _extension_draws(rng, False)
@@ -565,9 +566,10 @@ def check_double_extension(tol: float, fail, measure) -> _Claim:
         if not keep:
             continue
         e = np.array([null[r] for r in keep])
-        data, p = _witt_decompositions(facts.brackets()[keep], facts.frame, e, DEFAULT_TOL)
-        resid = _model_residuals(facts.c[keep], facts.grams[0], p, data)
-        scale = _peaks(np.abs(facts.c[keep]), max(1.0, np.abs(facts.grams).max()))
+        frame, grams = [x[keep] for x in facts.frame], facts.grams[keep]
+        data, p = _witt_decompositions(facts.brackets()[keep], frame, e, DEFAULT_TOL)
+        resid = _model_residuals(facts.c[keep], grams, p, data)
+        scale = _peaks(np.abs(facts.c[keep]), max(1.0, np.abs(grams).max()))
         measure(resid / scale)
         for r, res, sc in zip(keep, resid, scale):
             if res > tol * sc:

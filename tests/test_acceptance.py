@@ -20,7 +20,7 @@ import pytest
 from mlie import cli, curvature, pseudolin, verify
 from mlie.catalog import ALGEBRA_NAMES, METRIC_VARIANTS, make_algebra, make_metric
 from mlie.curvature import VERDICT_TOL, MetricLieAlgebra
-from mlie.doubleext import ExtensionData, decompose, extend, guediri_2step, model_residual
+from mlie.doubleext import ExtensionData, _witt_gram, decompose, extend, guediri_2step, model_residual
 from mlie.errors import ConstraintViolation, DegenerateGram, InvalidInput, UnknownName
 from mlie.liealg import LieAlgebra, act_on_brackets
 from mlie.pseudolin import Gram, classify_subspace, find_isotropic_in
@@ -546,18 +546,14 @@ def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch
     # one admissibility, pipeline (with its frame and nilpotency),
     # decomposition and round-trip call per core dimension v of the 100
     # nilpotent draws, one admissibility and one pipeline call (with its frame)
-    # per core dimension of the 100 μ ≠ 0 draws, and no MetricLieAlgebra built
+    # per core dimension of the 100 μ ≠ 0 draws, and no MetricLieAlgebra built;
+    # each model takes the Witt gram, and the decomposition and round trip
+    # read each member's own frame and gram
     nilpotent, general = _double_extension_draws()
     groups = Counter(data.v_dim for data in nilpotent)
-    layers = (
-        (curvature, "_lower_central_series"),
-        (curvature, "_frames"),
-        (verify, "_CurvatureFacts"),
-        (verify, "_witt_decompositions"),
-        (verify, "_model_residuals"),
-    )
+    layers = ((curvature, "_lower_central_series"), (verify, "_CurvatureFacts"))
     calls = {name: [] for _, name in layers}
-    builds, stacked = [], []
+    builds, stacked, witt, paired = [], [], [], []
 
     def spy(module, name):
         layer = getattr(module, name)
@@ -565,6 +561,19 @@ def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch
 
     for module, name in layers:
         monkeypatch.setattr(module, name, spy(module, name))
+    frames, decompositions, residuals = curvature._frames, verify._witt_decompositions, verify._model_residuals
+    monkeypatch.setattr(curvature, "_frames", lambda mats, tol: witt.append(_are_witt(mats)) or frames(mats, tol))
+    monkeypatch.setattr(
+        verify,
+        "_witt_decompositions",
+        lambda mu, frame, *rest: paired.append([len(mu)] + [len(x) for x in frame])
+        or decompositions(mu, frame, *rest),
+    )
+    monkeypatch.setattr(
+        verify,
+        "_model_residuals",
+        lambda c, g, *rest: paired.append([len(c), len(g), all(_are_witt(g))]) or residuals(c, g, *rest),
+    )
     verdicts = curvature._verdicts
     monkeypatch.setattr(
         curvature, "_verdicts", lambda ric, *rest: stacked.append(len(ric)) or verdicts(ric, *rest)
@@ -589,23 +598,24 @@ def test_double_extension_makes_one_stacked_call_per_dimension_group(monkeypatch
     assert admissibilities == sizes + general_sizes
     assert len(sizes) > 1 and sum(sizes) == 100
     assert stacked == sizes
-    assert calls.pop("_CurvatureFacts") == sizes + general_sizes
-    assert calls.pop("_frames") == [1] * (len(sizes) + len(general_sizes))  # the one Witt gram
-    assert calls == {name: sizes for name in calls}
+    assert calls == {"_CurvatureFacts": sizes + general_sizes, "_lower_central_series": sizes}
+    assert witt == [[True] * k for k in sizes + general_sizes]  # one _frames call, each member the Witt gram
+    assert paired == [x for k in sizes for x in ([k] * 4, [k, k, True])]
 
 
 def test_double_extension_takes_one_stack_of_null_vectors_per_center_dimension(monkeypatch):
     # the members of a group whose centers share a dimension take their
-    # isotropic central vectors in one stacked call on the group's one Witt
-    # gram, each that of find_isotropic_in on its own center, bit for bit
+    # isotropic central vectors in one stacked call on their rows, each
+    # paired with its model's Witt gram, each that of find_isotropic_in on
+    # its own center, bit for bit
     events = []
     isotropic = curvature._isotropic_vectors
 
     def stacked(mats, rows, tol):
         vectors = isotropic(mats, rows, tol)
-        (mat,) = mats
+        assert mats.shape == (len(rows),) + mats.shape[1:] and all(_are_witt(mats))
         events.append(rows.shape[1::-1])  # (d, k)
-        for z, v in zip(rows, vectors):
+        for mat, z, v in zip(mats, rows, vectors):
             assert v.tobytes() == find_isotropic_in(Gram(mat), pseudolin.Subspace._orthonormal(z, tol)).tobytes()
         return vectors
 
@@ -690,6 +700,12 @@ def _spy_verify(monkeypatch, seen, module=verify):
         monkeypatch.setattr(module, name, spy(name))
 
 
+def _are_witt(mats):
+    """Per member of a stack of grams (k, n, n), whether it is the Witt gram
+    of its dimension, bit for bit."""
+    return [g.tobytes() == _witt_gram(len(g)).tobytes() for g in mats]
+
+
 def _spy_groups(monkeypatch, events):
     """Mark in events, with "group", each group whose centers the checks take
     from the pipeline (_CurvatureFacts.centers)."""
@@ -700,9 +716,9 @@ def _spy_groups(monkeypatch, events):
 
 
 def test_guediri_makes_one_stacked_call_per_dimension_group(monkeypatch):
-    # one admissibility, pipeline (with its one frame of the Witt gram),
-    # nilpotency and center call per core dimension of the 50 constrained
-    # sets, and no algebra or metric built
+    # one admissibility, pipeline (with its one frames call on the Witt gram
+    # of each member), nilpotency and center call per core dimension of the
+    # 50 constrained sets, and no algebra or metric built
     layers = ("_admissibilities", "_CurvatureFacts", "_lower_central_series", "_centers")
     seen = {name: [] for name in layers + ("_guediri_data", "_frames")}
     in_verify = ("_admissibilities", "_CurvatureFacts", "_guediri_data")
@@ -727,7 +743,7 @@ def test_guediri_makes_one_stacked_call_per_dimension_group(monkeypatch):
     sizes = [groups[v] for v in sorted(groups)]
     assert len(sizes) > 1 and sum(sizes) == 50
     assert stacked == sizes
-    assert [len(args[0]) for args, _ in seen["_frames"]] == [1] * len(sizes)
+    assert [_are_witt(args[0]) for args, _ in seen["_frames"]] == [[True] * k for k in sizes]
     assert {name: [len(args[0]) for args, _ in seen[name]] for name in layers} == {
         name: sizes for name in layers
     }
@@ -773,17 +789,18 @@ def test_guediri_stacks_agree_with_the_per_object_calls(monkeypatch):
 
 def test_guediri_classifies_its_centers_in_one_stacked_call_per_center_dimension(monkeypatch):
     # the centers of a group that share a dimension take their classes in one
-    # call, on the group's one Witt gram and the stack of their rows, each the
-    # class classify_subspace gives on its own center
+    # call, on the stack of their rows, each paired with its model's Witt
+    # gram, each the class classify_subspace gives on its own center
     events, restricted = [], []
     restrict, classes = curvature._restricted_grams, curvature._form_classes
 
     def stacked(forms, tol):
         out = classes(forms, tol)
-        (((mat,), rows),) = restricted  # the group's one Witt gram
+        ((mats, rows),) = restricted
         restricted.clear()
+        assert mats.shape == (len(rows),) + mats.shape[1:] and all(_are_witt(mats))
         events.append(rows.shape[1::-1])  # (d, k)
-        for z, cls in zip(rows, out):
+        for mat, z, cls in zip(mats, rows, out):
             assert cls == classify_subspace(Gram(mat), pseudolin.Subspace._orthonormal(z, tol))
         return out
 

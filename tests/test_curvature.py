@@ -355,14 +355,15 @@ def test_a_fresh_metric_takes_its_verdict_in_one_stacked_call(monkeypatch):
 
 
 def test_every_caller_hands_the_pipeline_a_stack_of_brackets(monkeypatch):
-    # the pipeline's input contract: brackets (k, n, n, n), always a stack,
-    # and grams a stack of k or of one that every member shares; a metric,
-    # the search's settle and verify's stacked checks all keep it
+    # the pipeline's input contract: brackets (k, n, n, n) and grams
+    # (k, n, n), member r of each stack one metric; a metric, the search's
+    # settle and verify's stacked checks (double-extension and guediri, whose
+    # models each take the Witt gram, among them) all keep it
     seen = []
     init = mlie.curvature._CurvatureFacts.__init__
 
     def spy(self, c, grams, tol, nilpotent):
-        seen.append((c.ndim, len(c), len(grams)))
+        seen.append((c.ndim, len(c), grams.ndim, len(grams)))
         init(self, c, grams, tol, nilpotent)
 
     monkeypatch.setattr(mlie.curvature._CurvatureFacts, "__init__", spy)
@@ -373,8 +374,9 @@ def test_every_caller_hands_the_pipeline_a_stack_of_brackets(monkeypatch):
     search = len(seen)
     mlie.verify.run_checks(["classified-ricci-flat", "double-extension", "guediri"])
     assert 0 < metric < search < len(seen)
-    assert all(ndim == 4 for ndim, _, _ in seen), seen
-    assert all(grams in (1, k) for _, k, grams in seen), seen
+    assert all(ndim == 4 and gram_ndim == 3 for ndim, _, gram_ndim, _ in seen), seen
+    assert all(grams == k for _, k, _, grams in seen), seen
+    assert any(k > 1 for _, k, _, _ in seen[search:]), seen
 
 
 def test_a_metric_computes_only_the_curvature_facts_it_is_asked_for(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from mlie import doubleext
 from mlie.catalog import make_metric
-from mlie.curvature import MetricLieAlgebra, Verdict
+from mlie.curvature import MetricLieAlgebra, Verdict, _CurvatureFacts
 from mlie.catalog import make_algebra
 from mlie.doubleext import (
     ExtensionData,
@@ -278,6 +278,28 @@ def test_decompose_is_well_conditioned_in_a_skewed_basis():
     assert refused == [(48, "algebra is not nilpotent")]
     assert worst <= 1e-12
     assert largest <= 100.0
+
+
+def test_stacked_decompositions_read_each_member_in_its_own_frame():
+    # three metrics of L4_3 with distinct parameters, so distinct frames, in
+    # one pipeline: the stacked Witt reading and round trip give each member
+    # its own decompose and model_residual, bit for bit
+    params = ({"a": 0.3, "b": -0.7, "eps": 1}, {"a": 1.1, "b": 0.2, "eps": -1}, {"a": -0.5, "b": 0.9, "eps": 1})
+    metrics = [make_metric("L4_3", "m43", p) for p in params]
+    c, grams = (np.array(x) for x in zip(*((m.algebra.c, m.gram.mat) for m in metrics)))
+    facts = _CurvatureFacts(c, grams, DEFAULT_TOL, True)
+    assert facts.kept.all() and len({a.tobytes() for a in facts.frame[1]}) == 3
+    e = np.array(facts.null_vectors(facts.centers()))
+    (k, d, mu, b), p = doubleext._witt_decompositions(facts.brackets(), facts.frame, e, DEFAULT_TOL)
+    assert not mu.any()
+    decs = [decompose(m) for m in metrics]
+    for r, dec in enumerate(decs):
+        own = ExtensionData(k[r], d[r], b=b[r])  # as decompose reads its stack of one
+        assert dec.basis_change.tobytes() == p[r].tobytes()
+        for key in ("K", "D", "mu", "b"):
+            assert np.asarray(getattr(dec.data, key)).tobytes() == np.asarray(getattr(own, key)).tobytes()
+    resid = doubleext._model_residuals(facts.c, facts.grams, p, (k, d, mu, b))
+    assert [model_residual(m, dec) for m, dec in zip(metrics, decs)] == resid.tolist()
 
 
 def test_decompose_of_a_classified_metric_factors_nothing(monkeypatch):

@@ -370,7 +370,7 @@ def test_stacked_isotropic_vectors_are_find_isotropic_in_bit_for_bit(n):
                 rows[0] = lightlike
             stack.append(np.linalg.qr(rows.T)[0].T[:d])
         rows = np.array(stack).reshape(6, d, n)
-        got = pseudolin._isotropic_vectors(g.mat, rows, DEFAULT_TOL)
+        got = pseudolin._isotropic_vectors(np.broadcast_to(g.mat, (6, n, n)), rows, DEFAULT_TOL)
         assert len(got) == 6
         for z, v in zip(rows, got):
             want = find_isotropic_in(g, Subspace._orthonormal(z, DEFAULT_TOL))
